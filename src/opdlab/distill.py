@@ -5,7 +5,8 @@ student for the whole horizon, forward-curriculum (f2b) truncates after k
 student turns, and backward-curriculum (b2f) replays the first L - k actions
 of a stored expert trajectory before handing over to the student. Expert
 prefix turns carry no distributions and are excluded from every loss and
-gradient.
+gradient. ``rollout_lockstep`` runs the opd loop for a batch of episodes at
+once, as arrays, for evaluation.
 
 The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
@@ -29,9 +30,12 @@ from .policy import (
     action_dist,
     encode_history,
     forward_kl,
+    forward_kl_rows,
     kl_logit_gradient,
     sample_action,
+    sample_rows,
     softmax,
+    softmax_rows,
 )
 from .replay import ExperienceEntry
 
@@ -162,6 +166,60 @@ def rollout_b2f(env, store, student, teacher, task_id, k, rng, *, temperature=1.
                     max_student_turns=env.config.horizon_cap,
                     prefix_actions=list(stored[:n_prefix]), algo=ALGO_B2F,
                     temperature=temperature, window=window)
+
+
+def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy,
+                     task_ids: np.ndarray, u: np.ndarray, *, temperature: float = 1.0,
+                     window: int | None = None):
+    """rollout_opd for a batch of episodes that advance together, turn by turn.
+
+    Episode e plays task_ids[e] and samples its turn-t action by inverse CDF
+    from the uniform u[e, t], so each episode's draws depend only on its own
+    row of ``u`` (shape (B, horizon_cap)). Each turn steps only the live
+    episodes, with one (B, A) gather of student rows.
+
+    Returns ``(kl, rounds, success)``: the (B, horizon_cap) matrix of
+    per-turn KL (0 after an episode ends), and the student turns played and
+    the success flag of each episode.
+    """
+    n, horizon = len(task_ids), env.config.horizon_cap
+    if u.shape != (n, horizon):
+        raise UsageError(f"u has shape {u.shape}, expected {(n, horizon)}")
+    kl = np.zeros((n, horizon))
+    rounds = np.zeros(n, dtype=np.int64)
+    success = np.zeros(n, dtype=bool)
+    # state of the live episodes only, in the order of ``live``
+    live = np.arange(n)
+    task = np.asarray(task_ids, dtype=np.int64)
+    pos = np.zeros(n, dtype=np.int64)
+    recovery = np.zeros(n, dtype=np.int64)
+    # full histories (o_0, a_0, ..., o_t); a window keeps o_0 and the tail
+    histories = [(tok,) for tok in env.initial_tokens[task].tolist()]
+    get, default = student.logits.get, student.default_logits
+
+    for t in range(horizon):
+        if window is None or window >= t:
+            keys = histories
+        else:
+            keys = [h[:1] + h[2 * (t - window):] for h in histories]
+        rows = np.array([get(k, default) for k in keys])
+        q_policy = softmax_rows(rows)
+        q_sample = q_policy if temperature == 1.0 else softmax_rows(rows, temperature)
+        p_teacher = teacher.dist_batch(task, pos, recovery, t)
+        kl[live, t] = forward_kl_rows(p_teacher, q_policy)
+        actions = sample_rows(q_sample, u[live, t])
+        pos, recovery, tokens, won = env.step_batch(task, pos, recovery, actions)
+        rounds[live] += 1
+        success[live] = won
+        histories = [h + (a, o) for h, a, o in
+                     zip(histories, actions.tolist(), tokens.tolist())]
+        if won.any():
+            keep = ~won
+            live, task, pos, recovery = live[keep], task[keep], pos[keep], recovery[keep]
+            histories = [h for h, k in zip(histories, keep.tolist()) if k]
+            if not live.size:
+                break
+    return kl, rounds, success
 
 
 # ---------------------------------------------------------------------------

@@ -106,31 +106,40 @@ class Env:
         # recovery_left can exceed the nominal depth through repeated errors;
         # size the recovery-action table for the worst case within a horizon.
         max_recovery = c.off_support_depth * (c.horizon_cap + 1) + 1
-        self._correct = np.stack([
+        # The transition tables, shared by the scalar and the batched step:
+        # correct_table[task, pos] is the action that advances from pos (for
+        # memory_lock the last one is the key), and recovery_table[task, d]
+        # the action that pays off one unit of a recovery debt d (clipped).
+        self.correct_table = np.stack([
             _task_rng(c.seed, t, _SALT_CORRECT).integers(0, c.num_actions, size=c.chain_length)
             for t in range(c.task_count)
         ])
-        self._recovery = np.stack([
+        self.recovery_table = np.stack([
             _task_rng(c.seed, t, _SALT_RECOVERY).integers(0, c.num_actions, size=max_recovery + 1)
             for t in range(c.task_count)
         ])
+        # Observation token layout: [initial tokens][on-support positions][off
+        # buckets]; a memory_lock initial token also announces the task's key.
         if c.kind == MEMORY_LOCK:
-            self._key = np.array([
+            key = np.array([
                 int(_task_rng(c.seed, t, _SALT_KEY).integers(0, c.num_actions))
                 for t in range(c.task_count)
             ])
+            self.correct_table[:, -1] = key
+            self.initial_tokens = np.arange(c.task_count) * c.num_actions + key
+            n_initial_tokens = c.task_count * c.num_actions
         else:
-            self._key = None
-
-        # Observation token layout: [initial tokens][on-support positions][off buckets]
-        if c.kind == MEMORY_LOCK:
-            self._n_initial_tokens = c.task_count * c.num_actions
-        else:
-            self._n_initial_tokens = c.task_count
-        self._pos_base = self._n_initial_tokens
-        self._off_base = self._pos_base + c.chain_length + 1
-        self._off_buckets = c.off_support_depth + 2
-        self.observation_alphabet_size = self._off_base + self._off_buckets
+            self.initial_tokens = np.arange(c.task_count)
+            n_initial_tokens = c.task_count
+        self.pos_base = n_initial_tokens
+        self.off_base = self.pos_base + c.chain_length + 1
+        self.off_buckets = c.off_support_depth + 2
+        self.observation_alphabet_size = self.off_base + self.off_buckets
+        # Python-list views of the tables: scalar indexing is cheaper on lists.
+        self._correct_rows = self.correct_table.tolist()
+        self._recovery_rows = self.recovery_table.tolist()
+        self._max_recovery_idx = self.recovery_table.shape[1] - 1
+        self._initial_token_list = self.initial_tokens.tolist()
 
         self._check_reachability()
 
@@ -176,14 +185,10 @@ class Env:
     # -- oracle surface (used by the constructed teacher) --------------------
 
     def correct_action(self, task_id: int, pos: int) -> int:
-        c = self.config
-        if c.kind == MEMORY_LOCK and pos == c.chain_length - 1:
-            return int(self._key[task_id])
-        return int(self._correct[task_id][pos])
+        return self._correct_rows[task_id][pos]
 
     def recovery_action(self, task_id: int, recovery_left: int) -> int:
-        idx = min(recovery_left, self._recovery.shape[1] - 1)
-        return int(self._recovery[task_id][idx])
+        return self._recovery_rows[task_id][min(recovery_left, self._max_recovery_idx)]
 
     def expert_action(self, state: EnvState) -> int:
         if state.recovery_left > 0:
@@ -202,19 +207,45 @@ class Env:
     # -- observation encoding -------------------------------------------------
 
     def _initial_observation(self, task_id: int) -> Observation:
-        c = self.config
-        if c.kind == MEMORY_LOCK:
-            token = task_id * c.num_actions + int(self._key[task_id])
-        else:
-            token = task_id
-        return Observation(token_id=token, on_support=True)
+        return Observation(token_id=self._initial_token_list[task_id], on_support=True)
 
     def _observation(self, state: EnvState) -> Observation:
         if state.recovery_left == 0:
-            token = self._pos_base + state.pos
+            token = self.pos_base + state.pos
             return Observation(token_id=token, on_support=True)
-        bucket = min(state.recovery_left - 1, self._off_buckets - 1)
-        return Observation(token_id=self._off_base + bucket, on_support=False)
+        bucket = min(state.recovery_left - 1, self.off_buckets - 1)
+        return Observation(token_id=self.off_base + bucket, on_support=False)
+
+    # -- batched interface ------------------------------------------------------
+    #
+    # Array versions of the oracle and of step() over the same tables, for a
+    # batch of live (not done) states: task, pos and recovery are int arrays.
+
+    def expert_actions(self, task: np.ndarray, pos: np.ndarray,
+                       recovery: np.ndarray) -> np.ndarray:
+        """expert_action for each state of the batch."""
+        return np.where(recovery == 0, self.correct_table[task, pos],
+                        self.recovery_table[task, np.minimum(recovery, self._max_recovery_idx)])
+
+    def observation_tokens(self, pos: np.ndarray, recovery: np.ndarray) -> np.ndarray:
+        """Observation token id for each state of the batch."""
+        bucket = np.minimum(recovery - 1, self.off_buckets - 1)
+        return np.where(recovery == 0, self.pos_base + pos, self.off_base + bucket)
+
+    def step_batch(self, task: np.ndarray, pos: np.ndarray, recovery: np.ndarray,
+                   actions: np.ndarray):
+        """step() for each live state of the batch.
+
+        Returns the new ``(pos, recovery, tokens, success)`` arrays. An
+        episode is done on success or once its turn count reaches
+        horizon_cap; the turn count is the caller's to keep.
+        """
+        on = recovery == 0
+        hit = actions == self.expert_actions(task, pos, recovery)
+        pos = pos + (hit & on)
+        recovery = np.where(hit, recovery - ~on, recovery + self.config.off_support_depth)
+        success = (recovery == 0) & (pos == self.config.chain_length)
+        return pos, recovery, self.observation_tokens(pos, recovery), success
 
     # -- construction-time checks ---------------------------------------------
 
@@ -271,25 +302,39 @@ class TeacherPolicy:
         self.floor = off_support_floor
         self.turn_sharpening = turn_sharpening
         self.depth_decay = depth_decay
+        self._uniform = np.full(self.num_actions, 1.0 / self.num_actions)
+        self._sharp_by_turn: dict[int, np.ndarray] = {}
 
     def _gap(self, turn: int) -> float:
         return (1.0 + self.turn_sharpening * turn) / self.temperature
 
-    def _sharp_dist(self, turn: int, action: int) -> np.ndarray:
-        logits = np.zeros(self.num_actions)
-        logits[action] = self._gap(turn)
-        return softmax(logits)
+    def _sharp(self, turn: int) -> np.ndarray:
+        """(A, A) table whose row a is the sharp distribution favoring a at ``turn``."""
+        table = self._sharp_by_turn.get(turn)
+        if table is None:
+            rows = []
+            for action in range(self.num_actions):
+                logits = np.zeros(self.num_actions)
+                logits[action] = self._gap(turn)
+                rows.append(softmax(logits))
+            table = self._sharp_by_turn[turn] = np.stack(rows)
+        return table
 
     def dist(self, state: EnvState) -> np.ndarray:
         """Action distribution for the realized history behind ``state``."""
-        expert = self.env.expert_action(state)
-        sharp = self._sharp_dist(state.turn, expert)
+        sharp = self._sharp(state.turn)[self.env.expert_action(state)]
         if self.env.on_support(state):
-            return sharp
-        depth = self.env.error_depth(state)
-        lam = max(self.floor, self.depth_decay ** depth)
-        uniform = np.full(self.num_actions, 1.0 / self.num_actions)
-        return lam * uniform + (1.0 - lam) * sharp
+            return sharp.copy()
+        lam = max(self.floor, self.depth_decay ** self.env.error_depth(state))
+        return lam * self._uniform + (1.0 - lam) * sharp
+
+    def dist_batch(self, task: np.ndarray, pos: np.ndarray, recovery: np.ndarray,
+                   turn: int) -> np.ndarray:
+        """dist() for a batch of live states at one turn index, as (B, A) rows."""
+        sharp = self._sharp(turn)[self.env.expert_actions(task, pos, recovery)]
+        lam = np.maximum(self.floor, self.depth_decay ** recovery)[:, None]
+        mixed = lam * self._uniform + (1.0 - lam) * sharp
+        return np.where((recovery == 0)[:, None], sharp, mixed)
 
     def materialize(self, window: int | None = None) -> PolicyParams:
         """Freeze the teacher into a checkpointable logit table.

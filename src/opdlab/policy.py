@@ -124,6 +124,29 @@ def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, len(cum) - 1)
 
 
+# -- row-wise forms over (B, A) matrices, one row per episode -----------------
+
+
+def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """softmax() applied to each row of ``logits``."""
+    z = logits / temperature
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def forward_kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """forward_kl(p[i], q[i]) for each row i."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * (np.log(p) - np.log(np.maximum(q, Q_FLOOR))), 0.0)
+    return np.maximum(terms.sum(axis=1), 0.0)
+
+
+def sample_rows(dist: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sample_action() for each row, with the uniform draw u[i] for row i."""
+    idx = (np.cumsum(dist, axis=1) <= u[:, None]).sum(axis=1)
+    return np.minimum(idx, dist.shape[1] - 1)
+
+
 @dataclass
 class PolicyParams:
     """Logit table for one policy.
@@ -207,4 +230,8 @@ def load_params(path) -> PolicyParams:
                 continue
             row = json.loads(line)
             params.logits[tuple(row["key"])] = np.array(row["logits"], dtype=np.float64)
+    for key, logits in [("default", params.default_logits), *params.logits.items()]:
+        if logits.shape != (params.num_actions,):
+            raise UsageError(f"{path}: row {key} has {logits.size} logits, "
+                             f"expected num_actions={params.num_actions}")
     return params

@@ -35,6 +35,7 @@ from .distill import (
     nll_loss,
     rollout_b2f,
     rollout_f2b,
+    rollout_lockstep,
     rollout_opd,
     sft_update,
 )
@@ -46,7 +47,6 @@ from .metrics import (
     EvalRecord,
     MetricsLog,
     TrainRecord,
-    per_turn_kl_profile,
 )
 from .policy import PolicyParams
 from .replay import RingBuffer, decompose
@@ -110,6 +110,8 @@ class RunConfig:
             raise ConfigError("pass_m must be >= 1")
         if self.train_temperature <= 0 or self.eval_temperature <= 0:
             raise ConfigError("temperatures must be > 0")
+        if self.window is not None and self.window < 0:
+            raise ConfigError(f"window must be >= 0 or None, got {self.window}")
 
     def schedule(self) -> CurriculumSchedule:
         return CurriculumSchedule(k_start=self.k_start, eta=self.eta,
@@ -150,32 +152,52 @@ class TrainingResult:
 # ---------------------------------------------------------------------------
 
 
+def _episode_summary(success, rounds, kl_sums) -> dict:
+    """The EvalRecord fields that summarize a set of episodes.
+
+    ``kl_sums`` holds each episode's summed per-turn KL; the per-turn mean
+    averages kl_sum / rounds over the episodes with at least one round.
+    """
+    rounds = np.asarray(rounds)
+    kl_sums = np.asarray(kl_sums, dtype=np.float64)
+    played = rounds > 0
+    return dict(
+        success_rate=float(np.mean(success)),
+        avg_rounds=float(np.mean(rounds)),
+        traj_kl_mean=float(np.mean(kl_sums)),
+        traj_kl_turn_mean=(float(np.mean(kl_sums[played] / rounds[played]))
+                           if played.any() else 0.0),
+    )
+
+
 def evaluate(params: PolicyParams, env: Env, teacher: TeacherPolicy,
              episodes: int, rng: np.random.Generator, *,
              temperature: float = 0.4, window: int | None = None,
              step: int = 0, active_k: int = 0) -> EvalRecord:
     """Full-horizon, prefix-free evaluation of ``params``.
 
-    Episodes cycle round-robin over tasks. Sampling uses the evaluation
+    Episodes cycle round-robin over tasks and advance together, one turn at
+    a time (see rollout_lockstep). One call draws
+    ``u = rng.random((episodes, horizon_cap))``; episode e samples its
+    turn-t action by inverse CDF from u[e, t], so no draw depends on the
+    other episodes or their lengths. Sampling uses the evaluation
     temperature; the KL profile compares the expert's distribution against
     the student's canonical (temperature-1) policy on the realized states.
     """
     if episodes < 1:
         raise ConfigError(f"episodes must be >= 1, got {episodes}")
-    trajs: list[Trajectory] = []
-    for e in range(episodes):
-        task_id = e % env.config.task_count
-        trajs.append(rollout_opd(env, params, teacher, task_id, rng,
-                                 temperature=temperature, window=window))
-    kl_sums = [sum(t.turn_kl for t in traj.turns) for traj in trajs]
-    kl_means = [s / traj.rounds for s, traj in zip(kl_sums, trajs) if traj.rounds]
+    tasks = np.arange(episodes) % env.config.task_count
+    u = rng.random((episodes, env.config.horizon_cap))
+    kl, rounds, success = rollout_lockstep(env, params, teacher, tasks, u,
+                                           temperature=temperature, window=window)
+    # every episode is live from turn 0 until it ends, so the episodes that
+    # played turn t are those with rounds > t
+    turns = rounds.max()
+    played = (rounds[:, None] > np.arange(turns)).sum(axis=0)
     return EvalRecord(
         step=step,
-        success_rate=sum(t.success for t in trajs) / episodes,
-        avg_rounds=float(np.mean([t.rounds for t in trajs])),
-        traj_kl_mean=float(np.mean(kl_sums)),
-        traj_kl_turn_mean=float(np.mean(kl_means)) if kl_means else 0.0,
-        per_turn_kl=per_turn_kl_profile(trajs),
+        **_episode_summary(success, rounds, kl.sum(axis=1)),
+        per_turn_kl=(kl[:, :turns].sum(axis=0) / played).tolist(),
         active_k=active_k,
         split=SPLIT_EVAL,
         n_rollouts=episodes,
@@ -204,14 +226,10 @@ def _rollout_for(algo: str, env: Env, store, snapshot: PolicyParams,
 
 
 def _rollout_record(step: int, k: int, trajs: list[Trajectory]) -> EvalRecord:
-    kl_sums = [sum(t.turn_kl for t in traj.turns) for traj in trajs]
-    kl_means = [s / traj.rounds for s, traj in zip(kl_sums, trajs) if traj.rounds]
     return EvalRecord(
         step=step,
-        success_rate=sum(t.success for t in trajs) / len(trajs),
-        avg_rounds=float(np.mean([t.rounds for t in trajs])),
-        traj_kl_mean=float(np.mean(kl_sums)),
-        traj_kl_turn_mean=float(np.mean(kl_means)) if kl_means else 0.0,
+        **_episode_summary([t.success for t in trajs], [t.rounds for t in trajs],
+                           [sum(t.turn_kl for t in traj.turns) for traj in trajs]),
         per_turn_kl=[],
         active_k=k,
         split=SPLIT_ROLLOUT,
@@ -225,6 +243,10 @@ def _validate_run(config: RunConfig, store) -> None:
         if store is None or len(store) == 0:
             raise ConfigError("b2f training requires a non-empty expert "
                               "trajectory store; run collection first")
+        missing = sorted(set(range(config.env.task_count)) - set(store.task_ids()))
+        if missing:
+            raise ConfigError(f"b2f training needs a stored expert trajectory for "
+                              f"every task; the store lacks tasks {missing}")
         max_l = store.max_length()
         need = steps_to_full_horizon(config.schedule(), min(max_l, config.cap))
         if need >= config.total_steps:
@@ -355,6 +377,19 @@ def _run_async(config: RunConfig, env_proto: Env, teacher: TeacherPolicy,
     shared = {"step": 0, "task_counter": 0, "traj_counter": 0}
     pending_trajs: list[Trajectory] = []
 
+    # an actor that dies records its exception here; the learner re-raises it
+    actor_errors: list[Exception] = []
+
+    def actor_main(seed_seq):
+        try:
+            actor_loop(seed_seq)
+        except Exception as exc:
+            actor_errors.append(exc)
+
+    def raise_actor_error():
+        if actor_errors:
+            raise actor_errors[0]
+
     def actor_loop(seed_seq):
         rng = np.random.Generator(np.random.PCG64(seed_seq))
         # Each actor keeps its own simulator instance; they share only the
@@ -388,7 +423,7 @@ def _run_async(config: RunConfig, env_proto: Env, teacher: TeacherPolicy,
             with state_lock:
                 pending_trajs.append(traj)
 
-    actors = [threading.Thread(target=actor_loop, args=(s,), daemon=True)
+    actors = [threading.Thread(target=actor_main, args=(s,), daemon=True)
               for s in actor_seeds]
     for t in actors:
         t.start()
@@ -399,7 +434,9 @@ def _run_async(config: RunConfig, env_proto: Env, teacher: TeacherPolicy,
             with state_lock:
                 shared["step"] = n
             k = horizon_at(schedule, n)
+            raise_actor_error()
             while buffer.count_eligible(params.version, config.delta_max) < config.batch_size:
+                raise_actor_error()
                 time.sleep(0.0005)
             batch = buffer.sample_batch(params.version, config.delta_max,
                                         config.batch_size, sample_rng)
@@ -433,6 +470,7 @@ def _run_async(config: RunConfig, env_proto: Env, teacher: TeacherPolicy,
         stop.set()
         for t in actors:
             t.join(timeout=5.0)
+    raise_actor_error()
 
     return TrainingResult(log=log, final_params=params,
                           max_staleness_seen=max_staleness, store=store)

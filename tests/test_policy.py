@@ -250,3 +250,22 @@ def test_load_rejects_wrong_kind(tmp_path):
     path.write_text('{"schema": 1, "kind": "something_else"}\n')
     with pytest.raises(UsageError):
         load_params(path)
+
+
+@pytest.mark.parametrize("row", ['{"key": [0], "logits": [0.1, 0.2]}',
+                                 '{"key": [0, 1, 2], "logits": [0.1, 0.2, 0.3, 0.4]}'])
+def test_load_rejects_row_of_wrong_width(tmp_path, row):
+    params = PolicyParams(num_actions=3)
+    params.logits[(4,)] = np.array([0.1, 0.2, 0.3])
+    path = tmp_path / "ckpt.jsonl"
+    save_params(params, path)
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(UsageError, match="num_actions=3"):
+        load_params(path)
+
+
+def test_load_rejects_default_row_of_wrong_width(tmp_path):
+    path = tmp_path / "ckpt.jsonl"
+    save_params(PolicyParams(num_actions=3, default_logits=np.zeros(2)), path)
+    with pytest.raises(UsageError, match="default"):
+        load_params(path)

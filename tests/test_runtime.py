@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
+from opdlab import runtime
 from opdlab.curriculum import horizon_at
 from opdlab.distill import collect_teacher_trajectories
 from opdlab.env import EnvConfig, make_env, make_teacher
@@ -141,6 +145,20 @@ def test_b2f_requires_store():
         run_training(tiny_cfg(algo="b2f"))
 
 
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_b2f_rejects_store_missing_a_task_before_running(mode, monkeypatch):
+    cfg = tiny_cfg(algo="b2f", mode=mode, actor_count=2)
+    store = collect_for(cfg)
+    del store.actions_by_task[3]
+
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError("a rollout ran before the store was checked")
+
+    monkeypatch.setattr(runtime, "_rollout_for", no_rollouts)
+    with pytest.raises(ConfigError, match=r"lacks tasks \[3\]"):
+        run_training(cfg, store)
+
+
 def test_b2f_warns_when_budget_too_small():
     cfg = tiny_cfg(algo="b2f", total_steps=4, eta=6)
     store = collect_for(cfg)
@@ -186,6 +204,36 @@ def test_async_run_completes_with_staleness_bound():
     assert result.max_staleness_seen <= cfg.delta_max
     assert len(result.log.train_records()) == cfg.total_steps
     assert result.final_params.version == cfg.total_steps
+
+
+@pytest.mark.parametrize("failing_actors", ["all", "one"])
+def test_async_actor_failure_is_raised_by_the_learner(monkeypatch, failing_actors):
+    real = runtime._rollout_for
+    calls = itertools.count()
+
+    def broken(*args, **kwargs):
+        # "one": only the third rollout fails; the other actors keep going
+        if failing_actors == "all" or next(calls) == 2:
+            raise RuntimeError("actor exploded")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "_rollout_for", broken)
+    cfg = tiny_cfg(mode="async", total_steps=2000, actor_count=3, eval_every=1000)
+    raised = []
+
+    def learner():
+        try:
+            run_training(cfg)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    # run the learner on a thread so a learner that waits forever fails the
+    # test instead of hanging it
+    thread = threading.Thread(target=learner, daemon=True)
+    thread.start()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive(), "run_training still running 5 s after an actor died"
+    assert [str(e) for e in raised] == ["actor exploded"]
 
 
 def test_async_and_sync_reach_similar_final_sr():
@@ -249,6 +297,9 @@ def test_run_config_validation():
         RunConfig(lr=0.0)
     with pytest.raises(ConfigError):
         RunConfig(eval_episodes=0)
+    with pytest.raises(ConfigError, match="window"):
+        RunConfig(window=-1)
+    assert RunConfig(window=0).window == 0
 
 
 def test_run_config_cap_defaults_to_horizon():
