@@ -12,7 +12,6 @@ from .distill import (
     Trajectory,
     TurnRecord,
     collect_teacher_trajectories,
-    learner_step,
     rollout_b2f,
     rollout_f2b,
     rollout_opd,

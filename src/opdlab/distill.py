@@ -11,7 +11,11 @@ once, as arrays, for evaluation.
 The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
 gradient is q - p, so the learner update is plain gradient descent on the
-logit table.
+logit table. The learner (``batch_gradient``) and the SFT baseline
+(``sft_update``, ``nll_loss``) compute on (N, A) row blocks, one row per
+batch entry or stored turn, and give bitwise the results of a per-entry loop
+over the scalar softmax, KL and gradient. The SFT turns are materialized
+once per run by ``store_turns``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .policy import (
     kl_logit_gradient,
     sample_action,
     sample_rows,
-    softmax,
     softmax_rows,
 )
 from .replay import ExperienceEntry
@@ -254,6 +257,28 @@ def trajectory_loss(traj: Trajectory, params: PolicyParams | None = None,
     return loss, grads
 
 
+def _student_rows(params: PolicyParams, keys: list[HistoryKey]) -> np.ndarray:
+    """softmax of ``params`` at ``keys`` as (N, A) rows; unseen keys use the default."""
+    get, default = params.logits.get, params.default_logits
+    return softmax_rows(np.array([get(k, default) for k in keys], dtype=np.float64))
+
+
+def _sum_by_key(keys: list[HistoryKey], rows: np.ndarray):
+    """Per-key sums of ``rows``, added in row order, as ``(keys, sums, counts)``
+    with one entry per distinct key in order of first occurrence."""
+    slot_of: dict[HistoryKey, int] = {}
+    slots = [slot_of.setdefault(k, len(slot_of)) for k in keys]
+    sums = np.zeros((len(slot_of), rows.shape[1]))
+    np.add.at(sums, slots, rows)
+    return list(slot_of), sums, np.bincount(slots)
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """Left-to-right sum from 0.0, as a per-entry ``+=`` loop adds (np.sum is
+    pairwise); the leading 0.0 + turns an all-zero -0.0 sum into 0.0, as there."""
+    return 0.0 + float(np.cumsum(values)[-1])
+
+
 def batch_gradient(batch: list[ExperienceEntry], params: PolicyParams,
                    ) -> tuple[float, dict[HistoryKey, np.ndarray]]:
     """Mean loss and per-key mean gradient over a replay batch.
@@ -261,25 +286,18 @@ def batch_gradient(batch: list[ExperienceEntry], params: PolicyParams,
     The student distribution is recomputed at the current parameters, so
     repeated steps on a fixed batch descend the current KL objective. The
     gradient for a key is averaged over that key's occurrences in the batch,
-    keeping the learning rate independent of batch composition.
+    keeping the learning rate independent of batch composition. The batch
+    is one (N, A) row block; the result is bitwise the per-entry sum of
+    forward_kl and kl_logit_gradient in batch order.
     """
     if not batch:
         raise UsageError("empty batch")
-    loss = 0.0
-    sums: dict[HistoryKey, np.ndarray] = {}
-    counts: dict[HistoryKey, int] = {}
-    for entry in batch:
-        q = softmax(params.logits_for(entry.history_key))
-        loss += forward_kl(entry.teacher_dist, q)
-        g = kl_logit_gradient(entry.teacher_dist, q)
-        if entry.history_key in sums:
-            sums[entry.history_key] = sums[entry.history_key] + g
-            counts[entry.history_key] += 1
-        else:
-            sums[entry.history_key] = g
-            counts[entry.history_key] = 1
-    grads = {k: sums[k] / counts[k] for k in sums}
-    return loss / len(batch), grads
+    keys = [e.history_key for e in batch]
+    q = _student_rows(params, keys)
+    p = np.array([e.teacher_dist for e in batch], dtype=np.float64)
+    loss = _sum_in_order(forward_kl_rows(p, q))
+    keys, sums, counts = _sum_by_key(keys, q - p)
+    return loss / len(batch), dict(zip(keys, sums / counts[:, None]))
 
 
 def apply_gradient(params: PolicyParams, grads: dict[HistoryKey, np.ndarray],
@@ -295,13 +313,6 @@ def apply_gradient(params: PolicyParams, grads: dict[HistoryKey, np.ndarray],
     return PolicyParams(num_actions=params.num_actions, logits=new_logits,
                         default_logits=params.default_logits,
                         version=params.version + 1)
-
-
-def learner_step(batch: list[ExperienceEntry], params: PolicyParams,
-                 lr: float) -> PolicyParams:
-    """One distillation update from a replay batch; see batch_gradient."""
-    _, grads = batch_gradient(batch, params)
-    return apply_gradient(params, grads, lr)
 
 
 # ---------------------------------------------------------------------------
@@ -434,30 +445,32 @@ def store_turns(env: Env, store: TeacherTrajectoryStore,
     return pairs
 
 
-def sft_update(store: TeacherTrajectoryStore, student: PolicyParams, lr: float,
-               env: Env, window: int | None = None) -> PolicyParams:
+def _expert_rows(turns: list[tuple[HistoryKey, int]], student: PolicyParams):
+    """Student rows at the turns' keys, and the (row, expert action) index."""
+    keys = [key for key, _ in turns]
+    return keys, _student_rows(student, keys), (np.arange(len(turns)), [a for _, a in turns])
+
+
+def sft_update(turns: list[tuple[HistoryKey, int]], student: PolicyParams,
+               lr: float) -> PolicyParams:
     """One epoch of NLL gradient descent on the stored expert turns.
 
-    The per-turn gradient is softmax(logits) - onehot(expert action); turns
-    sharing a key accumulate. Returns new parameters with version + 1.
+    ``turns`` is store_turns' output. The per-turn gradient is
+    softmax(logits) - onehot(expert action); turns sharing a key accumulate
+    in turn order. Returns new parameters with version + 1.
     """
-    if not store.actions_by_task:
+    if not turns:
         raise ConfigError("SFT requires a non-empty trajectory store")
-    grads: dict[HistoryKey, np.ndarray] = {}
-    for key, a_star in store_turns(env, store, window):
-        q = softmax(student.logits_for(key))
-        g = q.copy()
-        g[a_star] -= 1.0
-        acc = grads.get(key)
-        grads[key] = g if acc is None else acc + g
-    return apply_gradient(student, grads, lr)
+    keys, g, experts = _expert_rows(turns, student)
+    g[experts] -= 1.0
+    keys, sums, _ = _sum_by_key(keys, g)
+    return apply_gradient(student, dict(zip(keys, sums)), lr)
 
 
-def nll_loss(store: TeacherTrajectoryStore, student: PolicyParams, env: Env,
-             window: int | None = None) -> float:
-    """-sum log softmax(logits)[expert action] over all stored turns."""
-    total = 0.0
-    for key, a_star in store_turns(env, store, window):
-        q = softmax(student.logits_for(key))
-        total -= float(np.log(max(q[a_star], 1e-300)))
-    return total
+def nll_loss(turns: list[tuple[HistoryKey, int]], student: PolicyParams) -> float:
+    """-sum log softmax(logits)[expert action] over store_turns' turns; 0.0
+    for none."""
+    if not turns:
+        return 0.0
+    _, q, experts = _expert_rows(turns, student)
+    return _sum_in_order(-np.log(np.maximum(q[experts], 1e-300)))

@@ -18,7 +18,7 @@ import math
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .distill import (
     rollout_lockstep,
     rollout_opd,
     sft_update,
+    store_turns,
 )
 from .env import Env, EnvConfig, TeacherPolicy, make_env, make_teacher
 from .errors import ConfigError, UsageError
@@ -238,6 +239,29 @@ def _rollout_record(step: int, k: int, trajs: list[Trajectory]) -> EvalRecord:
     )
 
 
+def _learner_step(n: int, k: int, params: PolicyParams, buffer: RingBuffer,
+                  board: SnapshotBoard, config: RunConfig,
+                  sample_rng: np.random.Generator):
+    """Sample a batch, take one gradient step and publish it; returns the new
+    params, the step's TrainRecord and the batch's largest staleness."""
+    batch = buffer.sample_batch(params.version, config.delta_max,
+                                config.batch_size, sample_rng)
+    staleness = [params.version - e.policy_version for e in batch]
+    assert all(s <= config.delta_max for s in staleness)
+    loss, grads = batch_gradient(batch, params)
+    params = apply_gradient(params, grads, config.lr)
+    board.publish(params.snapshot())
+    record = TrainRecord(
+        step=n, loss=loss,
+        grad_norm=math.sqrt(sum(float(g @ g) for g in grads.values())),
+        buffer_size=len(buffer),
+        discarded_stale=buffer.discarded_stale_total,
+        active_k=k,
+        mean_staleness=float(np.mean(staleness)),
+    )
+    return params, record, max(staleness)
+
+
 def _validate_run(config: RunConfig, store) -> None:
     if config.algo == ALGO_B2F:
         if store is None or len(store) == 0:
@@ -281,10 +305,7 @@ def run_training(config: RunConfig, store: TeacherTrajectoryStore | None = None,
     """
     _validate_run(config, store)
     env = make_env(config.env)
-    teacher = make_teacher(env, config.teacher.on_support_temperature,
-                           config.teacher.off_support_floor,
-                           config.teacher.turn_sharpening,
-                           config.teacher.depth_decay)
+    teacher = make_teacher(env, **asdict(config.teacher))
     if config.algo == ALGO_SFT:
         return _run_sft(config, env, teacher, store)
     if config.mode == MODE_SYNC:
@@ -329,24 +350,11 @@ def _run_sync(config: RunConfig, env: Env, teacher: TeacherPolicy,
             buffer.push(decompose(traj))
             step_trajs.append(traj)
 
-        batch = buffer.sample_batch(snapshot.version, config.delta_max,
-                                    config.batch_size, sample_rng)
-        staleness = [snapshot.version - e.policy_version for e in batch]
-        assert all(s <= config.delta_max for s in staleness)
-        max_staleness = max(max_staleness, max(staleness))
-
-        loss, grads = batch_gradient(batch, params)
-        params = apply_gradient(params, grads, config.lr)
-        board.publish(params.snapshot())
-
-        log.append(TrainRecord(
-            step=n, loss=loss,
-            grad_norm=math.sqrt(sum(float(g @ g) for g in grads.values())),
-            buffer_size=len(buffer),
-            discarded_stale=buffer.discarded_stale_total,
-            active_k=k,
-            mean_staleness=float(np.mean(staleness)),
-        ))
+        # sampled at params.version, which is snapshot.version
+        params, record, staleness = _learner_step(n, k, params, buffer, board,
+                                                  config, sample_rng)
+        max_staleness = max(max_staleness, staleness)
+        log.append(record)
         log.append(_rollout_record(n, k, step_trajs))
         if (n + 1) % config.eval_every == 0 or n == config.total_steps - 1:
             log.append(evaluate(params, env, teacher, config.eval_episodes,
@@ -395,11 +403,7 @@ def _run_async(config: RunConfig, env_proto: Env, teacher: TeacherPolicy,
         # Each actor keeps its own simulator instance; they share only the
         # snapshot board (read) and the ring buffer (append).
         actor_env = make_env(config.env)
-        actor_teacher = make_teacher(actor_env,
-                                     config.teacher.on_support_temperature,
-                                     config.teacher.off_support_floor,
-                                     config.teacher.turn_sharpening,
-                                     config.teacher.depth_decay)
+        actor_teacher = make_teacher(actor_env, **asdict(config.teacher))
         while not stop.is_set():
             snapshot = board.latest()
             # backpressure: don't run ahead of the learner by more than two
@@ -438,27 +442,13 @@ def _run_async(config: RunConfig, env_proto: Env, teacher: TeacherPolicy,
             while buffer.count_eligible(params.version, config.delta_max) < config.batch_size:
                 raise_actor_error()
                 time.sleep(0.0005)
-            batch = buffer.sample_batch(params.version, config.delta_max,
-                                        config.batch_size, sample_rng)
-            staleness = [params.version - e.policy_version for e in batch]
-            assert all(s <= config.delta_max for s in staleness)
-            max_staleness = max(max_staleness, max(staleness))
-
-            loss, grads = batch_gradient(batch, params)
-            params = apply_gradient(params, grads, config.lr)
-            board.publish(params.snapshot())
-
+            params, record, staleness = _learner_step(n, k, params, buffer, board,
+                                                      config, sample_rng)
+            max_staleness = max(max_staleness, staleness)
+            log.append(record)
             with state_lock:
                 step_trajs = list(pending_trajs)
                 pending_trajs.clear()
-            log.append(TrainRecord(
-                step=n, loss=loss,
-                grad_norm=math.sqrt(sum(float(g @ g) for g in grads.values())),
-                buffer_size=len(buffer),
-                discarded_stale=buffer.discarded_stale_total,
-                active_k=k,
-                mean_staleness=float(np.mean(staleness)),
-            ))
             if step_trajs:
                 log.append(_rollout_record(n, k, step_trajs))
             if (n + 1) % config.eval_every == 0 or n == config.total_steps - 1:
@@ -485,11 +475,11 @@ def _run_sft(config: RunConfig, env: Env, teacher: TeacherPolicy,
     eval_rng = np.random.Generator(np.random.PCG64(ss_eval))
     params = PolicyParams(num_actions=config.env.num_actions)
     log = MetricsLog()
-    n_turns = sum(len(a) for a in store.actions_by_task.values())
+    turns = store_turns(env, store, config.window)
 
     for n in range(config.total_steps):
-        params = sft_update(store, params, config.lr, env, config.window)
-        loss = nll_loss(store, params, env, config.window) / n_turns
+        params = sft_update(turns, params, config.lr)
+        loss = nll_loss(turns, params) / len(turns)
         log.append(TrainRecord(step=n, loss=loss, grad_norm=0.0, buffer_size=0,
                                discarded_stale=0, active_k=0,
                                mean_staleness=0.0))

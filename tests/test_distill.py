@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from opdlab.distill import (
     EXECUTED_PREFIX,
@@ -11,13 +14,15 @@ from opdlab.distill import (
     TeacherTrajectoryStore,
     Trajectory,
     TurnRecord,
+    apply_gradient,
+    batch_gradient,
     collect_teacher_trajectories,
-    learner_step,
     load_store,
     replay_succeeds,
     rollout_b2f,
     rollout_f2b,
     rollout_opd,
+    nll_loss,
     save_store,
     sft_update,
     store_turns,
@@ -25,7 +30,7 @@ from opdlab.distill import (
 )
 from opdlab.env import EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
-from opdlab.policy import PolicyParams, forward_kl, softmax
+from opdlab.policy import PolicyParams, forward_kl, kl_logit_gradient, softmax
 from opdlab.replay import ExperienceEntry
 from opdlab.runtime import RunConfig, run_training
 
@@ -277,9 +282,11 @@ def test_store_load_rejects_broken_replay(env, sharp_teacher, tmp_path):
 def test_sft_update_moves_toward_expert_actions(env, sharp_teacher):
     store = collect_teacher_trajectories(env, sharp_teacher, 1, rng(41))
     student = uniform_student(env)
-    updated = sft_update(store, student, 0.5, env)
+    turns = store_turns(env, store)
+    updated = sft_update(turns, student, 0.5)
     assert updated.version == student.version + 1
-    for key, a_star in store_turns(env, store):
+    assert nll_loss(turns, updated) < nll_loss(turns, student)
+    for key, a_star in turns:
         before = softmax(student.logits_for(key))[a_star]
         after = softmax(updated.logits_for(key))[a_star]
         assert after > before
@@ -288,9 +295,10 @@ def test_sft_update_moves_toward_expert_actions(env, sharp_teacher):
 def test_sft_near_minimum_has_small_update(env, sharp_teacher):
     store = collect_teacher_trajectories(env, sharp_teacher, 1, rng(42))
     params = sharp_teacher.materialize()
-    updated = sft_update(store, params, 0.5, env)
+    turns = store_turns(env, store)
+    updated = sft_update(turns, params, 0.5)
     deltas = [np.abs(updated.logits_for(k) - params.logits_for(k)).max()
-              for k, _ in store_turns(env, store)]
+              for k, _ in turns]
     assert max(deltas) < 1e-6
 
 
@@ -321,7 +329,27 @@ def test_sft_uniform_single_turn_direction():
     assert np.allclose(analytic, [-0.5, 0.5])
 
 
+def test_sft_on_no_turns():
+    student = PolicyParams(num_actions=2)
+    assert nll_loss([], student) == 0.0
+    with pytest.raises(ConfigError):
+        sft_update([], student, 0.5)
+
+
+def test_nll_of_certain_turns_is_positive_zero():
+    # -log 1 is -0.0 per turn; the per-turn loop's 0.0 - 0.0 sum is +0.0
+    student = PolicyParams(num_actions=2)
+    student.logits[(0,)] = np.array([400.0, -400.0])
+    assert math.copysign(1.0, nll_loss([((0,), 0), ((0,), 0)], student)) == 1.0
+
+
 # -- learner step -----------------------------------------------------------------
+
+
+def gradient_step(batch, params, lr):
+    """The runtime's learner update: batch_gradient, then apply_gradient."""
+    _, grads = batch_gradient(batch, params)
+    return apply_gradient(params, grads, lr)
 
 
 def entry(key, p, q, version=0):
@@ -333,7 +361,7 @@ def entry(key, p, q, version=0):
 def test_learner_step_noop_when_matched():
     params = PolicyParams(num_actions=2)
     batch = [entry((0,), [0.5, 0.5], [0.5, 0.5])]
-    updated = learner_step(batch, params, 0.1)
+    updated = gradient_step(batch, params, 0.1)
     assert updated.version == 1
     assert np.allclose(updated.logits_for((0,)), params.logits_for((0,)), atol=1e-15)
 
@@ -341,7 +369,7 @@ def test_learner_step_noop_when_matched():
 def test_learner_step_gradient_descent_arithmetic():
     params = PolicyParams(num_actions=2)
     batch = [entry((7,), [1.0, 0.0], [0.5, 0.5])]
-    updated = learner_step(batch, params, 0.1)
+    updated = gradient_step(batch, params, 0.1)
     assert np.allclose(updated.logits_for((7,)), [0.05, -0.05], atol=1e-15)
 
 
@@ -349,20 +377,20 @@ def test_learner_step_averages_repeated_keys():
     params = PolicyParams(num_actions=2)
     batch = [entry((1,), [1.0, 0.0], [0.5, 0.5]),
              entry((1,), [1.0, 0.0], [0.5, 0.5])]
-    one = learner_step([batch[0]], params, 0.1)
-    two = learner_step(batch, params, 0.1)
+    one = gradient_step([batch[0]], params, 0.1)
+    two = gradient_step(batch, params, 0.1)
     assert np.allclose(one.logits_for((1,)), two.logits_for((1,)), atol=1e-15)
 
 
 def test_learner_step_empty_batch_rejected():
     with pytest.raises(UsageError):
-        learner_step([], PolicyParams(num_actions=2), 0.1)
+        gradient_step([], PolicyParams(num_actions=2), 0.1)
 
 
 def test_learner_version_strictly_increments():
     params = PolicyParams(num_actions=2)
     for expected in range(1, 5):
-        params = learner_step([entry((0,), [1.0, 0.0], [0.5, 0.5])], params, 0.1)
+        params = gradient_step([entry((0,), [1.0, 0.0], [0.5, 0.5])], params, 0.1)
         assert params.version == expected
 
 
@@ -380,12 +408,92 @@ def test_repeated_steps_on_fixed_batch_descend_kl():
         if previous is not None:
             assert kl <= previous + 1e-12
         previous = kl
-        params = learner_step(batch, params, 1.0)
+        params = gradient_step(batch, params, 1.0)
 
 
 def test_snapshots_unaffected_by_later_updates():
     params = PolicyParams(num_actions=2)
     snap = params.snapshot()
-    updated = learner_step([entry((3,), [1.0, 0.0], [0.5, 0.5])], params, 0.5)
+    updated = gradient_step([entry((3,), [1.0, 0.0], [0.5, 0.5])], params, 0.5)
     assert (3,) not in snap.logits
     assert (3,) in updated.logits
+
+
+# -- row-block learner against the per-entry definitions ----------------------------
+#
+# batch_gradient, sft_update and nll_loss work on (N, A) row blocks; each must
+# be bitwise equal to a loop over the scalar definitions, entry by entry.
+
+
+def same_bits(x, y):
+    return np.asarray(x, dtype=np.float64).tobytes() == np.asarray(y, dtype=np.float64).tobytes()
+
+
+@st.composite
+def row_block_case(draw):
+    """A table with some of a small key pool stored, and keys drawn with repeats."""
+    a = draw(st.integers(2, 12))
+    pool = draw(st.integers(1, 6))
+    # wide logits, so softmax rows can hold exact zeros
+    row = arrays(np.float64, a, elements=st.floats(-400, 400))
+    params = PolicyParams(num_actions=a, default_logits=draw(row))
+    for i in range(pool):
+        if draw(st.booleans()):  # the other keys are unseen: default row
+            params.logits[(i,)] = draw(row)
+    n = draw(st.integers(1, 40))
+    keys = [(i,) for i in draw(st.lists(st.integers(0, pool - 1), min_size=n, max_size=n))]
+    return params, keys
+
+
+@st.composite
+def teacher_rows(draw, n, a):
+    """n distributions over a actions whose entries may be exactly zero."""
+    raw = draw(arrays(np.float64, (n, a),
+                      elements=st.one_of(st.just(0.0), st.floats(1e-6, 1.0))))
+    raw[np.arange(n), draw(arrays(np.int64, n, elements=st.integers(0, a - 1)))] += 0.5
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def reference_batch_gradient(batch, params):
+    loss = 0.0
+    sums, counts = {}, {}
+    for e in batch:
+        q = softmax(params.logits_for(e.history_key))
+        loss += forward_kl(e.teacher_dist, q)
+        g = kl_logit_gradient(e.teacher_dist, q)
+        sums[e.history_key] = sums[e.history_key] + g if e.history_key in sums else g
+        counts[e.history_key] = counts.get(e.history_key, 0) + 1
+    return loss / len(batch), {k: sums[k] / counts[k] for k in sums}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batch_gradient_bitwise_equals_per_entry_loop(data):
+    params, keys = data.draw(row_block_case())
+    p = data.draw(teacher_rows(len(keys), params.num_actions))
+    batch = [entry(k, row, [0.0]) for k, row in zip(keys, p)]
+    loss, grads = batch_gradient(batch, params)
+    ref_loss, ref_grads = reference_batch_gradient(batch, params)
+    assert same_bits(loss, ref_loss)
+    assert list(grads) == list(ref_grads)
+    assert all(same_bits(grads[k], ref_grads[k]) for k in grads)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sft_update_and_nll_bitwise_equal_per_turn_loop(data):
+    params, keys = data.draw(row_block_case())
+    turns = [(k, data.draw(st.integers(0, params.num_actions - 1))) for k in keys]
+    ref_grads, ref_nll = {}, 0.0
+    for key, a_star in turns:
+        q = softmax(params.logits_for(key))
+        g = q.copy()
+        g[a_star] -= 1.0
+        ref_grads[key] = ref_grads[key] + g if key in ref_grads else g
+        ref_nll -= float(np.log(max(q[a_star], 1e-300)))
+    assert same_bits(nll_loss(turns, params), ref_nll)
+    updated = sft_update(turns, params, 0.7)
+    expected = apply_gradient(params, ref_grads, 0.7)
+    assert list(updated.logits) == list(expected.logits)
+    assert all(same_bits(updated.logits[k], expected.logits[k]) for k in updated.logits)
+    assert updated.version == expected.version

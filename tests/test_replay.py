@@ -144,3 +144,31 @@ def test_staleness_histogram():
     buf = RingBuffer(capacity=10)
     buf.push([entry(1, version=1), entry(2, version=1), entry(3, version=3)])
     assert buf.staleness_histogram(current_version=3) == {2: 2, 0: 1}
+
+
+def test_version_counts_match_a_scan_through_eviction_and_discards():
+    gen = rng(12)
+    buf = RingBuffer(capacity=7)
+
+    def check(current):
+        versions = [e.policy_version for e in buf._entries]
+        assert buf.count_at_version(current) == versions.count(current)
+        for delta_max in range(4):
+            assert buf.count_eligible(current, delta_max) == sum(
+                1 for v in versions if current - v <= delta_max)
+        hist = {}
+        for v in versions:
+            hist[current - v] = hist.get(current - v, 0) + 1
+        assert buf.staleness_histogram(current) == hist
+
+    version = 0
+    for i in range(300):
+        if gen.random() < 0.6:
+            # pushes run past capacity, some longer than the buffer itself
+            size = int(gen.integers(0, 10))
+            buf.push([entry(i, version=version - int(gen.integers(0, 3)))
+                      for _ in range(size)])
+        else:
+            version += int(gen.integers(0, 2))
+            buf.sample_batch(version, int(gen.integers(0, 3)), 4, gen)
+        check(version)

@@ -9,7 +9,7 @@ import pytest
 from opdlab import runtime
 from opdlab.curriculum import horizon_at
 from opdlab.distill import collect_teacher_trajectories
-from opdlab.env import EnvConfig, make_env, make_teacher
+from opdlab.env import Env, EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
 from opdlab.policy import PolicyParams
 from opdlab.runtime import RunConfig, SnapshotBoard, evaluate, run_training
@@ -187,6 +187,29 @@ def test_sft_run_improves_over_uniform():
     assert final.success_rate > 0.3
     train = result.log.train_records()
     assert train[-1].loss < train[0].loss
+
+
+def test_sft_replays_the_store_once_per_run(monkeypatch):
+    cfg = tiny_cfg(algo="sft", total_steps=20, eval_every=20)
+    store = collect_for(cfg)
+    calls = [0]
+    real_step = Env.step
+
+    def counting_step(self, state, action):
+        calls[0] += 1
+        return real_step(self, state, action)
+
+    monkeypatch.setattr(Env, "step", counting_step)
+    make_env(cfg.env)
+    reachability_check = calls[0]
+    stored_turns = sum(len(a) for a in store.actions_by_task.values())
+    per_run = {}
+    for total_steps in (5, 20):
+        calls[0] = 0
+        run_training(tiny_cfg(algo="sft", total_steps=total_steps, eval_every=20), store)
+        per_run[total_steps] = calls[0]
+    assert per_run[20] <= stored_turns + reachability_check
+    assert per_run[5] == per_run[20]
 
 
 def test_sft_requires_store():
