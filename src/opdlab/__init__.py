@@ -2,8 +2,8 @@
 
 Trains tabular softmax students against a constructed expert in small
 deterministic environments, with forward (truncation) and backward
-(expert-prefix) temporal curricula, an asynchronous actor/learner runtime,
-and staleness-filtered sub-trajectory replay.
+(expert-prefix) temporal curricula, a deterministic actor/learner runtime
+with an optional actor lag, and staleness-filtered sub-trajectory replay.
 """
 
 from .curriculum import CurriculumSchedule, b2f_prefix_len, horizon_at

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -160,10 +159,7 @@ def _collection_rng(seed: int) -> np.random.Generator:
 
 def cmd_collect(config: ExperimentConfig, out_path) -> int:
     env = make_env(config.run.env)
-    teacher = make_teacher(env, config.run.teacher.on_support_temperature,
-                           config.run.teacher.off_support_floor,
-                           config.run.teacher.turn_sharpening,
-                           config.run.teacher.depth_decay)
+    teacher = make_teacher(env, **asdict(config.run.teacher))
     rng = _collection_rng(config.run.seed)
     store = collect_teacher_trajectories(env, teacher, config.run.pass_m, rng,
                                          collection_seed=config.run.seed)
@@ -223,10 +219,7 @@ def cmd_eval(checkpoint_path, config: ExperimentConfig) -> int:
             f"has {config.run.env.num_actions}"
         )
     env = make_env(config.run.env)
-    teacher = make_teacher(env, config.run.teacher.on_support_temperature,
-                           config.run.teacher.off_support_floor,
-                           config.run.teacher.turn_sharpening,
-                           config.run.teacher.depth_decay)
+    teacher = make_teacher(env, **asdict(config.run.teacher))
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(config.run.seed)))
     record = evaluate(params, env, teacher, config.run.eval_episodes, rng,
@@ -242,7 +235,7 @@ def cmd_eval(checkpoint_path, config: ExperimentConfig) -> int:
 
 
 def cmd_sweep(config_path, etas: list[int], overrides: dict,
-              store_arg: str | None, parallel: bool) -> int:
+              store_arg: str | None) -> int:
     jobs = []
     for eta in etas:
         job_overrides = {k: dict(v) for k, v in overrides.items()}
@@ -251,10 +244,6 @@ def cmd_sweep(config_path, etas: list[int], overrides: dict,
         cfg.name = f"{cfg.name}_eta{eta}"
         cfg.raw.setdefault("run", {})["name"] = cfg.name
         jobs.append(cfg)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            results = list(pool.map(lambda c: cmd_train(c, store_arg), jobs))
-        return max(results)
     status = 0
     for cfg in jobs:
         status = max(status, cmd_train(cfg, store_arg))
@@ -290,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("config")
     p_sweep.add_argument("--eta", required=True, help="comma-separated, e.g. 2,4,6")
     p_sweep.add_argument("--store", help="expert trajectory store (b2f/sft)")
-    p_sweep.add_argument("--parallel", action="store_true",
-                         help="run sweep points concurrently (separate dirs)")
 
     return parser
 
@@ -323,7 +310,7 @@ def main(argv=None) -> int:
                 if key.strip() != "eta":
                     raise ConfigError(f"train --sweep supports eta only, got {key!r}")
                 return cmd_sweep(args.config, _parse_eta_list(values), overrides,
-                                 args.store, parallel=False)
+                                 args.store)
             config = load_experiment_config(args.config, overrides)
             return cmd_train(config, args.store)
         if args.command == "eval":
@@ -331,7 +318,7 @@ def main(argv=None) -> int:
             return cmd_eval(args.checkpoint, config)
         if args.command == "sweep":
             return cmd_sweep(args.config, _parse_eta_list(args.eta), overrides,
-                             args.store, args.parallel)
+                             args.store)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

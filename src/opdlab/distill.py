@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .curriculum import b2f_prefix_len
 from .env import Env, TeacherPolicy
 from .errors import ConfigError, UsageError
@@ -389,7 +390,7 @@ def save_store(store: TeacherTrajectoryStore, path) -> None:
         "collection_seed": store.collection_seed,
         "skipped_tasks": store.skipped_tasks,
     }
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for task_id in store.task_ids():
             actions = store.actions_by_task[task_id]

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
+from .atomic import atomic_open
 from .errors import ConfigError, UsageError
 
 SCHEMA_VERSION = 1
@@ -166,7 +167,7 @@ def _json_restore_floats(record_cls, data: dict) -> dict:
 def write_records(log: MetricsLog, path) -> None:
     """Write the header line then one JSON object per record."""
     try:
-        with open(path, "w") as f:
+        with atomic_open(path) as f:
             header = {
                 "kind": "metrics",
                 "schema_version": SCHEMA_VERSION,
@@ -216,7 +217,7 @@ def write_csv(log: MetricsLog, path) -> None:
                  "mean_prefix_len"]
     kl_cols = [f"kl_t{t}" for t in range(width)]
     try:
-        with open(path, "w", newline="") as f:
+        with atomic_open(path, newline="") as f:
             writer = csv.writer(f)
             writer.writerow(base_cols + kl_cols)
             for r in evals:

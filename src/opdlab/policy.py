@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import UsageError
 
 # Floor applied to the student side of the KL log; tabular students can
@@ -194,7 +195,7 @@ def save_params(params: PolicyParams, path) -> None:
         "version": params.version,
         "default_logits": [float(x) for x in params.default_logits],
     }
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for key in sorted(params.logits):
             row = {

@@ -5,15 +5,10 @@ the history key already encodes the whole prefix, so nothing needs to be
 re-simulated at learn time. Entries carry the policy version that produced
 them; the sampler eagerly discards anything older than the staleness budget
 before drawing a batch.
-
-Concurrency: multiple producers may push while a single consumer samples.
-A single mutex is the serialization point for the buffer; the deterministic
-single-threaded mode used by the tests never contends on it.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -66,25 +61,20 @@ class RingBuffer:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: deque[ExperienceEntry] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
         self.discarded_stale_total = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def push(self, entries) -> None:
-        with self._lock:
-            self._entries.extend(entries)
+        self._entries.extend(entries)
 
     def count_at_version(self, version: int) -> int:
-        with self._lock:
-            return sum(1 for e in self._entries if e.policy_version == version)
+        return sum(1 for e in self._entries if e.policy_version == version)
 
     def count_eligible(self, current_version: int, delta_max: int) -> int:
-        with self._lock:
-            return sum(1 for e in self._entries
-                       if current_version - e.policy_version <= delta_max)
+        return sum(1 for e in self._entries
+                   if current_version - e.policy_version <= delta_max)
 
     def sample_batch(self, current_version: int, delta_max: int, batch_size: int,
                      rng: np.random.Generator) -> list[ExperienceEntry]:
@@ -97,21 +87,19 @@ class RingBuffer:
         """
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-        with self._lock:
-            kept = [e for e in self._entries
-                    if current_version - e.policy_version <= delta_max]
-            self.discarded_stale_total += len(self._entries) - len(kept)
-            self._entries = deque(kept, maxlen=self.capacity)
-            if not kept:
-                return []
-            n = min(batch_size, len(kept))
-            idx = rng.choice(len(kept), size=n, replace=False)
-            return [kept[i] for i in idx]
+        kept = [e for e in self._entries
+                if current_version - e.policy_version <= delta_max]
+        self.discarded_stale_total += len(self._entries) - len(kept)
+        self._entries = deque(kept, maxlen=self.capacity)
+        if not kept:
+            return []
+        n = min(batch_size, len(kept))
+        idx = rng.choice(len(kept), size=n, replace=False)
+        return [kept[i] for i in idx]
 
     def staleness_histogram(self, current_version: int) -> dict[int, int]:
-        with self._lock:
-            hist: dict[int, int] = {}
-            for e in self._entries:
-                d = current_version - e.policy_version
-                hist[d] = hist.get(d, 0) + 1
-            return hist
+        hist: dict[int, int] = {}
+        for e in self._entries:
+            d = current_version - e.policy_version
+            hist[d] = hist.get(d, 0) + 1
+        return hist

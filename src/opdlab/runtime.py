@@ -1,23 +1,25 @@
-"""Training orchestration: actors, learner, snapshots, and evaluation.
+"""Training orchestration: rollouts, learner, snapshots, and evaluation.
 
-Sync mode runs actors and learner on one thread of control with a fixed
-round-robin over tasks, and is bit-reproducible per seed. Async mode runs a
-pool of actor threads against the latest published snapshot while the
-learner consumes staleness-filtered batches; it matches sync mode
-statistically, not bitwise.
+One loop serves both modes. Each rollout appends the newest published
+snapshot to a FIFO of the last ``depth`` snapshots and acts on the oldest
+one in it, so rollout j uses the parameters that were newest when rollout
+j - depth + 1 started: ``depth`` rollouts are in flight, as in an
+IMPALA-style actor/learner lag. Sync mode has depth 1 (every rollout acts
+on the current parameters); async mode has depth ``actor_count``. Tasks
+run round-robin and every rollout draws from one seeded stream in schedule
+order, so both modes are bit-reproducible per seed.
 
-The curriculum clock is the learner's step counter: at step n the actors
-roll out under horizon_at(schedule, n) and the newest snapshot. Evaluation
-always runs full-horizon with no truncation and no expert prefix,
-regardless of the training algorithm.
+The curriculum clock is the learner's step counter: at step n the rollouts
+run under horizon_at(schedule, n). Evaluation always runs full-horizon with
+no truncation and no expert prefix, regardless of the training algorithm.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import time
+import time  # noqa: F401  (bench/tracing.py patches runtime.time)
 import warnings
+from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -99,6 +101,9 @@ class RunConfig:
             raise ConfigError("lr must be > 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.buffer_capacity < self.batch_size:
+            raise ConfigError(f"buffer_capacity ({self.buffer_capacity}) must be "
+                              f">= batch_size ({self.batch_size})")
         if self.actor_count < 1:
             raise ConfigError("actor_count must be >= 1")
         if self.delta_max < 0:
@@ -123,21 +128,18 @@ class SnapshotBoard:
     """Latest published parameter snapshot; published versions only increase."""
 
     def __init__(self, params: PolicyParams):
-        self._lock = threading.Lock()
         self._params = params
 
     def publish(self, params: PolicyParams) -> None:
-        with self._lock:
-            if params.version <= self._params.version:
-                raise UsageError(
-                    f"snapshot version {params.version} does not advance "
-                    f"past {self._params.version}"
-                )
-            self._params = params
+        if params.version <= self._params.version:
+            raise UsageError(
+                f"snapshot version {params.version} does not advance "
+                f"past {self._params.version}"
+            )
+        self._params = params
 
     def latest(self) -> PolicyParams:
-        with self._lock:
-            return self._params
+        return self._params
 
 
 @dataclass
@@ -243,14 +245,18 @@ def _learner_step(n: int, k: int, params: PolicyParams, buffer: RingBuffer,
                   board: SnapshotBoard, config: RunConfig,
                   sample_rng: np.random.Generator):
     """Sample a batch, take one gradient step and publish it; returns the new
-    params, the step's TrainRecord and the batch's largest staleness."""
+    params, the step's TrainRecord and the batch's largest staleness.
+
+    apply_gradient returns a fresh table and never mutates published rows,
+    so the new params are published as they are, without a snapshot copy.
+    """
     batch = buffer.sample_batch(params.version, config.delta_max,
                                 config.batch_size, sample_rng)
     staleness = [params.version - e.policy_version for e in batch]
     assert all(s <= config.delta_max for s in staleness)
     loss, grads = batch_gradient(batch, params)
     params = apply_gradient(params, grads, config.lr)
-    board.publish(params.snapshot())
+    board.publish(params)
     record = TrainRecord(
         step=n, loss=loss,
         grad_norm=math.sqrt(sum(float(g @ g) for g in grads.values())),
@@ -308,9 +314,7 @@ def run_training(config: RunConfig, store: TeacherTrajectoryStore | None = None,
     teacher = make_teacher(env, **asdict(config.teacher))
     if config.algo == ALGO_SFT:
         return _run_sft(config, env, teacher, store)
-    if config.mode == MODE_SYNC:
-        return _run_sync(config, env, teacher, store)
-    return _run_async(config, env, teacher, store)
+    return _run_distill(config, env, teacher, store)
 
 
 def _seed_streams(config: RunConfig):
@@ -319,38 +323,44 @@ def _seed_streams(config: RunConfig):
     return ss_rollout, ss_sample, ss_eval
 
 
-def _run_sync(config: RunConfig, env: Env, teacher: TeacherPolicy,
-              store) -> TrainingResult:
+def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
+                 store) -> TrainingResult:
     ss_rollout, ss_sample, ss_eval = _seed_streams(config)
     rollout_rng = np.random.Generator(np.random.PCG64(ss_rollout))
     sample_rng = np.random.Generator(np.random.PCG64(ss_sample))
     eval_rng = np.random.Generator(np.random.PCG64(ss_eval))
 
     params = PolicyParams(num_actions=config.env.num_actions)
-    board = SnapshotBoard(params.snapshot())
+    board = SnapshotBoard(params)
     buffer = RingBuffer(config.buffer_capacity)
     schedule = config.schedule()
     log = MetricsLog()
-    task_counter = 0
-    traj_counter = 0
+    depth = config.actor_count if config.mode == MODE_ASYNC else 1
+    in_flight: deque[PolicyParams] = deque(maxlen=depth)
+    rollouts = 0
     max_staleness = 0
 
     for n in range(config.total_steps):
         k = horizon_at(schedule, n)
-        snapshot = board.latest()
         step_trajs: list[Trajectory] = []
-        while buffer.count_at_version(snapshot.version) < config.batch_size:
-            task_id = task_counter % config.env.task_count
-            task_counter += 1
+        # entries pushed this step that the learner may still consume; once
+        # depth - 1 rollouts ran in this step every snapshot in flight is
+        # current, so the loop ends
+        fresh = 0
+        while fresh < config.batch_size:
+            in_flight.append(board.latest())
+            snapshot = in_flight[0]
             traj = _rollout_for(config.algo, env, store, snapshot, teacher,
-                                task_id, k, rollout_rng,
+                                rollouts % config.env.task_count, k, rollout_rng,
                                 config.train_temperature, config.window)
-            traj.traj_id = traj_counter
-            traj_counter += 1
-            buffer.push(decompose(traj))
+            traj.traj_id = rollouts
+            rollouts += 1
+            entries = decompose(traj)
+            buffer.push(entries)
+            if params.version - snapshot.version <= config.delta_max:
+                fresh += len(entries)
             step_trajs.append(traj)
 
-        # sampled at params.version, which is snapshot.version
         params, record, staleness = _learner_step(n, k, params, buffer, board,
                                                   config, sample_rng)
         max_staleness = max(max_staleness, staleness)
@@ -360,107 +370,6 @@ def _run_sync(config: RunConfig, env: Env, teacher: TeacherPolicy,
             log.append(evaluate(params, env, teacher, config.eval_episodes,
                                 eval_rng, temperature=config.eval_temperature,
                                 window=config.window, step=n, active_k=k))
-
-    return TrainingResult(log=log, final_params=params,
-                          max_staleness_seen=max_staleness, store=store)
-
-
-def _run_async(config: RunConfig, env_proto: Env, teacher: TeacherPolicy,
-               store) -> TrainingResult:
-    # children 0..2 mirror the sync streams (rollout/sample/eval); the
-    # remainder seed one rng per actor thread
-    children = np.random.SeedSequence(config.seed).spawn(3 + config.actor_count)
-    sample_rng = np.random.Generator(np.random.PCG64(children[1]))
-    eval_rng = np.random.Generator(np.random.PCG64(children[2]))
-    actor_seeds = children[3:]
-
-    params = PolicyParams(num_actions=config.env.num_actions)
-    board = SnapshotBoard(params.snapshot())
-    buffer = RingBuffer(config.buffer_capacity)
-    schedule = config.schedule()
-    log = MetricsLog()
-    stop = threading.Event()
-
-    state_lock = threading.Lock()
-    shared = {"step": 0, "task_counter": 0, "traj_counter": 0}
-    pending_trajs: list[Trajectory] = []
-
-    # an actor that dies records its exception here; the learner re-raises it
-    actor_errors: list[Exception] = []
-
-    def actor_main(seed_seq):
-        try:
-            actor_loop(seed_seq)
-        except Exception as exc:
-            actor_errors.append(exc)
-
-    def raise_actor_error():
-        if actor_errors:
-            raise actor_errors[0]
-
-    def actor_loop(seed_seq):
-        rng = np.random.Generator(np.random.PCG64(seed_seq))
-        # Each actor keeps its own simulator instance; they share only the
-        # snapshot board (read) and the ring buffer (append).
-        actor_env = make_env(config.env)
-        actor_teacher = make_teacher(actor_env, **asdict(config.teacher))
-        while not stop.is_set():
-            snapshot = board.latest()
-            # backpressure: don't run ahead of the learner by more than two
-            # batches of fresh data, so async sees a data rate per learner
-            # step comparable to sync mode
-            if buffer.count_at_version(snapshot.version) >= 2 * config.batch_size:
-                time.sleep(0.0005)
-                continue
-            with state_lock:
-                n = shared["step"]
-                task_id = shared["task_counter"] % config.env.task_count
-                shared["task_counter"] += 1
-                traj_id = shared["traj_counter"]
-                shared["traj_counter"] += 1
-            k = horizon_at(schedule, min(n, config.total_steps - 1))
-            traj = _rollout_for(config.algo, actor_env, store, snapshot,
-                                actor_teacher, task_id, k, rng,
-                                config.train_temperature, config.window)
-            traj.traj_id = traj_id
-            buffer.push(decompose(traj))
-            with state_lock:
-                pending_trajs.append(traj)
-
-    actors = [threading.Thread(target=actor_main, args=(s,), daemon=True)
-              for s in actor_seeds]
-    for t in actors:
-        t.start()
-
-    max_staleness = 0
-    try:
-        for n in range(config.total_steps):
-            with state_lock:
-                shared["step"] = n
-            k = horizon_at(schedule, n)
-            raise_actor_error()
-            while buffer.count_eligible(params.version, config.delta_max) < config.batch_size:
-                raise_actor_error()
-                time.sleep(0.0005)
-            params, record, staleness = _learner_step(n, k, params, buffer, board,
-                                                      config, sample_rng)
-            max_staleness = max(max_staleness, staleness)
-            log.append(record)
-            with state_lock:
-                step_trajs = list(pending_trajs)
-                pending_trajs.clear()
-            if step_trajs:
-                log.append(_rollout_record(n, k, step_trajs))
-            if (n + 1) % config.eval_every == 0 or n == config.total_steps - 1:
-                log.append(evaluate(params, env_proto, teacher,
-                                    config.eval_episodes, eval_rng,
-                                    temperature=config.eval_temperature,
-                                    window=config.window, step=n, active_k=k))
-    finally:
-        stop.set()
-        for t in actors:
-            t.join(timeout=5.0)
-    raise_actor_error()
 
     return TrainingResult(log=log, final_params=params,
                           max_staleness_seen=max_staleness, store=store)

@@ -247,10 +247,3 @@ def test_collect_default_env_full_coverage(tmp_path, capsys):
     assert main(["collect", str(path), "--out", str(out)]) == 0
     assert "32/32" in capsys.readouterr().out
 
-
-def test_sweep_parallel_non_interfering_directories(config_path):
-    assert main(["sweep", str(config_path), "--eta", "2,3", "--parallel",
-                 "--curriculum.total_steps=4"]) == 0
-    cfg = load_experiment_config(config_path)
-    for eta in (2, 3):
-        assert (cfg.output_dir / f"t_eta{eta}" / "checkpoint.jsonl").exists()

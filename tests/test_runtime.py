@@ -11,7 +11,8 @@ from opdlab.curriculum import horizon_at
 from opdlab.distill import collect_teacher_trajectories
 from opdlab.env import Env, EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
-from opdlab.policy import PolicyParams
+from opdlab.metrics import write_records
+from opdlab.policy import PolicyParams, save_params
 from opdlab.runtime import RunConfig, SnapshotBoard, evaluate, run_training
 
 
@@ -229,19 +230,24 @@ def test_async_run_completes_with_staleness_bound():
     assert result.final_params.version == cfg.total_steps
 
 
-@pytest.mark.parametrize("failing_actors", ["all", "one"])
-def test_async_actor_failure_is_raised_by_the_learner(monkeypatch, failing_actors):
+@pytest.mark.parametrize("mode,failing_actors", [
+    pytest.param("async", "all", id="all"),
+    pytest.param("async", "one", id="one"),
+    pytest.param("sync", "all", id="sync-all"),
+    pytest.param("sync", "one", id="sync-one"),
+])
+def test_async_actor_failure_is_raised_by_the_learner(monkeypatch, mode, failing_actors):
     real = runtime._rollout_for
     calls = itertools.count()
 
     def broken(*args, **kwargs):
-        # "one": only the third rollout fails; the other actors keep going
+        # "one": only the third rollout fails; the others keep going
         if failing_actors == "all" or next(calls) == 2:
             raise RuntimeError("actor exploded")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(runtime, "_rollout_for", broken)
-    cfg = tiny_cfg(mode="async", total_steps=2000, actor_count=3, eval_every=1000)
+    cfg = tiny_cfg(mode=mode, total_steps=2000, actor_count=3, eval_every=1000)
     raised = []
 
     def learner():
@@ -255,8 +261,67 @@ def test_async_actor_failure_is_raised_by_the_learner(monkeypatch, failing_actor
     thread = threading.Thread(target=learner, daemon=True)
     thread.start()
     thread.join(timeout=5.0)
-    assert not thread.is_alive(), "run_training still running 5 s after an actor died"
+    assert not thread.is_alive(), "run_training still running 5 s after a rollout failed"
     assert [str(e) for e in raised] == ["actor exploded"]
+
+
+def artifact_bodies(result, tmp_path, name):
+    """metrics.jsonl without its header line, and checkpoint.jsonl, as bytes."""
+    metrics, ckpt = tmp_path / f"{name}.metrics.jsonl", tmp_path / f"{name}.ckpt.jsonl"
+    write_records(result.log, metrics)
+    save_params(result.final_params, ckpt)
+    return metrics.read_bytes().split(b"\n", 1)[1], ckpt.read_bytes()
+
+
+@pytest.mark.parametrize("algo", ["opd", "f2b", "b2f"])
+def test_async_with_one_actor_is_byte_identical_to_sync(algo, tmp_path):
+    cfg = tiny_cfg(algo=algo, total_steps=30, eval_every=10)
+    store = collect_for(cfg) if algo == "b2f" else None
+    sync = run_training(cfg, store)
+    lagless = run_training(tiny_cfg(algo=algo, total_steps=30, eval_every=10,
+                                    mode="async", actor_count=1), store)
+    assert (artifact_bodies(sync, tmp_path, "sync")
+            == artifact_bodies(lagless, tmp_path, "async"))
+
+
+def test_async_run_reproducible_bitwise(tmp_path):
+    cfg = tiny_cfg(algo="f2b", mode="async", actor_count=3, total_steps=40, eval_every=10)
+    first = artifact_bodies(run_training(cfg), tmp_path, "a")
+    assert first == artifact_bodies(run_training(cfg), tmp_path, "b")
+    sync = artifact_bodies(run_training(tiny_cfg(algo="f2b", total_steps=40, eval_every=10)),
+                           tmp_path, "sync")
+    assert first != sync
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_each_rollout_acts_on_the_snapshot_newest_depth_minus_one_rollouts_earlier(
+        monkeypatch, depth):
+    newest = [0]
+    seen = []  # (newest published version, snapshot version) per rollout
+    real_publish = SnapshotBoard.publish
+    real_rollout = runtime._rollout_for
+
+    def publish(self, params):
+        newest[0] = params.version
+        real_publish(self, params)
+
+    def rollout(algo, env, store, snapshot, *args):
+        seen.append((newest[0], snapshot.version))
+        return real_rollout(algo, env, store, snapshot, *args)
+
+    monkeypatch.setattr(SnapshotBoard, "publish", publish)
+    monkeypatch.setattr(runtime, "_rollout_for", rollout)
+    cfg = tiny_cfg(mode="async", actor_count=depth, total_steps=30, batch_size=4,
+                   delta_max=3)
+    result = run_training(cfg)
+    newest_at = [v for v, _ in seen]
+    used = [v for _, v in seen]
+    assert used == [newest_at[max(0, j - depth + 1)] for j in range(len(seen))]
+    # a step has at least one rollout, so a snapshot lags by at most depth - 1
+    lags = [a - b for a, b in seen]
+    assert max(lags) <= depth - 1
+    assert (max(lags) > 0) == (depth > 1)
+    assert result.max_staleness_seen <= cfg.delta_max
 
 
 def test_async_and_sync_reach_similar_final_sr():
@@ -322,6 +387,8 @@ def test_run_config_validation():
         RunConfig(eval_episodes=0)
     with pytest.raises(ConfigError, match="window"):
         RunConfig(window=-1)
+    with pytest.raises(ConfigError, match="buffer_capacity"):
+        RunConfig(batch_size=32, buffer_capacity=31)
     assert RunConfig(window=0).window == 0
 
 
