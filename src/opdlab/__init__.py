@@ -10,7 +10,6 @@ from .curriculum import CurriculumSchedule, b2f_prefix_len, horizon_at
 from .distill import (
     TeacherTrajectoryStore,
     Trajectory,
-    TurnRecord,
     collect_teacher_trajectories,
     rollout_b2f,
     rollout_f2b,
@@ -29,7 +28,7 @@ from .policy import (
     kl_logit_gradient,
     sample_action,
 )
-from .replay import ExperienceEntry, RingBuffer, decompose
+from .replay import ExperienceEntry, RingBuffer
 from .runtime import RunConfig, SnapshotBoard, TeacherConfig, evaluate, run_training
 
 __version__ = "0.1.0"

@@ -20,18 +20,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .distill import ALGO_B2F, ALGO_SFT, collect_teacher_trajectories, load_store, save_store
-from .env import EnvConfig, make_env, make_teacher
+from .env import EnvConfig, TeacherConfig, TeacherPolicy, make_env
 from .errors import ConfigError
 from .metrics import EvalRecord, MetricsLog, config_hash, write_csv, write_records
 from .policy import load_params, save_params
-from .runtime import RunConfig, TeacherConfig, evaluate, run_training
+from .runtime import RunConfig, evaluate, run_training
 
 _COLLECT_SEED_SALT = 919
 
@@ -159,7 +159,7 @@ def _collection_rng(seed: int) -> np.random.Generator:
 
 def cmd_collect(config: ExperimentConfig, out_path) -> int:
     env = make_env(config.run.env)
-    teacher = make_teacher(env, **asdict(config.run.teacher))
+    teacher = TeacherPolicy(env, config.run.teacher)
     rng = _collection_rng(config.run.seed)
     store = collect_teacher_trajectories(env, teacher, config.run.pass_m, rng,
                                          collection_seed=config.run.seed)
@@ -195,11 +195,11 @@ def _load_store_for(config: ExperimentConfig, store_arg: str | None):
 
 def cmd_train(config: ExperimentConfig, store_arg: str | None = None) -> int:
     store = _load_store_for(config, store_arg)
+    result = run_training(config.run, store)
+    # the run directory appears only once the run has succeeded
     out_dir = config.run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(config, out_dir)
-
-    result = run_training(config.run, store)
     result.log.config_hash = config_hash(config.raw)
     write_records(result.log, out_dir / "metrics.jsonl")
     write_csv(result.log, out_dir / "metrics.csv")
@@ -219,7 +219,7 @@ def cmd_eval(checkpoint_path, config: ExperimentConfig) -> int:
             f"has {config.run.env.num_actions}"
         )
     env = make_env(config.run.env)
-    teacher = make_teacher(env, **asdict(config.run.teacher))
+    teacher = TeacherPolicy(env, config.run.teacher)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(config.run.seed)))
     record = evaluate(params, env, teacher, config.run.eval_episodes, rng,
@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run a training experiment")
     p_train.add_argument("config")
     p_train.add_argument("--store", help="expert trajectory store (b2f/sft)")
-    p_train.add_argument("--sweep", help="sweep spec like eta=2,4,6")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("checkpoint")
@@ -305,12 +304,6 @@ def main(argv=None) -> int:
                 raise ConfigError("give --out or set run.store_path for collect")
             return cmd_collect(config, out)
         if args.command == "train":
-            if args.sweep:
-                key, _, values = args.sweep.partition("=")
-                if key.strip() != "eta":
-                    raise ConfigError(f"train --sweep supports eta only, got {key!r}")
-                return cmd_sweep(args.config, _parse_eta_list(values), overrides,
-                                 args.store)
             config = load_experiment_config(args.config, overrides)
             return cmd_train(config, args.store)
         if args.command == "eval":

@@ -3,10 +3,12 @@
 Three rollout modes share one loop: vanilla on-policy distillation runs the
 student for the whole horizon, forward-curriculum (f2b) truncates after k
 student turns, and backward-curriculum (b2f) replays the first L - k actions
-of a stored expert trajectory before handing over to the student. Expert
-prefix turns carry no distributions and are excluded from every loss and
-gradient. ``rollout_lockstep`` runs the opd loop for a batch of episodes at
-once, as arrays, for evaluation.
+of a stored expert trajectory before handing over to the student. A
+trajectory records one ``ExperienceEntry`` per student turn, which is also
+its replay entry; expert-prefix turns are recorded only as their history
+keys (``prefix_keys``), so they are outside every loss and gradient.
+``rollout_lockstep`` runs the opd loop for a batch of episodes at once, as
+arrays, for evaluation.
 
 The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
@@ -48,36 +50,25 @@ ALGO_F2B = "f2b"
 ALGO_B2F = "b2f"
 ALGO_SFT = "sft"
 
-EXECUTED_STUDENT = "student"
-EXECUTED_PREFIX = "teacher_prefix"
-
 STORE_SCHEMA = 1
-
-
-@dataclass
-class TurnRecord:
-    history_key: HistoryKey
-    action: int
-    student_dist: np.ndarray | None
-    teacher_dist: np.ndarray | None
-    turn_index: int
-    executed_by: str
-    turn_kl: float
 
 
 @dataclass
 class Trajectory:
     task_id: int
-    turns: list[TurnRecord]
+    turns: list[ExperienceEntry]  # student-executed turns only
+    prefix_keys: list[HistoryKey]  # history keys of the expert prefix turns
     success: bool
-    rounds: int  # student-executed turns only
     policy_version: int
     algo: str
-    traj_id: int = 0
+
+    @property
+    def rounds(self) -> int:
+        return len(self.turns)
 
     @property
     def prefix_len(self) -> int:
-        return sum(1 for t in self.turns if t.executed_by == EXECUTED_PREFIX)
+        return len(self.prefix_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -93,39 +84,36 @@ def _rollout(env: Env, student: PolicyParams, teacher: TeacherPolicy, task_id: i
     state, obs = env.reset(task_id)
     observations = [obs.token_id]
     actions: list[int] = []
-    turns: list[TurnRecord] = []
+    prefix_keys: list[HistoryKey] = []
+    turns: list[ExperienceEntry] = []
 
     for a in prefix_actions or []:
         if state.done:
             raise UsageError(
                 f"stored trajectory for task {task_id} terminated during its prefix"
             )
-        key = encode_history(observations, actions, window)
-        turns.append(TurnRecord(history_key=key, action=int(a), student_dist=None,
-                                teacher_dist=None, turn_index=state.turn,
-                                executed_by=EXECUTED_PREFIX, turn_kl=0.0))
+        prefix_keys.append(encode_history(observations, actions, window))
         state, result = env.step(state, int(a))
         actions.append(int(a))
         observations.append(result.observation.token_id)
 
-    rounds = 0
-    while not state.done and rounds < max_student_turns:
+    version = student.version
+    while not state.done and len(turns) < max_student_turns:
         key = encode_history(observations, actions, window)
         q_policy = action_dist(student, key, 1.0)
         q_sample = q_policy if temperature == 1.0 else action_dist(student, key, temperature)
         p_teacher = teacher.dist(state)
         a = sample_action(q_sample, rng)
-        turns.append(TurnRecord(history_key=key, action=a, student_dist=q_policy,
-                                teacher_dist=p_teacher, turn_index=state.turn,
-                                executed_by=EXECUTED_STUDENT,
-                                turn_kl=forward_kl(p_teacher, q_policy)))
+        turns.append(ExperienceEntry(history_key=key, action=a, student_dist=q_policy,
+                                     teacher_dist=p_teacher, turn_index=state.turn,
+                                     turn_kl=forward_kl(p_teacher, q_policy),
+                                     policy_version=version))
         state, result = env.step(state, a)
         actions.append(a)
         observations.append(result.observation.token_id)
-        rounds += 1
 
-    return Trajectory(task_id=task_id, turns=turns, success=state.success,
-                      rounds=rounds, policy_version=student.version, algo=algo)
+    return Trajectory(task_id=task_id, turns=turns, prefix_keys=prefix_keys,
+                      success=state.success, policy_version=version, algo=algo)
 
 
 def rollout_opd(env, student, teacher, task_id, rng, *, temperature=1.0,
@@ -156,9 +144,10 @@ def rollout_b2f(env, store, student, teacher, task_id, k, rng, *, temperature=1.
                 window=None) -> Trajectory:
     """Replay the first L - k stored expert actions, then hand over.
 
-    Prefix turns are tagged and excluded from losses. The student then acts
-    until done or the horizon cap; with k >= L the prefix is empty and the
-    rollout distribution matches rollout_opd.
+    Prefix turns are recorded only as history keys, so they are outside
+    every loss. The student then acts until done or the horizon cap; with
+    k >= L the prefix is empty and the rollout distribution matches
+    rollout_opd.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -238,17 +227,13 @@ def trajectory_loss(traj: Trajectory, params: PolicyParams | None = None,
     With ``params`` given, the student distributions are recomputed at those
     parameters (same keys, softmax at temperature 1); otherwise the
     distributions recorded at collection time are used. Expert prefix turns
-    contribute exactly zero to both outputs.
+    are not among ``traj.turns``, so they contribute exactly zero to both.
     """
     loss = 0.0
     grads: dict[HistoryKey, np.ndarray] = {}
     for turn in traj.turns:
-        if turn.executed_by != EXECUTED_STUDENT:
-            continue
         p = turn.teacher_dist
         q = turn.student_dist
-        if p is None or (q is None and params is None):
-            raise UsageError("student turn is missing recorded distributions")
         if params is not None:
             q = action_dist(params, turn.history_key, 1.0)
         loss += forward_kl(p, q)

@@ -201,9 +201,6 @@ class Env:
     def error_depth(self, state: EnvState) -> int:
         return state.recovery_left
 
-    def optimal_length(self, task_id: int) -> int:
-        return self.config.chain_length
-
     # -- observation encoding -------------------------------------------------
 
     def _initial_observation(self, task_id: int) -> Observation:
@@ -270,6 +267,26 @@ def make_env(config: EnvConfig) -> Env:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class TeacherConfig:
+    """The expert's shape parameters (see TeacherPolicy), checked on creation."""
+
+    on_support_temperature: float = 0.3
+    off_support_floor: float = 0.05
+    turn_sharpening: float = 0.75
+    depth_decay: float = 0.85
+
+    def __post_init__(self):
+        if self.on_support_temperature <= 0:
+            raise ConfigError("on_support_temperature must be > 0")
+        if not 0 < self.off_support_floor <= 1:
+            raise ConfigError("off_support_floor must be in (0, 1]")
+        if self.turn_sharpening < 0:
+            raise ConfigError("turn_sharpening must be >= 0")
+        if not 0 < self.depth_decay <= 1:
+            raise ConfigError("depth_decay must be in (0, 1]")
+
+
 class TeacherPolicy:
     """Fixed (never-trained) expert policy built on the environment oracle.
 
@@ -285,28 +302,16 @@ class TeacherPolicy:
     entropy at every turn index; a floor of 1 yields exactly uniform.
     """
 
-    def __init__(self, env: Env, on_support_temperature: float = 0.3,
-                 off_support_floor: float = 0.05, turn_sharpening: float = 0.75,
-                 depth_decay: float = 0.85):
-        if on_support_temperature <= 0:
-            raise ConfigError("on_support_temperature must be > 0")
-        if not 0 < off_support_floor <= 1:
-            raise ConfigError("off_support_floor must be in (0, 1]")
-        if turn_sharpening < 0:
-            raise ConfigError("turn_sharpening must be >= 0")
-        if not 0 < depth_decay <= 1:
-            raise ConfigError("depth_decay must be in (0, 1]")
+    def __init__(self, env: Env, config: TeacherConfig):
         self.env = env
+        self.config = config
         self.num_actions = env.config.num_actions
-        self.temperature = on_support_temperature
-        self.floor = off_support_floor
-        self.turn_sharpening = turn_sharpening
-        self.depth_decay = depth_decay
         self._uniform = np.full(self.num_actions, 1.0 / self.num_actions)
         self._sharp_by_turn: dict[int, np.ndarray] = {}
 
     def _gap(self, turn: int) -> float:
-        return (1.0 + self.turn_sharpening * turn) / self.temperature
+        c = self.config
+        return (1.0 + c.turn_sharpening * turn) / c.on_support_temperature
 
     def _sharp(self, turn: int) -> np.ndarray:
         """(A, A) table whose row a is the sharp distribution favoring a at ``turn``."""
@@ -325,14 +330,16 @@ class TeacherPolicy:
         sharp = self._sharp(state.turn)[self.env.expert_action(state)]
         if self.env.on_support(state):
             return sharp.copy()
-        lam = max(self.floor, self.depth_decay ** self.env.error_depth(state))
+        c = self.config
+        lam = max(c.off_support_floor, c.depth_decay ** self.env.error_depth(state))
         return lam * self._uniform + (1.0 - lam) * sharp
 
     def dist_batch(self, task: np.ndarray, pos: np.ndarray, recovery: np.ndarray,
                    turn: int) -> np.ndarray:
         """dist() for a batch of live states at one turn index, as (B, A) rows."""
         sharp = self._sharp(turn)[self.env.expert_actions(task, pos, recovery)]
-        lam = np.maximum(self.floor, self.depth_decay ** recovery)[:, None]
+        c = self.config
+        lam = np.maximum(c.off_support_floor, c.depth_decay ** recovery)[:, None]
         mixed = lam * self._uniform + (1.0 - lam) * sharp
         return np.where((recovery == 0)[:, None], sharp, mixed)
 
@@ -360,9 +367,6 @@ class TeacherPolicy:
         return params
 
 
-def make_teacher(env: Env, on_support_temperature: float = 0.3,
-                 off_support_floor: float = 0.05, turn_sharpening: float = 0.75,
-                 depth_decay: float = 0.85) -> TeacherPolicy:
-    """Build the fixed expert policy for ``env``; see TeacherPolicy."""
-    return TeacherPolicy(env, on_support_temperature, off_support_floor,
-                         turn_sharpening, depth_decay)
+def make_teacher(env: Env, **overrides) -> TeacherPolicy:
+    """The expert for ``env`` with TeacherConfig(**overrides); see TeacherPolicy."""
+    return TeacherPolicy(env, TeacherConfig(**overrides))

@@ -114,9 +114,9 @@ def per_turn_kl_profile(trajectories) -> list[float]:
     """Mean turn KL at each absolute turn index across trajectories.
 
     Entry t averages turn_kl over all student turns recorded at index t.
-    Expert prefix turns are excluded from the mean but still advance the
-    index, so prefix and student regions stay distinguishable. Indices with
-    no student turn anywhere yield NaN.
+    Expert prefix turns are not among a trajectory's turns, but they still
+    advance the index, so prefix and student regions stay distinguishable.
+    Indices with no student turn anywhere yield NaN.
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -126,8 +126,6 @@ def per_turn_kl_profile(trajectories) -> list[float]:
     max_idx = -1
     for traj in trajectories:
         for turn in traj.turns:
-            if turn.executed_by != "student":
-                continue
             t = turn.turn_index
             sums[t] = sums.get(t, 0.0) + turn.turn_kl
             counts[t] = counts.get(t, 0) + 1

@@ -195,14 +195,13 @@ def save_params(params: PolicyParams, path) -> None:
         "version": params.version,
         "default_logits": [float(x) for x in params.default_logits],
     }
+    # the encoder json.dumps(sort_keys=True) builds, made once for all rows
+    encode = json.JSONEncoder(sort_keys=True).encode
     with atomic_open(path) as f:
-        f.write(json.dumps(header, sort_keys=True) + "\n")
+        f.write(encode(header) + "\n")
         for key in sorted(params.logits):
-            row = {
-                "key": list(key),
-                "logits": [float(x) for x in params.logits[key]],
-            }
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+            row = {"key": list(key), "logits": params.logits[key].tolist()}
+            f.write(encode(row) + "\n")
 
 
 def load_params(path) -> PolicyParams:

@@ -1,10 +1,12 @@
 """Staleness-aware sub-trajectory experience replay.
 
-Each student-executed turn of a rollout becomes one self-contained entry:
-the history key already encodes the whole prefix, so nothing needs to be
-re-simulated at learn time. Entries carry the policy version that produced
-them; the sampler eagerly discards anything older than the staleness budget
-before drawing a batch.
+An ``ExperienceEntry`` is the one per-turn record: a rollout writes one
+for each student-executed turn, and the runtime pushes those entries into
+the buffer as they are. The history key already encodes the whole prefix
+(expert-prefix turns included), so nothing needs to be re-simulated at
+learn time; the expert-prefix turns themselves get no entry. Entries carry
+the policy version that produced them; the sampler eagerly discards
+anything older than the staleness budget before drawing a batch.
 """
 
 from __future__ import annotations
@@ -22,35 +24,24 @@ DEFAULT_CAPACITY = 4096
 
 @dataclass
 class ExperienceEntry:
+    """One student turn: the realized history, the sampled action, both
+    distributions at collection time, its KL and the acting policy version."""
+
     history_key: HistoryKey
-    teacher_dist: np.ndarray
-    student_dist_at_collection: np.ndarray
     action: int
-    policy_version: int
-    traj_id: int
+    student_dist: np.ndarray
+    teacher_dist: np.ndarray
     turn_index: int
+    turn_kl: float
+    policy_version: int
 
 
 def decompose(traj) -> list[ExperienceEntry]:
-    """One entry per student-executed turn, in turn order.
+    """The replay entries of a rollout: its student turns, in turn order.
 
-    Expert prefix turns are skipped entirely, so len(result) == traj.rounds
-    for every rollout mode.
+    Kept as a name because bench/tracing.py traces ``replay.decompose``.
     """
-    entries = []
-    for turn in traj.turns:
-        if turn.executed_by != "student":
-            continue
-        entries.append(ExperienceEntry(
-            history_key=turn.history_key,
-            teacher_dist=turn.teacher_dist,
-            student_dist_at_collection=turn.student_dist,
-            action=turn.action,
-            policy_version=traj.policy_version,
-            traj_id=traj.traj_id,
-            turn_index=turn.turn_index,
-        ))
-    return entries
+    return traj.turns
 
 
 class RingBuffer:

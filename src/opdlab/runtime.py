@@ -20,7 +20,7 @@ import math
 import time  # noqa: F401  (bench/tracing.py patches runtime.time)
 import warnings
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .distill import (
     sft_update,
     store_turns,
 )
-from .env import Env, EnvConfig, TeacherPolicy, make_env, make_teacher
+from .env import Env, EnvConfig, TeacherConfig, TeacherPolicy, make_env
 from .errors import ConfigError, UsageError
 from .metrics import (
     SPLIT_EVAL,
@@ -52,19 +52,11 @@ from .metrics import (
     TrainRecord,
 )
 from .policy import PolicyParams
-from .replay import RingBuffer, decompose
+from .replay import RingBuffer
 
 MODE_SYNC = "sync"
 MODE_ASYNC = "async"
 ALGOS = (ALGO_OPD, ALGO_F2B, ALGO_B2F, ALGO_SFT)
-
-
-@dataclass(frozen=True)
-class TeacherConfig:
-    on_support_temperature: float = 0.3
-    off_support_floor: float = 0.05
-    turn_sharpening: float = 0.75
-    depth_decay: float = 0.85
 
 
 @dataclass
@@ -311,7 +303,7 @@ def run_training(config: RunConfig, store: TeacherTrajectoryStore | None = None,
     """
     _validate_run(config, store)
     env = make_env(config.env)
-    teacher = make_teacher(env, **asdict(config.teacher))
+    teacher = TeacherPolicy(env, config.teacher)
     if config.algo == ALGO_SFT:
         return _run_sft(config, env, teacher, store)
     return _run_distill(config, env, teacher, store)
@@ -353,12 +345,10 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
             traj = _rollout_for(config.algo, env, store, snapshot, teacher,
                                 rollouts % config.env.task_count, k, rollout_rng,
                                 config.train_temperature, config.window)
-            traj.traj_id = rollouts
             rollouts += 1
-            entries = decompose(traj)
-            buffer.push(entries)
+            buffer.push(traj.turns)
             if params.version - snapshot.version <= config.delta_max:
-                fresh += len(entries)
+                fresh += traj.rounds
             step_trajs.append(traj)
 
         params, record, staleness = _learner_step(n, k, params, buffer, board,

@@ -18,8 +18,6 @@ from scipy import stats
 from opdlab.cli import main
 from opdlab.curriculum import CurriculumSchedule, horizon_at, steps_to_full_horizon
 from opdlab.distill import (
-    EXECUTED_PREFIX,
-    EXECUTED_STUDENT,
     collect_teacher_trajectories,
     rollout_b2f,
     rollout_f2b,
@@ -205,11 +203,8 @@ def test_04_stop_gradient_contract():
         for j in range(int(gen.integers(0, 8))):  # random partially trained table
             student.logits[(int(gen.integers(0, 50)),)] = gen.normal(0, 1, 6)
         traj = rollout_b2f(env, store, student, teacher, task, k, fresh_rng(4, i))
-        student_keys = {t.history_key for t in traj.turns
-                        if t.executed_by == EXECUTED_STUDENT}
-        prefix_only = [t.history_key for t in traj.turns
-                       if t.executed_by == EXECUTED_PREFIX
-                       and t.history_key not in student_keys]
+        student_keys = {t.history_key for t in traj.turns}
+        prefix_only = [key for key in traj.prefix_keys if key not in student_keys]
         if not prefix_only:
             continue
         base_loss, base_grads = trajectory_loss(traj, student)

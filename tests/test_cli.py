@@ -4,7 +4,8 @@ import pytest
 import yaml
 
 from opdlab.cli import load_experiment_config, main, parse_overrides
-from opdlab.env import EnvConfig, make_env, make_teacher
+from opdlab.distill import load_store, save_store
+from opdlab.env import EnvConfig, TeacherPolicy, make_env, make_teacher
 from opdlab.errors import ConfigError
 from opdlab.metrics import read_records
 from opdlab.policy import save_params
@@ -86,8 +87,6 @@ def test_collect_writes_store(config_path, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "8/8" in printed
     cfg = load_experiment_config(config_path)
-    from opdlab.distill import load_store
-
     store = load_store(out, make_env(cfg.run.env))
     assert len(store) == 8
 
@@ -131,6 +130,23 @@ def test_train_b2f_with_store(config_path, tmp_path):
                  "--runtime.algo=b2f", "--curriculum.total_steps=14"]) == 0
 
 
+@pytest.mark.parametrize("case", ["teacher_out_of_range", "b2f_store_lacks_a_task"])
+def test_rejected_train_leaves_no_run_directory(config_path, tmp_path, capsys, case):
+    args = ["train", str(config_path)]
+    if case == "teacher_out_of_range":
+        args.append("--teacher.depth_decay=2")
+    else:
+        store_path = tmp_path / "store.jsonl"
+        assert main(["collect", str(config_path), "--out", str(store_path)]) == 0
+        store = load_store(store_path, make_env(load_experiment_config(config_path).run.env))
+        del store.actions_by_task[3]
+        save_store(store, store_path)
+        args += ["--store", str(store_path), "--runtime.algo=b2f"]
+    assert main(args) == 2
+    assert ("depth_decay" if case == "teacher_out_of_range" else "[3]") in capsys.readouterr().err
+    assert not load_experiment_config(config_path).output_dir.exists()
+
+
 def test_train_determinism_byte_identical(tmp_path):
     results = []
     for name in ("r1", "r2"):
@@ -172,10 +188,7 @@ def test_flat_curriculum_checkpoints_identical_across_algos(tmp_path):
 def test_eval_teacher_checkpoint_high_sr(config_path, tmp_path, capsys):
     cfg = load_experiment_config(config_path)
     env = make_env(cfg.run.env)
-    teacher = make_teacher(env, cfg.run.teacher.on_support_temperature,
-                           cfg.run.teacher.off_support_floor,
-                           cfg.run.teacher.turn_sharpening,
-                           cfg.run.teacher.depth_decay)
+    teacher = TeacherPolicy(env, cfg.run.teacher)
     ckpt = tmp_path / "teacher.jsonl"
     save_params(teacher.materialize(), ckpt)
     assert main(["eval", str(ckpt), str(config_path), "--runtime.eval_episodes=64"]) == 0
@@ -224,14 +237,6 @@ def test_sweep_creates_sibling_directories(config_path):
         assert (run_dir / "metrics.jsonl").exists()
         echoed = yaml.safe_load((run_dir / "config.yaml").read_text())
         assert echoed["curriculum"]["eta"] == eta
-
-
-def test_train_sweep_flag(config_path):
-    assert main(["train", str(config_path), "--sweep", "eta=2,3",
-                 "--curriculum.total_steps=4"]) == 0
-    cfg = load_experiment_config(config_path)
-    assert (cfg.output_dir / "t_eta2" / "checkpoint.jsonl").exists()
-    assert (cfg.output_dir / "t_eta3" / "checkpoint.jsonl").exists()
 
 
 def test_sweep_bad_eta_list(config_path):

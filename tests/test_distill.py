@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from opdlab.distill import (
-    EXECUTED_PREFIX,
-    EXECUTED_STUDENT,
     TeacherTrajectoryStore,
     Trajectory,
-    TurnRecord,
     apply_gradient,
     batch_gradient,
     collect_teacher_trajectories,
@@ -60,8 +57,9 @@ def uniform_student(env):
 
 
 def content_fields(traj):
-    return [(t.history_key, t.action, t.turn_index, t.executed_by, t.turn_kl)
-            for t in traj.turns], traj.success, traj.rounds, traj.policy_version
+    return ([(t.history_key, t.action, t.turn_index, t.turn_kl, t.policy_version)
+             for t in traj.turns], traj.prefix_keys, traj.success, traj.rounds,
+            traj.policy_version)
 
 
 # -- rollout_opd -----------------------------------------------------------------
@@ -143,8 +141,8 @@ def test_b2f_doorstep_prefix(env, teacher, store):
     traj = rollout_b2f(env, store, uniform_student(env), teacher, 4, 1, rng(12))
     assert store.length(4) == 8
     assert traj.prefix_len == 7
-    prefix = [t for t in traj.turns if t.executed_by == EXECUTED_PREFIX]
-    assert [t.turn_index for t in prefix] == list(range(7))
+    assert len(traj.prefix_keys) == 7
+    assert traj.turns[0].turn_index == 7
     assert traj.rounds >= 1
 
 
@@ -157,11 +155,8 @@ def test_b2f_missing_task(env, teacher):
 def test_b2f_prefix_only_keys_do_not_move_loss(env, teacher, store):
     student = uniform_student(env)
     traj = rollout_b2f(env, store, student, teacher, 1, 2, rng(13))
-    student_keys = {t.history_key for t in traj.turns
-                    if t.executed_by == EXECUTED_STUDENT}
-    prefix_only = [t.history_key for t in traj.turns
-                   if t.executed_by == EXECUTED_PREFIX
-                   and t.history_key not in student_keys]
+    student_keys = {t.history_key for t in traj.turns}
+    prefix_only = [key for key in traj.prefix_keys if key not in student_keys]
     assert prefix_only
     base_loss, base_grads = trajectory_loss(traj, student)
     perturbed = PolicyParams(num_actions=student.num_actions,
@@ -175,15 +170,43 @@ def test_b2f_prefix_only_keys_do_not_move_loss(env, teacher, store):
     assert not (set(new_grads) & set(prefix_only))
 
 
+# -- the per-turn record -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("window", [None, 2])
+def test_b2f_prefix_keys_are_the_stored_turns_keys(env, teacher, store, window):
+    # two independent walks of the same expert actions: the rollout's prefix
+    # and store_turns over a store holding only that task
+    for task, k in ((4, 1), (1, 3), (7, 5)):
+        traj = rollout_b2f(env, store, uniform_student(env), teacher, task, k,
+                           rng(14), window=window)
+        only_task = TeacherTrajectoryStore(actions_by_task={task: store.get(task)})
+        stored_keys = [key for key, _ in store_turns(env, only_task, window)]
+        assert traj.prefix_len == store.length(task) - k
+        assert traj.prefix_keys == stored_keys[:traj.prefix_len]
+        assert traj.turns[0].turn_index == traj.prefix_len
+
+
+def test_rollouts_record_one_entry_per_student_turn(env, teacher, store):
+    student = PolicyParams(num_actions=env.config.num_actions, version=3)
+    for traj in (rollout_opd(env, student, teacher, 3, rng(15)),
+                 rollout_f2b(env, student, teacher, 3, 4, rng(15)),
+                 rollout_b2f(env, store, student, teacher, 3, 2, rng(15))):
+        assert traj.rounds == len(traj.turns) >= 1
+        assert [t.turn_index for t in traj.turns] == list(
+            range(traj.prefix_len, traj.prefix_len + traj.rounds))
+        assert all(t.policy_version == 3 for t in traj.turns)
+
+
 # -- trajectory_loss -----------------------------------------------------------------
 
 
 def synthetic_trajectory(p, q, key=(1, 0, 2)):
-    turn = TurnRecord(history_key=key, action=0, student_dist=np.array(q),
-                      teacher_dist=np.array(p), turn_index=0,
-                      executed_by=EXECUTED_STUDENT,
-                      turn_kl=forward_kl(np.array(p), np.array(q)))
-    return Trajectory(task_id=0, turns=[turn], success=False, rounds=1,
+    turn = ExperienceEntry(history_key=key, action=0, student_dist=np.array(q),
+                           teacher_dist=np.array(p), turn_index=0,
+                           turn_kl=forward_kl(np.array(p), np.array(q)),
+                           policy_version=0)
+    return Trajectory(task_id=0, turns=[turn], prefix_keys=[], success=False,
                       policy_version=0, algo="opd")
 
 
@@ -202,22 +225,11 @@ def test_loss_zero_when_matched():
 
 
 def test_loss_all_prefix_is_empty():
-    turn = TurnRecord(history_key=(0,), action=1, student_dist=None,
-                      teacher_dist=None, turn_index=0,
-                      executed_by=EXECUTED_PREFIX, turn_kl=0.0)
-    traj = Trajectory(task_id=0, turns=[turn], success=False, rounds=0,
+    traj = Trajectory(task_id=0, turns=[], prefix_keys=[(0,)], success=False,
                       policy_version=0, algo="b2f")
+    assert (traj.rounds, traj.prefix_len) == (0, 1)
     assert trajectory_loss(traj) == (0.0, {})
-
-
-def test_loss_missing_dists_rejected():
-    turn = TurnRecord(history_key=(0,), action=1, student_dist=None,
-                      teacher_dist=None, turn_index=0,
-                      executed_by=EXECUTED_STUDENT, turn_kl=0.0)
-    traj = Trajectory(task_id=0, turns=[turn], success=False, rounds=1,
-                      policy_version=0, algo="opd")
-    with pytest.raises(UsageError):
-        trajectory_loss(traj)
+    assert trajectory_loss(traj, PolicyParams(num_actions=2)) == (0.0, {})
 
 
 def test_loss_matches_recorded_kl_sum(env, teacher):
@@ -353,9 +365,10 @@ def gradient_step(batch, params, lr):
 
 
 def entry(key, p, q, version=0):
-    return ExperienceEntry(history_key=key, teacher_dist=np.array(p),
-                           student_dist_at_collection=np.array(q), action=0,
-                           policy_version=version, traj_id=0, turn_index=0)
+    # the learner reads only the key, the teacher row and the version
+    return ExperienceEntry(history_key=key, action=0, student_dist=np.array(q),
+                           teacher_dist=np.array(p), turn_index=0, turn_kl=0.0,
+                           policy_version=version)
 
 
 def test_learner_step_noop_when_matched():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -260,6 +261,31 @@ def test_params_save_is_byte_stable(tmp_path):
     save_params(params, a)
     save_params(params, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_params_rows_are_json_dumps_of_float_lists(tmp_path):
+    # each row must read exactly as json.dumps(sort_keys=True) of the key and
+    # of float() of every logit, also for signed zeros, extreme exponents,
+    # non-terminating binary fractions and long keys
+    params = PolicyParams(num_actions=4, version=7,
+                          default_logits=np.array([-0.0, 0.1, 1e-300, 1e300]))
+    rows = {
+        (3,): [-0.0, 1e-300, 1e300, 0.1],
+        tuple(range(400, 431)): [0.1 + 0.2, -1e300, -1e-300, 5e-324],
+        (0, 1, 2): [1.0 / 3.0, -2.5, 0.0, 123456789.123456789],
+        (12, 0, 40): [-0.1, 2.0 ** 60, -(2.0 ** -60), 1.7976931348623157e308],
+    }
+    for key, row in rows.items():
+        params.logits[key] = np.array(row, dtype=np.float64)
+    path = tmp_path / "ckpt.jsonl"
+    save_params(params, path)
+    header = {"schema": 1, "kind": "policy_params", "num_actions": 4, "version": 7,
+              "default_logits": [float(x) for x in params.default_logits]}
+    expected = [json.dumps(header, sort_keys=True)] + [
+        json.dumps({"key": list(key), "logits": [float(x) for x in params.logits[key]]},
+                   sort_keys=True)
+        for key in sorted(params.logits)]
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 def test_load_rejects_wrong_kind(tmp_path):

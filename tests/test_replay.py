@@ -25,9 +25,13 @@ def teacher(env):
 
 
 def entry(i, version=0):
-    return ExperienceEntry(history_key=(i,), teacher_dist=np.array([1.0, 0.0]),
-                           student_dist_at_collection=np.array([0.5, 0.5]),
-                           action=0, policy_version=version, traj_id=i, turn_index=0)
+    return ExperienceEntry(history_key=(i,), action=0, student_dist=np.array([0.5, 0.5]),
+                           teacher_dist=np.array([1.0, 0.0]), turn_index=0,
+                           turn_kl=float(np.log(2.0)), policy_version=version)
+
+
+def ids(entries):
+    return [e.history_key[0] for e in entries]
 
 
 # -- decompose --------------------------------------------------------------------
@@ -65,7 +69,7 @@ def test_entries_reconstruct_trajectory_loss(env, teacher):
     student = PolicyParams(num_actions=env.config.num_actions)
     traj = rollout_opd(env, student, teacher, 2, rng(6))
     loss, _ = trajectory_loss(traj)
-    from_entries = sum(forward_kl(e.teacher_dist, e.student_dist_at_collection)
+    from_entries = sum(forward_kl(e.teacher_dist, e.student_dist)
                        for e in decompose(traj))
     assert from_entries == pytest.approx(loss, abs=1e-12)
 
@@ -77,7 +81,7 @@ def test_ring_eviction_keeps_newest_in_order():
     buf = RingBuffer(capacity=2)
     buf.push([entry(1), entry(2), entry(3)])
     batch = buf.sample_batch(0, 10, 2, rng(0))
-    assert sorted(e.traj_id for e in batch) == [2, 3]
+    assert sorted(ids(batch)) == [2, 3]
 
 
 def test_ring_push_empty_is_noop():
@@ -95,14 +99,14 @@ def test_ring_interleaved_pushes_serialize_in_order():
         buf.push([x])
         buf.push([y])
     everything = buf.sample_batch(0, 10, 10, rng(0))
-    assert sorted(e.traj_id for e in everything) == [0, 1, 2, 3, 4, 5]
+    assert sorted(ids(everything)) == [0, 1, 2, 3, 4, 5]
 
 
 def test_staleness_boundary_is_inclusive():
     buf = RingBuffer(capacity=10)
     buf.push([entry(1, version=3), entry(2, version=2)])
     batch = buf.sample_batch(current_version=5, delta_max=2, batch_size=10, rng=rng(0))
-    assert [e.traj_id for e in batch] == [1]  # 5-3=2 eligible, 5-2=3 discarded
+    assert ids(batch) == [1]  # 5-3=2 eligible, 5-2=3 discarded
     assert buf.discarded_stale_total == 1
     assert len(buf) == 1  # stale entry physically removed
 
@@ -120,8 +124,8 @@ def test_sample_without_replacement():
     buf = RingBuffer(capacity=50)
     buf.push([entry(i) for i in range(20)])
     batch = buf.sample_batch(0, 2, 20, rng(1))
-    ids = [e.traj_id for e in batch]
-    assert len(set(ids)) == len(ids)
+    drawn = ids(batch)
+    assert len(set(drawn)) == len(drawn)
 
 
 def test_short_pool_returns_fewer():

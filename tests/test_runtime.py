@@ -9,7 +9,7 @@ import pytest
 from opdlab import runtime
 from opdlab.curriculum import horizon_at
 from opdlab.distill import collect_teacher_trajectories
-from opdlab.env import Env, EnvConfig, make_env, make_teacher
+from opdlab.env import Env, EnvConfig, TeacherPolicy, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
 from opdlab.metrics import write_records
 from opdlab.policy import PolicyParams, save_params
@@ -29,10 +29,7 @@ def tiny_cfg(**kw):
 
 def collect_for(cfg, seed=1):
     env = make_env(cfg.env)
-    teacher = make_teacher(env, cfg.teacher.on_support_temperature,
-                           cfg.teacher.off_support_floor,
-                           cfg.teacher.turn_sharpening,
-                           cfg.teacher.depth_decay)
+    teacher = TeacherPolicy(env, cfg.teacher)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 919])))
     return collect_teacher_trajectories(env, teacher, cfg.pass_m, gen)
 
