@@ -28,7 +28,7 @@ import yaml
 
 from .distill import ALGO_B2F, ALGO_SFT, collect_teacher_trajectories, load_store, save_store
 from .env import EnvConfig, TeacherConfig, TeacherPolicy, make_env
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 from .metrics import EvalRecord, MetricsLog, config_hash, write_csv, write_records
 from .policy import load_params, save_params
 from .runtime import RunConfig, evaluate, run_training
@@ -39,11 +39,7 @@ _RUN_KEYS = {"name", "output_dir", "store_path"}
 _ENV_KEYS = {f.name for f in fields(EnvConfig)}
 _TEACHER_KEYS = {f.name for f in fields(TeacherConfig)}
 _CURRICULUM_KEYS = {"k_start", "eta", "cap", "total_steps"}
-_RUNTIME_KEYS = {
-    "algo", "lr", "batch_size", "actor_count", "delta_max", "buffer_capacity",
-    "eval_every", "eval_episodes", "seed", "mode", "pass_m",
-    "train_temperature", "eval_temperature", "window",
-}
+_RUNTIME_KEYS = {f.name for f in fields(RunConfig)} - {"env", "teacher"} - _CURRICULUM_KEYS
 _SECTIONS = {
     "run": _RUN_KEYS,
     "env": _ENV_KEYS,
@@ -114,18 +110,10 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
         raw[section].update(content)
     _validate_sections(raw, path)
 
-    run_section = raw.get("run") or {}
-    env_section = raw.get("env") or {}
-    teacher_section = raw.get("teacher") or {}
-    curriculum_section = raw.get("curriculum") or {}
-    runtime_section = raw.get("runtime") or {}
-
-    run_config = RunConfig(
-        env=EnvConfig(**env_section),
-        teacher=TeacherConfig(**teacher_section),
-        **curriculum_section,
-        **runtime_section,
-    )
+    run_section, env, teacher, curriculum, runtime = (
+        raw.get(name) or {} for name in ("run", "env", "teacher", "curriculum", "runtime"))
+    run_config = RunConfig(env=EnvConfig(**env), teacher=TeacherConfig(**teacher),
+                           **curriculum, **runtime)
     store_path = run_section.get("store_path")
     return ExperimentConfig(
         name=str(run_section.get("name", "run")),
@@ -212,7 +200,10 @@ def cmd_train(config: ExperimentConfig, store_arg: str | None = None) -> int:
 
 
 def cmd_eval(checkpoint_path, config: ExperimentConfig) -> int:
-    params = load_params(checkpoint_path)
+    try:
+        params = load_params(checkpoint_path)
+    except (OSError, ValueError, UsageError) as e:
+        raise ConfigError(f"cannot load checkpoint {checkpoint_path}: {e}") from e
     if params.num_actions != config.run.env.num_actions:
         raise ConfigError(
             f"checkpoint has {params.num_actions} actions but the environment "

@@ -1,14 +1,19 @@
 """Trajectory generation and the distillation losses.
 
-Three rollout modes share one loop: vanilla on-policy distillation runs the
-student for the whole horizon, forward-curriculum (f2b) truncates after k
-student turns, and backward-curriculum (b2f) replays the first L - k actions
-of a stored expert trajectory before handing over to the student. A
-trajectory records one ``ExperienceEntry`` per student turn, which is also
-its replay entry; expert-prefix turns are recorded only as their history
-keys (``prefix_keys``), so they are outside every loss and gradient.
-``rollout_lockstep`` runs the opd loop for a batch of episodes at once, as
-arrays, for evaluation.
+One engine, ``rollout_lockstep``, runs every rollout: a batch of episodes
+advance together, turn by turn, as arrays. The three modes differ only in
+its inputs, which ``rollout_batch`` sets: vanilla on-policy distillation
+lets the student act for the whole horizon, forward-curriculum (f2b) stops
+after k student turns, and backward-curriculum (b2f) first replays the
+first L - k actions of a stored expert trajectory. Evaluation is an opd
+batch. Each episode reads its own row of uniforms, and its student turn i
+samples from entry i of the row, so expert-prefix turns draw nothing and
+an episode's results do not depend on the other episodes of its batch.
+``rollout_opd``, ``rollout_f2b`` and ``rollout_b2f`` are one-episode
+batches. A trajectory records one ``ExperienceEntry`` per student turn,
+which is also its replay entry; expert-prefix turns are recorded only as
+their history keys (``prefix_keys``), so they are outside every loss and
+gradient.
 
 The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
@@ -76,143 +81,161 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _rollout(env: Env, student: PolicyParams, teacher: TeacherPolicy, task_id: int,
-             rng: np.random.Generator, *, max_student_turns: int,
-             prefix_actions: list[int] | None, algo: str,
-             temperature: float = 1.0, window: int | None = None) -> Trajectory:
-    """Shared rollout loop; the three modes differ only in their arguments."""
-    state, obs = env.reset(task_id)
-    observations = [obs.token_id]
-    actions: list[int] = []
-    prefix_keys: list[HistoryKey] = []
-    turns: list[ExperienceEntry] = []
+def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np.ndarray, *,
+                     temperature: float = 1.0, window: int | None = None,
+                     max_student_turns: int | None = None, prefixes=None,
+                     algo: str | None = None):
+    """The rollout engine: a batch of episodes that advance together, turn by turn.
 
-    for a in prefix_actions or []:
-        if state.done:
-            raise UsageError(
-                f"stored trajectory for task {task_id} terminated during its prefix"
-            )
-        prefix_keys.append(encode_history(observations, actions, window))
-        state, result = env.step(state, int(a))
-        actions.append(int(a))
-        observations.append(result.observation.token_id)
+    Episode e plays task_ids[e] with the policy ``students[e]`` (episodes
+    may share one, or act on snapshots of different ages). It first plays
+    the expert actions ``prefixes[e]``, kept only as history keys; then the
+    student acts until the goal, the horizon cap or ``max_student_turns``
+    student turns. Student turn i samples by inverse CDF from u[e, i], so an
+    episode depends only on its own row of ``u`` (shape (B, horizon_cap)),
+    not on the other episodes. Each turn gathers the live rows as one (B, A).
 
-    version = student.version
-    while not state.done and len(turns) < max_student_turns:
-        key = encode_history(observations, actions, window)
-        q_policy = action_dist(student, key, 1.0)
-        q_sample = q_policy if temperature == 1.0 else action_dist(student, key, temperature)
-        p_teacher = teacher.dist(state)
-        a = sample_action(q_sample, rng)
-        turns.append(ExperienceEntry(history_key=key, action=a, student_dist=q_policy,
-                                     teacher_dist=p_teacher, turn_index=state.turn,
-                                     turn_kl=forward_kl(p_teacher, q_policy),
-                                     policy_version=version))
-        state, result = env.step(state, a)
-        actions.append(a)
-        observations.append(result.observation.token_id)
-
-    return Trajectory(task_id=task_id, turns=turns, prefix_keys=prefix_keys,
-                      success=state.success, policy_version=version, algo=algo)
-
-
-def rollout_opd(env, student, teacher, task_id, rng, *, temperature=1.0,
-                window=None) -> Trajectory:
-    """Student acts every turn until done or the horizon cap."""
-    return _rollout(env, student, teacher, task_id, rng,
-                    max_student_turns=env.config.horizon_cap, prefix_actions=None,
-                    algo=ALGO_OPD, temperature=temperature, window=window)
-
-
-def rollout_f2b(env, student, teacher, task_id, k, rng, *, temperature=1.0,
-                window=None) -> Trajectory:
-    """Like rollout_opd but truncated after min(k, horizon_cap) student turns.
-
-    Success is recorded only if the goal is reached inside the truncated
-    window. For k >= horizon_cap this is bit-identical to rollout_opd
-    (given identical rng state) apart from the algo tag.
-    """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    return _rollout(env, student, teacher, task_id, rng,
-                    max_student_turns=min(k, env.config.horizon_cap),
-                    prefix_actions=None, algo=ALGO_F2B,
-                    temperature=temperature, window=window)
-
-
-def rollout_b2f(env, store, student, teacher, task_id, k, rng, *, temperature=1.0,
-                window=None) -> Trajectory:
-    """Replay the first L - k stored expert actions, then hand over.
-
-    Prefix turns are recorded only as history keys, so they are outside
-    every loss. The student then acts until done or the horizon cap; with
-    k >= L the prefix is empty and the rollout distribution matches
-    rollout_opd.
-    """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    stored = store.get(task_id)
-    if stored is None:
-        raise ConfigError(f"task {task_id} missing from the expert trajectory store")
-    n_prefix = b2f_prefix_len(len(stored), k)
-    return _rollout(env, student, teacher, task_id, rng,
-                    max_student_turns=env.config.horizon_cap,
-                    prefix_actions=list(stored[:n_prefix]), algo=ALGO_B2F,
-                    temperature=temperature, window=window)
-
-
-def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy,
-                     task_ids: np.ndarray, u: np.ndarray, *, temperature: float = 1.0,
-                     window: int | None = None):
-    """rollout_opd for a batch of episodes that advance together, turn by turn.
-
-    Episode e plays task_ids[e] and samples its turn-t action by inverse CDF
-    from the uniform u[e, t], so each episode's draws depend only on its own
-    row of ``u`` (shape (B, horizon_cap)). Each turn steps only the live
-    episodes, with one (B, A) gather of student rows.
-
-    Returns ``(kl, rounds, success)``: the (B, horizon_cap) matrix of
-    per-turn KL (0 after an episode ends), and the student turns played and
-    the success flag of each episode.
+    Returns ``(kl, rounds, success, trajectories)``: the (B, horizon_cap)
+    per-turn KL on every turn played (0 after an episode ends), each
+    episode's student turns and success, and with ``algo`` given one
+    Trajectory per episode tagged ``algo`` (else None, as for evaluation).
     """
     n, horizon = len(task_ids), env.config.horizon_cap
     if u.shape != (n, horizon):
         raise UsageError(f"u has shape {u.shape}, expected {(n, horizon)}")
+    task = np.asarray(task_ids, dtype=np.int64)
+    if n and not 0 <= task.min() <= task.max() < env.config.task_count:
+        raise ConfigError(f"task ids must be in [0, {env.config.task_count})")
+    # v[e, t] is the uniform of episode e's student at turn t, u[e, t - prefix
+    # length], and forced[e, t] the expert action at a prefix turn t
+    prefix_len = np.array([len(p) for p in prefixes] if prefixes else np.zeros(n),
+                          dtype=np.int64)
+    v, forced = u, None
+    if prefix_len.any():
+        v, forced = np.zeros_like(u), np.zeros((n, horizon), dtype=np.int64)
+        for e, (prefix, p) in enumerate(zip(prefixes, prefix_len.tolist())):
+            v[e, p:], forced[e, :p] = u[e, :horizon - p], prefix
+    end = prefix_len + (horizon if max_student_turns is None else max_student_turns)
+    first_end, last_prefix = int(end.min(initial=horizon)), int(prefix_len.max(initial=0))
+    trajs = None if algo is None else [
+        Trajectory(task_id=int(t), turns=[], prefix_keys=[], success=False,
+                   policy_version=s.version, algo=algo) for t, s in zip(task, students)]
+
     kl = np.zeros((n, horizon))
-    rounds = np.zeros(n, dtype=np.int64)
+    played = np.full(n, horizon)  # turns each episode played, prefix included
     success = np.zeros(n, dtype=bool)
     # state of the live episodes only, in the order of ``live``
     live = np.arange(n)
-    task = np.asarray(task_ids, dtype=np.int64)
     pos = np.zeros(n, dtype=np.int64)
     recovery = np.zeros(n, dtype=np.int64)
+    tables = [(s.logits.get, s.default_logits) for s in students]
     # full histories (o_0, a_0, ..., o_t); a window keeps o_0 and the tail
     histories = [(tok,) for tok in env.initial_tokens[task].tolist()]
-    get, default = student.logits.get, student.default_logits
 
     for t in range(horizon):
         if window is None or window >= t:
             keys = histories
         else:
             keys = [h[:1] + h[2 * (t - window):] for h in histories]
-        rows = np.array([get(k, default) for k in keys])
+        rows = np.array([get(k, default) for (get, default), k in zip(tables, keys)])
         q_policy = softmax_rows(rows)
         q_sample = q_policy if temperature == 1.0 else softmax_rows(rows, temperature)
         p_teacher = teacher.dist_batch(task, pos, recovery, t)
-        kl[live, t] = forward_kl_rows(p_teacher, q_policy)
-        actions = sample_rows(q_sample, u[live, t])
+        turn_kl = forward_kl_rows(p_teacher, q_policy)
+        actions = sample_rows(q_sample, v[live, t])
+        in_prefix = None
+        if t < last_prefix:
+            in_prefix = prefix_len[live] > t
+            actions = np.where(in_prefix, forced[live, t], actions)
+        kl[live, t] = turn_kl
+        if trajs is not None:
+            flags = [False] * len(keys) if in_prefix is None else in_prefix.tolist()
+            for i, (e, a, d) in enumerate(zip(live.tolist(), actions.tolist(),
+                                              turn_kl.tolist())):
+                if flags[i]:
+                    trajs[e].prefix_keys.append(keys[i])
+                    continue
+                trajs[e].turns.append(ExperienceEntry(
+                    history_key=keys[i], action=a, student_dist=q_policy[i],
+                    teacher_dist=p_teacher[i], turn_index=t, turn_kl=d,
+                    policy_version=trajs[e].policy_version))
         pos, recovery, tokens, won = env.step_batch(task, pos, recovery, actions)
-        rounds[live] += 1
-        success[live] = won
+        if in_prefix is not None and (won & (t + 1 < prefix_len[live])).any():
+            raise UsageError("a stored trajectory reached its goal during its expert prefix")
         histories = [h + (a, o) for h, a, o in
                      zip(histories, actions.tolist(), tokens.tolist())]
-        if won.any():
-            keep = ~won
+        ended = won if t + 1 < first_end else won | (end[live] == t + 1)
+        if ended.any():
+            played[live[ended]] = t + 1
+            success[live[won]] = True
+            keep = ~ended
             live, task, pos, recovery = live[keep], task[keep], pos[keep], recovery[keep]
             histories = [h for h, k in zip(histories, keep.tolist()) if k]
+            tables = [s for s, k in zip(tables, keep.tolist()) if k]
             if not live.size:
                 break
-    return kl, rounds, success
+    for traj, won in zip(trajs or (), success.tolist()):
+        traj.success = won
+    return kl, played - prefix_len, success, trajs
+
+
+def max_student_turns(algo: str, k: int, horizon: int) -> int:
+    """The most student turns one ``algo`` rollout plays at curriculum horizon k."""
+    return min(k, horizon) if algo == ALGO_F2B else horizon
+
+
+def rollout_batch(algo: str, env: Env, students, teacher: TeacherPolicy, task_ids,
+                  k: int, u: np.ndarray, *, store=None, temperature: float = 1.0,
+                  window: int | None = None) -> list[Trajectory]:
+    """``algo`` rollouts at curriculum horizon k as one rollout_lockstep batch:
+    the student acts for the whole horizon (opd), for min(k, horizon_cap)
+    turns (f2b), or after the first L - k stored expert actions (b2f)."""
+    if algo not in (ALGO_OPD, ALGO_F2B, ALGO_B2F):
+        raise ConfigError(f"no rollout mode for algo {algo!r}")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    prefixes = None
+    if algo == ALGO_B2F:
+        stored = [store.get(task_id) for task_id in np.asarray(task_ids).tolist()]
+        if None in stored:
+            raise ConfigError("a task is missing from the expert trajectory store")
+        prefixes = [s[:b2f_prefix_len(len(s), k)] for s in stored]
+    return rollout_lockstep(
+        env, students, teacher, task_ids, u, temperature=temperature, window=window,
+        max_student_turns=max_student_turns(algo, k, env.config.horizon_cap),
+        prefixes=prefixes, algo=algo)[3]
+
+
+def _rollout(algo, env, student, teacher, task_id, k, rng, *, store=None,
+             temperature=1.0, window=None) -> Trajectory:
+    """One rollout_batch episode, whose uniform row is ``rng.random(horizon_cap)``:
+    on a fresh generator, student turn i uses the generator's i-th draw."""
+    u = rng.random((1, env.config.horizon_cap))
+    return rollout_batch(algo, env, [student], teacher, [task_id], k, u, store=store,
+                         temperature=temperature, window=window)[0]
+
+
+def rollout_opd(env, student, teacher, task_id, rng, *, temperature=1.0,
+                window=None) -> Trajectory:
+    """Student acts every turn until done or the horizon cap."""
+    return _rollout(ALGO_OPD, env, student, teacher, task_id, env.config.horizon_cap, rng,
+                    temperature=temperature, window=window)
+
+
+def rollout_f2b(env, student, teacher, task_id, k, rng, *, temperature=1.0,
+                window=None) -> Trajectory:
+    """rollout_opd truncated after min(k, horizon_cap) student turns: success
+    needs the goal inside them, and k >= horizon_cap plays rollout_opd's turns."""
+    return _rollout(ALGO_F2B, env, student, teacher, task_id, k, rng,
+                    temperature=temperature, window=window)
+
+
+def rollout_b2f(env, store, student, teacher, task_id, k, rng, *, temperature=1.0,
+                window=None) -> Trajectory:
+    """Replay the first L - k stored expert actions (kept only as history
+    keys, outside every loss), then hand over; k >= L is rollout_opd."""
+    return _rollout(ALGO_B2F, env, student, teacher, task_id, k, rng, store=store,
+                    temperature=temperature, window=window)
 
 
 # ---------------------------------------------------------------------------

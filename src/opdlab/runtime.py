@@ -6,8 +6,16 @@ one in it, so rollout j uses the parameters that were newest when rollout
 j - depth + 1 started: ``depth`` rollouts are in flight, as in an
 IMPALA-style actor/learner lag. Sync mode has depth 1 (every rollout acts
 on the current parameters); async mode has depth ``actor_count``. Tasks
-run round-robin and every rollout draws from one seeded stream in schedule
-order, so both modes are bit-reproducible per seed.
+run round-robin, and rollout j reads row j of the rollout stream, a row of
+horizon_cap uniforms drawn in rollout order; its student turn i uses
+entry i.
+
+A step runs its rollouts as lockstep waves of ceil(missing / m) rollouts,
+where ``missing`` counts the fresh entries the step still needs and m is
+the most student turns one rollout plays. A one-at-a-time loop would run
+every rollout of such a wave too, and a rollout depends only on its row,
+task and snapshot, so runs are bit-identical for any wave width, and
+bit-reproducible per seed in both modes.
 
 The curriculum clock is the learner's step counter: at step n the rollouts
 run under horizon_at(schedule, n). Evaluation always runs full-horizon with
@@ -34,11 +42,10 @@ from .distill import (
     Trajectory,
     apply_gradient,
     batch_gradient,
+    max_student_turns,
     nll_loss,
-    rollout_b2f,
-    rollout_f2b,
+    rollout_batch,
     rollout_lockstep,
-    rollout_opd,
     sft_update,
     store_turns,
 )
@@ -83,33 +90,29 @@ class RunConfig:
     window: int | None = None
 
     def __post_init__(self):
-        if self.algo not in ALGOS:
-            raise ConfigError(f"unknown algo {self.algo!r}, expected one of {ALGOS}")
-        if self.mode not in (MODE_SYNC, MODE_ASYNC):
-            raise ConfigError(f"mode must be 'sync' or 'async', got {self.mode!r}")
         if self.cap is None:
             self.cap = self.env.horizon_cap
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.buffer_capacity < self.batch_size:
-            raise ConfigError(f"buffer_capacity ({self.buffer_capacity}) must be "
-                              f">= batch_size ({self.batch_size})")
-        if self.actor_count < 1:
-            raise ConfigError("actor_count must be >= 1")
-        if self.delta_max < 0:
-            raise ConfigError("delta_max must be >= 0")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1")
-        if self.eval_episodes < 1:
-            raise ConfigError("eval_episodes must be >= 1")
-        if self.pass_m < 1:
-            raise ConfigError("pass_m must be >= 1")
-        if self.train_temperature <= 0 or self.eval_temperature <= 0:
-            raise ConfigError("temperatures must be > 0")
-        if self.window is not None and self.window < 0:
-            raise ConfigError(f"window must be >= 0 or None, got {self.window}")
+        for ok, message in (
+            (self.algo in ALGOS, f"unknown algo {self.algo!r}, expected one of {ALGOS}"),
+            (self.mode in (MODE_SYNC, MODE_ASYNC),
+             f"mode must be 'sync' or 'async', got {self.mode!r}"),
+            (self.lr > 0, "lr must be > 0"),
+            (self.batch_size >= 1, "batch_size must be >= 1"),
+            (self.buffer_capacity >= self.batch_size, f"buffer_capacity "
+             f"({self.buffer_capacity}) must be >= batch_size ({self.batch_size})"),
+            (self.actor_count >= 1, "actor_count must be >= 1"),
+            (self.delta_max >= 0, "delta_max must be >= 0"),
+            (self.eval_every >= 1, "eval_every must be >= 1"),
+            (self.eval_episodes >= 1, "eval_episodes must be >= 1"),
+            (self.pass_m >= 1, "pass_m must be >= 1"),
+            (self.train_temperature > 0 and self.eval_temperature > 0,
+             "temperatures must be > 0"),
+            (self.window is None or self.window >= 0,
+             f"window must be >= 0 or None, got {self.window}"),
+        ):
+            if not ok:
+                raise ConfigError(message)
+        self.schedule()  # checks the curriculum, which every algo must pass
 
     def schedule(self) -> CurriculumSchedule:
         return CurriculumSchedule(k_start=self.k_start, eta=self.eta,
@@ -169,22 +172,17 @@ def evaluate(params: PolicyParams, env: Env, teacher: TeacherPolicy,
              episodes: int, rng: np.random.Generator, *,
              temperature: float = 0.4, window: int | None = None,
              step: int = 0, active_k: int = 0) -> EvalRecord:
-    """Full-horizon, prefix-free evaluation of ``params``.
-
-    Episodes cycle round-robin over tasks and advance together, one turn at
-    a time (see rollout_lockstep). One call draws
-    ``u = rng.random((episodes, horizon_cap))``; episode e samples its
-    turn-t action by inverse CDF from u[e, t], so no draw depends on the
-    other episodes or their lengths. Sampling uses the evaluation
+    """Full-horizon, prefix-free evaluation of ``params``: one rollout_lockstep
+    batch of episodes that cycle round-robin over tasks, with uniforms
+    ``rng.random((episodes, horizon_cap))``. Sampling uses the evaluation
     temperature; the KL profile compares the expert's distribution against
     the student's canonical (temperature-1) policy on the realized states.
     """
     if episodes < 1:
         raise ConfigError(f"episodes must be >= 1, got {episodes}")
-    tasks = np.arange(episodes) % env.config.task_count
-    u = rng.random((episodes, env.config.horizon_cap))
-    kl, rounds, success = rollout_lockstep(env, params, teacher, tasks, u,
-                                           temperature=temperature, window=window)
+    kl, rounds, success, _ = rollout_lockstep(
+        env, [params] * episodes, teacher, np.arange(episodes) % env.config.task_count,
+        rng.random((episodes, env.config.horizon_cap)), temperature=temperature, window=window)
     # every episode is live from turn 0 until it ends, so the episodes that
     # played turn t are those with rounds > t
     turns = rounds.max()
@@ -204,20 +202,10 @@ def evaluate(params: PolicyParams, env: Env, teacher: TeacherPolicy,
 # ---------------------------------------------------------------------------
 
 
-def _rollout_for(algo: str, env: Env, store, snapshot: PolicyParams,
-                 teacher: TeacherPolicy, task_id: int, k: int,
-                 rng: np.random.Generator, temperature: float,
-                 window: int | None) -> Trajectory:
-    if algo == ALGO_OPD:
-        return rollout_opd(env, snapshot, teacher, task_id, rng,
-                           temperature=temperature, window=window)
-    if algo == ALGO_F2B:
-        return rollout_f2b(env, snapshot, teacher, task_id, k, rng,
-                           temperature=temperature, window=window)
-    if algo == ALGO_B2F:
-        return rollout_b2f(env, store, snapshot, teacher, task_id, k, rng,
-                           temperature=temperature, window=window)
-    raise ConfigError(f"no rollout mode for algo {algo!r}")
+def _wave_width(missing: int, max_turns: int) -> int:
+    """Rollouts that a one-at-a-time loop is sure to run next: each adds at
+    most ``max_turns`` fresh entries, and ``missing`` are still needed."""
+    return -(-missing // max_turns)
 
 
 def _rollout_record(step: int, k: int, trajs: list[Trajectory]) -> EvalRecord:
@@ -269,23 +257,17 @@ def _validate_run(config: RunConfig, store) -> None:
         if missing:
             raise ConfigError(f"b2f training needs a stored expert trajectory for "
                               f"every task; the store lacks tasks {missing}")
-        max_l = store.max_length()
-        need = steps_to_full_horizon(config.schedule(), min(max_l, config.cap))
+    if config.algo in (ALGO_F2B, ALGO_B2F):
+        target, goal = config.cap, f"reaches the full horizon cap {config.cap}"
+        if config.algo == ALGO_B2F:
+            target = min(store.max_length(), config.cap)
+            goal = (f"clears the expert prefix for the longest stored trajectory, "
+                    f"L={store.max_length()}")
+        need = steps_to_full_horizon(config.schedule(), target)
         if need >= config.total_steps:
-            warnings.warn(
-                f"total_steps={config.total_steps} never clears the expert "
-                f"prefix for the longest stored trajectory (L={max_l}, needs "
-                f"step {need}); the curriculum will not reach end-to-end rollouts",
-                stacklevel=2,
-            )
-    if config.algo == ALGO_F2B:
-        need = steps_to_full_horizon(config.schedule(), config.cap)
-        if need >= config.total_steps:
-            warnings.warn(
-                f"total_steps={config.total_steps} never reaches the full "
-                f"horizon cap {config.cap} (needs step {need})",
-                stacklevel=2,
-            )
+            warnings.warn(f"total_steps={config.total_steps} never {goal} (needs step "
+                          f"{need}); the curriculum will not reach end-to-end rollouts",
+                          stacklevel=2)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +292,14 @@ def run_training(config: RunConfig, store: TeacherTrajectoryStore | None = None,
 
 
 def _seed_streams(config: RunConfig):
-    root = np.random.SeedSequence(config.seed)
-    ss_rollout, ss_sample, ss_eval = root.spawn(3)
-    return ss_rollout, ss_sample, ss_eval
+    """The rollout, replay-sampling and evaluation generators of a run."""
+    return [np.random.Generator(np.random.PCG64(ss))
+            for ss in np.random.SeedSequence(config.seed).spawn(3)]
 
 
 def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
                  store) -> TrainingResult:
-    ss_rollout, ss_sample, ss_eval = _seed_streams(config)
-    rollout_rng = np.random.Generator(np.random.PCG64(ss_rollout))
-    sample_rng = np.random.Generator(np.random.PCG64(ss_sample))
-    eval_rng = np.random.Generator(np.random.PCG64(ss_eval))
-
+    rollout_rng, sample_rng, eval_rng = _seed_streams(config)
     params = PolicyParams(num_actions=config.env.num_actions)
     board = SnapshotBoard(params)
     buffer = RingBuffer(config.buffer_capacity)
@@ -334,22 +312,29 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
 
     for n in range(config.total_steps):
         k = horizon_at(schedule, n)
+        max_turns = max_student_turns(config.algo, k, config.env.horizon_cap)
         step_trajs: list[Trajectory] = []
         # entries pushed this step that the learner may still consume; once
         # depth - 1 rollouts ran in this step every snapshot in flight is
         # current, so the loop ends
         fresh = 0
         while fresh < config.batch_size:
-            in_flight.append(board.latest())
-            snapshot = in_flight[0]
-            traj = _rollout_for(config.algo, env, store, snapshot, teacher,
-                                rollouts % config.env.task_count, k, rollout_rng,
-                                config.train_temperature, config.window)
-            rollouts += 1
-            buffer.push(traj.turns)
-            if params.version - snapshot.version <= config.delta_max:
-                fresh += traj.rounds
-            step_trajs.append(traj)
+            width = _wave_width(config.batch_size - fresh, max_turns)
+            snapshots = []
+            for _ in range(width):
+                in_flight.append(board.latest())
+                snapshots.append(in_flight[0])
+            tasks = (rollouts + np.arange(width)) % config.env.task_count
+            rollouts += width
+            trajs = rollout_batch(config.algo, env, snapshots, teacher, tasks, k,
+                                  rollout_rng.random((width, config.env.horizon_cap)),
+                                  store=store, temperature=config.train_temperature,
+                                  window=config.window)
+            for traj in trajs:
+                buffer.push(traj.turns)
+                if params.version - traj.policy_version <= config.delta_max:
+                    fresh += traj.rounds
+            step_trajs += trajs
 
         params, record, staleness = _learner_step(n, k, params, buffer, board,
                                                   config, sample_rng)
@@ -370,8 +355,7 @@ def _run_sft(config: RunConfig, env: Env, teacher: TeacherPolicy,
     if store is None or len(store) == 0:
         raise ConfigError("sft training requires a non-empty expert "
                           "trajectory store; run collection first")
-    _, _, ss_eval = _seed_streams(config)
-    eval_rng = np.random.Generator(np.random.PCG64(ss_eval))
+    eval_rng = _seed_streams(config)[2]
     params = PolicyParams(num_actions=config.env.num_actions)
     log = MetricsLog()
     turns = store_turns(env, store, config.window)

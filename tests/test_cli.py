@@ -218,6 +218,20 @@ def test_eval_zero_episodes_rejected(config_path, tmp_path):
                  "--runtime.eval_episodes=0"]) == 2
 
 
+@pytest.mark.parametrize("case", ["missing", "not_json", "wrong_kind"])
+def test_eval_rejects_bad_checkpoint(config_path, tmp_path, capsys, case):
+    ckpt = tmp_path / "ckpt.jsonl"
+    if case == "not_json":
+        ckpt.write_text("this is not json\n")
+    elif case == "wrong_kind":
+        assert main(["collect", str(config_path), "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+    assert main(["eval", str(ckpt), str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(ckpt) in err
+    assert not load_experiment_config(config_path).output_dir.exists()
+
+
 def test_eval_action_count_mismatch_rejected(config_path, tmp_path):
     other = make_teacher(make_env(EnvConfig(num_actions=6)))
     ckpt = tmp_path / "mismatch.jsonl"
@@ -237,6 +251,21 @@ def test_sweep_creates_sibling_directories(config_path):
         assert (run_dir / "metrics.jsonl").exists()
         echoed = yaml.safe_load((run_dir / "config.yaml").read_text())
         assert echoed["curriculum"]["eta"] == eta
+
+
+def test_sweep_with_a_bad_eta_trains_nothing(config_path, capsys):
+    assert main(["sweep", str(config_path), "--eta", "2,0",
+                 "--curriculum.total_steps=10"]) == 2
+    assert "eta must be >= 1" in capsys.readouterr().err
+    assert not load_experiment_config(config_path).output_dir.exists()
+
+
+def test_sft_run_checks_its_curriculum(config_path, tmp_path):
+    store = tmp_path / "store.jsonl"
+    assert main(["collect", str(config_path), "--out", str(store)]) == 0
+    assert main(["train", str(config_path), "--store", str(store),
+                 "--runtime.algo=sft", "--curriculum.eta=0"]) == 2
+    assert not load_experiment_config(config_path).output_dir.exists()
 
 
 def test_sweep_bad_eta_list(config_path):

@@ -1,4 +1,8 @@
-"""The lockstep evaluation path against the scalar definitions it batches."""
+"""The lockstep rollout engine against the scalar definitions it batches.
+
+``scalar_rollout`` defines a rollout one turn at a time, on scalars: the
+engine must reproduce it on the same uniforms.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from opdlab.distill import rollout_lockstep, rollout_opd
+from opdlab.curriculum import b2f_prefix_len
+from opdlab.distill import (
+    Trajectory,
+    collect_teacher_trajectories,
+    rollout_batch,
+    rollout_lockstep,
+)
 from opdlab.env import (
     COMPOUNDING_CHAIN,
     MEMORY_LOCK,
@@ -20,6 +30,8 @@ from opdlab.errors import UsageError
 from opdlab.metrics import per_turn_kl_profile
 from opdlab.policy import (
     PolicyParams,
+    action_dist,
+    encode_history,
     forward_kl,
     forward_kl_rows,
     sample_action,
@@ -27,6 +39,7 @@ from opdlab.policy import (
     softmax,
     softmax_rows,
 )
+from opdlab.replay import ExperienceEntry
 from opdlab.runtime import _episode_summary, evaluate
 
 
@@ -40,12 +53,51 @@ class RowRng:
         return next(self._u)
 
 
-def partial_student(teacher, window, seed):
+def scalar_rollout(env, student, teacher, task_id, rng, *, max_student_turns,
+                   prefix_actions, algo, temperature=1.0, window=None):
+    """One rollout, turn by turn on scalars: the reference for the engine."""
+    state, obs = env.reset(task_id)
+    observations = [obs.token_id]
+    actions = []
+    prefix_keys = []
+    turns = []
+
+    for a in prefix_actions or []:
+        if state.done:
+            raise UsageError(
+                f"stored trajectory for task {task_id} terminated during its prefix"
+            )
+        prefix_keys.append(encode_history(observations, actions, window))
+        state, result = env.step(state, int(a))
+        actions.append(int(a))
+        observations.append(result.observation.token_id)
+
+    version = student.version
+    while not state.done and len(turns) < max_student_turns:
+        key = encode_history(observations, actions, window)
+        q_policy = action_dist(student, key, 1.0)
+        q_sample = q_policy if temperature == 1.0 else action_dist(student, key, temperature)
+        p_teacher = teacher.dist(state)
+        a = sample_action(q_sample, rng)
+        turns.append(ExperienceEntry(history_key=key, action=a, student_dist=q_policy,
+                                     teacher_dist=p_teacher, turn_index=state.turn,
+                                     turn_kl=forward_kl(p_teacher, q_policy),
+                                     policy_version=version))
+        state, result = env.step(state, a)
+        actions.append(a)
+        observations.append(result.observation.token_id)
+
+    return Trajectory(task_id=task_id, turns=turns, prefix_keys=prefix_keys,
+                      success=state.success, policy_version=version, algo=algo)
+
+
+def partial_student(teacher, window, seed, version=0):
     """The materialized teacher, damped and jittered, so episodes both win and fail."""
     gen = np.random.default_rng(seed)
     params = teacher.materialize(window)
     for key, row in params.logits.items():
         params.logits[key] = 0.25 * row + gen.normal(0.0, 0.5, row.shape)
+    params.version = version
     return params
 
 
@@ -64,7 +116,94 @@ def reachable_states(env):
             for t, p, r, n in sorted(seen)]
 
 
-# -- oracle: lockstep evaluation equals the scalar rollouts ------------------------
+def exact_fields(traj):
+    """Everything of a trajectory that must match exactly; KL is compared apart."""
+    return ([(e.history_key, e.action, e.turn_index, e.policy_version) for e in traj.turns],
+            traj.prefix_keys, traj.rounds, traj.success, traj.policy_version,
+            traj.task_id, traj.algo)
+
+
+def same_bits(traj, other):
+    """Two trajectories from the engine agree to the last bit."""
+    return exact_fields(traj) == exact_fields(other) and all(
+        a.turn_kl == b.turn_kl and np.array_equal(a.student_dist, b.student_dist)
+        and np.array_equal(a.teacher_dist, b.teacher_dist)
+        for a, b in zip(traj.turns, other.turns))
+
+
+# -- oracle: the engine equals the scalar rollouts ------------------------------------
+
+
+ALGO_KS = [("opd", 12), ("f2b", 1), ("f2b", 3), ("f2b", 7), ("b2f", 1), ("b2f", 3),
+           ("b2f", 6), ("b2f", 12)]
+
+
+@pytest.mark.parametrize("kind,window,temperature",
+                         list(product((COMPOUNDING_CHAIN, MEMORY_LOCK), (None, 0, 2),
+                                      (0.4, 1.0))))
+def test_engine_matches_scalar_oracle_on_same_uniforms(kind, window, temperature):
+    env = make_env(EnvConfig(kind=kind))
+    teacher = make_teacher(env)
+    store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
+    assert len(store) == env.config.task_count
+    # one batch mixes three snapshot versions, as async waves do
+    snapshots = [partial_student(teacher, window, seed=s, version=v)
+                 for s, v in ((3, 4), (5, 5), (6, 6))]
+    episodes, horizon = 45, env.config.horizon_cap
+    tasks = np.arange(episodes) % env.config.task_count
+    students = [snapshots[e % 3] for e in range(episodes)]
+    outcomes = set()
+    for algo, k in ALGO_KS:
+        u = np.random.default_rng(k).random((episodes, horizon))
+        trajs = rollout_batch(algo, env, students, teacher, tasks, k, u, store=store,
+                              temperature=temperature, window=window)
+        for e, traj in enumerate(trajs):
+            stored = store.get(int(tasks[e]))
+            prefix = stored[:b2f_prefix_len(len(stored), k)] if algo == "b2f" else None
+            cap = min(k, horizon) if algo == "f2b" else horizon
+            expected = scalar_rollout(env, students[e], teacher, int(tasks[e]), RowRng(u[e]),
+                                      max_student_turns=cap, prefix_actions=prefix,
+                                      algo=algo, temperature=temperature, window=window)
+            assert exact_fields(traj) == exact_fields(expected), (algo, k, e)
+            np.testing.assert_allclose([t.turn_kl for t in traj.turns],
+                                       [t.turn_kl for t in expected.turns],
+                                       rtol=1e-12, atol=0)
+        if algo == "b2f" and k < 6:
+            assert all(t.prefix_len > 0 for t in trajs)
+        assert {t.policy_version for t in trajs} == {4, 5, 6}
+        outcomes |= {t.success for t in trajs}
+    assert outcomes == {False, True}  # the oracle sees both outcomes
+
+
+@pytest.mark.parametrize("algo,k", [("opd", 12), ("f2b", 4), ("b2f", 3)])
+def test_episode_results_do_not_depend_on_wave_makeup(algo, k):
+    env = make_env(EnvConfig())
+    teacher = make_teacher(env)
+    store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
+    snapshots = [partial_student(teacher, 2, seed=s, version=s) for s in (1, 2)]
+    episodes = 24
+    tasks = (np.arange(episodes) * 5) % env.config.task_count
+    students = [snapshots[e % 2] for e in range(episodes)]
+    u = np.random.default_rng(3).random((episodes, env.config.horizon_cap))
+    whole = rollout_batch(algo, env, students, teacher, tasks, k, u, store=store, window=2)
+    alone = [rollout_batch(algo, env, students[e:e + 1], teacher, tasks[e:e + 1], k,
+                           u[e:e + 1], store=store, window=2)[0] for e in range(episodes)]
+    part = rollout_batch(algo, env, students[5:13], teacher, tasks[5:13], k, u[5:13],
+                         store=store, window=2)
+    assert all(same_bits(a, b) for a, b in zip(whole, alone))
+    assert all(same_bits(a, b) for a, b in zip(whole[5:13], part))
+
+
+def test_prefix_that_reaches_the_goal_early_is_rejected():
+    env = make_env(EnvConfig())
+    teacher = make_teacher(env)
+    store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
+    stored = store.get(0)
+    store.actions_by_task[0] = stored + stored[:3]  # goes on past the goal
+    u = np.zeros((1, env.config.horizon_cap))
+    with pytest.raises(UsageError, match="prefix"):
+        rollout_batch("b2f", env, [PolicyParams(num_actions=6)], teacher, [0], 1, u,
+                      store=store)
 
 
 @pytest.mark.parametrize("kind,window,temperature",
@@ -79,12 +218,13 @@ def test_evaluate_matches_scalar_rollouts_on_same_uniforms(kind, window, tempera
                       temperature=temperature, window=window, step=4, active_k=2)
 
     u = np.random.default_rng(11).random((episodes, horizon))
-    trajs = [rollout_opd(env, params, teacher, e % env.config.task_count, RowRng(u[e]),
-                         temperature=temperature, window=window)
+    trajs = [scalar_rollout(env, params, teacher, e % env.config.task_count, RowRng(u[e]),
+                            max_student_turns=horizon, prefix_actions=None, algo="opd",
+                            temperature=temperature, window=window)
              for e in range(episodes)]
-    kl, rounds, success = rollout_lockstep(env, params, teacher,
-                                           np.arange(episodes) % env.config.task_count,
-                                           u, temperature=temperature, window=window)
+    kl, rounds, success, _ = rollout_lockstep(env, [params] * episodes, teacher,
+                                              np.arange(episodes) % env.config.task_count,
+                                              u, temperature=temperature, window=window)
     assert rounds.tolist() == [t.rounds for t in trajs]
     assert success.tolist() == [t.success for t in trajs]
     assert 0 < success.sum() < episodes  # the oracle sees both outcomes
@@ -111,8 +251,9 @@ def test_evaluate_draws_do_not_depend_on_batch_makeup():
     params = partial_student(teacher, None, seed=5)
     u = np.random.default_rng(2).random((64, env.config.horizon_cap))
     tasks = np.arange(64) % env.config.task_count
-    full = rollout_lockstep(env, params, teacher, tasks, u, temperature=0.4)
-    part = rollout_lockstep(env, params, teacher, tasks[10:20], u[10:20], temperature=0.4)
+    full = rollout_lockstep(env, [params] * 64, teacher, tasks, u, temperature=0.4)[:3]
+    part = rollout_lockstep(env, [params] * 10, teacher, tasks[10:20], u[10:20],
+                            temperature=0.4)[:3]
     for whole, piece in zip(full, part):
         assert np.array_equal(whole[10:20], piece)
 
@@ -121,7 +262,7 @@ def test_rollout_lockstep_rejects_wrong_uniform_shape():
     env = make_env(EnvConfig())
     teacher = make_teacher(env)
     with pytest.raises(UsageError):
-        rollout_lockstep(env, PolicyParams(num_actions=6), teacher, np.arange(4),
+        rollout_lockstep(env, [PolicyParams(num_actions=6)] * 4, teacher, np.arange(4),
                          np.zeros((4, env.config.horizon_cap - 1)))
 
 

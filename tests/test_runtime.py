@@ -11,7 +11,7 @@ from opdlab.curriculum import horizon_at
 from opdlab.distill import collect_teacher_trajectories
 from opdlab.env import Env, EnvConfig, TeacherPolicy, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
-from opdlab.metrics import write_records
+from opdlab.metrics import write_csv, write_records
 from opdlab.policy import PolicyParams, save_params
 from opdlab.runtime import RunConfig, SnapshotBoard, evaluate, run_training
 
@@ -152,7 +152,7 @@ def test_b2f_rejects_store_missing_a_task_before_running(mode, monkeypatch):
     def no_rollouts(*args, **kwargs):
         raise AssertionError("a rollout ran before the store was checked")
 
-    monkeypatch.setattr(runtime, "_rollout_for", no_rollouts)
+    monkeypatch.setattr(runtime, "rollout_batch", no_rollouts)
     with pytest.raises(ConfigError, match=r"lacks tasks \[3\]"):
         run_training(cfg, store)
 
@@ -234,16 +234,16 @@ def test_async_run_completes_with_staleness_bound():
     pytest.param("sync", "one", id="sync-one"),
 ])
 def test_async_actor_failure_is_raised_by_the_learner(monkeypatch, mode, failing_actors):
-    real = runtime._rollout_for
+    real = runtime.rollout_batch
     calls = itertools.count()
 
     def broken(*args, **kwargs):
-        # "one": only the third rollout fails; the others keep going
+        # "one": only the third wave of rollouts fails; the others keep going
         if failing_actors == "all" or next(calls) == 2:
             raise RuntimeError("actor exploded")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(runtime, "_rollout_for", broken)
+    monkeypatch.setattr(runtime, "rollout_batch", broken)
     cfg = tiny_cfg(mode=mode, total_steps=2000, actor_count=3, eval_every=1000)
     raised = []
 
@@ -281,6 +281,32 @@ def test_async_with_one_actor_is_byte_identical_to_sync(algo, tmp_path):
             == artifact_bodies(lagless, tmp_path, "async"))
 
 
+@pytest.mark.parametrize("window", [None, 2])
+@pytest.mark.parametrize("mode,actor_count", [("sync", 1), ("async", 2), ("async", 4)])
+@pytest.mark.parametrize("algo", ["opd", "f2b", "b2f"])
+def test_artifacts_do_not_depend_on_wave_width(monkeypatch, tmp_path, algo, mode,
+                                               actor_count, window):
+    cfg = tiny_cfg(algo=algo, mode=mode, actor_count=actor_count, window=window,
+                   total_steps=16, batch_size=32, delta_max=1, eval_every=8)
+    store = collect_for(cfg) if algo == "b2f" else None
+    real_width = runtime._wave_width
+    widths = []
+
+    def spy(missing, max_turns):
+        widths.append(real_width(missing, max_turns))
+        return widths[-1]
+
+    artifacts = []
+    for name, width in (("derived", spy), ("one", lambda missing, max_turns: 1)):
+        monkeypatch.setattr(runtime, "_wave_width", width)
+        result = run_training(cfg, store)
+        csv = tmp_path / f"{name}.csv"
+        write_csv(result.log, csv)
+        artifacts.append(artifact_bodies(result, tmp_path, name) + (csv.read_bytes(),))
+    assert max(widths) > 1
+    assert artifacts[0] == artifacts[1]
+
+
 def test_async_run_reproducible_bitwise(tmp_path):
     cfg = tiny_cfg(algo="f2b", mode="async", actor_count=3, total_steps=40, eval_every=10)
     first = artifact_bodies(run_training(cfg), tmp_path, "a")
@@ -296,18 +322,18 @@ def test_each_rollout_acts_on_the_snapshot_newest_depth_minus_one_rollouts_earli
     newest = [0]
     seen = []  # (newest published version, snapshot version) per rollout
     real_publish = SnapshotBoard.publish
-    real_rollout = runtime._rollout_for
+    real_rollout = runtime.rollout_batch
 
     def publish(self, params):
         newest[0] = params.version
         real_publish(self, params)
 
-    def rollout(algo, env, store, snapshot, *args):
-        seen.append((newest[0], snapshot.version))
-        return real_rollout(algo, env, store, snapshot, *args)
+    def rollout(algo, env, snapshots, *args, **kwargs):
+        seen.extend((newest[0], snapshot.version) for snapshot in snapshots)
+        return real_rollout(algo, env, snapshots, *args, **kwargs)
 
     monkeypatch.setattr(SnapshotBoard, "publish", publish)
-    monkeypatch.setattr(runtime, "_rollout_for", rollout)
+    monkeypatch.setattr(runtime, "rollout_batch", rollout)
     cfg = tiny_cfg(mode="async", actor_count=depth, total_steps=30, batch_size=4,
                    delta_max=3)
     result = run_training(cfg)
