@@ -17,7 +17,7 @@ from .distill import (
     sft_update,
     trajectory_loss,
 )
-from .env import Env, EnvConfig, Observation, StepResult, TeacherPolicy, make_env, make_teacher
+from .env import Env, EnvConfig, TeacherPolicy, make_env, make_teacher
 from .errors import ConfigError, UsageError
 from .metrics import EvalRecord, MetricsLog, TrainRecord, per_turn_kl_profile, write_records
 from .policy import (

@@ -18,11 +18,12 @@ gradient.
 The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
 gradient is q - p, so the learner update is plain gradient descent on the
-logit table. The learner (``batch_gradient``) and the SFT baseline
-(``sft_update``, ``nll_loss``) compute on (N, A) row blocks, one row per
-batch entry or stored turn, and give bitwise the results of a per-entry loop
-over the scalar softmax, KL and gradient. The SFT turns are materialized
-once per run by ``store_turns``.
+logit table. The learner (``batch_gradient``), ``trajectory_loss`` and the
+SFT baseline (``sft_update``, ``nll_loss``) compute on (N, A) row blocks,
+one row per entry or stored turn, and give bitwise the results of a
+per-entry loop over the scalar softmax, KL and gradient. The SFT turns are
+materialized once per run by ``store_turns``, which replays the stored
+expert actions through ``Env.play``, as collection and ``load_store`` do.
 """
 
 from __future__ import annotations
@@ -34,16 +35,13 @@ import numpy as np
 
 from .atomic import atomic_open
 from .curriculum import b2f_prefix_len
-from .env import Env, TeacherPolicy
+from .env import Env, EnvState, TeacherPolicy
 from .errors import ConfigError, UsageError
 from .policy import (
     HistoryKey,
     PolicyParams,
-    action_dist,
     encode_history,
-    forward_kl,
     forward_kl_rows,
-    kl_logit_gradient,
     sample_action,
     sample_rows,
     softmax_rows,
@@ -251,19 +249,17 @@ def trajectory_loss(traj: Trajectory, params: PolicyParams | None = None,
     parameters (same keys, softmax at temperature 1); otherwise the
     distributions recorded at collection time are used. Expert prefix turns
     are not among ``traj.turns``, so they contribute exactly zero to both.
+    The turns are one row block, as in batch_gradient, and the result is
+    bitwise the per-turn sum of forward_kl and kl_logit_gradient.
     """
-    loss = 0.0
-    grads: dict[HistoryKey, np.ndarray] = {}
-    for turn in traj.turns:
-        p = turn.teacher_dist
-        q = turn.student_dist
-        if params is not None:
-            q = action_dist(params, turn.history_key, 1.0)
-        loss += forward_kl(p, q)
-        g = kl_logit_gradient(p, q)
-        acc = grads.get(turn.history_key)
-        grads[turn.history_key] = g if acc is None else acc + g
-    return loss, grads
+    if not traj.turns:
+        return 0.0, {}
+    if params is None:
+        q = np.array([e.student_dist for e in traj.turns], dtype=np.float64)
+    else:
+        q = _student_rows(params, [e.history_key for e in traj.turns])
+    loss, keys, sums, _ = _kl_block(traj.turns, q)
+    return loss, dict(zip(keys, sums))
 
 
 def _student_rows(params: PolicyParams, keys: list[HistoryKey]) -> np.ndarray:
@@ -288,6 +284,14 @@ def _sum_in_order(values: np.ndarray) -> float:
     return 0.0 + float(np.cumsum(values)[-1])
 
 
+def _kl_block(entries: list[ExperienceEntry], q: np.ndarray):
+    """Summed KL of the entries' teacher rows against the student rows q, then
+    _sum_by_key of the logit gradients q - p, as ``(loss, keys, sums, counts)``."""
+    p = np.array([e.teacher_dist for e in entries], dtype=np.float64)
+    return (_sum_in_order(forward_kl_rows(p, q)),
+            *_sum_by_key([e.history_key for e in entries], q - p))
+
+
 def batch_gradient(batch: list[ExperienceEntry], params: PolicyParams,
                    ) -> tuple[float, dict[HistoryKey, np.ndarray]]:
     """Mean loss and per-key mean gradient over a replay batch.
@@ -301,11 +305,8 @@ def batch_gradient(batch: list[ExperienceEntry], params: PolicyParams,
     """
     if not batch:
         raise UsageError("empty batch")
-    keys = [e.history_key for e in batch]
-    q = _student_rows(params, keys)
-    p = np.array([e.teacher_dist for e in batch], dtype=np.float64)
-    loss = _sum_in_order(forward_kl_rows(p, q))
-    keys, sums, counts = _sum_by_key(keys, q - p)
+    q = _student_rows(params, [e.history_key for e in batch])
+    loss, keys, sums, counts = _kl_block(batch, q)
     return loss / len(batch), dict(zip(keys, sums / counts[:, None]))
 
 
@@ -367,13 +368,8 @@ def collect_teacher_trajectories(env: Env, teacher: TeacherPolicy, pass_m: int,
     store = TeacherTrajectoryStore(collection_seed=collection_seed)
     for task_id in range(env.config.task_count):
         for _ in range(pass_m):
-            state, _ = env.reset(task_id)
-            actions: list[int] = []
-            while not state.done:
-                a = sample_action(teacher.dist(state), rng)
-                state, _result = env.step(state, a)
-                actions.append(a)
-            if state.success:
+            states, actions = env.play(task_id, lambda s: sample_action(teacher.dist(s), rng))
+            if states[-1].success:
                 store.actions_by_task[task_id] = actions
                 break
         else:
@@ -381,14 +377,16 @@ def collect_teacher_trajectories(env: Env, teacher: TeacherPolicy, pass_m: int,
     return store
 
 
-def replay_succeeds(env: Env, task_id: int, actions: list[int]) -> bool:
-    """Replay an action sequence from reset and report terminal success."""
-    state, _ = env.reset(task_id)
-    for a in actions:
-        if state.done:
-            return False
-        state, result = env.step(state, a)
-    return state.success
+def _replay(env: Env, task_id: int, actions: list[int]) -> list[EnvState]:
+    """The states of a stored expert trajectory replayed from reset, the reset
+    state first. Raises ConfigError unless its last action, and no earlier
+    one, reaches the goal."""
+    remaining = iter(actions)
+    states, played = env.play(task_id, lambda state: next(remaining, None))
+    if len(played) != len(actions) or not states[-1].success:
+        raise ConfigError(f"stored trajectory for task {task_id} does not reach the "
+                          "goal at its last action in this environment")
+    return states
 
 
 def save_store(store: TeacherTrajectoryStore, path) -> None:
@@ -407,29 +405,36 @@ def save_store(store: TeacherTrajectoryStore, path) -> None:
 
 
 def load_store(path, env: Env) -> TeacherTrajectoryStore:
-    """Read a store file and revalidate every trajectory against ``env``."""
-    with open(path) as f:
-        header = json.loads(f.readline())
-        if header.get("schema") != STORE_SCHEMA or header.get("kind") != "teacher_store":
-            raise ConfigError(f"{path}: not a teacher trajectory store")
-        store = TeacherTrajectoryStore(
-            collection_seed=header.get("collection_seed"),
-            skipped_tasks=list(header.get("skipped_tasks", [])),
-        )
-        for line in f:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            task_id = int(row["task_id"])
-            actions = [int(a) for a in row["actions"]]
-            if len(actions) != int(row["length"]):
-                raise ConfigError(f"{path}: length mismatch for task {task_id}")
-            if not replay_succeeds(env, task_id, actions):
-                raise ConfigError(
-                    f"{path}: stored trajectory for task {task_id} no longer "
-                    "replays to success in this environment"
-                )
-            store.actions_by_task[task_id] = actions
+    """Read a store file and revalidate every trajectory against ``env``; any
+    fault in it raises a ConfigError that names ``path``."""
+    try:
+        with open(path) as f:
+            header = json.loads(f.readline())
+            if (not isinstance(header, dict) or header.get("schema") != STORE_SCHEMA
+                    or header.get("kind") != "teacher_store"):
+                raise ConfigError("not a teacher trajectory store")
+            store = TeacherTrajectoryStore(
+                collection_seed=header.get("collection_seed"),
+                skipped_tasks=list(header.get("skipped_tasks", [])),
+            )
+            for line in f:
+                if not line.strip():
+                    continue
+                row = json.loads(line)
+                task_id = int(row["task_id"])
+                actions = [int(a) for a in row["actions"]]
+                if len(actions) != int(row["length"]):
+                    raise ConfigError(f"length mismatch for task {task_id}")
+                if not all(0 <= a < env.config.num_actions for a in actions):
+                    raise ConfigError(f"task {task_id} has an action outside "
+                                      f"[0, {env.config.num_actions})")
+                _replay(env, task_id, actions)
+                store.actions_by_task[task_id] = actions
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
+    except (OSError, ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"{path}: cannot read a teacher trajectory store "
+                          f"({type(e).__name__}: {e})") from e
     return store
 
 
@@ -443,14 +448,10 @@ def store_turns(env: Env, store: TeacherTrajectoryStore,
     """Materialize (history key, expert action) pairs for every stored turn."""
     pairs: list[tuple[HistoryKey, int]] = []
     for task_id in store.task_ids():
-        state, obs = env.reset(task_id)
-        observations = [obs.token_id]
-        actions: list[int] = []
-        for a in store.actions_by_task[task_id]:
-            pairs.append((encode_history(observations, actions, window), a))
-            state, result = env.step(state, a)
-            actions.append(a)
-            observations.append(result.observation.token_id)
+        actions = store.actions_by_task[task_id]
+        tokens = [s.token for s in _replay(env, task_id, actions)]
+        pairs.extend((encode_history(tokens[:t + 1], actions[:t], window), a)
+                     for t, a in enumerate(actions))
     return pairs
 
 

@@ -11,12 +11,16 @@ Two environment families share one transition skeleton:
   succeeds with the action matching a secret key symbol announced in the
   very first observation, adding a long-range history dependence.
 
-Every transition is a pure function of (config, task_id, action sequence),
-so observation sequences are bit-reproducible across runs and platforms.
+An episode is a sequence of frozen ``EnvState`` values, each carrying the
+observation token it emits; ``Env.play`` walks one from reset, taking each
+action from a caller's rule. Every transition is a pure function of
+(config, task_id, action sequence), so token sequences are bit-reproducible
+across runs and platforms.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,21 +69,12 @@ class EnvConfig:
 
 
 @dataclass(frozen=True)
-class Observation:
-    token_id: int
-    on_support: bool  # diagnostic only; never enters history keys
-
-
-@dataclass(frozen=True)
-class StepResult:
-    observation: Observation
-    done: bool
-    success: bool
-
-
-@dataclass(frozen=True)
 class EnvState:
-    """Opaque per-episode state. Policies never read this directly."""
+    """One point of an episode, after reset or after a step.
+
+    ``token`` is the observation the state emits; it is the only field a
+    policy sees, as an entry of its history key.
+    """
 
     task_id: int
     pos: int
@@ -87,6 +82,7 @@ class EnvState:
     turn: int
     done: bool
     success: bool
+    token: int
 
 
 def _task_rng(seed: int, task_id: int, salt: int) -> np.random.Generator:
@@ -96,8 +92,10 @@ def _task_rng(seed: int, task_id: int, salt: int) -> np.random.Generator:
 class Env:
     """Deterministic simulator for one EnvConfig.
 
-    Instances are single-threaded values: distinct instances may run
-    concurrently, and episode state lives entirely in EnvState values.
+    Episode state lives entirely in EnvState values: ``reset`` and ``step``
+    return a new one and never change the Env. ``play`` walks one episode
+    through them; the ``*_batch`` methods step arrays of states for the
+    lockstep rollout engine.
     """
 
     def __init__(self, config: EnvConfig):
@@ -145,17 +143,16 @@ class Env:
 
     # -- episode interface --------------------------------------------------
 
-    def reset(self, task_id: int) -> tuple[EnvState, Observation]:
+    def reset(self, task_id: int) -> EnvState:
         c = self.config
         if not 0 <= task_id < c.task_count:
             raise ConfigError(
                 f"task_id {task_id} out of range [0, {c.task_count})"
             )
-        state = EnvState(task_id=task_id, pos=0, recovery_left=0, turn=0,
-                         done=False, success=False)
-        return state, self._initial_observation(task_id)
+        return EnvState(task_id=task_id, pos=0, recovery_left=0, turn=0, done=False,
+                        success=False, token=self._initial_token_list[task_id])
 
-    def step(self, state: EnvState, action: int) -> tuple[EnvState, StepResult]:
+    def step(self, state: EnvState, action: int) -> EnvState:
         c = self.config
         if state.done:
             raise UsageError("step() called on a terminal state")
@@ -176,11 +173,35 @@ class Env:
 
         turn = state.turn + 1
         success = recovery == 0 and pos == c.chain_length
-        done = success or turn >= c.horizon_cap
-        new_state = EnvState(task_id=state.task_id, pos=pos, recovery_left=recovery,
-                             turn=turn, done=done, success=success)
-        obs = self._observation(new_state)
-        return new_state, StepResult(observation=obs, done=done, success=success)
+        return EnvState(task_id=state.task_id, pos=pos, recovery_left=recovery, turn=turn,
+                        done=success or turn >= c.horizon_cap, success=success,
+                        token=self._token(pos, recovery))
+
+    def _token(self, pos: int, recovery: int) -> int:
+        """Token of a stepped-to state: its chain position while on support,
+        else a bucket of its recovery debt (observation_tokens, on scalars)."""
+        if recovery == 0:
+            return self.pos_base + pos
+        return self.off_base + min(recovery - 1, self.off_buckets - 1)
+
+    def play(self, task_id: int, choose: Callable[[EnvState], int | None],
+             ) -> tuple[list[EnvState], list[int]]:
+        """Play one episode of ``task_id`` from reset.
+
+        Each action is ``choose(state)`` on the latest state, until the
+        episode is done or ``choose`` returns None. Returns the states
+        visited, the reset state first, and the actions taken, one fewer.
+        """
+        state = self.reset(task_id)
+        states, actions = [state], []
+        while not state.done:
+            action = choose(state)
+            if action is None:
+                break
+            state = self.step(state, action)
+            states.append(state)
+            actions.append(action)
+        return states, actions
 
     # -- oracle surface (used by the constructed teacher) --------------------
 
@@ -200,18 +221,6 @@ class Env:
 
     def error_depth(self, state: EnvState) -> int:
         return state.recovery_left
-
-    # -- observation encoding -------------------------------------------------
-
-    def _initial_observation(self, task_id: int) -> Observation:
-        return Observation(token_id=self._initial_token_list[task_id], on_support=True)
-
-    def _observation(self, state: EnvState) -> Observation:
-        if state.recovery_left == 0:
-            token = self.pos_base + state.pos
-            return Observation(token_id=token, on_support=True)
-        bucket = min(state.recovery_left - 1, self.off_buckets - 1)
-        return Observation(token_id=self.off_base + bucket, on_support=False)
 
     # -- batched interface ------------------------------------------------------
     #
@@ -248,10 +257,7 @@ class Env:
 
     def _check_reachability(self) -> None:
         for task_id in range(self.config.task_count):
-            state, _ = self.reset(task_id)
-            while not state.done:
-                state, result = self.step(state, self.expert_action(state))
-            if not result.success:
+            if not self.play(task_id, self.expert_action)[0][-1].success:
                 raise ConfigError(
                     f"task {task_id} is unreachable within the horizon; "
                     "environment construction is broken"
@@ -352,18 +358,12 @@ class TeacherPolicy:
         """
         params = PolicyParams(num_actions=self.num_actions)
         for task_id in range(self.env.config.task_count):
-            state, obs = self.env.reset(task_id)
-            observations = [obs.token_id]
-            actions: list[int] = []
-            while not state.done:
-                key = encode_history(observations, actions, window)
-                expert = self.env.expert_action(state)
+            states, actions = self.env.play(task_id, self.env.expert_action)
+            tokens = [s.token for s in states]
+            for t, expert in enumerate(actions):
                 logits = np.zeros(self.num_actions)
-                logits[expert] = self._gap(state.turn)
-                params.logits[key] = logits
-                state, result = self.env.step(state, expert)
-                actions.append(expert)
-                observations.append(result.observation.token_id)
+                logits[expert] = self._gap(t)
+                params.logits[encode_history(tokens[:t + 1], actions[:t], window)] = logits
         return params
 
 

@@ -142,7 +142,6 @@ class TrainingResult:
     log: MetricsLog
     final_params: PolicyParams
     max_staleness_seen: int
-    store: TeacherTrajectoryStore | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +346,7 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
                                 window=config.window, step=n, active_k=k))
 
     return TrainingResult(log=log, final_params=params,
-                          max_staleness_seen=max_staleness, store=store)
+                          max_staleness_seen=max_staleness)
 
 
 def _run_sft(config: RunConfig, env: Env, teacher: TeacherPolicy,
@@ -371,5 +370,4 @@ def _run_sft(config: RunConfig, env: Env, teacher: TeacherPolicy,
                                 eval_rng, temperature=config.eval_temperature,
                                 window=config.window, step=n, active_k=0))
 
-    return TrainingResult(log=log, final_params=params, max_staleness_seen=0,
-                          store=store)
+    return TrainingResult(log=log, final_params=params, max_staleness_seen=0)

@@ -58,7 +58,8 @@ def run_config(algo, seed, total_steps=N_STEPS, **kw):
 
 @pytest.fixture(scope="module")
 def phenomenon_runs():
-    """The criterion-7 training grid: {opd, f2b, b2f} x 5 seeds at N=400."""
+    """The criterion-7 training grid: {opd, f2b, b2f} x 5 seeds at N=400, and
+    the expert store of each b2f run under ("store", seed)."""
     t0 = time.perf_counter()
     runs = {}
     for algo in ("opd", "f2b", "b2f"):
@@ -66,7 +67,7 @@ def phenomenon_runs():
             cfg = run_config(algo, seed)
             store = None
             if algo == "b2f":
-                store = collect_store(make_env(cfg.env), seed)
+                store = runs[("store", seed)] = collect_store(make_env(cfg.env), seed)
             runs[(algo, seed)] = run_training(cfg, store)
     runs["elapsed"] = time.perf_counter() - t0
     return runs
@@ -309,7 +310,7 @@ def test_09_b2f_train_test_alignment(phenomenon_runs):
     t0 = time.perf_counter()
     for seed in SEEDS:
         result = phenomenon_runs[("b2f", seed)]
-        store = result.store
+        store = phenomenon_runs[("store", seed)]
         schedule = run_config("b2f", seed).schedule()
         clear_step = steps_to_full_horizon(schedule, store.max_length())
         assert clear_step < N_STEPS

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 import yaml
 
@@ -144,6 +146,29 @@ def test_rejected_train_leaves_no_run_directory(config_path, tmp_path, capsys, c
         args += ["--store", str(store_path), "--runtime.algo=b2f"]
     assert main(args) == 2
     assert ("depth_decay" if case == "teacher_out_of_range" else "[3]") in capsys.readouterr().err
+    assert not load_experiment_config(config_path).output_dir.exists()
+
+
+@pytest.mark.parametrize("case", ["action_out_of_range", "line_not_json", "row_without_actions",
+                                  "empty_file", "directory"])
+def test_train_rejects_malformed_store(config_path, tmp_path, capsys, case):
+    store = tmp_path / "store.jsonl"
+    assert main(["collect", str(config_path), "--out", str(store)]) == 0
+    capsys.readouterr()
+    header, first, *rest = store.read_text().splitlines()
+    row = json.loads(first)
+    if case == "action_out_of_range":
+        row["actions"][0] = load_experiment_config(config_path).run.env.num_actions
+    elif case == "row_without_actions":
+        del row["actions"]
+    lines = [header, "this is not json" if case == "line_not_json" else json.dumps(row), *rest]
+    store.write_text("" if case == "empty_file" else "\n".join(lines) + "\n")
+    if case == "directory":
+        store.unlink()
+        store.mkdir()
+    assert main(["train", str(config_path), "--runtime.algo=b2f", "--store", str(store)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {store}: ") and err.count("\n") == 1
     assert not load_experiment_config(config_path).output_dir.exists()
 
 

@@ -11,11 +11,11 @@ from hypothesis.extra.numpy import arrays
 from opdlab.distill import (
     TeacherTrajectoryStore,
     Trajectory,
+    _replay,
     apply_gradient,
     batch_gradient,
     collect_teacher_trajectories,
     load_store,
-    replay_succeeds,
     rollout_b2f,
     rollout_f2b,
     rollout_opd,
@@ -27,7 +27,7 @@ from opdlab.distill import (
 )
 from opdlab.env import EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
-from opdlab.policy import PolicyParams, forward_kl, kl_logit_gradient, softmax
+from opdlab.policy import PolicyParams, action_dist, forward_kl, kl_logit_gradient, softmax
 from opdlab.replay import ExperienceEntry
 from opdlab.runtime import RunConfig, run_training
 
@@ -75,7 +75,7 @@ def test_opd_student_equals_teacher_zero_kl(env, sharp_teacher):
 def test_opd_uniform_student_turn0_kl_closed_form(env, teacher):
     traj = rollout_opd(env, uniform_student(env), teacher, 0, rng(2))
     a = env.config.num_actions
-    p = teacher.dist(env.reset(0)[0])
+    p = teacher.dist(env.reset(0))
     expected = float(np.sum(p * np.log(p * a)))
     assert traj.turns[0].turn_kl == pytest.approx(expected, abs=1e-12)
     assert expected > 0
@@ -281,11 +281,52 @@ def test_store_load_rejects_broken_replay(env, sharp_teacher, tmp_path):
     store = collect_teacher_trajectories(env, sharp_teacher, 1, rng(5))
     task0 = store.task_ids()[0]
     store.actions_by_task[task0][0] = (store.actions_by_task[task0][0] + 1) % 6
-    assert not replay_succeeds(env, task0, store.actions_by_task[task0])
+    with pytest.raises(ConfigError):
+        _replay(env, task0, store.actions_by_task[task0])
     path = tmp_path / "store.jsonl"
     save_store(store, path)
     with pytest.raises(ConfigError):
         load_store(path, env)
+
+
+def test_replay_returns_the_states_of_a_stored_trajectory(env, store):
+    for task in store.task_ids():
+        actions = store.get(task)
+        states = _replay(env, task, actions)
+        assert states == env.play(task, env.expert_action)[0]  # the sharp expert's path
+        assert len(states) == len(actions) + 1 and states[-1].success
+
+
+def bad_trajectory(env, store, case):
+    """A stored trajectory for task 0 that must not load, of the given kind."""
+    c, actions = env.config, store.get(0)
+    if case == "goal_before_last_action":
+        return actions + [actions[0]]
+    if case == "ends_off_goal":
+        return actions[:-1]
+    # two errors and their recoveries, then the chain: it would reach the goal
+    # only after horizon_cap turns
+    wrong = (env.correct_action(0, 0) + 1) % c.num_actions
+    detour = [wrong] + [env.recovery_action(0, d) for d in range(c.off_support_depth, 0, -1)]
+    too_long = 2 * detour + [env.correct_action(0, pos) for pos in range(c.chain_length)]
+    assert len(too_long) > c.horizon_cap
+    return too_long
+
+
+@pytest.mark.parametrize("case", ["goal_before_last_action", "longer_than_horizon_cap",
+                                  "ends_off_goal"])
+def test_replay_and_load_store_reject_bad_trajectories(env, store, tmp_path, case):
+    actions = bad_trajectory(env, store, case)
+    with pytest.raises(ConfigError, match="task 0 "):
+        _replay(env, 0, actions)
+    bad = TeacherTrajectoryStore(actions_by_task={**store.actions_by_task, 0: actions})
+    with pytest.raises(ConfigError, match="task 0 "):
+        store_turns(env, bad)
+    path = tmp_path / "store.jsonl"
+    save_store(bad, path)
+    with pytest.raises(ConfigError) as err:
+        load_store(path, env)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 # -- SFT baseline -----------------------------------------------------------------
@@ -434,8 +475,9 @@ def test_snapshots_unaffected_by_later_updates():
 
 # -- row-block learner against the per-entry definitions ----------------------------
 #
-# batch_gradient, sft_update and nll_loss work on (N, A) row blocks; each must
-# be bitwise equal to a loop over the scalar definitions, entry by entry.
+# batch_gradient, sft_update, nll_loss and trajectory_loss work on (N, A) row
+# blocks; each must be bitwise equal to a loop over the scalar definitions,
+# entry by entry.
 
 
 def same_bits(x, y):
@@ -510,3 +552,35 @@ def test_sft_update_and_nll_bitwise_equal_per_turn_loop(data):
     assert list(updated.logits) == list(expected.logits)
     assert all(same_bits(updated.logits[k], expected.logits[k]) for k in updated.logits)
     assert updated.version == expected.version
+
+
+def per_turn_trajectory_loss(traj, params=None):
+    """trajectory_loss as a loop over the turns: the reference for its row block."""
+    loss = 0.0
+    grads = {}
+    for turn in traj.turns:
+        p = turn.teacher_dist
+        q = turn.student_dist
+        if params is not None:
+            q = action_dist(params, turn.history_key, 1.0)
+        loss += forward_kl(p, q)
+        g = kl_logit_gradient(p, q)
+        acc = grads.get(turn.history_key)
+        grads[turn.history_key] = g if acc is None else acc + g
+    return loss, grads
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trajectory_loss_bitwise_equals_per_turn_loop(data):
+    params, keys = data.draw(row_block_case())
+    p = data.draw(teacher_rows(len(keys), params.num_actions))
+    q = data.draw(teacher_rows(len(keys), params.num_actions))
+    traj = Trajectory(task_id=0, turns=[entry(k, pr, qr) for k, pr, qr in zip(keys, p, q)],
+                      prefix_keys=[], success=False, policy_version=0, algo="opd")
+    for at in (None, params):
+        loss, grads = trajectory_loss(traj, at)
+        ref_loss, ref_grads = per_turn_trajectory_loss(traj, at)
+        assert same_bits(loss, ref_loss)
+        assert list(grads) == list(ref_grads)
+        assert all(same_bits(grads[k], ref_grads[k]) for k in grads)

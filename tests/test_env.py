@@ -6,7 +6,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from opdlab.env import EnvConfig, EnvState, MEMORY_LOCK, make_env, make_teacher
+from opdlab.env import (
+    COMPOUNDING_CHAIN,
+    MEMORY_LOCK,
+    EnvConfig,
+    EnvState,
+    make_env,
+    make_teacher,
+)
 from opdlab.errors import ConfigError, UsageError
 
 
@@ -18,12 +25,18 @@ def small_config(**kw):
 
 
 def expert_rollout(env, task_id):
-    state, obs = env.reset(task_id)
-    tokens = [obs.token_id]
+    state = env.reset(task_id)
+    tokens = [state.token]
     while not state.done:
-        state, result = env.step(state, env.expert_action(state))
-        tokens.append(result.observation.token_id)
+        state = env.step(state, env.expert_action(state))
+        tokens.append(state.token)
     return state, tokens
+
+
+def live_state(env, task_id, pos, recovery_left, turn):
+    """A not-done state built by hand, with the token it would emit."""
+    return EnvState(task_id=task_id, pos=pos, recovery_left=recovery_left, turn=turn,
+                    done=False, success=False, token=env._token(pos, recovery_left))
 
 
 # -- determinism ---------------------------------------------------------------
@@ -31,9 +44,9 @@ def expert_rollout(env, task_id):
 
 def test_reset_is_deterministic():
     env = make_env(EnvConfig(seed=0))
-    first = env.reset(0)[1]
+    first = env.reset(0)
     for _ in range(5):
-        assert env.reset(0)[1] == first
+        assert env.reset(0) == first
 
 
 def test_observation_sequence_bit_identical_across_instances():
@@ -41,16 +54,14 @@ def test_observation_sequence_bit_identical_across_instances():
     env_a, env_b = make_env(cfg), make_env(cfg)
     actions = np.random.default_rng(0).integers(0, cfg.num_actions, 12)
     for task in (0, 7, 31):
-        sa, oa = env_a.reset(task)
-        sb, ob = env_b.reset(task)
-        seq_a, seq_b = [oa.token_id], [ob.token_id]
+        sa, sb = env_a.reset(task), env_b.reset(task)
+        seq_a, seq_b = [sa.token], [sb.token]
         for a in actions:
             if sa.done:
                 break
-            sa, ra = env_a.step(sa, int(a))
-            sb, rb = env_b.step(sb, int(a))
-            seq_a.append(ra.observation.token_id)
-            seq_b.append(rb.observation.token_id)
+            sa, sb = env_a.step(sa, int(a)), env_b.step(sb, int(a))
+            seq_a.append(sa.token)
+            seq_b.append(sb.token)
         assert seq_a == seq_b
 
 
@@ -81,22 +92,81 @@ def test_expert_path_succeeds_at_chain_length():
 
 def test_truncation_at_horizon_without_goal():
     env = make_env(EnvConfig())
-    state, _ = env.reset(0)
+    state = env.reset(0)
     wrong = (env.correct_action(0, 0) + 1) % env.config.num_actions
-    result = None
     while not state.done:
-        state, result = env.step(state, wrong)
-    assert result.done and not result.success
+        state = env.step(state, wrong)
+    assert state.done and not state.success
     assert state.turn == env.config.horizon_cap
 
 
 def test_success_implies_done():
     env = make_env(small_config())
-    state, _ = env.reset(0)
+    state = env.reset(0)
     while not state.done:
-        state, result = env.step(state, env.expert_action(state))
-        assert result.success == result.done or not result.success
-    assert result.success and result.done
+        state = env.step(state, env.expert_action(state))
+        assert state.success == state.done or not state.success
+    assert state.success and state.done
+
+
+# -- play ------------------------------------------------------------------------------
+
+
+def mostly_expert(env, u, noise):
+    """An action rule: the expert's action at turn t if u[t] < 0.7, else noise[t]."""
+    def choose(state):
+        t = state.turn
+        return env.expert_action(state) if u[t] < 0.7 else int(noise[t])
+    return choose
+
+
+@pytest.mark.parametrize("kind", [COMPOUNDING_CHAIN, MEMORY_LOCK])
+def test_play_equals_a_reset_step_loop_on_random_actions(kind):
+    env = make_env(EnvConfig(kind=kind, seed=4))
+    c = env.config
+    gen = np.random.default_rng(17)
+    wins = 0
+    for episode in range(60):
+        task = episode % c.task_count
+        u, noise = gen.random(c.horizon_cap), gen.integers(0, c.num_actions, c.horizon_cap)
+        stop = int(gen.integers(0, c.horizon_cap + 2))  # choose gives None from turn stop
+        rule = mostly_expert(env, u, noise)
+
+        states, actions = env.play(task, lambda s: rule(s) if s.turn < stop else None)
+
+        state = env.reset(task)
+        expected_states, expected_actions = [state], []
+        while not state.done and state.turn < stop:
+            a = rule(state)
+            state = env.step(state, a)
+            expected_states.append(state)
+            expected_actions.append(a)
+        assert states == expected_states
+        assert actions == expected_actions
+        assert states[0] == env.reset(task)
+        assert len(states) == len(actions) + 1
+        wins += states[-1].success
+    assert 0 < wins < 60
+
+
+@pytest.mark.parametrize("kind", [COMPOUNDING_CHAIN, MEMORY_LOCK])
+def test_play_stops_when_done_and_when_choose_returns_none(kind):
+    env = make_env(EnvConfig(kind=kind, seed=4))
+    c = env.config
+    states, actions = env.play(2, env.expert_action)
+    assert states[-1].done and states[-1].success and len(actions) == c.chain_length
+    assert not any(s.done for s in states[:-1])
+
+    wrong = (env.correct_action(2, 0) + 1) % c.num_actions
+    states, actions = env.play(2, lambda s: wrong)
+    assert states[-1].done and not states[-1].success
+    assert actions == [wrong] * c.horizon_cap
+
+    states, actions = env.play(2, lambda s: None)
+    assert (states, actions) == ([env.reset(2)], [])
+    states, actions = env.play(2, lambda s: env.expert_action(s) if s.turn < 3 else None)
+    assert len(actions) == 3 and [s.turn for s in states] == [0, 1, 2, 3]
+    assert not states[-1].done
 
 
 # -- brute-force transition oracle ------------------------------------------------
@@ -109,13 +179,13 @@ def brute_force_shortest(env, task, first_wrong):
         for seq in product(range(n), repeat=length):
             if first_wrong and seq[0] == env.correct_action(task, 0):
                 continue
-            state, _ = env.reset(task)
+            state = env.reset(task)
             feasible = True
             for a in seq:
                 if state.done:
                     feasible = False
                     break
-                state, _ = env.step(state, a)
+                state = env.step(state, a)
             if feasible and state.success:
                 return length
     return None
@@ -143,25 +213,23 @@ def test_reachability_within_horizon_for_every_task():
 
 def test_memory_lock_golden_initial_observation():
     env = make_env(EnvConfig(kind=MEMORY_LOCK, seed=7))
-    _, obs = env.reset(3)
-    assert obs.token_id == 23  # task 3, key symbol 5
-    assert obs.token_id % env.config.num_actions == 5
+    token = env.reset(3).token
+    assert token == 23  # task 3, key symbol 5
+    assert token % env.config.num_actions == 5
 
 
 def test_memory_lock_requires_key_from_first_observation():
     env = make_env(EnvConfig(kind=MEMORY_LOCK, seed=7))
-    _, obs = env.reset(3)
-    key = obs.token_id % env.config.num_actions
+    state = env.reset(3)
+    key = state.token % env.config.num_actions
     # follow the expert to the lock position, then try a non-key action
-    state, _ = env.reset(3)
     while state.pos < env.config.chain_length - 1 and not state.done:
-        state, _ = env.step(state, env.expert_action(state))
+        state = env.step(state, env.expert_action(state))
     assert env.expert_action(state) == key
     wrong = (key + 1) % env.config.num_actions
-    bad_state, _ = env.step(state, wrong)
+    bad_state = env.step(state, wrong)
     assert not bad_state.success and bad_state.recovery_left > 0
-    _, result = env.step(state, key)
-    assert result.success
+    assert env.step(state, key).success
 
 
 def test_memory_lock_observations_distinct_from_chain():
@@ -175,25 +243,25 @@ def test_memory_lock_observations_distinct_from_chain():
 
 def test_on_support_flag_tracks_recovery_debt():
     env = make_env(EnvConfig())
-    state, obs = env.reset(0)
-    assert obs.on_support
+    state = env.reset(0)
+    assert env.on_support(state)
     wrong = (env.correct_action(0, 0) + 1) % env.config.num_actions
-    state, result = env.step(state, wrong)
-    assert not result.observation.on_support
+    state = env.step(state, wrong)
+    assert not env.on_support(state)
     for _ in range(env.config.off_support_depth):
-        state, result = env.step(state, env.expert_action(state))
-    assert result.observation.on_support
+        state = env.step(state, env.expert_action(state))
+    assert env.on_support(state)
 
 
 def test_token_ids_within_alphabet():
     env = make_env(EnvConfig())
     rng = np.random.default_rng(11)
     for task in range(0, env.config.task_count, 5):
-        state, obs = env.reset(task)
-        assert 0 <= obs.token_id < env.observation_alphabet_size
+        state = env.reset(task)
+        assert 0 <= state.token < env.observation_alphabet_size
         while not state.done:
-            state, result = env.step(state, int(rng.integers(0, 6)))
-            assert 0 <= result.observation.token_id < env.observation_alphabet_size
+            state = env.step(state, int(rng.integers(0, 6)))
+            assert 0 <= state.token < env.observation_alphabet_size
 
 
 # -- constructed teacher ---------------------------------------------------------------
@@ -202,7 +270,7 @@ def test_token_ids_within_alphabet():
 def test_teacher_sharp_limit():
     env = make_env(EnvConfig())
     teacher = make_teacher(env, on_support_temperature=1e-3)
-    state, _ = env.reset(0)
+    state = env.reset(0)
     dist = teacher.dist(state)
     assert dist[env.expert_action(state)] == pytest.approx(1.0, abs=1e-12)
 
@@ -210,16 +278,16 @@ def test_teacher_sharp_limit():
 def test_teacher_floor_one_is_uniform_off_support():
     env = make_env(EnvConfig())
     teacher = make_teacher(env, off_support_floor=1.0)
-    state, _ = env.reset(0)
+    state = env.reset(0)
     wrong = (env.correct_action(0, 0) + 1) % env.config.num_actions
-    state, _ = env.step(state, wrong)
+    state = env.step(state, wrong)
     assert np.allclose(teacher.dist(state), 1.0 / env.config.num_actions, atol=1e-15)
 
 
 def test_teacher_softmax_closed_form_four_actions():
     env = make_env(EnvConfig(num_actions=4))
     teacher = make_teacher(env, on_support_temperature=0.5)
-    state, _ = env.reset(0)  # turn 0: unit logit scaled by 1/temperature
+    state = env.reset(0)  # turn 0: unit logit scaled by 1/temperature
     p = teacher.dist(state)[env.expert_action(state)]
     assert p == pytest.approx(math.exp(2) / (math.exp(2) + 3), abs=1e-12)
     assert p == pytest.approx(0.7112, abs=1e-4)
@@ -234,12 +302,10 @@ def test_teacher_off_support_entropy_dominates_on_support():
     env = make_env(EnvConfig())
     teacher = make_teacher(env)
     for turn in range(env.config.horizon_cap):
-        on = EnvState(task_id=0, pos=min(turn, env.config.chain_length - 1),
-                      recovery_left=0, turn=turn, done=False, success=False)
+        on = live_state(env, 0, min(turn, env.config.chain_length - 1), 0, turn)
         h_on = entropy(teacher.dist(on))
         for depth in (1, 2, 4, 8):
-            off = EnvState(task_id=0, pos=2, recovery_left=depth, turn=turn,
-                           done=False, success=False)
+            off = live_state(env, 0, 2, depth, turn)
             assert entropy(teacher.dist(off)) >= h_on - 1e-12
 
 
@@ -248,8 +314,7 @@ def test_teacher_off_support_mass_floor():
     floor = 0.3
     teacher = make_teacher(env, off_support_floor=floor)
     for depth in (1, 3, 9):
-        state = EnvState(task_id=1, pos=1, recovery_left=depth, turn=5,
-                         done=False, success=False)
+        state = live_state(env, 1, 1, depth, 5)
         assert (teacher.dist(state) >= floor / env.config.num_actions - 1e-15).all()
 
 
@@ -260,15 +325,15 @@ def test_teacher_materialized_matches_live_on_expert_path():
     from opdlab.policy import action_dist, encode_history
 
     for task in (0, 13):
-        state, obs = env.reset(task)
-        observations, actions = [obs.token_id], []
+        state = env.reset(task)
+        observations, actions = [state.token], []
         while not state.done:
             key = encode_history(observations, actions)
             np.testing.assert_array_equal(action_dist(params, key), teacher.dist(state))
             a = env.expert_action(state)
-            state, result = env.step(state, a)
+            state = env.step(state, a)
             actions.append(a)
-            observations.append(result.observation.token_id)
+            observations.append(state.token)
 
 
 def test_teacher_parameter_validation():

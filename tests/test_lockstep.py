@@ -22,7 +22,6 @@ from opdlab.env import (
     COMPOUNDING_CHAIN,
     MEMORY_LOCK,
     EnvConfig,
-    EnvState,
     make_env,
     make_teacher,
 )
@@ -56,8 +55,8 @@ class RowRng:
 def scalar_rollout(env, student, teacher, task_id, rng, *, max_student_turns,
                    prefix_actions, algo, temperature=1.0, window=None):
     """One rollout, turn by turn on scalars: the reference for the engine."""
-    state, obs = env.reset(task_id)
-    observations = [obs.token_id]
+    state = env.reset(task_id)
+    observations = [state.token]
     actions = []
     prefix_keys = []
     turns = []
@@ -68,9 +67,9 @@ def scalar_rollout(env, student, teacher, task_id, rng, *, max_student_turns,
                 f"stored trajectory for task {task_id} terminated during its prefix"
             )
         prefix_keys.append(encode_history(observations, actions, window))
-        state, result = env.step(state, int(a))
+        state = env.step(state, int(a))
         actions.append(int(a))
-        observations.append(result.observation.token_id)
+        observations.append(state.token)
 
     version = student.version
     while not state.done and len(turns) < max_student_turns:
@@ -83,9 +82,9 @@ def scalar_rollout(env, student, teacher, task_id, rng, *, max_student_turns,
                                      teacher_dist=p_teacher, turn_index=state.turn,
                                      turn_kl=forward_kl(p_teacher, q_policy),
                                      policy_version=version))
-        state, result = env.step(state, a)
+        state = env.step(state, a)
         actions.append(a)
-        observations.append(result.observation.token_id)
+        observations.append(state.token)
 
     return Trajectory(task_id=task_id, turns=turns, prefix_keys=prefix_keys,
                       success=state.success, policy_version=version, algo=algo)
@@ -102,18 +101,18 @@ def partial_student(teacher, window, seed, version=0):
 
 
 def reachable_states(env):
-    """Every (task, pos, recovery, turn) state reachable within the horizon."""
-    seen = set()
-    frontier = [env.reset(task)[0] for task in range(env.config.task_count)]
+    """Every live state reachable within the horizon, as reached, one per
+    (task, pos, recovery, turn) in sorted order."""
+    seen = {}
+    frontier = [env.reset(task) for task in range(env.config.task_count)]
     while frontier:
         state = frontier.pop()
         key = (state.task_id, state.pos, state.recovery_left, state.turn)
         if state.done or key in seen:
             continue
-        seen.add(key)
-        frontier.extend(env.step(state, a)[0] for a in range(env.config.num_actions))
-    return [EnvState(task_id=t, pos=p, recovery_left=r, turn=n, done=False, success=False)
-            for t, p, r, n in sorted(seen)]
+        seen[key] = state
+        frontier.extend(env.step(state, a) for a in range(env.config.num_actions))
+    return [seen[key] for key in sorted(seen)]
 
 
 def exact_fields(traj):
@@ -294,10 +293,9 @@ def test_batched_step_and_teacher_match_scalar_on_every_reachable_state(config):
         new_pos, new_rec, tokens, success = env.step_batch(
             task, pos, recovery, np.full(len(states), a))
         for i, state in enumerate(states):
-            after, result = env.step(state, a)
+            after = env.step(state, a)
             assert (new_pos[i], new_rec[i], tokens[i], success[i]) == \
-                (after.pos, after.recovery_left, result.observation.token_id,
-                 result.success)
+                (after.pos, after.recovery_left, after.token, after.success)
 
     for t in np.unique(turn):
         at = turn == t
@@ -305,7 +303,7 @@ def test_batched_step_and_teacher_match_scalar_on_every_reachable_state(config):
         expected = [teacher.dist(s) for s, keep in zip(states, at) if keep]
         np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-15)
     assert env.initial_tokens.tolist() == \
-        [env.reset(t)[1].token_id for t in range(config.task_count)]
+        [env.reset(t).token for t in range(config.task_count)]
 
 
 def test_row_functions_match_their_scalar_forms():
