@@ -6,9 +6,13 @@ its inputs, which ``rollout_batch`` sets: vanilla on-policy distillation
 lets the student act for the whole horizon, forward-curriculum (f2b) stops
 after k student turns, and backward-curriculum (b2f) first replays the
 first L - k actions of a stored expert trajectory. Evaluation is an opd
-batch. Each episode reads its own row of uniforms, and its student turn i
-samples from entry i of the row, so expert-prefix turns draw nothing and
-an episode's results do not depend on the other episodes of its batch.
+batch. It carries the live episodes' state ids and steps them through the
+env's compiled tables (``next_state``, ``token``, ``success``) and the
+teacher's per-turn row tables, so a turn costs a few array lookups on top
+of the student's rows. Each episode reads its own row of uniforms, and its
+student turn i samples from entry i of the row, so expert-prefix turns
+draw nothing and an episode's results do not depend on the other episodes
+of its batch.
 ``rollout_opd``, ``rollout_f2b`` and ``rollout_b2f`` are one-episode
 batches. A trajectory records one ``ExperienceEntry`` per student turn,
 which is also its replay entry; expert-prefix turns are recorded only as
@@ -91,7 +95,9 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
     student acts until the goal, the horizon cap or ``max_student_turns``
     student turns. Student turn i samples by inverse CDF from u[e, i], so an
     episode depends only on its own row of ``u`` (shape (B, horizon_cap)),
-    not on the other episodes. Each turn gathers the live rows as one (B, A).
+    not on the other episodes. Each turn gathers the live rows as one (B, A)
+    and steps the live episodes' state ids through ``env.next_state``.
+    ``temperature`` must be > 0 (ConfigError otherwise, before any sampling).
 
     Returns ``(kl, rounds, success, trajectories)``: the (B, horizon_cap)
     per-turn KL on every turn played (0 after an episode ends), each
@@ -99,6 +105,8 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
     Trajectory per episode tagged ``algo`` (else None, as for evaluation).
     """
     n, horizon = len(task_ids), env.config.horizon_cap
+    if not temperature > 0:
+        raise ConfigError(f"temperature must be > 0, got {temperature}")
     if u.shape != (n, horizon):
         raise UsageError(f"u has shape {u.shape}, expected {(n, horizon)}")
     task = np.asarray(task_ids, dtype=np.int64)
@@ -122,10 +130,11 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
     kl = np.zeros((n, horizon))
     played = np.full(n, horizon)  # turns each episode played, prefix included
     success = np.zeros(n, dtype=bool)
-    # state of the live episodes only, in the order of ``live``
+    # state ids of the live episodes only, in the order of ``live``
     live = np.arange(n)
-    pos = np.zeros(n, dtype=np.int64)
-    recovery = np.zeros(n, dtype=np.int64)
+    state = env.initial_state[task]
+    next_state, token, reached = env.next_state, env.token, env.success
+    row_class = teacher.row_class
     tables = [(s.logits.get, s.default_logits) for s in students]
     # full histories (o_0, a_0, ..., o_t); a window keeps o_0 and the tail
     histories = [(tok,) for tok in env.initial_tokens[task].tolist()]
@@ -138,7 +147,7 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
         rows = np.array([get(k, default) for (get, default), k in zip(tables, keys)])
         q_policy = softmax_rows(rows)
         q_sample = q_policy if temperature == 1.0 else softmax_rows(rows, temperature)
-        p_teacher = teacher.dist_batch(task, pos, recovery, t)
+        p_teacher = teacher.turn_rows(t)[row_class[state]]
         turn_kl = forward_kl_rows(p_teacher, q_policy)
         actions = sample_rows(q_sample, v[live, t])
         in_prefix = None
@@ -157,7 +166,8 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
                     history_key=keys[i], action=a, student_dist=q_policy[i],
                     teacher_dist=p_teacher[i], turn_index=t, turn_kl=d,
                     policy_version=trajs[e].policy_version))
-        pos, recovery, tokens, won = env.step_batch(task, pos, recovery, actions)
+        state = next_state[state, actions]
+        tokens, won = token[state], reached[state]
         if in_prefix is not None and (won & (t + 1 < prefix_len[live])).any():
             raise UsageError("a stored trajectory reached its goal during its expert prefix")
         histories = [h + (a, o) for h, a, o in
@@ -167,7 +177,7 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
             played[live[ended]] = t + 1
             success[live[won]] = True
             keep = ~ended
-            live, task, pos, recovery = live[keep], task[keep], pos[keep], recovery[keep]
+            live, state = live[keep], state[keep]
             histories = [h for h, k in zip(histories, keep.tolist()) if k]
             tables = [s for s, k in zip(tables, keep.tolist()) if k]
             if not live.size:
@@ -406,9 +416,12 @@ def save_store(store: TeacherTrajectoryStore, path) -> None:
 
 def load_store(path, env: Env) -> TeacherTrajectoryStore:
     """Read a store file and revalidate every trajectory against ``env``; any
-    fault in it raises a ConfigError that names ``path``."""
+    fault in it raises a ConfigError that names ``path`` and, past the
+    header, the file line of the row at fault."""
+    where = ""  # the file line being read, once there is one
     try:
         with open(path) as f:
+            where = "line 1: "
             header = json.loads(f.readline())
             if (not isinstance(header, dict) or header.get("schema") != STORE_SCHEMA
                     or header.get("kind") != "teacher_store"):
@@ -417,9 +430,10 @@ def load_store(path, env: Env) -> TeacherTrajectoryStore:
                 collection_seed=header.get("collection_seed"),
                 skipped_tasks=list(header.get("skipped_tasks", [])),
             )
-            for line in f:
+            for number, line in enumerate(f, start=2):
                 if not line.strip():
                     continue
+                where = f"line {number}: "
                 row = json.loads(line)
                 task_id = int(row["task_id"])
                 actions = [int(a) for a in row["actions"]]
@@ -431,9 +445,9 @@ def load_store(path, env: Env) -> TeacherTrajectoryStore:
                 _replay(env, task_id, actions)
                 store.actions_by_task[task_id] = actions
     except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from None
+        raise ConfigError(f"{path}: {where}{e}") from None
     except (OSError, ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
-        raise ConfigError(f"{path}: cannot read a teacher trajectory store "
+        raise ConfigError(f"{path}: {where}cannot read a teacher trajectory store "
                           f"({type(e).__name__}: {e})") from e
     return store
 

@@ -11,11 +11,15 @@ Two environment families share one transition skeleton:
   succeeds with the action matching a secret key symbol announced in the
   very first observation, adding a long-range history dependence.
 
-An episode is a sequence of frozen ``EnvState`` values, each carrying the
-observation token it emits; ``Env.play`` walks one from reset, taking each
-action from a caller's rule. Every transition is a pure function of
-(config, task_id, action sequence), so token sequences are bit-reproducible
-across runs and platforms.
+Each ``Env`` compiles the skeleton into state-indexed tables when it is
+built: the transition rule is written once, in ``Env._compile``, and
+applied to every (task, pos, recovery debt) at once. ``Env.step``, the
+teacher and the lockstep rollout engine in ``distill`` all read those
+tables. An episode is a sequence of frozen ``EnvState`` values, each
+carrying the observation token it emits; ``Env.play`` walks one from reset,
+taking each action from a caller's rule. Every transition is a pure
+function of (config, task_id, action sequence), so token sequences are
+bit-reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -90,12 +94,23 @@ def _task_rng(seed: int, task_id: int, salt: int) -> np.random.Generator:
 
 
 class Env:
-    """Deterministic simulator for one EnvConfig.
+    """Deterministic simulator for one EnvConfig, compiled into state tables.
+
+    Every (task, pos, recovery_left) with recovery_left at most
+    ``off_support_depth * horizon_cap`` (the most one horizon can accrue)
+    has an int id, ``state_id``, with ``recovery_levels`` debts per task
+    and position. The transition rule is applied once, at construction, to
+    all ids at once, and kept as tables indexed by id: ``next_state[s, a]``
+    (goal states map to themselves), the token ``token[s]`` a state emits
+    when stepped to, ``success[s]``, ``expert[s]`` (the action that
+    advances or pays off debt), and ``pos[s]`` and ``recovery[s]``.
+    ``initial_state[task]`` is the id after reset, whose token is
+    ``initial_tokens[task]``.
 
     Episode state lives entirely in EnvState values: ``reset`` and ``step``
-    return a new one and never change the Env. ``play`` walks one episode
-    through them; the ``*_batch`` methods step arrays of states for the
-    lockstep rollout engine.
+    return a new one and never change the Env; ``play`` walks one episode
+    through them. The lockstep rollout engine steps arrays of ids through
+    the same tables.
     """
 
     def __init__(self, config: EnvConfig):
@@ -104,10 +119,10 @@ class Env:
         # recovery_left can exceed the nominal depth through repeated errors;
         # size the recovery-action table for the worst case within a horizon.
         max_recovery = c.off_support_depth * (c.horizon_cap + 1) + 1
-        # The transition tables, shared by the scalar and the batched step:
-        # correct_table[task, pos] is the action that advances from pos (for
-        # memory_lock the last one is the key), and recovery_table[task, d]
-        # the action that pays off one unit of a recovery debt d (clipped).
+        # The per-task draws the transition rule reads: correct_table[task,
+        # pos] is the action that advances from pos (for memory_lock the last
+        # one is the key), and recovery_table[task, d] the action that pays
+        # off one unit of a recovery debt d (clipped).
         self.correct_table = np.stack([
             _task_rng(c.seed, t, _SALT_CORRECT).integers(0, c.num_actions, size=c.chain_length)
             for t in range(c.task_count)
@@ -133,13 +148,53 @@ class Env:
         self.off_base = self.pos_base + c.chain_length + 1
         self.off_buckets = c.off_support_depth + 2
         self.observation_alphabet_size = self.off_base + self.off_buckets
-        # Python-list views of the tables: scalar indexing is cheaper on lists.
-        self._correct_rows = self.correct_table.tolist()
-        self._recovery_rows = self.recovery_table.tolist()
         self._max_recovery_idx = self.recovery_table.shape[1] - 1
-        self._initial_token_list = self.initial_tokens.tolist()
 
+        self._compile()
         self._check_reachability()
+
+    # -- state tables ---------------------------------------------------------
+
+    def state_id(self, task, pos, recovery):
+        """Id of (task, pos, recovery_left), on ints or int arrays alike."""
+        return (task * (self.config.chain_length + 1) + pos) * self.recovery_levels + recovery
+
+    def _compile(self) -> None:
+        """Build the state tables: the only place the transition rule is written."""
+        c = self.config
+        self.recovery_levels = c.off_support_depth * c.horizon_cap + 1
+        task, pos, recovery = (a.ravel() for a in np.indices(
+            (c.task_count, c.chain_length + 1, self.recovery_levels)))
+        ids = self.state_id(task, pos, recovery)
+        on = recovery == 0
+        goal = on & (pos == c.chain_length)
+        expert = np.where(on, self.correct_table[task, np.minimum(pos, c.chain_length - 1)],
+                          self.recovery_table[task, recovery])
+        # The expert action advances on support and pays off one unit of debt
+        # off it; any other action adds off_support_depth of debt. A live
+        # state owes at most off_support_depth * (horizon_cap - 1), so the
+        # clip only touches states no episode steps from. The goal is final.
+        hit = np.where(goal, ids, self.state_id(task, pos + on, np.maximum(recovery - 1, 0)))
+        miss = np.where(goal, ids, self.state_id(
+            task, pos, np.minimum(recovery + c.off_support_depth, self.recovery_levels - 1)))
+        self.next_state = np.empty((ids.size, c.num_actions), dtype=np.int32)
+        self.next_state[:] = miss[:, None]
+        self.next_state[ids, expert] = hit
+        self.token = np.where(on, self.pos_base + pos,
+                              self.off_base + np.minimum(recovery - 1, self.off_buckets - 1)
+                              ).astype(np.int32)
+        self.success = goal
+        self.expert = expert.astype(np.int32)
+        self.pos = pos.astype(np.int32)
+        self.recovery = recovery.astype(np.int32)
+        self.initial_state = self.state_id(np.arange(c.task_count), 0, 0).astype(np.int32)
+
+    def _id_of(self, state: EnvState) -> int:
+        """state_id of ``state``, whose debt must lie inside the tables."""
+        if not 0 <= state.recovery_left < self.recovery_levels:
+            raise UsageError(f"recovery_left {state.recovery_left} is outside the state "
+                             f"tables [0, {self.recovery_levels})")
+        return self.state_id(state.task_id, state.pos, state.recovery_left)
 
     # -- episode interface --------------------------------------------------
 
@@ -150,7 +205,7 @@ class Env:
                 f"task_id {task_id} out of range [0, {c.task_count})"
             )
         return EnvState(task_id=task_id, pos=0, recovery_left=0, turn=0, done=False,
-                        success=False, token=self._initial_token_list[task_id])
+                        success=False, token=int(self.initial_tokens[task_id]))
 
     def step(self, state: EnvState, action: int) -> EnvState:
         c = self.config
@@ -158,31 +213,13 @@ class Env:
             raise UsageError("step() called on a terminal state")
         if not 0 <= action < c.num_actions:
             raise UsageError(f"action {action} out of range [0, {c.num_actions})")
-
-        pos, recovery = state.pos, state.recovery_left
-        if recovery == 0:
-            if action == self.correct_action(state.task_id, pos):
-                pos += 1
-            else:
-                recovery += c.off_support_depth
-        else:
-            if action == self.recovery_action(state.task_id, recovery):
-                recovery -= 1
-            else:
-                recovery += c.off_support_depth
-
+        s = self.next_state.item(self._id_of(state), action)
         turn = state.turn + 1
-        success = recovery == 0 and pos == c.chain_length
-        return EnvState(task_id=state.task_id, pos=pos, recovery_left=recovery, turn=turn,
+        success = self.success.item(s)
+        return EnvState(task_id=state.task_id, pos=self.pos.item(s),
+                        recovery_left=self.recovery.item(s), turn=turn,
                         done=success or turn >= c.horizon_cap, success=success,
-                        token=self._token(pos, recovery))
-
-    def _token(self, pos: int, recovery: int) -> int:
-        """Token of a stepped-to state: its chain position while on support,
-        else a bucket of its recovery debt (observation_tokens, on scalars)."""
-        if recovery == 0:
-            return self.pos_base + pos
-        return self.off_base + min(recovery - 1, self.off_buckets - 1)
+                        token=self.token.item(s))
 
     def play(self, task_id: int, choose: Callable[[EnvState], int | None],
              ) -> tuple[list[EnvState], list[int]]:
@@ -203,65 +240,34 @@ class Env:
             actions.append(action)
         return states, actions
 
-    # -- oracle surface (used by the constructed teacher) --------------------
+    # -- oracle surface: the per-task draws and the expert ---------------------
 
     def correct_action(self, task_id: int, pos: int) -> int:
-        return self._correct_rows[task_id][pos]
+        return int(self.correct_table[task_id, pos])
 
     def recovery_action(self, task_id: int, recovery_left: int) -> int:
-        return self._recovery_rows[task_id][min(recovery_left, self._max_recovery_idx)]
+        return int(self.recovery_table[task_id, min(recovery_left, self._max_recovery_idx)])
 
     def expert_action(self, state: EnvState) -> int:
-        if state.recovery_left > 0:
-            return self.recovery_action(state.task_id, state.recovery_left)
-        return self.correct_action(state.task_id, state.pos)
+        return self.expert.item(self._id_of(state))
 
     def on_support(self, state: EnvState) -> bool:
         return state.recovery_left == 0
 
-    def error_depth(self, state: EnvState) -> int:
-        return state.recovery_left
-
-    # -- batched interface ------------------------------------------------------
-    #
-    # Array versions of the oracle and of step() over the same tables, for a
-    # batch of live (not done) states: task, pos and recovery are int arrays.
-
-    def expert_actions(self, task: np.ndarray, pos: np.ndarray,
-                       recovery: np.ndarray) -> np.ndarray:
-        """expert_action for each state of the batch."""
-        return np.where(recovery == 0, self.correct_table[task, pos],
-                        self.recovery_table[task, np.minimum(recovery, self._max_recovery_idx)])
-
-    def observation_tokens(self, pos: np.ndarray, recovery: np.ndarray) -> np.ndarray:
-        """Observation token id for each state of the batch."""
-        bucket = np.minimum(recovery - 1, self.off_buckets - 1)
-        return np.where(recovery == 0, self.pos_base + pos, self.off_base + bucket)
-
-    def step_batch(self, task: np.ndarray, pos: np.ndarray, recovery: np.ndarray,
-                   actions: np.ndarray):
-        """step() for each live state of the batch.
-
-        Returns the new ``(pos, recovery, tokens, success)`` arrays. An
-        episode is done on success or once its turn count reaches
-        horizon_cap; the turn count is the caller's to keep.
-        """
-        on = recovery == 0
-        hit = actions == self.expert_actions(task, pos, recovery)
-        pos = pos + (hit & on)
-        recovery = np.where(hit, recovery - ~on, recovery + self.config.off_support_depth)
-        success = (recovery == 0) & (pos == self.config.chain_length)
-        return pos, recovery, self.observation_tokens(pos, recovery), success
-
     # -- construction-time checks ---------------------------------------------
 
     def _check_reachability(self) -> None:
-        for task_id in range(self.config.task_count):
-            if not self.play(task_id, self.expert_action)[0][-1].success:
-                raise ConfigError(
-                    f"task {task_id} is unreachable within the horizon; "
-                    "environment construction is broken"
-                )
+        """Walk every task's expert path through the tables for horizon_cap
+        steps; a goal state maps to itself, so each must end on its goal."""
+        s = self.initial_state
+        for _ in range(self.config.horizon_cap):
+            s = self.next_state[s, self.expert[s]]
+        failed = np.flatnonzero(~self.success[s])
+        if failed.size:
+            raise ConfigError(
+                f"task {int(failed[0])} is unreachable within the horizon; "
+                "environment construction is broken"
+            )
 
 
 def make_env(config: EnvConfig) -> Env:
@@ -303,9 +309,14 @@ class TeacherPolicy:
 
     Off-support histories get ``lam * uniform + (1 - lam) * sharp`` where
     ``sharp`` favors the recovery action at the same turn's sharpness and
-    ``lam = max(floor, depth_decay ** error_depth)``. Mixing with uniform
+    ``lam = max(floor, depth_decay ** recovery_left)``. Mixing with uniform
     can only raise entropy, so off-support entropy dominates on-support
     entropy at every turn index; a floor of 1 yields exactly uniform.
+
+    A state's distribution depends on it only through its turn, expert
+    action and recovery debt, so ``turn_rows(t)`` computes each turn's
+    distributions once, one row per (expert action, debt) class, and
+    ``row_class[s]`` picks a state's row; ``dist`` reads the same rows.
     """
 
     def __init__(self, env: Env, config: TeacherConfig):
@@ -313,41 +324,35 @@ class TeacherPolicy:
         self.config = config
         self.num_actions = env.config.num_actions
         self._uniform = np.full(self.num_actions, 1.0 / self.num_actions)
-        self._sharp_by_turn: dict[int, np.ndarray] = {}
+        self.row_class = env.expert * env.recovery_levels + env.recovery
+        self._rows_by_turn: dict[int, np.ndarray] = {}
 
     def _gap(self, turn: int) -> float:
         c = self.config
         return (1.0 + c.turn_sharpening * turn) / c.on_support_temperature
 
-    def _sharp(self, turn: int) -> np.ndarray:
-        """(A, A) table whose row a is the sharp distribution favoring a at ``turn``."""
-        table = self._sharp_by_turn.get(turn)
-        if table is None:
-            rows = []
+    def turn_rows(self, turn: int) -> np.ndarray:
+        """The distributions at ``turn``, one row per (expert action, debt)
+        class, as an (A * debt levels, A) table cached per turn."""
+        rows = self._rows_by_turn.get(turn)
+        if rows is None:
+            sharp = []
             for action in range(self.num_actions):
                 logits = np.zeros(self.num_actions)
                 logits[action] = self._gap(turn)
-                rows.append(softmax(logits))
-            table = self._sharp_by_turn[turn] = np.stack(rows)
-        return table
+                sharp.append(softmax(logits))
+            sharp = np.stack(sharp)[:, None, :]  # (A, 1, A): a row per expert action
+            c = self.config
+            recovery = np.arange(self.env.recovery_levels)
+            lam = np.maximum(c.off_support_floor, c.depth_decay ** recovery)[:, None]
+            mixed = lam * self._uniform + (1.0 - lam) * sharp
+            rows = np.where((recovery == 0)[:, None], sharp, mixed)
+            rows = self._rows_by_turn[turn] = rows.reshape(-1, self.num_actions)
+        return rows
 
     def dist(self, state: EnvState) -> np.ndarray:
         """Action distribution for the realized history behind ``state``."""
-        sharp = self._sharp(state.turn)[self.env.expert_action(state)]
-        if self.env.on_support(state):
-            return sharp.copy()
-        c = self.config
-        lam = max(c.off_support_floor, c.depth_decay ** self.env.error_depth(state))
-        return lam * self._uniform + (1.0 - lam) * sharp
-
-    def dist_batch(self, task: np.ndarray, pos: np.ndarray, recovery: np.ndarray,
-                   turn: int) -> np.ndarray:
-        """dist() for a batch of live states at one turn index, as (B, A) rows."""
-        sharp = self._sharp(turn)[self.env.expert_actions(task, pos, recovery)]
-        c = self.config
-        lam = np.maximum(c.off_support_floor, c.depth_decay ** recovery)[:, None]
-        mixed = lam * self._uniform + (1.0 - lam) * sharp
-        return np.where((recovery == 0)[:, None], sharp, mixed)
+        return self.turn_rows(state.turn)[self.row_class.item(self.env._id_of(state))].copy()
 
     def materialize(self, window: int | None = None) -> PolicyParams:
         """Freeze the teacher into a checkpointable logit table.

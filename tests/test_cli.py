@@ -172,6 +172,18 @@ def test_train_rejects_malformed_store(config_path, tmp_path, capsys, case):
     assert not load_experiment_config(config_path).output_dir.exists()
 
 
+def test_malformed_store_row_is_named_by_its_file_line(config_path, tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    assert main(["collect", str(config_path), "--out", str(store)]) == 0
+    capsys.readouterr()
+    header, first, *rest = store.read_text().splitlines()
+    store.write_text("\n".join([header, first, "this is not json", *rest]) + "\n")
+    assert main(["train", str(config_path), "--runtime.algo=b2f", "--store", str(store)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {store}: line 3: cannot read a teacher trajectory store")
+    assert not load_experiment_config(config_path).output_dir.exists()
+
+
 def test_train_determinism_byte_identical(tmp_path):
     results = []
     for name in ("r1", "r2"):

@@ -36,7 +36,8 @@ def expert_rollout(env, task_id):
 def live_state(env, task_id, pos, recovery_left, turn):
     """A not-done state built by hand, with the token it would emit."""
     return EnvState(task_id=task_id, pos=pos, recovery_left=recovery_left, turn=turn,
-                    done=False, success=False, token=env._token(pos, recovery_left))
+                    done=False, success=False,
+                    token=int(env.token[env.state_id(task_id, pos, recovery_left)]))
 
 
 # -- determinism ---------------------------------------------------------------

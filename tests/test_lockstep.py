@@ -6,17 +6,23 @@ engine must reproduce it on the same uniforms.
 
 from __future__ import annotations
 
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opdlab.curriculum import b2f_prefix_len
 from opdlab.distill import (
     Trajectory,
     collect_teacher_trajectories,
+    rollout_b2f,
     rollout_batch,
+    rollout_f2b,
     rollout_lockstep,
+    rollout_opd,
 )
 from opdlab.env import (
     COMPOUNDING_CHAIN,
@@ -25,7 +31,7 @@ from opdlab.env import (
     make_env,
     make_teacher,
 )
-from opdlab.errors import UsageError
+from opdlab.errors import ConfigError, UsageError
 from opdlab.metrics import per_turn_kl_profile
 from opdlab.policy import (
     PolicyParams,
@@ -265,7 +271,90 @@ def test_rollout_lockstep_rejects_wrong_uniform_shape():
                          np.zeros((4, env.config.horizon_cap - 1)))
 
 
-# -- the batched transition and teacher agree with the scalar ones ------------------
+@pytest.mark.parametrize("temperature", [0.0, -1.0])
+def test_rollouts_reject_a_temperature_that_is_not_positive(temperature):
+    env = make_env(EnvConfig())
+    teacher = make_teacher(env)
+    store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
+    params = PolicyParams(num_actions=env.config.num_actions)
+    rng = np.random.default_rng(0)
+    calls = {
+        "lockstep": lambda: rollout_lockstep(env, [params] * 2, teacher, [0, 1],
+                                             np.zeros((2, env.config.horizon_cap)),
+                                             temperature=temperature),
+        "evaluate": lambda: evaluate(params, env, teacher, 8, rng, temperature=temperature),
+        "opd": lambda: rollout_opd(env, params, teacher, 0, rng, temperature=temperature),
+        "f2b": lambda: rollout_f2b(env, params, teacher, 0, 3, rng, temperature=temperature),
+        "b2f": lambda: rollout_b2f(env, store, params, teacher, 0, 3, rng,
+                                   temperature=temperature),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NaN rows are sampled first
+        for call in calls.values():
+            with pytest.raises(ConfigError, match="temperature must be > 0"):
+                call()
+
+
+# -- the state tables against the transition rule and teacher, written out --------
+#
+# The oracle the tables must reproduce: the rule on scalars, over the per-task
+# draws correct_action / recovery_action rather than over the tables.
+
+
+def oracle_expert(env, task, pos, recovery):
+    if recovery > 0:
+        return env.recovery_action(task, recovery)
+    return env.correct_action(task, pos)
+
+
+def oracle_step(env, task, pos, recovery, action):
+    """(pos, recovery_left, token, success) of the state ``action`` leads to."""
+    c = env.config
+    if action == oracle_expert(env, task, pos, recovery):
+        pos, recovery = (pos + 1, 0) if recovery == 0 else (pos, recovery - 1)
+    else:
+        recovery += c.off_support_depth
+    if recovery == 0:
+        token = env.pos_base + pos
+    else:
+        token = env.off_base + min(recovery - 1, env.off_buckets - 1)
+    return pos, recovery, token, recovery == 0 and pos == c.chain_length
+
+
+def sharp_rows(teacher, turn):
+    """(A, A): row a is the on-support distribution favoring a at ``turn``."""
+    c, n = teacher.config, teacher.num_actions
+    rows = []
+    for a in range(n):
+        logits = np.zeros(n)
+        logits[a] = (1.0 + c.turn_sharpening * turn) / c.on_support_temperature
+        rows.append(softmax(logits))
+    return np.stack(rows)
+
+
+def oracle_teacher_dist(teacher, expert, recovery, turn):
+    """The teacher's distribution at one state, on scalars."""
+    c = teacher.config
+    sharp = sharp_rows(teacher, turn)[expert]
+    if recovery == 0:
+        return sharp
+    lam = max(c.off_support_floor, c.depth_decay ** recovery)
+    return lam * np.full(teacher.num_actions, 1.0 / teacher.num_actions) + (1.0 - lam) * sharp
+
+
+def oracle_teacher_rows(teacher, expert, recovery, turn):
+    """oracle_teacher_dist for arrays of states at one turn, with numpy's power
+    (Python's float power can differ in the last bit): the table rows must
+    equal it bit for bit."""
+    c = teacher.config
+    sharp = sharp_rows(teacher, turn)[expert]
+    lam = np.maximum(c.off_support_floor, c.depth_decay ** recovery)[:, None]
+    mixed = lam * np.full(teacher.num_actions, 1.0 / teacher.num_actions) + (1.0 - lam) * sharp
+    return np.where((recovery == 0)[:, None], sharp, mixed)
+
+
+def state_ids(env, states):
+    return np.array([env.state_id(s.task_id, s.pos, s.recovery_left) for s in states])
 
 
 @pytest.mark.parametrize("config", [
@@ -282,28 +371,87 @@ def test_batched_step_and_teacher_match_scalar_on_every_reachable_state(config):
     states = reachable_states(env)
     n_actions = config.num_actions
     assert len(states) > config.task_count * config.chain_length
-    task = np.array([s.task_id for s in states])
-    pos = np.array([s.pos for s in states])
+    ids = state_ids(env, states)
     recovery = np.array([s.recovery_left for s in states])
     turn = np.array([s.turn for s in states])
 
-    assert env.expert_actions(task, pos, recovery).tolist() == \
-        [env.expert_action(s) for s in states]
+    experts = [oracle_expert(env, s.task_id, s.pos, s.recovery_left) for s in states]
+    assert env.expert[ids].tolist() == experts
+    assert [env.expert_action(s) for s in states] == experts
     for a in range(n_actions):
-        new_pos, new_rec, tokens, success = env.step_batch(
-            task, pos, recovery, np.full(len(states), a))
+        to = env.next_state[ids, a].tolist()
         for i, state in enumerate(states):
+            expected = oracle_step(env, state.task_id, state.pos, state.recovery_left, a)
+            s = to[i]
+            assert (env.pos[s], env.recovery[s], env.token[s], env.success[s]) == expected
             after = env.step(state, a)
-            assert (new_pos[i], new_rec[i], tokens[i], success[i]) == \
-                (after.pos, after.recovery_left, after.token, after.success)
+            assert (after.pos, after.recovery_left, after.token, after.success) == expected
+    goals = np.array([env.state_id(t, config.chain_length, 0)
+                      for t in range(config.task_count)])
+    assert env.success[goals].all()
+    assert (env.next_state[goals] == goals[:, None]).all()  # the goal maps to itself
 
     for t in np.unique(turn):
         at = turn == t
-        rows = teacher.dist_batch(task[at], pos[at], recovery[at], int(t))
-        expected = [teacher.dist(s) for s, keep in zip(states, at) if keep]
+        rows = teacher.turn_rows(int(t))[teacher.row_class[ids[at]]]
+        at_states = [s for s, keep in zip(states, at) if keep]
+        np.testing.assert_array_equal(
+            rows, oracle_teacher_rows(teacher, np.array(experts)[at], recovery[at], int(t)))
+        expected = [oracle_teacher_dist(teacher, e, s.recovery_left, s.turn)
+                    for s, e in zip(at_states, np.array(experts)[at].tolist())]
         np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal([teacher.dist(s) for s in at_states], rows)
     assert env.initial_tokens.tolist() == \
         [env.reset(t).token for t in range(config.task_count)]
+    assert env.initial_state.tolist() == \
+        [env.state_id(t, 0, 0) for t in range(config.task_count)]
+
+
+@st.composite
+def small_env_configs(draw):
+    chain_length = draw(st.integers(1, 4))
+    return EnvConfig(kind=draw(st.sampled_from((COMPOUNDING_CHAIN, MEMORY_LOCK))),
+                     num_actions=draw(st.integers(2, 4)), chain_length=chain_length,
+                     horizon_cap=draw(st.integers(chain_length, 8)),
+                     off_support_depth=draw(st.integers(0, 3)),
+                     task_count=draw(st.integers(1, 3)), seed=draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_env_configs())
+def test_every_reachable_state_steps_as_the_oracle_inside_the_tables(config):
+    env = make_env(config)
+    bound = config.off_support_depth * config.horizon_cap
+    states = reachable_states(env)
+    assert {s.task_id for s in states} == set(range(config.task_count))
+    ids = state_ids(env, states)
+    for a in range(config.num_actions):
+        to = env.next_state[ids, a].tolist()
+        for state, s in zip(states, to):
+            assert state.turn < config.horizon_cap
+            expected = oracle_step(env, state.task_id, state.pos, state.recovery_left, a)
+            assert expected[1] <= bound  # never reaches the clipped debt levels
+            after = env.step(state, a)
+            assert (after.pos, after.recovery_left, after.token, after.success) == expected
+            assert (env.pos[s], env.recovery[s], env.token[s], env.success[s]) == expected
+            assert after.turn == state.turn + 1
+            assert after.done == (after.success or after.turn == config.horizon_cap)
+
+
+@pytest.mark.parametrize("kind", [COMPOUNDING_CHAIN, MEMORY_LOCK])
+def test_reachability_walk_names_the_task_a_corrupted_table_strands(kind):
+    env = make_env(EnvConfig(kind=kind))
+    env._check_reachability()  # the tables as built pass
+    # send task 5's expert action at pos 3 back to its start
+    s = env.state_id(5, 3, 0)
+    env.next_state[s, env.expert[s]] = env.initial_state[5]
+    with pytest.raises(ConfigError, match="task 5 is unreachable"):
+        env._check_reachability()
+    env.next_state[s, env.expert[s]] = env.state_id(5, 4, 0)
+    env._check_reachability()
+    env.success[env.state_id(31, env.config.chain_length, 0)] = False
+    with pytest.raises(ConfigError, match="task 31 is unreachable"):
+        env._check_reachability()
 
 
 def test_row_functions_match_their_scalar_forms():
