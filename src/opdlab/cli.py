@@ -35,17 +35,24 @@ from .runtime import RunConfig, evaluate, run_training
 
 _COLLECT_SEED_SALT = 919
 
-_RUN_KEYS = {"name", "output_dir", "store_path"}
-_ENV_KEYS = {f.name for f in fields(EnvConfig)}
-_TEACHER_KEYS = {f.name for f in fields(TeacherConfig)}
-_CURRICULUM_KEYS = {"k_start", "eta", "cap", "total_steps"}
-_RUNTIME_KEYS = {f.name for f in fields(RunConfig)} - {"env", "teacher"} - _CURRICULUM_KEYS
+_RUN_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_CURRICULUM_KEYS = ("k_start", "eta", "cap", "total_steps")
+# every key of each section, with its declared type (None: not checked)
 _SECTIONS = {
-    "run": _RUN_KEYS,
-    "env": _ENV_KEYS,
-    "teacher": _TEACHER_KEYS,
-    "curriculum": _CURRICULUM_KEYS,
-    "runtime": _RUNTIME_KEYS,
+    "run": {"name": None, "output_dir": "str", "store_path": "str | None"},
+    "env": {f.name: f.type for f in fields(EnvConfig)},
+    "teacher": {f.name: f.type for f in fields(TeacherConfig)},
+    "curriculum": {key: _RUN_TYPES[key] for key in _CURRICULUM_KEYS},
+    "runtime": {key: kind for key, kind in _RUN_TYPES.items()
+                if key not in ("env", "teacher", *_CURRICULUM_KEYS)},
+}
+# what a declared type is called, and the YAML values it takes (no bool is an int)
+_TYPE_CHECKS = {
+    "int": ("an int", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "str": ("a string", lambda v: type(v) is str),
+    "int | None": ("an int or null", lambda v: v is None or type(v) is int),
+    "str | None": ("a string or null", lambda v: v is None or type(v) is str),
 }
 
 
@@ -70,11 +77,13 @@ def _validate_sections(raw: dict, path) -> None:
             continue
         if not isinstance(content, dict):
             raise ConfigError(f"{path}: section [{section}] must be a mapping")
-        unknown = set(content) - _SECTIONS[section]
+        unknown = set(content).difference(_SECTIONS[section])
         if unknown:
-            raise ConfigError(
-                f"{path}: unknown key(s) {sorted(unknown)} in section [{section}]"
-            )
+            raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)} in section [{section}]")
+        for key, value in content.items():
+            expected, fits = _TYPE_CHECKS.get(_SECTIONS[section][key], ("", None))
+            if fits and not fits(value):
+                raise ConfigError(f"{path}: {section}.{key} must be {expected}, got {value!r}")
 
 
 def parse_overrides(tokens: list[str]) -> dict:
@@ -202,8 +211,8 @@ def cmd_train(config: ExperimentConfig, store_arg: str | None = None) -> int:
 def cmd_eval(checkpoint_path, config: ExperimentConfig) -> int:
     try:
         params = load_params(checkpoint_path)
-    except (OSError, ValueError, UsageError) as e:
-        raise ConfigError(f"cannot load checkpoint {checkpoint_path}: {e}") from e
+    except UsageError as e:
+        raise ConfigError(f"cannot load checkpoint: {e}") from e
     if params.num_actions != config.run.env.num_actions:
         raise ConfigError(
             f"checkpoint has {params.num_actions} actions but the environment "

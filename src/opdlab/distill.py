@@ -14,20 +14,23 @@ student turn i samples from entry i of the row, so expert-prefix turns
 draw nothing and an episode's results do not depend on the other episodes
 of its batch.
 ``rollout_opd``, ``rollout_f2b`` and ``rollout_b2f`` are one-episode
-batches. A trajectory records one ``ExperienceEntry`` per student turn,
-which is also its replay entry; expert-prefix turns are recorded only as
-their history keys (``prefix_keys``), so they are outside every loss and
-gradient.
+batches. Each episode keeps its full history, and ``policy.window_key``
+cuts it down to the turn's table key. A trajectory records one
+``ExperienceEntry`` per student turn, which is also its replay entry;
+expert-prefix turns are recorded only as their history keys
+(``prefix_keys``), so they are outside every loss and gradient.
 
 The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
 gradient is q - p, so the learner update is plain gradient descent on the
-logit table. The learner (``batch_gradient``), ``trajectory_loss`` and the
-SFT baseline (``sft_update``, ``nll_loss``) compute on (N, A) row blocks,
-one row per entry or stored turn, and give bitwise the results of a
-per-entry loop over the scalar softmax, KL and gradient. The SFT turns are
-materialized once per run by ``store_turns``, which replays the stored
-expert actions through ``Env.play``, as collection and ``load_store`` do.
+logit table. An entry keeps the teacher's row but not the student's: the
+learner (``batch_gradient``), ``trajectory_loss`` and the SFT baseline
+(``sft_update``, ``nll_loss``) recompute it from the params they are given,
+on (N, A) row blocks, one row per entry or stored turn, and give bitwise
+the results of a per-entry loop over the scalar softmax, KL and gradient.
+The SFT turns are materialized once per run by ``store_turns``, which
+replays the stored expert actions through ``Env.play``, as collection and
+``load_store`` do.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .policy import (
     sample_action,
     sample_rows,
     softmax_rows,
+    window_key,
 )
 from .replay import ExperienceEntry
 
@@ -140,10 +144,7 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
     histories = [(tok,) for tok in env.initial_tokens[task].tolist()]
 
     for t in range(horizon):
-        if window is None or window >= t:
-            keys = histories
-        else:
-            keys = [h[:1] + h[2 * (t - window):] for h in histories]
+        keys = histories if window is None else [window_key(h, window) for h in histories]
         rows = np.array([get(k, default) for (get, default), k in zip(tables, keys)])
         q_policy = softmax_rows(rows)
         q_sample = q_policy if temperature == 1.0 else softmax_rows(rows, temperature)
@@ -157,15 +158,14 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
         kl[live, t] = turn_kl
         if trajs is not None:
             flags = [False] * len(keys) if in_prefix is None else in_prefix.tolist()
-            for i, (e, a, d) in enumerate(zip(live.tolist(), actions.tolist(),
-                                              turn_kl.tolist())):
-                if flags[i]:
-                    trajs[e].prefix_keys.append(keys[i])
-                    continue
-                trajs[e].turns.append(ExperienceEntry(
-                    history_key=keys[i], action=a, student_dist=q_policy[i],
-                    teacher_dist=p_teacher[i], turn_index=t, turn_kl=d,
-                    policy_version=trajs[e].policy_version))
+            for e, key, prefix, a, d, p in zip(live.tolist(), keys, flags, actions.tolist(),
+                                               turn_kl.tolist(), p_teacher):
+                if prefix:
+                    trajs[e].prefix_keys.append(key)
+                else:
+                    trajs[e].turns.append(ExperienceEntry(
+                        history_key=key, action=a, teacher_dist=p, turn_index=t,
+                        turn_kl=d, policy_version=trajs[e].policy_version))
         state = next_state[state, actions]
         tokens, won = token[state], reached[state]
         if in_prefix is not None and (won & (t + 1 < prefix_len[live])).any():
@@ -251,24 +251,19 @@ def rollout_b2f(env, store, student, teacher, task_id, k, rng, *, temperature=1.
 # ---------------------------------------------------------------------------
 
 
-def trajectory_loss(traj: Trajectory, params: PolicyParams | None = None,
+def trajectory_loss(traj: Trajectory, params: PolicyParams,
                     ) -> tuple[float, dict[HistoryKey, np.ndarray]]:
-    """Summed KL over student-executed turns plus its sparse logit gradient.
+    """Summed KL over student-executed turns plus its sparse logit gradient,
+    with the student's distributions recomputed at ``params`` (temperature 1).
 
-    With ``params`` given, the student distributions are recomputed at those
-    parameters (same keys, softmax at temperature 1); otherwise the
-    distributions recorded at collection time are used. Expert prefix turns
-    are not among ``traj.turns``, so they contribute exactly zero to both.
-    The turns are one row block, as in batch_gradient, and the result is
-    bitwise the per-turn sum of forward_kl and kl_logit_gradient.
+    Expert prefix turns are not among ``traj.turns``, so they contribute
+    exactly zero to both. The turns are one row block, as in batch_gradient,
+    and the result is bitwise the per-turn sum of forward_kl and
+    kl_logit_gradient.
     """
     if not traj.turns:
         return 0.0, {}
-    if params is None:
-        q = np.array([e.student_dist for e in traj.turns], dtype=np.float64)
-    else:
-        q = _student_rows(params, [e.history_key for e in traj.turns])
-    loss, keys, sums, _ = _kl_block(traj.turns, q)
+    loss, keys, sums, _ = _kl_block(traj.turns, params)
     return loss, dict(zip(keys, sums))
 
 
@@ -294,12 +289,14 @@ def _sum_in_order(values: np.ndarray) -> float:
     return 0.0 + float(np.cumsum(values)[-1])
 
 
-def _kl_block(entries: list[ExperienceEntry], q: np.ndarray):
-    """Summed KL of the entries' teacher rows against the student rows q, then
-    _sum_by_key of the logit gradients q - p, as ``(loss, keys, sums, counts)``."""
+def _kl_block(entries: list[ExperienceEntry], params: PolicyParams):
+    """Summed KL of the entries' teacher rows p against the student rows q of
+    ``params`` at their keys, then _sum_by_key of the logit gradients q - p,
+    as ``(loss, keys, sums, counts)``."""
+    keys = [e.history_key for e in entries]
+    q = _student_rows(params, keys)
     p = np.array([e.teacher_dist for e in entries], dtype=np.float64)
-    return (_sum_in_order(forward_kl_rows(p, q)),
-            *_sum_by_key([e.history_key for e in entries], q - p))
+    return _sum_in_order(forward_kl_rows(p, q)), *_sum_by_key(keys, q - p)
 
 
 def batch_gradient(batch: list[ExperienceEntry], params: PolicyParams,
@@ -315,8 +312,7 @@ def batch_gradient(batch: list[ExperienceEntry], params: PolicyParams,
     """
     if not batch:
         raise UsageError("empty batch")
-    q = _student_rows(params, [e.history_key for e in batch])
-    loss, keys, sums, counts = _kl_block(batch, q)
+    loss, keys, sums, counts = _kl_block(batch, params)
     return loss / len(batch), dict(zip(keys, sums / counts[:, None]))
 
 

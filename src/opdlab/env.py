@@ -53,23 +53,19 @@ class EnvConfig:
     task_count: int = 32
 
     def __post_init__(self):
-        if self.kind not in ENV_KINDS:
-            raise ConfigError(f"unknown env kind {self.kind!r}, expected one of {ENV_KINDS}")
-        if self.horizon_cap < 1:
-            raise ConfigError("horizon_cap must be >= 1")
-        if self.num_actions < 2:
-            raise ConfigError("num_actions must be >= 2")
-        if self.chain_length < 1:
-            raise ConfigError("chain_length must be >= 1")
-        if self.chain_length > self.horizon_cap:
-            raise ConfigError(
-                f"chain_length {self.chain_length} exceeds horizon_cap "
-                f"{self.horizon_cap}; the goal would be unreachable"
-            )
-        if self.off_support_depth < 0:
-            raise ConfigError("off_support_depth must be >= 0")
-        if self.task_count < 1:
-            raise ConfigError("task_count must be >= 1")
+        for ok, message in (
+            (self.kind in ENV_KINDS,
+             f"unknown env kind {self.kind!r}, expected one of {ENV_KINDS}"),
+            (self.horizon_cap >= 1, "horizon_cap must be >= 1"),
+            (self.num_actions >= 2, "num_actions must be >= 2"),
+            (self.chain_length >= 1, "chain_length must be >= 1"),
+            (self.chain_length <= self.horizon_cap, f"chain_length {self.chain_length} exceeds "
+             f"horizon_cap {self.horizon_cap}; the goal would be unreachable"),
+            (self.off_support_depth >= 0, "off_support_depth must be >= 0"),
+            (self.task_count >= 1, "task_count must be >= 1"),
+        ):
+            if not ok:
+                raise ConfigError(message)
 
 
 @dataclass(frozen=True)
@@ -116,9 +112,7 @@ class Env:
     def __init__(self, config: EnvConfig):
         self.config = config
         c = config
-        # recovery_left can exceed the nominal depth through repeated errors;
-        # size the recovery-action table for the worst case within a horizon.
-        max_recovery = c.off_support_depth * (c.horizon_cap + 1) + 1
+        self.recovery_levels = c.off_support_depth * c.horizon_cap + 1
         # The per-task draws the transition rule reads: correct_table[task,
         # pos] is the action that advances from pos (for memory_lock the last
         # one is the key), and recovery_table[task, d] the action that pays
@@ -128,7 +122,8 @@ class Env:
             for t in range(c.task_count)
         ])
         self.recovery_table = np.stack([
-            _task_rng(c.seed, t, _SALT_RECOVERY).integers(0, c.num_actions, size=max_recovery + 1)
+            _task_rng(c.seed, t, _SALT_RECOVERY).integers(0, c.num_actions,
+                                                          size=self.recovery_levels)
             for t in range(c.task_count)
         ])
         # Observation token layout: [initial tokens][on-support positions][off
@@ -148,7 +143,6 @@ class Env:
         self.off_base = self.pos_base + c.chain_length + 1
         self.off_buckets = c.off_support_depth + 2
         self.observation_alphabet_size = self.off_base + self.off_buckets
-        self._max_recovery_idx = self.recovery_table.shape[1] - 1
 
         self._compile()
         self._check_reachability()
@@ -162,7 +156,6 @@ class Env:
     def _compile(self) -> None:
         """Build the state tables: the only place the transition rule is written."""
         c = self.config
-        self.recovery_levels = c.off_support_depth * c.horizon_cap + 1
         task, pos, recovery = (a.ravel() for a in np.indices(
             (c.task_count, c.chain_length + 1, self.recovery_levels)))
         ids = self.state_id(task, pos, recovery)
@@ -246,7 +239,7 @@ class Env:
         return int(self.correct_table[task_id, pos])
 
     def recovery_action(self, task_id: int, recovery_left: int) -> int:
-        return int(self.recovery_table[task_id, min(recovery_left, self._max_recovery_idx)])
+        return int(self.recovery_table[task_id, min(recovery_left, self.recovery_levels - 1)])
 
     def expert_action(self, state: EnvState) -> int:
         return self.expert.item(self._id_of(state))
@@ -289,14 +282,14 @@ class TeacherConfig:
     depth_decay: float = 0.85
 
     def __post_init__(self):
-        if self.on_support_temperature <= 0:
-            raise ConfigError("on_support_temperature must be > 0")
-        if not 0 < self.off_support_floor <= 1:
-            raise ConfigError("off_support_floor must be in (0, 1]")
-        if self.turn_sharpening < 0:
-            raise ConfigError("turn_sharpening must be >= 0")
-        if not 0 < self.depth_decay <= 1:
-            raise ConfigError("depth_decay must be in (0, 1]")
+        for ok, message in (
+            (self.on_support_temperature > 0, "on_support_temperature must be > 0"),
+            (0 < self.off_support_floor <= 1, "off_support_floor must be in (0, 1]"),
+            (self.turn_sharpening >= 0, "turn_sharpening must be >= 0"),
+            (0 < self.depth_decay <= 1, "depth_decay must be in (0, 1]"),
+        ):
+            if not ok:
+                raise ConfigError(message)
 
 
 class TeacherPolicy:

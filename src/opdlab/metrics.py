@@ -14,6 +14,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
+import numpy as np
+
 from .atomic import atomic_open
 from .errors import ConfigError, UsageError
 
@@ -110,28 +112,35 @@ def config_hash(config_dict: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def kl_profile(kl: np.ndarray, played: np.ndarray) -> list[float]:
+    """Mean of each column of the (B >= 1, T) per-turn KL matrix ``kl`` over
+    the rows set in the bool mask ``played``, NaN where none is. Columns are
+    summed in row order, as a ``+=`` loop adds (np.sum adds one column pairwise)."""
+    sums = np.cumsum(np.where(played, kl, 0.0), axis=0)[-1]
+    counts = played.sum(axis=0)
+    return np.divide(sums, counts, out=np.full(sums.shape, math.nan),
+                     where=counts > 0).tolist()
+
+
 def per_turn_kl_profile(trajectories) -> list[float]:
     """Mean turn KL at each absolute turn index across trajectories.
 
-    Entry t averages turn_kl over all student turns recorded at index t.
-    Expert prefix turns are not among a trajectory's turns, but they still
-    advance the index, so prefix and student regions stay distinguishable.
-    Indices with no student turn anywhere yield NaN.
+    Entry t is kl_profile's mean of turn_kl over the student turns recorded
+    at index t, NaN if there are none. Expert prefix turns are not among a
+    trajectory's turns, but they advance the index, so prefix and student
+    regions stay distinguishable.
     """
     trajectories = list(trajectories)
     if not trajectories:
         raise UsageError("per_turn_kl_profile needs at least one trajectory")
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    max_idx = -1
-    for traj in trajectories:
+    width = 1 + max((turn.turn_index for traj in trajectories for turn in traj.turns),
+                    default=-1)
+    kl = np.zeros((len(trajectories), width))
+    played = np.zeros(kl.shape, dtype=bool)
+    for b, traj in enumerate(trajectories):
         for turn in traj.turns:
-            t = turn.turn_index
-            sums[t] = sums.get(t, 0.0) + turn.turn_kl
-            counts[t] = counts.get(t, 0) + 1
-            max_idx = max(max_idx, t)
-    return [sums[t] / counts[t] if counts.get(t) else math.nan
-            for t in range(max_idx + 1)]
+            kl[b, turn.turn_index], played[b, turn.turn_index] = turn.turn_kl, True
+    return kl_profile(kl, played)
 
 
 # ---------------------------------------------------------------------------

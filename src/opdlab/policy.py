@@ -27,67 +27,73 @@ CHECKPOINT_SCHEMA = 1
 HistoryKey = tuple[int, ...]
 
 
-def encode_history(observations, actions, window: int | None = None) -> HistoryKey:
-    """Build the table key for a history (o_0, a_0, ..., o_t).
+def window_key(history: HistoryKey, window: int | None) -> HistoryKey:
+    """The table key of a full history (o_0, a_0, ..., o_t): the history itself
+    if ``window`` is None or at least t, else o_0 (task identity) and the last
+    W = ``window`` turns, (o_0 | o_{t-W}, a_{t-W}, ..., a_{t-1} | o_t). That
+    form has even length and the full one odd, so the two never alias."""
+    t = len(history) // 2
+    if window is None or window >= t:
+        return history
+    return history[:1] + history[2 * (t - window):]
 
-    ``observations`` must have exactly one more element than ``actions``.
-    With a finite ``window``, only the most recent ``window`` (o, a) pairs
-    survive, but o_0 is always kept so task identity is never truncated
-    away. Keys are built from observation token ids and action indices
-    only; diagnostic flags never enter the encoding.
-    """
+
+def encode_history(observations, actions, window: int | None = None) -> HistoryKey:
+    """window_key of the history (o_0, a_0, ..., o_t) given as its token ids
+    and actions; ``observations`` must have one more element than ``actions``."""
     if len(observations) != len(actions) + 1:
         raise UsageError(
             f"history needs len(observations) == len(actions) + 1, "
             f"got {len(observations)} and {len(actions)}"
         )
-    t = len(actions)
-    if t == 0:
-        return (int(observations[0]),)
-    if window is None or window >= t:
-        # Full history: (o_0, a_0, o_1, a_1, ..., o_t).
-        parts = [int(observations[0])]
-        for i in range(t):
-            parts.append(int(actions[i]))
-            parts.append(int(observations[i + 1]))
-        return tuple(parts)
-    # Windowed: (o_0 | o_{t-W}, a_{t-W}, ..., o_{t-1}, a_{t-1} | o_t). The
-    # windowed form has even length, the full form odd, so the two regimes
-    # can never alias each other.
-    parts = [int(observations[0])]
-    for i in range(t - window, t):
-        parts.append(int(observations[i]))
-        parts.append(int(actions[i]))
-    parts.append(int(observations[t]))
-    return tuple(parts)
+    full = [int(observations[0])]
+    for a, o in zip(actions, observations[1:]):
+        full += (int(a), int(o))
+    return window_key(tuple(full), window)
+
+
+# -- row-wise forms over (B, A) matrices, one row per episode or batch entry ---
+
+
+def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Numerically stable softmax of each row of ``logits / temperature``."""
+    z = logits / temperature
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def forward_kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Exact KL(p[i] || q[i]) over the action set for each row i, teacher first.
+
+    Terms with p_i = 0 contribute zero but stay in the sum, which runs over
+    all A entries in order; q is floored at ``Q_FLOOR`` inside the log. Each
+    result is clamped at 0 to absorb float round-off.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * (np.log(p) - np.log(np.maximum(q, Q_FLOOR))), 0.0)
+    return np.maximum(terms.sum(axis=1), 0.0)
+
+
+def sample_rows(dist: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sample from each row, with the uniform draw u[i] for row i,
+    traversing action indices ascending, so draws are reproducible per u."""
+    idx = (np.cumsum(dist, axis=1) <= u[:, None]).sum(axis=1)
+    return np.minimum(idx, dist.shape[1] - 1)
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Numerically stable softmax of ``logits / temperature``."""
+    """softmax_rows of one row of logits."""
     if temperature <= 0:
         raise UsageError(f"temperature must be > 0, got {temperature}")
-    z = np.asarray(logits, dtype=np.float64) / temperature
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    return softmax_rows(np.asarray(logits, dtype=np.float64)[None], temperature)[0]
 
 
 def forward_kl(p: np.ndarray, q: np.ndarray) -> float:
-    """Exact KL(p || q) over the action set, teacher first.
-
-    Terms with p_i = 0 contribute zero; q is floored at ``Q_FLOOR`` inside
-    the log. The result is clamped at 0 to absorb float round-off. The zero
-    terms stay in the sum, so it runs over all A entries in the order that
-    forward_kl_rows uses, and the two agree bitwise for any A.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
+    """forward_kl_rows of one pair of rows."""
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise UsageError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    mask = p > 0
-    log_p = np.log(p, out=np.zeros_like(p), where=mask)
-    terms = np.where(mask, p * (log_p - np.log(np.maximum(q, Q_FLOOR))), 0.0)
-    return max(0.0, float(terms.sum()))
+    return float(forward_kl_rows(p[None], q[None])[0])
 
 
 def kl_logit_gradient(p_teacher: np.ndarray, q_student: np.ndarray) -> np.ndarray:
@@ -96,45 +102,23 @@ def kl_logit_gradient(p_teacher: np.ndarray, q_student: np.ndarray) -> np.ndarra
     For softmax at temperature 1 this is exactly q - p; the entries sum to
     zero (softmax shift invariance).
     """
-    p = np.asarray(p_teacher, dtype=np.float64)
-    q = np.asarray(q_student, dtype=np.float64)
+    p, q = np.asarray(p_teacher, dtype=np.float64), np.asarray(q_student, dtype=np.float64)
     if p.shape != q.shape:
         raise UsageError(f"dimension mismatch: {p.shape} vs {q.shape}")
     return q - p
 
 
 def sample_action(dist: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF sample from ``dist``, traversing action indices ascending.
-
-    The fixed traversal order makes draws reproducible per rng state.
-    """
+    """sample_rows of one distribution, with the draw ``rng.random()``, by a
+    search of its cumulative mass (on one row, half the cost of sample_rows)."""
     cum = np.cumsum(np.asarray(dist, dtype=np.float64))
-    u = rng.random()
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return min(idx, len(cum) - 1)
+    return min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
 
 
-# -- row-wise forms over (B, A) matrices, one row per episode or batch entry ---
-
-
-def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """softmax() applied to each row of ``logits``."""
-    z = logits / temperature
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def forward_kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """forward_kl(p[i], q[i]) for each row i."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * (np.log(p) - np.log(np.maximum(q, Q_FLOOR))), 0.0)
-    return np.maximum(terms.sum(axis=1), 0.0)
-
-
-def sample_rows(dist: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sample_action() for each row, with the uniform draw u[i] for row i."""
-    idx = (np.cumsum(dist, axis=1) <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, dist.shape[1] - 1)
+def _check_width(num_actions: int, key, logits: np.ndarray) -> None:
+    if logits.shape != (num_actions,):
+        raise UsageError(f"row {key} has {logits.size} logits, "
+                         f"expected num_actions={num_actions}")
 
 
 @dataclass
@@ -205,22 +189,30 @@ def save_params(params: PolicyParams, path) -> None:
 
 
 def load_params(path) -> PolicyParams:
-    with open(path) as f:
-        header = json.loads(f.readline())
-        if header.get("schema") != CHECKPOINT_SCHEMA or header.get("kind") != "policy_params":
-            raise UsageError(f"{path}: not a policy checkpoint (schema mismatch)")
-        params = PolicyParams(
-            num_actions=int(header["num_actions"]),
-            default_logits=np.array(header["default_logits"], dtype=np.float64),
-            version=int(header["version"]),
-        )
-        for line in f:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            params.logits[tuple(row["key"])] = np.array(row["logits"], dtype=np.float64)
-    for key, logits in [("default", params.default_logits), *params.logits.items()]:
-        if logits.shape != (params.num_actions,):
-            raise UsageError(f"{path}: row {key} has {logits.size} logits, "
-                             f"expected num_actions={params.num_actions}")
+    """Read a checkpoint; any fault in it raises a UsageError that names
+    ``path`` and the file line at fault."""
+    where = ""  # the file line being read, once there is one
+    try:
+        with open(path) as f:
+            where = "line 1: "
+            header = json.loads(f.readline())
+            if (not isinstance(header, dict) or header.get("schema") != CHECKPOINT_SCHEMA
+                    or header.get("kind") != "policy_params"):
+                raise UsageError("not a policy checkpoint (schema mismatch)")
+            params = PolicyParams(int(header["num_actions"]), version=int(header["version"]),
+                                  default_logits=np.array(header["default_logits"], dtype=float))
+            _check_width(params.num_actions, "default", params.default_logits)
+            for number, line in enumerate(f, start=2):
+                if not line.strip():
+                    continue
+                where = f"line {number}: "
+                row = json.loads(line)
+                key, logits = tuple(row["key"]), np.array(row["logits"], dtype=np.float64)
+                _check_width(params.num_actions, key, logits)
+                params.logits[key] = logits
+    except UsageError as e:
+        raise UsageError(f"{path}: {where}{e}") from None
+    except (OSError, ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
+        raise UsageError(f"{path}: {where}cannot read a policy checkpoint "
+                         f"({type(e).__name__}: {e})") from e
     return params

@@ -24,12 +24,12 @@ DEFAULT_CAPACITY = 4096
 
 @dataclass
 class ExperienceEntry:
-    """One student turn: the realized history, the sampled action, both
-    distributions at collection time, its KL and the acting policy version."""
+    """One student turn: the realized history, the sampled action, the teacher's
+    distribution, its KL and the acting policy version. The student's
+    distribution is not kept: it is its policy's softmax at ``history_key``."""
 
     history_key: HistoryKey
     action: int
-    student_dist: np.ndarray
     teacher_dist: np.ndarray
     turn_index: int
     turn_kl: float

@@ -57,6 +57,7 @@ from .metrics import (
     EvalRecord,
     MetricsLog,
     TrainRecord,
+    kl_profile,
 )
 from .policy import PolicyParams
 from .replay import RingBuffer
@@ -185,11 +186,10 @@ def evaluate(params: PolicyParams, env: Env, teacher: TeacherPolicy,
     # every episode is live from turn 0 until it ends, so the episodes that
     # played turn t are those with rounds > t
     turns = rounds.max()
-    played = (rounds[:, None] > np.arange(turns)).sum(axis=0)
     return EvalRecord(
         step=step,
         **_episode_summary(success, rounds, kl.sum(axis=1)),
-        per_turn_kl=(kl[:, :turns].sum(axis=0) / played).tolist(),
+        per_turn_kl=kl_profile(kl[:, :turns], rounds[:, None] > np.arange(turns)),
         active_k=active_k,
         split=SPLIT_EVAL,
         n_rollouts=episodes,

@@ -132,21 +132,56 @@ def test_train_b2f_with_store(config_path, tmp_path):
                  "--runtime.algo=b2f", "--curriculum.total_steps=14"]) == 0
 
 
-@pytest.mark.parametrize("case", ["teacher_out_of_range", "b2f_store_lacks_a_task"])
+# train overrides rejected at config load, each with a text its error names
+REJECTED_OVERRIDES = {
+    "teacher_out_of_range": ("--teacher.depth_decay=2", "depth_decay"),
+    "batch_size_not_an_int": ("--runtime.batch_size=abc", "runtime.batch_size"),
+    "horizon_cap_not_an_int": ("--env.horizon_cap=ten", "env.horizon_cap"),
+    "eta_not_an_int": ("--curriculum.eta=x", "curriculum.eta"),
+    "depth_decay_not_a_number": ("--teacher.depth_decay=foo", "teacher.depth_decay"),
+    "lr_not_a_number": ("--runtime.lr=[1]", "runtime.lr"),
+    "output_dir_not_a_string": ("--run.output_dir=5", "run.output_dir"),
+}
+
+
+@pytest.mark.parametrize("case", ["b2f_store_lacks_a_task", *REJECTED_OVERRIDES])
 def test_rejected_train_leaves_no_run_directory(config_path, tmp_path, capsys, case):
     args = ["train", str(config_path)]
-    if case == "teacher_out_of_range":
-        args.append("--teacher.depth_decay=2")
-    else:
+    if case == "b2f_store_lacks_a_task":
         store_path = tmp_path / "store.jsonl"
         assert main(["collect", str(config_path), "--out", str(store_path)]) == 0
         store = load_store(store_path, make_env(load_experiment_config(config_path).run.env))
         del store.actions_by_task[3]
         save_store(store, store_path)
         args += ["--store", str(store_path), "--runtime.algo=b2f"]
+        named = "[3]"
+    else:
+        override, named = REJECTED_OVERRIDES[case]
+        args.append(override)
+    capsys.readouterr()
     assert main(args) == 2
-    assert ("depth_decay" if case == "teacher_out_of_range" else "[3]") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not load_experiment_config(config_path).output_dir.exists()
+
+
+@pytest.mark.parametrize("key,value", [("runtime.window", None), ("curriculum.cap", None),
+                                       ("runtime.lr", 1), ("teacher.depth_decay", 1),
+                                       ("runtime.window", 3)])
+def test_config_fields_take_values_of_their_type(config_path, key, value):
+    section, name = key.split(".")
+    config = load_experiment_config(config_path, {section: {name: value}})
+    assert config.raw[section][name] == value
+
+
+@pytest.mark.parametrize("key,value", [("runtime.batch_size", True), ("env.seed", 1.0),
+                                       ("runtime.eval_temperature", False),
+                                       ("runtime.lr", None), ("env.kind", 3)])
+def test_config_rejects_values_of_the_wrong_type(config_path, key, value):
+    section, name = key.split(".")
+    with pytest.raises(ConfigError, match=rf"{key} must be"):
+        load_experiment_config(config_path, {section: {name: value}})
 
 
 @pytest.mark.parametrize("case", ["action_out_of_range", "line_not_json", "row_without_actions",
@@ -255,17 +290,34 @@ def test_eval_zero_episodes_rejected(config_path, tmp_path):
                  "--runtime.eval_episodes=0"]) == 2
 
 
-@pytest.mark.parametrize("case", ["missing", "not_json", "wrong_kind"])
+@pytest.mark.parametrize("case", ["missing", "not_json", "wrong_kind",
+                                  "header_without_num_actions", "header_is_a_list",
+                                  "row_without_key"])
 def test_eval_rejects_bad_checkpoint(config_path, tmp_path, capsys, case):
     ckpt = tmp_path / "ckpt.jsonl"
+    header = {"schema": 1, "kind": "policy_params", "num_actions": 6, "version": 0,
+              "default_logits": [0.0] * 6}
+    rows = [{"key": [0], "logits": [0.0] * 6}]
+    line = "line 1: "
     if case == "not_json":
         ckpt.write_text("this is not json\n")
     elif case == "wrong_kind":
         assert main(["collect", str(config_path), "--out", str(ckpt)]) == 0
         capsys.readouterr()
+    elif case == "header_without_num_actions":
+        del header["num_actions"]
+    elif case == "header_is_a_list":
+        header = [header]
+    elif case == "row_without_key":
+        rows.append({"logits": [0.0] * 6})
+        line = "line 3: "
+    if case.startswith(("header", "row")):
+        ckpt.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *rows]))
     assert main(["eval", str(ckpt), str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(ckpt) in err
+    if case != "missing":
+        assert f"{ckpt}: {line}" in err
     assert not load_experiment_config(config_path).output_dir.exists()
 
 

@@ -202,25 +202,28 @@ def test_rollouts_record_one_entry_per_student_turn(env, teacher, store):
 
 
 def synthetic_trajectory(p, q, key=(1, 0, 2)):
-    turn = ExperienceEntry(history_key=key, action=0, student_dist=np.array(q),
-                           teacher_dist=np.array(p), turn_index=0,
-                           turn_kl=forward_kl(np.array(p), np.array(q)),
+    """A one-turn trajectory with teacher row p, and params whose row at its key
+    is log q, so the student's distribution there is q up to round-off."""
+    turn = ExperienceEntry(history_key=key, action=0, teacher_dist=np.array(p),
+                           turn_index=0, turn_kl=forward_kl(np.array(p), np.array(q)),
                            policy_version=0)
+    params = PolicyParams(num_actions=len(q), logits={key: np.log(q)})
     return Trajectory(task_id=0, turns=[turn], prefix_keys=[], success=False,
-                      policy_version=0, algo="opd")
+                      policy_version=0, algo="opd"), params
 
 
 def test_loss_single_turn_closed_form():
-    traj = synthetic_trajectory([1.0, 0.0], [0.5, 0.5])
-    loss, grads = trajectory_loss(traj)
+    traj, params = synthetic_trajectory([1.0, 0.0], [0.5, 0.5])
+    loss, grads = trajectory_loss(traj, params)
     assert loss == pytest.approx(math.log(2), abs=1e-12)
     assert np.allclose(grads[(1, 0, 2)], [-0.5, 0.5], atol=1e-15)
 
 
 def test_loss_zero_when_matched():
-    traj = synthetic_trajectory([0.25, 0.75], [0.25, 0.75])
-    loss, grads = trajectory_loss(traj)
-    assert loss == 0.0
+    traj, params = synthetic_trajectory([0.25, 0.75], [0.25, 0.75])
+    loss, grads = trajectory_loss(traj, params)
+    # softmax(log q) is q up to one ulp, so the KL is 0 up to round-off
+    assert loss == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(grads[(1, 0, 2)], 0.0, atol=1e-15)
 
 
@@ -228,16 +231,17 @@ def test_loss_all_prefix_is_empty():
     traj = Trajectory(task_id=0, turns=[], prefix_keys=[(0,)], success=False,
                       policy_version=0, algo="b2f")
     assert (traj.rounds, traj.prefix_len) == (0, 1)
-    assert trajectory_loss(traj) == (0.0, {})
     assert trajectory_loss(traj, PolicyParams(num_actions=2)) == (0.0, {})
 
 
 def test_loss_matches_recorded_kl_sum(env, teacher):
     student = uniform_student(env)
     traj = rollout_opd(env, student, teacher, 1, rng(21))
-    loss, _ = trajectory_loss(traj)
+    loss, _ = trajectory_loss(traj, student)
     assert loss == pytest.approx(sum(t.turn_kl for t in traj.turns), abs=1e-12)
-    recomputed, _ = trajectory_loss(traj, student)
+    # an equal table gives the same loss: it depends on the rows, not the object
+    same_rows = PolicyParams(num_actions=student.num_actions, logits=dict(student.logits))
+    recomputed, _ = trajectory_loss(traj, same_rows)
     assert recomputed == pytest.approx(loss, abs=1e-12)
 
 
@@ -405,16 +409,15 @@ def gradient_step(batch, params, lr):
     return apply_gradient(params, grads, lr)
 
 
-def entry(key, p, q, version=0):
+def entry(key, p, version=0):
     # the learner reads only the key, the teacher row and the version
-    return ExperienceEntry(history_key=key, action=0, student_dist=np.array(q),
-                           teacher_dist=np.array(p), turn_index=0, turn_kl=0.0,
-                           policy_version=version)
+    return ExperienceEntry(history_key=key, action=0, teacher_dist=np.array(p),
+                           turn_index=0, turn_kl=0.0, policy_version=version)
 
 
 def test_learner_step_noop_when_matched():
     params = PolicyParams(num_actions=2)
-    batch = [entry((0,), [0.5, 0.5], [0.5, 0.5])]
+    batch = [entry((0,), [0.5, 0.5])]
     updated = gradient_step(batch, params, 0.1)
     assert updated.version == 1
     assert np.allclose(updated.logits_for((0,)), params.logits_for((0,)), atol=1e-15)
@@ -422,15 +425,15 @@ def test_learner_step_noop_when_matched():
 
 def test_learner_step_gradient_descent_arithmetic():
     params = PolicyParams(num_actions=2)
-    batch = [entry((7,), [1.0, 0.0], [0.5, 0.5])]
+    batch = [entry((7,), [1.0, 0.0])]
     updated = gradient_step(batch, params, 0.1)
     assert np.allclose(updated.logits_for((7,)), [0.05, -0.05], atol=1e-15)
 
 
 def test_learner_step_averages_repeated_keys():
     params = PolicyParams(num_actions=2)
-    batch = [entry((1,), [1.0, 0.0], [0.5, 0.5]),
-             entry((1,), [1.0, 0.0], [0.5, 0.5])]
+    batch = [entry((1,), [1.0, 0.0]),
+             entry((1,), [1.0, 0.0])]
     one = gradient_step([batch[0]], params, 0.1)
     two = gradient_step(batch, params, 0.1)
     assert np.allclose(one.logits_for((1,)), two.logits_for((1,)), atol=1e-15)
@@ -444,7 +447,7 @@ def test_learner_step_empty_batch_rejected():
 def test_learner_version_strictly_increments():
     params = PolicyParams(num_actions=2)
     for expected in range(1, 5):
-        params = gradient_step([entry((0,), [1.0, 0.0], [0.5, 0.5])], params, 0.1)
+        params = gradient_step([entry((0,), [1.0, 0.0])], params, 0.1)
         assert params.version == expected
 
 
@@ -454,7 +457,7 @@ def test_repeated_steps_on_fixed_batch_descend_kl():
     batch = []
     for i in range(6):
         p = gen.uniform(0.05, 1.0, 4)
-        batch.append(entry((i,), p / p.sum(), [0.25] * 4))
+        batch.append(entry((i,), p / p.sum()))
     previous = None
     for _ in range(100):
         kl = sum(forward_kl(e.teacher_dist, softmax(params.logits_for(e.history_key)))
@@ -468,7 +471,7 @@ def test_repeated_steps_on_fixed_batch_descend_kl():
 def test_snapshots_unaffected_by_later_updates():
     params = PolicyParams(num_actions=2)
     snap = params.snapshot()
-    updated = gradient_step([entry((3,), [1.0, 0.0], [0.5, 0.5])], params, 0.5)
+    updated = gradient_step([entry((3,), [1.0, 0.0])], params, 0.5)
     assert (3,) not in snap.logits
     assert (3,) in updated.logits
 
@@ -526,7 +529,7 @@ def reference_batch_gradient(batch, params):
 def test_batch_gradient_bitwise_equals_per_entry_loop(data):
     params, keys = data.draw(row_block_case())
     p = data.draw(teacher_rows(len(keys), params.num_actions))
-    batch = [entry(k, row, [0.0]) for k, row in zip(keys, p)]
+    batch = [entry(k, row) for k, row in zip(keys, p)]
     loss, grads = batch_gradient(batch, params)
     ref_loss, ref_grads = reference_batch_gradient(batch, params)
     assert same_bits(loss, ref_loss)
@@ -554,15 +557,13 @@ def test_sft_update_and_nll_bitwise_equal_per_turn_loop(data):
     assert updated.version == expected.version
 
 
-def per_turn_trajectory_loss(traj, params=None):
+def per_turn_trajectory_loss(traj, params):
     """trajectory_loss as a loop over the turns: the reference for its row block."""
     loss = 0.0
     grads = {}
     for turn in traj.turns:
         p = turn.teacher_dist
-        q = turn.student_dist
-        if params is not None:
-            q = action_dist(params, turn.history_key, 1.0)
+        q = action_dist(params, turn.history_key, 1.0)
         loss += forward_kl(p, q)
         g = kl_logit_gradient(p, q)
         acc = grads.get(turn.history_key)
@@ -575,12 +576,10 @@ def per_turn_trajectory_loss(traj, params=None):
 def test_trajectory_loss_bitwise_equals_per_turn_loop(data):
     params, keys = data.draw(row_block_case())
     p = data.draw(teacher_rows(len(keys), params.num_actions))
-    q = data.draw(teacher_rows(len(keys), params.num_actions))
-    traj = Trajectory(task_id=0, turns=[entry(k, pr, qr) for k, pr, qr in zip(keys, p, q)],
+    traj = Trajectory(task_id=0, turns=[entry(k, row) for k, row in zip(keys, p)],
                       prefix_keys=[], success=False, policy_version=0, algo="opd")
-    for at in (None, params):
-        loss, grads = trajectory_loss(traj, at)
-        ref_loss, ref_grads = per_turn_trajectory_loss(traj, at)
-        assert same_bits(loss, ref_loss)
-        assert list(grads) == list(ref_grads)
-        assert all(same_bits(grads[k], ref_grads[k]) for k in grads)
+    loss, grads = trajectory_loss(traj, params)
+    ref_loss, ref_grads = per_turn_trajectory_loss(traj, params)
+    assert same_bits(loss, ref_loss)
+    assert list(grads) == list(ref_grads)
+    assert all(same_bits(grads[k], ref_grads[k]) for k in grads)

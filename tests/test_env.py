@@ -202,6 +202,16 @@ def test_one_error_costs_exactly_the_recovery_debt():
         assert with_error == optimal + 1 + env.config.off_support_depth
 
 
+def test_recovery_draws_stop_at_the_largest_debt_a_state_holds():
+    env = make_env(EnvConfig())
+    assert env.recovery_table.shape == (env.config.task_count, env.recovery_levels)
+    assert env.recovery_levels - 1 == env.recovery.max()
+    for task in (0, env.config.task_count - 1):
+        last = env.recovery_table[task, -1]
+        assert env.recovery_action(task, env.recovery_levels - 1) == last
+        assert env.recovery_action(task, 10 * env.recovery_levels) == last
+
+
 def test_reachability_within_horizon_for_every_task():
     env = make_env(EnvConfig())
     for task in range(env.config.task_count):

@@ -84,7 +84,7 @@ def scalar_rollout(env, student, teacher, task_id, rng, *, max_student_turns,
         q_sample = q_policy if temperature == 1.0 else action_dist(student, key, temperature)
         p_teacher = teacher.dist(state)
         a = sample_action(q_sample, rng)
-        turns.append(ExperienceEntry(history_key=key, action=a, student_dist=q_policy,
+        turns.append(ExperienceEntry(history_key=key, action=a,
                                      teacher_dist=p_teacher, turn_index=state.turn,
                                      turn_kl=forward_kl(p_teacher, q_policy),
                                      policy_version=version))
@@ -131,8 +131,7 @@ def exact_fields(traj):
 def same_bits(traj, other):
     """Two trajectories from the engine agree to the last bit."""
     return exact_fields(traj) == exact_fields(other) and all(
-        a.turn_kl == b.turn_kl and np.array_equal(a.student_dist, b.student_dist)
-        and np.array_equal(a.teacher_dist, b.teacher_dist)
+        a.turn_kl == b.turn_kl and np.array_equal(a.teacher_dist, b.teacher_dist)
         for a, b in zip(traj.turns, other.turns))
 
 
@@ -248,6 +247,22 @@ def test_evaluate_matches_scalar_rollouts_on_same_uniforms(kind, window, tempera
     assert len(record.per_turn_kl) == len(profile)
     np.testing.assert_allclose(record.per_turn_kl, profile, rtol=1e-12, atol=0)
     assert (record.step, record.active_k, record.n_rollouts) == (4, 2, episodes)
+
+
+@pytest.mark.parametrize("kind,window", list(product((COMPOUNDING_CHAIN, MEMORY_LOCK),
+                                                     (None, 2))))
+def test_evaluate_profile_bitwise_equals_the_profile_of_single_rollouts(kind, window):
+    env = make_env(EnvConfig(kind=kind))
+    teacher = make_teacher(env)
+    params = partial_student(teacher, window, seed=4)
+    episodes = 256
+    record = evaluate(params, env, teacher, episodes, np.random.default_rng(12),
+                      temperature=1.0, window=window)
+    rng = np.random.default_rng(12)  # rollout e draws row e of evaluate's uniforms
+    trajs = [rollout_opd(env, params, teacher, e % env.config.task_count, rng, window=window)
+             for e in range(episodes)]
+    expected = np.array(per_turn_kl_profile(trajs))
+    assert np.array(record.per_turn_kl).tobytes() == expected.tobytes()
 
 
 def test_evaluate_draws_do_not_depend_on_batch_makeup():
@@ -454,6 +469,28 @@ def test_reachability_walk_names_the_task_a_corrupted_table_strands(kind):
         env._check_reachability()
 
 
+# -- the row functions against the per-distribution formulas, written out ----------
+
+
+def oracle_softmax(logits, temperature):
+    z = np.asarray(logits, dtype=np.float64) / temperature
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def oracle_sample(dist, u):
+    """Inverse CDF: the first action whose cumulative mass exceeds u."""
+    cum = np.cumsum(dist)
+    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+
+
+def oracle_forward_kl(p, q):
+    mask = p > 0
+    log_p = np.log(p, out=np.zeros_like(p), where=mask)
+    terms = np.where(mask, p * (log_p - np.log(np.maximum(q, 1e-12))), 0.0)
+    return max(0.0, float(terms.sum()))
+
+
 def test_row_functions_match_their_scalar_forms():
     gen = np.random.default_rng(8)
     logits = gen.normal(0.0, 3.0, (50, 5))
@@ -463,11 +500,17 @@ def test_row_functions_match_their_scalar_forms():
         q = softmax_rows(logits, temperature)
         np.testing.assert_allclose(q, [softmax(z, temperature) for z in logits],
                                    rtol=1e-13, atol=1e-300)
+        assert np.array_equal(q, [oracle_softmax(z, temperature) for z in logits])
         assert sample_rows(q, u).tolist() == \
-            [sample_action(row, RowRng(np.array([x]))) for row, x in zip(q, u)]
+            [sample_action(row, RowRng(np.array([x]))) for row, x in zip(q, u)] == \
+            [oracle_sample(row, x) for row, x in zip(q, u)]
     p = softmax_rows(logits * 30.0)  # has exact zeros, which KL terms skip
     assert (p == 0).any()
     q = softmax_rows(logits)
     np.testing.assert_allclose(forward_kl_rows(p, q),
                                [forward_kl(a, b) for a, b in zip(p, q)],
                                rtol=1e-12, atol=1e-300)
+    assert forward_kl_rows(p, q).tolist() == [oracle_forward_kl(a, b) for a, b in zip(p, q)]
+    # a draw that lands exactly on a cumulative mass moves on to the next action
+    edge = np.array([[0.25, 0.25, 0.5]])
+    assert sample_rows(edge, np.array([0.25])).tolist() == [oracle_sample(edge[0], 0.25)] == [1]

@@ -2,18 +2,20 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from opdlab.distill import rollout_opd
-from opdlab.env import EnvConfig, make_env, make_teacher
+from opdlab.distill import collect_teacher_trajectories, rollout_batch, rollout_opd
+from opdlab.env import COMPOUNDING_CHAIN, MEMORY_LOCK, EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
 from opdlab.metrics import (
     EvalRecord,
     MetricsLog,
     TrainRecord,
     config_hash,
+    kl_profile,
     per_turn_kl_profile,
     read_records,
     round9,
@@ -75,6 +77,66 @@ def test_profile_increases_for_uniform_student():
 def test_profile_empty_input_rejected():
     with pytest.raises(UsageError):
         per_turn_kl_profile([])
+
+
+def dict_loop_profile(trajectories):
+    """The per-turn KL profile as a loop of per-index sums and counts: the oracle."""
+    sums, counts, max_idx = {}, {}, -1
+    for traj in trajectories:
+        for turn in traj.turns:
+            t = turn.turn_index
+            sums[t] = sums.get(t, 0.0) + turn.turn_kl
+            counts[t] = counts.get(t, 0) + 1
+            max_idx = max(max_idx, t)
+    return [sums[t] / counts[t] if counts.get(t) else math.nan for t in range(max_idx + 1)]
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("kind,window", [(COMPOUNDING_CHAIN, None), (COMPOUNDING_CHAIN, 2),
+                                         (MEMORY_LOCK, None), (MEMORY_LOCK, 2)])
+def test_profile_bitwise_equals_the_dict_loop_on_b2f_batches(kind, window):
+    env = make_env(EnvConfig(kind=kind))
+    teacher = make_teacher(env)
+    store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
+    gen = np.random.default_rng(5)
+    student = teacher.materialize(window)
+    for key, row in student.logits.items():
+        student.logits[key] = 0.25 * row + gen.normal(0.0, 0.5, row.shape)
+    by_k = {}
+    for k in (1, 3, 6, 12):
+        tasks = gen.integers(0, env.config.task_count, 24)
+        u = gen.random((24, env.config.horizon_cap))
+        by_k[k] = rollout_batch("b2f", env, [student] * 24, teacher, tasks, k, u,
+                                store=store, window=window)
+    batches = [by_k[1][:5], by_k[1], by_k[3] + by_k[1], by_k[12][:1]]
+    mixed = [t for k in (1, 3, 6, 12) for t in by_k[k]]
+    batches += [[mixed[i] for i in gen.permutation(len(mixed))[:n]] for n in (2, 9, 40, 96)]
+    nan_columns = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # empty columns divide without a warning
+        for batch in batches:
+            profile = per_turn_kl_profile(batch)
+            assert bits(profile) == bits(dict_loop_profile(batch))
+            nan_columns += sum(math.isnan(x) for x in profile)
+    assert nan_columns  # the prefixes leave columns that no student played
+
+
+def test_kl_profile_masks_unplayed_turns():
+    kl = np.array([[0.5, 9.0, 0.25], [1.5, 0.75, 9.0]])
+    played = np.array([[True, False, True], [True, True, False]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kl_profile(kl, played) == [1.0, 0.75, 0.25]
+        assert bits(kl_profile(kl[:, :2], np.zeros((2, 2), dtype=bool))) == bits([math.nan] * 2)
+    # one column of many rows: np.sum would add it pairwise, the loop adds in row order
+    column = np.random.default_rng(0).random((300, 1)) ** 3
+    total = 0.0
+    for value in column[:, 0].tolist():
+        total += value
+    assert bits(kl_profile(column, np.ones((300, 1), dtype=bool))) == bits([total / 300])
 
 
 def test_success_rate_is_exact_fraction():

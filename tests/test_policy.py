@@ -19,6 +19,7 @@ from opdlab.policy import (
     sample_action,
     save_params,
     softmax,
+    window_key,
 )
 
 
@@ -62,6 +63,35 @@ def test_encode_history_window_regimes_never_alias():
 def test_encode_history_length_mismatch():
     with pytest.raises(UsageError):
         encode_history([1, 2], [0, 1])
+
+
+def reference_key(observations, actions, window):
+    """The key written out element by element: o_0, then (o_i, a_i) for every
+    kept turn i < t, then o_t; a window keeps turns t - window .. t - 1."""
+    t = len(actions)
+    if window is None or window >= t:
+        key = [observations[0]]
+        for i in range(t):
+            key += [actions[i], observations[i + 1]]
+        return tuple(key)
+    key = [observations[0]]
+    for i in range(t - window, t):
+        key += [observations[i], actions[i]]
+    return tuple(key + [observations[t]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_encode_history_equals_the_per_element_reference(data):
+    t = data.draw(st.integers(0, 12))
+    observations = data.draw(st.lists(st.integers(0, 99), min_size=t + 1, max_size=t + 1))
+    actions = data.draw(st.lists(st.integers(0, 5), min_size=t, max_size=t))
+    window = data.draw(st.sampled_from([None, 0, 1, t, t + 1, t + 7]))
+    key = encode_history(np.array(observations), np.array(actions), window)
+    assert key == reference_key(observations, actions, window)
+    assert all(type(x) is int for x in key)
+    full = encode_history(observations, actions)
+    assert window_key(full, window) == key
 
 
 # -- softmax / action_dist ----------------------------------------------------

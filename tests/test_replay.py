@@ -6,7 +6,7 @@ import pytest
 from opdlab.distill import collect_teacher_trajectories, rollout_b2f, rollout_f2b, rollout_opd
 from opdlab.env import EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError
-from opdlab.policy import PolicyParams, forward_kl
+from opdlab.policy import PolicyParams, action_dist, forward_kl
 from opdlab.replay import ExperienceEntry, RingBuffer, decompose
 
 
@@ -25,7 +25,7 @@ def teacher(env):
 
 
 def entry(i, version=0):
-    return ExperienceEntry(history_key=(i,), action=0, student_dist=np.array([0.5, 0.5]),
+    return ExperienceEntry(history_key=(i,), action=0,
                            teacher_dist=np.array([1.0, 0.0]), turn_index=0,
                            turn_kl=float(np.log(2.0)), policy_version=version)
 
@@ -68,8 +68,8 @@ def test_entries_reconstruct_trajectory_loss(env, teacher):
 
     student = PolicyParams(num_actions=env.config.num_actions)
     traj = rollout_opd(env, student, teacher, 2, rng(6))
-    loss, _ = trajectory_loss(traj)
-    from_entries = sum(forward_kl(e.teacher_dist, e.student_dist)
+    loss, _ = trajectory_loss(traj, student)
+    from_entries = sum(forward_kl(e.teacher_dist, action_dist(student, e.history_key))
                        for e in decompose(traj))
     assert from_entries == pytest.approx(loss, abs=1e-12)
 
