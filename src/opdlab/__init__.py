@@ -14,6 +14,7 @@ from .distill import (
     rollout_b2f,
     rollout_f2b,
     rollout_opd,
+    sft_block,
     sft_update,
     trajectory_loss,
 )

@@ -24,19 +24,18 @@ The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
 gradient is q - p, so the learner update is plain gradient descent on the
 logit table. An entry keeps the teacher's row but not the student's: the
-learner (``batch_gradient``), ``trajectory_loss`` and the SFT baseline
-(``sft_update``, ``nll_loss``) recompute it from the params they are given,
-on (N, A) row blocks, one row per entry or stored turn, and give bitwise
-the results of a per-entry loop over the scalar softmax, KL and gradient.
-The SFT turns are materialized once per run by ``store_turns``, which
-replays the stored expert actions through ``Env.play``, as collection and
-``load_store`` do.
+learner (``batch_gradient``) and ``trajectory_loss`` recompute it as one
+(N, A) row block, and ``apply_gradient`` writes its K rows as one (K, A)
+block. The SFT baseline trains an ``SftBlock`` built once per run from
+``store_turns`` (which replays the store through ``Env.play``): its steps
+(``sft_update``, ``nll_loss``) touch only arrays. All give bitwise the
+results of a per-entry loop over the scalar softmax, KL and gradient.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -148,8 +147,9 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
         rows = np.array([get(k, default) for (get, default), k in zip(tables, keys)])
         q_policy = softmax_rows(rows)
         q_sample = q_policy if temperature == 1.0 else softmax_rows(rows, temperature)
-        p_teacher = teacher.turn_rows(t)[row_class[state]]
-        turn_kl = forward_kl_rows(p_teacher, q_policy)
+        cls = row_class[state]
+        p_teacher = teacher.turn_rows(t)[cls]
+        turn_kl = forward_kl_rows(p_teacher, q_policy, teacher.turn_rows(t, log=True)[cls])
         actions = sample_rows(q_sample, v[live, t])
         in_prefix = None
         if t < last_prefix:
@@ -267,20 +267,17 @@ def trajectory_loss(traj: Trajectory, params: PolicyParams,
     return loss, dict(zip(keys, sums))
 
 
-def _student_rows(params: PolicyParams, keys: list[HistoryKey]) -> np.ndarray:
-    """softmax of ``params`` at ``keys`` as (N, A) rows; unseen keys use the default."""
+def _rows_at(params: PolicyParams, keys) -> np.ndarray:
+    """The (N, A) logit rows of ``params`` at ``keys``; unseen keys get the default."""
     get, default = params.logits.get, params.default_logits
-    return softmax_rows(np.array([get(k, default) for k in keys], dtype=np.float64))
+    return np.array([get(k, default) for k in keys], dtype=float).reshape(-1, params.num_actions)
 
 
-def _sum_by_key(keys: list[HistoryKey], rows: np.ndarray):
-    """Per-key sums of ``rows``, added in row order, as ``(keys, sums, counts)``
-    with one entry per distinct key in order of first occurrence."""
+def _slots(keys: list[HistoryKey]) -> tuple[list[HistoryKey], np.ndarray]:
+    """The distinct keys in order of first occurrence, and each key's slot."""
     slot_of: dict[HistoryKey, int] = {}
     slots = [slot_of.setdefault(k, len(slot_of)) for k in keys]
-    sums = np.zeros((len(slot_of), rows.shape[1]))
-    np.add.at(sums, slots, rows)
-    return list(slot_of), sums, np.bincount(slots)
+    return list(slot_of), np.array(slots, dtype=np.intp)
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -291,12 +288,15 @@ def _sum_in_order(values: np.ndarray) -> float:
 
 def _kl_block(entries: list[ExperienceEntry], params: PolicyParams):
     """Summed KL of the entries' teacher rows p against the student rows q of
-    ``params`` at their keys, then _sum_by_key of the logit gradients q - p,
-    as ``(loss, keys, sums, counts)``."""
+    ``params`` at their keys, and the logit gradients q - p summed per _slots
+    key in entry order, as ``(loss, keys, sums, counts)``."""
     keys = [e.history_key for e in entries]
-    q = _student_rows(params, keys)
+    q = softmax_rows(_rows_at(params, keys))
     p = np.array([e.teacher_dist for e in entries], dtype=np.float64)
-    return _sum_in_order(forward_kl_rows(p, q)), *_sum_by_key(keys, q - p)
+    keys, slots = _slots(keys)
+    sums = np.zeros((len(keys), q.shape[1]))
+    np.add.at(sums, slots, q - p)
+    return _sum_in_order(forward_kl_rows(p, q)), keys, sums, np.bincount(slots)
 
 
 def batch_gradient(batch: list[ExperienceEntry], params: PolicyParams,
@@ -320,15 +320,13 @@ def apply_gradient(params: PolicyParams, grads: dict[HistoryKey, np.ndarray],
                    lr: float) -> PolicyParams:
     """Gradient-descent step on the logit table; bumps the version by 1.
 
-    Rows are replaced, never mutated, so previously published snapshots
-    remain valid.
+    The K updated rows are one (K, A) block, old rows - lr * grads, that is
+    never written, so rows are replaced, never mutated, and snapshots stay valid.
     """
-    new_logits = dict(params.logits)
-    for key, g in grads.items():
-        new_logits[key] = params.logits_for(key) - lr * g
-    return PolicyParams(num_actions=params.num_actions, logits=new_logits,
-                        default_logits=params.default_logits,
-                        version=params.version + 1)
+    old = _rows_at(params, grads)
+    new = old - lr * np.reshape(list(grads.values()), old.shape)
+    return PolicyParams(params.num_actions, {**params.logits, **dict(zip(grads, new))},
+                        params.default_logits, params.version + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -465,32 +463,52 @@ def store_turns(env: Env, store: TeacherTrajectoryStore,
     return pairs
 
 
-def _expert_rows(turns: list[tuple[HistoryKey, int]], student: PolicyParams):
-    """Student rows at the turns' keys, and the (row, expert action) index."""
-    keys = [key for key, _ in turns]
-    return keys, _student_rows(student, keys), (np.arange(len(turns)), [a for _, a in turns])
+@dataclass(eq=False)
+class SftBlock:
+    """SFT state as arrays: the turns' distinct history keys in order of first
+    occurrence, each turn's slot among them, the keys' (U, A) logit rows
+    ``z``, which no step writes, and q = softmax_rows(z[slots])."""
+
+    base: PolicyParams  # the table the run started from
+    keys: list[HistoryKey]
+    slots: np.ndarray
+    experts: tuple[np.ndarray, np.ndarray]  # the (turn, expert action) index of q
+    z: np.ndarray
+    q: np.ndarray
+    version: int
+
+    def params(self) -> PolicyParams:
+        """The block's rows laid over ``base``'s, as a table."""
+        logits = {**self.base.logits, **dict(zip(self.keys, self.z))}
+        return PolicyParams(self.base.num_actions, logits, self.base.default_logits, self.version)
 
 
-def sft_update(turns: list[tuple[HistoryKey, int]], student: PolicyParams,
-               lr: float) -> PolicyParams:
-    """One epoch of NLL gradient descent on the stored expert turns.
+def sft_block(turns: list[tuple[HistoryKey, int]], params: PolicyParams) -> SftBlock:
+    """store_turns' ``turns`` as a block that starts from the rows of ``params``."""
+    keys, slots = _slots([key for key, _ in turns])
+    z = _rows_at(params, keys)
+    experts = (np.arange(len(turns)), np.array([a for _, a in turns], dtype=np.intp))
+    return SftBlock(params, keys, slots, experts, z, softmax_rows(z[slots]), params.version)
 
-    ``turns`` is store_turns' output. The per-turn gradient is
-    softmax(logits) - onehot(expert action); turns sharing a key accumulate
-    in turn order. Returns new parameters with version + 1.
-    """
-    if not turns:
+
+def sft_update(block: SftBlock, lr: float) -> SftBlock:
+    """One epoch of NLL gradient descent on the block's turns, as a new block
+    with version + 1: the per-turn gradient is softmax(logits) - onehot(expert
+    action), and turns sharing a key accumulate in turn order, as in a
+    per-turn loop followed by apply_gradient."""
+    if not block.slots.size:
         raise ConfigError("SFT requires a non-empty trajectory store")
-    keys, g, experts = _expert_rows(turns, student)
-    g[experts] -= 1.0
-    keys, sums, _ = _sum_by_key(keys, g)
-    return apply_gradient(student, dict(zip(keys, sums)), lr)
+    g = block.q.copy()
+    g[block.experts] -= 1.0
+    sums = np.zeros_like(block.z)
+    np.add.at(sums, block.slots, g)
+    z = block.z - lr * sums
+    return replace(block, z=z, q=softmax_rows(z[block.slots]), version=block.version + 1)
 
 
-def nll_loss(turns: list[tuple[HistoryKey, int]], student: PolicyParams) -> float:
-    """-sum log softmax(logits)[expert action] over store_turns' turns; 0.0
-    for none."""
-    if not turns:
+def nll_loss(block: SftBlock) -> float:
+    """-sum log softmax(logits)[expert action] over the block's turns, read
+    from the softmax the block holds; 0.0 for none."""
+    if not block.slots.size:
         return 0.0
-    _, q, experts = _expert_rows(turns, student)
-    return _sum_in_order(-np.log(np.maximum(q[experts], 1e-300)))
+    return _sum_in_order(-np.log(np.maximum(block.q[block.experts], 1e-300)))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .policy import PolicyParams, encode_history, softmax
+from .policy import PolicyParams, encode_history, log_rows, softmax
 
 COMPOUNDING_CHAIN = "compounding_chain"
 MEMORY_LOCK = "memory_lock"
@@ -318,17 +318,17 @@ class TeacherPolicy:
         self.num_actions = env.config.num_actions
         self._uniform = np.full(self.num_actions, 1.0 / self.num_actions)
         self.row_class = env.expert * env.recovery_levels + env.recovery
-        self._rows_by_turn: dict[int, np.ndarray] = {}
+        self._tables_by_turn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _gap(self, turn: int) -> float:
         c = self.config
         return (1.0 + c.turn_sharpening * turn) / c.on_support_temperature
 
-    def turn_rows(self, turn: int) -> np.ndarray:
-        """The distributions at ``turn``, one row per (expert action, debt)
-        class, as an (A * debt levels, A) table cached per turn."""
-        rows = self._rows_by_turn.get(turn)
-        if rows is None:
+    def turn_rows(self, turn: int, log: bool = False) -> np.ndarray:
+        """The distributions at ``turn``, or with ``log`` their log_rows, one row
+        per (expert action, debt) class, as an (A * debt levels, A) table cached per turn."""
+        tables = self._tables_by_turn.get(turn)
+        if tables is None:
             sharp = []
             for action in range(self.num_actions):
                 logits = np.zeros(self.num_actions)
@@ -339,9 +339,9 @@ class TeacherPolicy:
             recovery = np.arange(self.env.recovery_levels)
             lam = np.maximum(c.off_support_floor, c.depth_decay ** recovery)[:, None]
             mixed = lam * self._uniform + (1.0 - lam) * sharp
-            rows = np.where((recovery == 0)[:, None], sharp, mixed)
-            rows = self._rows_by_turn[turn] = rows.reshape(-1, self.num_actions)
-        return rows
+            rows = np.where((recovery == 0)[:, None], sharp, mixed).reshape(-1, self.num_actions)
+            tables = self._tables_by_turn[turn] = (rows, log_rows(rows))
+        return tables[1 if log else 0]
 
     def dist(self, state: EnvState) -> np.ndarray:
         """Action distribution for the realized history behind ``state``."""

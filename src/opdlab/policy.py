@@ -57,21 +57,26 @@ def encode_history(observations, actions, window: int | None = None) -> HistoryK
 
 def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Numerically stable softmax of each row of ``logits / temperature``."""
-    z = logits / temperature
+    z = logits if temperature == 1.0 else logits / temperature
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward_kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def log_rows(p: np.ndarray) -> np.ndarray:
+    """log p, with 0 where p = 0: the ``log_p`` that forward_kl_rows takes."""
+    return np.log(np.where(p > 0, p, 1.0))
+
+
+def forward_kl_rows(p: np.ndarray, q: np.ndarray, log_p: np.ndarray | None = None) -> np.ndarray:
     """Exact KL(p[i] || q[i]) over the action set for each row i, teacher first.
 
-    Terms with p_i = 0 contribute zero but stay in the sum, which runs over
+    ``log_p`` is log_rows(p), computed if not given. Terms with p_i = 0 are
+    0 * (0 - log q_i) = +0.0 (q_i <= 1) and stay in the sum, which runs over
     all A entries in order; q is floored at ``Q_FLOOR`` inside the log. Each
     result is clamped at 0 to absorb float round-off.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * (np.log(p) - np.log(np.maximum(q, Q_FLOOR))), 0.0)
-    return np.maximum(terms.sum(axis=1), 0.0)
+    log_p = log_rows(p) if log_p is None else log_p
+    return np.maximum((p * (log_p - np.log(np.maximum(q, Q_FLOOR)))).sum(axis=1), 0.0)
 
 
 def sample_rows(dist: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -136,10 +141,9 @@ class PolicyParams:
     version: int = 0
 
     def __post_init__(self):
-        if self.default_logits is None:
-            self.default_logits = np.zeros(self.num_actions, dtype=np.float64)
-        else:
-            self.default_logits = np.asarray(self.default_logits, dtype=np.float64)
+        default = np.zeros(self.num_actions) if self.default_logits is None else self.default_logits
+        self.default_logits = np.asarray(default, dtype=np.float64)
+        _check_width(self.num_actions, "default", self.default_logits)
 
     def logits_for(self, key: HistoryKey) -> np.ndarray:
         row = self.logits.get(key)
@@ -201,7 +205,6 @@ def load_params(path) -> PolicyParams:
                 raise UsageError("not a policy checkpoint (schema mismatch)")
             params = PolicyParams(int(header["num_actions"]), version=int(header["version"]),
                                   default_logits=np.array(header["default_logits"], dtype=float))
-            _check_width(params.num_actions, "default", params.default_logits)
             for number, line in enumerate(f, start=2):
                 if not line.strip():
                     continue

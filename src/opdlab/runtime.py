@@ -46,6 +46,7 @@ from .distill import (
     nll_loss,
     rollout_batch,
     rollout_lockstep,
+    sft_block,
     sft_update,
     store_turns,
 )
@@ -355,19 +356,16 @@ def _run_sft(config: RunConfig, env: Env, teacher: TeacherPolicy,
         raise ConfigError("sft training requires a non-empty expert "
                           "trajectory store; run collection first")
     eval_rng = _seed_streams(config)[2]
-    params = PolicyParams(num_actions=config.env.num_actions)
     log = MetricsLog()
-    turns = store_turns(env, store, config.window)
+    block = sft_block(store_turns(env, store, config.window), PolicyParams(config.env.num_actions))
 
     for n in range(config.total_steps):
-        params = sft_update(turns, params, config.lr)
-        loss = nll_loss(turns, params) / len(turns)
-        log.append(TrainRecord(step=n, loss=loss, grad_norm=0.0, buffer_size=0,
-                               discarded_stale=0, active_k=0,
-                               mean_staleness=0.0))
+        block = sft_update(block, config.lr)
+        log.append(TrainRecord(step=n, loss=nll_loss(block) / len(block.slots), grad_norm=0.0,
+                               buffer_size=0, discarded_stale=0, active_k=0, mean_staleness=0.0))
         if (n + 1) % config.eval_every == 0 or n == config.total_steps - 1:
-            log.append(evaluate(params, env, teacher, config.eval_episodes,
+            log.append(evaluate(block.params(), env, teacher, config.eval_episodes,
                                 eval_rng, temperature=config.eval_temperature,
                                 window=config.window, step=n, active_k=0))
 
-    return TrainingResult(log=log, final_params=params, max_staleness_seen=0)
+    return TrainingResult(log=log, final_params=block.params(), max_staleness_seen=0)

@@ -21,15 +21,24 @@ from opdlab.distill import (
     rollout_opd,
     nll_loss,
     save_store,
+    sft_block,
     sft_update,
     store_turns,
     trajectory_loss,
 )
 from opdlab.env import EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
-from opdlab.policy import PolicyParams, action_dist, forward_kl, kl_logit_gradient, softmax
+from opdlab.policy import (
+    PolicyParams,
+    action_dist,
+    encode_history,
+    forward_kl,
+    kl_logit_gradient,
+    softmax,
+)
+from opdlab.metrics import MetricsLog, TrainRecord
 from opdlab.replay import ExperienceEntry
-from opdlab.runtime import RunConfig, run_training
+from opdlab.runtime import RunConfig, _seed_streams, evaluate, run_training
 
 
 def rng(seed=0):
@@ -336,13 +345,22 @@ def test_replay_and_load_store_reject_bad_trajectories(env, store, tmp_path, cas
 # -- SFT baseline -----------------------------------------------------------------
 
 
+def sft_step(turns, params, lr):
+    """One sft_update from ``params``, as a table."""
+    return sft_update(sft_block(turns, params), lr).params()
+
+
+def nll(turns, params):
+    return nll_loss(sft_block(turns, params))
+
+
 def test_sft_update_moves_toward_expert_actions(env, sharp_teacher):
     store = collect_teacher_trajectories(env, sharp_teacher, 1, rng(41))
     student = uniform_student(env)
     turns = store_turns(env, store)
-    updated = sft_update(turns, student, 0.5)
+    updated = sft_step(turns, student, 0.5)
     assert updated.version == student.version + 1
-    assert nll_loss(turns, updated) < nll_loss(turns, student)
+    assert nll(turns, updated) < nll(turns, student)
     for key, a_star in turns:
         before = softmax(student.logits_for(key))[a_star]
         after = softmax(updated.logits_for(key))[a_star]
@@ -353,7 +371,7 @@ def test_sft_near_minimum_has_small_update(env, sharp_teacher):
     store = collect_teacher_trajectories(env, sharp_teacher, 1, rng(42))
     params = sharp_teacher.materialize()
     turns = store_turns(env, store)
-    updated = sft_update(turns, params, 0.5)
+    updated = sft_step(turns, params, 0.5)
     deltas = [np.abs(updated.logits_for(k) - params.logits_for(k)).max()
               for k, _ in turns]
     assert max(deltas) < 1e-6
@@ -388,16 +406,16 @@ def test_sft_uniform_single_turn_direction():
 
 def test_sft_on_no_turns():
     student = PolicyParams(num_actions=2)
-    assert nll_loss([], student) == 0.0
+    assert nll([], student) == 0.0
     with pytest.raises(ConfigError):
-        sft_update([], student, 0.5)
+        sft_step([], student, 0.5)
 
 
 def test_nll_of_certain_turns_is_positive_zero():
     # -log 1 is -0.0 per turn; the per-turn loop's 0.0 - 0.0 sum is +0.0
     student = PolicyParams(num_actions=2)
     student.logits[(0,)] = np.array([400.0, -400.0])
-    assert math.copysign(1.0, nll_loss([((0,), 0), ((0,), 0)], student)) == 1.0
+    assert math.copysign(1.0, nll([((0,), 0), ((0,), 0)], student)) == 1.0
 
 
 # -- learner step -----------------------------------------------------------------
@@ -549,8 +567,8 @@ def test_sft_update_and_nll_bitwise_equal_per_turn_loop(data):
         g[a_star] -= 1.0
         ref_grads[key] = ref_grads[key] + g if key in ref_grads else g
         ref_nll -= float(np.log(max(q[a_star], 1e-300)))
-    assert same_bits(nll_loss(turns, params), ref_nll)
-    updated = sft_update(turns, params, 0.7)
+    assert same_bits(nll(turns, params), ref_nll)
+    updated = sft_step(turns, params, 0.7)
     expected = apply_gradient(params, ref_grads, 0.7)
     assert list(updated.logits) == list(expected.logits)
     assert all(same_bits(updated.logits[k], expected.logits[k]) for k in updated.logits)
@@ -583,3 +601,169 @@ def test_trajectory_loss_bitwise_equals_per_turn_loop(data):
     assert same_bits(loss, ref_loss)
     assert list(grads) == list(ref_grads)
     assert all(same_bits(grads[k], ref_grads[k]) for k in grads)
+
+
+# -- the SFT block and the row-block apply_gradient against per-key loops ----------
+
+
+def reference_sft(turns, params, lr, steps):
+    """SFT by its per-turn definitions on a dict table: each step sums every
+    turn's softmax - onehot per key in turn order, updates each key's row in
+    first-occurrence order, then takes the NLL turn by turn. Returns the
+    table and NLL after each step."""
+    default = params.default_logits
+    logits = dict(params.logits)
+    tables, losses = [], []
+    for _ in range(steps):
+        grads = {}
+        for key, a_star in turns:
+            g = softmax(logits.get(key, default)).copy()
+            g[a_star] -= 1.0
+            grads[key] = grads[key] + g if key in grads else g
+        for key, g in grads.items():
+            logits[key] = logits.get(key, default) - lr * g
+        loss = 0.0
+        for key, a_star in turns:
+            loss -= float(np.log(max(softmax(logits.get(key, default))[a_star], 1e-300)))
+        tables.append(dict(logits))
+        losses.append(loss)
+    return tables, losses
+
+
+def assert_same_table(params, table):
+    assert list(params.logits) == list(table)
+    assert all(same_bits(params.logits[k], table[k]) for k in table)
+
+
+def check_sft_against_reference(turns, params, lr, steps):
+    ref_tables, ref_losses = reference_sft(turns, params, lr, steps)
+    block = sft_block(turns, params)
+    kept = {k: row.copy() for k, row in params.logits.items()}
+    stepped = []
+    for n in range(steps):
+        block = sft_update(block, lr)
+        assert same_bits(nll_loss(block), ref_losses[n])
+        stepped.append(block.params())
+        assert stepped[-1].version == params.version + n + 1
+        # the starting rows outside the turns come back as they were
+        turn_keys = {key for key, _ in turns}
+        assert all(stepped[-1].logits[k] is row for k, row in params.logits.items()
+                   if k not in turn_keys)
+    # no step writes the rows of an earlier step's table, or the starting table
+    for table, ref in zip(stepped, ref_tables):
+        assert_same_table(table, ref)
+    assert all(same_bits(params.logits[k], row) for k, row in kept.items())
+
+
+@st.composite
+def sft_case(draw):
+    """store_turns-like turns over a few short trajectories whose tokens come
+    from three values, so window-2 keys alias; a starting table that holds
+    some turn keys and rows outside the turns; wide logits, so some turns
+    are certain."""
+    a = draw(st.integers(2, 8))
+    window = draw(st.sampled_from([None, 2]))
+    turns = []
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(1, 6))
+        tokens = draw(st.lists(st.integers(0, 2), min_size=length + 1, max_size=length + 1))
+        actions = draw(st.lists(st.integers(0, a - 1), min_size=length, max_size=length))
+        turns += [(encode_history(tokens[:t + 1], actions[:t], window), actions[t])
+                  for t in range(length)]
+    row = arrays(np.float64, a, elements=st.floats(-400, 400))
+    params = PolicyParams(num_actions=a, default_logits=draw(row),
+                          version=draw(st.integers(0, 3)))
+    for key, _ in turns:
+        if key not in params.logits and draw(st.booleans()):
+            params.logits[key] = draw(row)
+    for i in range(draw(st.integers(0, 3))):
+        params.logits[(-1 - i,)] = draw(row)  # no history has a negative token
+    return turns, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(sft_case(), st.integers(1, 5), st.sampled_from([0.1, 0.7, 3.0]))
+def test_sft_block_steps_bitwise_equal_per_turn_loop(case, steps, lr):
+    turns, params = case
+    check_sft_against_reference(turns, params, lr, steps)
+
+
+def test_sft_block_of_certain_turns_keeps_a_positive_zero_nll():
+    params = PolicyParams(num_actions=2)
+    params.logits[(0,)] = np.array([400.0, -400.0])
+    turns = [((0,), 0), ((0,), 0)]
+    check_sft_against_reference(turns, params, 0.7, 3)
+    block = sft_block(turns, params)
+    for _ in range(3):
+        block = sft_update(block, 0.7)
+        assert math.copysign(1.0, nll_loss(block)) == 1.0
+
+
+def test_sft_block_of_no_turns_is_the_starting_table():
+    params = PolicyParams(num_actions=3, version=2)
+    params.logits[(5,)] = np.array([1.0, 2.0, 3.0])
+    block = sft_block([], params)
+    assert nll_loss(block) == 0.0
+    with pytest.raises(ConfigError):
+        sft_update(block, 0.5)
+    table = block.params()
+    assert table.version == 2 and table.logits == {(5,): params.logits[(5,)]}
+
+
+@pytest.mark.parametrize("window", [None, 2])
+def test_sft_run_bitwise_equals_per_turn_loop(env, window):
+    """run_training's SFT records and final table against reference_sft, with
+    each evaluation made on the reference table of its step."""
+    config = RunConfig(algo="sft", total_steps=12, eval_every=5, eval_episodes=16,
+                       seed=3, window=window)
+    teacher = make_teacher(env)
+    store = collect_teacher_trajectories(env, teacher, config.pass_m, rng(17))
+    turns = store_turns(env, store, window)
+    start = PolicyParams(num_actions=env.config.num_actions)
+    tables, losses = reference_sft(turns, start, config.lr, config.total_steps)
+    eval_rng = _seed_streams(config)[2]
+    expected = MetricsLog()  # which rounds floats as the run's log does
+    for n, (table, loss) in enumerate(zip(tables, losses)):
+        expected.append(TrainRecord(step=n, loss=loss / len(turns), grad_norm=0.0,
+                                    buffer_size=0, discarded_stale=0, active_k=0,
+                                    mean_staleness=0.0))
+        if (n + 1) % config.eval_every == 0 or n == config.total_steps - 1:
+            params = PolicyParams(num_actions=start.num_actions, logits=table, version=n + 1)
+            expected.append(evaluate(params, env, teacher, config.eval_episodes, eval_rng,
+                                     temperature=config.eval_temperature, window=window,
+                                     step=n, active_k=0))
+    result = run_training(config, store)
+    # repr keeps every float bit, and the sign of a zero
+    assert [repr(r) for r in result.log.records] == [repr(r) for r in expected.records]
+    assert_same_table(result.final_params, tables[-1])
+    assert result.final_params.version == config.total_steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_gradient_bitwise_equals_per_key_loop(data):
+    params, keys = data.draw(row_block_case())  # unseen keys start on the default row
+    a = params.num_actions
+    grads = {k: data.draw(arrays(np.float64, a, elements=st.floats(-50, 50)))
+             for k in dict.fromkeys(keys)}
+    lr = data.draw(st.sampled_from([0.1, 0.7, 3.0]))
+    expected = dict(params.logits)
+    for key, g in grads.items():
+        expected[key] = params.logits_for(key) - lr * g
+    updated = apply_gradient(params, grads, lr)
+    assert_same_table(updated, expected)
+    assert updated.version == params.version + 1
+    assert updated.default_logits is params.default_logits
+
+
+def test_apply_gradient_leaves_earlier_rows_unchanged():
+    gen = rng(9)
+    params = PolicyParams(num_actions=4)
+    published = []
+    for n in range(6):
+        keys = [(int(i),) for i in gen.choice(5, size=3, replace=False)]
+        params = apply_gradient(params, {k: gen.normal(size=4) for k in keys}, 0.7)
+        published.append((params, {k: row.copy() for k, row in params.logits.items()}))
+    for table, rows in published:
+        assert_same_table(table, rows)
+    assert apply_gradient(params, {}, 0.7).logits == params.logits

@@ -339,6 +339,14 @@ def test_load_rejects_row_of_wrong_width(tmp_path, row):
 
 def test_load_rejects_default_row_of_wrong_width(tmp_path):
     path = tmp_path / "ckpt.jsonl"
-    save_params(PolicyParams(num_actions=3, default_logits=np.zeros(2)), path)
+    header = {"schema": 1, "kind": "policy_params", "num_actions": 3, "version": 0,
+              "default_logits": [0.0, 0.0]}
+    path.write_text(json.dumps(header) + "\n")
     with pytest.raises(UsageError, match="default"):
         load_params(path)
+
+
+@pytest.mark.parametrize("default", [np.zeros(2), np.zeros(4), np.zeros((1, 3))])
+def test_params_reject_default_row_of_wrong_shape(default):
+    with pytest.raises(UsageError, match="default"):
+        PolicyParams(num_actions=3, default_logits=default)
