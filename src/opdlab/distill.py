@@ -6,30 +6,38 @@ its inputs, which ``rollout_batch`` sets: vanilla on-policy distillation
 lets the student act for the whole horizon, forward-curriculum (f2b) stops
 after k student turns, and backward-curriculum (b2f) first replays the
 first L - k actions of a stored expert trajectory. Evaluation is an opd
-batch. It carries the live episodes' state ids and steps them through the
-env's compiled tables (``next_state``, ``token``, ``success``) and the
-teacher's per-turn row tables, so a turn costs a few array lookups on top
-of the student's rows. Each episode reads its own row of uniforms, and its
-student turn i samples from entry i of the row, so expert-prefix turns
-draw nothing and an episode's results do not depend on the other episodes
-of its batch.
-``rollout_opd``, ``rollout_f2b`` and ``rollout_b2f`` are one-episode
-batches. Each episode keeps its full history, and ``policy.window_key``
-cuts it down to the turn's table key. A trajectory records one
-``ExperienceEntry`` per student turn, which is also its replay entry;
-expert-prefix turns are recorded only as their history keys
-(``prefix_keys``), so they are outside every loss and gradient.
+batch. The engine carries the live episodes' env state ids, stepped
+through the env's compiled tables (``next_state``, ``token``,
+``success``), and their history ids, stepped through the students'
+``KeyIndex``; a turn gathers each episode's student row by slot, whose
+softmax cumsum and floored log were computed when the row was written, and
+its teacher row from the teacher's per-turn tables, so a turn is a few
+array operations whatever the batch width, and only a history new to the
+index touches Python. ``policy.window_key`` cuts a full history down to
+its table key, once per new history. Each episode reads its own row of
+uniforms, and its student turn i samples from entry i of the row, so
+expert-prefix turns draw nothing and an episode's results do not depend on
+the other episodes of its batch. ``rollout_opd``, ``rollout_f2b`` and
+``rollout_b2f`` are one-episode batches.
+
+A training batch comes back as ``Rollouts``: (B, horizon_cap) columns of
+key ids, actions, teacher rows and turn KL, from which the runtime takes
+the replay columns (``Rollouts.student_turns``) and the per-episode KL
+sums; expert-prefix turns are kept only as key ids, outside every loss and
+gradient. Indexing a ``Rollouts`` builds episode e as a ``Trajectory`` of
+``ExperienceEntry`` turns, for tests and one-episode callers.
 
 The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
 gradient is q - p, so the learner update is plain gradient descent on the
 logit table. An entry keeps the teacher's row but not the student's: the
 learner (``batch_gradient``) and ``trajectory_loss`` recompute it as one
-(N, A) row block, and ``apply_gradient`` writes its K rows as one (K, A)
-block. The SFT baseline trains an ``SftBlock`` built once per run from
-``store_turns`` (which replays the store through ``Env.play``): its steps
-(``sft_update``, ``nll_loss``) touch only arrays. All give bitwise the
-results of a per-entry loop over the scalar softmax, KL and gradient.
+(N, A) row block gathered by key id, and ``apply_gradient`` writes its K
+rows as one (K, A) block. The SFT baseline trains an ``SftBlock`` built
+once per run from ``store_turns`` (which replays the store through
+``Env.play``): its steps (``sft_update``, ``nll_loss``) touch only arrays.
+All give bitwise the results of a per-entry loop over the scalar softmax,
+KL and gradient.
 """
 
 from __future__ import annotations
@@ -45,15 +53,18 @@ from .env import Env, EnvState, TeacherPolicy
 from .errors import ConfigError, UsageError
 from .policy import (
     HistoryKey,
+    KeyIndex,
     PolicyParams,
+    RowBlock,
     encode_history,
     forward_kl_rows,
     sample_action,
+    sample_cum,
     sample_rows,
     softmax_rows,
     window_key,
 )
-from .replay import ExperienceEntry
+from .replay import ExperienceEntry, Turns
 
 ALGO_OPD = "opd"
 ALGO_F2B = "f2b"
@@ -81,9 +92,74 @@ class Trajectory:
         return len(self.prefix_keys)
 
 
+@dataclass(eq=False)
+class Rollouts:
+    """A batch of rollouts as columns: entry (e, t) of the (B, horizon_cap)
+    ``keys`` (key ids of ``index``), ``actions``, ``teacher`` (rows) and
+    ``kl`` is episode e's turn t. Episode e played prefix_len[e] expert
+    turns, then rounds[e] student turns; later entries are 0. As a sequence,
+    item e is episode e as a Trajectory, built on demand."""
+
+    index: KeyIndex
+    algo: str
+    task_ids: np.ndarray
+    versions: np.ndarray
+    keys: np.ndarray
+    actions: np.ndarray
+    teacher: np.ndarray
+    kl: np.ndarray
+    prefix_len: np.ndarray
+    rounds: np.ndarray
+    success: np.ndarray
+
+    def student_mask(self) -> np.ndarray:
+        """(B, horizon_cap): True at each episode's student turns."""
+        t = np.arange(self.kl.shape[1])
+        return (t >= self.prefix_len[:, None]) & (t < (self.prefix_len + self.rounds)[:, None])
+
+    def student_turns(self) -> Turns:
+        """The replay entries of the batch: its student turns, episode by
+        episode, each in turn order."""
+        e, t = np.nonzero(self.student_mask())
+        return Turns(self.index, self.keys[e, t], self.actions[e, t], t,
+                     self.teacher[e, t], self.kl[e, t], self.versions[e])
+
+    def kl_sums(self) -> np.ndarray:
+        """Each episode's summed student-turn KL, added left to right from 0.0
+        (the KL after an episode ends is 0.0, so only the prefix is masked)."""
+        kl = self.kl
+        if self.prefix_len.any():
+            kl = np.where(np.arange(kl.shape[1]) >= self.prefix_len[:, None], kl, 0.0)
+        return 0.0 + np.cumsum(kl, axis=1)[:, -1]
+
+    def __len__(self) -> int:
+        return len(self.task_ids)
+
+    def __getitem__(self, e):
+        if isinstance(e, slice):
+            return [self[i] for i in range(*e.indices(len(self)))]
+        p, r, version = int(self.prefix_len[e]), int(self.rounds[e]), int(self.versions[e])
+        keys = self.index.keys(self.keys[e, :p + r])
+        turns = [ExperienceEntry(keys[t], int(self.actions[e, t]), self.teacher[e, t], t,
+                                 float(self.kl[e, t]), version) for t in range(p, p + r)]
+        return Trajectory(int(self.task_ids[e]), turns, keys[:p], bool(self.success[e]),
+                          version, self.algo)
+
+
 # ---------------------------------------------------------------------------
 # Rollouts
 # ---------------------------------------------------------------------------
+
+
+def _tables(students) -> tuple[KeyIndex, list[PolicyParams], np.ndarray]:
+    """The index of students[0], the distinct tables of ``students`` on it
+    (each re-homed once if it is of another lineage) and each episode's
+    table number."""
+    index, distinct = students[0].index, {}
+    group = np.array([distinct.setdefault(id(s), len(distinct)) for s in students],
+                     dtype=np.intp)
+    tables = {id(s): s for s in students}
+    return index, [tables[i].on(index) for i in distinct], group
 
 
 def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np.ndarray, *,
@@ -98,14 +174,22 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
     student acts until the goal, the horizon cap or ``max_student_turns``
     student turns. Student turn i samples by inverse CDF from u[e, i], so an
     episode depends only on its own row of ``u`` (shape (B, horizon_cap)),
-    not on the other episodes. Each turn gathers the live rows as one (B, A)
-    and steps the live episodes' state ids through ``env.next_state``.
-    ``temperature`` must be > 0 (ConfigError otherwise, before any sampling).
+    not on the other episodes. ``temperature`` must be > 0 (ConfigError
+    otherwise, before any sampling).
 
-    Returns ``(kl, rounds, success, trajectories)``: the (B, horizon_cap)
+    The live episodes are arrays: env state ids, stepped through
+    ``env.next_state``, and history ids in the students' KeyIndex, stepped
+    through its memoized child edges; a turn gathers each episode's cached
+    softmax cumsum (or, at a temperature other than 1, its logits) and
+    floored log at its key's slot. Only a history new to the index touches
+    Python. With ``algo`` given every history is interned; without
+    (evaluation) none is, so the index does not grow: a full history outside
+    it reads the default row, and a windowed one is cut from its tuple.
+
+    Returns ``(kl, rounds, success, rollouts)``: the (B, horizon_cap)
     per-turn KL on every turn played (0 after an episode ends), each
-    episode's student turns and success, and with ``algo`` given one
-    Trajectory per episode tagged ``algo`` (else None, as for evaluation).
+    episode's student turns and success, and with ``algo`` given the batch
+    as Rollouts tagged ``algo`` (else None, as for evaluation).
     """
     n, horizon = len(task_ids), env.config.horizon_cap
     if not temperature > 0:
@@ -126,65 +210,77 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
             v[e, p:], forced[e, :p] = u[e, :horizon - p], prefix
     end = prefix_len + (horizon if max_student_turns is None else max_student_turns)
     first_end, last_prefix = int(end.min(initial=horizon)), int(prefix_len.max(initial=0))
-    trajs = None if algo is None else [
-        Trajectory(task_id=int(t), turns=[], prefix_keys=[], success=False,
-                   policy_version=s.version, algo=algo) for t, s in zip(task, students)]
 
+    record = algo is not None
+    index, tables, group = _tables(students)
+    a = env.config.num_actions
     kl = np.zeros((n, horizon))
     played = np.full(n, horizon)  # turns each episode played, prefix included
     success = np.zeros(n, dtype=bool)
-    # state ids of the live episodes only, in the order of ``live``
+    if record:
+        key_col = np.zeros((n, horizon), dtype=np.int64)
+        action_col = np.zeros((n, horizon), dtype=np.int64)
+        teacher_col = np.zeros((n, horizon, a))
+    # the live episodes, their state ids and their full histories' key ids
     live = np.arange(n)
     state = env.initial_state[task]
     next_state, token, reached = env.next_state, env.token, env.success
     row_class = teacher.row_class
-    tables = [(s.logits.get, s.default_logits) for s in students]
-    # full histories (o_0, a_0, ..., o_t); a window keeps o_0 and the tail
-    histories = [(tok,) for tok in env.initial_tokens[task].tolist()]
+    roots = env.initial_tokens[task].tolist()
+    node = np.array([index.root(o, record) for o in roots], dtype=np.int64)
+    # full histories outside the index, by episode, when a window must cut them
+    cut = window is not None and not record
+    outside = {e: (o,) for e, (o, i) in enumerate(zip(roots, node.tolist())) if cut and not i}
 
     for t in range(horizon):
-        keys = histories if window is None else [window_key(h, window) for h in histories]
-        rows = np.array([get(k, default) for (get, default), k in zip(tables, keys)])
-        q_policy = softmax_rows(rows)
-        q_sample = q_policy if temperature == 1.0 else softmax_rows(rows, temperature)
-        cls = row_class[state]
-        p_teacher = teacher.turn_rows(t)[cls]
-        turn_kl = forward_kl_rows(p_teacher, q_policy, teacher.turn_rows(t, log=True)[cls])
-        actions = sample_rows(q_sample, v[live, t])
+        # the live rows of (B, ...) arrays; X[:, t][here] indexes faster than X[here, t]
+        here = live if live.size < n else slice(None)
+        key = node if window is None else index.windowed(node, window, record)
+        for i in np.flatnonzero(node == 0).tolist() if cut else ():
+            key[i] = index.find(window_key(outside[int(live[i])], window))
+        slots = index.slot[key]  # re-read: interning may have grown the index
+        # each episode reads the first table's row, then those of another table its own
+        rows = tables[0].read(slots)
+        for j in range(1, len(tables)):
+            mine = group[live] == j
+            rows[mine] = tables[j].read(slots[mine])
+        # the teacher's rows and their logs (take gathers rows faster than [])
+        pair = teacher.turn_table(t).take(row_class[state], axis=0)
+        p_teacher = pair[:, :a]
+        turn_kl = forward_kl_rows(p_teacher, None, pair[:, a:], rows[:, 2 * a:])
+        if temperature == 1.0:
+            actions = sample_cum(rows[:, a:2 * a], v[:, t][here])
+        else:
+            actions = sample_rows(softmax_rows(rows[:, :a], temperature), v[:, t][here])
         in_prefix = None
         if t < last_prefix:
-            in_prefix = prefix_len[live] > t
-            actions = np.where(in_prefix, forced[live, t], actions)
-        kl[live, t] = turn_kl
-        if trajs is not None:
-            flags = [False] * len(keys) if in_prefix is None else in_prefix.tolist()
-            for e, key, prefix, a, d, p in zip(live.tolist(), keys, flags, actions.tolist(),
-                                               turn_kl.tolist(), p_teacher):
-                if prefix:
-                    trajs[e].prefix_keys.append(key)
-                else:
-                    trajs[e].turns.append(ExperienceEntry(
-                        history_key=key, action=a, teacher_dist=p, turn_index=t,
-                        turn_kl=d, policy_version=trajs[e].policy_version))
+            in_prefix = prefix_len[here] > t
+            actions = np.where(in_prefix, forced[:, t][here], actions)
+        kl[:, t][here] = turn_kl
+        if record:
+            key_col[:, t][here], action_col[:, t][here], teacher_col[:, t][here] = (
+                key, actions, p_teacher)
         state = next_state[state, actions]
         tokens, won = token[state], reached[state]
-        if in_prefix is not None and (won & (t + 1 < prefix_len[live])).any():
+        if in_prefix is not None and np.count_nonzero(won & (t + 1 < prefix_len[here])):
             raise UsageError("a stored trajectory reached its goal during its expert prefix")
-        histories = [h + (a, o) for h, a, o in
-                     zip(histories, actions.tolist(), tokens.tolist())]
-        ended = won if t + 1 < first_end else won | (end[live] == t + 1)
-        if ended.any():
+        child = index.step(node, actions, tokens, record)
+        for i in np.flatnonzero(child == 0).tolist() if cut else ():
+            e, step = int(live[i]), (int(actions[i]), int(tokens[i]))
+            outside[e] = (outside[e] if node[i] == 0 else index.key(node.item(i))) + step
+        node = child
+        ended = won if t + 1 < first_end else won | (end[here] == t + 1)
+        if np.count_nonzero(ended):
             played[live[ended]] = t + 1
             success[live[won]] = True
             keep = ~ended
-            live, state = live[keep], state[keep]
-            histories = [h for h, k in zip(histories, keep.tolist()) if k]
-            tables = [s for s, k in zip(tables, keep.tolist()) if k]
+            live, state, node = live[keep], state[keep], node[keep]
             if not live.size:
                 break
-    for traj, won in zip(trajs or (), success.tolist()):
-        traj.success = won
-    return kl, played - prefix_len, success, trajs
+    rollouts = None if not record else Rollouts(
+        index, algo, task, np.array([s.version for s in students], dtype=np.int64), key_col,
+        action_col, teacher_col, kl, prefix_len, played - prefix_len, success)
+    return kl, played - prefix_len, success, rollouts
 
 
 def max_student_turns(algo: str, k: int, horizon: int) -> int:
@@ -194,7 +290,7 @@ def max_student_turns(algo: str, k: int, horizon: int) -> int:
 
 def rollout_batch(algo: str, env: Env, students, teacher: TeacherPolicy, task_ids,
                   k: int, u: np.ndarray, *, store=None, temperature: float = 1.0,
-                  window: int | None = None) -> list[Trajectory]:
+                  window: int | None = None) -> Rollouts:
     """``algo`` rollouts at curriculum horizon k as one rollout_lockstep batch:
     the student acts for the whole horizon (opd), for min(k, horizon_cap)
     turns (f2b), or after the first L - k stored expert actions (b2f)."""
@@ -251,8 +347,7 @@ def rollout_b2f(env, store, student, teacher, task_id, k, rng, *, temperature=1.
 # ---------------------------------------------------------------------------
 
 
-def trajectory_loss(traj: Trajectory, params: PolicyParams,
-                    ) -> tuple[float, dict[HistoryKey, np.ndarray]]:
+def trajectory_loss(traj: Trajectory, params: PolicyParams) -> tuple[float, RowBlock]:
     """Summed KL over student-executed turns plus its sparse logit gradient,
     with the student's distributions recomputed at ``params`` (temperature 1).
 
@@ -263,21 +358,16 @@ def trajectory_loss(traj: Trajectory, params: PolicyParams,
     """
     if not traj.turns:
         return 0.0, {}
-    loss, keys, sums, _ = _kl_block(traj.turns, params)
-    return loss, dict(zip(keys, sums))
+    loss, sums, _ = _kl_block(Turns.of(traj.turns, params.index), params)
+    return loss, sums
 
 
-def _rows_at(params: PolicyParams, keys) -> np.ndarray:
-    """The (N, A) logit rows of ``params`` at ``keys``; unseen keys get the default."""
-    get, default = params.logits.get, params.default_logits
-    return np.array([get(k, default) for k in keys], dtype=float).reshape(-1, params.num_actions)
-
-
-def _slots(keys: list[HistoryKey]) -> tuple[list[HistoryKey], np.ndarray]:
-    """The distinct keys in order of first occurrence, and each key's slot."""
-    slot_of: dict[HistoryKey, int] = {}
-    slots = [slot_of.setdefault(k, len(slot_of)) for k in keys]
-    return list(slot_of), np.array(slots, dtype=np.intp)
+def _first_occurrence(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``ids`` in order of first occurrence, and each entry's
+    position among them (a dict on a few dozen ints beats np.unique)."""
+    position: dict[int, int] = {}
+    slots = [position.setdefault(i, len(position)) for i in ids.tolist()]
+    return np.array(list(position), dtype=np.int64), np.array(slots, dtype=np.intp)
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -286,47 +376,47 @@ def _sum_in_order(values: np.ndarray) -> float:
     return 0.0 + float(np.cumsum(values)[-1])
 
 
-def _kl_block(entries: list[ExperienceEntry], params: PolicyParams):
+def _kl_block(turns: Turns, params: PolicyParams) -> tuple[float, RowBlock, np.ndarray]:
     """Summed KL of the entries' teacher rows p against the student rows q of
-    ``params`` at their keys, and the logit gradients q - p summed per _slots
-    key in entry order, as ``(loss, keys, sums, counts)``."""
-    keys = [e.history_key for e in entries]
-    q = softmax_rows(_rows_at(params, keys))
-    p = np.array([e.teacher_dist for e in entries], dtype=np.float64)
-    keys, slots = _slots(keys)
-    sums = np.zeros((len(keys), q.shape[1]))
+    ``params`` at their keys, the logit gradients q - p summed per distinct
+    key (in order of first occurrence) in entry order, and each key's count."""
+    params = params.on(turns.index)
+    ids, slots = _first_occurrence(turns.key)
+    q = softmax_rows(params.rows(turns.key))
+    p = turns.teacher
+    sums = np.zeros((len(ids), q.shape[1]))
     np.add.at(sums, slots, q - p)
-    return _sum_in_order(forward_kl_rows(p, q)), keys, sums, np.bincount(slots)
+    return (_sum_in_order(forward_kl_rows(p, q)), RowBlock(turns.index, ids, sums),
+            np.bincount(slots))
 
 
-def batch_gradient(batch: list[ExperienceEntry], params: PolicyParams,
-                   ) -> tuple[float, dict[HistoryKey, np.ndarray]]:
+def batch_gradient(batch: Turns, params: PolicyParams) -> tuple[float, RowBlock]:
     """Mean loss and per-key mean gradient over a replay batch.
 
     The student distribution is recomputed at the current parameters, so
     repeated steps on a fixed batch descend the current KL objective. The
     gradient for a key is averaged over that key's occurrences in the batch,
     keeping the learning rate independent of batch composition. The batch
-    is one (N, A) row block; the result is bitwise the per-entry sum of
-    forward_kl and kl_logit_gradient in batch order.
+    is one (N, A) row block gathered by key id; the result is bitwise the
+    per-entry sum of forward_kl and kl_logit_gradient in batch order.
     """
-    if not batch:
+    if not len(batch):
         raise UsageError("empty batch")
-    loss, keys, sums, counts = _kl_block(batch, params)
-    return loss / len(batch), dict(zip(keys, sums / counts[:, None]))
+    loss, sums, counts = _kl_block(batch, params)
+    return loss / len(batch), RowBlock(sums.index, sums.ids, sums.rows / counts[:, None])
 
 
-def apply_gradient(params: PolicyParams, grads: dict[HistoryKey, np.ndarray],
-                   lr: float) -> PolicyParams:
+def apply_gradient(params: PolicyParams, grads, lr: float) -> PolicyParams:
     """Gradient-descent step on the logit table; bumps the version by 1.
 
-    The K updated rows are one (K, A) block, old rows - lr * grads, that is
-    never written, so rows are replaced, never mutated, and snapshots stay valid.
+    ``grads`` maps keys to gradient rows (a RowBlock, or any mapping). The K
+    updated rows are one (K, A) block, old rows - lr * grads, written into
+    the lineage's row store by ``with_rows``; the rows they replace go to the
+    older tables as undo records, so published tables stay valid.
     """
-    old = _rows_at(params, grads)
-    new = old - lr * np.reshape(list(grads.values()), old.shape)
-    return PolicyParams(params.num_actions, {**params.logits, **dict(zip(grads, new))},
-                        params.default_logits, params.version + 1)
+    grads = RowBlock.of(grads, params.index, params.num_actions)
+    return params.with_rows(grads.ids, params.rows(grads.ids) - lr * grads.rows,
+                            params.version + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +555,13 @@ def store_turns(env: Env, store: TeacherTrajectoryStore,
 
 @dataclass(eq=False)
 class SftBlock:
-    """SFT state as arrays: the turns' distinct history keys in order of first
-    occurrence, each turn's slot among them, the keys' (U, A) logit rows
-    ``z``, which no step writes, and q = softmax_rows(z[slots])."""
+    """SFT state as arrays: the turns' distinct history keys (ids in
+    ``base.index``) in order of first occurrence, each turn's slot among
+    them, the keys' (U, A) logit rows ``z``, which no step writes, and
+    q = softmax_rows(z[slots])."""
 
     base: PolicyParams  # the table the run started from
-    keys: list[HistoryKey]
+    ids: np.ndarray
     slots: np.ndarray
     experts: tuple[np.ndarray, np.ndarray]  # the (turn, expert action) index of q
     z: np.ndarray
@@ -478,17 +569,17 @@ class SftBlock:
     version: int
 
     def params(self) -> PolicyParams:
-        """The block's rows laid over ``base``'s, as a table."""
-        logits = {**self.base.logits, **dict(zip(self.keys, self.z))}
-        return PolicyParams(self.base.num_actions, logits, self.base.default_logits, self.version)
+        """The block's rows written over a copy of ``base``, as a table."""
+        return self.base.with_rows(self.ids, self.z, self.version, copy=True)
 
 
 def sft_block(turns: list[tuple[HistoryKey, int]], params: PolicyParams) -> SftBlock:
     """store_turns' ``turns`` as a block that starts from the rows of ``params``."""
-    keys, slots = _slots([key for key, _ in turns])
-    z = _rows_at(params, keys)
+    ids = np.array([params.index.intern(key) for key, _ in turns], dtype=np.int64)
+    ids, slots = _first_occurrence(ids)
+    z = params.rows(ids)
     experts = (np.arange(len(turns)), np.array([a for _, a in turns], dtype=np.intp))
-    return SftBlock(params, keys, slots, experts, z, softmax_rows(z[slots]), params.version)
+    return SftBlock(params, ids, slots, experts, z, softmax_rows(z[slots]), params.version)
 
 
 def sft_update(block: SftBlock, lr: float) -> SftBlock:

@@ -318,7 +318,7 @@ class TeacherPolicy:
         self.num_actions = env.config.num_actions
         self._uniform = np.full(self.num_actions, 1.0 / self.num_actions)
         self.row_class = env.expert * env.recovery_levels + env.recovery
-        self._tables_by_turn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._tables_by_turn: dict[int, tuple[np.ndarray, ...]] = {}  # (table, rows, logs)
 
     def _gap(self, turn: int) -> float:
         c = self.config
@@ -327,6 +327,11 @@ class TeacherPolicy:
     def turn_rows(self, turn: int, log: bool = False) -> np.ndarray:
         """The distributions at ``turn``, or with ``log`` their log_rows, one row
         per (expert action, debt) class, as an (A * debt levels, A) table cached per turn."""
+        self.turn_table(turn)
+        return self._tables_by_turn[turn][2 if log else 1]
+
+    def turn_table(self, turn: int) -> np.ndarray:
+        """turn_rows and its log side by side, (A * debt levels, 2A)."""
         tables = self._tables_by_turn.get(turn)
         if tables is None:
             sharp = []
@@ -340,8 +345,10 @@ class TeacherPolicy:
             lam = np.maximum(c.off_support_floor, c.depth_decay ** recovery)[:, None]
             mixed = lam * self._uniform + (1.0 - lam) * sharp
             rows = np.where((recovery == 0)[:, None], sharp, mixed).reshape(-1, self.num_actions)
-            tables = self._tables_by_turn[turn] = (rows, log_rows(rows))
-        return tables[1 if log else 0]
+            table = np.concatenate([rows, log_rows(rows)], axis=1)
+            tables = self._tables_by_turn[turn] = (
+                table, table[:, :self.num_actions], table[:, self.num_actions:])
+        return tables[0]
 
     def dist(self, state: EnvState) -> np.ndarray:
         """Action distribution for the realized history behind ``state``."""
@@ -354,15 +361,15 @@ class TeacherPolicy:
         each visited history key; unseen keys fall back to the uniform
         default. The result reproduces the teacher exactly on expert paths.
         """
-        params = PolicyParams(num_actions=self.num_actions)
+        rows = {}
         for task_id in range(self.env.config.task_count):
             states, actions = self.env.play(task_id, self.env.expert_action)
             tokens = [s.token for s in states]
             for t, expert in enumerate(actions):
                 logits = np.zeros(self.num_actions)
                 logits[expert] = self._gap(t)
-                params.logits[encode_history(tokens[:t + 1], actions[:t], window)] = logits
-        return params
+                rows[encode_history(tokens[:t + 1], actions[:t], window)] = logits
+        return PolicyParams(self.num_actions, rows)
 
 
 def make_teacher(env: Env, **overrides) -> TeacherPolicy:

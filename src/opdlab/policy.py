@@ -5,12 +5,25 @@ vector; the action distribution is the softmax of those logits at a given
 temperature. KL divergence and its logit gradient are computed exactly
 over the action set (no sampling), which keeps the distillation losses
 variance-free.
+
+Keys are int ids. A ``KeyIndex``, shared by the tables of one lineage,
+holds full histories as a trie (each id knows its parent, last action and
+last token), so the rollout engine advances a batch of histories with one
+array gather, and keeps any other key as a tuple. A ``PolicyParams`` reads
+its rows by slot from a store the lineage shares; each row holds the logits
+and, computed once when the row is written, the cumulative sums of their
+softmax and its floored log, which is what a rollout turn reads. A learner
+step writes its K rows into the store in place and leaves every other
+table of the store an undo record of the rows it replaced. ``logits`` keeps
+the table's dict face: a mutable mapping from key tuple to row.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
-from dataclasses import dataclass, field
+import weakref
+from collections.abc import Mapping, MutableMapping
 
 import numpy as np
 
@@ -67,23 +80,37 @@ def log_rows(p: np.ndarray) -> np.ndarray:
     return np.log(np.where(p > 0, p, 1.0))
 
 
-def forward_kl_rows(p: np.ndarray, q: np.ndarray, log_p: np.ndarray | None = None) -> np.ndarray:
+def log_floor(q: np.ndarray) -> np.ndarray:
+    """log q with q floored at ``Q_FLOOR``: the student side of the KL log."""
+    return np.log(np.maximum(q, Q_FLOOR))
+
+
+def forward_kl_rows(p: np.ndarray, q: np.ndarray, log_p: np.ndarray | None = None,
+                    log_q: np.ndarray | None = None) -> np.ndarray:
     """Exact KL(p[i] || q[i]) over the action set for each row i, teacher first.
 
-    ``log_p`` is log_rows(p), computed if not given. Terms with p_i = 0 are
-    0 * (0 - log q_i) = +0.0 (q_i <= 1) and stay in the sum, which runs over
-    all A entries in order; q is floored at ``Q_FLOOR`` inside the log. Each
-    result is clamped at 0 to absorb float round-off.
+    ``log_p`` is log_rows(p) and ``log_q`` log_floor(q), each computed if not
+    given. Terms with p_i = 0 are 0 * (0 - log q_i) = +0.0 (q_i <= 1) and
+    stay in the sum, which runs over all A entries in order; q is floored at
+    ``Q_FLOOR`` inside the log. Each result is clamped at 0 to absorb float
+    round-off.
     """
     log_p = log_rows(p) if log_p is None else log_p
-    return np.maximum((p * (log_p - np.log(np.maximum(q, Q_FLOOR)))).sum(axis=1), 0.0)
+    log_q = log_floor(q) if log_q is None else log_q
+    return np.maximum(np.add.reduce(p * (log_p - log_q), axis=1), 0.0)
+
+
+def sample_cum(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sample_rows of the rows whose cumulative sums (np.cumsum(dist, axis=1))
+    are ``cum``: the number of sums at most u among all but the last, since
+    sums never decrease and the index is capped at A - 1."""
+    return np.add.reduce(cum[:, :-1] <= u[:, None], axis=1)
 
 
 def sample_rows(dist: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF sample from each row, with the uniform draw u[i] for row i,
     traversing action indices ascending, so draws are reproducible per u."""
-    idx = (np.cumsum(dist, axis=1) <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, dist.shape[1] - 1)
+    return sample_cum(np.cumsum(dist, axis=1), u)
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -126,37 +153,477 @@ def _check_width(num_actions: int, key, logits: np.ndarray) -> None:
                          f"expected num_actions={num_actions}")
 
 
-@dataclass
-class PolicyParams:
-    """Logit table for one policy.
+# The slot of a key that no table of its lineage has written: a table's last row.
+NO_SLOT = -1
 
-    Rows are treated as immutable once stored: updates replace the row with
-    a fresh array, so published snapshots can share rows with the learner's
-    working copy safely.
+
+def _grown(array: np.ndarray, size: int, fill) -> np.ndarray:
+    """``array`` extended along axis 0 to ``size`` entries, the new ones ``fill``."""
+    out = np.empty((size,) + array.shape[1:], dtype=array.dtype)
+    out[:len(array)] = array
+    out[len(array):] = fill
+    return out
+
+
+class KeyIndex:
+    """Append-only int ids for history keys, shared by a PolicyParams lineage.
+
+    Id 0 stands for "no key". A full history (o_0, a_0, ..., o_t) with
+    actions in [0, A) and tokens in [0, 2**31) is a node of a trie: its id
+    holds its parent's id (that of (o_0, ..., o_{t-1}), 0 for (o_0,)), its
+    last action ``act`` and its last token ``last``, and no tuple. So
+    interning a history interns its prefixes, and a history outside the
+    index has no descendant in it. ``child[i, a]`` is the first child of
+    node i by action a to be interned; the engine trusts it only if its
+    last token is the token the env emits now, and a child by the same
+    action with another token (another env config) is found through a dict,
+    so one index serves any env config. Any other key (windowed keys, other
+    values) is kept as its tuple. A key gets the next table slot,
+    ``slot[i]`` (NO_SLOT before), the first time a table of the lineage
+    writes its row; ``slot_keys[s]`` is the key id of slot s. The arrays
+    grow by half their size at a time; they are per lineage, not per table.
     """
 
-    num_actions: int
-    logits: dict[HistoryKey, np.ndarray] = field(default_factory=dict)
-    default_logits: np.ndarray | None = None
-    version: int = 0
+    def __init__(self, num_actions: int):
+        self.num_actions = num_actions
+        self.size, self.slot_count = 1, 0  # ids and slots in use
+        self.parent = np.zeros(64, dtype=np.int32)
+        self.act = np.full(64, -1, dtype=np.int32)
+        self.last = np.full(64, -1, dtype=np.int32)
+        self.child = np.zeros((64, num_actions), dtype=np.int32)
+        self.slot = np.full(64, NO_SLOT, dtype=np.int32)
+        self.slot_keys = np.zeros(64, dtype=np.int32)
+        self._roots: dict[int, int] = {}
+        self._siblings: dict[tuple[int, int, int], int] = {}
+        self._tuples: dict[HistoryKey, int] = {}
+        self._tuple_of: dict[int, HistoryKey] = {}
+        self._windowed: dict[int, np.ndarray] = {}  # window -> id of each id's window_key
 
-    def __post_init__(self):
-        default = np.zeros(self.num_actions) if self.default_logits is None else self.default_logits
+    def _new(self, parent: int, action: int, token: int) -> int:
+        i = self.size
+        if i == len(self.last):
+            size = i + i // 2
+            self.parent, self.act = _grown(self.parent, size, 0), _grown(self.act, size, -1)
+            self.last, self.child = _grown(self.last, size, -1), _grown(self.child, size, 0)
+            self.slot = _grown(self.slot, size, NO_SLOT)
+            for window, memo in self._windowed.items():
+                self._windowed[window] = _grown(memo, size, -1)
+        self.parent[i], self.act[i], self.last[i] = parent, action, token
+        self.size += 1
+        return i
+
+    def _child(self, node: int, action: int, token: int, intern: bool) -> int:
+        """The id of keys[node] + (action, token) (of (token,) for node 0), or 0."""
+        if not node:
+            i = self._roots.get(token)
+            if i is None and intern:
+                i = self._roots[token] = self._new(0, -1, token)
+            return i or 0
+        first = self.child.item(node, action)
+        if first and self.last.item(first) == token:
+            return first
+        i = self._siblings.get((node, action, token)) if first else None
+        if i is None and intern:
+            i = self._new(node, action, token)
+            if first:
+                self._siblings[(node, action, token)] = i
+            else:
+                self.child[node, action] = i
+        return i or 0
+
+    def _is_history(self, key: HistoryKey) -> bool:
+        """Whether ``key`` is a full history the trie holds."""
+        tokens, actions = key[::2], key[1::2]
+        return bool(len(key) % 2) and 0 <= min(tokens) and max(tokens) < 2 ** 31 and (
+            not actions or 0 <= min(actions) and max(actions) < self.num_actions)
+
+    def _lookup(self, key: HistoryKey, intern: bool) -> int:
+        if not self._is_history(key):
+            i = self._tuples.get(key)
+            if i is None and intern:
+                i = self._tuples[key] = self._new(-1, -1, -1)
+                self._tuple_of[i] = key
+            return i or 0
+        i = self._child(0, -1, key[0], intern)
+        for t in range(1, len(key), 2):
+            if not i:
+                break
+            i = self._child(i, key[t], key[t + 1], intern)
+        return i
+
+    def intern(self, key: HistoryKey) -> int:
+        return self._lookup(key, True)
+
+    def root(self, token: int, intern: bool) -> int:
+        """The id of the history (token,), as _child gives it."""
+        return self._child(0, -1, token, intern)
+
+    def find(self, key: HistoryKey) -> int:
+        """The id of ``key``, 0 if it has none."""
+        return self._lookup(key, False)
+
+    def key(self, i: int) -> HistoryKey:
+        """The key of id ``i`` (not 0), a history read back up the trie."""
+        kept = self._tuple_of.get(i)
+        if kept is not None:
+            return kept
+        entries = []  # (last token, last action) pairs, leaf first; a root's action is -1
+        while i > 0:
+            entries += (self.last.item(i), self.act.item(i))
+            i = self.parent.item(i)
+        return tuple(entries[-2::-1])
+
+    def keys(self, ids) -> list[HistoryKey]:
+        """The keys of ``ids`` (none 0)."""
+        return [self.key(i) for i in np.asarray(ids).tolist()]
+
+    def sorted_keys(self, ids):
+        """(key, id) for the distinct ``ids`` (none 0), in the order of their
+        keys, each history's key made as it is reached: a walk of the trie
+        that takes each node's children in (action, token) order meets the
+        histories in key order, and is merged with the sorted kept tuples."""
+        wanted = np.zeros(self.size, dtype=bool)
+        wanted[ids] = True
+        nodes = np.flatnonzero(self.parent[:self.size] >= 0)[1:]  # the histories
+        nodes = nodes[np.lexsort((self.last[nodes], self.act[nodes], self.parent[nodes]))]
+        # the children of node i, in order, are nodes[bounds[i]:bounds[i + 1]]
+        bounds = np.searchsorted(self.parent[nodes], np.arange(self.size + 1))
+
+        def histories():
+            below = [(0, ())]  # (id, key) of the nodes still to visit, the next last
+            while below:
+                i, key = below.pop()
+                if wanted.item(i):
+                    yield key, i
+                for j in nodes[bounds.item(i):bounds.item(i + 1)][::-1].tolist():
+                    turn = (self.act.item(j), self.last.item(j)) if i else (self.last.item(j),)
+                    below.append((j, key + turn))
+        kept = sorted((key, i) for i, key in self._tuple_of.items() if wanted.item(i))
+        return heapq.merge(histories(), kept)
+
+    def step(self, node: np.ndarray, actions: np.ndarray, tokens: np.ndarray,
+             intern: bool) -> np.ndarray:
+        """The ids of the histories keys[node] + (actions, tokens), through
+        ``child``; a history outside the index is interned, or with ``intern``
+        False gets id 0, as does every child of id 0."""
+        child = self.child[node, actions]
+        miss = self.last[child] != tokens
+        if not intern:
+            miss &= node > 0
+        if np.count_nonzero(miss):
+            for i in np.flatnonzero(miss).tolist():
+                child[i] = self._child(node.item(i), actions.item(i), tokens.item(i), intern)
+        return child
+
+    def windowed(self, node: np.ndarray, window: int, intern: bool) -> np.ndarray:
+        """The ids of window_key(keys[node], window), memoized per id; a key
+        outside the index is interned, or with ``intern`` False gets id 0."""
+        memo = self._windowed.get(window)
+        if memo is None:
+            memo = self._windowed[window] = np.full(len(self.last), -1, dtype=np.int32)
+            memo[0] = 0
+        key = memo[node]
+        for i in np.flatnonzero(key < 0).tolist():
+            n = node.item(i)
+            key[i] = self._lookup(window_key(self.key(n), window), intern)
+            if key[i]:
+                self._windowed[window][n] = key[i]
+        return key
+
+    def slots_of(self, ids: np.ndarray) -> np.ndarray:
+        """The slots of the distinct key ``ids``; those without one get the
+        next free slots, in order."""
+        slots = self.slot[ids]
+        new = slots == NO_SLOT
+        if new.any():
+            start, count = self.slot_count, int(np.count_nonzero(new))
+            slots[new] = np.arange(start, start + count)
+            self.slot[ids[new]] = slots[new]
+            if start + count > len(self.slot_keys):
+                self.slot_keys = _grown(self.slot_keys, 2 * (start + count), 0)
+            self.slot_keys[start:start + count] = ids[new]
+            self.slot_count += count
+        return slots
+
+
+def _with_derived(z: np.ndarray) -> np.ndarray:
+    """Logit rows ``z`` with what the rollout engine reads of them: [z | the
+    cumulative sums of softmax_rows(z), which sample_cum takes | their log_floor]."""
+    q = softmax_rows(z)
+    return np.concatenate([z, np.cumsum(q, axis=1), log_floor(q)], axis=1)
+
+
+class _Store:
+    """Rows that tables of one lineage share: ``table`` is an (R, 3A) array of
+    _with_derived rows by slot, ``written`` marks the written slots, and the
+    last row (as every unwritten one) is the default row. ``tables`` holds
+    the live tables that read it. Both arrays are read-only between writes."""
+
+    def __init__(self, table: np.ndarray, written: np.ndarray):
+        self.table, self.written = table, written
+        self.table.flags.writeable = self.written.flags.writeable = False
+        self.tables = weakref.WeakSet()
+
+    def copy(self) -> "_Store":
+        return _Store(self.table.copy(), self.written.copy())
+
+    def reserve(self, slots: np.ndarray) -> None:
+        """Grow, if need be, so that ``slots`` lie before the last row."""
+        if len(slots) and int(slots.max()) + 1 >= len(self.table):
+            size = max(len(self.table) + len(self.table) // 2, int(slots.max()) + 2)
+            self.table = _grown(self.table, size, self.table[-1])
+            self.written = _grown(self.written, size, False)
+
+    def write(self, slots: np.ndarray, rows: np.ndarray, written) -> None:
+        """Write ``rows`` at ``slots``: (K, 3A) store rows, or (K, A) logit
+        rows as their _with_derived rows."""
+        self.reserve(slots)
+        table = self.table
+        table.flags.writeable = self.written.flags.writeable = True
+        for start in range(0, len(slots), 1024):  # in blocks, to bound the temporaries
+            block = rows[start:start + 1024]
+            table[slots[start:start + 1024]] = (
+                block if block.shape[1] == table.shape[1] else _with_derived(block))
+        self.written[slots] = written
+        table.flags.writeable = self.written.flags.writeable = False
+
+
+class PolicyParams:
+    """Logit table for one policy, over the key ids of a shared KeyIndex.
+
+    The rows live in a store shared by the tables of a lineage: an array of
+    rows by slot, each the logits ``z`` and what the rollout engine reads of
+    them (see _with_derived), so a row's softmax is computed once, when it is
+    written. The last row is the default row, as is every slot no table
+    wrote; ids without a slot read it. ``with_rows`` (which apply_gradient
+    and snapshot use) makes a new table of the lineage by writing its K rows
+    into the store in place, after handing the rows it overwrites to every
+    other table on the store as an undo record. A table with an undo record
+    is stale: ``read`` lays the record over the rows it gathers, and the
+    accessors that hand out whole arrays (``table``, ``written``, ``logits``)
+    first give the table a copy of the store with the record applied, as
+    does a step whose records would make a table's larger than the store.
+    So a learner step costs its K rows, and published tables stay valid.
+    ``logits`` is the table as a mutable mapping from key to row; a write to
+    it changes only this table.
+    """
+
+    def __init__(self, num_actions: int, logits=None, default_logits=None, version: int = 0):
+        default = np.zeros(num_actions) if default_logits is None else default_logits
+        self.num_actions = num_actions
         self.default_logits = np.asarray(default, dtype=np.float64)
-        _check_width(self.num_actions, "default", self.default_logits)
+        _check_width(num_actions, "default", self.default_logits)
+        self.version = version
+        self.index = KeyIndex(num_actions)
+        row = _with_derived(self.default_logits[None])
+        self._attach(_Store(np.repeat(row, 8, axis=0), np.zeros(8, dtype=bool)))
+        if logits:
+            self._write(list(logits), list(logits.values()))
+
+    def _attach(self, store: _Store) -> None:
+        self._store, self._undo, self._patch, self._saved = store, [], None, 0
+        store.tables.add(self)
+
+    def _rows(self) -> _Store:
+        """The store that holds this table's rows as they are; a stale table
+        first gets its own copy."""
+        if self._undo:
+            store = self._store.copy()
+            for slots, rows, written in reversed(self._undo):  # the oldest rows last
+                store.write(slots, rows, written)
+            self._store.tables.discard(self)
+            self._attach(store)
+        return self._store
+
+    @property
+    def logits(self) -> "TableRows":
+        return TableRows(self)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The (R, 3A) read-only rows by slot; a slot at or past R reads row R - 1."""
+        return self._rows().table
+
+    @property
+    def written(self) -> np.ndarray:
+        return self._rows().written
+
+    def read(self, slots: np.ndarray) -> np.ndarray:
+        """The (len(slots), 3A) store rows at ``slots`` (NO_SLOT, or a slot
+        past the store, reads the default row) as this table has them: a
+        gather from the store, with a stale table's undo records laid over it."""
+        table = self._store.table
+        if self.index.slot_count >= len(table):
+            slots = np.minimum(slots, len(table) - 1)
+        rows = table.take(slots, axis=0)  # take gathers rows faster than []
+        if self._undo:
+            if self._patch is None or len(self._patch[0]) != len(table):
+                # the slot's first record holds the row this table had there
+                saved, first = np.unique(np.concatenate([u[0] for u in self._undo]),
+                                         return_index=True)
+                position = np.full(len(table), -1, dtype=np.int64)
+                position[saved] = first
+                self._patch = position, np.concatenate([u[1] for u in self._undo])
+            position, saved_rows = self._patch
+            at = position.take(slots)
+            hit = at >= 0
+            if np.count_nonzero(hit):
+                rows[hit] = saved_rows.take(at[hit], axis=0)
+        return rows
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """The (len(ids), A) logit rows at key ``ids``."""
+        return self.read(self.index.slot[ids])[:, :self.num_actions]
+
+    def with_rows(self, ids: np.ndarray, rows: np.ndarray, version: int,
+                  copy: bool = False) -> "PolicyParams":
+        """A new table of this lineage at ``version``: this one with the (K, A)
+        ``rows`` written at the distinct key ``ids``. With ``copy`` the new
+        table gets a copy of the store, and no table an undo record: for a
+        table that is written from again and again, like an SFT run's start."""
+        store = self._rows()
+        slots = self.index.slots_of(ids) if len(ids) else None
+        if copy:
+            store = store.copy()
+        elif len(ids):
+            store.reserve(slots)
+            undo = (slots, store.table.take(slots, axis=0), store.written[slots])
+            for table in list(store.tables):
+                if table._undo and table._saved + len(slots) > len(store.table):
+                    table._rows()  # records as large as the store: fold them into a copy
+                else:
+                    table._undo.append(undo)
+                    table._saved += len(slots)
+                    table._patch = None
+        table = object.__new__(PolicyParams)
+        table.num_actions, table.default_logits = self.num_actions, self.default_logits
+        table.version, table.index = version, self.index
+        table._attach(store)
+        if len(ids):
+            store.write(slots, rows, True)
+        return table
+
+    def on(self, index: KeyIndex) -> "PolicyParams":
+        """This table on ``index`` (itself if it is on it already): the same
+        rows, version and default row, with its keys interned there."""
+        if index is self.index:
+            return self
+        table = PolicyParams(self.num_actions, None, self.default_logits, self.version)
+        table.index = index
+        ids, rows = self.written_rows()
+        table._write(self.index.keys(ids), rows)
+        return table
+
+    @property
+    def z(self) -> np.ndarray:
+        """The logit rows of ``table``."""
+        return self.table[:, :self.num_actions]
+
+    def _write(self, keys: list, rows: list) -> None:
+        """Write ``rows`` at ``keys`` in place, in a store of this table's own."""
+        rows = [np.asarray(row, dtype=np.float64) for row in rows]
+        for key, row in zip(keys, rows):
+            _check_width(self.num_actions, key, row)
+        self._write_ids(np.array([self.index.intern(key) for key in keys], dtype=np.int64),
+                        np.reshape(rows, (-1, self.num_actions)))
+
+    def _write_ids(self, ids: np.ndarray, rows: np.ndarray, written: bool = True) -> None:
+        """Write the (K, A) ``rows`` at the distinct key ``ids`` in place, in a
+        store of this table's own; ``written`` False makes them unwritten."""
+        store = self._rows()
+        if len(store.tables) > 1:
+            store.tables.discard(self)
+            self._attach(store.copy())
+        self._store.write(self.index.slots_of(ids), rows, written)
+
+    def written_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The key ids of the written rows, in slot order, and the (K, A) rows."""
+        slots = np.flatnonzero(self.written)
+        return self.index.slot_keys[slots].astype(np.int64), self.z[slots]
 
     def logits_for(self, key: HistoryKey) -> np.ndarray:
-        row = self.logits.get(key)
-        return row if row is not None else self.default_logits
+        return self.rows(np.array([self.index.find(key)]))[0]
 
     def snapshot(self) -> "PolicyParams":
-        """Cheap immutable view: shares rows, copies the table."""
-        return PolicyParams(
-            num_actions=self.num_actions,
-            logits=dict(self.logits),
-            default_logits=self.default_logits,
-            version=self.version,
-        )
+        """An immutable view: shares the store and the index. While its
+        lineage trains on, it keeps the rows the steps overwrite, until they
+        add up to the size of the store; it then takes a copy of its own."""
+        return self.with_rows((), None, self.version)
+
+
+class TableRows(MutableMapping):
+    """``PolicyParams.logits``: a table's written rows as a mutable mapping from
+    key to row (a copy). It iterates in slot order, which is the order the
+    lineage first wrote the keys; two mappings are equal when they hold the
+    same keys with equal rows."""
+
+    def __init__(self, params: PolicyParams):
+        self._params = params
+
+    def _slot(self, key) -> int:
+        params = self._params
+        slot = params.index.slot.item(params.index.find(key))
+        written = params.written
+        if not 0 <= slot < len(written) or not written[slot]:
+            raise KeyError(key)
+        return slot
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self._params.z[self._slot(key)].copy()
+
+    def __iter__(self):
+        params = self._params
+        return iter(params.index.keys(params.written_rows()[0]))
+
+    def values(self) -> np.ndarray:
+        """The rows, in slot order, as one (K, A) array (whose iteration gives
+        them one at a time)."""
+        return self._params.written_rows()[1]
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._params.written))
+
+    def __setitem__(self, key, row) -> None:
+        self._params._write([key], [row])
+
+    def __delitem__(self, key) -> None:
+        self._slot(key)  # a KeyError if there is no row
+        params = self._params
+        params._write_ids(np.array([params.index.find(key)]), params.default_logits[None], False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            key in other and np.array_equal(row, other[key]) for key, row in self.items())
+
+
+class RowBlock(Mapping):
+    """K rows at the distinct key ids ``ids`` of ``index``, as an (K, A)
+    array: a mapping from key to row, in the order of ``ids``."""
+
+    def __init__(self, index: KeyIndex, ids: np.ndarray, rows: np.ndarray):
+        self.index, self.ids, self.rows = index, ids, rows
+
+    @classmethod
+    def of(cls, rows: Mapping, index: KeyIndex, num_actions: int) -> "RowBlock":
+        """``rows``, a mapping from key to row, with its keys interned in ``index``."""
+        if isinstance(rows, RowBlock) and rows.index is index:
+            return rows
+        ids = np.array([index.intern(key) for key in rows], dtype=np.int64)
+        return cls(index, ids, np.reshape([rows[key] for key in rows], (-1, num_actions)))
+
+    def __getitem__(self, key) -> np.ndarray:
+        where = np.flatnonzero(self.ids == (self.index.find(key) or -1))
+        if not where.size:
+            raise KeyError(key)
+        return self.rows[where[0]]
+
+    def __iter__(self):
+        return iter(self.index.keys(self.ids))
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def action_dist(
@@ -187,9 +654,11 @@ def save_params(params: PolicyParams, path) -> None:
     encode = json.JSONEncoder(sort_keys=True).encode
     with atomic_open(path) as f:
         f.write(encode(header) + "\n")
-        for key in sorted(params.logits):
-            row = {"key": list(key), "logits": params.logits[key].tolist()}
-            f.write(encode(row) + "\n")
+        ids, rows = params.written_rows()
+        at = np.zeros(params.index.size, dtype=np.int64)
+        at[ids] = np.arange(len(ids))  # the row of each written key id
+        for key, i in params.index.sorted_keys(ids):
+            f.write(encode({"key": list(key), "logits": rows[at.item(i)].tolist()}) + "\n")
 
 
 def load_params(path) -> PolicyParams:
@@ -203,19 +672,36 @@ def load_params(path) -> PolicyParams:
             if (not isinstance(header, dict) or header.get("schema") != CHECKPOINT_SCHEMA
                     or header.get("kind") != "policy_params"):
                 raise UsageError("not a policy checkpoint (schema mismatch)")
-            params = PolicyParams(int(header["num_actions"]), version=int(header["version"]),
-                                  default_logits=np.array(header["default_logits"], dtype=float))
+            num_actions, version = int(header["num_actions"]), int(header["version"])
+            default = np.array(header["default_logits"], dtype=float)
+            params = PolicyParams(num_actions, None, default, version)
+            # the first ``count`` rows of ``ids``/``rows`` hold the keys in order of first
+            # appearance, and at[i] is key id i's row (-1 if none), which a repeated key's
+            # last row overwrites; arrays, as a dict of the ids measurably left the heap
+            # fragmented (peak RSS) for the rest of the process
+            ids, rows, count = np.zeros(1024, np.int64), np.empty((1024, num_actions)), 0
+            at = np.full(1024, -1)
             for number, line in enumerate(f, start=2):
                 if not line.strip():
                     continue
                 where = f"line {number}: "
                 row = json.loads(line)
                 key, logits = tuple(row["key"]), np.array(row["logits"], dtype=np.float64)
-                _check_width(params.num_actions, key, logits)
-                params.logits[key] = logits
+                _check_width(num_actions, key, logits)
+                i = params.index.intern(key)
+                if i >= len(at):
+                    at = _grown(at, 2 * i, -1)
+                if at.item(i) < 0:
+                    if count == len(ids):
+                        ids, rows = _grown(ids, 2 * count, 0), _grown(rows, 2 * count, 0.0)
+                    ids[count], at[i], count = i, count, count + 1
+                rows[at.item(i)] = logits
+            where = ""
+            params._write_ids(ids[:count], rows[:count])
     except UsageError as e:
         raise UsageError(f"{path}: {where}{e}") from None
-    except (OSError, ValueError, KeyError, TypeError) as e:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as e:
+        # JSONDecodeError is a ValueError
         raise UsageError(f"{path}: {where}cannot read a policy checkpoint "
                          f"({type(e).__name__}: {e})") from e
     return params

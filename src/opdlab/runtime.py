@@ -17,6 +17,12 @@ every rollout of such a wave too, and a rollout depends only on its row,
 task and snapshot, so runs are bit-identical for any wave width, and
 bit-reproducible per seed in both modes.
 
+Rollouts, replay and learner exchange columns, not per-turn objects: a
+wave's ``Rollouts`` hand the buffer their student turns as ``Turns``, the
+learner gathers a sampled batch's rows by key id, and a step's rollout
+record sums each episode's KL from the engine's KL matrix. All tables of a
+run share one key index and one row store (see ``policy``).
+
 The curriculum clock is the learner's step counter: at step n the rollouts
 run under horizon_at(schedule, n). Evaluation always runs full-horizon with
 no truncation and no expert prefix, regardless of the training algorithm.
@@ -38,8 +44,8 @@ from .distill import (
     ALGO_F2B,
     ALGO_OPD,
     ALGO_SFT,
+    Rollouts,
     TeacherTrajectoryStore,
-    Trajectory,
     apply_gradient,
     batch_gradient,
     max_student_turns,
@@ -208,17 +214,26 @@ def _wave_width(missing: int, max_turns: int) -> int:
     return -(-missing // max_turns)
 
 
-def _rollout_record(step: int, k: int, trajs: list[Trajectory]) -> EvalRecord:
+def _rollout_record(step: int, k: int, batches: list[Rollouts]) -> EvalRecord:
+    """The rollout record of a step's batches: each episode's KL is the sum of
+    its student turns' entries in the batch's KL matrix."""
+    success, rounds, kl_sums, prefix_len = (np.concatenate(columns) for columns in zip(
+        *((b.success, b.rounds, b.kl_sums(), b.prefix_len) for b in batches)))
     return EvalRecord(
         step=step,
-        **_episode_summary([t.success for t in trajs], [t.rounds for t in trajs],
-                           [sum(t.turn_kl for t in traj.turns) for traj in trajs]),
+        **_episode_summary(success, rounds, kl_sums),
         per_turn_kl=[],
         active_k=k,
         split=SPLIT_ROLLOUT,
-        n_rollouts=len(trajs),
-        mean_prefix_len=float(np.mean([t.prefix_len for t in trajs])),
+        n_rollouts=len(success),
+        mean_prefix_len=float(np.mean(prefix_len)),
     )
+
+
+def _grad_norm(grads: np.ndarray) -> float:
+    """The L2 norm of the (K, A) gradient block: the per-row squared norms
+    summed left to right, bitwise as a per-key ``g @ g`` loop adds them."""
+    return math.sqrt(sum(np.vecdot(grads, grads).tolist()))
 
 
 def _learner_step(n: int, k: int, params: PolicyParams, buffer: RingBuffer,
@@ -232,20 +247,20 @@ def _learner_step(n: int, k: int, params: PolicyParams, buffer: RingBuffer,
     """
     batch = buffer.sample_batch(params.version, config.delta_max,
                                 config.batch_size, sample_rng)
-    staleness = [params.version - e.policy_version for e in batch]
-    assert all(s <= config.delta_max for s in staleness)
+    staleness = params.version - batch.version
+    assert staleness.max() <= config.delta_max
     loss, grads = batch_gradient(batch, params)
     params = apply_gradient(params, grads, config.lr)
     board.publish(params)
     record = TrainRecord(
         step=n, loss=loss,
-        grad_norm=math.sqrt(sum(float(g @ g) for g in grads.values())),
+        grad_norm=_grad_norm(grads.rows),
         buffer_size=len(buffer),
         discarded_stale=buffer.discarded_stale_total,
         active_k=k,
         mean_staleness=float(np.mean(staleness)),
     )
-    return params, record, max(staleness)
+    return params, record, int(staleness.max())
 
 
 def _validate_run(config: RunConfig, store) -> None:
@@ -313,7 +328,7 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
     for n in range(config.total_steps):
         k = horizon_at(schedule, n)
         max_turns = max_student_turns(config.algo, k, config.env.horizon_cap)
-        step_trajs: list[Trajectory] = []
+        step_batches: list[Rollouts] = []
         # entries pushed this step that the learner may still consume; once
         # depth - 1 rollouts ran in this step every snapshot in flight is
         # current, so the loop ends
@@ -326,21 +341,19 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
                 snapshots.append(in_flight[0])
             tasks = (rollouts + np.arange(width)) % config.env.task_count
             rollouts += width
-            trajs = rollout_batch(config.algo, env, snapshots, teacher, tasks, k,
+            batch = rollout_batch(config.algo, env, snapshots, teacher, tasks, k,
                                   rollout_rng.random((width, config.env.horizon_cap)),
                                   store=store, temperature=config.train_temperature,
                                   window=config.window)
-            for traj in trajs:
-                buffer.push(traj.turns)
-                if params.version - traj.policy_version <= config.delta_max:
-                    fresh += traj.rounds
-            step_trajs += trajs
+            buffer.push(batch.student_turns())
+            fresh += int(batch.rounds[params.version - batch.versions <= config.delta_max].sum())
+            step_batches.append(batch)
 
         params, record, staleness = _learner_step(n, k, params, buffer, board,
                                                   config, sample_rng)
         max_staleness = max(max_staleness, staleness)
         log.append(record)
-        log.append(_rollout_record(n, k, step_trajs))
+        log.append(_rollout_record(n, k, step_batches))
         if (n + 1) % config.eval_every == 0 or n == config.total_steps - 1:
             log.append(evaluate(params, env, teacher, config.eval_episodes,
                                 eval_rng, temperature=config.eval_temperature,

@@ -37,7 +37,7 @@ from opdlab.policy import (
     softmax,
 )
 from opdlab.metrics import MetricsLog, TrainRecord
-from opdlab.replay import ExperienceEntry
+from opdlab.replay import ExperienceEntry, Turns
 from opdlab.runtime import RunConfig, _seed_streams, evaluate, run_training
 
 
@@ -422,8 +422,9 @@ def test_nll_of_certain_turns_is_positive_zero():
 
 
 def gradient_step(batch, params, lr):
-    """The runtime's learner update: batch_gradient, then apply_gradient."""
-    _, grads = batch_gradient(batch, params)
+    """The runtime's learner update on the entries ``batch``: batch_gradient,
+    then apply_gradient."""
+    _, grads = batch_gradient(Turns.of(batch, params.index), params)
     return apply_gradient(params, grads, lr)
 
 
@@ -548,7 +549,7 @@ def test_batch_gradient_bitwise_equals_per_entry_loop(data):
     params, keys = data.draw(row_block_case())
     p = data.draw(teacher_rows(len(keys), params.num_actions))
     batch = [entry(k, row) for k, row in zip(keys, p)]
-    loss, grads = batch_gradient(batch, params)
+    loss, grads = batch_gradient(Turns.of(batch, params.index), params)
     ref_loss, ref_grads = reference_batch_gradient(batch, params)
     assert same_bits(loss, ref_loss)
     assert list(grads) == list(ref_grads)
@@ -647,7 +648,7 @@ def check_sft_against_reference(turns, params, lr, steps):
         assert stepped[-1].version == params.version + n + 1
         # the starting rows outside the turns come back as they were
         turn_keys = {key for key, _ in turns}
-        assert all(stepped[-1].logits[k] is row for k, row in params.logits.items()
+        assert all(same_bits(stepped[-1].logits[k], row) for k, row in params.logits.items()
                    if k not in turn_keys)
     # no step writes the rows of an earlier step's table, or the starting table
     for table, ref in zip(stepped, ref_tables):

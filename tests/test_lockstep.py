@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from opdlab.curriculum import b2f_prefix_len
 from opdlab.distill import (
     Trajectory,
+    apply_gradient,
     collect_teacher_trajectories,
     rollout_b2f,
     rollout_batch,
@@ -177,6 +178,82 @@ def test_engine_matches_scalar_oracle_on_same_uniforms(kind, window, temperature
         assert {t.policy_version for t in trajs} == {4, 5, 6}
         outcomes |= {t.success for t in trajs}
     assert outcomes == {False, True}  # the oracle sees both outcomes
+
+
+@pytest.mark.parametrize("window", [None, 2])
+@pytest.mark.parametrize("mix", ["lineages", "versions"])
+def test_engine_matches_scalar_oracle_on_mixed_tables(mix, window):
+    """One batch reads tables of three lineages (re-homed onto the first's
+    index), or three versions of one lineage, the earlier two stale and read
+    through their undo records."""
+    env = make_env(EnvConfig())
+    teacher = make_teacher(env)
+    store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
+    episodes, horizon = 30, env.config.horizon_cap
+    gen = np.random.default_rng(8)
+    tables = [partial_student(teacher, window, seed=3, version=4)]
+    for version in (5, 6):
+        if mix == "lineages":
+            tables.append(partial_student(teacher, window, seed=version, version=version))
+            continue
+        # a step over some keys of the table and over histories new to it
+        seen = rollout_batch("opd", env, [tables[-1]] * 4, teacher, np.arange(4), 12,
+                             gen.random((4, horizon)), window=window)
+        keys = list(tables[-1].logits)[::7] + [turn.history_key for traj in seen
+                                               for turn in traj.turns]
+        tables.append(apply_gradient(tables[-1], {key: gen.normal(0.0, 1.0, 6) for key in keys},
+                                     0.7))
+    tasks = np.arange(episodes) % env.config.task_count
+    students = [tables[e % 3] for e in range(episodes)]
+    for (algo, k), temperature in product((("opd", 12), ("f2b", 3), ("b2f", 3)), (0.4, 1.0)):
+        u = np.random.default_rng(k).random((episodes, horizon))
+        trajs = rollout_batch(algo, env, students, teacher, tasks, k, u, store=store,
+                              temperature=temperature, window=window)
+        for e, traj in enumerate(trajs):
+            stored = store.get(int(tasks[e]))
+            prefix = stored[:b2f_prefix_len(len(stored), k)] if algo == "b2f" else None
+            cap = min(k, horizon) if algo == "f2b" else horizon
+            expected = scalar_rollout(env, students[e], teacher, int(tasks[e]), RowRng(u[e]),
+                                      max_student_turns=cap, prefix_actions=prefix, algo=algo,
+                                      temperature=temperature, window=window)
+            assert exact_fields(traj) == exact_fields(expected), (algo, temperature, e)
+            np.testing.assert_allclose([t.turn_kl for t in traj.turns],
+                                       [t.turn_kl for t in expected.turns], rtol=1e-12, atol=0)
+        assert {t.policy_version for t in trajs} == {4, 5, 6}
+
+
+@pytest.mark.parametrize("window", [None, 2])
+def test_engine_matches_scalar_oracle_on_env_configs_other_than_its_index_learned(window):
+    """A table whose key index holds the histories of one env config, and
+    its child edges with that config's tokens, rolls out other configs (and
+    its own, after learning theirs) as the scalar oracle does."""
+    gen = np.random.default_rng(5)
+    learned = make_env(EnvConfig(seed=0))
+    keys = {turn.history_key
+            for traj in rollout_batch("opd", learned, [PolicyParams(num_actions=6)] * 200,
+                                      make_teacher(learned), np.arange(200) % 32, 12,
+                                      gen.random((200, 12)), window=window)
+            for turn in traj.turns}
+    params = PolicyParams(6, {key: gen.normal(0.0, 2.0, 6) for key in sorted(keys)})
+    for config in (EnvConfig(seed=1), EnvConfig(kind=MEMORY_LOCK), EnvConfig(seed=0)):
+        env = make_env(config)
+        teacher = make_teacher(env)
+        episodes, horizon = 48, env.config.horizon_cap
+        tasks = np.arange(episodes) % env.config.task_count
+        u = gen.random((episodes, horizon))
+        for algo, temperature in (("opd", 1.0), (None, 0.4)):  # training, then evaluation
+            kl, rounds, success, trajs = rollout_lockstep(
+                env, [params] * episodes, teacher, tasks, u, temperature=temperature,
+                window=window, algo=algo)
+            for e in range(episodes):
+                expected = scalar_rollout(env, params, teacher, int(tasks[e]), RowRng(u[e]),
+                                          max_student_turns=horizon, prefix_actions=None,
+                                          algo="opd", temperature=temperature, window=window)
+                assert (rounds[e], success[e]) == (expected.rounds, expected.success)
+                np.testing.assert_allclose(kl[e, :rounds[e]],
+                                           [t.turn_kl for t in expected.turns], rtol=1e-12)
+                if trajs is not None:
+                    assert exact_fields(trajs[e]) == exact_fields(expected)
 
 
 @pytest.mark.parametrize("algo,k", [("opd", 12), ("f2b", 4), ("b2f", 3)])

@@ -109,8 +109,8 @@ def test_profile_bitwise_equals_the_dict_loop_on_b2f_batches(kind, window):
     for k in (1, 3, 6, 12):
         tasks = gen.integers(0, env.config.task_count, 24)
         u = gen.random((24, env.config.horizon_cap))
-        by_k[k] = rollout_batch("b2f", env, [student] * 24, teacher, tasks, k, u,
-                                store=store, window=window)
+        by_k[k] = list(rollout_batch("b2f", env, [student] * 24, teacher, tasks, k, u,
+                                     store=store, window=window))
     batches = [by_k[1][:5], by_k[1], by_k[3] + by_k[1], by_k[12][:1]]
     mixed = [t for k in (1, 3, 6, 12) for t in by_k[k]]
     batches += [[mixed[i] for i in gen.permutation(len(mixed))[:n]] for n in (2, 9, 40, 96)]

@@ -6,8 +6,8 @@ import pytest
 from opdlab.distill import collect_teacher_trajectories, rollout_b2f, rollout_f2b, rollout_opd
 from opdlab.env import EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError
-from opdlab.policy import PolicyParams, action_dist, forward_kl
-from opdlab.replay import ExperienceEntry, RingBuffer, decompose
+from opdlab.policy import KeyIndex, PolicyParams, action_dist, forward_kl
+from opdlab.replay import ExperienceEntry, RingBuffer, Turns, decompose
 
 
 def rng(seed=0):
@@ -30,8 +30,16 @@ def entry(i, version=0):
                            turn_kl=float(np.log(2.0)), policy_version=version)
 
 
-def ids(entries):
-    return [e.history_key[0] for e in entries]
+KEYS = KeyIndex(2)  # the key ids of every entry pushed below
+
+
+def turns(entries):
+    """``entries`` as the columns the buffer holds."""
+    return Turns.of(entries, KEYS)
+
+
+def ids(batch):
+    return [e.history_key[0] for e in batch]
 
 
 # -- decompose --------------------------------------------------------------------
@@ -79,14 +87,14 @@ def test_entries_reconstruct_trajectory_loss(env, teacher):
 
 def test_ring_eviction_keeps_newest_in_order():
     buf = RingBuffer(capacity=2)
-    buf.push([entry(1), entry(2), entry(3)])
+    buf.push(turns([entry(1), entry(2), entry(3)]))
     batch = buf.sample_batch(0, 10, 2, rng(0))
     assert sorted(ids(batch)) == [2, 3]
 
 
 def test_ring_push_empty_is_noop():
     buf = RingBuffer(capacity=4)
-    buf.push([entry(1)])
+    buf.push(turns([entry(1)]))
     buf.push([])
     assert len(buf) == 1
 
@@ -96,15 +104,15 @@ def test_ring_interleaved_pushes_serialize_in_order():
     a = [entry(i) for i in (0, 2, 4)]
     b = [entry(i) for i in (1, 3, 5)]
     for x, y in zip(a, b):
-        buf.push([x])
-        buf.push([y])
+        buf.push(turns([x]))
+        buf.push(turns([y]))
     everything = buf.sample_batch(0, 10, 10, rng(0))
     assert sorted(ids(everything)) == [0, 1, 2, 3, 4, 5]
 
 
 def test_staleness_boundary_is_inclusive():
     buf = RingBuffer(capacity=10)
-    buf.push([entry(1, version=3), entry(2, version=2)])
+    buf.push(turns([entry(1, version=3), entry(2, version=2)]))
     batch = buf.sample_batch(current_version=5, delta_max=2, batch_size=10, rng=rng(0))
     assert ids(batch) == [1]  # 5-3=2 eligible, 5-2=3 discarded
     assert buf.discarded_stale_total == 1
@@ -114,7 +122,7 @@ def test_staleness_boundary_is_inclusive():
 def test_sampled_entries_always_within_staleness_bound():
     gen = rng(9)
     buf = RingBuffer(capacity=200)
-    buf.push([entry(i, version=int(gen.integers(0, 8))) for i in range(100)])
+    buf.push(turns([entry(i, version=int(gen.integers(0, 8))) for i in range(100)]))
     for current in range(3, 10):
         batch = buf.sample_batch(current, 2, 16, gen)
         assert all(current - e.policy_version <= 2 for e in batch)
@@ -122,7 +130,7 @@ def test_sampled_entries_always_within_staleness_bound():
 
 def test_sample_without_replacement():
     buf = RingBuffer(capacity=50)
-    buf.push([entry(i) for i in range(20)])
+    buf.push(turns([entry(i) for i in range(20)]))
     batch = buf.sample_batch(0, 2, 20, rng(1))
     drawn = ids(batch)
     assert len(set(drawn)) == len(drawn)
@@ -130,7 +138,7 @@ def test_sample_without_replacement():
 
 def test_short_pool_returns_fewer():
     buf = RingBuffer(capacity=50)
-    buf.push([entry(i) for i in range(3)])
+    buf.push(turns([entry(i) for i in range(3)]))
     assert len(buf.sample_batch(0, 2, 32, rng(2))) == 3
 
 
@@ -146,7 +154,7 @@ def test_capacity_validation():
 
 def test_staleness_histogram():
     buf = RingBuffer(capacity=10)
-    buf.push([entry(1, version=1), entry(2, version=1), entry(3, version=3)])
+    buf.push(turns([entry(1, version=1), entry(2, version=1), entry(3, version=3)]))
     assert buf.staleness_histogram(current_version=3) == {2: 2, 0: 1}
 
 
@@ -155,7 +163,7 @@ def test_version_counts_match_a_scan_through_eviction_and_discards():
     buf = RingBuffer(capacity=7)
 
     def check(current):
-        versions = [e.policy_version for e in buf._entries]
+        versions = buf._versions().tolist()
         assert buf.count_at_version(current) == versions.count(current)
         for delta_max in range(4):
             assert buf.count_eligible(current, delta_max) == sum(
@@ -170,8 +178,8 @@ def test_version_counts_match_a_scan_through_eviction_and_discards():
         if gen.random() < 0.6:
             # pushes run past capacity, some longer than the buffer itself
             size = int(gen.integers(0, 10))
-            buf.push([entry(i, version=version - int(gen.integers(0, 3)))
-                      for _ in range(size)])
+            buf.push(turns([entry(i, version=version - int(gen.integers(0, 3)))
+                      for _ in range(size)]))
         else:
             version += int(gen.integers(0, 2))
             buf.sample_batch(version, int(gen.integers(0, 3)), 4, gen)
