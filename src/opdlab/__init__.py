@@ -9,7 +9,6 @@ with an optional actor lag, and staleness-filtered sub-trajectory replay.
 from .curriculum import CurriculumSchedule, b2f_prefix_len, horizon_at
 from .distill import (
     TeacherTrajectoryStore,
-    Trajectory,
     collect_teacher_trajectories,
     rollout_b2f,
     rollout_f2b,
@@ -29,7 +28,7 @@ from .policy import (
     kl_logit_gradient,
     sample_action,
 )
-from .replay import ExperienceEntry, RingBuffer
+from .replay import RingBuffer
 from .runtime import RunConfig, SnapshotBoard, TeacherConfig, evaluate, run_training
 
 __version__ = "0.1.0"

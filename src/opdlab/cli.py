@@ -242,7 +242,7 @@ def cmd_sweep(config_path, etas: list[int], overrides: dict,
         job_overrides.setdefault("curriculum", {})["eta"] = eta
         cfg = load_experiment_config(config_path, job_overrides)
         cfg.name = f"{cfg.name}_eta{eta}"
-        cfg.raw.setdefault("run", {})["name"] = cfg.name
+        cfg.raw["run"] = {**(cfg.raw.get("run") or {}), "name": cfg.name}
         jobs.append(cfg)
     status = 0
     for cfg in jobs:

@@ -1,4 +1,4 @@
-"""Trajectory generation and the distillation losses.
+"""Rollouts and the distillation losses.
 
 One engine, ``rollout_lockstep``, runs every rollout: a batch of episodes
 advance together, turn by turn, as arrays. The three modes differ only in
@@ -20,12 +20,12 @@ expert-prefix turns draw nothing and an episode's results do not depend on
 the other episodes of its batch. ``rollout_opd``, ``rollout_f2b`` and
 ``rollout_b2f`` are one-episode batches.
 
-A training batch comes back as ``Rollouts``: (B, horizon_cap) columns of
-key ids, actions, teacher rows and turn KL, from which the runtime takes
-the replay columns (``Rollouts.student_turns``) and the per-episode KL
-sums; expert-prefix turns are kept only as key ids, outside every loss and
-gradient. Indexing a ``Rollouts`` builds episode e as a ``Trajectory`` of
-``ExperienceEntry`` turns, for tests and one-episode callers.
+Every batch comes back as ``Rollouts``: (B, horizon_cap) columns of key
+ids, actions, teacher rows and turn KL, one row per episode (a one-episode
+call gives one row). The runtime takes the replay columns
+(``Rollouts.student_turns``) and the per-episode KL sums from them;
+expert-prefix turns are kept only as key ids, outside every loss and
+gradient.
 
 The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
@@ -64,7 +64,7 @@ from .policy import (
     softmax_rows,
     window_key,
 )
-from .replay import ExperienceEntry, Turns
+from .replay import Turns
 
 ALGO_OPD = "opd"
 ALGO_F2B = "f2b"
@@ -74,31 +74,12 @@ ALGO_SFT = "sft"
 STORE_SCHEMA = 1
 
 
-@dataclass
-class Trajectory:
-    task_id: int
-    turns: list[ExperienceEntry]  # student-executed turns only
-    prefix_keys: list[HistoryKey]  # history keys of the expert prefix turns
-    success: bool
-    policy_version: int
-    algo: str
-
-    @property
-    def rounds(self) -> int:
-        return len(self.turns)
-
-    @property
-    def prefix_len(self) -> int:
-        return len(self.prefix_keys)
-
-
 @dataclass(eq=False)
 class Rollouts:
     """A batch of rollouts as columns: entry (e, t) of the (B, horizon_cap)
     ``keys`` (key ids of ``index``), ``actions``, ``teacher`` (rows) and
     ``kl`` is episode e's turn t. Episode e played prefix_len[e] expert
-    turns, then rounds[e] student turns; later entries are 0. As a sequence,
-    item e is episode e as a Trajectory, built on demand."""
+    turns, then rounds[e] student turns; later entries are 0."""
 
     index: KeyIndex
     algo: str
@@ -134,16 +115,6 @@ class Rollouts:
 
     def __len__(self) -> int:
         return len(self.task_ids)
-
-    def __getitem__(self, e):
-        if isinstance(e, slice):
-            return [self[i] for i in range(*e.indices(len(self)))]
-        p, r, version = int(self.prefix_len[e]), int(self.rounds[e]), int(self.versions[e])
-        keys = self.index.keys(self.keys[e, :p + r])
-        turns = [ExperienceEntry(keys[t], int(self.actions[e, t]), self.teacher[e, t], t,
-                                 float(self.kl[e, t]), version) for t in range(p, p + r)]
-        return Trajectory(int(self.task_ids[e]), turns, keys[:p], bool(self.success[e]),
-                          version, self.algo)
 
 
 # ---------------------------------------------------------------------------
@@ -311,23 +282,23 @@ def rollout_batch(algo: str, env: Env, students, teacher: TeacherPolicy, task_id
 
 
 def _rollout(algo, env, student, teacher, task_id, k, rng, *, store=None,
-             temperature=1.0, window=None) -> Trajectory:
-    """One rollout_batch episode, whose uniform row is ``rng.random(horizon_cap)``:
+             temperature=1.0, window=None) -> Rollouts:
+    """A one-episode rollout_batch, whose uniform row is ``rng.random(horizon_cap)``:
     on a fresh generator, student turn i uses the generator's i-th draw."""
     u = rng.random((1, env.config.horizon_cap))
     return rollout_batch(algo, env, [student], teacher, [task_id], k, u, store=store,
-                         temperature=temperature, window=window)[0]
+                         temperature=temperature, window=window)
 
 
 def rollout_opd(env, student, teacher, task_id, rng, *, temperature=1.0,
-                window=None) -> Trajectory:
+                window=None) -> Rollouts:
     """Student acts every turn until done or the horizon cap."""
     return _rollout(ALGO_OPD, env, student, teacher, task_id, env.config.horizon_cap, rng,
                     temperature=temperature, window=window)
 
 
 def rollout_f2b(env, student, teacher, task_id, k, rng, *, temperature=1.0,
-                window=None) -> Trajectory:
+                window=None) -> Rollouts:
     """rollout_opd truncated after min(k, horizon_cap) student turns: success
     needs the goal inside them, and k >= horizon_cap plays rollout_opd's turns."""
     return _rollout(ALGO_F2B, env, student, teacher, task_id, k, rng,
@@ -335,7 +306,7 @@ def rollout_f2b(env, student, teacher, task_id, k, rng, *, temperature=1.0,
 
 
 def rollout_b2f(env, store, student, teacher, task_id, k, rng, *, temperature=1.0,
-                window=None) -> Trajectory:
+                window=None) -> Rollouts:
     """Replay the first L - k stored expert actions (kept only as history
     keys, outside every loss), then hand over; k >= L is rollout_opd."""
     return _rollout(ALGO_B2F, env, student, teacher, task_id, k, rng, store=store,
@@ -347,19 +318,17 @@ def rollout_b2f(env, store, student, teacher, task_id, k, rng, *, temperature=1.
 # ---------------------------------------------------------------------------
 
 
-def trajectory_loss(traj: Trajectory, params: PolicyParams) -> tuple[float, RowBlock]:
-    """Summed KL over student-executed turns plus its sparse logit gradient,
-    with the student's distributions recomputed at ``params`` (temperature 1).
+def trajectory_loss(rollouts: Rollouts, params: PolicyParams) -> tuple[float, RowBlock]:
+    """Summed KL over the student turns of ``rollouts`` plus its sparse logit
+    gradient, with the student's distributions recomputed at ``params``
+    (temperature 1); 0.0 and an empty block if there are none.
 
-    Expert prefix turns are not among ``traj.turns``, so they contribute
+    Expert prefix turns are not among the student turns, so they contribute
     exactly zero to both. The turns are one row block, as in batch_gradient,
     and the result is bitwise the per-turn sum of forward_kl and
     kl_logit_gradient.
     """
-    if not traj.turns:
-        return 0.0, {}
-    loss, sums, _ = _kl_block(Turns.of(traj.turns, params.index), params)
-    return loss, sums
+    return _kl_block(rollouts.student_turns(), params)[:2]
 
 
 def _first_occurrence(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,7 +342,7 @@ def _first_occurrence(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sum_in_order(values: np.ndarray) -> float:
     """Left-to-right sum from 0.0, as a per-entry ``+=`` loop adds (np.sum is
     pairwise); the leading 0.0 + turns an all-zero -0.0 sum into 0.0, as there."""
-    return 0.0 + float(np.cumsum(values)[-1])
+    return 0.0 + float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def _kl_block(turns: Turns, params: PolicyParams) -> tuple[float, RowBlock, np.ndarray]:
@@ -519,9 +488,10 @@ def load_store(path, env: Env) -> TeacherTrajectoryStore:
                     continue
                 where = f"line {number}: "
                 row = json.loads(line)
-                task_id = int(row["task_id"])
-                actions = [int(a) for a in row["actions"]]
-                if len(actions) != int(row["length"]):
+                task_id, actions = row["task_id"], row["actions"]
+                if not all(type(x) is int for x in (task_id, row["length"], *actions)):
+                    raise ConfigError("task_id, length and actions must be ints")
+                if len(actions) != row["length"]:
                     raise ConfigError(f"length mismatch for task {task_id}")
                 if not all(0 <= a < env.config.num_actions for a in actions):
                     raise ConfigError(f"task {task_id} has an action outside "
@@ -600,6 +570,4 @@ def sft_update(block: SftBlock, lr: float) -> SftBlock:
 def nll_loss(block: SftBlock) -> float:
     """-sum log softmax(logits)[expert action] over the block's turns, read
     from the softmax the block holds; 0.0 for none."""
-    if not block.slots.size:
-        return 0.0
     return _sum_in_order(-np.log(np.maximum(block.q[block.experts], 1e-300)))

@@ -122,25 +122,17 @@ def kl_profile(kl: np.ndarray, played: np.ndarray) -> list[float]:
                      where=counts > 0).tolist()
 
 
-def per_turn_kl_profile(trajectories) -> list[float]:
-    """Mean turn KL at each absolute turn index across trajectories.
-
-    Entry t is kl_profile's mean of turn_kl over the student turns recorded
-    at index t, NaN if there are none. Expert prefix turns are not among a
-    trajectory's turns, but they advance the index, so prefix and student
-    regions stay distinguishable.
+def per_turn_kl_profile(rollouts) -> list[float]:
+    """Mean turn KL at each absolute turn index over a ``distill.Rollouts``
+    batch: kl_profile of its KL matrix over the student turns, cut after the
+    last student turn. Entry t is NaN if no episode played a student turn t.
+    Expert prefix turns are left out, but they advance the index, so prefix
+    and student regions stay distinguishable.
     """
-    trajectories = list(trajectories)
-    if not trajectories:
-        raise UsageError("per_turn_kl_profile needs at least one trajectory")
-    width = 1 + max((turn.turn_index for traj in trajectories for turn in traj.turns),
-                    default=-1)
-    kl = np.zeros((len(trajectories), width))
-    played = np.zeros(kl.shape, dtype=bool)
-    for b, traj in enumerate(trajectories):
-        for turn in traj.turns:
-            kl[b, turn.turn_index], played[b, turn.turn_index] = turn.turn_kl, True
-    return kl_profile(kl, played)
+    if not len(rollouts):
+        raise UsageError("per_turn_kl_profile needs at least one rollout")
+    width = np.max(rollouts.prefix_len + rollouts.rounds, where=rollouts.rounds > 0, initial=0)
+    return kl_profile(rollouts.kl[:, :width], rollouts.student_mask()[:, :width])
 
 
 # ---------------------------------------------------------------------------

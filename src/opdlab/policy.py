@@ -687,6 +687,8 @@ def load_params(path) -> PolicyParams:
                 where = f"line {number}: "
                 row = json.loads(line)
                 key, logits = tuple(row["key"]), np.array(row["logits"], dtype=np.float64)
+                if not all(type(x) is int for x in key):
+                    raise UsageError(f"row key {list(key)} has an entry that is not an int")
                 _check_width(num_actions, key, logits)
                 i = params.index.intern(key)
                 if i >= len(at):

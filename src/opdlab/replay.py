@@ -7,8 +7,8 @@ distribution, the turn KL and the acting policy version). The history key
 already encodes the whole prefix (expert-prefix turns included), so nothing
 needs to be re-simulated at learn time; the expert-prefix turns themselves
 get no entry. The sampler eagerly discards entries older than the staleness
-budget before drawing a batch. ``ExperienceEntry`` is the same record as one
-object, built on demand (``Turns.entries``) for tests and per-turn readers.
+budget before drawing a batch. There is no per-entry object: an entry is a
+row of a ``Turns``.
 """
 
 from __future__ import annotations
@@ -18,23 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .policy import HistoryKey, KeyIndex
+from .policy import KeyIndex
 
 DEFAULT_CAPACITY = 4096
-
-
-@dataclass
-class ExperienceEntry:
-    """One student turn: the realized history, the sampled action, the teacher's
-    distribution, its KL and the acting policy version. The student's
-    distribution is not kept: it is its policy's softmax at ``history_key``."""
-
-    history_key: HistoryKey
-    action: int
-    teacher_dist: np.ndarray
-    turn_index: int
-    turn_kl: float
-    policy_version: int
 
 
 @dataclass(eq=False)
@@ -53,9 +39,6 @@ class Turns:
     def __len__(self) -> int:
         return len(self.key)
 
-    def __iter__(self):
-        return iter(self.entries())
-
     def _columns(self) -> list[np.ndarray]:
         return [self.key, self.action, self.turn, self.teacher, self.kl, self.version]
 
@@ -68,30 +51,14 @@ class Turns:
         return Turns(self.index, self.key[rows], self.action[rows], self.turn[rows], teacher,
                      self.kl[rows], self.version[rows])
 
-    def entries(self) -> list[ExperienceEntry]:
-        return [ExperienceEntry(k, a, p, t, d, v) for k, a, p, t, d, v in zip(
-            self.index.keys(self.key), self.action.tolist(), self.teacher, self.turn.tolist(),
-            self.kl.tolist(), self.version.tolist())]
 
-    @classmethod
-    def of(cls, entries, index: KeyIndex) -> "Turns":
-        """``entries`` (ExperienceEntry objects) as columns, keys interned in ``index``."""
-        entries = list(entries)
-        teacher = np.array([e.teacher_dist for e in entries], dtype=np.float64)
-        return cls(index, np.array([index.intern(e.history_key) for e in entries], dtype=np.int64),
-                   np.array([e.action for e in entries], dtype=np.int64),
-                   np.array([e.turn_index for e in entries], dtype=np.int64),
-                   teacher.reshape(len(entries), -1) if entries else teacher.reshape(0, 0),
-                   np.array([e.turn_kl for e in entries], dtype=np.float64),
-                   np.array([e.policy_version for e in entries], dtype=np.int64))
-
-
-def decompose(traj) -> list[ExperienceEntry]:
-    """The replay entries of a rollout: its student turns, in turn order.
+def decompose(rollouts) -> Turns:
+    """The replay entries of a ``distill.Rollouts`` batch: its student turns,
+    episode by episode, each in turn order.
 
     Kept as a name because bench/tracing.py traces ``replay.decompose``.
     """
-    return traj.turns
+    return rollouts.student_turns()
 
 
 class RingBuffer:

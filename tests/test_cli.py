@@ -342,6 +342,21 @@ def test_sweep_creates_sibling_directories(config_path):
         assert echoed["curriculum"]["eta"] == eta
 
 
+def test_sweep_with_an_empty_run_section(tmp_path, monkeypatch):
+    path = tmp_path / "exp.yaml"
+    cfg = write_config(path)
+    cfg["run"] = None  # "run:" with nothing under it
+    path.write_text(yaml.safe_dump(cfg))
+    monkeypatch.chdir(tmp_path)  # the default output directory is ./runs
+    assert main(["sweep", str(path), "--eta", "2,4", "--curriculum.total_steps=6"]) == 0
+    for eta in (2, 4):
+        run_dir = tmp_path / "runs" / f"run_eta{eta}"
+        assert (run_dir / "metrics.jsonl").exists()
+        echoed = yaml.safe_load((run_dir / "config.yaml").read_text())
+        assert echoed["run"] == {"name": f"run_eta{eta}"}
+        assert echoed["curriculum"]["eta"] == eta
+
+
 def test_sweep_with_a_bad_eta_trains_nothing(config_path, capsys):
     assert main(["sweep", str(config_path), "--eta", "2,0",
                  "--curriculum.total_steps=10"]) == 2

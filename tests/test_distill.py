@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from opdlab.distill import (
+    Rollouts,
     TeacherTrajectoryStore,
-    Trajectory,
     _replay,
     apply_gradient,
     batch_gradient,
@@ -37,7 +38,7 @@ from opdlab.policy import (
     softmax,
 )
 from opdlab.metrics import MetricsLog, TrainRecord
-from opdlab.replay import ExperienceEntry, Turns
+from opdlab.replay import Turns
 from opdlab.runtime import RunConfig, _seed_streams, evaluate, run_training
 
 
@@ -65,10 +66,19 @@ def uniform_student(env):
     return PolicyParams(num_actions=env.config.num_actions)
 
 
-def content_fields(traj):
-    return ([(t.history_key, t.action, t.turn_index, t.turn_kl, t.policy_version)
-             for t in traj.turns], traj.prefix_keys, traj.success, traj.rounds,
-            traj.policy_version)
+def played(r):
+    """(p, n): episode 0 of the batch ``r`` played turns [0, p) from its expert
+    prefix and turns [p, n) as the student."""
+    p = int(r.prefix_len[0])
+    return p, p + int(r.rounds[0])
+
+
+def content_fields(r):
+    """What a one-episode batch recorded: each turn's key (expert prefix
+    first), the student turns' actions and KL, and the episode's counts."""
+    p, n = played(r)
+    return (r.index.keys(r.keys[0, :n]), r.actions[0, p:n].tolist(), r.kl[0, p:n].tolist(),
+            r.versions.tolist(), r.success.tolist(), r.rounds.tolist(), r.prefix_len.tolist())
 
 
 # -- rollout_opd -----------------------------------------------------------------
@@ -76,17 +86,17 @@ def content_fields(traj):
 
 def test_opd_student_equals_teacher_zero_kl(env, sharp_teacher):
     params = sharp_teacher.materialize()
-    traj = rollout_opd(env, params, sharp_teacher, 0, rng(1))
-    assert traj.success
-    assert all(t.turn_kl == 0.0 for t in traj.turns)
+    r = rollout_opd(env, params, sharp_teacher, 0, rng(1))
+    assert r.success[0]
+    assert (r.kl[r.student_mask()] == 0.0).all()
 
 
 def test_opd_uniform_student_turn0_kl_closed_form(env, teacher):
-    traj = rollout_opd(env, uniform_student(env), teacher, 0, rng(2))
+    r = rollout_opd(env, uniform_student(env), teacher, 0, rng(2))
     a = env.config.num_actions
     p = teacher.dist(env.reset(0))
     expected = float(np.sum(p * np.log(p * a)))
-    assert traj.turns[0].turn_kl == pytest.approx(expected, abs=1e-12)
+    assert r.kl[0, 0] == pytest.approx(expected, abs=1e-12)
     assert expected > 0
 
 
@@ -97,9 +107,9 @@ def test_opd_deterministic_per_seed(env, teacher):
 
 
 def test_opd_respects_horizon(env, teacher):
-    traj = rollout_opd(env, uniform_student(env), teacher, 0, rng(3))
-    assert traj.rounds <= env.config.horizon_cap
-    assert traj.algo == "opd"
+    r = rollout_opd(env, uniform_student(env), teacher, 0, rng(3))
+    assert r.rounds[0] <= env.config.horizon_cap
+    assert r.algo == "opd"
 
 
 # -- rollout_f2b -----------------------------------------------------------------
@@ -113,16 +123,16 @@ def test_f2b_saturated_matches_opd(env, teacher):
 
 
 def test_f2b_single_turn(env, teacher):
-    traj = rollout_f2b(env, uniform_student(env), teacher, 0, 1, rng(8))
-    assert traj.rounds == 1
-    assert len(traj.turns) == 1
+    r = rollout_f2b(env, uniform_student(env), teacher, 0, 1, rng(8))
+    assert r.rounds[0] == 1
+    assert len(r.student_turns()) == 1
 
 
 def test_f2b_truncated_optimal_student_cannot_succeed(env, sharp_teacher):
     params = sharp_teacher.materialize()
-    traj = rollout_f2b(env, params, sharp_teacher, 0, 3, rng(9))
-    assert traj.rounds == 3
-    assert not traj.success
+    r = rollout_f2b(env, params, sharp_teacher, 0, 3, rng(9))
+    assert r.rounds[0] == 3
+    assert not r.success[0]
 
 
 def test_f2b_rejects_bad_k(env, teacher):
@@ -143,16 +153,16 @@ def test_b2f_full_k_matches_opd(env, teacher, store):
     b = rollout_b2f(env, store, uniform_student(env), teacher, 2,
                     store.length(2), rng(11))
     assert content_fields(a) == content_fields(b)
-    assert b.prefix_len == 0
+    assert b.prefix_len[0] == 0
 
 
 def test_b2f_doorstep_prefix(env, teacher, store):
-    traj = rollout_b2f(env, store, uniform_student(env), teacher, 4, 1, rng(12))
+    r = rollout_b2f(env, store, uniform_student(env), teacher, 4, 1, rng(12))
     assert store.length(4) == 8
-    assert traj.prefix_len == 7
-    assert len(traj.prefix_keys) == 7
-    assert traj.turns[0].turn_index == 7
-    assert traj.rounds >= 1
+    assert r.prefix_len[0] == 7
+    assert np.count_nonzero(r.keys[0, :7]) == 7  # every prefix turn has its key
+    assert r.student_turns().turn[0] == 7
+    assert r.rounds[0] >= 1
 
 
 def test_b2f_missing_task(env, teacher):
@@ -163,17 +173,18 @@ def test_b2f_missing_task(env, teacher):
 
 def test_b2f_prefix_only_keys_do_not_move_loss(env, teacher, store):
     student = uniform_student(env)
-    traj = rollout_b2f(env, store, student, teacher, 1, 2, rng(13))
-    student_keys = {t.history_key for t in traj.turns}
-    prefix_only = [key for key in traj.prefix_keys if key not in student_keys]
+    r = rollout_b2f(env, store, student, teacher, 1, 2, rng(13))
+    p, n = played(r)
+    keys = r.index.keys(r.keys[0, :n])
+    prefix_only = [key for key in keys[:p] if key not in keys[p:]]
     assert prefix_only
-    base_loss, base_grads = trajectory_loss(traj, student)
+    base_loss, base_grads = trajectory_loss(r, student)
     perturbed = PolicyParams(num_actions=student.num_actions,
                              logits=dict(student.logits),
                              default_logits=student.default_logits)
     for key in prefix_only:
         perturbed.logits[key] = np.array([100.0, -3.0, 7.0, 0.0, 1.0, -50.0])
-    new_loss, new_grads = trajectory_loss(traj, perturbed)
+    new_loss, new_grads = trajectory_loss(r, perturbed)
     assert new_loss == base_loss
     assert set(base_grads) == set(new_grads)
     assert not (set(new_grads) & set(prefix_only))
@@ -187,70 +198,81 @@ def test_b2f_prefix_keys_are_the_stored_turns_keys(env, teacher, store, window):
     # two independent walks of the same expert actions: the rollout's prefix
     # and store_turns over a store holding only that task
     for task, k in ((4, 1), (1, 3), (7, 5)):
-        traj = rollout_b2f(env, store, uniform_student(env), teacher, task, k,
-                           rng(14), window=window)
+        r = rollout_b2f(env, store, uniform_student(env), teacher, task, k,
+                        rng(14), window=window)
         only_task = TeacherTrajectoryStore(actions_by_task={task: store.get(task)})
         stored_keys = [key for key, _ in store_turns(env, only_task, window)]
-        assert traj.prefix_len == store.length(task) - k
-        assert traj.prefix_keys == stored_keys[:traj.prefix_len]
-        assert traj.turns[0].turn_index == traj.prefix_len
+        p = r.prefix_len[0]
+        assert p == store.length(task) - k
+        assert r.index.keys(r.keys[0, :p]) == stored_keys[:p]
+        assert r.student_turns().turn[0] == p
 
 
 def test_rollouts_record_one_entry_per_student_turn(env, teacher, store):
     student = PolicyParams(num_actions=env.config.num_actions, version=3)
-    for traj in (rollout_opd(env, student, teacher, 3, rng(15)),
-                 rollout_f2b(env, student, teacher, 3, 4, rng(15)),
-                 rollout_b2f(env, store, student, teacher, 3, 2, rng(15))):
-        assert traj.rounds == len(traj.turns) >= 1
-        assert [t.turn_index for t in traj.turns] == list(
-            range(traj.prefix_len, traj.prefix_len + traj.rounds))
-        assert all(t.policy_version == 3 for t in traj.turns)
+    for r in (rollout_opd(env, student, teacher, 3, rng(15)),
+              rollout_f2b(env, student, teacher, 3, 4, rng(15)),
+              rollout_b2f(env, store, student, teacher, 3, 2, rng(15))):
+        turns = r.student_turns()
+        assert r.rounds[0] == len(turns) >= 1
+        assert turns.turn.tolist() == list(range(*played(r)))
+        assert (turns.version == 3).all()
 
 
 # -- trajectory_loss -----------------------------------------------------------------
 
 
-def synthetic_trajectory(p, q, key=(1, 0, 2)):
-    """A one-turn trajectory with teacher row p, and params whose row at its key
+def one_episode(keys, teacher_rows, index, prefix_len=0):
+    """A one-episode batch, made by hand, whose turns have the keys ``keys``
+    (interned in ``index``; the first ``prefix_len`` of an expert prefix) and
+    the teacher rows ``teacher_rows``; what the losses do not read is 0."""
+    n = len(keys)
+    return Rollouts(index, "opd", np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                    np.array([[index.intern(k) for k in keys]], dtype=np.int64),
+                    np.zeros((1, n), dtype=np.int64), np.reshape(teacher_rows, (1, n, -1)),
+                    np.zeros((1, n)), np.array([prefix_len]), np.array([n - prefix_len]),
+                    np.zeros(1, dtype=bool))
+
+
+def synthetic_episode(p, q, key=(1, 0, 2)):
+    """A one-turn episode with teacher row p, and params whose row at its key
     is log q, so the student's distribution there is q up to round-off."""
-    turn = ExperienceEntry(history_key=key, action=0, teacher_dist=np.array(p),
-                           turn_index=0, turn_kl=forward_kl(np.array(p), np.array(q)),
-                           policy_version=0)
     params = PolicyParams(num_actions=len(q), logits={key: np.log(q)})
-    return Trajectory(task_id=0, turns=[turn], prefix_keys=[], success=False,
-                      policy_version=0, algo="opd"), params
+    return one_episode([key], [p], params.index), params
 
 
 def test_loss_single_turn_closed_form():
-    traj, params = synthetic_trajectory([1.0, 0.0], [0.5, 0.5])
-    loss, grads = trajectory_loss(traj, params)
+    r, params = synthetic_episode([1.0, 0.0], [0.5, 0.5])
+    loss, grads = trajectory_loss(r, params)
     assert loss == pytest.approx(math.log(2), abs=1e-12)
     assert np.allclose(grads[(1, 0, 2)], [-0.5, 0.5], atol=1e-15)
 
 
 def test_loss_zero_when_matched():
-    traj, params = synthetic_trajectory([0.25, 0.75], [0.25, 0.75])
-    loss, grads = trajectory_loss(traj, params)
+    r, params = synthetic_episode([0.25, 0.75], [0.25, 0.75])
+    loss, grads = trajectory_loss(r, params)
     # softmax(log q) is q up to one ulp, so the KL is 0 up to round-off
     assert loss == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(grads[(1, 0, 2)], 0.0, atol=1e-15)
 
 
 def test_loss_all_prefix_is_empty():
-    traj = Trajectory(task_id=0, turns=[], prefix_keys=[(0,)], success=False,
-                      policy_version=0, algo="b2f")
-    assert (traj.rounds, traj.prefix_len) == (0, 1)
-    assert trajectory_loss(traj, PolicyParams(num_actions=2)) == (0.0, {})
+    params = PolicyParams(num_actions=2)
+    r = one_episode([(0,)], [[0.5, 0.5]], params.index, prefix_len=1)
+    assert (r.rounds[0], r.prefix_len[0]) == (0, 1)
+    loss, grads = trajectory_loss(r, params)
+    assert math.copysign(1.0, loss) == 1.0 and loss == 0.0
+    assert len(grads) == 0 and grads.rows.shape == (0, 2)
 
 
 def test_loss_matches_recorded_kl_sum(env, teacher):
     student = uniform_student(env)
-    traj = rollout_opd(env, student, teacher, 1, rng(21))
-    loss, _ = trajectory_loss(traj, student)
-    assert loss == pytest.approx(sum(t.turn_kl for t in traj.turns), abs=1e-12)
+    r = rollout_opd(env, student, teacher, 1, rng(21))
+    loss, _ = trajectory_loss(r, student)
+    assert loss == pytest.approx(sum(r.kl[r.student_mask()].tolist()), abs=1e-12)
     # an equal table gives the same loss: it depends on the rows, not the object
     same_rows = PolicyParams(num_actions=student.num_actions, logits=dict(student.logits))
-    recomputed, _ = trajectory_loss(traj, same_rows)
+    recomputed, _ = trajectory_loss(r, same_rows)
     assert recomputed == pytest.approx(loss, abs=1e-12)
 
 
@@ -300,6 +322,24 @@ def test_store_load_rejects_broken_replay(env, sharp_teacher, tmp_path):
     save_store(store, path)
     with pytest.raises(ConfigError):
         load_store(path, env)
+
+
+@pytest.mark.parametrize("field,value", [("task_id", 0.2), ("task_id", 0.0),
+                                         ("task_id", True), ("length", 8.0),
+                                         ("actions", "shift"), ("actions", [False])])
+def test_load_store_rejects_values_that_are_not_ints(env, store, tmp_path, field, value):
+    # int() would read task_id 0.2 as task 0, and actions [1.7, 4.7] as [1, 4]
+    path = tmp_path / "store.jsonl"
+    save_store(store, path)
+    header, first, *rest = path.read_text().splitlines()
+    row = json.loads(first)
+    if value == "shift":
+        value = [a + 0.7 for a in row["actions"]]
+    row[field] = value
+    path.write_text("\n".join([header, json.dumps(row), *rest]) + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_store(path, env)
+    assert str(err.value) == f"{path}: line 2: task_id, length and actions must be ints"
 
 
 def test_replay_returns_the_states_of_a_stored_trajectory(env, store):
@@ -421,17 +461,25 @@ def test_nll_of_certain_turns_is_positive_zero():
 # -- learner step -----------------------------------------------------------------
 
 
+def entries(batch, index):
+    """Replay columns of the (key, teacher row) pairs ``batch``, keys interned
+    in ``index``; batch_gradient reads only the key ids and teacher rows."""
+    n = len(batch)
+    zeros = np.zeros(n, dtype=np.int64)
+    return Turns(index, np.array([index.intern(key) for key, _ in batch], dtype=np.int64),
+                 zeros, zeros, np.array([p for _, p in batch], dtype=np.float64),
+                 np.zeros(n), zeros)
+
+
 def gradient_step(batch, params, lr):
-    """The runtime's learner update on the entries ``batch``: batch_gradient,
-    then apply_gradient."""
-    _, grads = batch_gradient(Turns.of(batch, params.index), params)
+    """The runtime's learner update on the (key, teacher row) pairs ``batch``:
+    batch_gradient, then apply_gradient."""
+    _, grads = batch_gradient(entries(batch, params.index), params)
     return apply_gradient(params, grads, lr)
 
 
-def entry(key, p, version=0):
-    # the learner reads only the key, the teacher row and the version
-    return ExperienceEntry(history_key=key, action=0, teacher_dist=np.array(p),
-                           turn_index=0, turn_kl=0.0, policy_version=version)
+def entry(key, p):
+    return key, np.array(p)
 
 
 def test_learner_step_noop_when_matched():
@@ -479,8 +527,7 @@ def test_repeated_steps_on_fixed_batch_descend_kl():
         batch.append(entry((i,), p / p.sum()))
     previous = None
     for _ in range(100):
-        kl = sum(forward_kl(e.teacher_dist, softmax(params.logits_for(e.history_key)))
-                 for e in batch)
+        kl = sum(forward_kl(p, softmax(params.logits_for(key))) for key, p in batch)
         if previous is not None:
             assert kl <= previous + 1e-12
         previous = kl
@@ -534,12 +581,12 @@ def teacher_rows(draw, n, a):
 def reference_batch_gradient(batch, params):
     loss = 0.0
     sums, counts = {}, {}
-    for e in batch:
-        q = softmax(params.logits_for(e.history_key))
-        loss += forward_kl(e.teacher_dist, q)
-        g = kl_logit_gradient(e.teacher_dist, q)
-        sums[e.history_key] = sums[e.history_key] + g if e.history_key in sums else g
-        counts[e.history_key] = counts.get(e.history_key, 0) + 1
+    for key, p in batch:
+        q = softmax(params.logits_for(key))
+        loss += forward_kl(p, q)
+        g = kl_logit_gradient(p, q)
+        sums[key] = sums[key] + g if key in sums else g
+        counts[key] = counts.get(key, 0) + 1
     return loss / len(batch), {k: sums[k] / counts[k] for k in sums}
 
 
@@ -549,7 +596,7 @@ def test_batch_gradient_bitwise_equals_per_entry_loop(data):
     params, keys = data.draw(row_block_case())
     p = data.draw(teacher_rows(len(keys), params.num_actions))
     batch = [entry(k, row) for k, row in zip(keys, p)]
-    loss, grads = batch_gradient(Turns.of(batch, params.index), params)
+    loss, grads = batch_gradient(entries(batch, params.index), params)
     ref_loss, ref_grads = reference_batch_gradient(batch, params)
     assert same_bits(loss, ref_loss)
     assert list(grads) == list(ref_grads)
@@ -576,17 +623,17 @@ def test_sft_update_and_nll_bitwise_equal_per_turn_loop(data):
     assert updated.version == expected.version
 
 
-def per_turn_trajectory_loss(traj, params):
-    """trajectory_loss as a loop over the turns: the reference for its row block."""
+def per_turn_trajectory_loss(turns, params):
+    """trajectory_loss as a loop over the (key, teacher row) pairs ``turns``:
+    the reference for its row block."""
     loss = 0.0
     grads = {}
-    for turn in traj.turns:
-        p = turn.teacher_dist
-        q = action_dist(params, turn.history_key, 1.0)
+    for key, p in turns:
+        q = action_dist(params, key, 1.0)
         loss += forward_kl(p, q)
         g = kl_logit_gradient(p, q)
-        acc = grads.get(turn.history_key)
-        grads[turn.history_key] = g if acc is None else acc + g
+        acc = grads.get(key)
+        grads[key] = g if acc is None else acc + g
     return loss, grads
 
 
@@ -595,10 +642,8 @@ def per_turn_trajectory_loss(traj, params):
 def test_trajectory_loss_bitwise_equals_per_turn_loop(data):
     params, keys = data.draw(row_block_case())
     p = data.draw(teacher_rows(len(keys), params.num_actions))
-    traj = Trajectory(task_id=0, turns=[entry(k, row) for k, row in zip(keys, p)],
-                      prefix_keys=[], success=False, policy_version=0, algo="opd")
-    loss, grads = trajectory_loss(traj, params)
-    ref_loss, ref_grads = per_turn_trajectory_loss(traj, params)
+    loss, grads = trajectory_loss(one_episode(keys, p, params.index), params)
+    ref_loss, ref_grads = per_turn_trajectory_loss(zip(keys, p), params)
     assert same_bits(loss, ref_loss)
     assert list(grads) == list(ref_grads)
     assert all(same_bits(grads[k], ref_grads[k]) for k in grads)

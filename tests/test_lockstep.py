@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from opdlab.curriculum import b2f_prefix_len
 from opdlab.distill import (
-    Trajectory,
     apply_gradient,
     collect_teacher_trajectories,
     rollout_b2f,
@@ -45,7 +44,6 @@ from opdlab.policy import (
     softmax,
     softmax_rows,
 )
-from opdlab.replay import ExperienceEntry
 from opdlab.runtime import _episode_summary, evaluate
 
 
@@ -60,41 +58,41 @@ class RowRng:
 
 
 def scalar_rollout(env, student, teacher, task_id, rng, *, max_student_turns,
-                   prefix_actions, algo, temperature=1.0, window=None):
-    """One rollout, turn by turn on scalars: the reference for the engine."""
+                   prefix_actions, temperature=1.0, window=None):
+    """One rollout, turn by turn on scalars: the reference for the engine.
+    Returns what ``episode_fields`` reads of an engine episode, and the
+    student turns' KL."""
     state = env.reset(task_id)
     observations = [state.token]
     actions = []
-    prefix_keys = []
-    turns = []
+    keys = []  # every turn's history key, expert prefix first
+    kl = []
 
     for a in prefix_actions or []:
         if state.done:
             raise UsageError(
                 f"stored trajectory for task {task_id} terminated during its prefix"
             )
-        prefix_keys.append(encode_history(observations, actions, window))
+        keys.append(encode_history(observations, actions, window))
         state = env.step(state, int(a))
         actions.append(int(a))
         observations.append(state.token)
 
-    version = student.version
-    while not state.done and len(turns) < max_student_turns:
+    prefix_len = len(actions)
+    while not state.done and len(kl) < max_student_turns:
         key = encode_history(observations, actions, window)
         q_policy = action_dist(student, key, 1.0)
         q_sample = q_policy if temperature == 1.0 else action_dist(student, key, temperature)
         p_teacher = teacher.dist(state)
         a = sample_action(q_sample, rng)
-        turns.append(ExperienceEntry(history_key=key, action=a,
-                                     teacher_dist=p_teacher, turn_index=state.turn,
-                                     turn_kl=forward_kl(p_teacher, q_policy),
-                                     policy_version=version))
+        assert state.turn == len(keys)
+        keys.append(key)
+        kl.append(forward_kl(p_teacher, q_policy))
         state = env.step(state, a)
         actions.append(a)
         observations.append(state.token)
 
-    return Trajectory(task_id=task_id, turns=turns, prefix_keys=prefix_keys,
-                      success=state.success, policy_version=version, algo=algo)
+    return (keys, actions[prefix_len:], prefix_len, state.success, student.version), kl
 
 
 def partial_student(teacher, window, seed, version=0):
@@ -122,18 +120,27 @@ def reachable_states(env):
     return [seen[key] for key in sorted(seen)]
 
 
-def exact_fields(traj):
-    """Everything of a trajectory that must match exactly; KL is compared apart."""
-    return ([(e.history_key, e.action, e.turn_index, e.policy_version) for e in traj.turns],
-            traj.prefix_keys, traj.rounds, traj.success, traj.policy_version,
-            traj.task_id, traj.algo)
+def played(r, e):
+    """(p, n): episode e of the batch ``r`` played turns [0, p) from its expert
+    prefix and turns [p, n) as the student."""
+    p = int(r.prefix_len[e])
+    return p, p + int(r.rounds[e])
 
 
-def same_bits(traj, other):
-    """Two trajectories from the engine agree to the last bit."""
-    return exact_fields(traj) == exact_fields(other) and all(
-        a.turn_kl == b.turn_kl and np.array_equal(a.teacher_dist, b.teacher_dist)
-        for a, b in zip(traj.turns, other.turns))
+def episode_fields(r, e):
+    """Everything of episode e of the batch ``r`` that must match exactly:
+    each turn's key (expert prefix first), the student turns' actions, the
+    prefix length, success and version; KL is compared apart."""
+    p, n = played(r, e)
+    return (r.index.keys(r.keys[e, :n]), r.actions[e, p:n].tolist(), p, bool(r.success[e]),
+            int(r.versions[e]))
+
+
+def episode_bits(r, e):
+    """Episode e of the batch ``r`` to the last bit."""
+    p, n = played(r, e)
+    return (episode_fields(r, e), int(r.task_ids[e]), r.kl[e, p:n].tobytes(),
+            r.teacher[e, p:n].tobytes())
 
 
 # -- oracle: the engine equals the scalar rollouts ------------------------------------
@@ -160,23 +167,22 @@ def test_engine_matches_scalar_oracle_on_same_uniforms(kind, window, temperature
     outcomes = set()
     for algo, k in ALGO_KS:
         u = np.random.default_rng(k).random((episodes, horizon))
-        trajs = rollout_batch(algo, env, students, teacher, tasks, k, u, store=store,
-                              temperature=temperature, window=window)
-        for e, traj in enumerate(trajs):
+        r = rollout_batch(algo, env, students, teacher, tasks, k, u, store=store,
+                          temperature=temperature, window=window)
+        assert r.algo == algo and r.task_ids.tolist() == tasks.tolist()
+        for e in range(episodes):
             stored = store.get(int(tasks[e]))
             prefix = stored[:b2f_prefix_len(len(stored), k)] if algo == "b2f" else None
             cap = min(k, horizon) if algo == "f2b" else horizon
-            expected = scalar_rollout(env, students[e], teacher, int(tasks[e]), RowRng(u[e]),
-                                      max_student_turns=cap, prefix_actions=prefix,
-                                      algo=algo, temperature=temperature, window=window)
-            assert exact_fields(traj) == exact_fields(expected), (algo, k, e)
-            np.testing.assert_allclose([t.turn_kl for t in traj.turns],
-                                       [t.turn_kl for t in expected.turns],
-                                       rtol=1e-12, atol=0)
+            fields, kl = scalar_rollout(env, students[e], teacher, int(tasks[e]), RowRng(u[e]),
+                                        max_student_turns=cap, prefix_actions=prefix,
+                                        temperature=temperature, window=window)
+            assert episode_fields(r, e) == fields, (algo, k, e)
+            np.testing.assert_allclose(r.kl[e, slice(*played(r, e))], kl, rtol=1e-12, atol=0)
         if algo == "b2f" and k < 6:
-            assert all(t.prefix_len > 0 for t in trajs)
-        assert {t.policy_version for t in trajs} == {4, 5, 6}
-        outcomes |= {t.success for t in trajs}
+            assert (r.prefix_len > 0).all()
+        assert set(r.versions.tolist()) == {4, 5, 6}
+        outcomes |= set(r.success.tolist())
     assert outcomes == {False, True}  # the oracle sees both outcomes
 
 
@@ -199,27 +205,25 @@ def test_engine_matches_scalar_oracle_on_mixed_tables(mix, window):
         # a step over some keys of the table and over histories new to it
         seen = rollout_batch("opd", env, [tables[-1]] * 4, teacher, np.arange(4), 12,
                              gen.random((4, horizon)), window=window)
-        keys = list(tables[-1].logits)[::7] + [turn.history_key for traj in seen
-                                               for turn in traj.turns]
+        keys = list(tables[-1].logits)[::7] + seen.index.keys(seen.student_turns().key)
         tables.append(apply_gradient(tables[-1], {key: gen.normal(0.0, 1.0, 6) for key in keys},
                                      0.7))
     tasks = np.arange(episodes) % env.config.task_count
     students = [tables[e % 3] for e in range(episodes)]
     for (algo, k), temperature in product((("opd", 12), ("f2b", 3), ("b2f", 3)), (0.4, 1.0)):
         u = np.random.default_rng(k).random((episodes, horizon))
-        trajs = rollout_batch(algo, env, students, teacher, tasks, k, u, store=store,
-                              temperature=temperature, window=window)
-        for e, traj in enumerate(trajs):
+        r = rollout_batch(algo, env, students, teacher, tasks, k, u, store=store,
+                          temperature=temperature, window=window)
+        for e in range(episodes):
             stored = store.get(int(tasks[e]))
             prefix = stored[:b2f_prefix_len(len(stored), k)] if algo == "b2f" else None
             cap = min(k, horizon) if algo == "f2b" else horizon
-            expected = scalar_rollout(env, students[e], teacher, int(tasks[e]), RowRng(u[e]),
-                                      max_student_turns=cap, prefix_actions=prefix, algo=algo,
-                                      temperature=temperature, window=window)
-            assert exact_fields(traj) == exact_fields(expected), (algo, temperature, e)
-            np.testing.assert_allclose([t.turn_kl for t in traj.turns],
-                                       [t.turn_kl for t in expected.turns], rtol=1e-12, atol=0)
-        assert {t.policy_version for t in trajs} == {4, 5, 6}
+            fields, kl = scalar_rollout(env, students[e], teacher, int(tasks[e]), RowRng(u[e]),
+                                        max_student_turns=cap, prefix_actions=prefix,
+                                        temperature=temperature, window=window)
+            assert episode_fields(r, e) == fields, (algo, temperature, e)
+            np.testing.assert_allclose(r.kl[e, slice(*played(r, e))], kl, rtol=1e-12, atol=0)
+        assert set(r.versions.tolist()) == {4, 5, 6}
 
 
 @pytest.mark.parametrize("window", [None, 2])
@@ -229,11 +233,10 @@ def test_engine_matches_scalar_oracle_on_env_configs_other_than_its_index_learne
     its own, after learning theirs) as the scalar oracle does."""
     gen = np.random.default_rng(5)
     learned = make_env(EnvConfig(seed=0))
-    keys = {turn.history_key
-            for traj in rollout_batch("opd", learned, [PolicyParams(num_actions=6)] * 200,
-                                      make_teacher(learned), np.arange(200) % 32, 12,
-                                      gen.random((200, 12)), window=window)
-            for turn in traj.turns}
+    seen = rollout_batch("opd", learned, [PolicyParams(num_actions=6)] * 200,
+                         make_teacher(learned), np.arange(200) % 32, 12, gen.random((200, 12)),
+                         window=window)
+    keys = set(seen.index.keys(seen.student_turns().key))
     params = PolicyParams(6, {key: gen.normal(0.0, 2.0, 6) for key in sorted(keys)})
     for config in (EnvConfig(seed=1), EnvConfig(kind=MEMORY_LOCK), EnvConfig(seed=0)):
         env = make_env(config)
@@ -242,18 +245,18 @@ def test_engine_matches_scalar_oracle_on_env_configs_other_than_its_index_learne
         tasks = np.arange(episodes) % env.config.task_count
         u = gen.random((episodes, horizon))
         for algo, temperature in (("opd", 1.0), (None, 0.4)):  # training, then evaluation
-            kl, rounds, success, trajs = rollout_lockstep(
+            kl, rounds, success, r = rollout_lockstep(
                 env, [params] * episodes, teacher, tasks, u, temperature=temperature,
                 window=window, algo=algo)
             for e in range(episodes):
-                expected = scalar_rollout(env, params, teacher, int(tasks[e]), RowRng(u[e]),
-                                          max_student_turns=horizon, prefix_actions=None,
-                                          algo="opd", temperature=temperature, window=window)
-                assert (rounds[e], success[e]) == (expected.rounds, expected.success)
-                np.testing.assert_allclose(kl[e, :rounds[e]],
-                                           [t.turn_kl for t in expected.turns], rtol=1e-12)
-                if trajs is not None:
-                    assert exact_fields(trajs[e]) == exact_fields(expected)
+                fields, expected = scalar_rollout(env, params, teacher, int(tasks[e]),
+                                                  RowRng(u[e]), max_student_turns=horizon,
+                                                  prefix_actions=None, temperature=temperature,
+                                                  window=window)
+                assert (rounds[e], success[e]) == (len(expected), fields[3])
+                np.testing.assert_allclose(kl[e, :rounds[e]], expected, rtol=1e-12)
+                if r is not None:
+                    assert episode_fields(r, e) == fields
 
 
 @pytest.mark.parametrize("algo,k", [("opd", 12), ("f2b", 4), ("b2f", 3)])
@@ -268,11 +271,11 @@ def test_episode_results_do_not_depend_on_wave_makeup(algo, k):
     u = np.random.default_rng(3).random((episodes, env.config.horizon_cap))
     whole = rollout_batch(algo, env, students, teacher, tasks, k, u, store=store, window=2)
     alone = [rollout_batch(algo, env, students[e:e + 1], teacher, tasks[e:e + 1], k,
-                           u[e:e + 1], store=store, window=2)[0] for e in range(episodes)]
+                           u[e:e + 1], store=store, window=2) for e in range(episodes)]
     part = rollout_batch(algo, env, students[5:13], teacher, tasks[5:13], k, u[5:13],
                          store=store, window=2)
-    assert all(same_bits(a, b) for a, b in zip(whole, alone))
-    assert all(same_bits(a, b) for a, b in zip(whole[5:13], part))
+    assert all(episode_bits(whole, e) == episode_bits(alone[e], 0) for e in range(episodes))
+    assert all(episode_bits(whole, 5 + e) == episode_bits(part, e) for e in range(8))
 
 
 def test_prefix_that_reaches_the_goal_early_is_rejected():
@@ -299,28 +302,31 @@ def test_evaluate_matches_scalar_rollouts_on_same_uniforms(kind, window, tempera
                       temperature=temperature, window=window, step=4, active_k=2)
 
     u = np.random.default_rng(11).random((episodes, horizon))
-    trajs = [scalar_rollout(env, params, teacher, e % env.config.task_count, RowRng(u[e]),
-                            max_student_turns=horizon, prefix_actions=None, algo="opd",
-                            temperature=temperature, window=window)
-             for e in range(episodes)]
+    oracle = [scalar_rollout(env, params, teacher, e % env.config.task_count, RowRng(u[e]),
+                             max_student_turns=horizon, prefix_actions=None,
+                             temperature=temperature, window=window)
+              for e in range(episodes)]
+    kls = [kl for _, kl in oracle]
+    successes = [fields[3] for fields, _ in oracle]
     kl, rounds, success, _ = rollout_lockstep(env, [params] * episodes, teacher,
                                               np.arange(episodes) % env.config.task_count,
                                               u, temperature=temperature, window=window)
-    assert rounds.tolist() == [t.rounds for t in trajs]
-    assert success.tolist() == [t.success for t in trajs]
+    assert rounds.tolist() == [len(turns) for turns in kls]
+    assert success.tolist() == successes
     assert 0 < success.sum() < episodes  # the oracle sees both outcomes
-    for e, traj in enumerate(trajs):
-        expected = [turn.turn_kl for turn in traj.turns]
-        np.testing.assert_allclose(kl[e, :traj.rounds], expected, rtol=1e-12, atol=0)
-        assert not kl[e, traj.rounds:].any()
+    for e, expected in enumerate(kls):
+        np.testing.assert_allclose(kl[e, :len(expected)], expected, rtol=1e-12, atol=0)
+        assert not kl[e, len(expected):].any()
 
-    expected = _episode_summary([t.success for t in trajs], [t.rounds for t in trajs],
-                                [sum(turn.turn_kl for turn in t.turns) for t in trajs])
+    expected = _episode_summary(successes, [len(turns) for turns in kls],
+                                [sum(turns) for turns in kls])
     assert record.success_rate == expected["success_rate"]
     assert record.avg_rounds == expected["avg_rounds"]
     for name in ("traj_kl_mean", "traj_kl_turn_mean"):
         assert getattr(record, name) == pytest.approx(expected[name], rel=1e-12)
-    profile = per_turn_kl_profile(trajs)
+    # the mean KL at turn t over the episodes that played it
+    profile = [np.mean([turns[t] for turns in kls if len(turns) > t])
+               for t in range(max(map(len, kls)))]
     assert len(record.per_turn_kl) == len(profile)
     np.testing.assert_allclose(record.per_turn_kl, profile, rtol=1e-12, atol=0)
     assert (record.step, record.active_k, record.n_rollouts) == (4, 2, episodes)
@@ -329,17 +335,24 @@ def test_evaluate_matches_scalar_rollouts_on_same_uniforms(kind, window, tempera
 @pytest.mark.parametrize("kind,window", list(product((COMPOUNDING_CHAIN, MEMORY_LOCK),
                                                      (None, 2))))
 def test_evaluate_profile_bitwise_equals_the_profile_of_single_rollouts(kind, window):
+    """The two KL-profile entry points agree: evaluate at temperature 1 and
+    per_turn_kl_profile of the opd rollouts on the same uniforms, as one
+    rollout_batch (whose episodes each read their own row, so the batch plays
+    what single rollout_opd calls on those rows play)."""
     env = make_env(EnvConfig(kind=kind))
     teacher = make_teacher(env)
     params = partial_student(teacher, window, seed=4)
-    episodes = 256
+    episodes, horizon = 256, env.config.horizon_cap
     record = evaluate(params, env, teacher, episodes, np.random.default_rng(12),
                       temperature=1.0, window=window)
-    rng = np.random.default_rng(12)  # rollout e draws row e of evaluate's uniforms
-    trajs = [rollout_opd(env, params, teacher, e % env.config.task_count, rng, window=window)
-             for e in range(episodes)]
-    expected = np.array(per_turn_kl_profile(trajs))
+    u = np.random.default_rng(12).random((episodes, horizon))  # evaluate's uniforms
+    rollouts = rollout_batch("opd", env, [params] * episodes, teacher,
+                             np.arange(episodes) % env.config.task_count, horizon, u,
+                             window=window)
+    expected = np.array(per_turn_kl_profile(rollouts))
     assert np.array(record.per_turn_kl).tobytes() == expected.tobytes()
+    assert (record.success_rate, record.avg_rounds) == (rollouts.success.mean(),
+                                                        rollouts.rounds.mean())
 
 
 def test_evaluate_draws_do_not_depend_on_batch_makeup():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opdlab.distill import collect_teacher_trajectories, rollout_batch, rollout_opd
+from opdlab.distill import Rollouts, collect_teacher_trajectories, rollout_batch, rollout_opd
 from opdlab.env import COMPOUNDING_CHAIN, MEMORY_LOCK, EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
 from opdlab.metrics import (
@@ -47,18 +47,19 @@ def test_profile_zero_for_matched_policies():
     env = make_env(EnvConfig())
     teacher = make_teacher(env, on_support_temperature=1e-3)
     params = teacher.materialize()
-    rng = np.random.default_rng(0)
-    trajs = [rollout_opd(env, params, teacher, t, rng) for t in range(8)]
-    assert all(v == 0.0 for v in per_turn_kl_profile(trajs))
+    u = np.random.default_rng(0).random((8, env.config.horizon_cap))
+    rollouts = rollout_batch("opd", env, [params] * 8, teacher, np.arange(8),
+                             env.config.horizon_cap, u)
+    assert all(v == 0.0 for v in per_turn_kl_profile(rollouts))
 
 
 def test_profile_single_trajectory_equals_turn_kls():
     env = make_env(EnvConfig())
     teacher = make_teacher(env)
     student = PolicyParams(num_actions=6)
-    traj = rollout_opd(env, student, teacher, 0, np.random.default_rng(1))
-    profile = per_turn_kl_profile([traj])
-    assert profile == [t.turn_kl for t in traj.turns]
+    rollouts = rollout_opd(env, student, teacher, 0, np.random.default_rng(1))
+    profile = per_turn_kl_profile(rollouts)
+    assert profile == rollouts.kl[0, :rollouts.rounds[0]].tolist()
 
 
 def test_profile_increases_for_uniform_student():
@@ -67,25 +68,40 @@ def test_profile_increases_for_uniform_student():
     env = make_env(EnvConfig())
     teacher = make_teacher(env)
     student = PolicyParams(num_actions=6)
-    rng = np.random.default_rng(2)
-    trajs = [rollout_opd(env, student, teacher, i % 32, rng) for i in range(64)]
-    profile = per_turn_kl_profile(trajs)
+    u = np.random.default_rng(2).random((64, env.config.horizon_cap))
+    rollouts = rollout_batch("opd", env, [student] * 64, teacher, np.arange(64) % 32,
+                             env.config.horizon_cap, u)
+    profile = per_turn_kl_profile(rollouts)
     rho = stats.spearmanr(np.arange(len(profile)), profile).statistic
     assert rho > 0
 
 
+def episodes(batches, rows):
+    """The episodes ``rows`` of the batches ``batches`` taken end to end, as
+    one batch (the batches share one key index)."""
+    columns = [np.concatenate([getattr(b, name) for b in batches])[rows]
+               for name in ("task_ids", "versions", "keys", "actions", "teacher", "kl",
+                            "prefix_len", "rounds", "success")]
+    return Rollouts(batches[0].index, batches[0].algo, *columns)
+
+
 def test_profile_empty_input_rejected():
+    env = make_env(EnvConfig())
+    teacher = make_teacher(env)
+    u = np.zeros((1, env.config.horizon_cap))
+    one = rollout_batch("opd", env, [PolicyParams(num_actions=6)], teacher, [0], 1, u)
     with pytest.raises(UsageError):
-        per_turn_kl_profile([])
+        per_turn_kl_profile(episodes([one], []))
 
 
-def dict_loop_profile(trajectories):
-    """The per-turn KL profile as a loop of per-index sums and counts: the oracle."""
+def dict_loop_profile(rollouts):
+    """The per-turn KL profile as a loop of per-index sums and counts over
+    each episode's student turns: the oracle."""
     sums, counts, max_idx = {}, {}, -1
-    for traj in trajectories:
-        for turn in traj.turns:
-            t = turn.turn_index
-            sums[t] = sums.get(t, 0.0) + turn.turn_kl
+    for e in range(len(rollouts)):
+        start = int(rollouts.prefix_len[e])
+        for t in range(start, start + int(rollouts.rounds[e])):
+            sums[t] = sums.get(t, 0.0) + float(rollouts.kl[e, t])
             counts[t] = counts.get(t, 0) + 1
             max_idx = max(max_idx, t)
     return [sums[t] / counts[t] if counts.get(t) else math.nan for t in range(max_idx + 1)]
@@ -105,15 +121,15 @@ def test_profile_bitwise_equals_the_dict_loop_on_b2f_batches(kind, window):
     student = teacher.materialize(window)
     for key, row in student.logits.items():
         student.logits[key] = 0.25 * row + gen.normal(0.0, 0.5, row.shape)
-    by_k = {}
+    by_k = []  # the batches of k = 1, 3, 6 and 12: episodes 0-23, 24-47, 48-71 and 72-95
     for k in (1, 3, 6, 12):
         tasks = gen.integers(0, env.config.task_count, 24)
         u = gen.random((24, env.config.horizon_cap))
-        by_k[k] = list(rollout_batch("b2f", env, [student] * 24, teacher, tasks, k, u,
-                                     store=store, window=window))
-    batches = [by_k[1][:5], by_k[1], by_k[3] + by_k[1], by_k[12][:1]]
-    mixed = [t for k in (1, 3, 6, 12) for t in by_k[k]]
-    batches += [[mixed[i] for i in gen.permutation(len(mixed))[:n]] for n in (2, 9, 40, 96)]
+        by_k.append(rollout_batch("b2f", env, [student] * 24, teacher, tasks, k, u,
+                                  store=store, window=window))
+    rows = [np.arange(5), np.arange(24), np.r_[24:48, 0:24], np.arange(72, 73)]
+    rows += [gen.permutation(96)[:n] for n in (2, 9, 40, 96)]
+    batches = [episodes(by_k, r) for r in rows]
     nan_columns = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # empty columns divide without a warning
@@ -143,10 +159,11 @@ def test_success_rate_is_exact_fraction():
     env = make_env(EnvConfig())
     teacher = make_teacher(env, on_support_temperature=1e-3)
     params = teacher.materialize()
-    rng = np.random.default_rng(3)
-    trajs = [rollout_opd(env, params, teacher, t % 32, rng) for t in range(10)]
-    k = sum(t.success for t in trajs)
-    assert k / 10 == sum(t.success for t in trajs) / len(trajs)
+    u = np.random.default_rng(3).random((10, env.config.horizon_cap))
+    rollouts = rollout_batch("opd", env, [params] * 10, teacher, np.arange(10) % 32,
+                             env.config.horizon_cap, u)
+    k = sum(rollouts.success.tolist())
+    assert k / 10 == rollouts.success.mean()
     assert k == 10  # expert path always succeeds
 
 

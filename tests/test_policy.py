@@ -337,6 +337,22 @@ def test_load_rejects_row_of_wrong_width(tmp_path, row):
         load_params(path)
 
 
+@pytest.mark.parametrize("key", [[1.5], [1.0], [True], [0, 1, 2.0], ["1"]])
+def test_load_rejects_key_entries_that_are_not_ints(tmp_path, key):
+    # int() would read [1.5] as (1,), a second row at the key [1]
+    params = PolicyParams(num_actions=3)
+    params.logits[(1,)] = np.array([0.1, 0.2, 0.3])
+    path = tmp_path / "ckpt.jsonl"
+    save_params(params, path)
+    header, row = path.read_text().splitlines()
+    bad = json.dumps({"key": key, "logits": [0.4, 0.5, 0.6]})
+    path.write_text("\n".join([header, bad, row]) + "\n")
+    with pytest.raises(UsageError) as err:
+        load_params(path)
+    assert str(err.value) == (f"{path}: line 2: row key {key} has an entry that is not "
+                              "an int")
+
+
 def test_load_rejects_default_row_of_wrong_width(tmp_path):
     path = tmp_path / "ckpt.jsonl"
     header = {"schema": 1, "kind": "policy_params", "num_actions": 3, "version": 0,

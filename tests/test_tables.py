@@ -24,7 +24,6 @@ from opdlab.env import EnvConfig, make_env, make_teacher
 from opdlab.metrics import SPLIT_ROLLOUT, EvalRecord
 from opdlab.policy import KeyIndex, PolicyParams, load_params, save_params
 from opdlab import runtime
-from opdlab.replay import ExperienceEntry
 from opdlab.runtime import (
     RunConfig,
     _episode_summary,
@@ -76,16 +75,22 @@ def rollout_batches(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(rollout_batches(), min_size=1, max_size=3))
 def test_rollout_record_bitwise_equals_the_per_turn_sum(batches):
-    trajs = [traj for batch in batches for traj in batch]
+    def kl_sum(batch, e):
+        """Episode e's student-turn KL, added turn by turn."""
+        start = int(batch.prefix_len[e])
+        return sum(batch.kl[e, start:start + int(batch.rounds[e])].tolist())
+
+    def column(name):
+        return [x for batch in batches for x in getattr(batch, name).tolist()]
+
+    sums = [kl_sum(batch, e) for batch in batches for e in range(len(batch))]
     expected = EvalRecord(
-        step=7,
-        **_episode_summary([t.success for t in trajs], [t.rounds for t in trajs],
-                           [sum(turn.turn_kl for turn in t.turns) for t in trajs]),
-        per_turn_kl=[], active_k=3, split=SPLIT_ROLLOUT, n_rollouts=len(trajs),
-        mean_prefix_len=float(np.mean([t.prefix_len for t in trajs])))
+        step=7, **_episode_summary(column("success"), column("rounds"), sums),
+        per_turn_kl=[], active_k=3, split=SPLIT_ROLLOUT, n_rollouts=len(sums),
+        mean_prefix_len=float(np.mean(column("prefix_len"))))
     assert repr(_rollout_record(7, 3, batches)) == repr(expected)
     for batch in batches:
-        sums = [0.0 + sum(turn.turn_kl for turn in t.turns) for t in batch]
+        sums = [0.0 + kl_sum(batch, e) for e in range(len(batch))]
         assert batch.kl_sums().tobytes() == np.array(sums).tobytes()
 
 
@@ -129,12 +134,10 @@ def count_history_tuples(monkeypatch):
 
 @pytest.mark.parametrize("window", [None, 2])
 def test_training_builds_no_per_turn_record_or_history(monkeypatch, window):
-    entries, built, in_evaluation = [0], count_history_tuples(monkeypatch), [0]
-    real_init, real_evaluate = ExperienceEntry.__init__, runtime.evaluate
-
-    def counting_init(self, *args, **kwargs):
-        entries[0] += 1
-        real_init(self, *args, **kwargs)
+    # no per-turn record type exists; what a run could still build per turn
+    # is a history key tuple
+    built, in_evaluation = count_history_tuples(monkeypatch), [0]
+    real_evaluate = runtime.evaluate
 
     def counting_evaluate(*args, **kwargs):
         before = built[0]
@@ -142,10 +145,8 @@ def test_training_builds_no_per_turn_record_or_history(monkeypatch, window):
         in_evaluation[0] += built[0] - before
         return record
 
-    monkeypatch.setattr(ExperienceEntry, "__init__", counting_init)
     monkeypatch.setattr(runtime, "evaluate", counting_evaluate)
     result = run_training(tiny_cfg(window=window))
-    assert entries[0] == 0
     if window is None:
         assert built[0] == 0  # histories are trie ids; no key tuple is made at all
     else:
