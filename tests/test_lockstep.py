@@ -46,6 +46,8 @@ from opdlab.policy import (
 )
 from opdlab.runtime import _episode_summary, evaluate
 
+from joined import episodes
+
 
 class RowRng:
     """Stands in for a Generator: random() returns u[0], u[1], ... in turn."""
@@ -336,23 +338,28 @@ def test_evaluate_matches_scalar_rollouts_on_same_uniforms(kind, window, tempera
                                                      (None, 2))))
 def test_evaluate_profile_bitwise_equals_the_profile_of_single_rollouts(kind, window):
     """The two KL-profile entry points agree: evaluate at temperature 1 and
-    per_turn_kl_profile of the opd rollouts on the same uniforms, as one
-    rollout_batch (whose episodes each read their own row, so the batch plays
-    what single rollout_opd calls on those rows play)."""
+    per_turn_kl_profile of opd rollouts on the same uniforms, played both as
+    single rollout_opd calls on one generator (rollout e draws row e of
+    evaluate's uniforms) and as one rollout_batch."""
     env = make_env(EnvConfig(kind=kind))
     teacher = make_teacher(env)
     params = partial_student(teacher, window, seed=4)
-    episodes, horizon = 256, env.config.horizon_cap
-    record = evaluate(params, env, teacher, episodes, np.random.default_rng(12),
+    n, horizon = 256, env.config.horizon_cap
+    tasks = np.arange(n) % env.config.task_count
+    record = evaluate(params, env, teacher, n, np.random.default_rng(12),
                       temperature=1.0, window=window)
-    u = np.random.default_rng(12).random((episodes, horizon))  # evaluate's uniforms
-    rollouts = rollout_batch("opd", env, [params] * episodes, teacher,
-                             np.arange(episodes) % env.config.task_count, horizon, u,
-                             window=window)
-    expected = np.array(per_turn_kl_profile(rollouts))
-    assert np.array(record.per_turn_kl).tobytes() == expected.tobytes()
-    assert (record.success_rate, record.avg_rounds) == (rollouts.success.mean(),
-                                                        rollouts.rounds.mean())
+    rng = np.random.default_rng(12)
+    single = episodes([rollout_opd(env, params, teacher, task, rng, window=window)
+                       for task in tasks.tolist()])
+    u = np.random.default_rng(12).random((n, horizon))  # evaluate's uniforms
+    batch = rollout_batch("opd", env, [params] * n, teacher, tasks, horizon, u, window=window)
+    for name in ("keys", "actions", "kl", "rounds", "success"):
+        assert np.array_equal(getattr(single, name), getattr(batch, name))
+    for rollouts in (single, batch):
+        profile = np.array(per_turn_kl_profile(rollouts))
+        assert np.array(record.per_turn_kl).tobytes() == profile.tobytes()
+    assert (record.success_rate, record.avg_rounds) == (batch.success.mean(),
+                                                        batch.rounds.mean())
 
 
 def test_evaluate_draws_do_not_depend_on_batch_makeup():

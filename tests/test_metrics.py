@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opdlab.distill import Rollouts, collect_teacher_trajectories, rollout_batch, rollout_opd
+from opdlab.distill import collect_teacher_trajectories, rollout_batch, rollout_opd
 from opdlab.env import COMPOUNDING_CHAIN, MEMORY_LOCK, EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
 from opdlab.metrics import (
@@ -23,6 +23,8 @@ from opdlab.metrics import (
     write_records,
 )
 from opdlab.policy import PolicyParams
+
+from joined import episodes
 
 
 def eval_record(step=0, **kw):
@@ -74,15 +76,6 @@ def test_profile_increases_for_uniform_student():
     profile = per_turn_kl_profile(rollouts)
     rho = stats.spearmanr(np.arange(len(profile)), profile).statistic
     assert rho > 0
-
-
-def episodes(batches, rows):
-    """The episodes ``rows`` of the batches ``batches`` taken end to end, as
-    one batch (the batches share one key index)."""
-    columns = [np.concatenate([getattr(b, name) for b in batches])[rows]
-               for name in ("task_ids", "versions", "keys", "actions", "teacher", "kl",
-                            "prefix_len", "rounds", "success")]
-    return Rollouts(batches[0].index, batches[0].algo, *columns)
 
 
 def test_profile_empty_input_rejected():
