@@ -479,10 +479,12 @@ def load_store(path, env: Env) -> TeacherTrajectoryStore:
             if (not isinstance(header, dict) or header.get("schema") != STORE_SCHEMA
                     or header.get("kind") != "teacher_store"):
                 raise ConfigError("not a teacher trajectory store")
-            store = TeacherTrajectoryStore(
-                collection_seed=header.get("collection_seed"),
-                skipped_tasks=list(header.get("skipped_tasks", [])),
-            )
+            seed, skipped = header.get("collection_seed"), header.get("skipped_tasks", [])
+            if type(seed) not in (int, type(None)) or type(skipped) is not list or any(
+                    type(x) is not int for x in skipped):
+                raise ConfigError("collection_seed must be an int or null and "
+                                  "skipped_tasks a list of ints")
+            store = TeacherTrajectoryStore(collection_seed=seed, skipped_tasks=skipped)
             for number, line in enumerate(f, start=2):
                 if not line.strip():
                     continue

@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,6 +61,7 @@ class TrainRecord:
 
 _RECORD_TYPES = {"eval": EvalRecord, "train": TrainRecord}
 _TYPE_NAMES = {EvalRecord: "eval", TrainRecord: "train"}
+_FIELDS = {cls: [f.name for f in fields(cls)] for cls in _TYPE_NAMES}
 
 
 def _rounded(record):
@@ -164,7 +165,9 @@ def _json_restore_floats(record_cls, data: dict) -> dict:
 
 
 def write_records(log: MetricsLog, path) -> None:
-    """Write the header line then one JSON object per record."""
+    """Write the header line then one JSON object per record, as
+    json.dumps(sort_keys=True) writes them, with NaN as null."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     try:
         with atomic_open(path) as f:
             header = {
@@ -172,11 +175,11 @@ def write_records(log: MetricsLog, path) -> None:
                 "schema_version": SCHEMA_VERSION,
                 "config_hash": log.config_hash,
             }
-            f.write(json.dumps(header, sort_keys=True) + "\n")
+            f.write(encode(header) + "\n")
             for record in log.records:
-                obj = {"type": _TYPE_NAMES[type(record)]}
-                obj.update({k: _json_safe(v) for k, v in asdict(record).items()})
-                f.write(json.dumps(obj, sort_keys=True) + "\n")
+                obj = {name: _json_safe(getattr(record, name)) for name in _FIELDS[type(record)]}
+                obj["type"] = _TYPE_NAMES[type(record)]
+                f.write(encode(obj) + "\n")
     except OSError as e:
         raise OSError(f"failed writing metrics log to {path}: {e}") from e
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
+import struct
 import weakref
 from collections.abc import Mapping, MutableMapping
 
@@ -276,30 +278,6 @@ class KeyIndex:
     def keys(self, ids) -> list[HistoryKey]:
         """The keys of ``ids`` (none 0)."""
         return [self.key(i) for i in np.asarray(ids).tolist()]
-
-    def sorted_keys(self, ids):
-        """(key, id) for the distinct ``ids`` (none 0), in the order of their
-        keys, each history's key made as it is reached: a walk of the trie
-        that takes each node's children in (action, token) order meets the
-        histories in key order, and is merged with the sorted kept tuples."""
-        wanted = np.zeros(self.size, dtype=bool)
-        wanted[ids] = True
-        nodes = np.flatnonzero(self.parent[:self.size] >= 0)[1:]  # the histories
-        nodes = nodes[np.lexsort((self.last[nodes], self.act[nodes], self.parent[nodes]))]
-        # the children of node i, in order, are nodes[bounds[i]:bounds[i + 1]]
-        bounds = np.searchsorted(self.parent[nodes], np.arange(self.size + 1))
-
-        def histories():
-            below = [(0, ())]  # (id, key) of the nodes still to visit, the next last
-            while below:
-                i, key = below.pop()
-                if wanted.item(i):
-                    yield key, i
-                for j in nodes[bounds.item(i):bounds.item(i + 1)][::-1].tolist():
-                    turn = (self.act.item(j), self.last.item(j)) if i else (self.last.item(j),)
-                    below.append((j, key + turn))
-        kept = sorted((key, i) for i, key in self._tuple_of.items() if wanted.item(i))
-        return heapq.merge(histories(), kept)
 
     def step(self, node: np.ndarray, actions: np.ndarray, tokens: np.ndarray,
              intern: bool) -> np.ndarray:
@@ -640,6 +618,39 @@ def action_dist(
 # A checkpoint is line-delimited JSON: one header object, then one object per
 # table row, sorted by key, with floats at full (repr round-trip) precision.
 # Sorting keeps the file byte-stable across runs with identical parameters.
+# The rows are written as json.JSONEncoder(sort_keys=True) would write them.
+
+
+class _FloatTexts(dict):
+    """json's text of a float by its int64 bits (so -0.0 is not 0.0), as a
+    trained table holds few distinct floats; those of the first 1024 looked
+    up are kept, which bounds the memo to about 0.15 MB."""
+
+    def __missing__(self, bits: int) -> str:
+        x = struct.unpack("<d", struct.pack("<q", bits))[0]
+        text = repr(x) if math.isfinite(x) else json.dumps(x)
+        if len(self) < 1024:
+            self[bits] = text
+        return text
+
+
+def _histories(index: KeyIndex, wanted: np.ndarray):
+    """(key, id, text) of the wanted histories in key order, with ``text`` the
+    body of the key's json list made from its parent's: a walk of the trie
+    that takes each node's children in (action, token) order."""
+    parent = index.parent[:index.size]
+    nodes = np.flatnonzero(parent >= 0)[1:]  # the histories
+    nodes = nodes[np.lexsort((index.last[nodes], index.act[nodes], parent[nodes]))]
+    # the children of node i, in order, are nodes[bounds[i]:bounds[i + 1]]
+    bounds = np.searchsorted(parent[nodes], np.arange(index.size + 1))
+    below = [(0, (), "")]  # (id, key, text) of the nodes still to visit, the next last
+    while below:
+        i, key, text = below.pop()
+        if wanted.item(i):
+            yield key, i, text
+        for j in nodes[bounds.item(i):bounds.item(i + 1)][::-1].tolist():
+            a, t = index.act.item(j), index.last.item(j)
+            below.append((j, key + (a, t), f"{text}, {a}, {t}") if i else (j, (t,), str(t)))
 
 
 def save_params(params: PolicyParams, path) -> None:
@@ -650,15 +661,19 @@ def save_params(params: PolicyParams, path) -> None:
         "version": params.version,
         "default_logits": [float(x) for x in params.default_logits],
     }
-    # the encoder json.dumps(sort_keys=True) builds, made once for all rows
-    encode = json.JSONEncoder(sort_keys=True).encode
+    index, width = params.index, params.num_actions
+    bits = params.table.view(np.int64)  # the rows by slot, each float as its bits
+    wanted = np.zeros(index.size, dtype=bool)
+    wanted[index.slot_keys[np.flatnonzero(params.written)]] = True
+    kept = sorted((key, i) for i, key in index._tuple_of.items() if wanted.item(i))
+    kept = ((key, i, ", ".join(map(str, key)) if all(type(x) is int for x in key)
+             else json.dumps(list(key))[1:-1]) for key, i in kept)  # texts made as written
+    floats = _FloatTexts()
     with atomic_open(path) as f:
-        f.write(encode(header) + "\n")
-        ids, rows = params.written_rows()
-        at = np.zeros(params.index.size, dtype=np.int64)
-        at[ids] = np.arange(len(ids))  # the row of each written key id
-        for key, i in params.index.sorted_keys(ids):
-            f.write(encode({"key": list(key), "logits": rows[at.item(i)].tolist()}) + "\n")
+        f.write(json.dumps(header, sort_keys=True) + "\n")
+        for key, i, text in heapq.merge(_histories(index, wanted), kept):
+            logits = ", ".join(map(floats.__getitem__, bits[index.slot.item(i), :width].tolist()))
+            f.write(f'{{"key": [{text}], "logits": [{logits}]}}\n')
 
 
 def load_params(path) -> PolicyParams:
@@ -672,7 +687,9 @@ def load_params(path) -> PolicyParams:
             if (not isinstance(header, dict) or header.get("schema") != CHECKPOINT_SCHEMA
                     or header.get("kind") != "policy_params"):
                 raise UsageError("not a policy checkpoint (schema mismatch)")
-            num_actions, version = int(header["num_actions"]), int(header["version"])
+            num_actions, version = header["num_actions"], header["version"]
+            if type(num_actions) is not int or type(version) is not int:
+                raise UsageError("num_actions and version must be ints")
             default = np.array(header["default_logits"], dtype=float)
             params = PolicyParams(num_actions, None, default, version)
             # the first ``count`` rows of ``ids``/``rows`` hold the keys in order of first

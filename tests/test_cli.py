@@ -185,7 +185,8 @@ def test_config_rejects_values_of_the_wrong_type(config_path, key, value):
 
 
 @pytest.mark.parametrize("case", ["action_out_of_range", "line_not_json", "row_without_actions",
-                                  "empty_file", "directory"])
+                                  "empty_file", "directory", "skipped_tasks_not_ints",
+                                  "collection_seed_not_an_int"])
 def test_train_rejects_malformed_store(config_path, tmp_path, capsys, case):
     store = tmp_path / "store.jsonl"
     assert main(["collect", str(config_path), "--out", str(store)]) == 0
@@ -196,6 +197,10 @@ def test_train_rejects_malformed_store(config_path, tmp_path, capsys, case):
         row["actions"][0] = load_experiment_config(config_path).run.env.num_actions
     elif case == "row_without_actions":
         del row["actions"]
+    elif case == "skipped_tasks_not_ints":
+        header = json.dumps({**json.loads(header), "skipped_tasks": [0.5, "x"]})
+    elif case == "collection_seed_not_an_int":
+        header = json.dumps({**json.loads(header), "collection_seed": 2.5})
     lines = [header, "this is not json" if case == "line_not_json" else json.dumps(row), *rest]
     store.write_text("" if case == "empty_file" else "\n".join(lines) + "\n")
     if case == "directory":
@@ -204,6 +209,8 @@ def test_train_rejects_malformed_store(config_path, tmp_path, capsys, case):
     assert main(["train", str(config_path), "--runtime.algo=b2f", "--store", str(store)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {store}: ") and err.count("\n") == 1
+    if case in ("skipped_tasks_not_ints", "collection_seed_not_an_int"):
+        assert err.startswith(f"error: {store}: line 1: ")
     assert not load_experiment_config(config_path).output_dir.exists()
 
 
@@ -292,6 +299,7 @@ def test_eval_zero_episodes_rejected(config_path, tmp_path):
 
 @pytest.mark.parametrize("case", ["missing", "not_json", "wrong_kind",
                                   "header_without_num_actions", "header_is_a_list",
+                                  "header_num_actions_not_an_int", "header_version_not_an_int",
                                   "row_without_key"])
 def test_eval_rejects_bad_checkpoint(config_path, tmp_path, capsys, case):
     ckpt = tmp_path / "ckpt.jsonl"
@@ -308,6 +316,10 @@ def test_eval_rejects_bad_checkpoint(config_path, tmp_path, capsys, case):
         del header["num_actions"]
     elif case == "header_is_a_list":
         header = [header]
+    elif case == "header_num_actions_not_an_int":
+        header["num_actions"] = 6.0
+    elif case == "header_version_not_an_int":
+        header["version"] = 0.5
     elif case == "row_without_key":
         rows.append({"logits": [0.0] * 6})
         line = "line 3: "

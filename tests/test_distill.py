@@ -342,6 +342,24 @@ def test_load_store_rejects_values_that_are_not_ints(env, store, tmp_path, field
     assert str(err.value) == f"{path}: line 2: task_id, length and actions must be ints"
 
 
+@pytest.mark.parametrize("field,value", [("skipped_tasks", [0.5, "x"]), ("skipped_tasks", [True]),
+                                         ("skipped_tasks", "3"), ("collection_seed", 2.5),
+                                         ("collection_seed", "5")])
+def test_load_store_rejects_header_values_that_are_not_ints(env, store, tmp_path, field,
+                                                            value):
+    # these were kept as they were, where a row's task ids and actions must be ints
+    path = tmp_path / "store.jsonl"
+    save_store(store, path)
+    header, *rows = path.read_text().splitlines()
+    header = json.loads(header)
+    header[field] = value
+    path.write_text("\n".join([json.dumps(header), *rows]) + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_store(path, env)
+    assert str(err.value) == (f"{path}: line 1: collection_seed must be an int or null and "
+                              "skipped_tasks a list of ints")
+
+
 def test_replay_returns_the_states_of_a_stored_trajectory(env, store):
     for task in store.task_ids():
         actions = store.get(task)

@@ -353,6 +353,24 @@ def test_load_rejects_key_entries_that_are_not_ints(tmp_path, key):
                               "an int")
 
 
+@pytest.mark.parametrize("field,value", [("num_actions", 3.7), ("num_actions", 3.0),
+                                         ("num_actions", True), ("version", 4.9),
+                                         ("version", "4")])
+def test_load_rejects_header_values_that_are_not_ints(tmp_path, field, value):
+    # int() would read num_actions 3.7 as 3 and version 4.9 as 4
+    params = PolicyParams(num_actions=3, version=4)
+    params.logits[(1,)] = np.array([0.1, 0.2, 0.3])
+    path = tmp_path / "ckpt.jsonl"
+    save_params(params, path)
+    header, row = path.read_text().splitlines()
+    header = json.loads(header)
+    header[field] = value
+    path.write_text("\n".join([json.dumps(header), row]) + "\n")
+    with pytest.raises(UsageError) as err:
+        load_params(path)
+    assert str(err.value) == f"{path}: line 1: num_actions and version must be ints"
+
+
 def test_load_rejects_default_row_of_wrong_width(tmp_path):
     path = tmp_path / "ckpt.jsonl"
     header = {"schema": 1, "kind": "policy_params", "num_actions": 3, "version": 0,
