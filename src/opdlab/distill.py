@@ -8,7 +8,7 @@ after k student turns, and backward-curriculum (b2f) first replays the
 first L - k actions of a stored expert trajectory. Evaluation is an opd
 batch. The engine carries the live episodes' env state ids, stepped
 through the env's compiled tables (``next_state``, ``token``,
-``success``), and their history ids, stepped through the students'
+``success``), and their history ids, stepped through the student's
 ``KeyIndex``; a turn gathers each episode's student row by slot, whose
 softmax cumsum and floored log were computed when the row was written, and
 its teacher row from the teacher's per-turn tables, so a turn is a few
@@ -113,6 +113,12 @@ class Rollouts:
             kl = np.where(np.arange(kl.shape[1]) >= self.prefix_len[:, None], kl, 0.0)
         return 0.0 + np.cumsum(kl, axis=1)[:, -1]
 
+    def take(self, rows: slice) -> "Rollouts":
+        """The episodes at ``rows``, a slice (whose columns are views)."""
+        return Rollouts(self.index, self.algo, *(column[rows] for column in (
+            self.task_ids, self.versions, self.keys, self.actions, self.teacher, self.kl,
+            self.prefix_len, self.rounds, self.success)))
+
     def __len__(self) -> int:
         return len(self.task_ids)
 
@@ -122,34 +128,22 @@ class Rollouts:
 # ---------------------------------------------------------------------------
 
 
-def _tables(students) -> tuple[KeyIndex, list[PolicyParams], np.ndarray]:
-    """The index of students[0], the distinct tables of ``students`` on it
-    (each re-homed once if it is of another lineage) and each episode's
-    table number."""
-    index, distinct = students[0].index, {}
-    group = np.array([distinct.setdefault(id(s), len(distinct)) for s in students],
-                     dtype=np.intp)
-    tables = {id(s): s for s in students}
-    return index, [tables[i].on(index) for i in distinct], group
-
-
-def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np.ndarray, *,
-                     temperature: float = 1.0, window: int | None = None,
+def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, task_ids,
+                     u: np.ndarray, *, temperature: float = 1.0, window: int | None = None,
                      max_student_turns: int | None = None, prefixes=None,
                      algo: str | None = None):
     """The rollout engine: a batch of episodes that advance together, turn by turn.
 
-    Episode e plays task_ids[e] with the policy ``students[e]`` (episodes
-    may share one, or act on snapshots of different ages). It first plays
-    the expert actions ``prefixes[e]``, kept only as history keys; then the
-    student acts until the goal, the horizon cap or ``max_student_turns``
-    student turns. Student turn i samples by inverse CDF from u[e, i], so an
-    episode depends only on its own row of ``u`` (shape (B, horizon_cap)),
-    not on the other episodes. ``temperature`` must be > 0 (ConfigError
-    otherwise, before any sampling).
+    Every episode acts on the one table ``student``. Episode e plays
+    task_ids[e]: first the expert actions ``prefixes[e]``, kept only as
+    history keys; then the student acts until the goal, the horizon cap or
+    ``max_student_turns`` student turns. Student turn i samples by inverse
+    CDF from u[e, i], so an episode depends only on its own row of ``u``
+    (shape (B, horizon_cap)), not on the other episodes. ``temperature``
+    must be > 0 (ConfigError otherwise, before any sampling).
 
     The live episodes are arrays: env state ids, stepped through
-    ``env.next_state``, and history ids in the students' KeyIndex, stepped
+    ``env.next_state``, and history ids in the student's KeyIndex, stepped
     through its memoized child edges; a turn gathers each episode's cached
     softmax cumsum (or, at a temperature other than 1, its logits) and
     floored log at its key's slot. Only a history new to the index touches
@@ -183,7 +177,7 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
     first_end, last_prefix = int(end.min(initial=horizon)), int(prefix_len.max(initial=0))
 
     record = algo is not None
-    index, tables, group = _tables(students)
+    index = student.index
     a = env.config.num_actions
     kl = np.zeros((n, horizon))
     played = np.full(n, horizon)  # turns each episode played, prefix included
@@ -210,11 +204,7 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
         for i in np.flatnonzero(node == 0).tolist() if cut else ():
             key[i] = index.find(window_key(outside[int(live[i])], window))
         slots = index.slot[key]  # re-read: interning may have grown the index
-        # each episode reads the first table's row, then those of another table its own
-        rows = tables[0].read(slots)
-        for j in range(1, len(tables)):
-            mine = group[live] == j
-            rows[mine] = tables[j].read(slots[mine])
+        rows = student.read(slots)
         # the teacher's rows and their logs (take gathers rows faster than [])
         pair = teacher.turn_table(t).take(row_class[state], axis=0)
         p_teacher = pair[:, :a]
@@ -249,7 +239,7 @@ def rollout_lockstep(env: Env, students, teacher: TeacherPolicy, task_ids, u: np
             if not live.size:
                 break
     rollouts = None if not record else Rollouts(
-        index, algo, task, np.array([s.version for s in students], dtype=np.int64), key_col,
+        index, algo, task, np.full(n, student.version, dtype=np.int64), key_col,
         action_col, teacher_col, kl, prefix_len, played - prefix_len, success)
     return kl, played - prefix_len, success, rollouts
 
@@ -259,7 +249,7 @@ def max_student_turns(algo: str, k: int, horizon: int) -> int:
     return min(k, horizon) if algo == ALGO_F2B else horizon
 
 
-def rollout_batch(algo: str, env: Env, students, teacher: TeacherPolicy, task_ids,
+def rollout_batch(algo: str, env: Env, student: PolicyParams, teacher: TeacherPolicy, task_ids,
                   k: int, u: np.ndarray, *, store=None, temperature: float = 1.0,
                   window: int | None = None) -> Rollouts:
     """``algo`` rollouts at curriculum horizon k as one rollout_lockstep batch:
@@ -276,7 +266,7 @@ def rollout_batch(algo: str, env: Env, students, teacher: TeacherPolicy, task_id
             raise ConfigError("a task is missing from the expert trajectory store")
         prefixes = [s[:b2f_prefix_len(len(s), k)] for s in stored]
     return rollout_lockstep(
-        env, students, teacher, task_ids, u, temperature=temperature, window=window,
+        env, student, teacher, task_ids, u, temperature=temperature, window=window,
         max_student_turns=max_student_turns(algo, k, env.config.horizon_cap),
         prefixes=prefixes, algo=algo)[3]
 
@@ -286,7 +276,7 @@ def _rollout(algo, env, student, teacher, task_id, k, rng, *, store=None,
     """A one-episode rollout_batch, whose uniform row is ``rng.random(horizon_cap)``:
     on a fresh generator, student turn i uses the generator's i-th draw."""
     u = rng.random((1, env.config.horizon_cap))
-    return rollout_batch(algo, env, [student], teacher, [task_id], k, u, store=store,
+    return rollout_batch(algo, env, student, teacher, [task_id], k, u, store=store,
                          temperature=temperature, window=window)
 
 
@@ -379,9 +369,9 @@ def apply_gradient(params: PolicyParams, grads, lr: float) -> PolicyParams:
     """Gradient-descent step on the logit table; bumps the version by 1.
 
     ``grads`` maps keys to gradient rows (a RowBlock, or any mapping). The K
-    updated rows are one (K, A) block, old rows - lr * grads, written into
-    the lineage's row store by ``with_rows``; the rows they replace go to the
-    older tables as undo records, so published tables stay valid.
+    updated rows are one (K, A) block, old rows - lr * grads, written in
+    place by ``with_rows``: the new table takes the rows of ``params``, which
+    can no longer be read (take a snapshot() first to keep it).
     """
     grads = RowBlock.of(grads, params.index, params.num_actions)
     return params.with_rows(grads.ids, params.rows(grads.ids) - lr * grads.rows,
@@ -542,7 +532,7 @@ class SftBlock:
 
     def params(self) -> PolicyParams:
         """The block's rows written over a copy of ``base``, as a table."""
-        return self.base.with_rows(self.ids, self.z, self.version, copy=True)
+        return self.base.snapshot().with_rows(self.ids, self.z, self.version)
 
 
 def sft_block(turns: list[tuple[HistoryKey, int]], params: PolicyParams) -> SftBlock:

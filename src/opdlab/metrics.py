@@ -67,13 +67,13 @@ _FIELDS = {cls: [f.name for f in fields(cls)] for cls in _TYPE_NAMES}
 def _rounded(record):
     """Copy of ``record`` with every float field rounded to 9 sig digits."""
     values = {}
-    for f in fields(record):
-        v = getattr(record, f.name)
+    for name in _FIELDS[type(record)]:
+        v = getattr(record, name)
         if isinstance(v, float):
             v = round9(v)
         elif isinstance(v, list):
             v = [round9(x) if isinstance(x, float) else x for x in v]
-        values[f.name] = v
+        values[name] = v
     return type(record)(**values)
 
 

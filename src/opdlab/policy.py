@@ -9,13 +9,13 @@ variance-free.
 Keys are int ids. A ``KeyIndex``, shared by the tables of one lineage,
 holds full histories as a trie (each id knows its parent, last action and
 last token), so the rollout engine advances a batch of histories with one
-array gather, and keeps any other key as a tuple. A ``PolicyParams`` reads
-its rows by slot from a store the lineage shares; each row holds the logits
-and, computed once when the row is written, the cumulative sums of their
-softmax and its floored log, which is what a rollout turn reads. A learner
-step writes its K rows into the store in place and leaves every other
-table of the store an undo record of the rows it replaced. ``logits`` keeps
-the table's dict face: a mutable mapping from key tuple to row.
+array gather, and keeps any other key as a tuple. A ``PolicyParams`` owns
+its rows by slot; each row holds the logits and, computed once when the row
+is written, the cumulative sums of their softmax and its floored log, which
+is what a rollout turn reads. A learner step writes its K rows in place and
+hands the rows to the new table, so the stepped table can no longer be
+read; ``snapshot`` is the copy that stays. ``logits`` keeps the table's dict
+face: a mutable mapping from key tuple to row.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import heapq
 import json
 import math
 import struct
-import weakref
 from collections.abc import Mapping, MutableMapping
 
 import numpy as np
@@ -153,6 +152,14 @@ def _check_width(num_actions: int, key, logits: np.ndarray) -> None:
     if logits.shape != (num_actions,):
         raise UsageError(f"row {key} has {logits.size} logits, "
                          f"expected num_actions={num_actions}")
+
+
+def _check_key(key) -> None:
+    """Raise UsageError unless ``key`` is a tuple of ints (a bool is not one)."""
+    if type(key) is not tuple:
+        raise UsageError(f"row key {key!r} is not a tuple")
+    if not all(type(x) is int for x in key):
+        raise UsageError(f"row key {list(key)} has an entry that is not an int")
 
 
 # The slot of a key that no table of its lineage has written: a table's last row.
@@ -331,59 +338,19 @@ def _with_derived(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z, np.cumsum(q, axis=1), log_floor(q)], axis=1)
 
 
-class _Store:
-    """Rows that tables of one lineage share: ``table`` is an (R, 3A) array of
-    _with_derived rows by slot, ``written`` marks the written slots, and the
-    last row (as every unwritten one) is the default row. ``tables`` holds
-    the live tables that read it. Both arrays are read-only between writes."""
-
-    def __init__(self, table: np.ndarray, written: np.ndarray):
-        self.table, self.written = table, written
-        self.table.flags.writeable = self.written.flags.writeable = False
-        self.tables = weakref.WeakSet()
-
-    def copy(self) -> "_Store":
-        return _Store(self.table.copy(), self.written.copy())
-
-    def reserve(self, slots: np.ndarray) -> None:
-        """Grow, if need be, so that ``slots`` lie before the last row."""
-        if len(slots) and int(slots.max()) + 1 >= len(self.table):
-            size = max(len(self.table) + len(self.table) // 2, int(slots.max()) + 2)
-            self.table = _grown(self.table, size, self.table[-1])
-            self.written = _grown(self.written, size, False)
-
-    def write(self, slots: np.ndarray, rows: np.ndarray, written) -> None:
-        """Write ``rows`` at ``slots``: (K, 3A) store rows, or (K, A) logit
-        rows as their _with_derived rows."""
-        self.reserve(slots)
-        table = self.table
-        table.flags.writeable = self.written.flags.writeable = True
-        for start in range(0, len(slots), 1024):  # in blocks, to bound the temporaries
-            block = rows[start:start + 1024]
-            table[slots[start:start + 1024]] = (
-                block if block.shape[1] == table.shape[1] else _with_derived(block))
-        self.written[slots] = written
-        table.flags.writeable = self.written.flags.writeable = False
-
-
 class PolicyParams:
     """Logit table for one policy, over the key ids of a shared KeyIndex.
 
-    The rows live in a store shared by the tables of a lineage: an array of
-    rows by slot, each the logits ``z`` and what the rollout engine reads of
-    them (see _with_derived), so a row's softmax is computed once, when it is
-    written. The last row is the default row, as is every slot no table
-    wrote; ids without a slot read it. ``with_rows`` (which apply_gradient
-    and snapshot use) makes a new table of the lineage by writing its K rows
-    into the store in place, after handing the rows it overwrites to every
-    other table on the store as an undo record. A table with an undo record
-    is stale: ``read`` lays the record over the rows it gathers, and the
-    accessors that hand out whole arrays (``table``, ``written``, ``logits``)
-    first give the table a copy of the store with the record applied, as
-    does a step whose records would make a table's larger than the store.
-    So a learner step costs its K rows, and published tables stay valid.
-    ``logits`` is the table as a mutable mapping from key to row; a write to
-    it changes only this table.
+    The table owns its rows: an (R, 3A) array by slot, each row the logits
+    ``z`` and what the rollout engine reads of them (see _with_derived), so
+    a row's softmax is computed once, when it is written. The last row is
+    the default row, as is every slot the table has not written; ids without
+    a slot, or with a slot past R, read it. ``with_rows`` (which
+    apply_gradient uses) makes the next table of the lineage by writing its
+    K rows in place and handing the arrays on, so a learner step costs its K
+    rows and the stepped table raises UsageError when read. ``snapshot`` is
+    an independent copy. ``logits`` is the table as a mutable mapping from
+    key to row; a write to it changes only this table.
     """
 
     def __init__(self, num_actions: int, logits=None, default_logits=None, version: int = 0):
@@ -394,91 +361,64 @@ class PolicyParams:
         self.version = version
         self.index = KeyIndex(num_actions)
         row = _with_derived(self.default_logits[None])
-        self._attach(_Store(np.repeat(row, 8, axis=0), np.zeros(8, dtype=bool)))
+        self._own(np.repeat(row, 8, axis=0), np.zeros(8, dtype=bool))
         if logits:
             self._write(list(logits), list(logits.values()))
 
-    def _attach(self, store: _Store) -> None:
-        self._store, self._undo, self._patch, self._saved = store, [], None, 0
-        store.tables.add(self)
+    def _own(self, table: np.ndarray | None, written: np.ndarray | None) -> None:
+        """Take ``table`` and ``written`` as this table's rows, read-only
+        between writes; None marks the table stepped."""
+        self._table, self._written = table, written
+        if table is not None:
+            table.flags.writeable = written.flags.writeable = False
 
-    def _rows(self) -> _Store:
-        """The store that holds this table's rows as they are; a stale table
-        first gets its own copy."""
-        if self._undo:
-            store = self._store.copy()
-            for slots, rows, written in reversed(self._undo):  # the oldest rows last
-                store.write(slots, rows, written)
-            self._store.tables.discard(self)
-            self._attach(store)
-        return self._store
+    def _next(self, version: int, table: np.ndarray, written: np.ndarray) -> "PolicyParams":
+        """A table of this lineage at ``version`` that owns ``table`` and ``written``."""
+        params = object.__new__(PolicyParams)
+        params.num_actions, params.default_logits = self.num_actions, self.default_logits
+        params.version, params.index = version, self.index
+        params._own(table, written)
+        return params
 
     @property
     def logits(self) -> "TableRows":
         return TableRows(self)
 
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._table is None:
+            raise UsageError(f"table version {self.version} was stepped, which wrote over "
+                             f"its rows; read a snapshot() taken before the step")
+        return self._table, self._written
+
     @property
     def table(self) -> np.ndarray:
         """The (R, 3A) read-only rows by slot; a slot at or past R reads row R - 1."""
-        return self._rows().table
+        return self._arrays()[0]
 
     @property
     def written(self) -> np.ndarray:
-        return self._rows().written
+        return self._arrays()[1]
 
     def read(self, slots: np.ndarray) -> np.ndarray:
-        """The (len(slots), 3A) store rows at ``slots`` (NO_SLOT, or a slot
-        past the store, reads the default row) as this table has them: a
-        gather from the store, with a stale table's undo records laid over it."""
-        table = self._store.table
+        """The (len(slots), 3A) rows at ``slots``; NO_SLOT, or a slot past the
+        table, reads the default row."""
+        table = self.table
         if self.index.slot_count >= len(table):
             slots = np.minimum(slots, len(table) - 1)
-        rows = table.take(slots, axis=0)  # take gathers rows faster than []
-        if self._undo:
-            if self._patch is None or len(self._patch[0]) != len(table):
-                # the slot's first record holds the row this table had there
-                saved, first = np.unique(np.concatenate([u[0] for u in self._undo]),
-                                         return_index=True)
-                position = np.full(len(table), -1, dtype=np.int64)
-                position[saved] = first
-                self._patch = position, np.concatenate([u[1] for u in self._undo])
-            position, saved_rows = self._patch
-            at = position.take(slots)
-            hit = at >= 0
-            if np.count_nonzero(hit):
-                rows[hit] = saved_rows.take(at[hit], axis=0)
-        return rows
+        return table.take(slots, axis=0)  # take gathers rows faster than []
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """The (len(ids), A) logit rows at key ``ids``."""
         return self.read(self.index.slot[ids])[:, :self.num_actions]
 
-    def with_rows(self, ids: np.ndarray, rows: np.ndarray, version: int,
-                  copy: bool = False) -> "PolicyParams":
-        """A new table of this lineage at ``version``: this one with the (K, A)
-        ``rows`` written at the distinct key ``ids``. With ``copy`` the new
-        table gets a copy of the store, and no table an undo record: for a
-        table that is written from again and again, like an SFT run's start."""
-        store = self._rows()
-        slots = self.index.slots_of(ids) if len(ids) else None
-        if copy:
-            store = store.copy()
-        elif len(ids):
-            store.reserve(slots)
-            undo = (slots, store.table.take(slots, axis=0), store.written[slots])
-            for table in list(store.tables):
-                if table._undo and table._saved + len(slots) > len(store.table):
-                    table._rows()  # records as large as the store: fold them into a copy
-                else:
-                    table._undo.append(undo)
-                    table._saved += len(slots)
-                    table._patch = None
-        table = object.__new__(PolicyParams)
-        table.num_actions, table.default_logits = self.num_actions, self.default_logits
-        table.version, table.index = version, self.index
-        table._attach(store)
+    def with_rows(self, ids: np.ndarray, rows: np.ndarray, version: int) -> "PolicyParams":
+        """The next table of this lineage, at ``version``: this one with the
+        (K, A) ``rows`` written in place at the distinct key ``ids``. It takes
+        this table's arrays, so reading this table afterwards raises."""
+        table = self._next(version, *self._arrays())
+        self._own(None, None)
         if len(ids):
-            store.write(slots, rows, True)
+            table._write_ids(ids, rows)
         return table
 
     def on(self, index: KeyIndex) -> "PolicyParams":
@@ -498,21 +438,28 @@ class PolicyParams:
         return self.table[:, :self.num_actions]
 
     def _write(self, keys: list, rows: list) -> None:
-        """Write ``rows`` at ``keys`` in place, in a store of this table's own."""
+        """Write ``rows`` at ``keys`` in place."""
         rows = [np.asarray(row, dtype=np.float64) for row in rows]
         for key, row in zip(keys, rows):
+            _check_key(key)
             _check_width(self.num_actions, key, row)
         self._write_ids(np.array([self.index.intern(key) for key in keys], dtype=np.int64),
                         np.reshape(rows, (-1, self.num_actions)))
 
     def _write_ids(self, ids: np.ndarray, rows: np.ndarray, written: bool = True) -> None:
-        """Write the (K, A) ``rows`` at the distinct key ``ids`` in place, in a
-        store of this table's own; ``written`` False makes them unwritten."""
-        store = self._rows()
-        if len(store.tables) > 1:
-            store.tables.discard(self)
-            self._attach(store.copy())
-        self._store.write(self.index.slots_of(ids), rows, written)
+        """Write the (K, A) logit rows ``rows`` at the distinct key ``ids`` in
+        place, as their _with_derived rows; ``written`` False makes them
+        unwritten."""
+        table, marks = self._arrays()
+        slots = self.index.slots_of(ids)
+        if len(slots) and int(slots.max()) + 1 >= len(table):  # keep the default row last
+            size = max(len(table) + len(table) // 2, int(slots.max()) + 2)
+            table, marks = _grown(table, size, table[-1]), _grown(marks, size, False)
+        table.flags.writeable = marks.flags.writeable = True
+        for start in range(0, len(slots), 1024):  # in blocks, to bound the temporaries
+            table[slots[start:start + 1024]] = _with_derived(rows[start:start + 1024])
+        marks[slots] = written
+        self._own(table, marks)
 
     def written_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The key ids of the written rows, in slot order, and the (K, A) rows."""
@@ -523,10 +470,9 @@ class PolicyParams:
         return self.rows(np.array([self.index.find(key)]))[0]
 
     def snapshot(self) -> "PolicyParams":
-        """An immutable view: shares the store and the index. While its
-        lineage trains on, it keeps the rows the steps overwrite, until they
-        add up to the size of the store; it then takes a copy of its own."""
-        return self.with_rows((), None, self.version)
+        """An independent copy on the same index: later steps of this table's
+        lineage leave its rows as they are."""
+        return self._next(self.version, *(array.copy() for array in self._arrays()))
 
 
 class TableRows(MutableMapping):
@@ -588,6 +534,8 @@ class RowBlock(Mapping):
         """``rows``, a mapping from key to row, with its keys interned in ``index``."""
         if isinstance(rows, RowBlock) and rows.index is index:
             return rows
+        for key in rows:
+            _check_key(key)
         ids = np.array([index.intern(key) for key in rows], dtype=np.int64)
         return cls(index, ids, np.reshape([rows[key] for key in rows], (-1, num_actions)))
 
@@ -704,8 +652,7 @@ def load_params(path) -> PolicyParams:
                 where = f"line {number}: "
                 row = json.loads(line)
                 key, logits = tuple(row["key"]), np.array(row["logits"], dtype=np.float64)
-                if not all(type(x) is int for x in key):
-                    raise UsageError(f"row key {list(key)} has an entry that is not an int")
+                _check_key(key)
                 _check_width(num_actions, key, logits)
                 i = params.index.intern(key)
                 if i >= len(at):

@@ -1,31 +1,36 @@
 """Training orchestration: rollouts, learner, snapshots, and evaluation.
 
-One loop serves both modes. Each rollout appends the newest published
-snapshot to a FIFO of the last ``depth`` snapshots and acts on the oldest
-one in it, so rollout j uses the parameters that were newest when rollout
-j - depth + 1 started: ``depth`` rollouts are in flight, as in an
-IMPALA-style actor/learner lag. Sync mode has depth 1 (every rollout acts
-on the current parameters); async mode has depth ``actor_count``. Tasks
-run round-robin, and rollout j reads row j of the rollout stream, a row of
-horizon_cap uniforms drawn in rollout order; its student turn i uses
-entry i.
+One loop serves both modes. ``depth`` rollouts are in flight, as in an
+IMPALA-style actor/learner lag: each rollout starts when the rollout
+depth - 1 places before it is delivered, on the table and the curriculum
+horizon current then, and is delivered (pushed to the buffer) later, from
+a FIFO of started rollouts. So rollout j acts on the table that was newest
+when rollout j - depth + 1 was delivered. Sync mode has depth 1 (every
+rollout is delivered as it starts); async mode has depth ``actor_count``.
+Tasks run round-robin, and rollout j reads row j of the rollout stream, a
+row of horizon_cap uniforms drawn in rollout order; its student turn i
+uses entry i.
 
-A step runs its rollouts as lockstep waves of ceil(missing / m) rollouts,
-where ``missing`` counts the fresh entries the step still needs and m is
-the most student turns one rollout plays. A one-at-a-time loop would run
-every rollout of such a wave too, and a rollout depends only on its row,
-task and snapshot, so runs are bit-identical for any wave width, and
-bit-reproducible per seed in both modes.
+A step delivers its rollouts as lockstep waves of ceil(missing / m)
+rollouts, where ``missing`` counts the fresh entries the step still needs
+and m is the most student turns one rollout plays. A wave first starts, as
+one batch, every rollout up to depth - 1 past its last. A one-at-a-time
+loop would deliver every rollout of such a wave too, in the same step, and
+a rollout depends only on its row, task, table and horizon, so runs are
+bit-identical for any wave width, and bit-reproducible per seed in both
+modes.
 
 Rollouts, replay and learner exchange columns, not per-turn objects: a
 wave's ``Rollouts`` hand the buffer their student turns as ``Turns``, the
 learner gathers a sampled batch's rows by key id, and a step's rollout
 record sums each episode's KL from the engine's KL matrix. All tables of a
-run share one key index and one row store (see ``policy``).
+run share one key index, and only the newest table is read (see
+``policy``).
 
-The curriculum clock is the learner's step counter: at step n the rollouts
-run under horizon_at(schedule, n). Evaluation always runs full-horizon with
-no truncation and no expert prefix, regardless of the training algorithm.
+The curriculum clock is the learner's step counter: the rollouts started
+at step n run under horizon_at(schedule, n). Evaluation always runs
+full-horizon with no truncation and no expert prefix, regardless of the
+training algorithm.
 """
 
 from __future__ import annotations
@@ -188,7 +193,7 @@ def evaluate(params: PolicyParams, env: Env, teacher: TeacherPolicy,
     if episodes < 1:
         raise ConfigError(f"episodes must be >= 1, got {episodes}")
     kl, rounds, success, _ = rollout_lockstep(
-        env, [params] * episodes, teacher, np.arange(episodes) % env.config.task_count,
+        env, params, teacher, np.arange(episodes) % env.config.task_count,
         rng.random((episodes, env.config.horizon_cap)), temperature=temperature, window=window)
     # every episode is live from turn 0 until it ends, so the episodes that
     # played turn t are those with rounds > t
@@ -230,6 +235,20 @@ def _rollout_record(step: int, k: int, batches: list[Rollouts]) -> EvalRecord:
     )
 
 
+def _take(started: deque[Rollouts], width: int) -> list[Rollouts]:
+    """The oldest ``width`` started rollouts, taken off ``started``: whole
+    batches as they are, and the front part of a batch that is left over."""
+    out = []
+    while width:
+        batch = started.popleft()
+        if len(batch) > width:
+            started.appendleft(batch.take(slice(width, None)))
+            batch = batch.take(slice(width))
+        out.append(batch)
+        width -= len(batch)
+    return out
+
+
 def _grad_norm(grads: np.ndarray) -> float:
     """The L2 norm of the (K, A) gradient block: the per-row squared norms
     summed left to right, bitwise as a per-key ``g @ g`` loop adds them."""
@@ -242,8 +261,8 @@ def _learner_step(n: int, k: int, params: PolicyParams, buffer: RingBuffer,
     """Sample a batch, take one gradient step and publish it; returns the new
     params, the step's TrainRecord and the batch's largest staleness.
 
-    apply_gradient returns a fresh table and never mutates published rows,
-    so the new params are published as they are, without a snapshot copy.
+    apply_gradient writes its rows in place into the table it returns, so
+    the new params are published as they are; nothing reads the old table.
     """
     batch = buffer.sample_batch(params.version, config.delta_max,
                                 config.batch_size, sample_rng)
@@ -321,8 +340,8 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
     schedule = config.schedule()
     log = MetricsLog()
     depth = config.actor_count if config.mode == MODE_ASYNC else 1
-    in_flight: deque[PolicyParams] = deque(maxlen=depth)
-    rollouts = 0
+    started: deque[Rollouts] = deque()  # started rollouts not yet delivered, oldest first
+    rollouts = 0  # started so far
     max_staleness = 0
 
     for n in range(config.total_steps):
@@ -330,24 +349,24 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
         max_turns = max_student_turns(config.algo, k, config.env.horizon_cap)
         step_batches: list[Rollouts] = []
         # entries pushed this step that the learner may still consume; once
-        # depth - 1 rollouts ran in this step every snapshot in flight is
-        # current, so the loop ends
+        # depth - 1 rollouts were delivered in this step, the rest started on
+        # the current table, so the loop ends
         fresh = 0
         while fresh < config.batch_size:
             width = _wave_width(config.batch_size - fresh, max_turns)
-            snapshots = []
-            for _ in range(width):
-                in_flight.append(board.latest())
-                snapshots.append(in_flight[0])
-            tasks = (rollouts + np.arange(width)) % config.env.task_count
-            rollouts += width
-            batch = rollout_batch(config.algo, env, snapshots, teacher, tasks, k,
-                                  rollout_rng.random((width, config.env.horizon_cap)),
-                                  store=store, temperature=config.train_temperature,
-                                  window=config.window)
-            buffer.push(batch.student_turns())
-            fresh += int(batch.rounds[params.version - batch.versions <= config.delta_max].sum())
-            step_batches.append(batch)
+            # start every rollout up to depth - 1 past the wave's last
+            count = width + depth - 1 - sum(map(len, started))
+            tasks = (rollouts + np.arange(count)) % config.env.task_count
+            rollouts += count
+            started.append(rollout_batch(config.algo, env, params, teacher, tasks, k,
+                                         rollout_rng.random((count, config.env.horizon_cap)),
+                                         store=store, temperature=config.train_temperature,
+                                         window=config.window))
+            for batch in _take(started, width):
+                buffer.push(batch.student_turns())
+                fresh += int(batch.rounds[params.version - batch.versions
+                                          <= config.delta_max].sum())
+                step_batches.append(batch)
 
         params, record, staleness = _learner_step(n, k, params, buffer, board,
                                                   config, sample_rng)

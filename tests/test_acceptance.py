@@ -252,7 +252,7 @@ def test_06_per_turn_kl_growth():
         student = PolicyParams(num_actions=env.config.num_actions)
         # 256 opd rollouts, episode i on row i of one generator's uniforms
         horizon = env.config.horizon_cap
-        rollouts = rollout_batch("opd", env, [student] * 256, teacher,
+        rollouts = rollout_batch("opd", env, student, teacher,
                                  np.arange(256) % env.config.task_count, horizon,
                                  fresh_rng(6, seed).random((256, horizon)))
         profile = per_turn_kl_profile(rollouts)

@@ -503,7 +503,7 @@ def entry(key, p):
 def test_learner_step_noop_when_matched():
     params = PolicyParams(num_actions=2)
     batch = [entry((0,), [0.5, 0.5])]
-    updated = gradient_step(batch, params, 0.1)
+    updated = gradient_step(batch, params.snapshot(), 0.1)
     assert updated.version == 1
     assert np.allclose(updated.logits_for((0,)), params.logits_for((0,)), atol=1e-15)
 
@@ -519,7 +519,7 @@ def test_learner_step_averages_repeated_keys():
     params = PolicyParams(num_actions=2)
     batch = [entry((1,), [1.0, 0.0]),
              entry((1,), [1.0, 0.0])]
-    one = gradient_step([batch[0]], params, 0.1)
+    one = gradient_step([batch[0]], params.snapshot(), 0.1)
     two = gradient_step(batch, params, 0.1)
     assert np.allclose(one.logits_for((1,)), two.logits_for((1,)), atol=1e-15)
 
@@ -821,13 +821,15 @@ def test_apply_gradient_bitwise_equals_per_key_loop(data):
 
 
 def test_apply_gradient_leaves_earlier_rows_unchanged():
+    """A snapshot of each published table keeps its rows through later steps."""
     gen = rng(9)
     params = PolicyParams(num_actions=4)
     published = []
     for n in range(6):
         keys = [(int(i),) for i in gen.choice(5, size=3, replace=False)]
         params = apply_gradient(params, {k: gen.normal(size=4) for k in keys}, 0.7)
-        published.append((params, {k: row.copy() for k, row in params.logits.items()}))
+        published.append((params.snapshot(), {k: row.copy() for k, row in params.logits.items()}))
     for table, rows in published:
         assert_same_table(table, rows)
-    assert apply_gradient(params, {}, 0.7).logits == params.logits
+    rows = dict(params.logits)
+    assert apply_gradient(params, {}, 0.7).logits == rows

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from opdlab.curriculum import b2f_prefix_len
 from opdlab.distill import (
-    apply_gradient,
     collect_teacher_trajectories,
     rollout_b2f,
     rollout_batch,
@@ -160,72 +159,35 @@ def test_engine_matches_scalar_oracle_on_same_uniforms(kind, window, temperature
     teacher = make_teacher(env)
     store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
     assert len(store) == env.config.task_count
-    # one batch mixes three snapshot versions, as async waves do
+    # three tables of different versions, each rolled out as its own batch
     snapshots = [partial_student(teacher, window, seed=s, version=v)
                  for s, v in ((3, 4), (5, 5), (6, 6))]
     episodes, horizon = 45, env.config.horizon_cap
     tasks = np.arange(episodes) % env.config.task_count
-    students = [snapshots[e % 3] for e in range(episodes)]
     outcomes = set()
     for algo, k in ALGO_KS:
         u = np.random.default_rng(k).random((episodes, horizon))
-        r = rollout_batch(algo, env, students, teacher, tasks, k, u, store=store,
-                          temperature=temperature, window=window)
-        assert r.algo == algo and r.task_ids.tolist() == tasks.tolist()
-        for e in range(episodes):
-            stored = store.get(int(tasks[e]))
-            prefix = stored[:b2f_prefix_len(len(stored), k)] if algo == "b2f" else None
-            cap = min(k, horizon) if algo == "f2b" else horizon
-            fields, kl = scalar_rollout(env, students[e], teacher, int(tasks[e]), RowRng(u[e]),
-                                        max_student_turns=cap, prefix_actions=prefix,
-                                        temperature=temperature, window=window)
-            assert episode_fields(r, e) == fields, (algo, k, e)
-            np.testing.assert_allclose(r.kl[e, slice(*played(r, e))], kl, rtol=1e-12, atol=0)
-        if algo == "b2f" and k < 6:
-            assert (r.prefix_len > 0).all()
-        assert set(r.versions.tolist()) == {4, 5, 6}
-        outcomes |= set(r.success.tolist())
+        for j, student in enumerate(snapshots):
+            # episodes j, j + 3, ... act on snapshot j
+            mine, rows = tasks[j::3], u[j::3]
+            r = rollout_batch(algo, env, student, teacher, mine, k, rows, store=store,
+                              temperature=temperature, window=window)
+            assert r.algo == algo and r.task_ids.tolist() == mine.tolist()
+            for e, task in enumerate(mine.tolist()):
+                stored = store.get(task)
+                prefix = stored[:b2f_prefix_len(len(stored), k)] if algo == "b2f" else None
+                cap = min(k, horizon) if algo == "f2b" else horizon
+                fields, kl = scalar_rollout(env, student, teacher, task, RowRng(rows[e]),
+                                            max_student_turns=cap, prefix_actions=prefix,
+                                            temperature=temperature, window=window)
+                assert episode_fields(r, e) == fields, (algo, k, e)
+                np.testing.assert_allclose(r.kl[e, slice(*played(r, e))], kl, rtol=1e-12,
+                                           atol=0)
+            if algo == "b2f" and k < 6:
+                assert (r.prefix_len > 0).all()
+            assert r.versions.tolist() == [student.version] * len(mine)
+            outcomes |= set(r.success.tolist())
     assert outcomes == {False, True}  # the oracle sees both outcomes
-
-
-@pytest.mark.parametrize("window", [None, 2])
-@pytest.mark.parametrize("mix", ["lineages", "versions"])
-def test_engine_matches_scalar_oracle_on_mixed_tables(mix, window):
-    """One batch reads tables of three lineages (re-homed onto the first's
-    index), or three versions of one lineage, the earlier two stale and read
-    through their undo records."""
-    env = make_env(EnvConfig())
-    teacher = make_teacher(env)
-    store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
-    episodes, horizon = 30, env.config.horizon_cap
-    gen = np.random.default_rng(8)
-    tables = [partial_student(teacher, window, seed=3, version=4)]
-    for version in (5, 6):
-        if mix == "lineages":
-            tables.append(partial_student(teacher, window, seed=version, version=version))
-            continue
-        # a step over some keys of the table and over histories new to it
-        seen = rollout_batch("opd", env, [tables[-1]] * 4, teacher, np.arange(4), 12,
-                             gen.random((4, horizon)), window=window)
-        keys = list(tables[-1].logits)[::7] + seen.index.keys(seen.student_turns().key)
-        tables.append(apply_gradient(tables[-1], {key: gen.normal(0.0, 1.0, 6) for key in keys},
-                                     0.7))
-    tasks = np.arange(episodes) % env.config.task_count
-    students = [tables[e % 3] for e in range(episodes)]
-    for (algo, k), temperature in product((("opd", 12), ("f2b", 3), ("b2f", 3)), (0.4, 1.0)):
-        u = np.random.default_rng(k).random((episodes, horizon))
-        r = rollout_batch(algo, env, students, teacher, tasks, k, u, store=store,
-                          temperature=temperature, window=window)
-        for e in range(episodes):
-            stored = store.get(int(tasks[e]))
-            prefix = stored[:b2f_prefix_len(len(stored), k)] if algo == "b2f" else None
-            cap = min(k, horizon) if algo == "f2b" else horizon
-            fields, kl = scalar_rollout(env, students[e], teacher, int(tasks[e]), RowRng(u[e]),
-                                        max_student_turns=cap, prefix_actions=prefix,
-                                        temperature=temperature, window=window)
-            assert episode_fields(r, e) == fields, (algo, temperature, e)
-            np.testing.assert_allclose(r.kl[e, slice(*played(r, e))], kl, rtol=1e-12, atol=0)
-        assert set(r.versions.tolist()) == {4, 5, 6}
 
 
 @pytest.mark.parametrize("window", [None, 2])
@@ -235,7 +197,7 @@ def test_engine_matches_scalar_oracle_on_env_configs_other_than_its_index_learne
     its own, after learning theirs) as the scalar oracle does."""
     gen = np.random.default_rng(5)
     learned = make_env(EnvConfig(seed=0))
-    seen = rollout_batch("opd", learned, [PolicyParams(num_actions=6)] * 200,
+    seen = rollout_batch("opd", learned, PolicyParams(num_actions=6),
                          make_teacher(learned), np.arange(200) % 32, 12, gen.random((200, 12)),
                          window=window)
     keys = set(seen.index.keys(seen.student_turns().key))
@@ -248,7 +210,7 @@ def test_engine_matches_scalar_oracle_on_env_configs_other_than_its_index_learne
         u = gen.random((episodes, horizon))
         for algo, temperature in (("opd", 1.0), (None, 0.4)):  # training, then evaluation
             kl, rounds, success, r = rollout_lockstep(
-                env, [params] * episodes, teacher, tasks, u, temperature=temperature,
+                env, params, teacher, tasks, u, temperature=temperature,
                 window=window, algo=algo)
             for e in range(episodes):
                 fields, expected = scalar_rollout(env, params, teacher, int(tasks[e]),
@@ -266,15 +228,14 @@ def test_episode_results_do_not_depend_on_wave_makeup(algo, k):
     env = make_env(EnvConfig())
     teacher = make_teacher(env)
     store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
-    snapshots = [partial_student(teacher, 2, seed=s, version=s) for s in (1, 2)]
+    student = partial_student(teacher, 2, seed=1, version=1)
     episodes = 24
     tasks = (np.arange(episodes) * 5) % env.config.task_count
-    students = [snapshots[e % 2] for e in range(episodes)]
     u = np.random.default_rng(3).random((episodes, env.config.horizon_cap))
-    whole = rollout_batch(algo, env, students, teacher, tasks, k, u, store=store, window=2)
-    alone = [rollout_batch(algo, env, students[e:e + 1], teacher, tasks[e:e + 1], k,
+    whole = rollout_batch(algo, env, student, teacher, tasks, k, u, store=store, window=2)
+    alone = [rollout_batch(algo, env, student, teacher, tasks[e:e + 1], k,
                            u[e:e + 1], store=store, window=2) for e in range(episodes)]
-    part = rollout_batch(algo, env, students[5:13], teacher, tasks[5:13], k, u[5:13],
+    part = rollout_batch(algo, env, student, teacher, tasks[5:13], k, u[5:13],
                          store=store, window=2)
     assert all(episode_bits(whole, e) == episode_bits(alone[e], 0) for e in range(episodes))
     assert all(episode_bits(whole, 5 + e) == episode_bits(part, e) for e in range(8))
@@ -288,7 +249,7 @@ def test_prefix_that_reaches_the_goal_early_is_rejected():
     store.actions_by_task[0] = stored + stored[:3]  # goes on past the goal
     u = np.zeros((1, env.config.horizon_cap))
     with pytest.raises(UsageError, match="prefix"):
-        rollout_batch("b2f", env, [PolicyParams(num_actions=6)], teacher, [0], 1, u,
+        rollout_batch("b2f", env, PolicyParams(num_actions=6), teacher, [0], 1, u,
                       store=store)
 
 
@@ -310,7 +271,7 @@ def test_evaluate_matches_scalar_rollouts_on_same_uniforms(kind, window, tempera
               for e in range(episodes)]
     kls = [kl for _, kl in oracle]
     successes = [fields[3] for fields, _ in oracle]
-    kl, rounds, success, _ = rollout_lockstep(env, [params] * episodes, teacher,
+    kl, rounds, success, _ = rollout_lockstep(env, params, teacher,
                                               np.arange(episodes) % env.config.task_count,
                                               u, temperature=temperature, window=window)
     assert rounds.tolist() == [len(turns) for turns in kls]
@@ -352,7 +313,7 @@ def test_evaluate_profile_bitwise_equals_the_profile_of_single_rollouts(kind, wi
     single = episodes([rollout_opd(env, params, teacher, task, rng, window=window)
                        for task in tasks.tolist()])
     u = np.random.default_rng(12).random((n, horizon))  # evaluate's uniforms
-    batch = rollout_batch("opd", env, [params] * n, teacher, tasks, horizon, u, window=window)
+    batch = rollout_batch("opd", env, params, teacher, tasks, horizon, u, window=window)
     for name in ("keys", "actions", "kl", "rounds", "success"):
         assert np.array_equal(getattr(single, name), getattr(batch, name))
     for rollouts in (single, batch):
@@ -368,8 +329,8 @@ def test_evaluate_draws_do_not_depend_on_batch_makeup():
     params = partial_student(teacher, None, seed=5)
     u = np.random.default_rng(2).random((64, env.config.horizon_cap))
     tasks = np.arange(64) % env.config.task_count
-    full = rollout_lockstep(env, [params] * 64, teacher, tasks, u, temperature=0.4)[:3]
-    part = rollout_lockstep(env, [params] * 10, teacher, tasks[10:20], u[10:20],
+    full = rollout_lockstep(env, params, teacher, tasks, u, temperature=0.4)[:3]
+    part = rollout_lockstep(env, params, teacher, tasks[10:20], u[10:20],
                             temperature=0.4)[:3]
     for whole, piece in zip(full, part):
         assert np.array_equal(whole[10:20], piece)
@@ -379,7 +340,7 @@ def test_rollout_lockstep_rejects_wrong_uniform_shape():
     env = make_env(EnvConfig())
     teacher = make_teacher(env)
     with pytest.raises(UsageError):
-        rollout_lockstep(env, [PolicyParams(num_actions=6)] * 4, teacher, np.arange(4),
+        rollout_lockstep(env, PolicyParams(num_actions=6), teacher, np.arange(4),
                          np.zeros((4, env.config.horizon_cap - 1)))
 
 
@@ -391,7 +352,7 @@ def test_rollouts_reject_a_temperature_that_is_not_positive(temperature):
     params = PolicyParams(num_actions=env.config.num_actions)
     rng = np.random.default_rng(0)
     calls = {
-        "lockstep": lambda: rollout_lockstep(env, [params] * 2, teacher, [0, 1],
+        "lockstep": lambda: rollout_lockstep(env, params, teacher, [0, 1],
                                              np.zeros((2, env.config.horizon_cap)),
                                              temperature=temperature),
         "evaluate": lambda: evaluate(params, env, teacher, 8, rng, temperature=temperature),

@@ -50,7 +50,7 @@ def test_profile_zero_for_matched_policies():
     teacher = make_teacher(env, on_support_temperature=1e-3)
     params = teacher.materialize()
     u = np.random.default_rng(0).random((8, env.config.horizon_cap))
-    rollouts = rollout_batch("opd", env, [params] * 8, teacher, np.arange(8),
+    rollouts = rollout_batch("opd", env, params, teacher, np.arange(8),
                              env.config.horizon_cap, u)
     assert all(v == 0.0 for v in per_turn_kl_profile(rollouts))
 
@@ -71,7 +71,7 @@ def test_profile_increases_for_uniform_student():
     teacher = make_teacher(env)
     student = PolicyParams(num_actions=6)
     u = np.random.default_rng(2).random((64, env.config.horizon_cap))
-    rollouts = rollout_batch("opd", env, [student] * 64, teacher, np.arange(64) % 32,
+    rollouts = rollout_batch("opd", env, student, teacher, np.arange(64) % 32,
                              env.config.horizon_cap, u)
     profile = per_turn_kl_profile(rollouts)
     rho = stats.spearmanr(np.arange(len(profile)), profile).statistic
@@ -82,7 +82,7 @@ def test_profile_empty_input_rejected():
     env = make_env(EnvConfig())
     teacher = make_teacher(env)
     u = np.zeros((1, env.config.horizon_cap))
-    one = rollout_batch("opd", env, [PolicyParams(num_actions=6)], teacher, [0], 1, u)
+    one = rollout_batch("opd", env, PolicyParams(num_actions=6), teacher, [0], 1, u)
     with pytest.raises(UsageError):
         per_turn_kl_profile(episodes([one], []))
 
@@ -118,7 +118,7 @@ def test_profile_bitwise_equals_the_dict_loop_on_b2f_batches(kind, window):
     for k in (1, 3, 6, 12):
         tasks = gen.integers(0, env.config.task_count, 24)
         u = gen.random((24, env.config.horizon_cap))
-        by_k.append(rollout_batch("b2f", env, [student] * 24, teacher, tasks, k, u,
+        by_k.append(rollout_batch("b2f", env, student, teacher, tasks, k, u,
                                   store=store, window=window))
     rows = [np.arange(5), np.arange(24), np.r_[24:48, 0:24], np.arange(72, 73)]
     rows += [gen.permutation(96)[:n] for n in (2, 9, 40, 96)]
@@ -153,7 +153,7 @@ def test_success_rate_is_exact_fraction():
     teacher = make_teacher(env, on_support_temperature=1e-3)
     params = teacher.materialize()
     u = np.random.default_rng(3).random((10, env.config.horizon_cap))
-    rollouts = rollout_batch("opd", env, [params] * 10, teacher, np.arange(10) % 32,
+    rollouts = rollout_batch("opd", env, params, teacher, np.arange(10) % 32,
                              env.config.horizon_cap, u)
     k = sum(rollouts.success.tolist())
     assert k / 10 == rollouts.success.mean()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from opdlab.errors import UsageError
 from opdlab.policy import (
     PolicyParams,
+    RowBlock,
     action_dist,
     encode_history,
     forward_kl,
@@ -351,6 +352,27 @@ def test_load_rejects_key_entries_that_are_not_ints(tmp_path, key):
         load_params(path)
     assert str(err.value) == (f"{path}: line 2: row key {key} has an entry that is not "
                               "an int")
+
+
+@pytest.mark.parametrize("key", [(1.5,), (1.0,), (True, 0, 2), (0, 1, 2.0), ("1",),
+                                 (np.int64(1),), [1], 1])
+def test_writes_reject_keys_that_are_not_tuples_of_ints(key):
+    # int() would store (1.5,) at (1,) and (True, 0, 2) at (1, 0, 2)
+    row = np.array([0.1, 0.2, 0.3])
+    message = (f"row key {list(key)} has an entry that is not an int" if type(key) is tuple
+               else f"row key {key!r} is not a tuple")
+    params = PolicyParams(num_actions=3)
+    with pytest.raises(UsageError) as err:
+        params.logits[key] = row
+    assert str(err.value) == message
+    assert len(params.logits) == 0 and params.index.size == 1
+    if type(key) is tuple:  # a dict key must be hashable
+        for write in (lambda: PolicyParams(3, {(2,): row, key: row}),
+                      lambda: RowBlock.of({key: row}, params.index, 3)):  # apply_gradient's
+            with pytest.raises(UsageError) as err:
+                write()
+            assert str(err.value) == message
+        assert params.index.size == 1
 
 
 @pytest.mark.parametrize("field,value", [("num_actions", 3.7), ("num_actions", 3.0),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from opdlab import runtime
-from opdlab.curriculum import horizon_at
+from opdlab.curriculum import b2f_prefix_len, horizon_at
 from opdlab.distill import collect_teacher_trajectories
 from opdlab.env import Env, EnvConfig, TeacherPolicy, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
@@ -319,31 +319,40 @@ def test_async_run_reproducible_bitwise(tmp_path):
 @pytest.mark.parametrize("depth", [1, 2, 4])
 def test_each_rollout_acts_on_the_snapshot_newest_depth_minus_one_rollouts_earlier(
         monkeypatch, depth):
-    newest = [0]
-    seen = []  # (newest published version, snapshot version) per rollout
-    real_publish = SnapshotBoard.publish
-    real_rollout = runtime.rollout_batch
+    """Observed on the delivered rollouts: rollout j acts on the table that was
+    newest when rollout j - depth + 1 was delivered, and at the curriculum
+    horizon of the step in which it started, the one that delivered rollout
+    j - depth + 1 (b2f, whose expert prefix shows the horizon)."""
+    delivered = []  # (step, version, task, prefix length) per delivered rollout, in order
+    real_record = runtime._rollout_record
 
-    def publish(self, params):
-        newest[0] = params.version
-        real_publish(self, params)
+    def record(step, k, batches):
+        for b in batches:
+            delivered.extend((step, v, task, p) for v, task, p in zip(
+                b.versions.tolist(), b.task_ids.tolist(), b.prefix_len.tolist()))
+        return real_record(step, k, batches)
 
-    def rollout(algo, env, snapshots, *args, **kwargs):
-        seen.extend((newest[0], snapshot.version) for snapshot in snapshots)
-        return real_rollout(algo, env, snapshots, *args, **kwargs)
-
-    monkeypatch.setattr(SnapshotBoard, "publish", publish)
-    monkeypatch.setattr(runtime, "rollout_batch", rollout)
-    cfg = tiny_cfg(mode="async", actor_count=depth, total_steps=30, batch_size=4,
-                   delta_max=3)
-    result = run_training(cfg)
-    newest_at = [v for v, _ in seen]
-    used = [v for _, v in seen]
-    assert used == [newest_at[max(0, j - depth + 1)] for j in range(len(seen))]
+    monkeypatch.setattr(runtime, "_rollout_record", record)
+    cfg = tiny_cfg(algo="b2f", mode="async", actor_count=depth, total_steps=30,
+                   batch_size=4, delta_max=3)
+    store = collect_for(cfg)
+    result = run_training(cfg, store)
+    # version n is the newest table throughout step n
+    steps = [n for n, *_ in delivered]
+    started = [steps[max(0, j - depth + 1)] for j in range(len(delivered))]
+    assert [v for _, v, *_ in delivered] == started
     # a step has at least one rollout, so a snapshot lags by at most depth - 1
-    lags = [a - b for a, b in seen]
+    lags = [n - v for n, v, *_ in delivered]
     assert max(lags) <= depth - 1
     assert (max(lags) > 0) == (depth > 1)
+    schedule = cfg.schedule()
+
+    def prefixes(at):
+        return [b2f_prefix_len(store.length(task), horizon_at(schedule, n))
+                for (_, _, task, _), n in zip(delivered, at)]
+
+    assert [p for *_, p in delivered] == prefixes(started)
+    assert (prefixes(started) != prefixes(steps)) == (depth > 1)
     assert result.max_staleness_seen <= cfg.delta_max
 
 

@@ -1,4 +1,4 @@
-"""Key ids, the shared row store and the replay columns, against the per-turn
+"""Key ids, the tables' rows and the replay columns, against the per-turn
 and per-key forms they replace."""
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from opdlab.distill import (
     rollout_batch,
 )
 from opdlab.env import EnvConfig, make_env, make_teacher
+from opdlab.errors import UsageError
 from opdlab.metrics import SPLIT_ROLLOUT, EvalRecord
 from opdlab.policy import KeyIndex, PolicyParams, load_params, save_params
 from opdlab import runtime
@@ -162,45 +163,70 @@ def test_a_repeated_batch_builds_no_history_and_interns_nothing(monkeypatch, win
     store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
     params = PolicyParams(env.config.num_actions)
     u = np.random.default_rng(3).random((9, env.config.horizon_cap))
-    first = rollout_batch("b2f", env, [params] * 9, teacher, np.arange(9), 3, u, store=store,
+    first = rollout_batch("b2f", env, params, teacher, np.arange(9), 3, u, store=store,
                           window=window)
     size = params.index.size
     built = count_history_tuples(monkeypatch)
-    again = rollout_batch("b2f", env, [params] * 9, teacher, np.arange(9), 3, u, store=store,
+    again = rollout_batch("b2f", env, params, teacher, np.arange(9), 3, u, store=store,
                           window=window)
     assert (built[0], params.index.size) == (0, size)
     assert np.array_equal(first.keys, again.keys) and np.array_equal(first.kl, again.kl)
 
 
-# -- the shared store -----------------------------------------------------------------
+# -- stepped tables and snapshots -----------------------------------------------------
 
 
-def test_stale_tables_keep_their_rows_through_later_steps():
-    """Each table of a lineage, read after all later steps (through the undo
-    records), holds the rows a per-key dict update gave it."""
+def test_reading_a_stepped_table_raises(tmp_path):
+    """A learner step writes its rows in place into the table it returns, so
+    every read of the table it stepped from raises; the next table reads on."""
+    params = PolicyParams(3, {(1,): np.array([1.0, 2.0, 3.0])})
+    stepped = params
+    params = apply_gradient(params, {(2,): np.array([1.0, 0.0, -1.0])}, 0.5)
+    reads = {
+        "logits_for": lambda: stepped.logits_for((1,)),
+        "logits": lambda: dict(stepped.logits),
+        "write": lambda: stepped.logits.__setitem__((4,), np.zeros(3)),
+        "table": lambda: stepped.table,
+        "written": lambda: stepped.written,
+        "rows": lambda: stepped.rows(np.array([1])),
+        "snapshot": stepped.snapshot,
+        "step": lambda: apply_gradient(stepped, {(1,): np.ones(3)}, 0.5),
+        "save": lambda: save_params(stepped, tmp_path / "checkpoint.jsonl"),
+    }
+    for name, read in reads.items():
+        with pytest.raises(UsageError, match="table version 0 was stepped"):
+            read()
+    assert not (tmp_path / "checkpoint.jsonl").exists()
+    assert stepped.version == 0 and params.version == 1
+    assert params.logits == {(1,): np.array([1.0, 2.0, 3.0]),
+                             (2,): np.array([-0.5, 0.0, 0.5])}
+
+
+def test_a_snapshot_keeps_its_rows_through_later_steps():
+    """A snapshot of each table of a lineage, read after all later steps,
+    holds the rows a per-key dict update gave it; stepping or writing one
+    snapshot changes no other table."""
     gen = np.random.default_rng(4)
     default = np.array([0.5, -1.0, 2.0])
-    tables, references = [PolicyParams(3, default_logits=default)], [{}]
+    params = PolicyParams(3, default_logits=default)
+    tables, references = [params.snapshot()], [{}]
     for _ in range(8):
         keys = [(int(i),) for i in gen.choice(12, size=4, replace=False)]
         grads = {key: gen.normal(size=3) for key in keys}
-        tables.append(apply_gradient(tables[-1], grads, 0.7))
+        params = apply_gradient(params, grads, 0.7)
+        tables.append(params.snapshot())
         references.append(dict(references[-1]))
         for key, g in grads.items():
             references[-1][key] = references[-2].get(key, default) - 0.7 * g
-    # a step from a stale table branches the lineage; a write through the
+    # a step from a snapshot branches the lineage; a write through the
     # mapping of another changes that table alone
-    tables.append(apply_gradient(tables[2], {(99,): np.array([1.0, 2.0, 3.0])}, 0.7))
+    tables.append(apply_gradient(tables[2].snapshot(), {(99,): np.array([1.0, 2.0, 3.0])}, 0.7))
     references.append({**references[2], (99,): default - 0.7 * np.array([1.0, 2.0, 3.0])})
     tables[4].logits[(98,)] = np.array([4.0, 5.0, 6.0])
     references[4][(98,)] = np.array([4.0, 5.0, 6.0])
+    params = apply_gradient(params, {(1,): np.ones(3), (98,): np.ones(3)}, 0.7)
     probes = [(i,) for i in range(12)] + [(98,), (99,)]
     for table, reference in zip(tables, references):
-        # a stale table's reads lay its undo records over the shared rows
-        for key in probes:
-            assert table.logits_for(key).tobytes() == reference.get(key, default).tobytes()
-    for table, reference in zip(tables, references):
-        # its mapping first gives it a copy of the store with them applied
         assert list(table.logits) == list(reference)
         for key in probes:
             assert table.logits_for(key).tobytes() == reference.get(key, default).tobytes()
@@ -248,23 +274,6 @@ def test_a_checkpoint_with_actions_past_127_round_trips(tmp_path):
     records = [runtime.evaluate(params, env, teacher, 16, np.random.default_rng(5),
                                 temperature=0.4) for params in (trained, loaded)]
     assert repr(records[0]) == repr(records[1])
-
-
-def test_a_kept_table_folds_its_undo_records_into_a_copy():
-    """A table kept while its lineage takes many steps holds at most about a
-    store's worth of undo records, and reads its rows as they were."""
-    gen = np.random.default_rng(6)
-    params = PolicyParams(4, {(i,): gen.normal(size=4) for i in range(16)})
-    kept, reference = params.snapshot(), dict(params.logits)
-    for _ in range(200):
-        keys = [(int(i),) for i in gen.choice(24, size=5, replace=False)]
-        params = apply_gradient(params, {key: gen.normal(size=4) for key in keys}, 0.7)
-        assert kept._saved <= len(kept._store.table)
-    assert kept._store is not params._store
-    for i in range(24):
-        assert kept.logits_for((i,)).tobytes() == reference.get(
-            (i,), np.zeros(4)).tobytes()
-    assert kept.logits == reference
 
 
 # full histories over 3 actions and 4 tokens (many share prefixes), and other tuples
