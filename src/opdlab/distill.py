@@ -9,12 +9,13 @@ first L - k actions of a stored expert trajectory. Evaluation is an opd
 batch. The engine carries the live episodes' env state ids, stepped
 through the env's compiled tables (``next_state``, ``token``,
 ``success``), and their history ids, stepped through the student's
-``KeyIndex``; a turn gathers each episode's student row by slot, whose
-softmax cumsum and floored log were computed when the row was written, and
-its teacher row from the teacher's per-turn tables, so a turn is a few
-array operations whatever the batch width, and only a history new to the
-index touches Python. ``policy.window_key`` cuts a full history down to
-its table key, once per new history. Each episode reads its own row of
+``KeyIndex``. A turn only samples the next action from each episode's
+softmax cumsum (gathered by slot, computed when the row was written) and
+steps the env and the index, a few array operations whatever the batch
+width; only a history new to the index touches Python. The teacher rows,
+turn KL and recorded columns of all played turns are built once per call,
+after the walk. ``policy.window_key`` cuts a full history down to its
+table key, once per new history. Each episode reads its own row of
 uniforms, and its student turn i samples from entry i of the row, so
 expert-prefix turns draw nothing and an episode's results do not depend on
 the other episodes of its batch. ``rollout_opd``, ``rollout_f2b`` and
@@ -142,14 +143,19 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
     (shape (B, horizon_cap)), not on the other episodes. ``temperature``
     must be > 0 (ConfigError otherwise, before any sampling).
 
-    The live episodes are arrays: env state ids, stepped through
-    ``env.next_state``, and history ids in the student's KeyIndex, stepped
-    through its memoized child edges; a turn gathers each episode's cached
-    softmax cumsum (or, at a temperature other than 1, its logits) and
-    floored log at its key's slot. Only a history new to the index touches
-    Python. With ``algo`` given every history is interned; without
-    (evaluation) none is, so the index does not grow: a full history outside
-    it reads the default row, and a windowed one is cut from its tuple.
+    The live episodes are arrays (env state ids, history ids in the
+    student's KeyIndex, uniforms, end turns, prefix lengths). A turn only
+    chooses the next action: it samples from each episode's cached softmax
+    cumsum (at a temperature other than 1, its logits) by slot, steps the
+    env and the index, and drops the episodes that ended; only a history
+    new to the index touches Python. After the walk every played turn is
+    one block: teacher rows (``TeacherPolicy.pairs``), the student's floored
+    log rows, one forward_kl_rows call and a scatter per column. The table
+    is fixed within a call and interning gives new ids no slot, so the
+    block reads the rows the turns read. With ``algo`` given every history
+    is interned; without (evaluation) none is, so the index does not grow:
+    a full history outside it reads the default row, and a windowed one is
+    cut from its tuple.
 
     Returns ``(kl, rounds, success, rollouts)``: the (B, horizon_cap)
     per-turn KL on every turn played (0 after an episode ends), each
@@ -179,68 +185,66 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
     record = algo is not None
     index = student.index
     a = env.config.num_actions
-    kl = np.zeros((n, horizon))
     played = np.full(n, horizon)  # turns each episode played, prefix included
     success = np.zeros(n, dtype=bool)
-    if record:
-        key_col = np.zeros((n, horizon), dtype=np.int64)
-        action_col = np.zeros((n, horizon), dtype=np.int64)
-        teacher_col = np.zeros((n, horizon, a))
-    # the live episodes, their state ids and their full histories' key ids
-    live = np.arange(n)
+    # the live episodes with their rows of v, end turns and prefix lengths,
+    # their state ids and their full histories' key ids
+    live, live_v, live_end, live_prefix = np.arange(n), v, end, prefix_len
     state = env.initial_state[task]
     next_state, token, reached = env.next_state, env.token, env.success
-    row_class = teacher.row_class
     roots = env.initial_tokens[task].tolist()
     node = np.array([index.root(o, record) for o in roots], dtype=np.int64)
     # full histories outside the index, by episode, when a window must cut them
     cut = window is not None and not record
     outside = {e: (o,) for e, (o, i) in enumerate(zip(roots, node.tolist())) if cut and not i}
+    walked = []  # per turn: the live episodes, their key ids, actions and state ids
 
     for t in range(horizon):
-        # the live rows of (B, ...) arrays; X[:, t][here] indexes faster than X[here, t]
-        here = live if live.size < n else slice(None)
         key = node if window is None else index.windowed(node, window, record)
         for i in np.flatnonzero(node == 0).tolist() if cut else ():
             key[i] = index.find(window_key(outside[int(live[i])], window))
-        slots = index.slot[key]  # re-read: interning may have grown the index
-        rows = student.read(slots)
-        # the teacher's rows and their logs (take gathers rows faster than [])
-        pair = teacher.turn_table(t).take(row_class[state], axis=0)
-        p_teacher = pair[:, :a]
-        turn_kl = forward_kl_rows(p_teacher, None, pair[:, a:], rows[:, 2 * a:])
+        rows = student.read(index.slot[key])  # re-read: interning may have grown the index
         if temperature == 1.0:
-            actions = sample_cum(rows[:, a:2 * a], v[:, t][here])
+            actions = sample_cum(rows[:, a:2 * a], live_v[:, t])
         else:
-            actions = sample_rows(softmax_rows(rows[:, :a], temperature), v[:, t][here])
-        in_prefix = None
+            actions = sample_rows(softmax_rows(rows[:, :a], temperature), live_v[:, t])
         if t < last_prefix:
-            in_prefix = prefix_len[here] > t
-            actions = np.where(in_prefix, forced[:, t][here], actions)
-        kl[:, t][here] = turn_kl
-        if record:
-            key_col[:, t][here], action_col[:, t][here], teacher_col[:, t][here] = (
-                key, actions, p_teacher)
+            actions = np.where(live_prefix > t, forced[live, t], actions)
+        walked.append((live, key, actions, state))
         state = next_state[state, actions]
         tokens, won = token[state], reached[state]
-        if in_prefix is not None and np.count_nonzero(won & (t + 1 < prefix_len[here])):
+        if t < last_prefix and np.count_nonzero(won & (t + 1 < live_prefix)):
             raise UsageError("a stored trajectory reached its goal during its expert prefix")
         child = index.step(node, actions, tokens, record)
         for i in np.flatnonzero(child == 0).tolist() if cut else ():
             e, step = int(live[i]), (int(actions[i]), int(tokens[i]))
             outside[e] = (outside[e] if node[i] == 0 else index.key(node.item(i))) + step
         node = child
-        ended = won if t + 1 < first_end else won | (end[here] == t + 1)
+        ended = won if t + 1 < first_end else won | (live_end == t + 1)
         if np.count_nonzero(ended):
             played[live[ended]] = t + 1
             success[live[won]] = True
             keep = ~ended
-            live, state, node = live[keep], state[keep], node[keep]
+            live, live_v, live_end, live_prefix, state, node = (x[keep] for x in (
+                live, live_v, live_end, live_prefix, state, node))
             if not live.size:
                 break
-    rollouts = None if not record else Rollouts(
-        index, algo, task, np.full(n, student.version, dtype=np.int64), key_col,
-        action_col, teacher_col, kl, prefix_len, played - prefix_len, success)
+
+    # every played turn as one block
+    e, key, actions, state = [np.concatenate(column, dtype=np.int64) for column in zip(*walked)]
+    t = np.repeat(np.arange(len(walked)), [len(turn[0]) for turn in walked])
+    pair = teacher.pairs(t, state)
+    kl = np.zeros((n, horizon))
+    kl[e, t] = forward_kl_rows(pair[:, :a], None, pair[:, a:],
+                               student.read(index.slot[key])[:, 2 * a:])
+    rollouts = None
+    if record:
+        key_col, action_col = np.zeros((n, horizon), np.int64), np.zeros((n, horizon), np.int64)
+        teacher_col = np.zeros((n, horizon, a))
+        key_col[e, t], action_col[e, t], teacher_col[e, t] = key, actions, pair[:, :a]
+        rollouts = Rollouts(index, algo, task, np.full(n, student.version, dtype=np.int64),
+                            key_col, action_col, teacher_col, kl, prefix_len,
+                            played - prefix_len, success)
     return kl, played - prefix_len, success, rollouts
 
 

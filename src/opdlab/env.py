@@ -307,9 +307,10 @@ class TeacherPolicy:
     entropy at every turn index; a floor of 1 yields exactly uniform.
 
     A state's distribution depends on it only through its turn, expert
-    action and recovery debt, so ``turn_rows(t)`` computes each turn's
-    distributions once, one row per (expert action, debt) class, and
-    ``row_class[s]`` picks a state's row; ``dist`` reads the same rows.
+    action and recovery debt, so ``table`` holds every turn's distributions
+    and their log_rows, built once: (horizon_cap, classes, 2A), a class per
+    (expert action, debt), and ``row_class[s]`` is a state's class.
+    ``pairs``, ``turn_rows``, ``turn_table`` and ``dist`` read it.
     """
 
     def __init__(self, env: Env, config: TeacherConfig):
@@ -318,41 +319,45 @@ class TeacherPolicy:
         self.num_actions = env.config.num_actions
         self._uniform = np.full(self.num_actions, 1.0 / self.num_actions)
         self.row_class = env.expert * env.recovery_levels + env.recovery
-        self._tables_by_turn: dict[int, tuple[np.ndarray, ...]] = {}  # (table, rows, logs)
+        self.table = np.stack([self._turn(t) for t in range(env.config.horizon_cap)])
+        self.table.flags.writeable = False
 
     def _gap(self, turn: int) -> float:
         c = self.config
         return (1.0 + c.turn_sharpening * turn) / c.on_support_temperature
 
-    def turn_rows(self, turn: int, log: bool = False) -> np.ndarray:
-        """The distributions at ``turn``, or with ``log`` their log_rows, one row
-        per (expert action, debt) class, as an (A * debt levels, A) table cached per turn."""
-        self.turn_table(turn)
-        return self._tables_by_turn[turn][2 if log else 1]
+    def _turn(self, turn: int) -> np.ndarray:
+        """The (classes, 2A) [distributions | log_rows] of ``turn``."""
+        sharp = []
+        for action in range(self.num_actions):
+            logits = np.zeros(self.num_actions)
+            logits[action] = self._gap(turn)
+            sharp.append(softmax(logits))
+        sharp = np.stack(sharp)[:, None, :]  # (A, 1, A): a row per expert action
+        c = self.config
+        recovery = np.arange(self.env.recovery_levels)
+        lam = np.maximum(c.off_support_floor, c.depth_decay ** recovery)[:, None]
+        mixed = lam * self._uniform + (1.0 - lam) * sharp
+        rows = np.where((recovery == 0)[:, None], sharp, mixed).reshape(-1, self.num_actions)
+        return np.concatenate([rows, log_rows(rows)], axis=1)
+
+    def pairs(self, turns, states):
+        """The [distribution | log_rows] rows, (..., 2A), of the state ids
+        ``states`` at ``turns`` (both ints, or arrays of one shape)."""
+        return self.table[turns, self.row_class[states]]
+
+    def turn_rows(self, turn: int) -> np.ndarray:
+        """The distributions at ``turn``, one row per (expert action, debt)
+        class: an (A * debt levels, A) view of ``table``."""
+        return self.table[turn, :, :self.num_actions]
 
     def turn_table(self, turn: int) -> np.ndarray:
         """turn_rows and its log side by side, (A * debt levels, 2A)."""
-        tables = self._tables_by_turn.get(turn)
-        if tables is None:
-            sharp = []
-            for action in range(self.num_actions):
-                logits = np.zeros(self.num_actions)
-                logits[action] = self._gap(turn)
-                sharp.append(softmax(logits))
-            sharp = np.stack(sharp)[:, None, :]  # (A, 1, A): a row per expert action
-            c = self.config
-            recovery = np.arange(self.env.recovery_levels)
-            lam = np.maximum(c.off_support_floor, c.depth_decay ** recovery)[:, None]
-            mixed = lam * self._uniform + (1.0 - lam) * sharp
-            rows = np.where((recovery == 0)[:, None], sharp, mixed).reshape(-1, self.num_actions)
-            table = np.concatenate([rows, log_rows(rows)], axis=1)
-            tables = self._tables_by_turn[turn] = (
-                table, table[:, :self.num_actions], table[:, self.num_actions:])
-        return tables[0]
+        return self.table[turn]
 
     def dist(self, state: EnvState) -> np.ndarray:
         """Action distribution for the realized history behind ``state``."""
-        return self.turn_rows(state.turn)[self.row_class.item(self.env._id_of(state))].copy()
+        return self.pairs(state.turn, self.env._id_of(state))[:self.num_actions].copy()
 
     def materialize(self, window: int | None = None) -> PolicyParams:
         """Freeze the teacher into a checkpointable logit table.

@@ -296,8 +296,10 @@ class KeyIndex:
         if not intern:
             miss &= node > 0
         if np.count_nonzero(miss):
-            for i in np.flatnonzero(miss).tolist():
-                child[i] = self._child(node.item(i), actions.item(i), tokens.item(i), intern)
+            for i, (m, n, a, o) in enumerate(zip(miss.tolist(), node.tolist(),
+                                                 actions.tolist(), tokens.tolist())):
+                if m:
+                    child[i] = self._child(n, a, o, intern)
         return child
 
     def windowed(self, node: np.ndarray, window: int, intern: bool) -> np.ndarray:

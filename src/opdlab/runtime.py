@@ -14,7 +14,8 @@ uses entry i.
 A step delivers its rollouts as lockstep waves of ceil(missing / m)
 rollouts, where ``missing`` counts the fresh entries the step still needs
 and m is the most student turns one rollout plays. A wave first starts, as
-one batch, every rollout up to depth - 1 past its last. A one-at-a-time
+one batch, every rollout up to depth - 1 past its last; in the last step,
+only up to its last, as no later step delivers them. A one-at-a-time
 loop would deliver every rollout of such a wave too, in the same step, and
 a rollout depends only on its row, task, table and horizon, so runs are
 bit-identical for any wave width, and bit-reproducible per seed in both
@@ -162,6 +163,12 @@ class TrainingResult:
 # ---------------------------------------------------------------------------
 
 
+def _mean(x: np.ndarray) -> float:
+    """np.mean(x) of a non-empty 1-D array, bitwise, without its overhead (the
+    sum of ints or bools is exact; np.mean's float sum of them is below 2**53)."""
+    return np.add.reduce(x).item() / len(x)
+
+
 def _episode_summary(success, rounds, kl_sums) -> dict:
     """The EvalRecord fields that summarize a set of episodes.
 
@@ -172,11 +179,10 @@ def _episode_summary(success, rounds, kl_sums) -> dict:
     kl_sums = np.asarray(kl_sums, dtype=np.float64)
     played = rounds > 0
     return dict(
-        success_rate=float(np.mean(success)),
-        avg_rounds=float(np.mean(rounds)),
-        traj_kl_mean=float(np.mean(kl_sums)),
-        traj_kl_turn_mean=(float(np.mean(kl_sums[played] / rounds[played]))
-                           if played.any() else 0.0),
+        success_rate=_mean(np.asarray(success)),
+        avg_rounds=_mean(rounds),
+        traj_kl_mean=_mean(kl_sums),
+        traj_kl_turn_mean=_mean(kl_sums[played] / rounds[played]) if played.any() else 0.0,
     )
 
 
@@ -231,7 +237,7 @@ def _rollout_record(step: int, k: int, batches: list[Rollouts]) -> EvalRecord:
         active_k=k,
         split=SPLIT_ROLLOUT,
         n_rollouts=len(success),
-        mean_prefix_len=float(np.mean(prefix_len)),
+        mean_prefix_len=_mean(prefix_len),
     )
 
 
@@ -277,7 +283,7 @@ def _learner_step(n: int, k: int, params: PolicyParams, buffer: RingBuffer,
         buffer_size=len(buffer),
         discarded_stale=buffer.discarded_stale_total,
         active_k=k,
-        mean_staleness=float(np.mean(staleness)),
+        mean_staleness=_mean(staleness),
     )
     return params, record, int(staleness.max())
 
@@ -354,14 +360,17 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
         fresh = 0
         while fresh < config.batch_size:
             width = _wave_width(config.batch_size - fresh, max_turns)
-            # start every rollout up to depth - 1 past the wave's last
-            count = width + depth - 1 - sum(map(len, started))
-            tasks = (rollouts + np.arange(count)) % config.env.task_count
-            rollouts += count
-            started.append(rollout_batch(config.algo, env, params, teacher, tasks, k,
-                                         rollout_rng.random((count, config.env.horizon_cap)),
-                                         store=store, temperature=config.train_temperature,
-                                         window=config.window))
+            # start every rollout up to depth - 1 past the wave's last; the last
+            # step starts none past its own, as no later step delivers them
+            ahead = depth - 1 if n + 1 < config.total_steps else 0
+            count = width + ahead - sum(map(len, started))
+            if count > 0:
+                tasks = (rollouts + np.arange(count)) % config.env.task_count
+                rollouts += count
+                started.append(rollout_batch(
+                    config.algo, env, params, teacher, tasks, k,
+                    rollout_rng.random((count, config.env.horizon_cap)), store=store,
+                    temperature=config.train_temperature, window=config.window))
             for batch in _take(started, width):
                 buffer.push(batch.student_turns())
                 fresh += int(batch.rounds[params.version - batch.versions

@@ -1,6 +1,8 @@
-"""The plain forms of the checkpoint and metrics writers: each row or record
-made as a dict and written by a json encoder. The writers in opdlab must give
-the same bytes; the tests compare the two."""
+"""Plain forms of opdlab functions that the tests require to give the same
+bytes: the checkpoint and metrics writers, each row or record made as a dict
+and written by a json encoder; the rollout engine with its teacher rows, KL
+and recorded columns computed inside the turn loop; and the episode summary
+averaged by np.mean."""
 
 from __future__ import annotations
 
@@ -11,8 +13,17 @@ from dataclasses import asdict
 import numpy as np
 
 from opdlab.atomic import atomic_open
+from opdlab.distill import Rollouts
+from opdlab.errors import ConfigError, UsageError
 from opdlab.metrics import SCHEMA_VERSION, _TYPE_NAMES, _json_safe
-from opdlab.policy import CHECKPOINT_SCHEMA
+from opdlab.policy import (
+    CHECKPOINT_SCHEMA,
+    forward_kl_rows,
+    sample_cum,
+    sample_rows,
+    softmax_rows,
+    window_key,
+)
 
 
 def sorted_keys(index, ids):
@@ -71,3 +82,111 @@ def write_records(log, path) -> None:
             obj = {"type": _TYPE_NAMES[type(record)]}
             obj.update({k: _json_safe(v) for k, v in asdict(record).items()})
             f.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, window=None,
+                     max_student_turns=None, prefixes=None, algo=None):
+    """distill.rollout_lockstep with each turn's teacher rows (gathered from
+    ``teacher.turn_table(t)``), turn KL (one forward_kl_rows call per turn) and
+    recorded columns computed and scattered inside the turn loop, reading the
+    live rows of (B, ...) arrays through the live episode indices."""
+    n, horizon = len(task_ids), env.config.horizon_cap
+    if not temperature > 0:
+        raise ConfigError(f"temperature must be > 0, got {temperature}")
+    if u.shape != (n, horizon):
+        raise UsageError(f"u has shape {u.shape}, expected {(n, horizon)}")
+    task = np.asarray(task_ids, dtype=np.int64)
+    if n and not 0 <= task.min() <= task.max() < env.config.task_count:
+        raise ConfigError(f"task ids must be in [0, {env.config.task_count})")
+    # v[e, t] is the uniform of episode e's student at turn t, u[e, t - prefix
+    # length], and forced[e, t] the expert action at a prefix turn t
+    prefix_len = np.array([len(p) for p in prefixes] if prefixes else np.zeros(n),
+                          dtype=np.int64)
+    v, forced = u, None
+    if prefix_len.any():
+        v, forced = np.zeros_like(u), np.zeros((n, horizon), dtype=np.int64)
+        for e, (prefix, p) in enumerate(zip(prefixes, prefix_len.tolist())):
+            v[e, p:], forced[e, :p] = u[e, :horizon - p], prefix
+    end = prefix_len + (horizon if max_student_turns is None else max_student_turns)
+    first_end, last_prefix = int(end.min(initial=horizon)), int(prefix_len.max(initial=0))
+
+    record = algo is not None
+    index = student.index
+    a = env.config.num_actions
+    kl = np.zeros((n, horizon))
+    played = np.full(n, horizon)  # turns each episode played, prefix included
+    success = np.zeros(n, dtype=bool)
+    if record:
+        key_col = np.zeros((n, horizon), dtype=np.int64)
+        action_col = np.zeros((n, horizon), dtype=np.int64)
+        teacher_col = np.zeros((n, horizon, a))
+    # the live episodes, their state ids and their full histories' key ids
+    live = np.arange(n)
+    state = env.initial_state[task]
+    next_state, token, reached = env.next_state, env.token, env.success
+    row_class = teacher.row_class
+    roots = env.initial_tokens[task].tolist()
+    node = np.array([index.root(o, record) for o in roots], dtype=np.int64)
+    # full histories outside the index, by episode, when a window must cut them
+    cut = window is not None and not record
+    outside = {e: (o,) for e, (o, i) in enumerate(zip(roots, node.tolist())) if cut and not i}
+
+    for t in range(horizon):
+        # the live rows of (B, ...) arrays; X[:, t][here] indexes faster than X[here, t]
+        here = live if live.size < n else slice(None)
+        key = node if window is None else index.windowed(node, window, record)
+        for i in np.flatnonzero(node == 0).tolist() if cut else ():
+            key[i] = index.find(window_key(outside[int(live[i])], window))
+        slots = index.slot[key]  # re-read: interning may have grown the index
+        rows = student.read(slots)
+        # the teacher's rows and their logs (take gathers rows faster than [])
+        pair = teacher.turn_table(t).take(row_class[state], axis=0)
+        p_teacher = pair[:, :a]
+        turn_kl = forward_kl_rows(p_teacher, None, pair[:, a:], rows[:, 2 * a:])
+        if temperature == 1.0:
+            actions = sample_cum(rows[:, a:2 * a], v[:, t][here])
+        else:
+            actions = sample_rows(softmax_rows(rows[:, :a], temperature), v[:, t][here])
+        in_prefix = None
+        if t < last_prefix:
+            in_prefix = prefix_len[here] > t
+            actions = np.where(in_prefix, forced[:, t][here], actions)
+        kl[:, t][here] = turn_kl
+        if record:
+            key_col[:, t][here], action_col[:, t][here], teacher_col[:, t][here] = (
+                key, actions, p_teacher)
+        state = next_state[state, actions]
+        tokens, won = token[state], reached[state]
+        if in_prefix is not None and np.count_nonzero(won & (t + 1 < prefix_len[here])):
+            raise UsageError("a stored trajectory reached its goal during its expert prefix")
+        child = index.step(node, actions, tokens, record)
+        for i in np.flatnonzero(child == 0).tolist() if cut else ():
+            e, step = int(live[i]), (int(actions[i]), int(tokens[i]))
+            outside[e] = (outside[e] if node[i] == 0 else index.key(node.item(i))) + step
+        node = child
+        ended = won if t + 1 < first_end else won | (end[here] == t + 1)
+        if np.count_nonzero(ended):
+            played[live[ended]] = t + 1
+            success[live[won]] = True
+            keep = ~ended
+            live, state, node = live[keep], state[keep], node[keep]
+            if not live.size:
+                break
+    rollouts = None if not record else Rollouts(
+        index, algo, task, np.full(n, student.version, dtype=np.int64), key_col,
+        action_col, teacher_col, kl, prefix_len, played - prefix_len, success)
+    return kl, played - prefix_len, success, rollouts
+
+
+def episode_summary(success, rounds, kl_sums) -> dict:
+    """runtime._episode_summary with every mean taken by np.mean."""
+    rounds = np.asarray(rounds)
+    kl_sums = np.asarray(kl_sums, dtype=np.float64)
+    played = rounds > 0
+    return dict(
+        success_rate=float(np.mean(success)),
+        avg_rounds=float(np.mean(rounds)),
+        traj_kl_mean=float(np.mean(kl_sums)),
+        traj_kl_turn_mean=(float(np.mean(kl_sums[played] / rounds[played]))
+                           if played.any() else 0.0),
+    )

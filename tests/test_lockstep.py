@@ -11,10 +11,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opdlab.curriculum import b2f_prefix_len
+from opdlab import distill
 from opdlab.distill import (
     collect_teacher_trajectories,
     rollout_b2f,
@@ -27,6 +28,7 @@ from opdlab.env import (
     COMPOUNDING_CHAIN,
     MEMORY_LOCK,
     EnvConfig,
+    TeacherPolicy,
     make_env,
     make_teacher,
 )
@@ -45,6 +47,7 @@ from opdlab.policy import (
 )
 from opdlab.runtime import _episode_summary, evaluate
 
+import oracles
 from joined import episodes
 
 
@@ -334,6 +337,103 @@ def test_evaluate_draws_do_not_depend_on_batch_makeup():
                             temperature=0.4)[:3]
     for whole, piece in zip(full, part):
         assert np.array_equal(whole[10:20], piece)
+
+
+# -- oracle: the engine equals its in-loop form, byte for byte -----------------------
+
+
+def random_walk_rows(env, window, gen, walks):
+    """Logit rows at the keys of ``walks`` random walks and of every task's
+    expert path, so that some episodes win and others leave the index; some
+    rows are steep enough that their softmax has exact zeros."""
+    a = env.config.num_actions
+    rows = {}
+    for w in range(walks + env.config.task_count):
+        task = w % env.config.task_count
+        rule = env.expert_action if w >= walks else lambda s: int(gen.integers(a))
+        states, actions = env.play(task, rule)
+        tokens = [s.token for s in states]
+        for t in range(len(actions)):
+            rows[encode_history(tokens[:t + 1], actions[:t], window)] = (
+                gen.normal(0.0, 3.0, a) * (40.0 if gen.random() < 0.2 else 1.0))
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(num_actions=st.integers(2, 12), kind=st.sampled_from((COMPOUNDING_CHAIN, MEMORY_LOCK)),
+       temperature=st.sampled_from((0.4, 1.0)), window=st.sampled_from((None, 0, 2)),
+       algo=st.sampled_from(("opd", "f2b", "b2f", None)), k=st.integers(1, 8),
+       episodes=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1))
+# A >= 8 sums the KL terms pairwise; the evaluation example leaves the index
+@example(num_actions=12, kind=MEMORY_LOCK, temperature=0.4, window=2, algo=None, k=1,
+         episodes=16, seed=1)
+@example(num_actions=8, kind=COMPOUNDING_CHAIN, temperature=1.0, window=None, algo="b2f",
+         k=2, episodes=16, seed=2)
+@example(num_actions=9, kind=COMPOUNDING_CHAIN, temperature=1.0, window=0, algo="f2b",
+         k=3, episodes=16, seed=3)
+def test_engine_matches_the_in_loop_oracle_bitwise(num_actions, kind, temperature, window,
+                                                   algo, k, episodes, seed):
+    """KL, teacher rows, keys and actions built once per call after the walk
+    have the bytes of the same computed turn by turn inside it, for training
+    batches of every algo and for evaluation (algo None), whose episodes may
+    leave the index; b2f prefixes and f2b caps end episodes at different turns."""
+    gen = np.random.default_rng(seed)
+    env = make_env(EnvConfig(kind=kind, num_actions=num_actions, chain_length=4,
+                             horizon_cap=9, off_support_depth=2, task_count=5,
+                             seed=seed % 1000))
+    teacher = make_teacher(env)
+    rows = random_walk_rows(env, window, gen, walks=6)
+    tasks = gen.integers(0, env.config.task_count, episodes)
+    u = gen.random((episodes, env.config.horizon_cap))
+    prefixes, cap = None, None
+    if algo == "b2f":
+        paths = [env.play(task, env.expert_action)[1] for task in tasks.tolist()]
+        prefixes = [path[:b2f_prefix_len(len(path), k)] for path in paths]
+    elif algo == "f2b":
+        cap = min(k, env.config.horizon_cap)
+    results = [engine(env, PolicyParams(num_actions, rows), teacher, tasks, u,
+                      temperature=temperature, window=window, max_student_turns=cap,
+                      prefixes=prefixes, algo=algo)
+               for engine in (rollout_lockstep, oracles.rollout_lockstep)]
+    (kl, rounds, success, r), (kl0, rounds0, success0, r0) = results
+    assert kl.tobytes() == kl0.tobytes() and kl.shape == kl0.shape
+    assert rounds.tolist() == rounds0.tolist() and success.tolist() == success0.tolist()
+    assert (r is None) == (r0 is None) == (algo is None)
+    if r is not None:
+        for name in ("keys", "actions", "teacher", "kl", "prefix_len", "rounds", "success"):
+            x, y = getattr(r, name), getattr(r0, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_teacher_rows_and_kl_are_built_once_per_call(monkeypatch):
+    """The engine gathers teacher rows and calls forward_kl_rows once per
+    rollout_lockstep call, for all its turns, and never reads a turn's table."""
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(distill, "forward_kl_rows", spy("kl", distill.forward_kl_rows))
+    monkeypatch.setattr(TeacherPolicy, "pairs", spy("teacher", TeacherPolicy.pairs))
+    monkeypatch.setattr(TeacherPolicy, "turn_table", spy("turn table", TeacherPolicy.turn_table))
+    env = make_env(EnvConfig())
+    teacher = make_teacher(env)
+    store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
+    params = partial_student(teacher, None, seed=2)
+    u = np.random.default_rng(4).random((16, env.config.horizon_cap))
+    tasks = np.arange(16)
+    for algo, k in (("opd", 12), ("f2b", 5), ("b2f", 3)):
+        calls.clear()
+        r = rollout_batch(algo, env, params, teacher, tasks, k, u, store=store)
+        assert (r.prefix_len + r.rounds).max() > 1  # several turns were played
+        assert sorted(calls) == ["kl", "teacher"], algo
+    calls.clear()
+    record = evaluate(params, env, teacher, 64, np.random.default_rng(1))
+    assert len(record.per_turn_kl) > 1
+    assert sorted(calls) == ["kl", "teacher"]
 
 
 def test_rollout_lockstep_rejects_wrong_uniform_shape():

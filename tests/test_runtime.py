@@ -5,6 +5,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from opdlab import runtime
 from opdlab.curriculum import b2f_prefix_len, horizon_at
@@ -13,7 +16,9 @@ from opdlab.env import Env, EnvConfig, TeacherPolicy, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
 from opdlab.metrics import write_csv, write_records
 from opdlab.policy import PolicyParams, save_params
-from opdlab.runtime import RunConfig, SnapshotBoard, evaluate, run_training
+from opdlab.runtime import RunConfig, SnapshotBoard, _episode_summary, _mean, evaluate, run_training
+
+import oracles
 
 
 def rng(seed=0):
@@ -354,6 +359,43 @@ def test_each_rollout_acts_on_the_snapshot_newest_depth_minus_one_rollouts_earli
     assert [p for *_, p in delivered] == prefixes(started)
     assert (prefixes(started) != prefixes(steps)) == (depth > 1)
     assert result.max_staleness_seen <= cfg.delta_max
+
+
+@pytest.mark.parametrize("depth", [2, 4])
+def test_an_async_run_starts_only_the_rollouts_it_delivers(monkeypatch, depth):
+    """Every rollout started is delivered: the last step starts none past its
+    own. (A batch of 32 takes at least 3 opd rollouts a step, so the last
+    step also delivers the depth - 1 <= 3 that the step before started.)"""
+    started, delivered = [], []
+    real_batch, real_record = runtime.rollout_batch, runtime._rollout_record
+
+    def batch(*args, **kwargs):
+        rollouts = real_batch(*args, **kwargs)
+        started.append(len(rollouts))
+        return rollouts
+
+    def record(step, k, batches):
+        delivered.extend(len(b) for b in batches)
+        return real_record(step, k, batches)
+
+    monkeypatch.setattr(runtime, "rollout_batch", batch)
+    monkeypatch.setattr(runtime, "_rollout_record", record)
+    run_training(tiny_cfg(algo="opd", mode="async", actor_count=depth, batch_size=32))
+    assert sum(started) == sum(delivered) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda n: st.tuples(
+    arrays(bool, n), arrays(np.int64, n, elements=st.sampled_from((0, 0, 1, 7, 12))),
+    arrays(np.float64, n, elements=st.floats(0.0, 1e300) | st.sampled_from((0.0, 1e-300))))))
+def test_episode_summary_equals_its_np_mean_form_bitwise(columns):
+    """One episode or many, rounds all 0 or not, KL sums up to 1e300."""
+    success, rounds, kl_sums = columns
+    assert _episode_summary(success, rounds, kl_sums) == oracles.episode_summary(
+        success, rounds, kl_sums)
+    for x in columns:
+        assert _mean(x) == float(np.mean(x))
+    assert _mean(rounds * 2 ** 40) == float(np.mean(rounds * 2 ** 40))
 
 
 def test_async_and_sync_reach_similar_final_sr():
