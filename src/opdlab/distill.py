@@ -145,17 +145,16 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
 
     The live episodes are arrays (env state ids, history ids in the
     student's KeyIndex, uniforms, end turns, prefix lengths). A turn only
-    chooses the next action: it samples from each episode's cached softmax
-    cumsum (at a temperature other than 1, its logits) by slot, steps the
-    env and the index, and drops the episodes that ended; only a history
-    new to the index touches Python. After the walk every played turn is
-    one block: teacher rows (``TeacherPolicy.pairs``), the student's floored
-    log rows, one forward_kl_rows call and a scatter per column. The table
-    is fixed within a call and interning gives new ids no slot, so the
-    block reads the rows the turns read. With ``algo`` given every history
-    is interned; without (evaluation) none is, so the index does not grow:
-    a full history outside it reads the default row, and a windowed one is
-    cut from its tuple.
+    samples the next action from each episode's cached softmax cumsum (at a
+    temperature other than 1, its logits) by slot, steps the env and the
+    index and drops the episodes that ended; only a history new to the index
+    touches Python. After the walk, every played turn is one block: teacher
+    rows (``TeacherPolicy.pairs``), the student's floored log rows, one
+    forward_kl_rows call and a scatter per column; the table is fixed within
+    a call and interning gives new ids no slot, so the block reads the rows
+    the turns read. With ``algo`` given every history is interned; without
+    (evaluation) none is, so the index does not grow: a full history outside
+    it reads the default row, and a windowed one is cut from its tuple.
 
     Returns ``(kl, rounds, success, rollouts)``: the (B, horizon_cap)
     per-turn KL on every turn played (0 after an episode ends), each
@@ -230,7 +229,6 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
             if not live.size:
                 break
 
-    # every played turn as one block
     e, key, actions, state = [np.concatenate(column, dtype=np.int64) for column in zip(*walked)]
     t = np.repeat(np.arange(len(walked)), [len(turn[0]) for turn in walked])
     pair = teacher.pairs(t, state)

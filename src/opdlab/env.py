@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -307,10 +308,9 @@ class TeacherPolicy:
     entropy at every turn index; a floor of 1 yields exactly uniform.
 
     A state's distribution depends on it only through its turn, expert
-    action and recovery debt, so ``table`` holds every turn's distributions
-    and their log_rows, built once: (horizon_cap, classes, 2A), a class per
-    (expert action, debt), and ``row_class[s]`` is a state's class.
-    ``pairs``, ``turn_rows``, ``turn_table`` and ``dist`` read it.
+    action and recovery debt: ``table``, built on first use, holds each
+    turn's distributions and log_rows, a row per (expert action, debt)
+    class (a state's is ``row_class[s]``), and every read goes through it.
     """
 
     def __init__(self, env: Env, config: TeacherConfig):
@@ -319,8 +319,13 @@ class TeacherPolicy:
         self.num_actions = env.config.num_actions
         self._uniform = np.full(self.num_actions, 1.0 / self.num_actions)
         self.row_class = env.expert * env.recovery_levels + env.recovery
-        self.table = np.stack([self._turn(t) for t in range(env.config.horizon_cap)])
-        self.table.flags.writeable = False
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The (horizon_cap, classes, 2A) read-only [distributions | log_rows]."""
+        table = np.stack([self._turn(t) for t in range(self.env.config.horizon_cap)])
+        table.flags.writeable = False
+        return table
 
     def _gap(self, turn: int) -> float:
         c = self.config
@@ -342,17 +347,15 @@ class TeacherPolicy:
         return np.concatenate([rows, log_rows(rows)], axis=1)
 
     def pairs(self, turns, states):
-        """The [distribution | log_rows] rows, (..., 2A), of the state ids
-        ``states`` at ``turns`` (both ints, or arrays of one shape)."""
+        """The (..., 2A) [distribution | log_rows] rows of state ids ``states`` at ``turns``."""
         return self.table[turns, self.row_class[states]]
 
     def turn_rows(self, turn: int) -> np.ndarray:
-        """The distributions at ``turn``, one row per (expert action, debt)
-        class: an (A * debt levels, A) view of ``table``."""
+        """The (classes, A) distributions at ``turn``, a view of ``table``."""
         return self.table[turn, :, :self.num_actions]
 
     def turn_table(self, turn: int) -> np.ndarray:
-        """turn_rows and its log side by side, (A * debt levels, 2A)."""
+        """turn_rows and its log side by side, (classes, 2A)."""
         return self.table[turn]
 
     def dist(self, state: EnvState) -> np.ndarray:

@@ -164,8 +164,7 @@ class TrainingResult:
 
 
 def _mean(x: np.ndarray) -> float:
-    """np.mean(x) of a non-empty 1-D array, bitwise, without its overhead (the
-    sum of ints or bools is exact; np.mean's float sum of them is below 2**53)."""
+    """np.mean(x) of a non-empty 1-D array without its overhead; bitwise (int sums < 2**53)."""
     return np.add.reduce(x).item() / len(x)
 
 
