@@ -10,19 +10,15 @@ from .curriculum import CurriculumSchedule, b2f_prefix_len, horizon_at
 from .distill import (
     TeacherTrajectoryStore,
     collect_teacher_trajectories,
-    rollout_b2f,
-    rollout_f2b,
-    rollout_opd,
+    rollout_batch,
     sft_block,
     sft_update,
-    trajectory_loss,
 )
 from .env import Env, EnvConfig, TeacherPolicy, make_env, make_teacher
 from .errors import ConfigError, UsageError
-from .metrics import EvalRecord, MetricsLog, TrainRecord, per_turn_kl_profile, write_records
+from .metrics import EvalRecord, MetricsLog, TrainRecord, write_records
 from .policy import (
     PolicyParams,
-    action_dist,
     encode_history,
     forward_kl,
     kl_logit_gradient,

@@ -18,25 +18,23 @@ after the walk. ``policy.window_key`` cuts a full history down to its
 table key, once per new history. Each episode reads its own row of
 uniforms, and its student turn i samples from entry i of the row, so
 expert-prefix turns draw nothing and an episode's results do not depend on
-the other episodes of its batch. ``rollout_opd``, ``rollout_f2b`` and
-``rollout_b2f`` are one-episode batches.
+the other episodes of its batch.
 
 Every batch comes back as ``Rollouts``: (B, horizon_cap) columns of key
-ids, actions, teacher rows and turn KL, one row per episode (a one-episode
-call gives one row). The runtime takes the replay columns
-(``Rollouts.student_turns``) and the per-episode KL sums from them;
-expert-prefix turns are kept only as key ids, outside every loss and
-gradient.
+ids, actions, teacher rows and turn KL, one row per episode. The runtime
+takes the replay columns (``Rollouts.student_turns``) and the per-episode
+KL sums from them; expert-prefix turns are kept only as key ids, outside
+every loss and gradient.
 
 The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
 gradient is q - p, so the learner update is plain gradient descent on the
 logit table. An entry keeps the teacher's row but not the student's: the
-learner (``batch_gradient``) and ``trajectory_loss`` recompute it as one
-(N, A) row block gathered by key id, and ``apply_gradient`` writes its K
-rows as one (K, A) block. The SFT baseline trains an ``SftBlock`` built
-once per run from ``store_turns`` (which replays the store through
-``Env.play``): its steps (``sft_update``, ``nll_loss``) touch only arrays.
+learner (``batch_gradient``) recomputes it as one (N, A) row block
+gathered by key id, and ``apply_gradient`` writes its K rows as one (K, A)
+block. The SFT baseline trains an ``SftBlock`` built once per run from
+``store_turns`` (which replays the store through ``Env.play``): its steps
+(``sft_update``, ``nll_loss``) touch only arrays.
 All give bitwise the results of a per-entry loop over the scalar softmax,
 KL and gradient.
 """
@@ -275,52 +273,18 @@ def rollout_batch(algo: str, env: Env, student: PolicyParams, teacher: TeacherPo
 
 def _rollout(algo, env, student, teacher, task_id, k, rng, *, store=None,
              temperature=1.0, window=None) -> Rollouts:
-    """A one-episode rollout_batch, whose uniform row is ``rng.random(horizon_cap)``:
-    on a fresh generator, student turn i uses the generator's i-th draw."""
+    """A one-episode rollout_batch, whose uniform row is ``rng.random(horizon_cap)``.
+
+    Kept as a name because bench/tracing.py traces ``distill._rollout``.
+    """
     u = rng.random((1, env.config.horizon_cap))
     return rollout_batch(algo, env, student, teacher, [task_id], k, u, store=store,
                          temperature=temperature, window=window)
 
 
-def rollout_opd(env, student, teacher, task_id, rng, *, temperature=1.0,
-                window=None) -> Rollouts:
-    """Student acts every turn until done or the horizon cap."""
-    return _rollout(ALGO_OPD, env, student, teacher, task_id, env.config.horizon_cap, rng,
-                    temperature=temperature, window=window)
-
-
-def rollout_f2b(env, student, teacher, task_id, k, rng, *, temperature=1.0,
-                window=None) -> Rollouts:
-    """rollout_opd truncated after min(k, horizon_cap) student turns: success
-    needs the goal inside them, and k >= horizon_cap plays rollout_opd's turns."""
-    return _rollout(ALGO_F2B, env, student, teacher, task_id, k, rng,
-                    temperature=temperature, window=window)
-
-
-def rollout_b2f(env, store, student, teacher, task_id, k, rng, *, temperature=1.0,
-                window=None) -> Rollouts:
-    """Replay the first L - k stored expert actions (kept only as history
-    keys, outside every loss), then hand over; k >= L is rollout_opd."""
-    return _rollout(ALGO_B2F, env, student, teacher, task_id, k, rng, store=store,
-                    temperature=temperature, window=window)
-
-
 # ---------------------------------------------------------------------------
 # Loss and gradients
 # ---------------------------------------------------------------------------
-
-
-def trajectory_loss(rollouts: Rollouts, params: PolicyParams) -> tuple[float, RowBlock]:
-    """Summed KL over the student turns of ``rollouts`` plus its sparse logit
-    gradient, with the student's distributions recomputed at ``params``
-    (temperature 1); 0.0 and an empty block if there are none.
-
-    Expert prefix turns are not among the student turns, so they contribute
-    exactly zero to both. The turns are one row block, as in batch_gradient,
-    and the result is bitwise the per-turn sum of forward_kl and
-    kl_logit_gradient.
-    """
-    return _kl_block(rollouts.student_turns(), params)[:2]
 
 
 def _first_occurrence(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,8 +304,10 @@ def _sum_in_order(values: np.ndarray) -> float:
 def _kl_block(turns: Turns, params: PolicyParams) -> tuple[float, RowBlock, np.ndarray]:
     """Summed KL of the entries' teacher rows p against the student rows q of
     ``params`` at their keys, the logit gradients q - p summed per distinct
-    key (in order of first occurrence) in entry order, and each key's count."""
-    params = params.on(turns.index)
+    key (in order of first occurrence) in entry order, and each key's count.
+    The turns' key ids must be those of the table's KeyIndex."""
+    if turns.index is not params.index:
+        raise UsageError("the turns have key ids of another KeyIndex than the table's")
     ids, slots = _first_occurrence(turns.key)
     q = softmax_rows(params.rows(turns.key))
     p = turns.teacher
@@ -395,9 +361,6 @@ class TeacherTrajectoryStore:
 
     def get(self, task_id: int) -> list[int] | None:
         return self.actions_by_task.get(task_id)
-
-    def length(self, task_id: int) -> int:
-        return len(self.actions_by_task[task_id])
 
     def task_ids(self) -> list[int]:
         return sorted(self.actions_by_task)

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .policy import PolicyParams, encode_history, log_rows, softmax
+from .policy import log_rows, softmax
 
 COMPOUNDING_CHAIN = "compounding_chain"
 MEMORY_LOCK = "memory_lock"
@@ -350,34 +350,9 @@ class TeacherPolicy:
         """The (..., 2A) [distribution | log_rows] rows of state ids ``states`` at ``turns``."""
         return self.table[turns, self.row_class[states]]
 
-    def turn_rows(self, turn: int) -> np.ndarray:
-        """The (classes, A) distributions at ``turn``, a view of ``table``."""
-        return self.table[turn, :, :self.num_actions]
-
-    def turn_table(self, turn: int) -> np.ndarray:
-        """turn_rows and its log side by side, (classes, 2A)."""
-        return self.table[turn]
-
     def dist(self, state: EnvState) -> np.ndarray:
         """Action distribution for the realized history behind ``state``."""
         return self.pairs(state.turn, self.env._id_of(state))[:self.num_actions].copy()
-
-    def materialize(self, window: int | None = None) -> PolicyParams:
-        """Freeze the teacher into a checkpointable logit table.
-
-        Walks every task's expert path and records the on-support logits at
-        each visited history key; unseen keys fall back to the uniform
-        default. The result reproduces the teacher exactly on expert paths.
-        """
-        rows = {}
-        for task_id in range(self.env.config.task_count):
-            states, actions = self.env.play(task_id, self.env.expert_action)
-            tokens = [s.token for s in states]
-            for t, expert in enumerate(actions):
-                logits = np.zeros(self.num_actions)
-                logits[expert] = self._gap(t)
-                rows[encode_history(tokens[:t + 1], actions[:t], window)] = logits
-        return PolicyParams(self.num_actions, rows)
 
 
 def make_teacher(env: Env, **overrides) -> TeacherPolicy:

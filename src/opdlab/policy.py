@@ -14,8 +14,8 @@ its rows by slot; each row holds the logits and, computed once when the row
 is written, the cumulative sums of their softmax and its floored log, which
 is what a rollout turn reads. A learner step writes its K rows in place and
 hands the rows to the new table, so the stepped table can no longer be
-read; ``snapshot`` is the copy that stays. ``logits`` keeps the table's dict
-face: a mutable mapping from key tuple to row.
+read; ``snapshot`` is the copy that stays. ``logits`` is the table's dict
+face: a read-only mapping from key tuple to row.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import heapq
 import json
 import math
 import struct
-from collections.abc import Mapping, MutableMapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -351,8 +351,8 @@ class PolicyParams:
     apply_gradient uses) makes the next table of the lineage by writing its
     K rows in place and handing the arrays on, so a learner step costs its K
     rows and the stepped table raises UsageError when read. ``snapshot`` is
-    an independent copy. ``logits`` is the table as a mutable mapping from
-    key to row; a write to it changes only this table.
+    an independent copy. ``logits`` is the table as a read-only mapping from
+    key to row.
     """
 
     def __init__(self, num_actions: int, logits=None, default_logits=None, version: int = 0):
@@ -365,7 +365,12 @@ class PolicyParams:
         row = _with_derived(self.default_logits[None])
         self._own(np.repeat(row, 8, axis=0), np.zeros(8, dtype=bool))
         if logits:
-            self._write(list(logits), list(logits.values()))
+            rows = [np.asarray(row, dtype=np.float64) for row in logits.values()]
+            for key, row in zip(logits, rows):
+                _check_key(key)
+                _check_width(num_actions, key, row)
+            self._write_ids(np.array([self.index.intern(key) for key in logits], dtype=np.int64),
+                            np.reshape(rows, (-1, num_actions)))
 
     def _own(self, table: np.ndarray | None, written: np.ndarray | None) -> None:
         """Take ``table`` and ``written`` as this table's rows, read-only
@@ -423,35 +428,14 @@ class PolicyParams:
             table._write_ids(ids, rows)
         return table
 
-    def on(self, index: KeyIndex) -> "PolicyParams":
-        """This table on ``index`` (itself if it is on it already): the same
-        rows, version and default row, with its keys interned there."""
-        if index is self.index:
-            return self
-        table = PolicyParams(self.num_actions, None, self.default_logits, self.version)
-        table.index = index
-        ids, rows = self.written_rows()
-        table._write(self.index.keys(ids), rows)
-        return table
-
     @property
     def z(self) -> np.ndarray:
         """The logit rows of ``table``."""
         return self.table[:, :self.num_actions]
 
-    def _write(self, keys: list, rows: list) -> None:
-        """Write ``rows`` at ``keys`` in place."""
-        rows = [np.asarray(row, dtype=np.float64) for row in rows]
-        for key, row in zip(keys, rows):
-            _check_key(key)
-            _check_width(self.num_actions, key, row)
-        self._write_ids(np.array([self.index.intern(key) for key in keys], dtype=np.int64),
-                        np.reshape(rows, (-1, self.num_actions)))
-
-    def _write_ids(self, ids: np.ndarray, rows: np.ndarray, written: bool = True) -> None:
+    def _write_ids(self, ids: np.ndarray, rows: np.ndarray) -> None:
         """Write the (K, A) logit rows ``rows`` at the distinct key ``ids`` in
-        place, as their _with_derived rows; ``written`` False makes them
-        unwritten."""
+        place, as their _with_derived rows."""
         table, marks = self._arrays()
         slots = self.index.slots_of(ids)
         if len(slots) and int(slots.max()) + 1 >= len(table):  # keep the default row last
@@ -460,7 +444,7 @@ class PolicyParams:
         table.flags.writeable = marks.flags.writeable = True
         for start in range(0, len(slots), 1024):  # in blocks, to bound the temporaries
             table[slots[start:start + 1024]] = _with_derived(rows[start:start + 1024])
-        marks[slots] = written
+        marks[slots] = True
         self._own(table, marks)
 
     def written_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -468,18 +452,15 @@ class PolicyParams:
         slots = np.flatnonzero(self.written)
         return self.index.slot_keys[slots].astype(np.int64), self.z[slots]
 
-    def logits_for(self, key: HistoryKey) -> np.ndarray:
-        return self.rows(np.array([self.index.find(key)]))[0]
-
     def snapshot(self) -> "PolicyParams":
         """An independent copy on the same index: later steps of this table's
         lineage leave its rows as they are."""
         return self._next(self.version, *(array.copy() for array in self._arrays()))
 
 
-class TableRows(MutableMapping):
-    """``PolicyParams.logits``: a table's written rows as a mutable mapping from
-    key to row (a copy). It iterates in slot order, which is the order the
+class TableRows(Mapping):
+    """``PolicyParams.logits``: a table's written rows as a read-only mapping
+    from key to row (a copy). It iterates in slot order, which is the order the
     lineage first wrote the keys; two mappings are equal when they hold the
     same keys with equal rows."""
 
@@ -508,14 +489,6 @@ class TableRows(MutableMapping):
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._params.written))
-
-    def __setitem__(self, key, row) -> None:
-        self._params._write([key], [row])
-
-    def __delitem__(self, key) -> None:
-        self._slot(key)  # a KeyError if there is no row
-        params = self._params
-        params._write_ids(np.array([params.index.find(key)]), params.default_logits[None], False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mapping):
@@ -552,13 +525,6 @@ class RowBlock(Mapping):
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-def action_dist(
-    params: PolicyParams, key: HistoryKey, temperature: float = 1.0
-) -> np.ndarray:
-    """softmax(logits[key] / temperature); unseen keys use the default row."""
-    return softmax(params.logits_for(key), temperature)
 
 
 # ---------------------------------------------------------------------------

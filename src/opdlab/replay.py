@@ -118,7 +118,3 @@ class RingBuffer:
             return []
         idx = rng.choice(kept, size=min(batch_size, kept), replace=False)
         return self._turns.take(idx)
-
-    def staleness_histogram(self, current_version: int) -> dict[int, int]:
-        stale, counts = np.unique(current_version - self._versions(), return_counts=True)
-        return dict(zip(stale.tolist(), counts.tolist()))

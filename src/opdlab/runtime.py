@@ -78,6 +78,9 @@ from .replay import RingBuffer
 MODE_SYNC = "sync"
 MODE_ASYNC = "async"
 ALGOS = (ALGO_OPD, ALGO_F2B, ALGO_B2F, ALGO_SFT)
+# Evaluation episodes per rollout_lockstep call: a call holds every turn it
+# played until it returns, so slices bound an evaluation's memory
+EVAL_SLICE = 1024
 
 
 @dataclass
@@ -189,17 +192,22 @@ def evaluate(params: PolicyParams, env: Env, teacher: TeacherPolicy,
              episodes: int, rng: np.random.Generator, *,
              temperature: float = 0.4, window: int | None = None,
              step: int = 0, active_k: int = 0) -> EvalRecord:
-    """Full-horizon, prefix-free evaluation of ``params``: one rollout_lockstep
-    batch of episodes that cycle round-robin over tasks, with uniforms
-    ``rng.random((episodes, horizon_cap))``. Sampling uses the evaluation
-    temperature; the KL profile compares the expert's distribution against
-    the student's canonical (temperature-1) policy on the realized states.
+    """Full-horizon, prefix-free evaluation of ``params``: rollout_lockstep
+    batches of at most EVAL_SLICE episodes that cycle round-robin over tasks,
+    with uniforms ``rng.random((episodes, horizon_cap))``; an episode does
+    not depend on its batch, so the slices change no result. Sampling uses
+    the evaluation temperature; the KL profile compares the expert's
+    distribution against the student's canonical (temperature-1) policy on
+    the realized states.
     """
     if episodes < 1:
         raise ConfigError(f"episodes must be >= 1, got {episodes}")
-    kl, rounds, success, _ = rollout_lockstep(
-        env, params, teacher, np.arange(episodes) % env.config.task_count,
-        rng.random((episodes, env.config.horizon_cap)), temperature=temperature, window=window)
+    tasks = np.arange(episodes) % env.config.task_count
+    u = rng.random((episodes, env.config.horizon_cap))
+    parts = [rollout_lockstep(env, params, teacher, tasks[s:s + EVAL_SLICE], u[s:s + EVAL_SLICE],
+                              temperature=temperature, window=window)[:3]
+             for s in range(0, episodes, EVAL_SLICE)]
+    kl, rounds, success = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     # every episode is live from turn 0 until it ends, so the episodes that
     # played turn t are those with rounds > t
     turns = rounds.max()

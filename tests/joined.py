@@ -1,10 +1,19 @@
-"""Join rollout batches column by column, for tests that compare batches."""
+"""Rollout batches for tests: one-episode batches, and batches joined
+column by column."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from opdlab.distill import Rollouts
+from opdlab.distill import Rollouts, rollout_batch
+
+
+def episode(algo, env, student, teacher, task, k, gen, **kwargs):
+    """One ``algo`` episode of ``task`` at curriculum horizon k, as a
+    one-episode rollout_batch on the uniform row ``gen.random((1,
+    horizon_cap))``: on a fresh generator, student turn i uses its i-th draw."""
+    return rollout_batch(algo, env, student, teacher, [task], k,
+                         gen.random((1, env.config.horizon_cap)), **kwargs)
 
 
 def episodes(batches, rows=slice(None)):

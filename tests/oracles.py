@@ -2,7 +2,8 @@
 bytes: the checkpoint and metrics writers, each row or record made as a dict
 and written by a json encoder; the rollout engine with its teacher rows, KL
 and recorded columns computed inside the turn loop; and the episode summary
-averaged by np.mean."""
+averaged by np.mean. Also the teacher frozen into a logit table, a student
+that plays the expert."""
 
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ from opdlab.errors import ConfigError, UsageError
 from opdlab.metrics import SCHEMA_VERSION, _TYPE_NAMES, _json_safe
 from opdlab.policy import (
     CHECKPOINT_SCHEMA,
+    PolicyParams,
+    encode_history,
     forward_kl_rows,
     sample_cum,
     sample_rows,
@@ -87,7 +90,7 @@ def write_records(log, path) -> None:
 def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, window=None,
                      max_student_turns=None, prefixes=None, algo=None):
     """distill.rollout_lockstep with each turn's teacher rows (gathered from
-    ``teacher.turn_table(t)``), turn KL (one forward_kl_rows call per turn) and
+    ``teacher.table[t]``), turn KL (one forward_kl_rows call per turn) and
     recorded columns computed and scattered inside the turn loop, reading the
     live rows of (B, ...) arrays through the live episode indices."""
     n, horizon = len(task_ids), env.config.horizon_cap
@@ -140,7 +143,7 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
         slots = index.slot[key]  # re-read: interning may have grown the index
         rows = student.read(slots)
         # the teacher's rows and their logs (take gathers rows faster than [])
-        pair = teacher.turn_table(t).take(row_class[state], axis=0)
+        pair = teacher.table[t].take(row_class[state], axis=0)
         p_teacher = pair[:, :a]
         turn_kl = forward_kl_rows(p_teacher, None, pair[:, a:], rows[:, 2 * a:])
         if temperature == 1.0:
@@ -190,3 +193,21 @@ def episode_summary(success, rounds, kl_sums) -> dict:
         traj_kl_turn_mean=(float(np.mean(kl_sums[played] / rounds[played]))
                            if played.any() else 0.0),
     )
+
+
+def materialize(teacher, window: int | None = None) -> PolicyParams:
+    """Freeze the teacher into a checkpointable logit table.
+
+    Walks every task's expert path and records the on-support logits at
+    each visited history key; unseen keys fall back to the uniform default.
+    The result reproduces the teacher exactly on expert paths.
+    """
+    rows = {}
+    for task_id in range(teacher.env.config.task_count):
+        states, actions = teacher.env.play(task_id, teacher.env.expert_action)
+        tokens = [s.token for s in states]
+        for t, expert in enumerate(actions):
+            logits = np.zeros(teacher.num_actions)
+            logits[expert] = teacher._gap(t)
+            rows[encode_history(tokens[:t + 1], actions[:t], window)] = logits
+    return PolicyParams(teacher.num_actions, rows)

@@ -17,14 +17,7 @@ from scipy import stats
 
 from opdlab.cli import main
 from opdlab.curriculum import CurriculumSchedule, horizon_at, steps_to_full_horizon
-from opdlab.distill import (
-    collect_teacher_trajectories,
-    rollout_b2f,
-    rollout_batch,
-    rollout_f2b,
-    rollout_opd,
-    trajectory_loss,
-)
+from opdlab.distill import _kl_block, collect_teacher_trajectories, rollout_batch
 from opdlab.env import EnvConfig, make_env, make_teacher
 from opdlab.metrics import per_turn_kl_profile
 from opdlab.policy import PolicyParams, forward_kl, kl_logit_gradient, save_params, softmax
@@ -157,8 +150,8 @@ def test_03_equivalence_limit(tmp_path):
     teacher = make_teacher(env)
     student = PolicyParams(num_actions=env.config.num_actions)
     for seed in range(40):
-        a = rollout_opd(env, student, teacher, seed % 32, fresh_rng(3, seed))
-        b = rollout_f2b(env, student, teacher, seed % 32, cap, fresh_rng(3, seed))
+        a, b = (rollout_batch(algo, env, student, teacher, [seed % 32], cap,
+                              fresh_rng(3, seed).random((1, cap))) for algo in ("opd", "f2b"))
         # one student, so one key index: equal key ids are equal keys
         for column in ("success", "rounds", "versions", "keys", "actions", "kl", "teacher"):
             assert np.array_equal(getattr(a, column), getattr(b, column)), column
@@ -193,25 +186,28 @@ def test_04_stop_gradient_contract():
     store = collect_store(env, seed=4, pass_m=10)
     gen = np.random.default_rng(4)
     tested = 0
+    horizon = env.config.horizon_cap
     for i in range(50):
         task = int(gen.integers(0, env.config.task_count))
-        length = store.length(task)
+        length = len(store.get(task))
         k = int(gen.integers(1, max(2, length)))  # keep a nonempty prefix
-        student = PolicyParams(num_actions=env.config.num_actions)
+        rows = {}
         for j in range(int(gen.integers(0, 8))):  # random partially trained table
-            student.logits[(int(gen.integers(0, 50)),)] = gen.normal(0, 1, 6)
-        rollouts = rollout_b2f(env, store, student, teacher, task, k, fresh_rng(4, i))
+            rows[(int(gen.integers(0, 50)),)] = gen.normal(0, 1, 6)
+        student = PolicyParams(env.config.num_actions, rows)
+        rollouts = rollout_batch("b2f", env, student, teacher, [task], k,
+                                 fresh_rng(4, i).random((1, horizon)), store=store)
         p = int(rollouts.prefix_len[0])
         keys = rollouts.index.keys(rollouts.keys[0, :p + int(rollouts.rounds[0])])
         prefix_only = [key for key in keys[:p] if key not in keys[p:]]
         if not prefix_only:
             continue
-        base_loss, base_grads = trajectory_loss(rollouts, student)
-        perturbed = PolicyParams(num_actions=6, logits=dict(student.logits),
-                                 default_logits=student.default_logits)
-        for key in prefix_only:
-            perturbed.logits[key] = gen.normal(0, 50, 6)
-        new_loss, new_grads = trajectory_loss(rollouts, perturbed)
+        # the learner's loss and gradient: _kl_block of the replay entries
+        base_loss, base_grads = _kl_block(rollouts.student_turns(), student)[:2]
+        ids = np.array([rollouts.index.find(key) for key in prefix_only])
+        perturbed = student.snapshot().with_rows(
+            ids, np.array([gen.normal(0, 50, 6) for _ in prefix_only]), student.version)
+        new_loss, new_grads = _kl_block(rollouts.student_turns(), perturbed)[:2]
         assert new_loss - base_loss == 0.0
         assert set(new_grads) == set(base_grads)
         assert not (set(new_grads) & set(prefix_only))
@@ -322,10 +318,12 @@ def test_09_b2f_train_test_alignment(phenomenon_runs):
         # final evaluation runs end to end with zero expert turns
         env = make_env(EnvConfig())
         teacher = make_teacher(env)
+        horizon = env.config.horizon_cap
         for episode in range(16):
-            rollouts = rollout_opd(env, result.final_params, teacher,
-                                   episode % env.config.task_count,
-                                   fresh_rng(9, seed, episode), temperature=0.4)
+            rollouts = rollout_batch("opd", env, result.final_params, teacher,
+                                     [episode % env.config.task_count], horizon,
+                                     fresh_rng(9, seed, episode).random((1, horizon)),
+                                     temperature=0.4)
             assert rollouts.prefix_len[0] == 0
     report(9, "b2f prefix length reaches 0 and stays 0; evaluation uses "
               "zero expert turns", time.perf_counter() - t0)

@@ -12,6 +12,8 @@ from opdlab.errors import ConfigError
 from opdlab.metrics import read_records
 from opdlab.policy import save_params
 
+import oracles
+
 
 def write_config(path, **updates):
     cfg = {
@@ -269,7 +271,7 @@ def test_eval_teacher_checkpoint_high_sr(config_path, tmp_path, capsys):
     env = make_env(cfg.run.env)
     teacher = TeacherPolicy(env, cfg.run.teacher)
     ckpt = tmp_path / "teacher.jsonl"
-    save_params(teacher.materialize(), ckpt)
+    save_params(oracles.materialize(teacher), ckpt)
     assert main(["eval", str(ckpt), str(config_path), "--runtime.eval_episodes=64"]) == 0
     out = capsys.readouterr().out
     sr = float(out.split("sr=")[1].split()[0])
@@ -281,7 +283,7 @@ def test_eval_twice_identical_records(config_path, tmp_path):
     env = make_env(cfg.run.env)
     teacher = make_teacher(env)
     ckpt = tmp_path / "teacher.jsonl"
-    save_params(teacher.materialize(), ckpt)
+    save_params(oracles.materialize(teacher), ckpt)
     assert main(["eval", str(ckpt), str(config_path)]) == 0
     first = (cfg.run_dir / "eval.jsonl").read_bytes()
     assert main(["eval", str(ckpt), str(config_path)]) == 0
@@ -292,7 +294,7 @@ def test_eval_zero_episodes_rejected(config_path, tmp_path):
     ckpt = tmp_path / "teacher.jsonl"
     cfg = load_experiment_config(config_path)
     teacher = make_teacher(make_env(cfg.run.env))
-    save_params(teacher.materialize(), ckpt)
+    save_params(oracles.materialize(teacher), ckpt)
     assert main(["eval", str(ckpt), str(config_path),
                  "--runtime.eval_episodes=0"]) == 2
 
@@ -336,7 +338,7 @@ def test_eval_rejects_bad_checkpoint(config_path, tmp_path, capsys, case):
 def test_eval_action_count_mismatch_rejected(config_path, tmp_path):
     other = make_teacher(make_env(EnvConfig(num_actions=6)))
     ckpt = tmp_path / "mismatch.jsonl"
-    save_params(other.materialize(), ckpt)
+    save_params(oracles.materialize(other), ckpt)
     assert main(["eval", str(ckpt), str(config_path)]) == 2
 
 

@@ -12,26 +12,23 @@ from hypothesis.extra.numpy import arrays
 from opdlab.distill import (
     Rollouts,
     TeacherTrajectoryStore,
+    _kl_block,
     _replay,
     apply_gradient,
     batch_gradient,
     collect_teacher_trajectories,
     load_store,
-    rollout_b2f,
-    rollout_f2b,
-    rollout_opd,
     nll_loss,
     save_store,
     sft_block,
     sft_update,
     store_turns,
-    trajectory_loss,
 )
 from opdlab.env import EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
 from opdlab.policy import (
+    KeyIndex,
     PolicyParams,
-    action_dist,
     encode_history,
     forward_kl,
     kl_logit_gradient,
@@ -40,6 +37,9 @@ from opdlab.policy import (
 from opdlab.metrics import MetricsLog, TrainRecord
 from opdlab.replay import Turns
 from opdlab.runtime import RunConfig, _seed_streams, evaluate, run_training
+
+import oracles
+from joined import episode
 
 
 def rng(seed=0):
@@ -66,6 +66,17 @@ def uniform_student(env):
     return PolicyParams(num_actions=env.config.num_actions)
 
 
+def logits_at(params, key):
+    """The logits ``params`` gives ``key``: its row, or the default row."""
+    return params.logits.get(key, params.default_logits)
+
+
+def loss_and_grads(rollouts, params):
+    """The summed KL and gradient of the student turns of ``rollouts`` at
+    ``params``: what batch_gradient computes, before it averages."""
+    return _kl_block(rollouts.student_turns(), params)[:2]
+
+
 def played(r):
     """(p, n): episode 0 of the batch ``r`` played turns [0, p) from its expert
     prefix and turns [p, n) as the student."""
@@ -81,18 +92,18 @@ def content_fields(r):
             r.versions.tolist(), r.success.tolist(), r.rounds.tolist(), r.prefix_len.tolist())
 
 
-# -- rollout_opd -----------------------------------------------------------------
+# -- opd rollouts -----------------------------------------------------------------
 
 
 def test_opd_student_equals_teacher_zero_kl(env, sharp_teacher):
-    params = sharp_teacher.materialize()
-    r = rollout_opd(env, params, sharp_teacher, 0, rng(1))
+    params = oracles.materialize(sharp_teacher)
+    r = episode("opd", env, params, sharp_teacher, 0, 12, rng(1))
     assert r.success[0]
     assert (r.kl[r.student_mask()] == 0.0).all()
 
 
 def test_opd_uniform_student_turn0_kl_closed_form(env, teacher):
-    r = rollout_opd(env, uniform_student(env), teacher, 0, rng(2))
+    r = episode("opd", env, uniform_student(env), teacher, 0, 12, rng(2))
     a = env.config.num_actions
     p = teacher.dist(env.reset(0))
     expected = float(np.sum(p * np.log(p * a)))
@@ -101,46 +112,46 @@ def test_opd_uniform_student_turn0_kl_closed_form(env, teacher):
 
 
 def test_opd_deterministic_per_seed(env, teacher):
-    t1 = rollout_opd(env, uniform_student(env), teacher, 5, rng(42))
-    t2 = rollout_opd(env, uniform_student(env), teacher, 5, rng(42))
+    t1 = episode("opd", env, uniform_student(env), teacher, 5, 12, rng(42))
+    t2 = episode("opd", env, uniform_student(env), teacher, 5, 12, rng(42))
     assert content_fields(t1) == content_fields(t2)
 
 
 def test_opd_respects_horizon(env, teacher):
-    r = rollout_opd(env, uniform_student(env), teacher, 0, rng(3))
+    r = episode("opd", env, uniform_student(env), teacher, 0, 12, rng(3))
     assert r.rounds[0] <= env.config.horizon_cap
     assert r.algo == "opd"
 
 
-# -- rollout_f2b -----------------------------------------------------------------
+# -- f2b rollouts -----------------------------------------------------------------
 
 
 def test_f2b_saturated_matches_opd(env, teacher):
-    a = rollout_opd(env, uniform_student(env), teacher, 3, rng(7))
-    b = rollout_f2b(env, uniform_student(env), teacher, 3, env.config.horizon_cap, rng(7))
+    a = episode("opd", env, uniform_student(env), teacher, 3, 12, rng(7))
+    b = episode("f2b", env, uniform_student(env), teacher, 3, env.config.horizon_cap, rng(7))
     assert content_fields(a) == content_fields(b)
     assert b.algo == "f2b"
 
 
 def test_f2b_single_turn(env, teacher):
-    r = rollout_f2b(env, uniform_student(env), teacher, 0, 1, rng(8))
+    r = episode("f2b", env, uniform_student(env), teacher, 0, 1, rng(8))
     assert r.rounds[0] == 1
     assert len(r.student_turns()) == 1
 
 
 def test_f2b_truncated_optimal_student_cannot_succeed(env, sharp_teacher):
-    params = sharp_teacher.materialize()
-    r = rollout_f2b(env, params, sharp_teacher, 0, 3, rng(9))
+    params = oracles.materialize(sharp_teacher)
+    r = episode("f2b", env, params, sharp_teacher, 0, 3, rng(9))
     assert r.rounds[0] == 3
     assert not r.success[0]
 
 
 def test_f2b_rejects_bad_k(env, teacher):
     with pytest.raises(ConfigError):
-        rollout_f2b(env, uniform_student(env), teacher, 0, 0, rng(0))
+        episode("f2b", env, uniform_student(env), teacher, 0, 0, rng(0))
 
 
-# -- rollout_b2f -----------------------------------------------------------------
+# -- b2f rollouts -----------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -149,16 +160,16 @@ def store(env, sharp_teacher):
 
 
 def test_b2f_full_k_matches_opd(env, teacher, store):
-    a = rollout_opd(env, uniform_student(env), teacher, 2, rng(11))
-    b = rollout_b2f(env, store, uniform_student(env), teacher, 2,
-                    store.length(2), rng(11))
+    a = episode("opd", env, uniform_student(env), teacher, 2, 12, rng(11))
+    b = episode("b2f", env, uniform_student(env), teacher, 2, len(store.get(2)), rng(11),
+                store=store)
     assert content_fields(a) == content_fields(b)
     assert b.prefix_len[0] == 0
 
 
 def test_b2f_doorstep_prefix(env, teacher, store):
-    r = rollout_b2f(env, store, uniform_student(env), teacher, 4, 1, rng(12))
-    assert store.length(4) == 8
+    r = episode("b2f", env, uniform_student(env), teacher, 4, 1, rng(12), store=store)
+    assert len(store.get(4)) == 8
     assert r.prefix_len[0] == 7
     assert np.count_nonzero(r.keys[0, :7]) == 7  # every prefix turn has its key
     assert r.student_turns().turn[0] == 7
@@ -168,23 +179,21 @@ def test_b2f_doorstep_prefix(env, teacher, store):
 def test_b2f_missing_task(env, teacher):
     empty = TeacherTrajectoryStore()
     with pytest.raises(ConfigError):
-        rollout_b2f(env, empty, uniform_student(env), teacher, 0, 1, rng(0))
+        episode("b2f", env, uniform_student(env), teacher, 0, 1, rng(0), store=empty)
 
 
 def test_b2f_prefix_only_keys_do_not_move_loss(env, teacher, store):
     student = uniform_student(env)
-    r = rollout_b2f(env, store, student, teacher, 1, 2, rng(13))
+    r = episode("b2f", env, student, teacher, 1, 2, rng(13), store=store)
     p, n = played(r)
     keys = r.index.keys(r.keys[0, :n])
     prefix_only = [key for key in keys[:p] if key not in keys[p:]]
     assert prefix_only
-    base_loss, base_grads = trajectory_loss(r, student)
-    perturbed = PolicyParams(num_actions=student.num_actions,
-                             logits=dict(student.logits),
-                             default_logits=student.default_logits)
-    for key in prefix_only:
-        perturbed.logits[key] = np.array([100.0, -3.0, 7.0, 0.0, 1.0, -50.0])
-    new_loss, new_grads = trajectory_loss(r, perturbed)
+    base_loss, base_grads = loss_and_grads(r, student)
+    perturbed = student.snapshot().with_rows(
+        np.array([r.index.find(key) for key in prefix_only]),
+        np.tile([100.0, -3.0, 7.0, 0.0, 1.0, -50.0], (len(prefix_only), 1)), student.version)
+    new_loss, new_grads = loss_and_grads(r, perturbed)
     assert new_loss == base_loss
     assert set(base_grads) == set(new_grads)
     assert not (set(new_grads) & set(prefix_only))
@@ -198,28 +207,28 @@ def test_b2f_prefix_keys_are_the_stored_turns_keys(env, teacher, store, window):
     # two independent walks of the same expert actions: the rollout's prefix
     # and store_turns over a store holding only that task
     for task, k in ((4, 1), (1, 3), (7, 5)):
-        r = rollout_b2f(env, store, uniform_student(env), teacher, task, k,
-                        rng(14), window=window)
+        r = episode("b2f", env, uniform_student(env), teacher, task, k, rng(14), store=store,
+                    window=window)
         only_task = TeacherTrajectoryStore(actions_by_task={task: store.get(task)})
         stored_keys = [key for key, _ in store_turns(env, only_task, window)]
         p = r.prefix_len[0]
-        assert p == store.length(task) - k
+        assert p == len(store.get(task)) - k
         assert r.index.keys(r.keys[0, :p]) == stored_keys[:p]
         assert r.student_turns().turn[0] == p
 
 
 def test_rollouts_record_one_entry_per_student_turn(env, teacher, store):
     student = PolicyParams(num_actions=env.config.num_actions, version=3)
-    for r in (rollout_opd(env, student, teacher, 3, rng(15)),
-              rollout_f2b(env, student, teacher, 3, 4, rng(15)),
-              rollout_b2f(env, store, student, teacher, 3, 2, rng(15))):
+    for r in (episode("opd", env, student, teacher, 3, 12, rng(15)),
+              episode("f2b", env, student, teacher, 3, 4, rng(15)),
+              episode("b2f", env, student, teacher, 3, 2, rng(15), store=store)):
         turns = r.student_turns()
         assert r.rounds[0] == len(turns) >= 1
         assert turns.turn.tolist() == list(range(*played(r)))
         assert (turns.version == 3).all()
 
 
-# -- trajectory_loss -----------------------------------------------------------------
+# -- the loss of a rollout's student turns --------------------------------------------
 
 
 def one_episode(keys, teacher_rows, index, prefix_len=0):
@@ -243,14 +252,14 @@ def synthetic_episode(p, q, key=(1, 0, 2)):
 
 def test_loss_single_turn_closed_form():
     r, params = synthetic_episode([1.0, 0.0], [0.5, 0.5])
-    loss, grads = trajectory_loss(r, params)
+    loss, grads = loss_and_grads(r, params)
     assert loss == pytest.approx(math.log(2), abs=1e-12)
     assert np.allclose(grads[(1, 0, 2)], [-0.5, 0.5], atol=1e-15)
 
 
 def test_loss_zero_when_matched():
     r, params = synthetic_episode([0.25, 0.75], [0.25, 0.75])
-    loss, grads = trajectory_loss(r, params)
+    loss, grads = loss_and_grads(r, params)
     # softmax(log q) is q up to one ulp, so the KL is 0 up to round-off
     assert loss == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(grads[(1, 0, 2)], 0.0, atol=1e-15)
@@ -260,19 +269,18 @@ def test_loss_all_prefix_is_empty():
     params = PolicyParams(num_actions=2)
     r = one_episode([(0,)], [[0.5, 0.5]], params.index, prefix_len=1)
     assert (r.rounds[0], r.prefix_len[0]) == (0, 1)
-    loss, grads = trajectory_loss(r, params)
+    loss, grads = loss_and_grads(r, params)
     assert math.copysign(1.0, loss) == 1.0 and loss == 0.0
     assert len(grads) == 0 and grads.rows.shape == (0, 2)
 
 
 def test_loss_matches_recorded_kl_sum(env, teacher):
     student = uniform_student(env)
-    r = rollout_opd(env, student, teacher, 1, rng(21))
-    loss, _ = trajectory_loss(r, student)
+    r = episode("opd", env, student, teacher, 1, 12, rng(21))
+    loss, _ = loss_and_grads(r, student)
     assert loss == pytest.approx(sum(r.kl[r.student_mask()].tolist()), abs=1e-12)
     # an equal table gives the same loss: it depends on the rows, not the object
-    same_rows = PolicyParams(num_actions=student.num_actions, logits=dict(student.logits))
-    recomputed, _ = trajectory_loss(r, same_rows)
+    recomputed, _ = loss_and_grads(r, student.snapshot())
     assert recomputed == pytest.approx(loss, abs=1e-12)
 
 
@@ -282,7 +290,7 @@ def test_loss_matches_recorded_kl_sum(env, teacher):
 def test_collect_oracle_teacher_pass1_full_coverage(env, sharp_teacher):
     store = collect_teacher_trajectories(env, sharp_teacher, 1, rng(31))
     assert len(store) == env.config.task_count
-    assert all(store.length(t) == env.config.chain_length
+    assert all(len(store.get(t)) == env.config.chain_length
                for t in store.task_ids())
 
 
@@ -420,17 +428,17 @@ def test_sft_update_moves_toward_expert_actions(env, sharp_teacher):
     assert updated.version == student.version + 1
     assert nll(turns, updated) < nll(turns, student)
     for key, a_star in turns:
-        before = softmax(student.logits_for(key))[a_star]
-        after = softmax(updated.logits_for(key))[a_star]
+        before = softmax(logits_at(student, key))[a_star]
+        after = softmax(logits_at(updated, key))[a_star]
         assert after > before
 
 
 def test_sft_near_minimum_has_small_update(env, sharp_teacher):
     store = collect_teacher_trajectories(env, sharp_teacher, 1, rng(42))
-    params = sharp_teacher.materialize()
+    params = oracles.materialize(sharp_teacher)
     turns = store_turns(env, store)
     updated = sft_step(turns, params, 0.5)
-    deltas = [np.abs(updated.logits_for(k) - params.logits_for(k)).max()
+    deltas = [np.abs(logits_at(updated, k) - logits_at(params, k)).max()
               for k, _ in turns]
     assert max(deltas) < 1e-6
 
@@ -471,8 +479,7 @@ def test_sft_on_no_turns():
 
 def test_nll_of_certain_turns_is_positive_zero():
     # -log 1 is -0.0 per turn; the per-turn loop's 0.0 - 0.0 sum is +0.0
-    student = PolicyParams(num_actions=2)
-    student.logits[(0,)] = np.array([400.0, -400.0])
+    student = PolicyParams(2, {(0,): np.array([400.0, -400.0])})
     assert math.copysign(1.0, nll([((0,), 0), ((0,), 0)], student)) == 1.0
 
 
@@ -505,14 +512,14 @@ def test_learner_step_noop_when_matched():
     batch = [entry((0,), [0.5, 0.5])]
     updated = gradient_step(batch, params.snapshot(), 0.1)
     assert updated.version == 1
-    assert np.allclose(updated.logits_for((0,)), params.logits_for((0,)), atol=1e-15)
+    assert np.allclose(logits_at(updated, (0,)), logits_at(params, (0,)), atol=1e-15)
 
 
 def test_learner_step_gradient_descent_arithmetic():
     params = PolicyParams(num_actions=2)
     batch = [entry((7,), [1.0, 0.0])]
     updated = gradient_step(batch, params, 0.1)
-    assert np.allclose(updated.logits_for((7,)), [0.05, -0.05], atol=1e-15)
+    assert np.allclose(logits_at(updated, (7,)), [0.05, -0.05], atol=1e-15)
 
 
 def test_learner_step_averages_repeated_keys():
@@ -521,7 +528,18 @@ def test_learner_step_averages_repeated_keys():
              entry((1,), [1.0, 0.0])]
     one = gradient_step([batch[0]], params.snapshot(), 0.1)
     two = gradient_step(batch, params, 0.1)
-    assert np.allclose(one.logits_for((1,)), two.logits_for((1,)), atol=1e-15)
+    assert np.allclose(logits_at(one, (1,)), logits_at(two, (1,)), atol=1e-15)
+
+
+def test_batch_gradient_refuses_turns_of_another_key_index():
+    """Key ids mean nothing outside their KeyIndex: turns of another one are
+    refused, even when that index holds the same keys."""
+    rows = {(0,): np.array([0.5, -0.5])}
+    params, twin = PolicyParams(2, rows), PolicyParams(2, rows)
+    for index in (KeyIndex(2), twin.index):
+        with pytest.raises(UsageError, match="another KeyIndex"):
+            batch_gradient(entries([entry((0,), [1.0, 0.0])], index), params)
+    assert batch_gradient(entries([entry((0,), [1.0, 0.0])], params.index), params)[0] > 0
 
 
 def test_learner_step_empty_batch_rejected():
@@ -545,7 +563,7 @@ def test_repeated_steps_on_fixed_batch_descend_kl():
         batch.append(entry((i,), p / p.sum()))
     previous = None
     for _ in range(100):
-        kl = sum(forward_kl(p, softmax(params.logits_for(key))) for key, p in batch)
+        kl = sum(forward_kl(p, softmax(logits_at(params, key))) for key, p in batch)
         if previous is not None:
             assert kl <= previous + 1e-12
         previous = kl
@@ -562,7 +580,7 @@ def test_snapshots_unaffected_by_later_updates():
 
 # -- row-block learner against the per-entry definitions ----------------------------
 #
-# batch_gradient, sft_update, nll_loss and trajectory_loss work on (N, A) row
+# batch_gradient, sft_update, nll_loss and the loss of a rollout work on (N, A) row
 # blocks; each must be bitwise equal to a loop over the scalar definitions,
 # entry by entry.
 
@@ -578,10 +596,11 @@ def row_block_case(draw):
     pool = draw(st.integers(1, 6))
     # wide logits, so softmax rows can hold exact zeros
     row = arrays(np.float64, a, elements=st.floats(-400, 400))
-    params = PolicyParams(num_actions=a, default_logits=draw(row))
+    default, rows = draw(row), {}
     for i in range(pool):
         if draw(st.booleans()):  # the other keys are unseen: default row
-            params.logits[(i,)] = draw(row)
+            rows[(i,)] = draw(row)
+    params = PolicyParams(a, rows, default)
     n = draw(st.integers(1, 40))
     keys = [(i,) for i in draw(st.lists(st.integers(0, pool - 1), min_size=n, max_size=n))]
     return params, keys
@@ -600,7 +619,7 @@ def reference_batch_gradient(batch, params):
     loss = 0.0
     sums, counts = {}, {}
     for key, p in batch:
-        q = softmax(params.logits_for(key))
+        q = softmax(logits_at(params, key))
         loss += forward_kl(p, q)
         g = kl_logit_gradient(p, q)
         sums[key] = sums[key] + g if key in sums else g
@@ -628,7 +647,7 @@ def test_sft_update_and_nll_bitwise_equal_per_turn_loop(data):
     turns = [(k, data.draw(st.integers(0, params.num_actions - 1))) for k in keys]
     ref_grads, ref_nll = {}, 0.0
     for key, a_star in turns:
-        q = softmax(params.logits_for(key))
+        q = softmax(logits_at(params, key))
         g = q.copy()
         g[a_star] -= 1.0
         ref_grads[key] = ref_grads[key] + g if key in ref_grads else g
@@ -642,12 +661,12 @@ def test_sft_update_and_nll_bitwise_equal_per_turn_loop(data):
 
 
 def per_turn_trajectory_loss(turns, params):
-    """trajectory_loss as a loop over the (key, teacher row) pairs ``turns``:
+    """loss_and_grads as a loop over the (key, teacher row) pairs ``turns``:
     the reference for its row block."""
     loss = 0.0
     grads = {}
     for key, p in turns:
-        q = action_dist(params, key, 1.0)
+        q = softmax(logits_at(params, key))
         loss += forward_kl(p, q)
         g = kl_logit_gradient(p, q)
         acc = grads.get(key)
@@ -660,7 +679,7 @@ def per_turn_trajectory_loss(turns, params):
 def test_trajectory_loss_bitwise_equals_per_turn_loop(data):
     params, keys = data.draw(row_block_case())
     p = data.draw(teacher_rows(len(keys), params.num_actions))
-    loss, grads = trajectory_loss(one_episode(keys, p, params.index), params)
+    loss, grads = loss_and_grads(one_episode(keys, p, params.index), params)
     ref_loss, ref_grads = per_turn_trajectory_loss(zip(keys, p), params)
     assert same_bits(loss, ref_loss)
     assert list(grads) == list(ref_grads)
@@ -735,14 +754,13 @@ def sft_case(draw):
         turns += [(encode_history(tokens[:t + 1], actions[:t], window), actions[t])
                   for t in range(length)]
     row = arrays(np.float64, a, elements=st.floats(-400, 400))
-    params = PolicyParams(num_actions=a, default_logits=draw(row),
-                          version=draw(st.integers(0, 3)))
+    default, version, rows = draw(row), draw(st.integers(0, 3)), {}
     for key, _ in turns:
-        if key not in params.logits and draw(st.booleans()):
-            params.logits[key] = draw(row)
+        if key not in rows and draw(st.booleans()):
+            rows[key] = draw(row)
     for i in range(draw(st.integers(0, 3))):
-        params.logits[(-1 - i,)] = draw(row)  # no history has a negative token
-    return turns, params
+        rows[(-1 - i,)] = draw(row)  # no history has a negative token
+    return turns, PolicyParams(a, rows, default, version)
 
 
 @settings(max_examples=150, deadline=None)
@@ -753,8 +771,7 @@ def test_sft_block_steps_bitwise_equal_per_turn_loop(case, steps, lr):
 
 
 def test_sft_block_of_certain_turns_keeps_a_positive_zero_nll():
-    params = PolicyParams(num_actions=2)
-    params.logits[(0,)] = np.array([400.0, -400.0])
+    params = PolicyParams(2, {(0,): np.array([400.0, -400.0])})
     turns = [((0,), 0), ((0,), 0)]
     check_sft_against_reference(turns, params, 0.7, 3)
     block = sft_block(turns, params)
@@ -764,8 +781,7 @@ def test_sft_block_of_certain_turns_keeps_a_positive_zero_nll():
 
 
 def test_sft_block_of_no_turns_is_the_starting_table():
-    params = PolicyParams(num_actions=3, version=2)
-    params.logits[(5,)] = np.array([1.0, 2.0, 3.0])
+    params = PolicyParams(3, {(5,): np.array([1.0, 2.0, 3.0])}, version=2)
     block = sft_block([], params)
     assert nll_loss(block) == 0.0
     with pytest.raises(ConfigError):
@@ -813,7 +829,7 @@ def test_apply_gradient_bitwise_equals_per_key_loop(data):
     lr = data.draw(st.sampled_from([0.1, 0.7, 3.0]))
     expected = dict(params.logits)
     for key, g in grads.items():
-        expected[key] = params.logits_for(key) - lr * g
+        expected[key] = logits_at(params, key) - lr * g
     updated = apply_gradient(params, grads, lr)
     assert_same_table(updated, expected)
     assert updated.version == params.version + 1

@@ -37,7 +37,8 @@ floats = st.one_of(st.sampled_from(SPECIAL), st.floats(), st.sampled_from([0.25,
 def tables(draw):
     """A table over histories that share prefixes (with actions past 127 when
     it has 200 actions), their windowed keys and other kept tuples, with
-    rows of ``floats``; some rows are deleted again."""
+    rows of ``floats``; another table of its lineage also wrote some keys
+    that it did not write."""
     num_actions = draw(st.sampled_from([3, 200]))
     turns = st.tuples(st.integers(0, num_actions - 1), st.integers(0, 3))
     history = st.builds(lambda o, t: (o,) + sum(t, ()), st.integers(0, 3),
@@ -48,12 +49,15 @@ def tables(draw):
                          unique=True))
     # a row repeats a drawn run of up to 8 floats
     row = st.lists(floats, min_size=1, max_size=8).map(lambda x: np.resize(x, num_actions))
+    rows = np.array([draw(row) for _ in keys])
+    default, version = draw(row), draw(st.integers(0, 10 ** 6))
+    dropped = draw(st.lists(st.sampled_from(keys), max_size=3, unique=True))
     with np.errstate(all="ignore"):  # the softmax of a row with inf or NaN
-        params = PolicyParams(num_actions, {key: draw(row) for key in keys}, draw(row),
-                              draw(st.integers(0, 10 ** 6)))
-        for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
-            del params.logits[key]
-    return params
+        params = PolicyParams(num_actions, None, default, version)
+        ids = np.array([params.index.intern(key) for key in keys])
+        params.snapshot().with_rows(ids, rows, version)  # every key gets a slot
+        kept = np.array([key not in dropped for key in keys])
+        return params.with_rows(ids[kept], rows[kept], version)
 
 
 @settings(max_examples=150, deadline=None)

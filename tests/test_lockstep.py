@@ -16,14 +16,7 @@ from hypothesis import strategies as st
 
 from opdlab.curriculum import b2f_prefix_len
 from opdlab import distill
-from opdlab.distill import (
-    collect_teacher_trajectories,
-    rollout_b2f,
-    rollout_batch,
-    rollout_f2b,
-    rollout_lockstep,
-    rollout_opd,
-)
+from opdlab.distill import collect_teacher_trajectories, rollout_batch, rollout_lockstep
 from opdlab.env import (
     COMPOUNDING_CHAIN,
     MEMORY_LOCK,
@@ -36,7 +29,6 @@ from opdlab.errors import ConfigError, UsageError
 from opdlab.metrics import per_turn_kl_profile
 from opdlab.policy import (
     PolicyParams,
-    action_dist,
     encode_history,
     forward_kl,
     forward_kl_rows,
@@ -48,7 +40,7 @@ from opdlab.policy import (
 from opdlab.runtime import _episode_summary, evaluate
 
 import oracles
-from joined import episodes
+from joined import episode, episodes
 
 
 class RowRng:
@@ -85,8 +77,9 @@ def scalar_rollout(env, student, teacher, task_id, rng, *, max_student_turns,
     prefix_len = len(actions)
     while not state.done and len(kl) < max_student_turns:
         key = encode_history(observations, actions, window)
-        q_policy = action_dist(student, key, 1.0)
-        q_sample = q_policy if temperature == 1.0 else action_dist(student, key, temperature)
+        logits = student.logits.get(key, student.default_logits)
+        q_policy = softmax(logits)
+        q_sample = q_policy if temperature == 1.0 else softmax(logits, temperature)
         p_teacher = teacher.dist(state)
         a = sample_action(q_sample, rng)
         assert state.turn == len(keys)
@@ -102,11 +95,9 @@ def scalar_rollout(env, student, teacher, task_id, rng, *, max_student_turns,
 def partial_student(teacher, window, seed, version=0):
     """The materialized teacher, damped and jittered, so episodes both win and fail."""
     gen = np.random.default_rng(seed)
-    params = teacher.materialize(window)
-    for key, row in params.logits.items():
-        params.logits[key] = 0.25 * row + gen.normal(0.0, 0.5, row.shape)
-    params.version = version
-    return params
+    rows = {key: 0.25 * row + gen.normal(0.0, 0.5, row.shape)
+            for key, row in oracles.materialize(teacher, window).logits.items()}
+    return PolicyParams(teacher.num_actions, rows, version=version)
 
 
 def reachable_states(env):
@@ -303,7 +294,7 @@ def test_evaluate_matches_scalar_rollouts_on_same_uniforms(kind, window, tempera
 def test_evaluate_profile_bitwise_equals_the_profile_of_single_rollouts(kind, window):
     """The two KL-profile entry points agree: evaluate at temperature 1 and
     per_turn_kl_profile of opd rollouts on the same uniforms, played both as
-    single rollout_opd calls on one generator (rollout e draws row e of
+    one-episode batches on one generator (rollout e draws row e of
     evaluate's uniforms) and as one rollout_batch."""
     env = make_env(EnvConfig(kind=kind))
     teacher = make_teacher(env)
@@ -313,7 +304,7 @@ def test_evaluate_profile_bitwise_equals_the_profile_of_single_rollouts(kind, wi
     record = evaluate(params, env, teacher, n, np.random.default_rng(12),
                       temperature=1.0, window=window)
     rng = np.random.default_rng(12)
-    single = episodes([rollout_opd(env, params, teacher, task, rng, window=window)
+    single = episodes([episode("opd", env, params, teacher, task, horizon, rng, window=window)
                        for task in tasks.tolist()])
     u = np.random.default_rng(12).random((n, horizon))  # evaluate's uniforms
     batch = rollout_batch("opd", env, params, teacher, tasks, horizon, u, window=window)
@@ -407,7 +398,7 @@ def test_engine_matches_the_in_loop_oracle_bitwise(num_actions, kind, temperatur
 
 def test_teacher_rows_and_kl_are_built_once_per_call(monkeypatch):
     """The engine gathers teacher rows and calls forward_kl_rows once per
-    rollout_lockstep call, for all its turns, and never reads a turn's table."""
+    rollout_lockstep call, for all its turns."""
     calls = []
 
     def spy(name, real):
@@ -418,7 +409,6 @@ def test_teacher_rows_and_kl_are_built_once_per_call(monkeypatch):
 
     monkeypatch.setattr(distill, "forward_kl_rows", spy("kl", distill.forward_kl_rows))
     monkeypatch.setattr(TeacherPolicy, "pairs", spy("teacher", TeacherPolicy.pairs))
-    monkeypatch.setattr(TeacherPolicy, "turn_table", spy("turn table", TeacherPolicy.turn_table))
     env = make_env(EnvConfig())
     teacher = make_teacher(env)
     store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
@@ -456,10 +446,10 @@ def test_rollouts_reject_a_temperature_that_is_not_positive(temperature):
                                              np.zeros((2, env.config.horizon_cap)),
                                              temperature=temperature),
         "evaluate": lambda: evaluate(params, env, teacher, 8, rng, temperature=temperature),
-        "opd": lambda: rollout_opd(env, params, teacher, 0, rng, temperature=temperature),
-        "f2b": lambda: rollout_f2b(env, params, teacher, 0, 3, rng, temperature=temperature),
-        "b2f": lambda: rollout_b2f(env, store, params, teacher, 0, 3, rng,
-                                   temperature=temperature),
+        "opd": lambda: episode("opd", env, params, teacher, 0, 12, rng, temperature=temperature),
+        "f2b": lambda: episode("f2b", env, params, teacher, 0, 3, rng, temperature=temperature),
+        "b2f": lambda: episode("b2f", env, params, teacher, 0, 3, rng, store=store,
+                               temperature=temperature),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no NaN rows are sampled first
@@ -566,7 +556,7 @@ def test_batched_step_and_teacher_match_scalar_on_every_reachable_state(config):
 
     for t in np.unique(turn):
         at = turn == t
-        rows = teacher.turn_rows(int(t))[teacher.row_class[ids[at]]]
+        rows = teacher.table[int(t), teacher.row_class[ids[at]], :n_actions]
         at_states = [s for s, keep in zip(states, at) if keep]
         np.testing.assert_array_equal(
             rows, oracle_teacher_rows(teacher, np.array(experts)[at], recovery[at], int(t)))

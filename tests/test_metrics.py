@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opdlab.distill import collect_teacher_trajectories, rollout_batch, rollout_opd
+from opdlab.distill import collect_teacher_trajectories, rollout_batch
 from opdlab.env import COMPOUNDING_CHAIN, MEMORY_LOCK, EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
 from opdlab.metrics import (
@@ -24,7 +24,8 @@ from opdlab.metrics import (
 )
 from opdlab.policy import PolicyParams
 
-from joined import episodes
+import oracles
+from joined import episode, episodes
 
 
 def eval_record(step=0, **kw):
@@ -48,7 +49,7 @@ def train_record(step=0, **kw):
 def test_profile_zero_for_matched_policies():
     env = make_env(EnvConfig())
     teacher = make_teacher(env, on_support_temperature=1e-3)
-    params = teacher.materialize()
+    params = oracles.materialize(teacher)
     u = np.random.default_rng(0).random((8, env.config.horizon_cap))
     rollouts = rollout_batch("opd", env, params, teacher, np.arange(8),
                              env.config.horizon_cap, u)
@@ -59,7 +60,7 @@ def test_profile_single_trajectory_equals_turn_kls():
     env = make_env(EnvConfig())
     teacher = make_teacher(env)
     student = PolicyParams(num_actions=6)
-    rollouts = rollout_opd(env, student, teacher, 0, np.random.default_rng(1))
+    rollouts = episode("opd", env, student, teacher, 0, 12, np.random.default_rng(1))
     profile = per_turn_kl_profile(rollouts)
     assert profile == rollouts.kl[0, :rollouts.rounds[0]].tolist()
 
@@ -111,9 +112,9 @@ def test_profile_bitwise_equals_the_dict_loop_on_b2f_batches(kind, window):
     teacher = make_teacher(env)
     store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
     gen = np.random.default_rng(5)
-    student = teacher.materialize(window)
-    for key, row in student.logits.items():
-        student.logits[key] = 0.25 * row + gen.normal(0.0, 0.5, row.shape)
+    rows = oracles.materialize(teacher, window).logits
+    student = PolicyParams(6, {key: 0.25 * row + gen.normal(0.0, 0.5, row.shape)
+                               for key, row in rows.items()})
     by_k = []  # the batches of k = 1, 3, 6 and 12: episodes 0-23, 24-47, 48-71 and 72-95
     for k in (1, 3, 6, 12):
         tasks = gen.integers(0, env.config.task_count, 24)
@@ -151,7 +152,7 @@ def test_kl_profile_masks_unplayed_turns():
 def test_success_rate_is_exact_fraction():
     env = make_env(EnvConfig())
     teacher = make_teacher(env, on_support_temperature=1e-3)
-    params = teacher.materialize()
+    params = oracles.materialize(teacher)
     u = np.random.default_rng(3).random((10, env.config.horizon_cap))
     rollouts = rollout_batch("opd", env, params, teacher, np.arange(10) % 32,
                              env.config.horizon_cap, u)

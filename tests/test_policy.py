@@ -12,7 +12,6 @@ from opdlab.errors import UsageError
 from opdlab.policy import (
     PolicyParams,
     RowBlock,
-    action_dist,
     encode_history,
     forward_kl,
     kl_logit_gradient,
@@ -95,7 +94,7 @@ def test_encode_history_equals_the_per_element_reference(data):
     assert window_key(full, window) == key
 
 
-# -- softmax / action_dist ----------------------------------------------------
+# -- softmax / a table's action distribution ------------------------------------
 
 
 def test_softmax_symmetry():
@@ -105,6 +104,11 @@ def test_softmax_symmetry():
 def test_softmax_two_action_closed_form():
     expected = np.array([math.e / (math.e + 1), 1 / (math.e + 1)])
     assert np.allclose(softmax(np.array([1.0, 0.0])), expected, atol=1e-12)
+
+
+def action_dist(params, key, temperature=1.0):
+    """softmax(logits[key] / temperature); unseen keys use the default row."""
+    return softmax(params.logits.get(key, params.default_logits), temperature)
 
 
 def test_action_dist_unseen_key_uniform():
@@ -272,9 +276,8 @@ def test_sample_reproducible_per_seed():
 
 
 def test_params_round_trip(tmp_path):
-    params = PolicyParams(num_actions=3, version=4)
-    params.logits[(1, 2, 3)] = np.array([0.1, -0.2, 0.3])
-    params.logits[(0,)] = np.array([1.5, 0.0, -1.5])
+    params = PolicyParams(3, {(1, 2, 3): np.array([0.1, -0.2, 0.3]),
+                              (0,): np.array([1.5, 0.0, -1.5])}, version=4)
     path = tmp_path / "ckpt.jsonl"
     save_params(params, path)
     loaded = load_params(path)
@@ -286,8 +289,7 @@ def test_params_round_trip(tmp_path):
 
 
 def test_params_save_is_byte_stable(tmp_path):
-    params = PolicyParams(num_actions=2, version=1)
-    params.logits[(5,)] = np.array([0.123456789012345, -2.0])
+    params = PolicyParams(2, {(5,): np.array([0.123456789012345, -2.0])}, version=1)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     save_params(params, a)
     save_params(params, b)
@@ -298,16 +300,14 @@ def test_params_rows_are_json_dumps_of_float_lists(tmp_path):
     # each row must read exactly as json.dumps(sort_keys=True) of the key and
     # of float() of every logit, also for signed zeros, extreme exponents,
     # non-terminating binary fractions and long keys
-    params = PolicyParams(num_actions=4, version=7,
-                          default_logits=np.array([-0.0, 0.1, 1e-300, 1e300]))
     rows = {
         (3,): [-0.0, 1e-300, 1e300, 0.1],
         tuple(range(400, 431)): [0.1 + 0.2, -1e300, -1e-300, 5e-324],
         (0, 1, 2): [1.0 / 3.0, -2.5, 0.0, 123456789.123456789],
         (12, 0, 40): [-0.1, 2.0 ** 60, -(2.0 ** -60), 1.7976931348623157e308],
     }
-    for key, row in rows.items():
-        params.logits[key] = np.array(row, dtype=np.float64)
+    params = PolicyParams(4, {key: np.array(row, dtype=np.float64) for key, row in rows.items()},
+                          np.array([-0.0, 0.1, 1e-300, 1e300]), version=7)
     path = tmp_path / "ckpt.jsonl"
     save_params(params, path)
     header = {"schema": 1, "kind": "policy_params", "num_actions": 4, "version": 7,
@@ -329,8 +329,7 @@ def test_load_rejects_wrong_kind(tmp_path):
 @pytest.mark.parametrize("row", ['{"key": [0], "logits": [0.1, 0.2]}',
                                  '{"key": [0, 1, 2], "logits": [0.1, 0.2, 0.3, 0.4]}'])
 def test_load_rejects_row_of_wrong_width(tmp_path, row):
-    params = PolicyParams(num_actions=3)
-    params.logits[(4,)] = np.array([0.1, 0.2, 0.3])
+    params = PolicyParams(3, {(4,): np.array([0.1, 0.2, 0.3])})
     path = tmp_path / "ckpt.jsonl"
     save_params(params, path)
     path.write_text(path.read_text() + row + "\n")
@@ -341,8 +340,7 @@ def test_load_rejects_row_of_wrong_width(tmp_path, row):
 @pytest.mark.parametrize("key", [[1.5], [1.0], [True], [0, 1, 2.0], ["1"]])
 def test_load_rejects_key_entries_that_are_not_ints(tmp_path, key):
     # int() would read [1.5] as (1,), a second row at the key [1]
-    params = PolicyParams(num_actions=3)
-    params.logits[(1,)] = np.array([0.1, 0.2, 0.3])
+    params = PolicyParams(3, {(1,): np.array([0.1, 0.2, 0.3])})
     path = tmp_path / "ckpt.jsonl"
     save_params(params, path)
     header, row = path.read_text().splitlines()
@@ -355,24 +353,19 @@ def test_load_rejects_key_entries_that_are_not_ints(tmp_path, key):
 
 
 @pytest.mark.parametrize("key", [(1.5,), (1.0,), (True, 0, 2), (0, 1, 2.0), ("1",),
-                                 (np.int64(1),), [1], 1])
+                                 (np.int64(1),), 1])
 def test_writes_reject_keys_that_are_not_tuples_of_ints(key):
     # int() would store (1.5,) at (1,) and (True, 0, 2) at (1, 0, 2)
     row = np.array([0.1, 0.2, 0.3])
     message = (f"row key {list(key)} has an entry that is not an int" if type(key) is tuple
                else f"row key {key!r} is not a tuple")
     params = PolicyParams(num_actions=3)
-    with pytest.raises(UsageError) as err:
-        params.logits[key] = row
-    assert str(err.value) == message
+    for write in (lambda: PolicyParams(3, {(2,): row, key: row}),
+                  lambda: RowBlock.of({key: row}, params.index, 3)):  # apply_gradient's
+        with pytest.raises(UsageError) as err:
+            write()
+        assert str(err.value) == message
     assert len(params.logits) == 0 and params.index.size == 1
-    if type(key) is tuple:  # a dict key must be hashable
-        for write in (lambda: PolicyParams(3, {(2,): row, key: row}),
-                      lambda: RowBlock.of({key: row}, params.index, 3)):  # apply_gradient's
-            with pytest.raises(UsageError) as err:
-                write()
-            assert str(err.value) == message
-        assert params.index.size == 1
 
 
 @pytest.mark.parametrize("field,value", [("num_actions", 3.7), ("num_actions", 3.0),
@@ -380,8 +373,7 @@ def test_writes_reject_keys_that_are_not_tuples_of_ints(key):
                                          ("version", "4")])
 def test_load_rejects_header_values_that_are_not_ints(tmp_path, field, value):
     # int() would read num_actions 3.7 as 3 and version 4.9 as 4
-    params = PolicyParams(num_actions=3, version=4)
-    params.logits[(1,)] = np.array([0.1, 0.2, 0.3])
+    params = PolicyParams(3, {(1,): np.array([0.1, 0.2, 0.3])}, version=4)
     path = tmp_path / "ckpt.jsonl"
     save_params(params, path)
     header, row = path.read_text().splitlines()

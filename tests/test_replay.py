@@ -3,17 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from opdlab.distill import (
-    collect_teacher_trajectories,
-    rollout_b2f,
-    rollout_f2b,
-    rollout_opd,
-    trajectory_loss,
-)
+from opdlab.distill import _kl_block, collect_teacher_trajectories
 from opdlab.env import EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError
-from opdlab.policy import KeyIndex, PolicyParams, action_dist, forward_kl
+from opdlab.policy import KeyIndex, PolicyParams, forward_kl, softmax
 from opdlab.replay import RingBuffer, Turns, decompose
+
+from joined import episode
 
 
 def rng(seed=0):
@@ -57,7 +53,7 @@ def ids(batch):
 
 def test_decompose_one_entry_per_student_turn(env, teacher):
     student = PolicyParams(num_actions=env.config.num_actions)
-    rollouts = rollout_opd(env, student, teacher, 0, rng(1))
+    rollouts = episode("opd", env, student, teacher, 0, 12, rng(1))
     entries = decompose(rollouts)
     assert len(entries) == rollouts.rounds[0]
     assert entries.turn.tolist() == list(range(rollouts.rounds[0]))
@@ -67,27 +63,27 @@ def test_decompose_skips_expert_prefix(env, teacher):
     sharp = make_teacher(env, on_support_temperature=1e-3)
     store = collect_teacher_trajectories(env, sharp, 1, rng(2))
     student = PolicyParams(num_actions=env.config.num_actions)
-    rollouts = rollout_b2f(env, store, student, teacher, 0, 1, rng(3))
+    rollouts = episode("b2f", env, student, teacher, 0, 1, rng(3), store=store)
     entries = decompose(rollouts)
     assert len(entries) == rollouts.rounds[0]
-    assert rollouts.prefix_len[0] == store.length(0) - 1
+    assert rollouts.prefix_len[0] == len(store.get(0)) - 1
     assert all(t >= rollouts.prefix_len[0] for t in entries.turn)
 
 
 def test_decompose_counts_for_all_modes(env, teacher):
     student = PolicyParams(num_actions=env.config.num_actions)
-    for rollouts in (rollout_opd(env, student, teacher, 1, rng(4)),
-                     rollout_f2b(env, student, teacher, 1, 4, rng(5))):
+    for rollouts in (episode("opd", env, student, teacher, 1, 12, rng(4)),
+                     episode("f2b", env, student, teacher, 1, 4, rng(5))):
         assert len(decompose(rollouts)) == rollouts.rounds[0]
 
 
 def test_entries_reconstruct_trajectory_loss(env, teacher):
     student = PolicyParams(num_actions=env.config.num_actions)
-    rollouts = rollout_opd(env, student, teacher, 2, rng(6))
-    loss, _ = trajectory_loss(rollouts, student)
+    rollouts = episode("opd", env, student, teacher, 2, 12, rng(6))
     entries = decompose(rollouts)
-    from_entries = sum(forward_kl(p, action_dist(student, key)) for p, key in
-                       zip(entries.teacher, rollouts.index.keys(entries.key)))
+    loss = _kl_block(entries, student)[0]
+    from_entries = sum(forward_kl(p, softmax(student.logits.get(key, student.default_logits)))
+                       for p, key in zip(entries.teacher, rollouts.index.keys(entries.key)))
     assert from_entries == pytest.approx(loss, abs=1e-12)
 
 
@@ -161,12 +157,6 @@ def test_capacity_validation():
         RingBuffer(capacity=0)
 
 
-def test_staleness_histogram():
-    buf = RingBuffer(capacity=10)
-    buf.push(turns(entry(1, version=1), entry(2, version=1), entry(3, version=3)))
-    assert buf.staleness_histogram(current_version=3) == {2: 2, 0: 1}
-
-
 def test_version_counts_match_a_scan_through_eviction_and_discards():
     gen = rng(12)
     buf = RingBuffer(capacity=7)
@@ -177,10 +167,6 @@ def test_version_counts_match_a_scan_through_eviction_and_discards():
         for delta_max in range(4):
             assert buf.count_eligible(current, delta_max) == sum(
                 1 for v in versions if current - v <= delta_max)
-        hist = {}
-        for v in versions:
-            hist[current - v] = hist.get(current - v, 0) + 1
-        assert buf.staleness_histogram(current) == hist
 
     version = 0
     for i in range(300):

@@ -14,7 +14,7 @@ from opdlab.curriculum import b2f_prefix_len, horizon_at
 from opdlab.distill import collect_teacher_trajectories
 from opdlab.env import Env, EnvConfig, TeacherPolicy, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
-from opdlab.metrics import write_csv, write_records
+from opdlab.metrics import MetricsLog, write_csv, write_records
 from opdlab.policy import PolicyParams, save_params
 from opdlab.runtime import RunConfig, SnapshotBoard, _episode_summary, _mean, evaluate, run_training
 
@@ -58,7 +58,7 @@ def test_board_versions_strictly_increase():
 def test_evaluate_teacher_against_itself_zero_profile():
     env = make_env(EnvConfig())
     teacher = make_teacher(env, on_support_temperature=1e-3)
-    params = teacher.materialize()
+    params = oracles.materialize(teacher)
     record = evaluate(params, env, teacher, 64, rng(5))
     assert record.per_turn_kl == [0.0] * len(record.per_turn_kl)
     assert record.traj_kl_mean == 0.0
@@ -69,7 +69,7 @@ def test_evaluate_oracle_student_high_sr():
     for seed in range(5):
         env = make_env(EnvConfig())
         teacher = make_teacher(env)
-        params = teacher.materialize()
+        params = oracles.materialize(teacher)
         record = evaluate(params, env, teacher, 64, rng(seed))
         assert record.success_rate >= 0.95
 
@@ -79,6 +79,33 @@ def test_evaluate_uniform_student_near_zero_sr():
     teacher = make_teacher(env)
     record = evaluate(PolicyParams(num_actions=6), env, teacher, 64, rng(3))
     assert record.success_rate <= 0.01
+
+
+@pytest.mark.parametrize("window", [None, 2])
+def test_evaluation_in_slices_writes_the_record_of_one_call(monkeypatch, tmp_path, window):
+    """evaluate runs its episodes as rollout_lockstep calls of at most
+    EVAL_SLICE episodes; an episode does not depend on its batch, so slices
+    of 7 write the bytes of the one call that a slice of 1024 makes."""
+    cfg = tiny_cfg(algo="f2b", window=window)
+    params = run_training(cfg).final_params
+    env = make_env(cfg.env)
+    teacher = make_teacher(env)
+    calls, real = [], runtime.rollout_lockstep
+
+    def lockstep(*args, **kwargs):
+        calls.append(len(args[3]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "rollout_lockstep", lockstep)
+    lines = []
+    for size in (runtime.EVAL_SLICE, 7):
+        monkeypatch.setattr(runtime, "EVAL_SLICE", size)
+        log = MetricsLog()
+        log.append(evaluate(params, env, teacher, 64, rng(8), window=window))
+        write_records(log, tmp_path / "eval.jsonl")
+        lines.append((tmp_path / "eval.jsonl").read_text().splitlines()[1])
+    assert calls == [64] + [7] * 9 + [1]
+    assert lines[0] == lines[1]
 
 
 def test_evaluate_validates_episodes():
@@ -353,7 +380,7 @@ def test_each_rollout_acts_on_the_snapshot_newest_depth_minus_one_rollouts_earli
     schedule = cfg.schedule()
 
     def prefixes(at):
-        return [b2f_prefix_len(store.length(task), horizon_at(schedule, n))
+        return [b2f_prefix_len(len(store.get(task)), horizon_at(schedule, n))
                 for (_, _, task, _), n in zip(delivered, at)]
 
     assert [p for *_, p in delivered] == prefixes(started)
@@ -382,6 +409,35 @@ def test_an_async_run_starts_only_the_rollouts_it_delivers(monkeypatch, depth):
     monkeypatch.setattr(runtime, "_rollout_record", record)
     run_training(tiny_cfg(algo="opd", mode="async", actor_count=depth, batch_size=32))
     assert sum(started) == sum(delivered) > 0
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_undelivered_rollouts_are_fewer_than_the_depth(monkeypatch, mode):
+    """A rollout started but never delivered costs compute and changes no
+    artifact. The last step of an async run delivers the rollouts the step
+    before started ahead of it, but when it needs fewer than depth - 1 of
+    them, the rest are never delivered: at a batch of 8, a step takes one or
+    two opd rollouts, and here the last step takes one of the three started
+    ahead. A sync run starts only what it delivers. (At a batch of 32, an
+    async run delivers all it starts; see the test above.)"""
+    started = [0]
+    real_batch = runtime.rollout_batch
+
+    def batch(*args, **kwargs):
+        rollouts = real_batch(*args, **kwargs)
+        started[0] += len(rollouts)
+        return rollouts
+
+    monkeypatch.setattr(runtime, "rollout_batch", batch)
+    cfg = tiny_cfg(algo="opd", mode=mode, actor_count=4)
+    result = run_training(cfg)
+    delivered = sum(r.n_rollouts for r in result.log.eval_records(split="rollout"))
+    undelivered = started[0] - delivered
+    assert delivered > 0
+    if mode == "async":
+        assert 0 < undelivered <= cfg.actor_count - 1
+    else:
+        assert undelivered == 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -176,6 +176,12 @@ def test_a_repeated_batch_builds_no_history_and_interns_nothing(monkeypatch, win
 # -- stepped tables and snapshots -----------------------------------------------------
 
 
+def row_at(table, key):
+    """The logits that the table's row reads give ``key``: its row, or the
+    default row if the table has not written it."""
+    return table.rows(np.array([table.index.find(key)]))[0]
+
+
 def test_reading_a_stepped_table_raises(tmp_path):
     """A learner step writes its rows in place into the table it returns, so
     every read of the table it stepped from raises; the next table reads on."""
@@ -183,9 +189,8 @@ def test_reading_a_stepped_table_raises(tmp_path):
     stepped = params
     params = apply_gradient(params, {(2,): np.array([1.0, 0.0, -1.0])}, 0.5)
     reads = {
-        "logits_for": lambda: stepped.logits_for((1,)),
+        "row": lambda: stepped.logits[(1,)],
         "logits": lambda: dict(stepped.logits),
-        "write": lambda: stepped.logits.__setitem__((4,), np.zeros(3)),
         "table": lambda: stepped.table,
         "written": lambda: stepped.written,
         "rows": lambda: stepped.rows(np.array([1])),
@@ -204,8 +209,8 @@ def test_reading_a_stepped_table_raises(tmp_path):
 
 def test_a_snapshot_keeps_its_rows_through_later_steps():
     """A snapshot of each table of a lineage, read after all later steps,
-    holds the rows a per-key dict update gave it; stepping or writing one
-    snapshot changes no other table."""
+    holds the rows a per-key dict update gave it; stepping or writing rows
+    into one snapshot changes no other table."""
     gen = np.random.default_rng(4)
     default = np.array([0.5, -1.0, 2.0])
     params = PolicyParams(3, default_logits=default)
@@ -218,30 +223,26 @@ def test_a_snapshot_keeps_its_rows_through_later_steps():
         references.append(dict(references[-1]))
         for key, g in grads.items():
             references[-1][key] = references[-2].get(key, default) - 0.7 * g
-    # a step from a snapshot branches the lineage; a write through the
-    # mapping of another changes that table alone
+    # a step from a snapshot branches the lineage; rows written into another
+    # change that table alone
     tables.append(apply_gradient(tables[2].snapshot(), {(99,): np.array([1.0, 2.0, 3.0])}, 0.7))
     references.append({**references[2], (99,): default - 0.7 * np.array([1.0, 2.0, 3.0])})
-    tables[4].logits[(98,)] = np.array([4.0, 5.0, 6.0])
+    tables[4] = tables[4].with_rows(np.array([params.index.intern((98,))]),
+                                    np.array([[4.0, 5.0, 6.0]]), tables[4].version)
     references[4][(98,)] = np.array([4.0, 5.0, 6.0])
     params = apply_gradient(params, {(1,): np.ones(3), (98,): np.ones(3)}, 0.7)
     probes = [(i,) for i in range(12)] + [(98,), (99,)]
     for table, reference in zip(tables, references):
         assert list(table.logits) == list(reference)
         for key in probes:
-            assert table.logits_for(key).tobytes() == reference.get(key, default).tobytes()
+            assert row_at(table, key).tobytes() == reference.get(key, default).tobytes()
     assert [t.version for t in tables] == list(range(9)) + [3]
 
 
-def test_a_repeated_checkpoint_key_keeps_its_last_row_and_del_changes_one_table(tmp_path):
+def test_a_repeated_checkpoint_key_keeps_its_last_row(tmp_path):
     params = PolicyParams(3, {(1,): np.array([1.0, 2.0, 3.0]), (2,): np.array([4.0, 5.0, 6.0])})
-    shared = params.snapshot()
-    del params.logits[(1,)]
-    assert list(params.logits) == [(2,)]
-    assert params.logits_for((1,)).tobytes() == np.zeros(3).tobytes()
-    assert list(shared.logits) == [(1,), (2,)]
     path = tmp_path / "checkpoint.jsonl"
-    save_params(shared, path)
+    save_params(params, path)
     # the repeat comes after more rows than load_params writes at once
     more = {(3, 0, i): np.array([float(i), 0.0, 1.0]) for i in range(1100)}
     path.write_text(path.read_text() + "".join(
