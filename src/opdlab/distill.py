@@ -10,7 +10,7 @@ batch. The engine carries the live episodes' env state ids, stepped
 through the env's compiled tables (``next_state``, ``token``,
 ``success``), and their history ids, stepped through the student's
 ``KeyIndex``. A turn only samples the next action from each episode's
-softmax cumsum (gathered by slot, computed when the row was written) and
+softmax cumsum (gathered by key id, computed when the row was written) and
 steps the env and the index, a few array operations whatever the batch
 width; only a history new to the index touches Python. The teacher rows,
 turn KL and recorded columns of all played turns are built once per call,
@@ -144,15 +144,16 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
     The live episodes are arrays (env state ids, history ids in the
     student's KeyIndex, uniforms, end turns, prefix lengths). A turn only
     samples the next action from each episode's cached softmax cumsum (at a
-    temperature other than 1, its logits) by slot, steps the env and the
+    temperature other than 1, its logits) by key id, steps the env and the
     index and drops the episodes that ended; only a history new to the index
     touches Python. After the walk, every played turn is one block: teacher
     rows (``TeacherPolicy.pairs``), the student's floored log rows, one
     forward_kl_rows call and a scatter per column; the table is fixed within
-    a call and interning gives new ids no slot, so the block reads the rows
-    the turns read. With ``algo`` given every history is interned; without
-    (evaluation) none is, so the index does not grow: a full history outside
-    it reads the default row, and a windowed one is cut from its tuple.
+    a call and ids interned during it read the default row, so the block
+    reads the rows the turns read. With ``algo`` given every history is
+    interned; without (evaluation) none is, so the index does not grow: a
+    full history outside it reads the default row, and a windowed one is
+    cut from its tuple.
 
     Returns ``(kl, rounds, success, rollouts)``: the (B, horizon_cap)
     per-turn KL on every turn played (0 after an episode ends), each
@@ -200,7 +201,7 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
         key = node if window is None else index.windowed(node, window, record)
         for i in np.flatnonzero(node == 0).tolist() if cut else ():
             key[i] = index.find(window_key(outside[int(live[i])], window))
-        rows = student.read(index.slot[key])  # re-read: interning may have grown the index
+        rows = student.read(key)
         if temperature == 1.0:
             actions = sample_cum(rows[:, a:2 * a], live_v[:, t])
         else:
@@ -232,7 +233,7 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
     pair = teacher.pairs(t, state)
     kl = np.zeros((n, horizon))
     kl[e, t] = forward_kl_rows(pair[:, :a], None, pair[:, a:],
-                               student.read(index.slot[key])[:, 2 * a:])
+                               student.read(key)[:, 2 * a:])
     rollouts = None
     if record:
         key_col, action_col = np.zeros((n, horizon), np.int64), np.zeros((n, horizon), np.int64)

@@ -7,15 +7,17 @@ over the action set (no sampling), which keeps the distillation losses
 variance-free.
 
 Keys are int ids. A ``KeyIndex``, shared by the tables of one lineage,
-holds full histories as a trie (each id knows its parent, last action and
-last token), so the rollout engine advances a batch of histories with one
-array gather, and keeps any other key as a tuple. A ``PolicyParams`` owns
-its rows by slot; each row holds the logits and, computed once when the row
-is written, the cumulative sums of their softmax and its floored log, which
-is what a rollout turn reads. A learner step writes its K rows in place and
-hands the rows to the new table, so the stepped table can no longer be
-read; ``snapshot`` is the copy that stays. ``logits`` is the table's dict
-face: a read-only mapping from key tuple to row.
+holds keys only: full histories as a trie (each id knows its parent, last
+action and last token), so the rollout engine advances a batch of histories
+with one array gather, and any other key as a tuple. A ``PolicyParams`` owns
+its rows by slot and its slot map, the slot of each key id; each row holds
+the logits and, computed once when the row is written, the cumulative sums
+of their softmax and its floored log, which is what a rollout turn reads.
+Tables are read by key id, and an id the table has not written, one interned
+after its last write too, reads the default row. A learner step writes its
+K rows in place and hands the arrays to the new table, so the stepped table
+can no longer be read; ``snapshot`` is the copy that stays. ``logits`` is a
+copy of the written rows as a ``RowBlock``, a mapping from key tuple to row.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ def _check_key(key) -> None:
         raise UsageError(f"row key {list(key)} has an entry that is not an int")
 
 
-# The slot of a key that no table of its lineage has written: a table's last row.
+# The slot of a key id that a table has not written: the table's last, default row.
 NO_SLOT = -1
 
 
@@ -187,21 +189,17 @@ class KeyIndex:
     last token is the token the env emits now, and a child by the same
     action with another token (another env config) is found through a dict,
     so one index serves any env config. Any other key (windowed keys, other
-    values) is kept as its tuple. A key gets the next table slot,
-    ``slot[i]`` (NO_SLOT before), the first time a table of the lineage
-    writes its row; ``slot_keys[s]`` is the key id of slot s. The arrays
-    grow by half their size at a time; they are per lineage, not per table.
+    values) is kept as its tuple. The arrays grow by half their size at a
+    time. Which table row holds a key is each table's own record.
     """
 
     def __init__(self, num_actions: int):
         self.num_actions = num_actions
-        self.size, self.slot_count = 1, 0  # ids and slots in use
+        self.size = 1  # ids in use
         self.parent = np.zeros(64, dtype=np.int32)
         self.act = np.full(64, -1, dtype=np.int32)
         self.last = np.full(64, -1, dtype=np.int32)
         self.child = np.zeros((64, num_actions), dtype=np.int32)
-        self.slot = np.full(64, NO_SLOT, dtype=np.int32)
-        self.slot_keys = np.zeros(64, dtype=np.int32)
         self._roots: dict[int, int] = {}
         self._siblings: dict[tuple[int, int, int], int] = {}
         self._tuples: dict[HistoryKey, int] = {}
@@ -214,7 +212,6 @@ class KeyIndex:
             size = i + i // 2
             self.parent, self.act = _grown(self.parent, size, 0), _grown(self.act, size, -1)
             self.last, self.child = _grown(self.last, size, -1), _grown(self.child, size, 0)
-            self.slot = _grown(self.slot, size, NO_SLOT)
             for window, memo in self._windowed.items():
                 self._windowed[window] = _grown(memo, size, -1)
         self.parent[i], self.act[i], self.last[i] = parent, action, token
@@ -317,21 +314,6 @@ class KeyIndex:
                 self._windowed[window][n] = key[i]
         return key
 
-    def slots_of(self, ids: np.ndarray) -> np.ndarray:
-        """The slots of the distinct key ``ids``; those without one get the
-        next free slots, in order."""
-        slots = self.slot[ids]
-        new = slots == NO_SLOT
-        if new.any():
-            start, count = self.slot_count, int(np.count_nonzero(new))
-            slots[new] = np.arange(start, start + count)
-            self.slot[ids[new]] = slots[new]
-            if start + count > len(self.slot_keys):
-                self.slot_keys = _grown(self.slot_keys, 2 * (start + count), 0)
-            self.slot_keys[start:start + count] = ids[new]
-            self.slot_count += count
-        return slots
-
 
 def _with_derived(z: np.ndarray) -> np.ndarray:
     """Logit rows ``z`` with what the rollout engine reads of them: [z | the
@@ -343,16 +325,18 @@ def _with_derived(z: np.ndarray) -> np.ndarray:
 class PolicyParams:
     """Logit table for one policy, over the key ids of a shared KeyIndex.
 
-    The table owns its rows: an (R, 3A) array by slot, each row the logits
-    ``z`` and what the rollout engine reads of them (see _with_derived), so
-    a row's softmax is computed once, when it is written. The last row is
-    the default row, as is every slot the table has not written; ids without
-    a slot, or with a slot past R, read it. ``with_rows`` (which
-    apply_gradient uses) makes the next table of the lineage by writing its
-    K rows in place and handing the arrays on, so a learner step costs its K
-    rows and the stepped table raises UsageError when read. ``snapshot`` is
-    an independent copy. ``logits`` is the table as a read-only mapping from
-    key to row.
+    The table owns three arrays: its (R, 3A) rows by slot, each row the
+    logits and what the rollout engine reads of them (see _with_derived),
+    so a row's softmax is computed once, when it is written; ``slot[i]``,
+    the slot of key id i; and ``keys[s]``, the key id of slot s, for the K
+    written slots in the order they were first written. The last row is
+    the default row and the last entry of ``slot`` is NO_SLOT, so an id the
+    table has not written, or one past ``slot``, reads the default row.
+    ``with_rows`` (which apply_gradient uses) makes the next table of the
+    lineage by writing its K rows in place and handing the arrays on, so a
+    learner step costs its K rows and the stepped table raises UsageError
+    when read. ``snapshot`` is an independent copy, which gives out its own
+    slots from then on. ``logits`` is a copy of the written rows.
     """
 
     def __init__(self, num_actions: int, logits=None, default_logits=None, version: int = 0):
@@ -363,7 +347,8 @@ class PolicyParams:
         self.version = version
         self.index = KeyIndex(num_actions)
         row = _with_derived(self.default_logits[None])
-        self._own(np.repeat(row, 8, axis=0), np.zeros(8, dtype=bool))
+        self._own(np.repeat(row, 8, axis=0), np.full(64, NO_SLOT, dtype=np.int32),
+                  np.zeros(0, dtype=np.int64))
         if logits:
             rows = [np.asarray(row, dtype=np.float64) for row in logits.values()]
             for key, row in zip(logits, rows):
@@ -372,129 +357,86 @@ class PolicyParams:
             self._write_ids(np.array([self.index.intern(key) for key in logits], dtype=np.int64),
                             np.reshape(rows, (-1, num_actions)))
 
-    def _own(self, table: np.ndarray | None, written: np.ndarray | None) -> None:
-        """Take ``table`` and ``written`` as this table's rows, read-only
-        between writes; None marks the table stepped."""
-        self._table, self._written = table, written
+    def _own(self, table: np.ndarray | None, slot: np.ndarray | None,
+             keys: np.ndarray | None) -> None:
+        """Take ``table``, ``slot`` and ``keys`` as this table's arrays,
+        read-only between writes; None marks the table stepped."""
+        self._table, self._slot, self._keys = table, slot, keys
         if table is not None:
-            table.flags.writeable = written.flags.writeable = False
+            table.flags.writeable = slot.flags.writeable = keys.flags.writeable = False
 
-    def _next(self, version: int, table: np.ndarray, written: np.ndarray) -> "PolicyParams":
-        """A table of this lineage at ``version`` that owns ``table`` and ``written``."""
+    def _next(self, version: int, *arrays: np.ndarray) -> "PolicyParams":
+        """A table of this lineage at ``version`` that owns ``arrays``."""
         params = object.__new__(PolicyParams)
         params.num_actions, params.default_logits = self.num_actions, self.default_logits
         params.version, params.index = version, self.index
-        params._own(table, written)
+        params._own(*arrays)
         return params
 
-    @property
-    def logits(self) -> "TableRows":
-        return TableRows(self)
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The table's rows by slot, ``slot`` and ``keys``."""
         if self._table is None:
             raise UsageError(f"table version {self.version} was stepped, which wrote over "
                              f"its rows; read a snapshot() taken before the step")
-        return self._table, self._written
+        return self._table, self._slot, self._keys
 
     @property
     def table(self) -> np.ndarray:
-        """The (R, 3A) read-only rows by slot; a slot at or past R reads row R - 1."""
+        """The (R, 3A) read-only rows by slot; the last is the default row."""
         return self._arrays()[0]
 
     @property
-    def written(self) -> np.ndarray:
-        return self._arrays()[1]
+    def logits(self) -> "RowBlock":
+        """The written rows, in slot order, as a RowBlock (a copy)."""
+        table, _, keys = self._arrays()
+        return RowBlock(self.index, keys.copy(), table[:len(keys), :self.num_actions].copy())
 
-    def read(self, slots: np.ndarray) -> np.ndarray:
-        """The (len(slots), 3A) rows at ``slots``; NO_SLOT, or a slot past the
-        table, reads the default row."""
-        table = self.table
-        if self.index.slot_count >= len(table):
-            slots = np.minimum(slots, len(table) - 1)
-        return table.take(slots, axis=0)  # take gathers rows faster than []
+    def read(self, ids: np.ndarray) -> np.ndarray:
+        """The (len(ids), 3A) rows at key ``ids``; an id the table has not
+        written reads the default row."""
+        table, slot, _ = self._arrays()
+        return table.take(slot.take(ids, mode="clip"), axis=0)  # take gathers faster than []
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """The (len(ids), A) logit rows at key ``ids``."""
-        return self.read(self.index.slot[ids])[:, :self.num_actions]
+        return self.read(ids)[:, :self.num_actions]
 
     def with_rows(self, ids: np.ndarray, rows: np.ndarray, version: int) -> "PolicyParams":
         """The next table of this lineage, at ``version``: this one with the
         (K, A) ``rows`` written in place at the distinct key ``ids``. It takes
         this table's arrays, so reading this table afterwards raises."""
         table = self._next(version, *self._arrays())
-        self._own(None, None)
-        if len(ids):
-            table._write_ids(ids, rows)
+        self._own(None, None, None)
+        table._write_ids(ids, rows)
         return table
-
-    @property
-    def z(self) -> np.ndarray:
-        """The logit rows of ``table``."""
-        return self.table[:, :self.num_actions]
 
     def _write_ids(self, ids: np.ndarray, rows: np.ndarray) -> None:
         """Write the (K, A) logit rows ``rows`` at the distinct key ``ids`` in
-        place, as their _with_derived rows."""
-        table, marks = self._arrays()
-        slots = self.index.slots_of(ids)
-        if len(slots) and int(slots.max()) + 1 >= len(table):  # keep the default row last
-            size = max(len(table) + len(table) // 2, int(slots.max()) + 2)
-            table, marks = _grown(table, size, table[-1]), _grown(marks, size, False)
-        table.flags.writeable = marks.flags.writeable = True
+        place, as their _with_derived rows; ids without a slot get the next
+        free slots, in order."""
+        table, slot, keys = self._arrays()
+        top = int(ids.max(initial=0)) + 2  # keep NO_SLOT last
+        if top > len(slot):
+            slot = _grown(slot, max(len(slot) + len(slot) // 2, top), NO_SLOT)
+        slots = slot[ids]
+        new = slots == NO_SLOT
+        count = np.count_nonzero(new)
+        if count:
+            slots[new] = np.arange(len(keys), len(keys) + count)
+            keys = np.concatenate([keys, ids[new]])
+            slot.flags.writeable = True
+            slot[ids[new]] = slots[new]
+        if len(keys) >= len(table):  # keep the default row last
+            table = _grown(table, max(len(table) + len(table) // 2, len(keys) + 1), table[-1])
+        table.flags.writeable = True
         for start in range(0, len(slots), 1024):  # in blocks, to bound the temporaries
             table[slots[start:start + 1024]] = _with_derived(rows[start:start + 1024])
-        marks[slots] = True
-        self._own(table, marks)
-
-    def written_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The key ids of the written rows, in slot order, and the (K, A) rows."""
-        slots = np.flatnonzero(self.written)
-        return self.index.slot_keys[slots].astype(np.int64), self.z[slots]
+        self._own(table, slot, keys)
 
     def snapshot(self) -> "PolicyParams":
         """An independent copy on the same index: later steps of this table's
-        lineage leave its rows as they are."""
+        lineage leave its rows and slots as they are."""
         return self._next(self.version, *(array.copy() for array in self._arrays()))
-
-
-class TableRows(Mapping):
-    """``PolicyParams.logits``: a table's written rows as a read-only mapping
-    from key to row (a copy). It iterates in slot order, which is the order the
-    lineage first wrote the keys; two mappings are equal when they hold the
-    same keys with equal rows."""
-
-    def __init__(self, params: PolicyParams):
-        self._params = params
-
-    def _slot(self, key) -> int:
-        params = self._params
-        slot = params.index.slot.item(params.index.find(key))
-        written = params.written
-        if not 0 <= slot < len(written) or not written[slot]:
-            raise KeyError(key)
-        return slot
-
-    def __getitem__(self, key) -> np.ndarray:
-        return self._params.z[self._slot(key)].copy()
-
-    def __iter__(self):
-        params = self._params
-        return iter(params.index.keys(params.written_rows()[0]))
-
-    def values(self) -> np.ndarray:
-        """The rows, in slot order, as one (K, A) array (whose iteration gives
-        them one at a time)."""
-        return self._params.written_rows()[1]
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._params.written))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            key in other and np.array_equal(row, other[key]) for key, row in self.items())
 
 
 class RowBlock(Mapping):
@@ -525,6 +467,17 @@ class RowBlock(Mapping):
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def values(self) -> np.ndarray:
+        """The rows, as one (K, A) array (whose iteration gives them one at a time)."""
+        return self.rows
+
+    def __eq__(self, other) -> bool:
+        """Equal to a mapping that holds the same keys with equal rows."""
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            key in other and np.array_equal(row, other[key]) for key, row in self.items())
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +531,18 @@ def save_params(params: PolicyParams, path) -> None:
         "default_logits": [float(x) for x in params.default_logits],
     }
     index, width = params.index, params.num_actions
-    bits = params.table.view(np.int64)  # the rows by slot, each float as its bits
+    table, slot, keys = params._arrays()
+    bits = table.view(np.int64)  # the rows by slot, each float as its bits
     wanted = np.zeros(index.size, dtype=bool)
-    wanted[index.slot_keys[np.flatnonzero(params.written)]] = True
-    kept = sorted((key, i) for i, key in index._tuple_of.items() if wanted.item(i))
-    kept = ((key, i, ", ".join(map(str, key)) if all(type(x) is int for x in key)
-             else json.dumps(list(key))[1:-1]) for key, i in kept)  # texts made as written
+    wanted[keys] = True
+    # every written key is a tuple of ints (_check_key), whose text str makes as json does
+    kept = ((key, i, ", ".join(map(str, key)))
+            for key, i in sorted((key, i) for i, key in index._tuple_of.items() if wanted.item(i)))
     floats = _FloatTexts()
     with atomic_open(path) as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for key, i, text in heapq.merge(_histories(index, wanted), kept):
-            logits = ", ".join(map(floats.__getitem__, bits[index.slot.item(i), :width].tolist()))
+            logits = ", ".join(map(floats.__getitem__, bits[slot.item(i), :width].tolist()))
             f.write(f'{{"key": [{text}], "logits": [{logits}]}}\n')
 
 

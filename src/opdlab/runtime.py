@@ -137,21 +137,16 @@ class RunConfig:
 
 
 class SnapshotBoard:
-    """Latest published parameter snapshot; published versions only increase."""
+    """The version of the last published snapshot; published versions only increase."""
 
     def __init__(self, params: PolicyParams):
-        self._params = params
+        self.version = params.version
 
     def publish(self, params: PolicyParams) -> None:
-        if params.version <= self._params.version:
+        if params.version <= self.version:
             raise UsageError(
-                f"snapshot version {params.version} does not advance "
-                f"past {self._params.version}"
-            )
-        self._params = params
-
-    def latest(self) -> PolicyParams:
-        return self._params
+                f"snapshot version {params.version} does not advance past {self.version}")
+        self.version = params.version
 
 
 @dataclass

@@ -65,7 +65,8 @@ def save_params(params, path) -> None:
     encode = json.JSONEncoder(sort_keys=True).encode
     with atomic_open(path) as f:
         f.write(encode(header) + "\n")
-        ids, rows = params.written_rows()
+        block = params.logits
+        ids, rows = block.ids, block.rows
         at = np.zeros(params.index.size, dtype=np.int64)
         at[ids] = np.arange(len(ids))  # the row of each written key id
         for key, i in sorted_keys(params.index, ids):
@@ -140,8 +141,7 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
         key = node if window is None else index.windowed(node, window, record)
         for i in np.flatnonzero(node == 0).tolist() if cut else ():
             key[i] = index.find(window_key(outside[int(live[i])], window))
-        slots = index.slot[key]  # re-read: interning may have grown the index
-        rows = student.read(slots)
+        rows = student.read(key)
         # the teacher's rows and their logs (take gathers rows faster than [])
         pair = teacher.table[t].take(row_class[state], axis=0)
         p_teacher = pair[:, :a]

@@ -55,7 +55,7 @@ def tables(draw):
     with np.errstate(all="ignore"):  # the softmax of a row with inf or NaN
         params = PolicyParams(num_actions, None, default, version)
         ids = np.array([params.index.intern(key) for key in keys])
-        params.snapshot().with_rows(ids, rows, version)  # every key gets a slot
+        params.snapshot().with_rows(ids, rows, version)  # another table writes every key
         kept = np.array([key not in dropped for key in keys])
         return params.with_rows(ids[kept], rows[kept], version)
 

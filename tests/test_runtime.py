@@ -47,8 +47,7 @@ def test_board_versions_strictly_increase():
     board = SnapshotBoard(params)
     newer = PolicyParams(num_actions=2, version=1)
     board.publish(newer)
-    assert board.latest().version == 1
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="version 1 does not advance past 1"):
         board.publish(PolicyParams(num_actions=2, version=1))
 
 

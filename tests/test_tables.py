@@ -19,11 +19,12 @@ from opdlab.distill import (
     apply_gradient,
     collect_teacher_trajectories,
     rollout_batch,
+    rollout_lockstep,
 )
 from opdlab.env import EnvConfig, make_env, make_teacher
 from opdlab.errors import UsageError
 from opdlab.metrics import SPLIT_ROLLOUT, EvalRecord
-from opdlab.policy import KeyIndex, PolicyParams, load_params, save_params
+from opdlab.policy import NO_SLOT, KeyIndex, PolicyParams, load_params, save_params
 from opdlab import runtime
 from opdlab.runtime import (
     RunConfig,
@@ -192,7 +193,6 @@ def test_reading_a_stepped_table_raises(tmp_path):
         "row": lambda: stepped.logits[(1,)],
         "logits": lambda: dict(stepped.logits),
         "table": lambda: stepped.table,
-        "written": lambda: stepped.written,
         "rows": lambda: stepped.rows(np.array([1])),
         "snapshot": stepped.snapshot,
         "step": lambda: apply_gradient(stepped, {(1,): np.ones(3)}, 0.5),
@@ -237,6 +237,58 @@ def test_a_snapshot_keeps_its_rows_through_later_steps():
         for key in probes:
             assert row_at(table, key).tobytes() == reference.get(key, default).tobytes()
     assert [t.version for t in tables] == list(range(9)) + [3]
+
+
+def test_ids_interned_after_the_last_write_read_the_default_row(tmp_path):
+    """A table reads by key id: the many ids interned after its last write
+    read the default row, through read/rows and in rollouts that reach them;
+    a write of the largest id keeps NO_SLOT last in the slot map; and the two
+    branches of a snapshot count and save their own rows."""
+    env = make_env(EnvConfig())
+    teacher = make_teacher(env)
+    a = env.config.num_actions
+    default = np.linspace(-1.0, 1.0, a)
+    params = PolicyParams(a, {(9999, 1): np.ones(a)}, default)  # a key no rollout reaches
+    fresh = PolicyParams(a, None, default)  # its own index, no rows written
+    index, tasks = params.index, np.arange(env.config.task_count)
+    u = np.random.default_rng(5).random((len(tasks), env.config.horizon_cap))
+    reference = rollout_lockstep(env, fresh, teacher, tasks, u)[:3]
+    *recorded, rollouts = rollout_lockstep(env, params, teacher, tasks, u, algo="opd")
+    assert index.size > 2 * len(params._arrays()[1])  # interned well past the slot map
+    evaluated = rollout_lockstep(env, params, teacher, tasks, u)[:3]
+    for got in (recorded, evaluated):
+        assert all(np.array_equal(x, y) for x, y in zip(got, reference))
+    ids = np.arange(index.size)
+    assert np.array_equal(params.read(ids[2:]), np.repeat(params.table[-1:], len(ids) - 2, 0))
+    assert (params.rows(rollouts.student_turns().key) == default).all()
+
+    # the largest id at the slot map's last entry, then written
+    table = PolicyParams(a, None, default)
+    while table.index.size < len(table._arrays()[1]):
+        table.index.intern((table.index.size,))
+    largest = table.index.size - 1
+    table = table.with_rows(np.array([largest]), np.ones((1, a)), 1)
+    assert table._arrays()[1][-1] == NO_SLOT
+    later = table.index.intern((largest + 1,))
+    assert np.array_equal(table.rows(np.array([largest, later, largest - 1])),
+                          [np.ones(a), default, default])
+
+    # two branches of one lineage, each writing keys of its own into a slot
+    # map that already covers them
+    ids = [index.intern((k,)) for k in [*range(7000, 7005), *range(8000, 8090)]]
+    params = params.with_rows(np.array(ids[-1:]), np.zeros((1, a)), 1)
+    branch = params.snapshot()
+    params = apply_gradient(params, {(7000 + i,): np.ones(a) for i in range(5)}, 0.5)
+    branch = apply_gradient(branch, {(8000 + i,): np.ones(a) for i in range(89)}, 0.5)
+    assert (len(params.logits), len(branch.logits)) == (7, 91)
+    assert (params.rows(np.array(ids[5:-1])) == default).all()
+    assert (branch.rows(np.array(ids[:5])) == default).all()
+    for table in (params, branch):
+        assert all(np.array_equal(row_at(table, key), row) for key, row in table.logits.items())
+        save_params(table, tmp_path / "branch.jsonl")
+        save_params(PolicyParams(a, dict(table.logits), default, table.version),
+                    tmp_path / "alone.jsonl")
+        assert (tmp_path / "branch.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
 
 
 def test_a_repeated_checkpoint_key_keeps_its_last_row(tmp_path):
