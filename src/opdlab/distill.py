@@ -30,11 +30,13 @@ The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
 gradient is q - p, so the learner update is plain gradient descent on the
 logit table. An entry keeps the teacher's row but not the student's: the
-learner (``batch_gradient``) recomputes it as one (N, A) row block
-gathered by key id, and ``apply_gradient`` writes its K rows as one (K, A)
-block. The SFT baseline trains an ``SftBlock`` built once per run from
-``store_turns`` (which replays the store through ``Env.play``): its steps
-(``sft_update``, ``nll_loss``) touch only arrays.
+learner (``batch_gradient``) reads the student's rows once, as one row
+block gathered by key id, takes the softmax of their logits for the
+gradient and their stored floored log for the KL, and ``apply_gradient``
+writes its K rows as one (K, A) block. The SFT baseline trains an
+``SftBlock`` built once per run from ``store_turns`` (which replays the
+store through ``Env.play``): its steps (``sft_update``, ``nll_loss``)
+touch only arrays.
 All give bitwise the results of a per-entry loop over the scalar softmax,
 KL and gradient.
 """
@@ -112,11 +114,18 @@ class Rollouts:
             kl = np.where(np.arange(kl.shape[1]) >= self.prefix_len[:, None], kl, 0.0)
         return 0.0 + np.cumsum(kl, axis=1)[:, -1]
 
+    def _columns(self) -> list[np.ndarray]:
+        return [self.task_ids, self.versions, self.keys, self.actions, self.teacher, self.kl,
+                self.prefix_len, self.rounds, self.success]
+
     def take(self, rows: slice) -> "Rollouts":
         """The episodes at ``rows``, a slice (whose columns are views)."""
-        return Rollouts(self.index, self.algo, *(column[rows] for column in (
-            self.task_ids, self.versions, self.keys, self.actions, self.teacher, self.kl,
-            self.prefix_len, self.rounds, self.success)))
+        return Rollouts(self.index, self.algo, *(column[rows] for column in self._columns()))
+
+    def put(self, rows: np.ndarray, other: "Rollouts") -> None:
+        """Write the episodes of ``other`` over those at ``rows``, in order."""
+        for mine, theirs in zip(self._columns(), other._columns()):
+            mine[rows] = theirs
 
     def __len__(self) -> int:
         return len(self.task_ids)
@@ -310,22 +319,25 @@ def _kl_block(turns: Turns, params: PolicyParams) -> tuple[float, RowBlock, np.n
     if turns.index is not params.index:
         raise UsageError("the turns have key ids of another KeyIndex than the table's")
     ids, slots = _first_occurrence(turns.key)
-    q = softmax_rows(params.rows(turns.key))
+    a = params.num_actions
+    rows = params.read(turns.key)
+    q = softmax_rows(rows[:, :a])
     p = turns.teacher
-    sums = np.zeros((len(ids), q.shape[1]))
+    sums = np.zeros((len(ids), a))
     np.add.at(sums, slots, q - p)
-    return (_sum_in_order(forward_kl_rows(p, q)), RowBlock(turns.index, ids, sums),
-            np.bincount(slots))
+    # each row stores log_floor(q), with q the softmax of its logits
+    return (_sum_in_order(forward_kl_rows(p, q, log_q=rows[:, 2 * a:])),
+            RowBlock(turns.index, ids, sums), np.bincount(slots))
 
 
 def batch_gradient(batch: Turns, params: PolicyParams) -> tuple[float, RowBlock]:
     """Mean loss and per-key mean gradient over a replay batch.
 
-    The student distribution is recomputed at the current parameters, so
+    The student distribution is read at the current parameters, so
     repeated steps on a fixed batch descend the current KL objective. The
     gradient for a key is averaged over that key's occurrences in the batch,
     keeping the learning rate independent of batch composition. The batch
-    is one (N, A) row block gathered by key id; the result is bitwise the
+    is one row block gathered by key id; the result is bitwise the
     per-entry sum of forward_kl and kl_logit_gradient in batch order.
     """
     if not len(batch):

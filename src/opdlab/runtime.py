@@ -13,13 +13,31 @@ uses entry i.
 
 A step delivers its rollouts as lockstep waves of ceil(missing / m)
 rollouts, where ``missing`` counts the fresh entries the step still needs
-and m is the most student turns one rollout plays. A wave first starts, as
-one batch, every rollout up to depth - 1 past its last; in the last step,
-only up to its last, as no later step delivers them. A one-at-a-time
-loop would deliver every rollout of such a wave too, in the same step, and
-a rollout depends only on its row, task, table and horizon, so runs are
-bit-identical for any wave width, and bit-reproducible per seed in both
-modes.
+and m is the most student turns one rollout plays. A wave first starts
+every rollout up to depth - 1 past its last; in the last step, only up to
+its last, as no later step delivers them. A one-at-a-time loop would
+deliver every rollout of such a wave too, in the same step, and a rollout
+depends only on its row, task, horizon and the table rows it reads, so
+runs are bit-identical for any wave width, and bit-reproducible per seed
+in both modes.
+
+The engine runs rollouts before they come due, as optimistic concurrency
+control would, in calls of half a task cycle (16 rollouts at the default
+32 tasks, against a wave's 3; see ``_Starter``). When the pool of
+pre-started rollouts runs short, one call runs those due now and pre-starts
+the next ones, up to half a task cycle in all, on the current table and
+horizon. A pre-started rollout is kept when it comes due if two checks
+pass: it started with the student-turn cap (f2b) and expert prefix lengths
+(b2f) of the current horizon, and no key id in its ``keys`` row was
+written by a learner step after the version it started on. It is then the
+rollout that would start now, since it read the same rows with the same
+inputs, and is tagged with the current version; the others run again,
+together, on their own rows of uniforms. Every key starts with the task's
+first token, and the rollouts of half a task cycle are of distinct tasks,
+so the learner steps in between write a row that a pre-started rollout
+read only when the staleness budget reaches back to the last rollout of
+its task. Nothing is pre-started past the rollouts the remaining steps are
+sure to start.
 
 Rollouts, replay and learner exchange columns, not per-turn objects: a
 wave's ``Rollouts`` hand the buffer their student turns as ``Turns``, the
@@ -44,7 +62,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curriculum import CurriculumSchedule, horizon_at, steps_to_full_horizon
+from .curriculum import (
+    CurriculumSchedule,
+    b2f_prefix_len,
+    horizon_at,
+    steps_to_full_horizon,
+)
 from .distill import (
     ALGO_B2F,
     ALGO_F2B,
@@ -72,7 +95,7 @@ from .metrics import (
     TrainRecord,
     kl_profile,
 )
-from .policy import PolicyParams
+from .policy import PolicyParams, _grown
 from .replay import RingBuffer
 
 MODE_SYNC = "sync"
@@ -267,7 +290,8 @@ def _learner_step(n: int, k: int, params: PolicyParams, buffer: RingBuffer,
                   board: SnapshotBoard, config: RunConfig,
                   sample_rng: np.random.Generator):
     """Sample a batch, take one gradient step and publish it; returns the new
-    params, the step's TrainRecord and the batch's largest staleness.
+    params, the step's TrainRecord, the batch's largest staleness and the
+    key ids the step wrote.
 
     apply_gradient writes its rows in place into the table it returns, so
     the new params are published as they are; nothing reads the old table.
@@ -287,7 +311,76 @@ def _learner_step(n: int, k: int, params: PolicyParams, buffer: RingBuffer,
         active_k=k,
         mean_staleness=_mean(staleness),
     )
-    return params, record, int(staleness.max())
+    return params, record, int(staleness.max()), grads.ids
+
+
+class _Starter:
+    """Starts a run's rollouts in rollout order as they come due, each as it
+    would start then, from a pool of rollouts pre-started ahead of them (see
+    the module docstring). Rollout j plays task j mod task_count on row j of
+    the rollout stream. ``written[i]`` is the version of key id i's last
+    write, -1 for none; the last entry stays -1, for the ids past the array.
+    """
+
+    def __init__(self, config: RunConfig, env: Env, teacher: TeacherPolicy, store,
+                 rng: np.random.Generator):
+        self.config, self.env, self.teacher, self.store, self.rng = (
+            config, env, teacher, store, rng)
+        self.due = 0  # rollouts come due so far
+        self.pool: Rollouts | None = None  # pre-started, not yet due, in rollout order
+        self.pool_u = self.pool_k = None  # their uniform rows and the horizon they started at
+        self.written = np.full(64, -1, dtype=np.int32)
+
+    def _run(self, params: PolicyParams, tasks, k: int, u: np.ndarray) -> Rollouts:
+        config = self.config
+        return rollout_batch(config.algo, self.env, params, self.teacher, tasks, k, u,
+                             store=self.store, temperature=config.train_temperature,
+                             window=config.window)
+
+    def wrote(self, ids: np.ndarray, version: int) -> None:
+        """Record that the learner step to ``version`` wrote key ``ids``."""
+        top = int(ids.max(initial=0)) + 2  # keep the last entry -1
+        if top > len(self.written):
+            self.written = _grown(self.written, max(len(self.written) * 3 // 2, top), -1)
+        self.written[ids] = version
+
+    def _renew(self, count: int, params: PolicyParams, k: int) -> Rollouts:
+        """The first ``count`` pooled rollouts, taken off the pool, as started
+        on ``params`` at horizon k: those whose inputs or read rows changed
+        run again."""
+        algo, horizon = self.config.algo, self.env.config.horizon_cap
+        batch, u, k_then = self.pool.take(slice(count)), self.pool_u[:count], self.pool_k
+        self.pool, self.pool_u = self.pool.take(slice(count, None)), self.pool_u[count:]
+        redo = self.written.take(batch.keys, mode="clip").max(axis=1) > batch.versions
+        if max_student_turns(algo, k_then, horizon) != max_student_turns(algo, k, horizon):
+            redo[:] = True
+        elif algo == ALGO_B2F and k_then != k:
+            redo |= batch.prefix_len != [b2f_prefix_len(len(self.store.get(task)), k)
+                                         for task in batch.task_ids.tolist()]
+        rows = np.flatnonzero(redo)
+        if rows.size:
+            batch.put(rows, self._run(params, batch.task_ids[rows], k, u[rows]))
+        batch.versions[:] = params.version
+        return batch
+
+    def start(self, count: int, sure: int, params: PolicyParams, k: int) -> list[Rollouts]:
+        """The next ``count`` rollouts, as started on ``params`` at horizon k;
+        none at or past rollout ``sure``, which the run may never reach, is
+        pre-started."""
+        first, self.due = self.due, self.due + count
+        out = []
+        if self.pool:
+            out.append(self._renew(min(count, len(self.pool)), params, k))
+            first += len(out[0])
+        left = self.due - first
+        if left:
+            tasks = self.env.config.task_count
+            width = max(left, min(tasks // 2, sure - first))
+            u = self.rng.random((width, self.env.config.horizon_cap))
+            batch = self._run(params, (first + np.arange(width)) % tasks, k, u)
+            out.append(batch.take(slice(left)))
+            self.pool, self.pool_u, self.pool_k = batch.take(slice(left, None)), u[left:], k
+        return out
 
 
 def _validate_run(config: RunConfig, store) -> None:
@@ -349,7 +442,11 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
     log = MetricsLog()
     depth = config.actor_count if config.mode == MODE_ASYNC else 1
     started: deque[Rollouts] = deque()  # started rollouts not yet delivered, oldest first
-    rollouts = 0  # started so far
+    starter = _Starter(config, env, teacher, store, rollout_rng)
+    # the fewest rollouts a step delivers: each plays at most the student
+    # turns of the largest horizon
+    least = _wave_width(config.batch_size, max_student_turns(
+        config.algo, config.cap, config.env.horizon_cap))
     max_staleness = 0
 
     for n in range(config.total_steps):
@@ -365,22 +462,22 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
             # start every rollout up to depth - 1 past the wave's last; the last
             # step starts none past its own, as no later step delivers them
             ahead = depth - 1 if n + 1 < config.total_steps else 0
-            count = width + ahead - sum(map(len, started))
+            in_flight = sum(map(len, started))
+            count = width + ahead - in_flight
             if count > 0:
-                tasks = (rollouts + np.arange(count)) % config.env.task_count
-                rollouts += count
-                started.append(rollout_batch(
-                    config.algo, env, params, teacher, tasks, k,
-                    rollout_rng.random((count, config.env.horizon_cap)), store=store,
-                    temperature=config.train_temperature, window=config.window))
+                # the run starts at least the rollouts it delivers: those so
+                # far, this wave's and ``least`` in each later step
+                sure = starter.due - in_flight + width + (config.total_steps - n - 1) * least
+                started.extend(starter.start(count, sure, params, k))
             for batch in _take(started, width):
                 buffer.push(batch.student_turns())
                 fresh += int(batch.rounds[params.version - batch.versions
                                           <= config.delta_max].sum())
                 step_batches.append(batch)
 
-        params, record, staleness = _learner_step(n, k, params, buffer, board,
-                                                  config, sample_rng)
+        params, record, staleness, ids = _learner_step(n, k, params, buffer, board,
+                                                       config, sample_rng)
+        starter.wrote(ids, params.version)
         max_staleness = max(max_staleness, staleness)
         log.append(record)
         log.append(_rollout_record(n, k, step_batches))

@@ -1,22 +1,27 @@
 """Plain forms of opdlab functions that the tests require to give the same
 bytes: the checkpoint and metrics writers, each row or record made as a dict
 and written by a json encoder; the rollout engine with its teacher rows, KL
-and recorded columns computed inside the turn loop; and the episode summary
-averaged by np.mean. Also the teacher frozen into a logit table, a student
-that plays the expert."""
+and recorded columns computed inside the turn loop; the training loop that
+starts each rollout when it comes due; and the episode summary averaged by
+np.mean. Also the teacher frozen into a logit table, a student that plays
+the expert."""
 
 from __future__ import annotations
 
 import heapq
 import json
+from collections import deque
 from dataclasses import asdict
 
 import numpy as np
 
+from opdlab import runtime
 from opdlab.atomic import atomic_open
-from opdlab.distill import Rollouts
+from opdlab.curriculum import horizon_at
+from opdlab.distill import ALGO_SFT, Rollouts, max_student_turns, rollout_batch
+from opdlab.env import TeacherPolicy, make_env
 from opdlab.errors import ConfigError, UsageError
-from opdlab.metrics import SCHEMA_VERSION, _TYPE_NAMES, _json_safe
+from opdlab.metrics import SCHEMA_VERSION, _TYPE_NAMES, MetricsLog, _json_safe
 from opdlab.policy import (
     CHECKPOINT_SCHEMA,
     PolicyParams,
@@ -27,6 +32,7 @@ from opdlab.policy import (
     softmax_rows,
     window_key,
 )
+from opdlab.replay import RingBuffer
 
 
 def sorted_keys(index, ids):
@@ -179,6 +185,60 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
         index, algo, task, np.full(n, student.version, dtype=np.int64), key_col,
         action_col, teacher_col, kl, prefix_len, played - prefix_len, success)
     return kl, played - prefix_len, success, rollouts
+
+
+def run_distill(config, store=None) -> runtime.TrainingResult:
+    """runtime.run_training of an opd, f2b or b2f ``config`` with every
+    rollout started when it comes due, as one rollout_batch call per wave on
+    the table and horizon current then."""
+    assert config.algo != ALGO_SFT
+    env = make_env(config.env)
+    teacher = TeacherPolicy(env, config.teacher)
+    rollout_rng, sample_rng, eval_rng = runtime._seed_streams(config)
+    params = PolicyParams(num_actions=config.env.num_actions)
+    board = runtime.SnapshotBoard(params)
+    buffer = RingBuffer(config.buffer_capacity)
+    schedule = config.schedule()
+    log = MetricsLog()
+    depth = config.actor_count if config.mode == runtime.MODE_ASYNC else 1
+    started: deque[Rollouts] = deque()  # started rollouts not yet delivered, oldest first
+    rollouts = 0  # started so far
+    max_staleness = 0
+
+    for n in range(config.total_steps):
+        k = horizon_at(schedule, n)
+        max_turns = max_student_turns(config.algo, k, config.env.horizon_cap)
+        step_batches: list[Rollouts] = []
+        fresh = 0
+        while fresh < config.batch_size:
+            width = runtime._wave_width(config.batch_size - fresh, max_turns)
+            ahead = depth - 1 if n + 1 < config.total_steps else 0
+            count = width + ahead - sum(map(len, started))
+            if count > 0:
+                tasks = (rollouts + np.arange(count)) % config.env.task_count
+                rollouts += count
+                started.append(rollout_batch(
+                    config.algo, env, params, teacher, tasks, k,
+                    rollout_rng.random((count, config.env.horizon_cap)), store=store,
+                    temperature=config.train_temperature, window=config.window))
+            for batch in runtime._take(started, width):
+                buffer.push(batch.student_turns())
+                fresh += int(batch.rounds[params.version - batch.versions
+                                          <= config.delta_max].sum())
+                step_batches.append(batch)
+
+        params, record, staleness, _ = runtime._learner_step(n, k, params, buffer, board,
+                                                             config, sample_rng)
+        max_staleness = max(max_staleness, staleness)
+        log.append(record)
+        log.append(runtime._rollout_record(n, k, step_batches))
+        if (n + 1) % config.eval_every == 0 or n == config.total_steps - 1:
+            log.append(runtime.evaluate(params, env, teacher, config.eval_episodes,
+                                        eval_rng, temperature=config.eval_temperature,
+                                        window=config.window, step=n, active_k=k))
+
+    return runtime.TrainingResult(log=log, final_params=params,
+                                  max_staleness_seen=max_staleness)
 
 
 def episode_summary(success, rounds, kl_sums) -> dict:

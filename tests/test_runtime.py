@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
+import subprocess
+import sys
 import threading
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from opdlab import runtime
+from opdlab import distill, runtime
 from opdlab.curriculum import b2f_prefix_len, horizon_at
 from opdlab.distill import collect_teacher_trajectories
 from opdlab.env import Env, EnvConfig, TeacherPolicy, make_env, make_teacher
@@ -437,6 +444,117 @@ def test_undelivered_rollouts_are_fewer_than_the_depth(monkeypatch, mode):
         assert 0 < undelivered <= cfg.actor_count - 1
     else:
         assert undelivered == 0
+
+
+@st.composite
+def small_runs(draw):
+    """Short opd, f2b and b2f runs over the settings that decide when a
+    pre-started rollout must run again: few tasks, deep lags, a large
+    staleness budget and a curriculum horizon that moves."""
+    cap = EnvConfig().horizon_cap
+    return RunConfig(
+        algo=draw(st.sampled_from(["opd", "f2b", "b2f"])),
+        env=EnvConfig(task_count=draw(st.integers(2, 40))),
+        mode=draw(st.sampled_from(["sync", "async"])), actor_count=draw(st.integers(1, 4)),
+        batch_size=draw(st.integers(4, 64)), delta_max=draw(st.integers(0, 8)),
+        window=draw(st.sampled_from([None, 0, 2])),
+        train_temperature=draw(st.sampled_from([1.0, 0.7])),
+        k_start=draw(st.integers(1, cap)), eta=draw(st.integers(1, 4)),
+        total_steps=draw(st.integers(1, 24)), eval_every=draw(st.integers(4, 24)),
+        eval_episodes=8, seed=draw(st.integers(0, 2 ** 16)))
+
+
+@contextlib.contextmanager
+def training_rollouts():
+    """Count, in the list it yields, the training rollouts the engine runs
+    (an evaluation's episodes are not counted)."""
+    count, real = [0], distill.rollout_lockstep
+
+    def lockstep(*args, **kwargs):
+        if kwargs.get("algo") is not None:
+            count[0] += len(args[3])
+        return real(*args, **kwargs)
+
+    with mock.patch.object(distill, "rollout_lockstep", lockstep):
+        yield count
+
+
+def test_prestarted_rollouts_give_the_bytes_of_starting_each_when_due(tmp_path):
+    """A run that pre-starts its rollouts and re-runs those whose inputs or
+    rows changed writes the records and checkpoint of the loop that starts
+    each rollout when it comes due. The explicit examples re-run rollouts:
+    a task read again within the staleness budget (few tasks, large
+    delta_max), and a horizon that moves before they come due."""
+    stores, reruns = {}, []
+
+    def run(train, cfg, store, name):
+        with training_rollouts() as started, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # short b2f curricula
+            result = train(cfg, store)
+        save_params(result.final_params, tmp_path / name)
+        return result, started[0], (tmp_path / name).read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_runs())
+    @example(RunConfig(algo="opd", env=EnvConfig(task_count=8), total_steps=12,
+                       delta_max=8, eval_every=6, eval_episodes=8))
+    @example(RunConfig(algo="f2b", mode="async", actor_count=3, total_steps=16,
+                       batch_size=16, eta=1, eval_every=8, eval_episodes=8))
+    @example(RunConfig(algo="b2f", total_steps=16, batch_size=8, window=2,
+                       train_temperature=0.7, eta=1, eval_every=8, eval_episodes=8))
+    def check(cfg):
+        store = None
+        if cfg.algo == "b2f":
+            if cfg.env.task_count not in stores:
+                stores[cfg.env.task_count] = collect_for(cfg)
+            store = stores[cfg.env.task_count]
+        result, engine, ckpt = run(run_training, cfg, store, "run.jsonl")
+        reference, due, reference_ckpt = run(oracles.run_distill, cfg, store, "ref.jsonl")
+        assert result.log.records == reference.log.records
+        assert ckpt == reference_ckpt
+        assert result.max_staleness_seen == reference.max_staleness_seen
+        assert engine >= due
+        reruns.append(engine - due)
+
+    check()
+    assert sum(reruns) > 0
+
+
+def test_a_default_opd_run_reruns_no_prestarted_rollout():
+    """With 32 tasks and a staleness budget of 2, no row a pre-started opd
+    rollout read is written before it comes due, so the engine runs each
+    rollout once. (Evaluation, which pre-starting leaves alone, runs once.)"""
+    with training_rollouts() as started:
+        result = run_training(RunConfig(algo="opd", eval_every=400))
+    assert started[0] == sum(r.n_rollouts for r in result.log.eval_records(split="rollout"))
+
+
+def test_runs_do_not_import_numpy_ma():
+    """numpy.ma holds about 1 MB once imported, and a plain np.unique (also
+    inside np.isin) imports it; no run of any algo or mode does."""
+    code = """
+import sys
+import numpy as np
+from opdlab.distill import collect_teacher_trajectories
+from opdlab.env import TeacherPolicy, make_env
+from opdlab.runtime import RunConfig, run_training
+
+cfg = RunConfig()
+env = make_env(cfg.env)
+store = collect_teacher_trajectories(env, TeacherPolicy(env, cfg.teacher), cfg.pass_m,
+                                     np.random.default_rng(1))
+for algo in ("opd", "f2b", "b2f", "sft"):
+    for mode in ("sync", "async"):
+        run_training(RunConfig(algo=algo, mode=mode, actor_count=2, total_steps=6,
+                               batch_size=8, eta=1, eval_every=3, eval_episodes=8), store)
+assert "numpy.ma" not in sys.modules
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-W", "ignore::UserWarning", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @settings(max_examples=200, deadline=None)
