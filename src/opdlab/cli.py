@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .atomic import atomic_open
 from .distill import ALGO_B2F, ALGO_SFT, collect_teacher_trajectories, load_store, save_store
 from .env import EnvConfig, TeacherConfig, TeacherPolicy, make_env
 from .errors import ConfigError, UsageError
@@ -113,10 +114,9 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping of sections")
     for section, content in (overrides or {}).items():
-        raw.setdefault(section, {})
-        if raw[section] is None:
-            raw[section] = {}
-        raw[section].update(content)
+        held = raw.get(section)
+        if held is None or isinstance(held, dict):  # _validate_sections rejects the rest
+            raw[section] = {**(held or {}), **content}
     _validate_sections(raw, path)
 
     run_section, env, teacher, curriculum, runtime = (
@@ -134,7 +134,7 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
 
 
 def _echo_config(config: ExperimentConfig, out_dir: Path) -> None:
-    with open(out_dir / "config.yaml", "w") as f:
+    with atomic_open(out_dir / "config.yaml") as f:
         yaml.safe_dump(config.raw, f, sort_keys=True)
 
 

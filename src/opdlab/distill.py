@@ -127,6 +127,11 @@ class Rollouts:
         for mine, theirs in zip(self._columns(), other._columns()):
             mine[rows] = theirs
 
+    def joined(self, other: "Rollouts") -> "Rollouts":
+        """The episodes of ``self``, then those of ``other``."""
+        return Rollouts(self.index, self.algo,
+                        *map(np.concatenate, zip(self._columns(), other._columns())))
+
     def __len__(self) -> int:
         return len(self.task_ids)
 
@@ -259,6 +264,19 @@ def max_student_turns(algo: str, k: int, horizon: int) -> int:
     return min(k, horizon) if algo == ALGO_F2B else horizon
 
 
+def prefix_lens(algo: str, store, task_ids, k: int) -> np.ndarray:
+    """The expert turns each ``algo`` rollout of ``task_ids`` plays first at
+    curriculum horizon k: for b2f, the first L - k (at least 0) of the task's
+    stored trajectory of length L; none for the other algos."""
+    tasks = np.asarray(task_ids).tolist()
+    if algo != ALGO_B2F:
+        return np.zeros(len(tasks), dtype=np.int64)
+    stored = [store.get(task_id) for task_id in tasks]
+    if None in stored:
+        raise ConfigError("a task is missing from the expert trajectory store")
+    return np.array([b2f_prefix_len(len(s), k) for s in stored], dtype=np.int64)
+
+
 def rollout_batch(algo: str, env: Env, student: PolicyParams, teacher: TeacherPolicy, task_ids,
                   k: int, u: np.ndarray, *, store=None, temperature: float = 1.0,
                   window: int | None = None) -> Rollouts:
@@ -271,10 +289,8 @@ def rollout_batch(algo: str, env: Env, student: PolicyParams, teacher: TeacherPo
         raise ConfigError(f"k must be >= 1, got {k}")
     prefixes = None
     if algo == ALGO_B2F:
-        stored = [store.get(task_id) for task_id in np.asarray(task_ids).tolist()]
-        if None in stored:
-            raise ConfigError("a task is missing from the expert trajectory store")
-        prefixes = [s[:b2f_prefix_len(len(s), k)] for s in stored]
+        prefixes = [store.get(task_id)[:p] for task_id, p in zip(
+            np.asarray(task_ids).tolist(), prefix_lens(algo, store, task_ids, k).tolist())]
     return rollout_lockstep(
         env, student, teacher, task_ids, u, temperature=temperature, window=window,
         max_student_turns=max_student_turns(algo, k, env.config.horizon_cap),

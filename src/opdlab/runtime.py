@@ -1,43 +1,36 @@
 """Training orchestration: rollouts, learner, snapshots, and evaluation.
 
-One loop serves both modes. ``depth`` rollouts are in flight, as in an
-IMPALA-style actor/learner lag: each rollout starts when the rollout
-depth - 1 places before it is delivered, on the table and the curriculum
-horizon current then, and is delivered (pushed to the buffer) later, from
-a FIFO of started rollouts. So rollout j acts on the table that was newest
-when rollout j - depth + 1 was delivered. Sync mode has depth 1 (every
-rollout is delivered as it starts); async mode has depth ``actor_count``.
-Tasks run round-robin, and rollout j reads row j of the rollout stream, a
-row of horizon_cap uniforms drawn in rollout order; its student turn i
-uses entry i.
+One loop serves both modes, and one queue (``_Starter``) decides when each
+rollout starts. Rollout j plays task j mod task_count and reads row j of
+the rollout stream, a row of horizon_cap uniforms drawn in rollout order;
+its student turn i uses entry i. A step delivers (pushes to the buffer) its
+rollouts in lockstep waves of ceil(missing / m) rollouts, where ``missing``
+counts the fresh entries the step still needs and m is the most student
+turns one rollout plays. Before a wave is delivered, every rollout up to
+depth - 1 past its last has started, on the table and curriculum horizon
+current then; in the last step only up to its last, as no later step
+delivers them. So rollout j acts on the table that was newest when rollout
+j - depth + 1 was delivered, as in an IMPALA-style actor/learner lag: sync
+mode has depth 1, async mode depth ``actor_count``.
 
-A step delivers its rollouts as lockstep waves of ceil(missing / m)
-rollouts, where ``missing`` counts the fresh entries the step still needs
-and m is the most student turns one rollout plays. A wave first starts
-every rollout up to depth - 1 past its last; in the last step, only up to
-its last, as no later step delivers them. A one-at-a-time loop would
-deliver every rollout of such a wave too, in the same step, and a rollout
-depends only on its row, task, horizon and the table rows it reads, so
-runs are bit-identical for any wave width, and bit-reproducible per seed
-in both modes.
-
-The engine runs rollouts before they come due, as optimistic concurrency
-control would, in calls of half a task cycle (16 rollouts at the default
-32 tasks, against a wave's 3; see ``_Starter``). When the pool of
-pre-started rollouts runs short, one call runs those due now and pre-starts
-the next ones, up to half a task cycle in all, on the current table and
-horizon. A pre-started rollout is kept when it comes due if two checks
-pass: it started with the student-turn cap (f2b) and expert prefix lengths
-(b2f) of the current horizon, and no key id in its ``keys`` row was
-written by a learner step after the version it started on. It is then the
-rollout that would start now, since it read the same rows with the same
-inputs, and is tagged with the current version; the others run again,
-together, on their own rows of uniforms. Every key starts with the task's
-first token, and the rollouts of half a task cycle are of distinct tasks,
-so the learner steps in between write a row that a pre-started rollout
-read only when the staleness budget reaches back to the last rollout of
-its task. Nothing is pre-started past the rollouts the remaining steps are
-sure to start.
+The queue holds the rollouts that have run but are not yet delivered. The
+engine runs them before they start, as optimistic concurrency control
+would: when the queue runs short, one call runs those that start now and
+pre-starts the next ones, up to half a task cycle in all (16 rollouts at
+the default 32 tasks, against a wave's 3), on the current table and
+horizon, but none past the rollouts the remaining steps are sure to start.
+A pre-started rollout is kept when it starts if it ran with the
+student-turn cap (f2b) and expert prefix lengths (b2f) of the current
+horizon and no key id in its ``keys`` row was written by a learner step
+after the version it ran on; it is then tagged with the current version.
+The others run again, together, on their own rows of uniforms. Every key
+starts with the task's first token, and the rollouts of half a task cycle
+are of distinct tasks, so a learner step writes a row that a pre-started
+rollout read only when the staleness budget reaches back to the last
+rollout of its task. A rollout depends only on its row, task, horizon and
+the table rows it reads, so runs are bit-identical to starting each
+rollout alone when it comes due, for any wave or call width, and
+bit-reproducible per seed in both modes.
 
 Rollouts, replay and learner exchange columns, not per-turn objects: a
 wave's ``Rollouts`` hand the buffer their student turns as ``Turns``, the
@@ -57,14 +50,12 @@ from __future__ import annotations
 import math
 import time  # noqa: F401  (bench/tracing.py patches runtime.time)
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curriculum import (
     CurriculumSchedule,
-    b2f_prefix_len,
     horizon_at,
     steps_to_full_horizon,
 )
@@ -79,6 +70,7 @@ from .distill import (
     batch_gradient,
     max_student_turns,
     nll_loss,
+    prefix_lens,
     rollout_batch,
     rollout_lockstep,
     sft_block,
@@ -266,20 +258,6 @@ def _rollout_record(step: int, k: int, batches: list[Rollouts]) -> EvalRecord:
     )
 
 
-def _take(started: deque[Rollouts], width: int) -> list[Rollouts]:
-    """The oldest ``width`` started rollouts, taken off ``started``: whole
-    batches as they are, and the front part of a batch that is left over."""
-    out = []
-    while width:
-        batch = started.popleft()
-        if len(batch) > width:
-            started.appendleft(batch.take(slice(width, None)))
-            batch = batch.take(slice(width))
-        out.append(batch)
-        width -= len(batch)
-    return out
-
-
 def _grad_norm(grads: np.ndarray) -> float:
     """The L2 norm of the (K, A) gradient block: the per-row squared norms
     summed left to right, bitwise as a per-key ``g @ g`` loop adds them."""
@@ -315,20 +293,27 @@ def _learner_step(n: int, k: int, params: PolicyParams, buffer: RingBuffer,
 
 
 class _Starter:
-    """Starts a run's rollouts in rollout order as they come due, each as it
-    would start then, from a pool of rollouts pre-started ahead of them (see
-    the module docstring). Rollout j plays task j mod task_count on row j of
-    the rollout stream. ``written[i]`` is the version of key id i's last
-    write, -1 for none; the last entry stays -1, for the ids past the array.
+    """The queue of a run's rollouts that have run but are not yet delivered,
+    in rollout order (see the module docstring): the first ``started`` have
+    started; the rest were run ahead at horizon ``k_then`` on their rows
+    ``u`` of uniforms and are renewed when they start. Rollout j plays task
+    j mod task_count on row j of the rollout stream. ``written[i]`` is the
+    version of key id i's last write, -1 for none; the last entry stays -1,
+    for the ids past the array.
     """
 
     def __init__(self, config: RunConfig, env: Env, teacher: TeacherPolicy, store,
                  rng: np.random.Generator):
         self.config, self.env, self.teacher, self.store, self.rng = (
             config, env, teacher, store, rng)
-        self.due = 0  # rollouts come due so far
-        self.pool: Rollouts | None = None  # pre-started, not yet due, in rollout order
-        self.pool_u = self.pool_k = None  # their uniform rows and the horizon they started at
+        self.depth = config.actor_count if config.mode == MODE_ASYNC else 1
+        # the fewest rollouts a step delivers: each plays at most the student
+        # turns of the largest horizon
+        self.least = _wave_width(config.batch_size, max_student_turns(
+            config.algo, config.cap, config.env.horizon_cap))
+        self.queue: Rollouts | None = None
+        self.u, self.k_then = np.zeros((0, config.env.horizon_cap)), None
+        self.started = self.delivered = 0
         self.written = np.full(64, -1, dtype=np.int32)
 
     def _run(self, params: PolicyParams, tasks, k: int, u: np.ndarray) -> Rollouts:
@@ -344,42 +329,45 @@ class _Starter:
             self.written = _grown(self.written, max(len(self.written) * 3 // 2, top), -1)
         self.written[ids] = version
 
-    def _renew(self, count: int, params: PolicyParams, k: int) -> Rollouts:
-        """The first ``count`` pooled rollouts, taken off the pool, as started
-        on ``params`` at horizon k: those whose inputs or read rows changed
-        run again."""
+    def _renew(self, stop: int, params: PolicyParams, k: int) -> None:
+        """Start the queued rollouts up to ``stop`` on ``params`` at horizon k:
+        those whose inputs or read rows changed run again."""
         algo, horizon = self.config.algo, self.env.config.horizon_cap
-        batch, u, k_then = self.pool.take(slice(count)), self.pool_u[:count], self.pool_k
-        self.pool, self.pool_u = self.pool.take(slice(count, None)), self.pool_u[count:]
+        batch, u = self.queue.take(slice(self.started, stop)), self.u[self.started:stop]
         redo = self.written.take(batch.keys, mode="clip").max(axis=1) > batch.versions
-        if max_student_turns(algo, k_then, horizon) != max_student_turns(algo, k, horizon):
+        if max_student_turns(algo, self.k_then, horizon) != max_student_turns(algo, k, horizon):
             redo[:] = True
-        elif algo == ALGO_B2F and k_then != k:
-            redo |= batch.prefix_len != [b2f_prefix_len(len(self.store.get(task)), k)
-                                         for task in batch.task_ids.tolist()]
+        elif self.k_then != k:
+            redo |= batch.prefix_len != prefix_lens(algo, self.store, batch.task_ids, k)
         rows = np.flatnonzero(redo)
         if rows.size:
             batch.put(rows, self._run(params, batch.task_ids[rows], k, u[rows]))
         batch.versions[:] = params.version
-        return batch
 
-    def start(self, count: int, sure: int, params: PolicyParams, k: int) -> list[Rollouts]:
-        """The next ``count`` rollouts, as started on ``params`` at horizon k;
-        none at or past rollout ``sure``, which the run may never reach, is
-        pre-started."""
-        first, self.due = self.due, self.due + count
-        out = []
-        if self.pool:
-            out.append(self._renew(min(count, len(self.pool)), params, k))
-            first += len(out[0])
-        left = self.due - first
-        if left:
-            tasks = self.env.config.task_count
-            width = max(left, min(tasks // 2, sure - first))
-            u = self.rng.random((width, self.env.config.horizon_cap))
-            batch = self._run(params, (first + np.arange(width)) % tasks, k, u)
-            out.append(batch.take(slice(left)))
-            self.pool, self.pool_u, self.pool_k = batch.take(slice(left, None)), u[left:], k
+    def deliver(self, n: int, width: int, params: PolicyParams, k: int) -> Rollouts:
+        """The next ``width`` rollouts, delivered in step n. First every rollout
+        up to depth - 1 past them starts on ``params`` at horizon k; in the
+        last step none past them does, as no later step delivers them."""
+        config = self.config
+        due = width + (self.depth - 1 if n + 1 < config.total_steps else 0)
+        held = len(self.u)
+        if self.started < min(due, held):
+            self._renew(min(due, held), params, k)
+        if due > held:
+            # the missing rollouts and, pre-started, the next ones up to half a
+            # task cycle, but none past those the run is sure to start: this
+            # wave's and ``least`` in each later step
+            tasks = config.env.task_count
+            count = max(due - held, min(tasks // 2,
+                                        width + (config.total_steps - n - 1) * self.least - held))
+            u = self.rng.random((count, config.env.horizon_cap))
+            batch = self._run(params, (self.delivered + held + np.arange(count)) % tasks, k, u)
+            self.queue = self.queue.joined(batch) if held else batch
+            self.u, self.k_then = np.concatenate((self.u, u)), k
+        self.started = max(self.started, due) - width
+        self.delivered += width
+        out, self.queue, self.u = (self.queue.take(slice(width)),
+                                   self.queue.take(slice(width, None)), self.u[width:])
         return out
 
 
@@ -440,13 +428,7 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
     buffer = RingBuffer(config.buffer_capacity)
     schedule = config.schedule()
     log = MetricsLog()
-    depth = config.actor_count if config.mode == MODE_ASYNC else 1
-    started: deque[Rollouts] = deque()  # started rollouts not yet delivered, oldest first
     starter = _Starter(config, env, teacher, store, rollout_rng)
-    # the fewest rollouts a step delivers: each plays at most the student
-    # turns of the largest horizon
-    least = _wave_width(config.batch_size, max_student_turns(
-        config.algo, config.cap, config.env.horizon_cap))
     max_staleness = 0
 
     for n in range(config.total_steps):
@@ -458,22 +440,11 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
         # the current table, so the loop ends
         fresh = 0
         while fresh < config.batch_size:
-            width = _wave_width(config.batch_size - fresh, max_turns)
-            # start every rollout up to depth - 1 past the wave's last; the last
-            # step starts none past its own, as no later step delivers them
-            ahead = depth - 1 if n + 1 < config.total_steps else 0
-            in_flight = sum(map(len, started))
-            count = width + ahead - in_flight
-            if count > 0:
-                # the run starts at least the rollouts it delivers: those so
-                # far, this wave's and ``least`` in each later step
-                sure = starter.due - in_flight + width + (config.total_steps - n - 1) * least
-                started.extend(starter.start(count, sure, params, k))
-            for batch in _take(started, width):
-                buffer.push(batch.student_turns())
-                fresh += int(batch.rounds[params.version - batch.versions
-                                          <= config.delta_max].sum())
-                step_batches.append(batch)
+            batch = starter.deliver(n, _wave_width(config.batch_size - fresh, max_turns),
+                                    params, k)
+            buffer.push(batch.student_turns())
+            fresh += int(batch.rounds[params.version - batch.versions <= config.delta_max].sum())
+            step_batches.append(batch)
 
         params, record, staleness, ids = _learner_step(n, k, params, buffer, board,
                                                        config, sample_rng)

@@ -187,6 +187,20 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
     return kl, played - prefix_len, success, rollouts
 
 
+def take(started: deque[Rollouts], width: int) -> list[Rollouts]:
+    """The oldest ``width`` started rollouts, taken off ``started``: whole
+    batches as they are, and the front part of a batch that is left over."""
+    out = []
+    while width:
+        batch = started.popleft()
+        if len(batch) > width:
+            started.appendleft(batch.take(slice(width, None)))
+            batch = batch.take(slice(width))
+        out.append(batch)
+        width -= len(batch)
+    return out
+
+
 def run_distill(config, store=None) -> runtime.TrainingResult:
     """runtime.run_training of an opd, f2b or b2f ``config`` with every
     rollout started when it comes due, as one rollout_batch call per wave on
@@ -221,7 +235,7 @@ def run_distill(config, store=None) -> runtime.TrainingResult:
                     config.algo, env, params, teacher, tasks, k,
                     rollout_rng.random((count, config.env.horizon_cap)), store=store,
                     temperature=config.train_temperature, window=config.window))
-            for batch in runtime._take(started, width):
+            for batch in take(started, width):
                 buffer.push(batch.student_turns())
                 fresh += int(batch.rounds[params.version - batch.versions
                                           <= config.delta_max].sum())

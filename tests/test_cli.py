@@ -5,7 +5,7 @@ import json
 import pytest
 import yaml
 
-from opdlab.cli import load_experiment_config, main, parse_overrides
+from opdlab.cli import _echo_config, load_experiment_config, main, parse_overrides
 from opdlab.distill import load_store, save_store
 from opdlab.env import EnvConfig, TeacherPolicy, make_env, make_teacher
 from opdlab.errors import ConfigError
@@ -62,6 +62,30 @@ def test_unknown_section_rejected(tmp_path):
     path.write_text(yaml.safe_dump(data))
     with pytest.raises(ConfigError, match="plotting"):
         load_experiment_config(path)
+
+
+@pytest.mark.parametrize("overrides", [[], ["--env.seed=3"]])
+@pytest.mark.parametrize("content", [[1, 2], 5])
+def test_a_section_that_is_not_a_mapping_is_rejected(tmp_path, capsys, content, overrides):
+    """With or without an override into it, the section is named and the run
+    exits 2."""
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({"env": content}))
+    assert main(["train", str(path), *overrides]) == 2
+    assert capsys.readouterr().err == f"error: {path}: section [env] must be a mapping\n"
+
+
+def test_a_failed_config_echo_leaves_no_config_yaml(config_path, tmp_path, monkeypatch):
+    config = load_experiment_config(config_path)
+
+    def dump(data, stream, **kwargs):
+        stream.write("env: {")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(yaml, "safe_dump", dump)
+    with pytest.raises(OSError, match="disk full"):
+        _echo_config(config, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
 
 
 def test_override_parsing():

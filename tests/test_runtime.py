@@ -466,17 +466,17 @@ def small_runs(draw):
 
 @contextlib.contextmanager
 def training_rollouts():
-    """Count, in the list it yields, the training rollouts the engine runs
-    (an evaluation's episodes are not counted)."""
-    count, real = [0], distill.rollout_lockstep
+    """Record, in the list it yields, the width of each training call of the
+    engine (evaluation calls are not recorded)."""
+    widths, real = [], distill.rollout_lockstep
 
     def lockstep(*args, **kwargs):
         if kwargs.get("algo") is not None:
-            count[0] += len(args[3])
+            widths.append(len(args[3]))
         return real(*args, **kwargs)
 
     with mock.patch.object(distill, "rollout_lockstep", lockstep):
-        yield count
+        yield widths
 
 
 def test_prestarted_rollouts_give_the_bytes_of_starting_each_when_due(tmp_path):
@@ -492,7 +492,7 @@ def test_prestarted_rollouts_give_the_bytes_of_starting_each_when_due(tmp_path):
             warnings.simplefilter("ignore", UserWarning)  # short b2f curricula
             result = train(cfg, store)
         save_params(result.final_params, tmp_path / name)
-        return result, started[0], (tmp_path / name).read_bytes()
+        return result, sum(started), (tmp_path / name).read_bytes()
 
     @settings(max_examples=40, deadline=None)
     @given(small_runs())
@@ -523,10 +523,15 @@ def test_prestarted_rollouts_give_the_bytes_of_starting_each_when_due(tmp_path):
 def test_a_default_opd_run_reruns_no_prestarted_rollout():
     """With 32 tasks and a staleness budget of 2, no row a pre-started opd
     rollout read is written before it comes due, so the engine runs each
-    rollout once. (Evaluation, which pre-starting leaves alone, runs once.)"""
-    with training_rollouts() as started:
-        result = run_training(RunConfig(algo="opd", eval_every=400))
-    assert started[0] == sum(r.n_rollouts for r in result.log.eval_records(split="rollout"))
+    rollout once. (Evaluation, which pre-starting leaves alone, runs once.)
+    It does so in few wide calls: the rollouts of about 5 waves a call, and
+    never more than half a task cycle."""
+    config = RunConfig(algo="opd", eval_every=400)
+    with training_rollouts() as widths:
+        result = run_training(config)
+    assert sum(widths) == sum(r.n_rollouts for r in result.log.eval_records(split="rollout"))
+    assert len(widths) <= 80
+    assert max(widths) <= config.env.task_count // 2
 
 
 def test_runs_do_not_import_numpy_ma():
