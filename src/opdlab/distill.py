@@ -8,17 +8,17 @@ after k student turns, and backward-curriculum (b2f) first replays the
 first L - k actions of a stored expert trajectory. Evaluation is an opd
 batch. The engine carries the live episodes' env state ids, stepped
 through the env's compiled tables (``next_state``, ``token``,
-``success``), and their history ids, stepped through the student's
-``KeyIndex``. A turn only samples the next action from each episode's
-softmax cumsum (gathered by key id, computed when the row was written) and
-steps the env and the index, a few array operations whatever the batch
-width; only a history new to the index touches Python. The teacher rows,
-turn KL and recorded columns of all played turns are built once per call,
-after the walk. ``policy.window_key`` cuts a full history down to its
-table key, once per new history. Each episode reads its own row of
-uniforms, and its student turn i samples from entry i of the row, so
-expert-prefix turns draw nothing and an episode's results do not depend on
-the other episodes of its batch.
+``success``), and their key ids, stepped through the student's
+``KeyIndex`` (from turn W on, with a window of W turns, to window keys).
+A turn only samples the next action from each episode's softmax cumsum
+(gathered by key id, computed when the row was written) and steps the env
+and the index, a few array operations whatever the batch width; only a
+key new to the index, or with a window a lookup of the next window key,
+touches Python. The teacher rows, turn KL and recorded columns of all
+played turns are built once per call, after the walk. Each episode reads
+its own row of uniforms, and its student turn i samples from entry i of
+the row, so expert-prefix turns draw nothing and an episode's results do
+not depend on the other episodes of its batch.
 
 Every batch comes back as ``Rollouts``: (B, horizon_cap) columns of key
 ids, actions, teacher rows and turn KL, one row per episode. The runtime
@@ -63,7 +63,6 @@ from .policy import (
     sample_cum,
     sample_rows,
     softmax_rows,
-    window_key,
 )
 from .replay import Turns
 
@@ -164,10 +163,12 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
     rows (``TeacherPolicy.pairs``), the student's floored log rows, one
     forward_kl_rows call and a scatter per column; the table is fixed within
     a call and ids interned during it read the default row, so the block
-    reads the rows the turns read. With ``algo`` given every history is
-    interned; without (evaluation) none is, so the index does not grow: a
-    full history outside it reads the default row, and a windowed one is
-    cut from its tuple.
+    reads the rows the turns read. Each episode carries one key id, its
+    full history's up to turn W = ``window`` and its window key's from
+    then on. With ``algo`` or a window given every key is interned, as o_0
+    and W turns bound the window keys; in evaluation without a window none
+    is, so the index does not grow, and a history outside it reads the
+    default row.
 
     Returns ``(kl, rounds, success, rollouts)``: the (B, horizon_cap)
     per-turn KL on every turn played (0 after an episode ends), each
@@ -199,22 +200,17 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
     a = env.config.num_actions
     played = np.full(n, horizon)  # turns each episode played, prefix included
     success = np.zeros(n, dtype=bool)
+    intern = record or window is not None
     # the live episodes with their rows of v, end turns and prefix lengths,
-    # their state ids and their full histories' key ids
+    # their state ids and their key ids
     live, live_v, live_end, live_prefix = np.arange(n), v, end, prefix_len
     state = env.initial_state[task]
     next_state, token, reached = env.next_state, env.token, env.success
-    roots = env.initial_tokens[task].tolist()
-    node = np.array([index.root(o, record) for o in roots], dtype=np.int64)
-    # full histories outside the index, by episode, when a window must cut them
-    cut = window is not None and not record
-    outside = {e: (o,) for e, (o, i) in enumerate(zip(roots, node.tolist())) if cut and not i}
+    key = np.array([index.root(o, intern) for o in env.initial_tokens[task].tolist()],
+                   dtype=np.int64)
     walked = []  # per turn: the live episodes, their key ids, actions and state ids
 
     for t in range(horizon):
-        key = node if window is None else index.windowed(node, window, record)
-        for i in np.flatnonzero(node == 0).tolist() if cut else ():
-            key[i] = index.find(window_key(outside[int(live[i])], window))
         rows = student.read(key)
         if temperature == 1.0:
             actions = sample_cum(rows[:, a:2 * a], live_v[:, t])
@@ -227,18 +223,15 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
         tokens, won = token[state], reached[state]
         if t < last_prefix and np.count_nonzero(won & (t + 1 < live_prefix)):
             raise UsageError("a stored trajectory reached its goal during its expert prefix")
-        child = index.step(node, actions, tokens, record)
-        for i in np.flatnonzero(child == 0).tolist() if cut else ():
-            e, step = int(live[i]), (int(actions[i]), int(tokens[i]))
-            outside[e] = (outside[e] if node[i] == 0 else index.key(node.item(i))) + step
-        node = child
+        key = index.step(key, actions, tokens, intern,
+                         None if window is None or t < window else window)
         ended = won if t + 1 < first_end else won | (live_end == t + 1)
         if np.count_nonzero(ended):
             played[live[ended]] = t + 1
             success[live[won]] = True
             keep = ~ended
-            live, live_v, live_end, live_prefix, state, node = (x[keep] for x in (
-                live, live_v, live_end, live_prefix, state, node))
+            live, live_v, live_end, live_prefix, state, key = (x[keep] for x in (
+                live, live_v, live_end, live_prefix, state, key))
             if not live.size:
                 break
 

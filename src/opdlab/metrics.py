@@ -185,29 +185,36 @@ def write_records(log: MetricsLog, path) -> None:
 
 
 def read_records(path) -> MetricsLog:
-    """Inverse of write_records; rejects schema mismatches explicitly."""
+    """Inverse of write_records; any fault in the file raises a ConfigError
+    that names ``path`` and the file line at fault."""
+    where = ""  # the file line being read, once there is one
     try:
         with open(path) as f:
+            where = "line 1: "
             header = json.loads(f.readline())
-            if header.get("kind") != "metrics":
-                raise ConfigError(f"{path}: not a metrics log")
+            if not isinstance(header, dict) or header.get("kind") != "metrics":
+                raise ConfigError("not a metrics log")
             if header.get("schema_version") != SCHEMA_VERSION:
-                raise ConfigError(
-                    f"{path}: metrics schema version "
-                    f"{header.get('schema_version')} != expected {SCHEMA_VERSION}"
-                )
+                raise ConfigError(f"metrics schema version {header.get('schema_version')} "
+                                  f"!= expected {SCHEMA_VERSION}")
             log = MetricsLog(config_hash=header.get("config_hash", ""))
-            for line in f:
+            for number, line in enumerate(f, start=2):
                 if not line.strip():
                     continue
+                where = f"line {number}: "
                 data = json.loads(line)
-                cls = _RECORD_TYPES.get(data.pop("type", None))
-                if cls is None:
-                    raise ConfigError(f"{path}: record with unknown type")
+                cls = isinstance(data, dict) and _RECORD_TYPES.get(data.pop("type", None))
+                if not cls:
+                    raise ConfigError("not a record object of a known type")
                 log.records.append(cls(**_json_restore_floats(cls, data)))
             return log
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {where}{e}") from None
     except OSError as e:
         raise OSError(f"failed reading metrics log from {path}: {e}") from e
+    except (ValueError, TypeError) as e:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"{path}: {where}cannot read a metrics log "
+                          f"({type(e).__name__}: {e})") from e
 
 
 def write_csv(log: MetricsLog, path) -> None:

@@ -9,7 +9,8 @@ variance-free.
 Keys are int ids. A ``KeyIndex``, shared by the tables of one lineage,
 holds keys only: full histories as a trie (each id knows its parent, last
 action and last token), so the rollout engine advances a batch of histories
-with one array gather, and any other key as a tuple. A ``PolicyParams`` owns
+with one array gather (window keys through a memo), and any other key as
+a tuple. A ``PolicyParams`` owns
 its rows by slot and its slot map, the slot of each key id; each row holds
 the logits and, computed once when the row is written, the cumulative sums
 of their softmax and its floored log, which is what a rollout turn reads.
@@ -47,11 +48,12 @@ def window_key(history: HistoryKey, window: int | None) -> HistoryKey:
     """The table key of a full history (o_0, a_0, ..., o_t): the history itself
     if ``window`` is None or at least t, else o_0 (task identity) and the last
     W = ``window`` turns, (o_0 | o_{t-W}, a_{t-W}, ..., a_{t-1} | o_t). That
-    form has even length and the full one odd, so the two never alias."""
-    t = len(history) // 2
-    if window is None or window >= t:
+    form has even length 2W + 2 and the full one odd, so the two never alias.
+    The rule goes by length alone, so it also cuts a window key followed by
+    one more (action, token) turn to the next window key."""
+    if window is None or len(history) <= 2 * window + 2:
         return history
-    return history[:1] + history[2 * (t - window):]
+    return history[:1] + history[-2 * window - 1:]
 
 
 def encode_history(observations, actions, window: int | None = None) -> HistoryKey:
@@ -188,9 +190,11 @@ class KeyIndex:
     node i by action a to be interned; the engine trusts it only if its
     last token is the token the env emits now, and a child by the same
     action with another token (another env config) is found through a dict,
-    so one index serves any env config. Any other key (windowed keys, other
-    values) is kept as its tuple. The arrays grow by half their size at a
-    time. Which table row holds a key is each table's own record.
+    so one index serves any env config. Any other key (window keys, other
+    values) is kept as its tuple; ``step`` memoizes the window key that
+    follows a key by (action, token) in ``_cuts``. The arrays grow by half
+    their size at a time. Which table row holds a key is each table's own
+    record.
     """
 
     def __init__(self, num_actions: int):
@@ -204,7 +208,7 @@ class KeyIndex:
         self._siblings: dict[tuple[int, int, int], int] = {}
         self._tuples: dict[HistoryKey, int] = {}
         self._tuple_of: dict[int, HistoryKey] = {}
-        self._windowed: dict[int, np.ndarray] = {}  # window -> id of each id's window_key
+        self._cuts: dict[tuple[int, int, int], int] = {}  # (id, action, token) -> window key id
 
     def _new(self, parent: int, action: int, token: int) -> int:
         i = self.size
@@ -212,8 +216,6 @@ class KeyIndex:
             size = i + i // 2
             self.parent, self.act = _grown(self.parent, size, 0), _grown(self.act, size, -1)
             self.last, self.child = _grown(self.last, size, -1), _grown(self.child, size, 0)
-            for window, memo in self._windowed.items():
-                self._windowed[window] = _grown(memo, size, -1)
         self.parent[i], self.act[i], self.last[i] = parent, action, token
         self.size += 1
         return i
@@ -283,36 +285,32 @@ class KeyIndex:
         """The keys of ``ids`` (none 0)."""
         return [self.key(i) for i in np.asarray(ids).tolist()]
 
-    def step(self, node: np.ndarray, actions: np.ndarray, tokens: np.ndarray,
-             intern: bool) -> np.ndarray:
-        """The ids of the histories keys[node] + (actions, tokens), through
+    def step(self, key: np.ndarray, actions: np.ndarray, tokens: np.ndarray,
+             intern: bool, window: int | None = None) -> np.ndarray:
+        """The ids of the histories keys[key] + (actions, tokens), through
         ``child``; a history outside the index is interned, or with ``intern``
-        False gets id 0, as does every child of id 0."""
-        child = self.child[node, actions]
+        False gets id 0, as does every child of id 0. With ``window`` W, given
+        from turn W on, the ids of their window keys instead, always interned."""
+        if window is not None:
+            cuts = self._cuts
+            return np.array([cuts.get(edge) or self._cut(edge, window) for edge in zip(
+                key.tolist(), actions.tolist(), tokens.tolist())], dtype=np.int64)
+        child = self.child[key, actions]
         miss = self.last[child] != tokens
         if not intern:
-            miss &= node > 0
+            miss &= key > 0
         if np.count_nonzero(miss):
-            for i, (m, n, a, o) in enumerate(zip(miss.tolist(), node.tolist(),
+            for i, (m, n, a, o) in enumerate(zip(miss.tolist(), key.tolist(),
                                                  actions.tolist(), tokens.tolist())):
                 if m:
                     child[i] = self._child(n, a, o, intern)
         return child
 
-    def windowed(self, node: np.ndarray, window: int, intern: bool) -> np.ndarray:
-        """The ids of window_key(keys[node], window), memoized per id; a key
-        outside the index is interned, or with ``intern`` False gets id 0."""
-        memo = self._windowed.get(window)
-        if memo is None:
-            memo = self._windowed[window] = np.full(len(self.last), -1, dtype=np.int32)
-            memo[0] = 0
-        key = memo[node]
-        for i in np.flatnonzero(key < 0).tolist():
-            n = node.item(i)
-            key[i] = self._lookup(window_key(self.key(n), window), intern)
-            if key[i]:
-                self._windowed[window][n] = key[i]
-        return key
+    def _cut(self, edge: tuple[int, int, int], window: int) -> int:
+        """The id of window_key(keys[i] + (action, token), window), memoized
+        in ``_cuts`` for the ``edge`` (i, action, token)."""
+        self._cuts[edge] = j = self.intern(window_key(self.key(edge[0]) + edge[1:], window))
+        return j
 
 
 def _with_derived(z: np.ndarray) -> np.ndarray:

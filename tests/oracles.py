@@ -1,10 +1,10 @@
 """Plain forms of opdlab functions that the tests require to give the same
 bytes: the checkpoint and metrics writers, each row or record made as a dict
 and written by a json encoder; the rollout engine with its teacher rows, KL
-and recorded columns computed inside the turn loop; the training loop that
-starts each rollout when it comes due; and the episode summary averaged by
-np.mean. Also the teacher frozen into a logit table, a student that plays
-the expert."""
+and recorded columns computed inside the turn loop and each key cut from
+its episode's full history; the training loop that starts each rollout when
+it comes due; and the episode summary averaged by np.mean. Also the teacher
+frozen into a logit table, a student that plays the expert."""
 
 from __future__ import annotations
 
@@ -99,7 +99,10 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
     """distill.rollout_lockstep with each turn's teacher rows (gathered from
     ``teacher.table[t]``), turn KL (one forward_kl_rows call per turn) and
     recorded columns computed and scattered inside the turn loop, reading the
-    live rows of (B, ...) arrays through the live episode indices."""
+    live rows of (B, ...) arrays through the live episode indices. Each live
+    episode keeps its full history as a tuple, and its key is window_key of
+    that tuple, looked up every turn: interned with ``algo`` given, else
+    found (id 0, the default row, if the index lacks it)."""
     n, horizon = len(task_ids), env.config.horizon_cap
     if not temperature > 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
@@ -130,23 +133,18 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
         key_col = np.zeros((n, horizon), dtype=np.int64)
         action_col = np.zeros((n, horizon), dtype=np.int64)
         teacher_col = np.zeros((n, horizon, a))
-    # the live episodes, their state ids and their full histories' key ids
+    # the live episodes, their state ids and their full histories
     live = np.arange(n)
     state = env.initial_state[task]
     next_state, token, reached = env.next_state, env.token, env.success
     row_class = teacher.row_class
-    roots = env.initial_tokens[task].tolist()
-    node = np.array([index.root(o, record) for o in roots], dtype=np.int64)
-    # full histories outside the index, by episode, when a window must cut them
-    cut = window is not None and not record
-    outside = {e: (o,) for e, (o, i) in enumerate(zip(roots, node.tolist())) if cut and not i}
+    histories = [(o,) for o in env.initial_tokens[task].tolist()]
+    lookup = index.intern if record else index.find
 
     for t in range(horizon):
         # the live rows of (B, ...) arrays; X[:, t][here] indexes faster than X[here, t]
         here = live if live.size < n else slice(None)
-        key = node if window is None else index.windowed(node, window, record)
-        for i in np.flatnonzero(node == 0).tolist() if cut else ():
-            key[i] = index.find(window_key(outside[int(live[i])], window))
+        key = np.array([lookup(window_key(h, window)) for h in histories], dtype=np.int64)
         rows = student.read(key)
         # the teacher's rows and their logs (take gathers rows faster than [])
         pair = teacher.table[t].take(row_class[state], axis=0)
@@ -168,17 +166,14 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
         tokens, won = token[state], reached[state]
         if in_prefix is not None and np.count_nonzero(won & (t + 1 < prefix_len[here])):
             raise UsageError("a stored trajectory reached its goal during its expert prefix")
-        child = index.step(node, actions, tokens, record)
-        for i in np.flatnonzero(child == 0).tolist() if cut else ():
-            e, step = int(live[i]), (int(actions[i]), int(tokens[i]))
-            outside[e] = (outside[e] if node[i] == 0 else index.key(node.item(i))) + step
-        node = child
+        histories = [h + (a, o) for h, a, o in zip(histories, actions.tolist(), tokens.tolist())]
         ended = won if t + 1 < first_end else won | (end[here] == t + 1)
         if np.count_nonzero(ended):
             played[live[ended]] = t + 1
             success[live[won]] = True
             keep = ~ended
-            live, state, node = live[keep], state[keep], node[keep]
+            live, state = live[keep], state[keep]
+            histories = [h for h, kept in zip(histories, keep.tolist()) if kept]
             if not live.size:
                 break
     rollouts = None if not record else Rollouts(

@@ -197,6 +197,25 @@ def test_schema_version_mismatch_rejected(tmp_path):
         read_records(path)
 
 
+HEADER = '{"config_hash": "", "kind": "metrics", "schema_version": 1}\n'
+
+
+@pytest.mark.parametrize("text, line, error", [
+    ("[1, 2]\n", 1, "not a metrics log"),
+    (HEADER + "this is not json\n", 2, "JSONDecodeError"),
+    (HEADER + '{"type": "train", "step": 1}\n', 2, "TypeError"),
+    ("", 1, "JSONDecodeError"),
+    (HEADER + "\n[1]\n", 3, "not a record object"),
+])
+def test_a_malformed_log_is_rejected_naming_the_file_and_line(tmp_path, text, line, error):
+    path = tmp_path / "m.jsonl"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as raised:
+        read_records(path)
+    assert str(raised.value).startswith(f"{path}: line {line}: ")
+    assert error in str(raised.value)
+
+
 def test_floats_serialized_at_9_significant_digits(tmp_path):
     log = MetricsLog()
     log.append(train_record(loss=0.12345678987654321))

@@ -94,6 +94,21 @@ def test_encode_history_equals_the_per_element_reference(data):
     assert window_key(full, window) == key
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_window_key_of_a_window_key_and_one_turn_is_the_next_window_key(data):
+    """Cutting the window key of h followed by one more turn gives the window
+    key of h followed by that turn, so the engine can step window keys
+    without the full history."""
+    t = data.draw(st.integers(0, 9))
+    history = tuple(data.draw(st.lists(st.integers(0, 99), min_size=2 * t + 1,
+                                       max_size=2 * t + 1)))
+    turn = (data.draw(st.integers(0, 5)), data.draw(st.integers(0, 99)))
+    window = data.draw(st.integers(0, 3))
+    assert window_key(window_key(history, window) + turn, window) == window_key(
+        history + turn, window)
+
+
 # -- softmax / a table's action distribution ------------------------------------
 
 

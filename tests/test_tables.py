@@ -152,9 +152,55 @@ def test_training_builds_no_per_turn_record_or_history(monkeypatch, window):
     if window is None:
         assert built[0] == 0  # histories are trie ids; no key tuple is made at all
     else:
-        # training makes one tuple per history new to the index, to cut its
-        # window key; evaluation also cuts those of histories outside the index
-        assert 0 < built[0] - in_evaluation[0] <= result.final_params.index.size
+        # a run makes one tuple per (key, action, token) edge new to the index's
+        # memo of cut edges, to cut the next window key; evaluation meets some too
+        assert 0 < built[0] - in_evaluation[0]
+        assert built[0] == len(result.final_params.index._cuts)
+
+
+def trie_depths(index) -> np.ndarray:
+    """The turns of each full history of ``index`` (0 for (o_0,)), -1 for a
+    kept tuple; id 0 has depth -1."""
+    depth = np.full(index.size, -1)
+    for i in range(1, index.size):  # a parent's id is below its child's
+        parent = index.parent.item(i)
+        if parent >= 0:
+            depth[i] = depth[parent] + 1 if parent else 0
+    return depth
+
+
+@pytest.mark.parametrize("window", [0, 2])
+@pytest.mark.parametrize("algo", ["opd", "b2f"])
+def test_a_windowed_run_interns_its_trie_only_window_turns_deep(algo, window):
+    """Window keys are stepped from window keys, so a windowed run never
+    interns a full history of more than W turns, and every tuple it keeps is
+    a window key, of length 2W + 2."""
+    env = make_env(EnvConfig())
+    store = collect_teacher_trajectories(env, make_teacher(env), 10, np.random.default_rng(7))
+    result = run_training(tiny_cfg(algo=algo, window=window, total_steps=40), store)
+    index = result.final_params.index
+    assert trie_depths(index).max() == window
+    assert {len(key) for key in index._tuple_of.values()} == {2 * window + 2}
+
+
+@pytest.mark.parametrize("window", [None, 0, 2])
+def test_a_repeated_evaluation_interns_nothing(window):
+    """Evaluation without a window interns no key, so a loaded table does not
+    grow however often it is evaluated; with one it interns the keys it
+    meets, which a second evaluation on the same draws meets again."""
+    env = make_env(EnvConfig())
+    teacher = make_teacher(env)
+    for params in (run_training(tiny_cfg(window=window)).final_params,
+                   PolicyParams(env.config.num_actions)):
+        sizes, records = [params.index.size], []
+        for _ in range(2):
+            records.append(runtime.evaluate(params, env, teacher, 64,
+                                            np.random.default_rng(3), window=window))
+            sizes.append(params.index.size)
+        assert records[0] == records[1]
+        assert sizes[2] == sizes[1]
+        assert sizes[1] == sizes[0] if window is None else sizes[1] >= sizes[0]
+    assert (params.index.size == 1) == (window is None)  # the fresh table's
 
 
 @pytest.mark.parametrize("window", [None, 2])
