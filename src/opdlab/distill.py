@@ -11,14 +11,16 @@ through the env's compiled tables (``next_state``, ``token``,
 ``success``), and their key ids, stepped through the student's
 ``KeyIndex`` (from turn W on, with a window of W turns, to window keys).
 A turn only samples the next action from each episode's softmax cumsum
-(gathered by key id, computed when the row was written) and steps the env
-and the index, a few array operations whatever the batch width; only a
-key new to the index, or with a window a lookup of the next window key,
-touches Python. The teacher rows, turn KL and recorded columns of all
-played turns are built once per call, after the walk. Each episode reads
-its own row of uniforms, and its student turn i samples from entry i of
-the row, so expert-prefix turns draw nothing and an episode's results do
-not depend on the other episodes of its batch.
+at the sampling temperature (gathered by key id from ``PolicyParams.cum``,
+which computes it when a row is written), steps the env and drops the
+episodes that ended, and steps the index for the others, a few array
+operations whatever the batch width; only a key new to the index, or with
+a window a lookup of the next window key, touches Python. The teacher
+rows, turn KL and recorded columns of all played turns are built once per
+call, after the walk. Each episode reads its own row of uniforms, and its
+student turn i samples from entry i of the row, so expert-prefix turns
+draw nothing and an episode's results do not depend on the other episodes
+of its batch.
 
 Every batch comes back as ``Rollouts``: (B, horizon_cap) columns of key
 ids, actions, teacher rows and turn KL, one row per episode. The runtime
@@ -61,7 +63,6 @@ from .policy import (
     forward_kl_rows,
     sample_action,
     sample_cum,
-    sample_rows,
     softmax_rows,
 )
 from .replay import Turns
@@ -156,16 +157,16 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
 
     The live episodes are arrays (env state ids, history ids in the
     student's KeyIndex, uniforms, end turns, prefix lengths). A turn only
-    samples the next action from each episode's cached softmax cumsum (at a
-    temperature other than 1, its logits) by key id, steps the env and the
-    index and drops the episodes that ended; only a history new to the index
-    touches Python. After the walk, every played turn is one block: teacher
-    rows (``TeacherPolicy.pairs``), the student's floored log rows, one
-    forward_kl_rows call and a scatter per column; the table is fixed within
-    a call and ids interned during it read the default row, so the block
-    reads the rows the turns read. Each episode carries one key id, its
-    full history's up to turn W = ``window`` and its window key's from
-    then on. With ``algo`` or a window given every key is interned, as o_0
+    samples the next action from each episode's cached softmax cumsum at
+    ``temperature`` (``PolicyParams.cum``) by key id, steps the env, drops
+    the episodes that ended and steps the index for the others; only a
+    history new to the index touches Python. After the walk, every played
+    turn is one block: teacher rows (``TeacherPolicy.pairs``), the
+    student's floored log rows, one forward_kl_rows call and a scatter per
+    column; the table is fixed within a call and ids interned during it
+    read the default row, so the block reads the rows the turns read. Each
+    episode carries one key id, its full history's up to turn W =
+    ``window`` and its window key's from then on. With ``algo`` or a window given every key is interned, as o_0
     and W turns bound the window keys; in evaluation without a window none
     is, so the index does not grow, and a history outside it reads the
     default row.
@@ -192,7 +193,8 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
         v, forced = np.zeros_like(u), np.zeros((n, horizon), dtype=np.int64)
         for e, (prefix, p) in enumerate(zip(prefixes, prefix_len.tolist())):
             v[e, p:], forced[e, :p] = u[e, :horizon - p], prefix
-    end = prefix_len + (horizon if max_student_turns is None else max_student_turns)
+    end = np.minimum(prefix_len + (horizon if max_student_turns is None else max_student_turns),
+                     horizon)
     first_end, last_prefix = int(end.min(initial=horizon)), int(prefix_len.max(initial=0))
 
     record = algo is not None
@@ -206,34 +208,29 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
     live, live_v, live_end, live_prefix = np.arange(n), v, end, prefix_len
     state = env.initial_state[task]
     next_state, token, reached = env.next_state, env.token, env.success
-    key = np.array([index.root(o, intern) for o in env.initial_tokens[task].tolist()],
-                   dtype=np.int64)
+    key = index.roots(env.initial_tokens[task], intern)
     walked = []  # per turn: the live episodes, their key ids, actions and state ids
 
     for t in range(horizon):
-        rows = student.read(key)
-        if temperature == 1.0:
-            actions = sample_cum(rows[:, a:2 * a], live_v[:, t])
-        else:
-            actions = sample_rows(softmax_rows(rows[:, :a], temperature), live_v[:, t])
+        actions = sample_cum(student.cum(key, temperature), live_v[:, t])
         if t < last_prefix:
             actions = np.where(live_prefix > t, forced[live, t], actions)
         walked.append((live, key, actions, state))
         state = next_state[state, actions]
-        tokens, won = token[state], reached[state]
+        won = reached[state]
         if t < last_prefix and np.count_nonzero(won & (t + 1 < live_prefix)):
             raise UsageError("a stored trajectory reached its goal during its expert prefix")
-        key = index.step(key, actions, tokens, intern,
-                         None if window is None or t < window else window)
         ended = won if t + 1 < first_end else won | (live_end == t + 1)
         if np.count_nonzero(ended):
             played[live[ended]] = t + 1
             success[live[won]] = True
             keep = ~ended
-            live, live_v, live_end, live_prefix, state, key = (x[keep] for x in (
-                live, live_v, live_end, live_prefix, state, key))
+            live, live_v, live_end, live_prefix, state, key, actions = (x[keep] for x in (
+                live, live_v, live_end, live_prefix, state, key, actions))
             if not live.size:
                 break
+        key = index.step(key, actions, token[state], intern,
+                         None if window is None or t < window else window)
 
     e, key, actions, state = [np.concatenate(column, dtype=np.int64) for column in zip(*walked)]
     t = np.repeat(np.arange(len(walked)), [len(turn[0]) for turn in walked])

@@ -14,6 +14,9 @@ a tuple. A ``PolicyParams`` owns
 its rows by slot and its slot map, the slot of each key id; each row holds
 the logits and, computed once when the row is written, the cumulative sums
 of their softmax and its floored log, which is what a rollout turn reads.
+The cumulative sums at any other temperature a lineage is read at (the
+evaluation temperature) are one more block by slot, built for the whole
+table on its first read and rewritten row by row as the learner writes.
 Tables are read by key id, and an id the table has not written, one interned
 after its last write too, reads the default row. A learner step writes its
 K rows in place and hands the arrays to the new table, so the stepped table
@@ -262,9 +265,16 @@ class KeyIndex:
     def intern(self, key: HistoryKey) -> int:
         return self._lookup(key, True)
 
-    def root(self, token: int, intern: bool) -> int:
-        """The id of the history (token,), as _child gives it."""
-        return self._child(0, -1, token, intern)
+    def roots(self, tokens: np.ndarray, intern: bool) -> np.ndarray:
+        """The ids of the histories (token,) of ``tokens``, as _child gives
+        them: those outside the index interned in order, or with ``intern``
+        False id 0."""
+        roots = self._roots
+        ids = np.array([roots.get(o, 0) for o in tokens.tolist()], dtype=np.int64)
+        if intern and not ids.all():
+            for e in np.flatnonzero(ids == 0).tolist():
+                ids[e] = self._child(0, -1, tokens.item(e), True)
+        return ids
 
     def find(self, key: HistoryKey) -> int:
         """The id of ``key``, 0 if it has none."""
@@ -289,8 +299,9 @@ class KeyIndex:
              intern: bool, window: int | None = None) -> np.ndarray:
         """The ids of the histories keys[key] + (actions, tokens), through
         ``child``; a history outside the index is interned, or with ``intern``
-        False gets id 0, as does every child of id 0. With ``window`` W, given
-        from turn W on, the ids of their window keys instead, always interned."""
+        False gets id 0, as does every child of id 0, with no Python call for
+        an empty child slot. With ``window`` W, given from turn W on, the ids
+        of their window keys instead, always interned."""
         if window is not None:
             cuts = self._cuts
             return np.array([cuts.get(edge) or self._cut(edge, window) for edge in zip(
@@ -298,7 +309,7 @@ class KeyIndex:
         child = self.child[key, actions]
         miss = self.last[child] != tokens
         if not intern:
-            miss &= key > 0
+            miss &= child > 0  # an empty slot: outside the index, id 0
         if np.count_nonzero(miss):
             for i, (m, n, a, o) in enumerate(zip(miss.tolist(), key.tolist(),
                                                  actions.tolist(), tokens.tolist())):
@@ -320,21 +331,29 @@ def _with_derived(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z, np.cumsum(q, axis=1), log_floor(q)], axis=1)
 
 
+def _cum_rows(z: np.ndarray, temperature: float) -> np.ndarray:
+    """The cumulative sums of softmax_rows(z, temperature), which sample_cum takes."""
+    return np.cumsum(softmax_rows(z, temperature), axis=1)
+
+
 class PolicyParams:
     """Logit table for one policy, over the key ids of a shared KeyIndex.
 
-    The table owns three arrays: its (R, 3A) rows by slot, each row the
-    logits and what the rollout engine reads of them (see _with_derived),
-    so a row's softmax is computed once, when it is written; ``slot[i]``,
-    the slot of key id i; and ``keys[s]``, the key id of slot s, for the K
-    written slots in the order they were first written. The last row is
-    the default row and the last entry of ``slot`` is NO_SLOT, so an id the
-    table has not written, or one past ``slot``, reads the default row.
-    ``with_rows`` (which apply_gradient uses) makes the next table of the
-    lineage by writing its K rows in place and handing the arrays on, so a
-    learner step costs its K rows and the stepped table raises UsageError
-    when read. ``snapshot`` is an independent copy, which gives out its own
-    slots from then on. ``logits`` is a copy of the written rows.
+    The table owns its (R, 3A) rows by slot, each row the logits and what
+    the rollout engine reads of them (see _with_derived), so a row's softmax
+    is computed once, when it is written; ``slot[i]``, the slot of key id i;
+    ``keys[s]``, the key id of slot s, for the K written slots in the order
+    they were first written; and for each temperature other than 1 that the
+    lineage was read at, an (R, A) block by slot of the rows' cumulative
+    sums at that temperature (see ``cum``). The last row (of each block
+    too) is the default row and the last entry of ``slot`` is NO_SLOT, so
+    an id the table has not written, or one past ``slot``, reads the
+    default row. ``with_rows`` (which apply_gradient uses) makes the next
+    table of the lineage by writing its K rows in place, in every block
+    too, and handing the arrays on, so a learner step costs its K rows and
+    the stepped table raises UsageError when read. ``snapshot`` is an
+    independent copy, which gives out its own slots from then on.
+    ``logits`` is a copy of the written rows.
     """
 
     def __init__(self, num_actions: int, logits=None, default_logits=None, version: int = 0):
@@ -346,7 +365,7 @@ class PolicyParams:
         self.index = KeyIndex(num_actions)
         row = _with_derived(self.default_logits[None])
         self._own(np.repeat(row, 8, axis=0), np.full(64, NO_SLOT, dtype=np.int32),
-                  np.zeros(0, dtype=np.int64))
+                  np.zeros(0, dtype=np.int64), {})
         if logits:
             rows = [np.asarray(row, dtype=np.float64) for row in logits.values()]
             for key, row in zip(logits, rows):
@@ -356,14 +375,15 @@ class PolicyParams:
                             np.reshape(rows, (-1, num_actions)))
 
     def _own(self, table: np.ndarray | None, slot: np.ndarray | None,
-             keys: np.ndarray | None) -> None:
-        """Take ``table``, ``slot`` and ``keys`` as this table's arrays,
-        read-only between writes; None marks the table stepped."""
-        self._table, self._slot, self._keys = table, slot, keys
+             keys: np.ndarray | None, cums: dict[float, np.ndarray] | None) -> None:
+        """Take ``table``, ``slot``, ``keys`` (read-only between writes) and
+        the blocks ``cums`` by temperature as this table's arrays; None marks
+        the table stepped."""
+        self._table, self._slot, self._keys, self._cums = table, slot, keys, cums
         if table is not None:
             table.flags.writeable = slot.flags.writeable = keys.flags.writeable = False
 
-    def _next(self, version: int, *arrays: np.ndarray) -> "PolicyParams":
+    def _next(self, version: int, *arrays) -> "PolicyParams":
         """A table of this lineage at ``version`` that owns ``arrays``."""
         params = object.__new__(PolicyParams)
         params.num_actions, params.default_logits = self.num_actions, self.default_logits
@@ -371,12 +391,12 @@ class PolicyParams:
         params._own(*arrays)
         return params
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The table's rows by slot, ``slot`` and ``keys``."""
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[float, np.ndarray]]:
+        """The table's rows by slot, ``slot``, ``keys`` and its blocks by temperature."""
         if self._table is None:
             raise UsageError(f"table version {self.version} was stepped, which wrote over "
                              f"its rows; read a snapshot() taken before the step")
-        return self._table, self._slot, self._keys
+        return self._table, self._slot, self._keys, self._cums
 
     @property
     def table(self) -> np.ndarray:
@@ -386,33 +406,52 @@ class PolicyParams:
     @property
     def logits(self) -> "RowBlock":
         """The written rows, in slot order, as a RowBlock (a copy)."""
-        table, _, keys = self._arrays()
+        table, _, keys, _ = self._arrays()
         return RowBlock(self.index, keys.copy(), table[:len(keys), :self.num_actions].copy())
 
     def read(self, ids: np.ndarray) -> np.ndarray:
         """The (len(ids), 3A) rows at key ``ids``; an id the table has not
         written reads the default row."""
-        table, slot, _ = self._arrays()
+        table, slot, _, _ = self._arrays()
         return table.take(slot.take(ids, mode="clip"), axis=0)  # take gathers faster than []
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """The (len(ids), A) logit rows at key ``ids``."""
         return self.read(ids)[:, :self.num_actions]
 
+    def cum(self, ids: np.ndarray, temperature: float) -> np.ndarray:
+        """The (len(ids), A) rows np.cumsum(softmax_rows(logits, temperature),
+        axis=1) at key ``ids``, which sample_cum takes: at temperature 1 the
+        rows' own columns, else the temperature's block, which the first
+        read at it builds for the whole table and which every later table
+        of the lineage keeps current."""
+        table, slot, _, cums = self._arrays()
+        slots = slot.take(ids, mode="clip")
+        if temperature == 1.0:
+            return table.take(slots, axis=0)[:, self.num_actions:2 * self.num_actions]
+        block = cums.get(temperature)
+        if block is None:
+            block = cums[temperature] = self._cum_block(table, temperature)
+        return block.take(slots, axis=0)
+
+    def _cum_block(self, table: np.ndarray, temperature: float) -> np.ndarray:
+        """The (R, A) block of the _cum_rows of every row of ``table``."""
+        return _cum_rows(table[:, :self.num_actions], temperature)
+
     def with_rows(self, ids: np.ndarray, rows: np.ndarray, version: int) -> "PolicyParams":
         """The next table of this lineage, at ``version``: this one with the
         (K, A) ``rows`` written in place at the distinct key ``ids``. It takes
         this table's arrays, so reading this table afterwards raises."""
         table = self._next(version, *self._arrays())
-        self._own(None, None, None)
+        self._own(None, None, None, None)
         table._write_ids(ids, rows)
         return table
 
     def _write_ids(self, ids: np.ndarray, rows: np.ndarray) -> None:
         """Write the (K, A) logit rows ``rows`` at the distinct key ``ids`` in
-        place, as their _with_derived rows; ids without a slot get the next
-        free slots, in order."""
-        table, slot, keys = self._arrays()
+        place, as their _with_derived rows and in each block as their
+        _cum_rows; ids without a slot get the next free slots, in order."""
+        table, slot, keys, cums = self._arrays()
         top = int(ids.max(initial=0)) + 2  # keep NO_SLOT last
         if top > len(slot):
             slot = _grown(slot, max(len(slot) + len(slot) // 2, top), NO_SLOT)
@@ -425,16 +464,24 @@ class PolicyParams:
             slot.flags.writeable = True
             slot[ids[new]] = slots[new]
         if len(keys) >= len(table):  # keep the default row last
-            table = _grown(table, max(len(table) + len(table) // 2, len(keys) + 1), table[-1])
+            size = max(len(table) + len(table) // 2, len(keys) + 1)
+            table = _grown(table, size, table[-1])
+            for temperature, block in cums.items():
+                cums[temperature] = _grown(block, size, block[-1])
         table.flags.writeable = True
         for start in range(0, len(slots), 1024):  # in blocks, to bound the temporaries
-            table[slots[start:start + 1024]] = _with_derived(rows[start:start + 1024])
-        self._own(table, slot, keys)
+            part, at = rows[start:start + 1024], slots[start:start + 1024]
+            table[at] = _with_derived(part)
+            for temperature, block in cums.items():
+                block[at] = _cum_rows(part, temperature)
+        self._own(table, slot, keys, cums)
 
     def snapshot(self) -> "PolicyParams":
         """An independent copy on the same index: later steps of this table's
-        lineage leave its rows and slots as they are."""
-        return self._next(self.version, *(array.copy() for array in self._arrays()))
+        lineage leave its rows, slots and blocks as they are."""
+        table, slot, keys, cums = self._arrays()
+        return self._next(self.version, table.copy(), slot.copy(), keys.copy(),
+                          {temperature: block.copy() for temperature, block in cums.items()})
 
 
 class RowBlock(Mapping):
@@ -529,7 +576,7 @@ def save_params(params: PolicyParams, path) -> None:
         "default_logits": [float(x) for x in params.default_logits],
     }
     index, width = params.index, params.num_actions
-    table, slot, keys = params._arrays()
+    table, slot, keys, _ = params._arrays()
     bits = table.view(np.int64)  # the rows by slot, each float as its bits
     wanted = np.zeros(index.size, dtype=bool)
     wanted[keys] = True

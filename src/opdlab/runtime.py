@@ -18,11 +18,12 @@ engine runs them before they start, as optimistic concurrency control
 would: when the queue runs short, one call runs those that start now and
 pre-starts the next ones, up to half a task cycle in all (16 rollouts at
 the default 32 tasks, against a wave's 3), on the current table and
-horizon, but none past the rollouts the remaining steps are sure to start.
-A pre-started rollout is kept when it starts if it ran with the
-student-turn cap (f2b) and expert prefix lengths (b2f) of the current
-horizon and no key id in its ``keys`` row was written by a learner step
-after the version it ran on; it is then tagged with the current version.
+horizon, but none past the rollouts the remaining steps are sure to start
+(for f2b and b2f, those before the horizon next changes). A pre-started
+rollout is kept when it starts if it ran with the student-turn cap (f2b)
+and expert prefix lengths (b2f) of the current horizon and no key id in
+its ``keys`` row was written by a learner step after the version it ran
+on; it is then tagged with the current version.
 The others run again, together, on their own rows of uniforms. Every key
 starts with the task's first token, and the rollouts of half a task cycle
 are of distinct tasks, so a learner step writes a row that a pre-started
@@ -355,11 +356,13 @@ class _Starter:
             self._renew(min(due, held), params, k)
         if due > held:
             # the missing rollouts and, pre-started, the next ones up to half a
-            # task cycle, but none past those the run is sure to start: this
-            # wave's and ``least`` in each later step
-            tasks = config.env.task_count
-            count = max(due - held, min(tasks // 2,
-                                        width + (config.total_steps - n - 1) * self.least - held))
+            # task cycle, but none past those sure to start before the run ends,
+            # or for f2b and b2f before k next changes: this wave's and
+            # ``least`` in each later step
+            tasks, stop = config.env.task_count, config.total_steps
+            if config.algo != ALGO_OPD and k < config.cap:
+                stop = min(stop, steps_to_full_horizon(config.schedule(), k + 1))
+            count = max(due - held, min(tasks // 2, width + (stop - n - 1) * self.least - held))
             u = self.rng.random((count, config.env.horizon_cap))
             batch = self._run(params, (self.delivered + held + np.arange(count)) % tasks, k, u)
             self.queue = self.queue.joined(batch) if held else batch

@@ -391,12 +391,7 @@ def test_engine_matches_the_in_loop_oracle_bitwise(num_actions, kind, temperatur
     assert rounds.tolist() == rounds0.tolist() and success.tolist() == success0.tolist()
     assert (r is None) == (r0 is None) == (algo is None)
     if r is not None:
-        # the engine also interns each episode's key after its last turn, and the
-        # oracle does not, so their key ids differ: compare the keys
-        assert r.keys.dtype == r0.keys.dtype and np.array_equal(r.keys == 0, r0.keys == 0)
-        played = r.keys != 0
-        assert r.index.keys(r.keys[played]) == r0.index.keys(r0.keys[played])
-        for name in ("actions", "teacher", "kl", "prefix_len", "rounds", "success"):
+        for name in ("keys", "actions", "teacher", "kl", "prefix_len", "rounds", "success"):
             x, y = getattr(r, name), getattr(r0, name)
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 

@@ -534,6 +534,37 @@ def test_a_default_opd_run_reruns_no_prestarted_rollout():
     assert max(widths) <= config.env.task_count // 2
 
 
+@pytest.mark.parametrize("algo", ["f2b", "b2f"])
+def test_a_default_curriculum_run_reruns_few_prestarted_rollouts(algo):
+    """f2b and b2f pre-start no rollout past those sure to start before the
+    curriculum horizon next changes, so few run again when they come due."""
+    config = RunConfig(algo=algo, eval_every=400)
+    with training_rollouts() as widths:
+        result = run_training(config, collect_for(config) if algo == "b2f" else None)
+    delivered = sum(r.n_rollouts for r in result.log.eval_records(split="rollout"))
+    assert 0 <= sum(widths) - delivered <= 5
+
+
+def test_the_sampling_sums_are_built_once_per_temperature(monkeypatch):
+    """A run reads its tables at two temperatures other than 1, training's
+    and evaluation's, and builds each whole-table block once, not once per
+    evaluation or engine call; the records are those of the in-loop engine,
+    which takes the softmax of the logits every turn."""
+    config = RunConfig(algo="opd", total_steps=40, eval_every=5, train_temperature=0.7)
+    builds, real = [], PolicyParams._cum_block
+
+    def spy(self, table, temperature):
+        builds.append(temperature)
+        return real(self, table, temperature)
+
+    with mock.patch.object(PolicyParams, "_cum_block", spy):
+        records = run_training(config).log.records
+    assert sorted(builds) == [0.4, 0.7]
+    with mock.patch.object(distill, "rollout_lockstep", oracles.rollout_lockstep), \
+            mock.patch.object(runtime, "rollout_lockstep", oracles.rollout_lockstep):
+        assert run_training(config).log.records == records
+
+
 def test_runs_do_not_import_numpy_ma():
     """numpy.ma holds about 1 MB once imported, and a plain np.unique (also
     inside np.isin) imports it; no run of any algo or mode does."""

@@ -24,7 +24,14 @@ from opdlab.distill import (
 from opdlab.env import EnvConfig, make_env, make_teacher
 from opdlab.errors import UsageError
 from opdlab.metrics import SPLIT_ROLLOUT, EvalRecord
-from opdlab.policy import NO_SLOT, KeyIndex, PolicyParams, load_params, save_params
+from opdlab.policy import (
+    NO_SLOT,
+    KeyIndex,
+    PolicyParams,
+    load_params,
+    save_params,
+    softmax_rows,
+)
 from opdlab import runtime
 from opdlab.runtime import (
     RunConfig,
@@ -203,6 +210,28 @@ def test_a_repeated_evaluation_interns_nothing(window):
     assert (params.index.size == 1) == (window is None)  # the fresh table's
 
 
+def test_an_evaluation_makes_no_key_call_per_episode(monkeypatch):
+    """Without a window, an evaluation finds its root keys by one search and
+    gives a history that leaves the index id 0 with no KeyIndex._child call
+    (only a child by the same action with another token needs one)."""
+    env = make_env(EnvConfig())
+    teacher = make_teacher(env)
+    params = run_training(tiny_cfg()).final_params
+    calls, left, child, step = [], [], KeyIndex._child, KeyIndex.step
+    monkeypatch.setattr(KeyIndex, "_child",
+                        lambda self, *args: calls.append(args) or child(self, *args))
+
+    def stepped(*args):
+        ids = step(*args)
+        left.append(np.count_nonzero(ids == 0))
+        return ids
+
+    monkeypatch.setattr(KeyIndex, "step", stepped)
+    u = np.random.default_rng(3).random((64, env.config.horizon_cap))
+    rollout_lockstep(env, params, teacher, np.arange(64) % env.config.task_count, u)
+    assert calls == [] and sum(left) > 0  # histories left the index, with no call
+
+
 @pytest.mark.parametrize("window", [None, 2])
 def test_a_repeated_batch_builds_no_history_and_interns_nothing(monkeypatch, window):
     env = make_env(EnvConfig())
@@ -283,6 +312,53 @@ def test_a_snapshot_keeps_its_rows_through_later_steps():
         for key in probes:
             assert row_at(table, key).tobytes() == reference.get(key, default).tobytes()
     assert [t.version for t in tables] == list(range(9)) + [3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_actions=st.integers(2, 9), temperature=st.sampled_from((0.25, 0.4, 0.7, 1.0, 2.0)),
+       steps=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_sampling_sums_stay_those_of_a_softmax_taken_at_each_read(num_actions, temperature,
+                                                                      steps, seed):
+    """cum(ids, T) of a random table read at T has the bytes of the cumulative
+    sums of softmax_rows(rows(ids), T) after each of 1-5 steps that write old
+    and new keys, which grow it past 8 slots and 64 ids, for written,
+    unwritten and past-the-end ids; a snapshot taken before the steps keeps
+    its sums, and each stepped table raises."""
+    gen = np.random.default_rng(seed)
+    a = num_actions
+
+    def logits(count):
+        """Random rows, some steep enough that their softmax has exact zeros."""
+        return gen.normal(0.0, 3.0, (count, a)) * np.where(gen.random((count, 1)) < 0.2, 40, 1)
+
+    def check(table):
+        ids = np.arange(table.index.size + 3)
+        expected = np.cumsum(softmax_rows(table.rows(ids), temperature), axis=1)
+        assert table.cum(ids, temperature).tobytes() == expected.tobytes()
+        return expected
+
+    keys = [(int(k),) for k in gen.permutation(1000)]  # distinct keys, drawn in order
+    first = int(gen.integers(0, 6))
+    params = PolicyParams(a, dict(zip(keys[:first], logits(first))), logits(1)[0])
+    written, fresh = keys[:first], keys[first:]
+    check(params)
+    before = params.snapshot()
+    sums = check(before)
+    for version in range(1, steps + 1):
+        old = [written[i] for i in gen.permutation(len(written))[:int(gen.integers(0, 10))]]
+        count = int(gen.integers(40, 70))
+        new, unwritten, fresh = fresh[:count], fresh[count:count + 30], fresh[count + 30:]
+        for key in unwritten:
+            params.index.intern(key)
+        ids = np.array([params.index.intern(key) for key in old + new])
+        stepped, params = params, params.with_rows(ids, logits(len(ids)), version)
+        written += new
+        check(params)
+        with pytest.raises(UsageError, match="was stepped"):
+            stepped.cum(ids, temperature)
+    assert len(params.logits) > 8 and params.index.size > 64
+    assert before.cum(np.arange(len(sums)), temperature).tobytes() == sums.tobytes()
+    check(before)
 
 
 def test_ids_interned_after_the_last_write_read_the_default_row(tmp_path):
