@@ -36,9 +36,11 @@ learner (``batch_gradient``) reads the student's rows once, as one row
 block gathered by key id, takes the softmax of their logits for the
 gradient and their stored floored log for the KL, and ``apply_gradient``
 writes its K rows as one (K, A) block. The SFT baseline trains an
-``SftBlock`` built once per run from ``store_turns`` (which replays the
-store through ``Env.play``): its steps (``sft_update``, ``nll_loss``)
-touch only arrays.
+``SftBlock`` built once per run from ``store_turns``, one engine call that
+plays the store as expert prefixes, so SFT keys are built as b2f prefix
+keys are; its steps (``sft_update``, ``nll_loss``) touch only arrays.
+Expert collection and the store checks walk state ids through the env's
+tables too.
 All give bitwise the results of a per-entry loop over the scalar softmax,
 KL and gradient.
 """
@@ -52,14 +54,12 @@ import numpy as np
 
 from .atomic import atomic_open
 from .curriculum import b2f_prefix_len
-from .env import Env, EnvState, TeacherPolicy
+from .env import Env, TeacherPolicy
 from .errors import ConfigError, UsageError
 from .policy import (
-    HistoryKey,
     KeyIndex,
     PolicyParams,
     RowBlock,
-    encode_history,
     forward_kl_rows,
     sample_action,
     sample_cum,
@@ -397,16 +397,22 @@ def collect_teacher_trajectories(env: Env, teacher: TeacherPolicy, pass_m: int,
                                  ) -> TeacherTrajectoryStore:
     """Sample up to pass_m expert rollouts per task, keeping the first success.
 
-    Tasks with no success within pass_m attempts are excluded from the store
-    and reported via ``skipped_tasks``.
+    An attempt walks state ids through the env's tables, drawing each action
+    with ``sample_action`` from the teacher's row, until the goal or
+    horizon_cap turns. Tasks with no success within pass_m attempts are
+    excluded from the store and reported via ``skipped_tasks``.
     """
     if pass_m < 1:
         raise ConfigError(f"pass_m must be >= 1, got {pass_m}")
     store = TeacherTrajectoryStore(collection_seed=collection_seed)
     for task_id in range(env.config.task_count):
         for _ in range(pass_m):
-            states, actions = env.play(task_id, lambda s: sample_action(teacher.dist(s), rng))
-            if states[-1].success:
+            state, actions = env.initial_state.item(task_id), []
+            while len(actions) < env.config.horizon_cap and not env.success.item(state):
+                dist = teacher.pairs(len(actions), state)[:teacher.num_actions]
+                actions.append(sample_action(dist, rng))
+                state = env.next_state.item(state, actions[-1])
+            if env.success.item(state):
                 store.actions_by_task[task_id] = actions
                 break
         else:
@@ -414,16 +420,23 @@ def collect_teacher_trajectories(env: Env, teacher: TeacherPolicy, pass_m: int,
     return store
 
 
-def _replay(env: Env, task_id: int, actions: list[int]) -> list[EnvState]:
-    """The states of a stored expert trajectory replayed from reset, the reset
-    state first. Raises ConfigError unless its last action, and no earlier
-    one, reaches the goal."""
-    remaining = iter(actions)
-    states, played = env.play(task_id, lambda state: next(remaining, None))
-    if len(played) != len(actions) or not states[-1].success:
+def _check_trajectory(env: Env, task_id: int, actions: list[int]) -> None:
+    """Raise ConfigError unless ``task_id`` is a task of ``env`` and the
+    stored expert ``actions``, each in [0, num_actions), reach its goal at
+    the last action and no earlier, within horizon_cap turns."""
+    c = env.config
+    if not 0 <= task_id < c.task_count:
+        raise ConfigError(f"task_id {task_id} out of range [0, {c.task_count})")
+    if not all(0 <= a < c.num_actions for a in actions):
+        raise ConfigError(f"task {task_id} has an action outside [0, {c.num_actions})")
+    state = env.initial_state.item(task_id)
+    for action in actions[:-1]:
+        state = env.next_state.item(state, action)
+    # a goal state maps to itself, so one reached early is still reached here
+    if not (0 < len(actions) <= c.horizon_cap and not env.success.item(state)
+            and env.success.item(env.next_state.item(state, actions[-1]))):
         raise ConfigError(f"stored trajectory for task {task_id} does not reach the "
                           "goal at its last action in this environment")
-    return states
 
 
 def save_store(store: TeacherTrajectoryStore, path) -> None:
@@ -469,10 +482,9 @@ def load_store(path, env: Env) -> TeacherTrajectoryStore:
                     raise ConfigError("task_id, length and actions must be ints")
                 if len(actions) != row["length"]:
                     raise ConfigError(f"length mismatch for task {task_id}")
-                if not all(0 <= a < env.config.num_actions for a in actions):
-                    raise ConfigError(f"task {task_id} has an action outside "
-                                      f"[0, {env.config.num_actions})")
-                _replay(env, task_id, actions)
+                if task_id in store.actions_by_task:
+                    raise ConfigError(f"task {task_id} has a row on an earlier line")
+                _check_trajectory(env, task_id, actions)
                 store.actions_by_task[task_id] = actions
     except ConfigError as e:
         raise ConfigError(f"{path}: {where}{e}") from None
@@ -487,26 +499,31 @@ def load_store(path, env: Env) -> TeacherTrajectoryStore:
 # ---------------------------------------------------------------------------
 
 
-def store_turns(env: Env, store: TeacherTrajectoryStore,
-                window: int | None = None) -> list[tuple[HistoryKey, int]]:
-    """Materialize (history key, expert action) pairs for every stored turn."""
-    pairs: list[tuple[HistoryKey, int]] = []
-    for task_id in store.task_ids():
-        actions = store.actions_by_task[task_id]
-        tokens = [s.token for s in _replay(env, task_id, actions)]
-        pairs.extend((encode_history(tokens[:t + 1], actions[:t], window), a)
-                     for t, a in enumerate(actions))
-    return pairs
+def store_turns(env: Env, teacher: TeacherPolicy, store: TeacherTrajectoryStore,
+                params: PolicyParams, window: int | None = None,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The key ids (in ``params.index``) and expert actions of every stored
+    turn, task by task in turn order: one rollout_lockstep call that plays
+    each checked trajectory whole as its expert prefix, with no student turn,
+    so each key is built as a b2f prefix key is."""
+    tasks = store.task_ids()
+    prefixes = [store.actions_by_task[task_id] for task_id in tasks]
+    for task_id, actions in zip(tasks, prefixes):
+        _check_trajectory(env, task_id, actions)
+    u = np.zeros((len(tasks), env.config.horizon_cap))
+    played = rollout_lockstep(env, params, teacher, tasks, u, window=window,
+                              max_student_turns=0, prefixes=prefixes, algo=ALGO_SFT)[3]
+    stored = np.arange(u.shape[1]) < played.prefix_len[:, None]
+    return played.keys[stored], played.actions[stored]
 
 
 @dataclass(eq=False)
 class SftBlock:
-    """SFT state as arrays: the turns' distinct history keys (ids in
-    ``base.index``) in order of first occurrence, each turn's slot among
-    them, the keys' (U, A) logit rows ``z``, which no step writes, and
-    q = softmax_rows(z[slots])."""
+    """SFT state as arrays: the turns' distinct key ids in order of first
+    occurrence, each turn's slot among them, the keys' (U, A) logit rows
+    ``z``, which no step writes, and q = softmax_rows(z[slots]). A table
+    takes the block's rows by ``with_rows(ids, z, version)``."""
 
-    base: PolicyParams  # the table the run started from
     ids: np.ndarray
     slots: np.ndarray
     experts: tuple[np.ndarray, np.ndarray]  # the (turn, expert action) index of q
@@ -514,18 +531,15 @@ class SftBlock:
     q: np.ndarray
     version: int
 
-    def params(self) -> PolicyParams:
-        """The block's rows written over a copy of ``base``, as a table."""
-        return self.base.snapshot().with_rows(self.ids, self.z, self.version)
 
-
-def sft_block(turns: list[tuple[HistoryKey, int]], params: PolicyParams) -> SftBlock:
-    """store_turns' ``turns`` as a block that starts from the rows of ``params``."""
-    ids = np.array([params.index.intern(key) for key, _ in turns], dtype=np.int64)
-    ids, slots = _first_occurrence(ids)
+def sft_block(ids: np.ndarray, actions: np.ndarray, params: PolicyParams) -> SftBlock:
+    """The turns with key ``ids`` (in ``params.index``) and expert ``actions``,
+    as store_turns gives them, as a block that starts from the rows of
+    ``params``."""
+    ids, slots = _first_occurrence(np.asarray(ids, dtype=np.int64))
     z = params.rows(ids)
-    experts = (np.arange(len(turns)), np.array([a for _, a in turns], dtype=np.intp))
-    return SftBlock(params, ids, slots, experts, z, softmax_rows(z[slots]), params.version)
+    experts = (np.arange(len(slots)), np.asarray(actions, dtype=np.intp))
+    return SftBlock(ids, slots, experts, z, softmax_rows(z[slots]), params.version)
 
 
 def sft_update(block: SftBlock, lr: float) -> SftBlock:

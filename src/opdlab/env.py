@@ -15,23 +15,23 @@ Each ``Env`` compiles the skeleton into state-indexed tables when it is
 built: the transition rule is written once, in ``Env._compile``, and
 applied to every (task, pos, recovery debt) at once. ``Env.step``, the
 teacher and the lockstep rollout engine in ``distill`` all read those
-tables. An episode is a sequence of frozen ``EnvState`` values, each
-carrying the observation token it emits; ``Env.play`` walks one from reset,
-taking each action from a caller's rule. Every transition is a pure
-function of (config, task_id, action sequence), so token sequences are
-bit-reproducible across runs and platforms.
+tables, and expert collection and the store checks in ``distill`` walk
+state ids through them too. ``reset`` and ``step`` give an episode as a
+sequence of frozen ``EnvState`` values, each carrying the observation token
+it emits. Every transition is a pure function of (config, task_id, action
+sequence), so token sequences are bit-reproducible across runs and
+platforms.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .policy import log_rows, softmax
+from .policy import log_rows, softmax_rows
 
 COMPOUNDING_CHAIN = "compounding_chain"
 MEMORY_LOCK = "memory_lock"
@@ -105,9 +105,8 @@ class Env:
     ``initial_tokens[task]``.
 
     Episode state lives entirely in EnvState values: ``reset`` and ``step``
-    return a new one and never change the Env; ``play`` walks one episode
-    through them. The lockstep rollout engine steps arrays of ids through
-    the same tables.
+    return a new one and never change the Env. The lockstep rollout engine
+    steps arrays of ids through the same tables.
     """
 
     def __init__(self, config: EnvConfig):
@@ -193,6 +192,7 @@ class Env:
     # -- episode interface --------------------------------------------------
 
     def reset(self, task_id: int) -> EnvState:
+        """The reset state of ``task_id``; kept as a name because bench/tracing.py traces it."""
         c = self.config
         if not 0 <= task_id < c.task_count:
             raise ConfigError(
@@ -202,6 +202,7 @@ class Env:
                         success=False, token=int(self.initial_tokens[task_id]))
 
     def step(self, state: EnvState, action: int) -> EnvState:
+        """The state after ``action``; kept as a name because bench/tracing.py traces it."""
         c = self.config
         if state.done:
             raise UsageError("step() called on a terminal state")
@@ -214,25 +215,6 @@ class Env:
                         recovery_left=self.recovery.item(s), turn=turn,
                         done=success or turn >= c.horizon_cap, success=success,
                         token=self.token.item(s))
-
-    def play(self, task_id: int, choose: Callable[[EnvState], int | None],
-             ) -> tuple[list[EnvState], list[int]]:
-        """Play one episode of ``task_id`` from reset.
-
-        Each action is ``choose(state)`` on the latest state, until the
-        episode is done or ``choose`` returns None. Returns the states
-        visited, the reset state first, and the actions taken, one fewer.
-        """
-        state = self.reset(task_id)
-        states, actions = [state], []
-        while not state.done:
-            action = choose(state)
-            if action is None:
-                break
-            state = self.step(state, action)
-            states.append(state)
-            actions.append(action)
-        return states, actions
 
     # -- oracle surface: the per-task draws and the expert ---------------------
 
@@ -333,12 +315,8 @@ class TeacherPolicy:
 
     def _turn(self, turn: int) -> np.ndarray:
         """The (classes, 2A) [distributions | log_rows] of ``turn``."""
-        sharp = []
-        for action in range(self.num_actions):
-            logits = np.zeros(self.num_actions)
-            logits[action] = self._gap(turn)
-            sharp.append(softmax(logits))
-        sharp = np.stack(sharp)[:, None, :]  # (A, 1, A): a row per expert action
+        # (A, 1, A): a row per expert action
+        sharp = softmax_rows(self._gap(turn) * np.eye(self.num_actions))[:, None, :]
         c = self.config
         recovery = np.arange(self.env.recovery_levels)
         lam = np.maximum(c.off_support_floor, c.depth_decay ** recovery)[:, None]
@@ -351,7 +329,8 @@ class TeacherPolicy:
         return self.table[turns, self.row_class[states]]
 
     def dist(self, state: EnvState) -> np.ndarray:
-        """Action distribution for the realized history behind ``state``."""
+        """Action distribution for the realized history behind ``state``
+        (kept as a name because bench/tracing.py traces it)."""
         return self.pairs(state.turn, self.env._id_of(state))[:self.num_actions].copy()
 
 

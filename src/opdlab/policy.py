@@ -61,7 +61,8 @@ def window_key(history: HistoryKey, window: int | None) -> HistoryKey:
 
 def encode_history(observations, actions, window: int | None = None) -> HistoryKey:
     """window_key of the history (o_0, a_0, ..., o_t) given as its token ids
-    and actions; ``observations`` must have one more element than ``actions``."""
+    and actions; ``observations`` must have one more element than ``actions``.
+    Kept as a name because bench/tracing.py traces it."""
     if len(observations) != len(actions) + 1:
         raise UsageError(
             f"history needs len(observations) == len(actions) + 1, "
@@ -122,7 +123,7 @@ def sample_rows(dist: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """softmax_rows of one row of logits."""
+    """softmax_rows of one row of logits; kept as a name because bench/tracing.py traces it."""
     if temperature <= 0:
         raise UsageError(f"temperature must be > 0, got {temperature}")
     return softmax_rows(np.asarray(logits, dtype=np.float64)[None], temperature)[0]

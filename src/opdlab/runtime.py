@@ -471,15 +471,18 @@ def _run_sft(config: RunConfig, env: Env, teacher: TeacherPolicy,
                           "trajectory store; run collection first")
     eval_rng = _seed_streams(config)[2]
     log = MetricsLog()
-    block = sft_block(store_turns(env, store, config.window), PolicyParams(config.env.num_actions))
+    params = PolicyParams(config.env.num_actions)
+    block = sft_block(*store_turns(env, teacher, store, params, config.window), params)
 
     for n in range(config.total_steps):
         block = sft_update(block, config.lr)
         log.append(TrainRecord(step=n, loss=nll_loss(block) / len(block.slots), grad_norm=0.0,
                                buffer_size=0, discarded_stale=0, active_k=0, mean_staleness=0.0))
         if (n + 1) % config.eval_every == 0 or n == config.total_steps - 1:
-            log.append(evaluate(block.params(), env, teacher, config.eval_episodes,
+            # the last step evaluates, so the final table holds the last block
+            params = params.with_rows(block.ids, block.z, block.version)
+            log.append(evaluate(params, env, teacher, config.eval_episodes,
                                 eval_rng, temperature=config.eval_temperature,
                                 window=config.window, step=n, active_k=0))
 
-    return TrainingResult(log=log, final_params=block.params(), max_staleness_seen=0)
+    return TrainingResult(log=log, final_params=params, max_staleness_seen=0)

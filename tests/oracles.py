@@ -4,7 +4,11 @@ and written by a json encoder; the rollout engine with its teacher rows, KL
 and recorded columns computed inside the turn loop and each key cut from
 its episode's full history; the training loop that starts each rollout when
 it comes due; and the episode summary averaged by np.mean. Also the teacher
-frozen into a logit table, a student that plays the expert."""
+frozen into a logit table, a student that plays the expert; and the walks
+over ``Env.reset``/``Env.step`` that expert collection and the SFT turns
+must give the same results as: one episode played with a caller's action
+rule, expert collection with a ``teacher.dist`` draw per turn, and each
+stored turn's history key made by ``encode_history``."""
 
 from __future__ import annotations
 
@@ -18,7 +22,13 @@ import numpy as np
 from opdlab import runtime
 from opdlab.atomic import atomic_open
 from opdlab.curriculum import horizon_at
-from opdlab.distill import ALGO_SFT, Rollouts, max_student_turns, rollout_batch
+from opdlab.distill import (
+    ALGO_SFT,
+    Rollouts,
+    TeacherTrajectoryStore,
+    max_student_turns,
+    rollout_batch,
+)
 from opdlab.env import TeacherPolicy, make_env
 from opdlab.errors import ConfigError, UsageError
 from opdlab.metrics import SCHEMA_VERSION, _TYPE_NAMES, MetricsLog, _json_safe
@@ -27,6 +37,7 @@ from opdlab.policy import (
     PolicyParams,
     encode_history,
     forward_kl_rows,
+    sample_action,
     sample_cum,
     sample_rows,
     softmax_rows,
@@ -264,6 +275,54 @@ def episode_summary(success, rounds, kl_sums) -> dict:
     )
 
 
+def play(env, task_id: int, choose):
+    """Play one episode of ``task_id`` from ``env.reset``.
+
+    Each action is ``choose(state)`` on the latest state, until the episode
+    is done or ``choose`` returns None. Returns the states visited, the
+    reset state first, and the actions taken, one fewer.
+    """
+    state = env.reset(task_id)
+    states, actions = [state], []
+    while not state.done:
+        action = choose(state)
+        if action is None:
+            break
+        state = env.step(state, action)
+        states.append(state)
+        actions.append(action)
+    return states, actions
+
+
+def collect_teacher_trajectories(env, teacher, pass_m, rng, collection_seed=None):
+    """distill.collect_teacher_trajectories as ``play`` episodes whose actions
+    are ``sample_action(teacher.dist(state), rng)``."""
+    store = TeacherTrajectoryStore(collection_seed=collection_seed)
+    for task_id in range(env.config.task_count):
+        for _ in range(pass_m):
+            states, actions = play(env, task_id, lambda s: sample_action(teacher.dist(s), rng))
+            if states[-1].success:
+                store.actions_by_task[task_id] = actions
+                break
+        else:
+            store.skipped_tasks.append(task_id)
+    return store
+
+
+def store_turns(env, store, window=None):
+    """(history key, expert action) of every stored turn, task by task in
+    turn order: each trajectory replayed by ``play`` and each key made by
+    ``encode_history`` of its tokens and actions."""
+    pairs = []
+    for task_id in store.task_ids():
+        remaining = iter(store.get(task_id))
+        states, actions = play(env, task_id, lambda state: next(remaining, None))
+        tokens = [s.token for s in states]
+        pairs.extend((encode_history(tokens[:t + 1], actions[:t], window), a)
+                     for t, a in enumerate(actions))
+    return pairs
+
+
 def materialize(teacher, window: int | None = None) -> PolicyParams:
     """Freeze the teacher into a checkpointable logit table.
 
@@ -273,7 +332,7 @@ def materialize(teacher, window: int | None = None) -> PolicyParams:
     """
     rows = {}
     for task_id in range(teacher.env.config.task_count):
-        states, actions = teacher.env.play(task_id, teacher.env.expert_action)
+        states, actions = play(teacher.env, task_id, teacher.env.expert_action)
         tokens = [s.token for s in states]
         for t, expert in enumerate(actions):
             logits = np.zeros(teacher.num_actions)

@@ -12,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 from opdlab.distill import (
     Rollouts,
     TeacherTrajectoryStore,
+    _check_trajectory,
     _kl_block,
-    _replay,
     apply_gradient,
     batch_gradient,
     collect_teacher_trajectories,
@@ -24,7 +24,7 @@ from opdlab.distill import (
     sft_update,
     store_turns,
 )
-from opdlab.env import EnvConfig, make_env, make_teacher
+from opdlab.env import COMPOUNDING_CHAIN, MEMORY_LOCK, EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
 from opdlab.policy import (
     KeyIndex,
@@ -204,16 +204,17 @@ def test_b2f_prefix_only_keys_do_not_move_loss(env, teacher, store):
 
 @pytest.mark.parametrize("window", [None, 2])
 def test_b2f_prefix_keys_are_the_stored_turns_keys(env, teacher, store, window):
-    # two independent walks of the same expert actions: the rollout's prefix
-    # and store_turns over a store holding only that task
+    # the rollout's prefix and store_turns over a store holding only that
+    # task, on one key index, so their key ids are equal
     for task, k in ((4, 1), (1, 3), (7, 5)):
-        r = episode("b2f", env, uniform_student(env), teacher, task, k, rng(14), store=store,
-                    window=window)
+        student = uniform_student(env)
+        r = episode("b2f", env, student, teacher, task, k, rng(14), store=store, window=window)
         only_task = TeacherTrajectoryStore(actions_by_task={task: store.get(task)})
-        stored_keys = [key for key, _ in store_turns(env, only_task, window)]
+        ids, actions = store_turns(env, teacher, only_task, student, window)
         p = r.prefix_len[0]
         assert p == len(store.get(task)) - k
-        assert r.index.keys(r.keys[0, :p]) == stored_keys[:p]
+        assert r.keys[0, :p].tolist() == ids[:p].tolist()
+        assert actions.tolist() == store.get(task)
         assert r.student_turns().turn[0] == p
 
 
@@ -310,6 +311,23 @@ def test_collect_uniform_teacher_yields_empty_store(env):
         run_training(RunConfig(algo="b2f", total_steps=2), store)
 
 
+@pytest.mark.parametrize("kind", [COMPOUNDING_CHAIN, MEMORY_LOCK])
+@pytest.mark.parametrize("pass_m", [1, 10])
+def test_collection_equals_the_oracle_collection(kind, pass_m):
+    """The state-id walk keeps the stores and the draws of play episodes that
+    sample teacher.dist: for the default teacher, one that skips some tasks
+    at either pass_m, and one that skips them all."""
+    env = make_env(EnvConfig(kind=kind, seed=2))
+    for teacher in (make_teacher(env), make_teacher(env, on_support_temperature=1.0),
+                    make_teacher(env, off_support_floor=1.0, on_support_temperature=1e6)):
+        gen, oracle_gen = rng(8), rng(8)
+        store = collect_teacher_trajectories(env, teacher, pass_m, gen, 8)
+        assert store == oracles.collect_teacher_trajectories(env, teacher, pass_m, oracle_gen, 8)
+        assert gen.random() == oracle_gen.random()  # as many draws
+        if teacher.config.on_support_temperature == 1.0:
+            assert 0 < len(store) < env.config.task_count
+
+
 def test_store_round_trip_and_revalidation(env, sharp_teacher, tmp_path):
     store = collect_teacher_trajectories(env, sharp_teacher, 1, rng(5),
                                          collection_seed=5)
@@ -325,7 +343,7 @@ def test_store_load_rejects_broken_replay(env, sharp_teacher, tmp_path):
     task0 = store.task_ids()[0]
     store.actions_by_task[task0][0] = (store.actions_by_task[task0][0] + 1) % 6
     with pytest.raises(ConfigError):
-        _replay(env, task0, store.actions_by_task[task0])
+        _check_trajectory(env, task0, store.actions_by_task[task0])
     path = tmp_path / "store.jsonl"
     save_store(store, path)
     with pytest.raises(ConfigError):
@@ -368,12 +386,35 @@ def test_load_store_rejects_header_values_that_are_not_ints(env, store, tmp_path
                               "skipped_tasks a list of ints")
 
 
-def test_replay_returns_the_states_of_a_stored_trajectory(env, store):
+def test_load_store_rejects_a_task_row_that_repeats_an_earlier_one(env, store, tmp_path):
+    # a dict would keep the last row of the task and load a store of 32 tasks
+    path = tmp_path / "store.jsonl"
+    save_store(store, path)
+    header, first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, *rest, first]) + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_store(path, env)
+    assert str(err.value) == f"{path}: line {len(rest) + 3}: task 0 has a row on an earlier line"
+
+
+@pytest.mark.parametrize("task_id", [-1, 32])
+def test_load_store_rejects_a_task_id_out_of_range(env, store, tmp_path, task_id):
+    path = tmp_path / "store.jsonl"
+    save_store(store, path)
+    header, first, *rest = path.read_text().splitlines()
+    row = dict(json.loads(first), task_id=task_id)
+    path.write_text("\n".join([header, *rest, json.dumps(row)]) + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_store(path, env)
+    assert str(err.value) == (f"{path}: line {len(rest) + 2}: "
+                              f"task_id {task_id} out of range [0, 32)")
+
+
+def test_the_store_check_accepts_every_collected_trajectory(env, store):
     for task in store.task_ids():
         actions = store.get(task)
-        states = _replay(env, task, actions)
-        assert states == env.play(task, env.expert_action)[0]  # the sharp expert's path
-        assert len(states) == len(actions) + 1 and states[-1].success
+        assert _check_trajectory(env, task, actions) is None
+        assert actions == oracles.play(env, task, env.expert_action)[1]  # the sharp expert's path
 
 
 def bad_trajectory(env, store, case):
@@ -394,13 +435,13 @@ def bad_trajectory(env, store, case):
 
 @pytest.mark.parametrize("case", ["goal_before_last_action", "longer_than_horizon_cap",
                                   "ends_off_goal"])
-def test_replay_and_load_store_reject_bad_trajectories(env, store, tmp_path, case):
+def test_replay_and_load_store_reject_bad_trajectories(env, teacher, store, tmp_path, case):
     actions = bad_trajectory(env, store, case)
     with pytest.raises(ConfigError, match="task 0 "):
-        _replay(env, 0, actions)
+        _check_trajectory(env, 0, actions)
     bad = TeacherTrajectoryStore(actions_by_task={**store.actions_by_task, 0: actions})
     with pytest.raises(ConfigError, match="task 0 "):
-        store_turns(env, bad)
+        store_turns(env, teacher, bad, uniform_student(env))
     path = tmp_path / "store.jsonl"
     save_store(bad, path)
     with pytest.raises(ConfigError) as err:
@@ -411,19 +452,56 @@ def test_replay_and_load_store_reject_bad_trajectories(env, store, tmp_path, cas
 # -- SFT baseline -----------------------------------------------------------------
 
 
+def stored_turns(env, teacher, store, params, window=None):
+    """store_turns as (history key, expert action) pairs, its keys interned in
+    ``params.index``."""
+    ids, actions = store_turns(env, teacher, store, params, window)
+    return list(zip(params.index.keys(ids), actions.tolist()))
+
+
+def block_of(turns, params):
+    """sft_block of the (history key, expert action) pairs ``turns``, whose
+    keys are interned in ``params.index``."""
+    ids = np.array([params.index.intern(key) for key, _ in turns], dtype=np.int64)
+    return sft_block(ids, [a for _, a in turns], params)
+
+
+def table_of(block, params):
+    """The block's rows written over a copy of ``params``, as an sft run writes
+    them into its table."""
+    return params.snapshot().with_rows(block.ids, block.z, block.version)
+
+
 def sft_step(turns, params, lr):
     """One sft_update from ``params``, as a table."""
-    return sft_update(sft_block(turns, params), lr).params()
+    return table_of(sft_update(block_of(turns, params), lr), params)
 
 
 def nll(turns, params):
-    return nll_loss(sft_block(turns, params))
+    return nll_loss(block_of(turns, params))
+
+
+@pytest.mark.parametrize("kind", [COMPOUNDING_CHAIN, MEMORY_LOCK])
+@pytest.mark.parametrize("window", [None, 0, 2])
+def test_store_turns_keys_are_those_of_the_oracle_walk(kind, window):
+    """The engine's key of each stored turn is encode_history of the tokens
+    and actions of the trajectory replayed through reset and step; a soft
+    teacher's detours make keys with recovery tokens."""
+    env = make_env(EnvConfig(kind=kind, seed=3))
+    teacher = make_teacher(env, on_support_temperature=1.0)
+    store = collect_teacher_trajectories(env, teacher, 10, rng(6))
+    assert len(store) > 20 and store.max_length() > env.config.chain_length
+    params = uniform_student(env)
+    ids, actions = store_turns(env, teacher, store, params, window)
+    expected = oracles.store_turns(env, store, window)
+    assert params.index.keys(ids) == [key for key, _ in expected]
+    assert actions.tolist() == [a for _, a in expected]
 
 
 def test_sft_update_moves_toward_expert_actions(env, sharp_teacher):
     store = collect_teacher_trajectories(env, sharp_teacher, 1, rng(41))
     student = uniform_student(env)
-    turns = store_turns(env, store)
+    turns = stored_turns(env, sharp_teacher, store, student)
     updated = sft_step(turns, student, 0.5)
     assert updated.version == student.version + 1
     assert nll(turns, updated) < nll(turns, student)
@@ -436,7 +514,7 @@ def test_sft_update_moves_toward_expert_actions(env, sharp_teacher):
 def test_sft_near_minimum_has_small_update(env, sharp_teacher):
     store = collect_teacher_trajectories(env, sharp_teacher, 1, rng(42))
     params = oracles.materialize(sharp_teacher)
-    turns = store_turns(env, store)
+    turns = stored_turns(env, sharp_teacher, store, params)
     updated = sft_step(turns, params, 0.5)
     deltas = [np.abs(logits_at(updated, k) - logits_at(params, k)).max()
               for k, _ in turns]
@@ -447,7 +525,7 @@ def test_sft_nll_gradient_matches_finite_differences(env, sharp_teacher):
     store = collect_teacher_trajectories(env, sharp_teacher, 1, rng(43))
     gen = rng(44)
     step = 1e-5
-    for _key, a_star in store_turns(env, store)[:10]:
+    for _key, a_star in stored_turns(env, sharp_teacher, store, uniform_student(env))[:10]:
         z = gen.normal(0, 1.0, env.config.num_actions)
         numeric = np.zeros_like(z)
         for i in range(len(z)):
@@ -720,13 +798,13 @@ def assert_same_table(params, table):
 
 def check_sft_against_reference(turns, params, lr, steps):
     ref_tables, ref_losses = reference_sft(turns, params, lr, steps)
-    block = sft_block(turns, params)
+    block = block_of(turns, params)
     kept = {k: row.copy() for k, row in params.logits.items()}
     stepped = []
     for n in range(steps):
         block = sft_update(block, lr)
         assert same_bits(nll_loss(block), ref_losses[n])
-        stepped.append(block.params())
+        stepped.append(table_of(block, params))
         assert stepped[-1].version == params.version + n + 1
         # the starting rows outside the turns come back as they were
         turn_keys = {key for key, _ in turns}
@@ -774,7 +852,7 @@ def test_sft_block_of_certain_turns_keeps_a_positive_zero_nll():
     params = PolicyParams(2, {(0,): np.array([400.0, -400.0])})
     turns = [((0,), 0), ((0,), 0)]
     check_sft_against_reference(turns, params, 0.7, 3)
-    block = sft_block(turns, params)
+    block = block_of(turns, params)
     for _ in range(3):
         block = sft_update(block, 0.7)
         assert math.copysign(1.0, nll_loss(block)) == 1.0
@@ -782,11 +860,11 @@ def test_sft_block_of_certain_turns_keeps_a_positive_zero_nll():
 
 def test_sft_block_of_no_turns_is_the_starting_table():
     params = PolicyParams(3, {(5,): np.array([1.0, 2.0, 3.0])}, version=2)
-    block = sft_block([], params)
+    block = block_of([], params)
     assert nll_loss(block) == 0.0
     with pytest.raises(ConfigError):
         sft_update(block, 0.5)
-    table = block.params()
+    table = table_of(block, params)
     assert table.version == 2 and table.logits == {(5,): params.logits[(5,)]}
 
 
@@ -798,7 +876,7 @@ def test_sft_run_bitwise_equals_per_turn_loop(env, window):
                        seed=3, window=window)
     teacher = make_teacher(env)
     store = collect_teacher_trajectories(env, teacher, config.pass_m, rng(17))
-    turns = store_turns(env, store, window)
+    turns = oracles.store_turns(env, store, window)
     start = PolicyParams(num_actions=env.config.num_actions)
     tables, losses = reference_sft(turns, start, config.lr, config.total_steps)
     eval_rng = _seed_streams(config)[2]

@@ -113,6 +113,8 @@ def test_success_implies_done():
 
 
 # -- play ------------------------------------------------------------------------------
+#
+# oracles.play, the walk over reset and step that other tests take as the reference
 
 
 def mostly_expert(env, u, noise):
@@ -135,7 +137,7 @@ def test_play_equals_a_reset_step_loop_on_random_actions(kind):
         stop = int(gen.integers(0, c.horizon_cap + 2))  # choose gives None from turn stop
         rule = mostly_expert(env, u, noise)
 
-        states, actions = env.play(task, lambda s: rule(s) if s.turn < stop else None)
+        states, actions = oracles.play(env, task, lambda s: rule(s) if s.turn < stop else None)
 
         state = env.reset(task)
         expected_states, expected_actions = [state], []
@@ -156,18 +158,18 @@ def test_play_equals_a_reset_step_loop_on_random_actions(kind):
 def test_play_stops_when_done_and_when_choose_returns_none(kind):
     env = make_env(EnvConfig(kind=kind, seed=4))
     c = env.config
-    states, actions = env.play(2, env.expert_action)
+    states, actions = oracles.play(env, 2, env.expert_action)
     assert states[-1].done and states[-1].success and len(actions) == c.chain_length
     assert not any(s.done for s in states[:-1])
 
     wrong = (env.correct_action(2, 0) + 1) % c.num_actions
-    states, actions = env.play(2, lambda s: wrong)
+    states, actions = oracles.play(env, 2, lambda s: wrong)
     assert states[-1].done and not states[-1].success
     assert actions == [wrong] * c.horizon_cap
 
-    states, actions = env.play(2, lambda s: None)
+    states, actions = oracles.play(env, 2, lambda s: None)
     assert (states, actions) == ([env.reset(2)], [])
-    states, actions = env.play(2, lambda s: env.expert_action(s) if s.turn < 3 else None)
+    states, actions = oracles.play(env, 2, lambda s: env.expert_action(s) if s.turn < 3 else None)
     assert len(actions) == 3 and [s.turn for s in states] == [0, 1, 2, 3]
     assert not states[-1].done
 

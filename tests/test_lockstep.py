@@ -342,7 +342,7 @@ def random_walk_rows(env, window, gen, walks):
     for w in range(walks + env.config.task_count):
         task = w % env.config.task_count
         rule = env.expert_action if w >= walks else lambda s: int(gen.integers(a))
-        states, actions = env.play(task, rule)
+        states, actions = oracles.play(env, task, rule)
         tokens = [s.token for s in states]
         for t in range(len(actions)):
             rows[encode_history(tokens[:t + 1], actions[:t], window)] = (
@@ -378,7 +378,7 @@ def test_engine_matches_the_in_loop_oracle_bitwise(num_actions, kind, temperatur
     u = gen.random((episodes, env.config.horizon_cap))
     prefixes, cap = None, None
     if algo == "b2f":
-        paths = [env.play(task, env.expert_action)[1] for task in tasks.tolist()]
+        paths = [oracles.play(env, task, env.expert_action)[1] for task in tasks.tolist()]
         prefixes = [path[:b2f_prefix_len(len(path), k)] for path in paths]
     elif algo == "f2b":
         cap = min(k, env.config.horizon_cap)

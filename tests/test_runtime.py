@@ -226,26 +226,29 @@ def test_sft_run_improves_over_uniform():
 
 
 def test_sft_replays_the_store_once_per_run(monkeypatch):
+    """An sft run plays its store in one engine call, however many steps it
+    takes; evaluation's calls have no algo. Neither it nor collection walks
+    EnvState values."""
+    def refuse(*args):
+        raise AssertionError("an EnvState walk")
+
+    for name in ("step", "reset"):
+        monkeypatch.setattr(Env, name, refuse)
+    monkeypatch.setattr(TeacherPolicy, "dist", refuse)
     cfg = tiny_cfg(algo="sft", total_steps=20, eval_every=20)
     store = collect_for(cfg)
-    calls = [0]
-    real_step = Env.step
+    algos, real = [], distill.rollout_lockstep
 
-    def counting_step(self, state, action):
-        calls[0] += 1
-        return real_step(self, state, action)
+    def spy(*args, **kwargs):
+        algos.append(kwargs.get("algo"))
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(Env, "step", counting_step)
-    make_env(cfg.env)
-    reachability_check = calls[0]
-    stored_turns = sum(len(a) for a in store.actions_by_task.values())
-    per_run = {}
+    monkeypatch.setattr(distill, "rollout_lockstep", spy)
+    monkeypatch.setattr(runtime, "rollout_lockstep", spy)
     for total_steps in (5, 20):
-        calls[0] = 0
+        algos.clear()
         run_training(tiny_cfg(algo="sft", total_steps=total_steps, eval_every=20), store)
-        per_run[total_steps] = calls[0]
-    assert per_run[20] <= stored_turns + reachability_check
-    assert per_run[5] == per_run[20]
+        assert algos == ["sft", None]
 
 
 def test_sft_requires_store():
@@ -549,7 +552,8 @@ def test_the_sampling_sums_are_built_once_per_temperature(monkeypatch):
     """A run reads its tables at two temperatures other than 1, training's
     and evaluation's, and builds each whole-table block once, not once per
     evaluation or engine call; the records are those of the in-loop engine,
-    which takes the softmax of the logits every turn."""
+    which takes the softmax of the logits every turn. An sft run builds its
+    evaluation block once too."""
     config = RunConfig(algo="opd", total_steps=40, eval_every=5, train_temperature=0.7)
     builds, real = [], PolicyParams._cum_block
 
@@ -563,6 +567,12 @@ def test_the_sampling_sums_are_built_once_per_temperature(monkeypatch):
     with mock.patch.object(distill, "rollout_lockstep", oracles.rollout_lockstep), \
             mock.patch.object(runtime, "rollout_lockstep", oracles.rollout_lockstep):
         assert run_training(config).log.records == records
+    # a default sft run writes its block into one table at each of its 80 evaluations
+    sft = RunConfig(algo="sft")
+    builds.clear()
+    with mock.patch.object(PolicyParams, "_cum_block", spy):
+        run_training(sft, collect_for(sft))
+    assert builds == [0.4]
 
 
 def test_runs_do_not_import_numpy_ma():
