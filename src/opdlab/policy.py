@@ -22,6 +22,10 @@ after its last write too, reads the default row. A learner step writes its
 K rows in place and hands the arrays to the new table, so the stepped table
 can no longer be read; ``snapshot`` is the copy that stays. ``logits`` is a
 copy of the written rows as a ``RowBlock``, a mapping from key tuple to row.
+
+Checkpoints are read 256 lines at a time, each block's keys interned at
+once by ``KeyIndex.intern_all``, and their logits must be JSON numbers; they
+are written in key order, worked out on arrays from the trie.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import json
 import math
 import struct
 from collections.abc import Mapping
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -214,12 +219,18 @@ class KeyIndex:
         self._tuple_of: dict[int, HistoryKey] = {}
         self._cuts: dict[tuple[int, int, int], int] = {}  # (id, action, token) -> window key id
 
-    def _new(self, parent: int, action: int, token: int) -> int:
-        i = self.size
-        if i == len(self.last):
-            size = i + i // 2
+    def _reserve(self, count: int) -> None:
+        """Grow the arrays, by half their size at a time, to hold ``count`` ids."""
+        size = len(self.last)
+        while size < count:
+            size += size // 2
+        if size > len(self.last):
             self.parent, self.act = _grown(self.parent, size, 0), _grown(self.act, size, -1)
             self.last, self.child = _grown(self.last, size, -1), _grown(self.child, size, 0)
+
+    def _new(self, parent: int, action: int, token: int) -> int:
+        i = self.size
+        self._reserve(i + 1)
         self.parent[i], self.act[i], self.last[i] = parent, action, token
         self.size += 1
         return i
@@ -265,6 +276,90 @@ class KeyIndex:
 
     def intern(self, key: HistoryKey) -> int:
         return self._lookup(key, True)
+
+    def intern_all(self, keys) -> np.ndarray:
+        """The ids that ``intern`` gives ``keys`` (sequences of ints) one at a
+        time in order, leaving the index as those calls do. The histories, a
+        padded matrix sorted so that the keys that share a prefix are
+        adjacent, have a node at depth d where a key first differs from the
+        one before it in column 2d or before. Nodes are looked up a depth at
+        a time, and those outside the index take their ids in the order
+        (first key, depth) in which those calls make them."""
+        lengths = np.fromiter(map(len, keys), np.int64, len(keys))
+        try:
+            flat = np.fromiter(chain.from_iterable(keys), np.int64, int(lengths.sum()))
+        except OverflowError:  # an int outside int64, in a kept tuple: one key at a time
+            return np.array([self.intern(tuple(key)) for key in keys], dtype=np.int64)
+        cols = np.arange(max(lengths.max(initial=0), 1))
+        filled = cols < lengths[:, None]
+        matrix = np.full(filled.shape, -1, dtype=np.int64)
+        matrix[filled] = flat
+        in_range = (matrix >= 0) & (matrix < np.where(cols % 2, self.num_actions, 2 ** 31))
+        depth = (lengths + 1) // 2 * ((lengths % 2 == 1) & (in_range | ~filled).all(axis=1))
+        kept = [(r, tuple(keys[r])) for r in np.flatnonzero(depth == 0).tolist()]
+        fresh = {}  # the kept tuples outside the index -> first key
+        for r, key in kept:
+            if key not in self._tuples:
+                fresh.setdefault(key, r)
+        rows = np.flatnonzero(depth)
+        deep = int(depth.max(initial=0))
+        matrix = matrix[rows, :max(2 * deep - 1, 1)]
+        # sorted by their bytes, the fastest order in which keys that share a prefix are adjacent
+        order = np.argsort(matrix.view(np.dtype((np.void, 8 * matrix.shape[1]))).ravel())
+        matrix, depth, rows = matrix[order], depth[rows[order]], rows[order]
+        differ = matrix[1:] != matrix[:-1]
+        common = np.concatenate([[0], np.where(differ.any(axis=1), differ.argmax(axis=1),
+                                               matrix.shape[1])])
+        levels = np.arange(deep)[:, None]
+        live = levels < depth  # live[d, k]: the k-th key has a node at depth d
+        begins = live & (common <= 2 * levels)
+        node = np.cumsum(begins).reshape(begins.shape) - 1  # its number, depth by depth
+        d, k = np.nonzero(begins)  # of each node, and its first key in sorted order
+        t, a = matrix[k, 2 * d], np.where(d > 0, matrix[k, 2 * d - 1], -1)
+        up = np.where(d > 0, node[d - 1, k], -1)  # the parent's number
+        first = np.minimum.reduceat(np.broadcast_to(rows, live.shape)[live],
+                                    np.flatnonzero(begins[live])) if len(d) else d
+        # the ids of the nodes in the index, a depth at a time while a parent is in it
+        found = np.zeros(len(d), dtype=np.int64)
+        bounds = np.searchsorted(d, np.arange(deep + 2)).tolist()  # depth d: [d]:[d + 1]
+        found[:bounds[1]] = self.roots(t[:bounds[1]], False)
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            parent = found[up[lo:hi]]
+            old = np.flatnonzero(parent)
+            if not len(old):
+                break
+            found[lo + old] = self.step(parent[old], a[lo + old], t[lo + old], False)
+        # new ids in the order (first key, depth); a kept tuple is at depth 0
+        new = np.flatnonzero(found == 0)
+        kept_first = np.fromiter(fresh.values(), np.int64, len(fresh))
+        rank = np.lexsort((np.concatenate([d[new], np.zeros_like(kept_first)]),
+                           np.concatenate([first[new], kept_first])))
+        made = np.empty(len(rank), dtype=np.int64)
+        made[rank] = np.arange(self.size, self.size + len(rank))
+        found[new] = made[:len(new)]
+        self._reserve(self.size + len(made))
+        new = new[np.argsort(found[new])]  # in id order
+        i, p, a, t = found[new], np.where(d[new] > 0, found[up[new]], 0), a[new], t[new]
+        self.parent[i], self.act[i], self.last[i] = p, a, t
+        self._roots.update(zip(t[p == 0].tolist(), i[p == 0].tolist()))
+        # per (parent, action), the first new child takes an empty child slot
+        inner = np.flatnonzero(p > 0)
+        taker = inner[np.unique(p[inner] * self.num_actions + a[inner], return_index=True)[1]]
+        taker = taker[self.child[p[taker], a[taker]] == 0]
+        self.child[p[taker], a[taker]] = i[taker]
+        sibling = p > 0
+        sibling[taker] = False
+        self._siblings.update(zip(zip(p[sibling].tolist(), a[sibling].tolist(),
+                                      t[sibling].tolist()), i[sibling].tolist()))
+        for key, j in zip(fresh, made[len(new):].tolist()):
+            self.parent[j] = self.act[j] = self.last[j] = -1
+            self._tuples[key], self._tuple_of[j] = j, key
+        self.size += len(made)
+        ids = np.zeros(len(keys), dtype=np.int64)
+        ids[rows] = found[node[depth - 1, np.arange(len(rows))]]
+        for r, key in kept:
+            ids[r] = self._tuples[key]
+        return ids
 
     def roots(self, tokens: np.ndarray, intern: bool) -> np.ndarray:
         """The ids of the histories (token,) of ``tokens``, as _child gives
@@ -372,7 +467,7 @@ class PolicyParams:
             for key, row in zip(logits, rows):
                 _check_key(key)
                 _check_width(num_actions, key, row)
-            self._write_ids(np.array([self.index.intern(key) for key in logits], dtype=np.int64),
+            self._write_ids(self.index.intern_all(list(logits)),
                             np.reshape(rows, (-1, num_actions)))
 
     def _own(self, table: np.ndarray | None, slot: np.ndarray | None,
@@ -499,8 +594,8 @@ class RowBlock(Mapping):
             return rows
         for key in rows:
             _check_key(key)
-        ids = np.array([index.intern(key) for key in rows], dtype=np.int64)
-        return cls(index, ids, np.reshape([rows[key] for key in rows], (-1, num_actions)))
+        return cls(index, index.intern_all(list(rows)),
+                   np.reshape([rows[key] for key in rows], (-1, num_actions)))
 
     def __getitem__(self, key) -> np.ndarray:
         where = np.flatnonzero(self.ids == (self.index.find(key) or -1))
@@ -549,23 +644,47 @@ class _FloatTexts(dict):
         return text
 
 
-def _histories(index: KeyIndex, wanted: np.ndarray):
-    """(key, id, text) of the wanted histories in key order, with ``text`` the
-    body of the key's json list made from its parent's: a walk of the trie
-    that takes each node's children in (action, token) order."""
-    parent = index.parent[:index.size]
-    nodes = np.flatnonzero(parent >= 0)[1:]  # the histories
-    nodes = nodes[np.lexsort((index.last[nodes], index.act[nodes], parent[nodes]))]
-    # the children of node i, in order, are nodes[bounds[i]:bounds[i + 1]]
-    bounds = np.searchsorted(parent[nodes], np.arange(index.size + 1))
-    below = [(0, (), "")]  # (id, key, text) of the nodes still to visit, the next last
-    while below:
-        i, key, text = below.pop()
-        if wanted.item(i):
-            yield key, i, text
-        for j in nodes[bounds.item(i):bounds.item(i + 1)][::-1].tolist():
-            a, t = index.act.item(j), index.last.item(j)
-            below.append((j, key + (a, t), f"{text}, {a}, {t}") if i else (j, (t,), str(t)))
+def _histories(index: KeyIndex, slot: np.ndarray, bits: np.ndarray, keyed: bool):
+    """(key, text, logits) of the histories with a slot in ``slot``, in key
+    order: the trie's preorder with each node's children in (action, token)
+    order, in which a node comes one place after its parent and after the
+    subtrees of the siblings before it. ``text``, the body of the key's
+    json list, is made from its parent's, kept for the node last met at
+    each depth; ``logits`` are the bits of its row in ``bits``; the key,
+    which only a merge with kept tuples reads, is None unless ``keyed``.
+    The arrays are int32, and rows are taken 256 nodes at a time, to bound
+    the memory."""
+    parent, act, last = index.parent[:index.size], index.act[:index.size], index.last[:index.size]
+    nodes = np.flatnonzero(parent >= 0)[1:].astype(np.int32)  # the histories
+    nodes = nodes[np.lexsort((last[nodes], act[nodes], parent[nodes]))]  # siblings in order
+    up, depth = parent[nodes], np.ones(len(nodes), dtype=np.int32)
+    while up.any():
+        depth += up > 0
+        up = parent[up]
+    deep = int(depth.max(initial=0))
+    size = np.ones(index.size, dtype=np.int32)  # of each node's subtree
+    for d in range(deep, 1, -1):
+        np.add.at(size, parent[nodes[depth == d]], size[nodes[depth == d]])
+    before = np.cumsum(size[nodes], dtype=np.int32) - size[nodes]
+    before -= before[np.searchsorted(parent[nodes], parent[nodes])]  # within the siblings
+    place = size  # each node's place in key order, set a depth at a time
+    place[0] = -1
+    for d in range(1, deep + 1):
+        place[nodes[depth == d]] = place[parent[nodes[depth == d]]] + 1 + before[depth == d]
+    order, depths = np.empty_like(nodes), np.empty_like(depth)
+    order[place[nodes]], depths[place[nodes]] = nodes, depth
+    keys, texts = [None] * (deep + 1), [""] * (deep + 1)  # of the node last met at each depth
+    for start in range(0, len(order), 256):
+        part = order[start:start + 256]
+        slots = slot.take(part, mode="clip")
+        rows = iter(bits[slots[slots != NO_SLOT]].tolist())
+        for s, d, a, t in zip(slots.tolist(), depths[start:start + 256].tolist(),
+                              act[part].tolist(), last[part].tolist()):
+            texts[d] = f"{texts[d - 1]}, {a}, {t}" if d > 1 else str(t)
+            if keyed:
+                keys[d] = keys[d - 1] + (a, t) if d > 1 else (t,)
+            if s != NO_SLOT:
+                yield keys[d], texts[d], next(rows)
 
 
 def save_params(params: PolicyParams, path) -> None:
@@ -577,24 +696,62 @@ def save_params(params: PolicyParams, path) -> None:
         "default_logits": [float(x) for x in params.default_logits],
     }
     index, width = params.index, params.num_actions
-    table, slot, keys, _ = params._arrays()
-    bits = table.view(np.int64)  # the rows by slot, each float as its bits
-    wanted = np.zeros(index.size, dtype=bool)
-    wanted[keys] = True
+    table, slot, _, _ = params._arrays()
+    bits = table[:, :width].view(np.int64)  # the logits by slot, each float as its bits
+    kept = sorted((key, slot.item(i)) for i, key in index._tuple_of.items()
+                  if i < len(slot) and slot.item(i) != NO_SLOT)
     # every written key is a tuple of ints (_check_key), whose text str makes as json does
-    kept = ((key, i, ", ".join(map(str, key)))
-            for key, i in sorted((key, i) for i, key in index._tuple_of.items() if wanted.item(i)))
+    rows = heapq.merge(_histories(index, slot, bits, bool(kept)), (
+        (key, ", ".join(map(str, key)), bits[s].tolist()) for key, s in kept))
     floats = _FloatTexts()
     with atomic_open(path) as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
-        for key, i, text in heapq.merge(_histories(index, wanted), kept):
-            logits = ", ".join(map(floats.__getitem__, bits[slot.item(i), :width].tolist()))
+        for _, text, row in rows:
+            logits = ", ".join(map(floats.__getitem__, row))
             f.write(f'{{"key": [{text}], "logits": [{logits}]}}\n')
+
+
+def _logits(num_actions: int, key, logits) -> np.ndarray:
+    """A checkpoint row's ``logits``, num_actions JSON numbers (not strings,
+    bools or nulls), as floats."""
+    if type(logits) is not list or not set(map(type, logits)) <= {float, int}:
+        raise UsageError(f"row {key} has a logit that is not a number")
+    row = np.array(logits, dtype=np.float64)
+    _check_width(num_actions, key, row)
+    return row
+
+
+def _block(decode, lines: list[str], index: KeyIndex, num_actions: int):
+    """The key ids (interned by intern_all) and (n, A) logits of the
+    checkpoint rows ``lines``, checked by type over the whole block; None,
+    with nothing interned, if any line is at fault."""
+    try:
+        keys, logits = zip(*((row["key"], row["logits"]) for row in map(decode, lines)))
+        if not (set(map(type, keys)) == set(map(type, logits)) == {list}
+                and set(map(type, chain.from_iterable(keys))) <= {int}
+                and set(map(len, logits)) == {num_actions}
+                and set(map(type, chain.from_iterable(logits))) <= {float, int}):
+            return None
+        logits = np.array(logits, dtype=np.float64)
+    except (ValueError, KeyError, TypeError, OverflowError):
+        return None
+    return index.intern_all(keys), logits
+
+
+def _distinct(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``ids`` in order of first appearance, each with its last row."""
+    keys, first = np.unique(ids, return_index=True)
+    last = len(ids) - 1 - np.unique(ids[::-1], return_index=True)[1]
+    order = np.argsort(first)
+    return keys[order], rows[last[order]]
 
 
 def load_params(path) -> PolicyParams:
     """Read a checkpoint; any fault in it raises a UsageError that names
-    ``path`` and the file line at fault."""
+    ``path`` and the file line at fault. Rows are read 256 lines at a time
+    (see _block), and a block with a fault line by line; a repeated key's
+    last row wins, and the slots follow the keys' first appearance. Blocks
+    of 1,024 lines left about 1 MB more of the heap resident after a load."""
     where = ""  # the file line being read, once there is one
     try:
         with open(path) as f:
@@ -606,32 +763,30 @@ def load_params(path) -> PolicyParams:
             num_actions, version = header["num_actions"], header["version"]
             if type(num_actions) is not int or type(version) is not int:
                 raise UsageError("num_actions and version must be ints")
-            default = np.array(header["default_logits"], dtype=float)
+            default = _logits(num_actions, "default", header["default_logits"])
             params = PolicyParams(num_actions, None, default, version)
-            # the first ``count`` rows of ``ids``/``rows`` hold the keys in order of first
-            # appearance, and at[i] is key id i's row (-1 if none), which a repeated key's
-            # last row overwrites; arrays, as a dict of the ids measurably left the heap
-            # fragmented (peak RSS) for the rest of the process
-            ids, rows, count = np.zeros(1024, np.int64), np.empty((1024, num_actions)), 0
-            at = np.full(1024, -1)
-            for number, line in enumerate(f, start=2):
-                if not line.strip():
-                    continue
-                where = f"line {number}: "
-                row = json.loads(line)
-                key, logits = tuple(row["key"]), np.array(row["logits"], dtype=np.float64)
-                _check_key(key)
-                _check_width(num_actions, key, logits)
-                i = params.index.intern(key)
-                if i >= len(at):
-                    at = _grown(at, 2 * i, -1)
-                if at.item(i) < 0:
-                    if count == len(ids):
-                        ids, rows = _grown(ids, 2 * count, 0), _grown(rows, 2 * count, 0.0)
-                    ids[count], at[i], count = i, count, count + 1
-                rows[at.item(i)] = logits
-            where = ""
-            params._write_ids(ids[:count], rows[:count])
+            decode = json.JSONDecoder().decode  # json.loads of a str, with its errors
+            ids, rows = [np.zeros(0, dtype=np.int64)], [np.zeros((0, num_actions))]
+            for start in count(2, 256):
+                lines = list(islice(f, 256))
+                if not lines:
+                    break
+                block = _block(decode, lines, params.index, num_actions)
+                if block is None:
+                    keys, logits = [], []
+                    for number, line in enumerate(lines, start=start):
+                        if line.strip():
+                            where = f"line {number}: "
+                            row = json.loads(line)
+                            keys.append(tuple(row["key"]))
+                            _check_key(keys[-1])
+                            logits.append(_logits(num_actions, keys[-1], row["logits"]))
+                    where = ""
+                    block = params.index.intern_all(keys), np.reshape(logits, (-1, num_actions))
+                ids.append(block[0])
+                rows.append(block[1])
+            ids, rows = _distinct(np.concatenate(ids), np.concatenate(rows))
+            params._write_ids(ids, rows)
     except UsageError as e:
         raise UsageError(f"{path}: {where}{e}") from None
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as e:

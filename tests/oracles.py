@@ -1,6 +1,7 @@
 """Plain forms of opdlab functions that the tests require to give the same
 bytes: the checkpoint and metrics writers, each row or record made as a dict
-and written by a json encoder; the rollout engine with its teacher rows, KL
+and written by a json encoder; the checkpoint reader, which reads, checks
+and interns one line at a time; the rollout engine with its teacher rows, KL
 and recorded columns computed inside the turn loop and each key cut from
 its episode's full history; the training loop that starts each rollout when
 it comes due; and the episode summary averaged by np.mean. Also the teacher
@@ -35,6 +36,9 @@ from opdlab.metrics import SCHEMA_VERSION, _TYPE_NAMES, MetricsLog, _json_safe
 from opdlab.policy import (
     CHECKPOINT_SCHEMA,
     PolicyParams,
+    _check_key,
+    _grown,
+    _logits,
     encode_history,
     forward_kl_rows,
     sample_action,
@@ -88,6 +92,53 @@ def save_params(params, path) -> None:
         at[ids] = np.arange(len(ids))  # the row of each written key id
         for key, i in sorted_keys(params.index, ids):
             f.write(encode({"key": list(key), "logits": rows[at.item(i)].tolist()}) + "\n")
+
+
+def load_params(path) -> PolicyParams:
+    """policy.load_params reading one line at a time: each row parsed by
+    json.loads, checked, and its key interned by KeyIndex.intern."""
+    where = ""  # the file line being read, once there is one
+    try:
+        with open(path) as f:
+            where = "line 1: "
+            header = json.loads(f.readline())
+            if (not isinstance(header, dict) or header.get("schema") != CHECKPOINT_SCHEMA
+                    or header.get("kind") != "policy_params"):
+                raise UsageError("not a policy checkpoint (schema mismatch)")
+            num_actions, version = header["num_actions"], header["version"]
+            if type(num_actions) is not int or type(version) is not int:
+                raise UsageError("num_actions and version must be ints")
+            default = _logits(num_actions, "default", header["default_logits"])
+            params = PolicyParams(num_actions, None, default, version)
+            # the first ``count`` rows of ``ids``/``rows`` hold the keys in order of first
+            # appearance, and at[i] is key id i's row (-1 if none), which a repeated key's
+            # last row overwrites
+            ids, rows, count = np.zeros(1024, np.int64), np.empty((1024, num_actions)), 0
+            at = np.full(1024, -1)
+            for number, line in enumerate(f, start=2):
+                if not line.strip():
+                    continue
+                where = f"line {number}: "
+                row = json.loads(line)
+                key = tuple(row["key"])
+                _check_key(key)
+                logits = _logits(num_actions, key, row["logits"])
+                i = params.index.intern(key)
+                if i >= len(at):
+                    at = _grown(at, 2 * i, -1)
+                if at.item(i) < 0:
+                    if count == len(ids):
+                        ids, rows = _grown(ids, 2 * count, 0), _grown(rows, 2 * count, 0.0)
+                    ids[count], at[i], count = i, count, count + 1
+                rows[at.item(i)] = logits
+            where = ""
+            params._write_ids(ids[:count], rows[:count])
+    except UsageError as e:
+        raise UsageError(f"{path}: {where}{e}") from None
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as e:
+        raise UsageError(f"{path}: {where}cannot read a policy checkpoint "
+                         f"({type(e).__name__}: {e})") from e
+    return params
 
 
 def write_records(log, path) -> None:

@@ -1,9 +1,11 @@
 """The checkpoint and metrics writers against their plain forms in
-tests/oracles.py: the same bytes, and for checkpoints no more memory; and
-load_params against a plain intern of each key in file order."""
+tests/oracles.py: the same bytes, and for checkpoints no more memory;
+load_params against a plain intern of each key in file order and against
+the plain loader; and KeyIndex.intern_all against plain interns in order."""
 
 from __future__ import annotations
 
+import json
 import math
 import tempfile
 import tracemalloc
@@ -125,6 +127,67 @@ def test_save_params_peaks_at_no_more_memory_than_the_plain_writer(tmp_path, dis
     plain = traced_peak(oracles.save_params, params, tmp_path / "plain.jsonl")
     assert peak <= plain
     assert (tmp_path / "checkpoint.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+
+
+def test_load_params_peaks_at_no_more_memory_than_the_plain_loader(tmp_path):
+    path = tmp_path / "checkpoint.jsonl"
+    save_params(trained_like_table(6000, 3, 1200), path)
+    peak = traced_peak(lambda _, p: load_params(p), None, path)
+    plain = traced_peak(lambda _, p: oracles.load_params(p), None, path)
+    assert peak <= plain
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(), st.randoms(use_true_random=False))
+def test_load_params_reads_shuffled_repeated_rows_as_the_plain_loader(params, rand):
+    """Rows in any order, some repeated with other logits, and blank lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.jsonl"
+        save_params(params, path)
+        header, *rows = path.read_text().splitlines()
+        for row in rand.sample(rows, len(rows) // 3):
+            row = json.loads(row)
+            rows.append(json.dumps({"key": row["key"], "logits": row["logits"][::-1]}))
+        rand.shuffle(rows)
+        path.write_text("\n".join([header] + rows[:2] + [""] + rows[2:]) + "\n")
+        with np.errstate(all="ignore"):
+            loaded, plain = load_params(path), oracles.load_params(path)
+    assert np.array_equal(loaded.logits.ids, plain.logits.ids)
+    assert loaded.logits.rows.tobytes() == plain.logits.rows.tobytes()
+    assert_same_index(loaded.index, plain.index)
+
+
+def assert_same_index(index, plain):
+    assert index.size == plain.size
+    for name in ("parent", "act", "last", "child"):
+        assert np.array_equal(getattr(index, name), getattr(plain, name)), name
+    for name in ("_roots", "_siblings", "_tuples", "_tuple_of"):
+        assert list(getattr(index, name).items()) == list(getattr(plain, name).items()), name
+
+
+# histories over 3 actions and 4 tokens, so a node often has two children by one
+# action, the empty key, and kept tuples with negative ints and ints past int32 and int64
+intern_keys = st.one_of(
+    st.builds(lambda o, turns: (o,) + sum(turns, ()), st.integers(0, 3),
+              st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=4)),
+    st.just(()),
+    st.lists(st.one_of(st.integers(-3, 3),
+                       st.sampled_from([2 ** 31, 2 ** 40, 2 ** 63, -2 ** 63 - 1])),
+             min_size=1, max_size=5).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(intern_keys, max_size=30), st.lists(intern_keys, max_size=40),
+       st.randoms(use_true_random=False))
+def test_intern_all_interns_as_plain_interns_in_order(before, keys, rand):
+    keys += rand.sample(keys, len(keys) // 3)  # repeats
+    index, plain = KeyIndex(3), KeyIndex(3)
+    for key in before:  # a non-empty index, as RowBlock.of meets one
+        index.intern(key)
+        plain.intern(key)
+    ids = index.intern_all(keys)
+    assert ids.tolist() == [plain.intern(key) for key in keys]
+    assert_same_index(index, plain)
 
 
 # -- metrics logs -----------------------------------------------------------------------

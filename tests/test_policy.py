@@ -400,6 +400,53 @@ def test_load_rejects_header_values_that_are_not_ints(tmp_path, field, value):
     assert str(err.value) == f"{path}: line 1: num_actions and version must be ints"
 
 
+@pytest.mark.parametrize("logits", [["0.5", True, None], ["1.5", False, None], ["0.5", 0.0, 0.0],
+                                    [0.0, True, 0.0], [0.0, 0.0, None], [0.0, [0.5], 0.0],
+                                    "0.5"])
+def test_load_rejects_logits_that_are_not_numbers(tmp_path, logits):
+    # numpy would read "0.5" as 0.5, true as 1.0 and null as NaN
+    path = tmp_path / "ckpt.jsonl"
+    save_params(PolicyParams(3, {(1,): np.array([0.1, 0.2, 0.3])}), path)
+    header, row = path.read_text().splitlines()
+    path.write_text("\n".join([header, row, json.dumps({"key": [2], "logits": logits})]) + "\n")
+    with pytest.raises(UsageError) as err:
+        load_params(path)
+    assert str(err.value) == f"{path}: line 3: row (2,) has a logit that is not a number"
+    header = json.loads(header)
+    header["default_logits"] = logits
+    path.write_text("\n".join([json.dumps(header), row]) + "\n")
+    with pytest.raises(UsageError) as err:
+        load_params(path)
+    assert str(err.value) == f"{path}: line 1: row default has a logit that is not a number"
+
+
+def test_load_names_the_first_faulty_line_of_a_block(tmp_path):
+    # line 3 has a key entry that is not an int and line 5 is not json: line 3 is named
+    path = tmp_path / "ckpt.jsonl"
+    save_params(PolicyParams(3, {(k,): np.full(3, 0.5) for k in range(3)}), path)
+    header, *rows = path.read_text().splitlines()
+    bad = json.dumps({"key": [1.5], "logits": [0.1, 0.2, 0.3]})
+    path.write_text("\n".join([header, rows[0], bad, rows[1], "this is not json", rows[2]]) + "\n")
+    with pytest.raises(UsageError) as err:
+        load_params(path)
+    assert str(err.value) == f"{path}: line 3: row key [1.5] has an entry that is not an int"
+
+
+@pytest.mark.parametrize("line,message", [
+    (json.dumps({"key": [5000], "logits": [0.1, 0.2]}),
+     "row (5000,) has 2 logits, expected num_actions=3"),
+    ("this is not json", "cannot read a policy checkpoint (JSONDecodeError: Expecting value: "
+                         "line 1 column 1 (char 0))")])
+def test_load_names_a_faulty_line_past_the_first_block(tmp_path, line, message):
+    path = tmp_path / "ckpt.jsonl"
+    save_params(PolicyParams(3, {(k,): np.full(3, 0.5) for k in range(1028)}), path)
+    with path.open("a") as f:  # line 1,030
+        f.write(line + "\n")
+    with pytest.raises(UsageError) as err:
+        load_params(path)
+    assert str(err.value) == f"{path}: line 1030: {message}"
+
+
 def test_load_rejects_default_row_of_wrong_width(tmp_path):
     path = tmp_path / "ckpt.jsonl"
     header = {"schema": 1, "kind": "policy_params", "num_actions": 3, "version": 0,
