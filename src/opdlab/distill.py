@@ -15,15 +15,14 @@ at the sampling temperature (gathered by key id from ``PolicyParams.cum``,
 which computes it when a row is written), steps the env and drops the
 episodes that ended, and steps the index for the others, a few array
 operations whatever the batch width; only a key new to the index, or with
-a window a lookup of the next window key, touches Python. The teacher
-rows, turn KL and recorded columns of all played turns are built once per
-call, after the walk. Each episode reads its own row of uniforms, and its
-student turn i samples from entry i of the row, so expert-prefix turns
-draw nothing and an episode's results do not depend on the other episodes
-of its batch.
+a window a lookup of the next window key, touches Python. The turn KL and
+recorded columns of all played turns are built once per call, after the
+walk. Each episode reads its own row of uniforms, and its student turn i
+samples from entry i of the row, so expert-prefix turns draw nothing and
+an episode's results do not depend on the other episodes of its batch.
 
 Every batch comes back as ``Rollouts``: (B, horizon_cap) columns of key
-ids, actions, teacher rows and turn KL, one row per episode. The runtime
+ids, actions, env state ids and turn KL, one row per episode. The runtime
 takes the replay columns (``Rollouts.student_turns``) and the per-episode
 KL sums from them; expert-prefix turns are kept only as key ids, outside
 every loss and gradient.
@@ -31,11 +30,12 @@ every loss and gradient.
 The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
 gradient is q - p, so the learner update is plain gradient descent on the
-logit table. An entry keeps the teacher's row but not the student's: the
-learner (``batch_gradient``) reads the student's rows once, as one row
-block gathered by key id, takes the softmax of their logits for the
-gradient and their stored floored log for the KL, and ``apply_gradient``
-writes its K rows as one (K, A) block. The SFT baseline trains an
+logit table. An entry holds ints only, no row: the learner
+(``batch_gradient``) gathers the teacher's rows and their logs from the
+teacher's table by (turn, state id), and the student's rows as one row
+block by key id, takes the softmax of their logits for the gradient and
+their stored floored log for the KL, and ``apply_gradient`` writes its K
+rows as one (K, A) block. The SFT baseline trains an
 ``SftBlock`` built once per run from ``store_turns``, one engine call that
 plays the store as expert prefixes, so SFT keys are built as b2f prefix
 keys are; its steps (``sft_update``, ``nll_loss``) touch only arrays.
@@ -78,8 +78,8 @@ STORE_SCHEMA = 1
 @dataclass(eq=False)
 class Rollouts:
     """A batch of rollouts as columns: entry (e, t) of the (B, horizon_cap)
-    ``keys`` (key ids of ``index``), ``actions``, ``teacher`` (rows) and
-    ``kl`` is episode e's turn t. Episode e played prefix_len[e] expert
+    ``keys`` (key ids of ``index``), ``actions``, ``states`` (env state ids)
+    and ``kl`` is episode e's turn t. Episode e played prefix_len[e] expert
     turns, then rounds[e] student turns; later entries are 0."""
 
     index: KeyIndex
@@ -88,7 +88,7 @@ class Rollouts:
     versions: np.ndarray
     keys: np.ndarray
     actions: np.ndarray
-    teacher: np.ndarray
+    states: np.ndarray
     kl: np.ndarray
     prefix_len: np.ndarray
     rounds: np.ndarray
@@ -103,8 +103,8 @@ class Rollouts:
         """The replay entries of the batch: its student turns, episode by
         episode, each in turn order."""
         e, t = np.nonzero(self.student_mask())
-        return Turns(self.index, self.keys[e, t], self.actions[e, t], t,
-                     self.teacher[e, t], self.kl[e, t], self.versions[e])
+        return Turns(self.index, self.keys[e, t], self.actions[e, t], t, self.states[e, t],
+                     self.versions[e])
 
     def kl_sums(self) -> np.ndarray:
         """Each episode's summed student-turn KL, added left to right from 0.0
@@ -115,7 +115,7 @@ class Rollouts:
         return 0.0 + np.cumsum(kl, axis=1)[:, -1]
 
     def _columns(self) -> list[np.ndarray]:
-        return [self.task_ids, self.versions, self.keys, self.actions, self.teacher, self.kl,
+        return [self.task_ids, self.versions, self.keys, self.actions, self.states, self.kl,
                 self.prefix_len, self.rounds, self.success]
 
     def take(self, rows: slice) -> "Rollouts":
@@ -161,9 +161,9 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
     ``temperature`` (``PolicyParams.cum``) by key id, steps the env, drops
     the episodes that ended and steps the index for the others; only a
     history new to the index touches Python. After the walk, every played
-    turn is one block: teacher rows (``TeacherPolicy.pairs``), the
-    student's floored log rows, one forward_kl_rows call and a scatter per
-    column; the table is fixed within a call and ids interned during it
+    turn is one block: teacher rows and their logs (``TeacherPolicy.pairs``),
+    the student's floored log rows, one forward_kl_rows call and a scatter
+    per column; the table is fixed within a call and ids interned during it
     read the default row, so the block reads the rows the turns read. Each
     episode carries one key id, its full history's up to turn W =
     ``window`` and its window key's from then on. With ``algo`` or a window given every key is interned, as o_0
@@ -236,15 +236,13 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
     t = np.repeat(np.arange(len(walked)), [len(turn[0]) for turn in walked])
     pair = teacher.pairs(t, state)
     kl = np.zeros((n, horizon))
-    kl[e, t] = forward_kl_rows(pair[:, :a], None, pair[:, a:],
-                               student.read(key)[:, 2 * a:])
+    kl[e, t] = forward_kl_rows(pair[:, :a], pair[:, a:], student.read(key)[:, 2 * a:])
     rollouts = None
     if record:
-        key_col, action_col = np.zeros((n, horizon), np.int64), np.zeros((n, horizon), np.int64)
-        teacher_col = np.zeros((n, horizon, a))
-        key_col[e, t], action_col[e, t], teacher_col[e, t] = key, actions, pair[:, :a]
+        key_col, action_col, state_col = np.zeros((3, n, horizon), np.int64)
+        key_col[e, t], action_col[e, t], state_col[e, t] = key, actions, state
         rollouts = Rollouts(index, algo, task, np.full(n, student.version, dtype=np.int64),
-                            key_col, action_col, teacher_col, kl, prefix_len,
+                            key_col, action_col, state_col, kl, prefix_len,
                             played - prefix_len, success)
     return kl, played - prefix_len, success, rollouts
 
@@ -317,38 +315,42 @@ def _sum_in_order(values: np.ndarray) -> float:
     return 0.0 + float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
-def _kl_block(turns: Turns, params: PolicyParams) -> tuple[float, RowBlock, np.ndarray]:
-    """Summed KL of the entries' teacher rows p against the student rows q of
-    ``params`` at their keys, the logit gradients q - p summed per distinct
-    key (in order of first occurrence) in entry order, and each key's count.
-    The turns' key ids must be those of the table's KeyIndex."""
+def _kl_block(turns: Turns, params: PolicyParams,
+              teacher: TeacherPolicy) -> tuple[float, RowBlock, np.ndarray]:
+    """Summed KL of the entries' teacher rows p (``teacher.pairs`` at their
+    turns and state ids) against the student rows q of ``params`` at their
+    keys, the logit gradients q - p summed per distinct key (in order of
+    first occurrence) in entry order, and each key's count. The turns' key
+    ids must be those of the table's KeyIndex."""
     if turns.index is not params.index:
         raise UsageError("the turns have key ids of another KeyIndex than the table's")
     ids, slots = _first_occurrence(turns.key)
     a = params.num_actions
     rows = params.read(turns.key)
-    q = softmax_rows(rows[:, :a])
-    p = turns.teacher
+    pair = teacher.pairs(turns.turn, turns.state)
+    p = pair[:, :a]
     sums = np.zeros((len(ids), a))
-    np.add.at(sums, slots, q - p)
+    np.add.at(sums, slots, softmax_rows(rows[:, :a]) - p)
     # each row stores log_floor(q), with q the softmax of its logits
-    return (_sum_in_order(forward_kl_rows(p, q, log_q=rows[:, 2 * a:])),
+    return (_sum_in_order(forward_kl_rows(p, pair[:, a:], rows[:, 2 * a:])),
             RowBlock(turns.index, ids, sums), np.bincount(slots))
 
 
-def batch_gradient(batch: Turns, params: PolicyParams) -> tuple[float, RowBlock]:
+def batch_gradient(batch: Turns, params: PolicyParams,
+                   teacher: TeacherPolicy) -> tuple[float, RowBlock]:
     """Mean loss and per-key mean gradient over a replay batch.
 
     The student distribution is read at the current parameters, so
     repeated steps on a fixed batch descend the current KL objective. The
     gradient for a key is averaged over that key's occurrences in the batch,
     keeping the learning rate independent of batch composition. The batch
-    is one row block gathered by key id; the result is bitwise the
-    per-entry sum of forward_kl and kl_logit_gradient in batch order.
+    is one row block gathered by key id, and the teacher rows one gather
+    from ``teacher``'s table; the result is bitwise the per-entry sum of
+    forward_kl and kl_logit_gradient in batch order.
     """
     if not len(batch):
         raise UsageError("empty batch")
-    loss, sums, counts = _kl_block(batch, params)
+    loss, sums, counts = _kl_block(batch, params, teacher)
     return loss / len(batch), RowBlock(sums.index, sums.ids, sums.rows / counts[:, None])
 
 

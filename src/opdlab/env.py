@@ -266,9 +266,10 @@ class TeacherConfig:
 
     def __post_init__(self):
         for ok, message in (
-            (self.on_support_temperature > 0, "on_support_temperature must be > 0"),
+            (0 < self.on_support_temperature < np.inf,
+             "on_support_temperature must be finite and > 0"),
             (0 < self.off_support_floor <= 1, "off_support_floor must be in (0, 1]"),
-            (self.turn_sharpening >= 0, "turn_sharpening must be >= 0"),
+            (0 <= self.turn_sharpening < np.inf, "turn_sharpening must be finite and >= 0"),
             (0 < self.depth_decay <= 1, "depth_decay must be in (0, 1]"),
         ):
             if not ok:

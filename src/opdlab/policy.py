@@ -99,18 +99,14 @@ def log_floor(q: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(q, Q_FLOOR))
 
 
-def forward_kl_rows(p: np.ndarray, q: np.ndarray, log_p: np.ndarray | None = None,
-                    log_q: np.ndarray | None = None) -> np.ndarray:
+def forward_kl_rows(p: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     """Exact KL(p[i] || q[i]) over the action set for each row i, teacher first.
 
-    ``log_p`` is log_rows(p) and ``log_q`` log_floor(q), each computed if not
-    given. Terms with p_i = 0 are 0 * (0 - log q_i) = +0.0 (q_i <= 1) and
-    stay in the sum, which runs over all A entries in order; q is floored at
-    ``Q_FLOOR`` inside the log. Each result is clamped at 0 to absorb float
-    round-off.
+    ``log_p`` is log_rows(p) and ``log_q`` log_floor(q), so terms with
+    p_i = 0 are 0 * (0 - log q_i) = +0.0 (q_i <= 1) and stay in the sum,
+    which runs over all A entries in order. Each result is clamped at 0 to
+    absorb float round-off.
     """
-    log_p = log_rows(p) if log_p is None else log_p
-    log_q = log_floor(q) if log_q is None else log_q
     return np.maximum(np.add.reduce(p * (log_p - log_q), axis=1), 0.0)
 
 
@@ -135,11 +131,12 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
 
 
 def forward_kl(p: np.ndarray, q: np.ndarray) -> float:
-    """forward_kl_rows of one pair of rows."""
+    """forward_kl_rows of one pair of rows, with their logs taken here; no
+    src path calls it, kept as a name because bench/tracing.py traces it."""
     p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise UsageError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    return float(forward_kl_rows(p[None], q[None])[0])
+    return float(forward_kl_rows(p[None], log_rows(p)[None], log_floor(q)[None])[0])
 
 
 def kl_logit_gradient(p_teacher: np.ndarray, q_student: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Staleness-aware sub-trajectory experience replay, held as columns.
 
 A replay entry is one student turn. Rollouts hand the buffer their student
-turns as ``Turns``: one array per field, one row per entry (the key id of
-the realized history, the sampled action, the turn index, the teacher's
-distribution, the turn KL and the acting policy version). The history key
-already encodes the whole prefix (expert-prefix turns included), so nothing
+turns as ``Turns``: one int array per field, one element per entry (the key
+id of the realized history, the sampled action, the turn index, the env
+state id and the acting policy version). The history key already encodes
+the whole prefix (expert-prefix turns included), and the teacher's row is
+read from its fixed table at the entry's turn and state id, so nothing
 needs to be re-simulated at learn time; the expert-prefix turns themselves
 get no entry. The sampler eagerly discards entries older than the staleness
 budget before drawing a batch. There is no per-entry object: an entry is a
@@ -25,31 +26,28 @@ DEFAULT_CAPACITY = 4096
 
 @dataclass(eq=False)
 class Turns:
-    """Replay entries as columns, one row per student turn; ``key`` holds key
-    ids of ``index`` and ``teacher`` the (n, A) teacher rows."""
+    """Replay entries as int columns, one element per student turn: ``key``
+    holds key ids of ``index``, ``state`` env state ids, and the teacher's
+    row of an entry is ``TeacherPolicy.pairs(turn, state)``."""
 
     index: KeyIndex
     key: np.ndarray
     action: np.ndarray
     turn: np.ndarray
-    teacher: np.ndarray
-    kl: np.ndarray
+    state: np.ndarray
     version: np.ndarray
 
     def __len__(self) -> int:
         return len(self.key)
 
     def _columns(self) -> list[np.ndarray]:
-        return [self.key, self.action, self.turn, self.teacher, self.kl, self.version]
+        return [self.key, self.action, self.turn, self.state, self.version]
 
     def take(self, rows) -> "Turns":
         """The entries at ``rows`` (indices, a slice or a bool mask)."""
         if isinstance(rows, np.ndarray) and rows.dtype == bool:
             rows = np.flatnonzero(rows)
-        teacher = (self.teacher[rows] if isinstance(rows, slice)
-                   else self.teacher.take(rows, axis=0))  # take gathers rows faster than []
-        return Turns(self.index, self.key[rows], self.action[rows], self.turn[rows], teacher,
-                     self.kl[rows], self.version[rows])
+        return Turns(self.index, *(column[rows] for column in self._columns()))
 
 
 def decompose(rollouts) -> Turns:

@@ -34,11 +34,12 @@ rollout alone when it comes due, for any wave or call width, and
 bit-reproducible per seed in both modes.
 
 Rollouts, replay and learner exchange columns, not per-turn objects: a
-wave's ``Rollouts`` hand the buffer their student turns as ``Turns``, the
-learner gathers a sampled batch's rows by key id, and a step's rollout
-record sums each episode's KL from the engine's KL matrix. All tables of a
-run share one key index, and only the newest table is read (see
-``policy``).
+wave's ``Rollouts`` hand the buffer their student turns as ``Turns`` of
+int ids, the learner gathers a sampled batch's student rows by key id and
+its teacher rows from the run's teacher by (turn, state id), and a step's
+rollout record sums each episode's KL from the engine's KL matrix. All
+tables of a run share one key index, and only the newest table is read
+(see ``policy``).
 
 The curriculum clock is the learner's step counter: the rollouts started
 at step n run under horizon_at(schedule, n). Evaluation always runs
@@ -129,7 +130,7 @@ class RunConfig:
             (self.algo in ALGOS, f"unknown algo {self.algo!r}, expected one of {ALGOS}"),
             (self.mode in (MODE_SYNC, MODE_ASYNC),
              f"mode must be 'sync' or 'async', got {self.mode!r}"),
-            (self.lr > 0, "lr must be > 0"),
+            (0 < self.lr < math.inf, "lr must be finite and > 0"),
             (self.batch_size >= 1, "batch_size must be >= 1"),
             (self.buffer_capacity >= self.batch_size, f"buffer_capacity "
              f"({self.buffer_capacity}) must be >= batch_size ({self.batch_size})"),
@@ -138,8 +139,8 @@ class RunConfig:
             (self.eval_every >= 1, "eval_every must be >= 1"),
             (self.eval_episodes >= 1, "eval_episodes must be >= 1"),
             (self.pass_m >= 1, "pass_m must be >= 1"),
-            (self.train_temperature > 0 and self.eval_temperature > 0,
-             "temperatures must be > 0"),
+            (0 < self.train_temperature < math.inf and 0 < self.eval_temperature < math.inf,
+             "temperatures must be finite and > 0"),
             (self.window is None or self.window >= 0,
              f"window must be >= 0 or None, got {self.window}"),
         ):
@@ -265,12 +266,12 @@ def _grad_norm(grads: np.ndarray) -> float:
     return math.sqrt(sum(np.vecdot(grads, grads).tolist()))
 
 
-def _learner_step(n: int, k: int, params: PolicyParams, buffer: RingBuffer,
-                  board: SnapshotBoard, config: RunConfig,
+def _learner_step(n: int, k: int, params: PolicyParams, teacher: TeacherPolicy,
+                  buffer: RingBuffer, board: SnapshotBoard, config: RunConfig,
                   sample_rng: np.random.Generator):
-    """Sample a batch, take one gradient step and publish it; returns the new
-    params, the step's TrainRecord, the batch's largest staleness and the
-    key ids the step wrote.
+    """Sample a batch, take one gradient step against ``teacher`` and publish
+    it; returns the new params, the step's TrainRecord, the batch's largest
+    staleness and the key ids the step wrote.
 
     apply_gradient writes its rows in place into the table it returns, so
     the new params are published as they are; nothing reads the old table.
@@ -279,7 +280,7 @@ def _learner_step(n: int, k: int, params: PolicyParams, buffer: RingBuffer,
                                 config.batch_size, sample_rng)
     staleness = params.version - batch.version
     assert staleness.max() <= config.delta_max
-    loss, grads = batch_gradient(batch, params)
+    loss, grads = batch_gradient(batch, params, teacher)
     params = apply_gradient(params, grads, config.lr)
     board.publish(params)
     record = TrainRecord(
@@ -449,7 +450,7 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
             fresh += int(batch.rounds[params.version - batch.versions <= config.delta_max].sum())
             step_batches.append(batch)
 
-        params, record, staleness, ids = _learner_step(n, k, params, buffer, board,
+        params, record, staleness, ids = _learner_step(n, k, params, teacher, buffer, board,
                                                        config, sample_rng)
         starter.wrote(ids, params.version)
         max_staleness = max(max_staleness, staleness)

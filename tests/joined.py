@@ -3,6 +3,8 @@ column by column."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from opdlab.distill import Rollouts, rollout_batch
@@ -19,7 +21,6 @@ def episode(algo, env, student, teacher, task, k, gen, **kwargs):
 def episodes(batches, rows=slice(None)):
     """The episodes ``rows`` of the batches ``batches`` taken end to end, as
     one batch (the batches share one key index)."""
-    columns = [np.concatenate([getattr(b, name) for b in batches])[rows]
-               for name in ("task_ids", "versions", "keys", "actions", "teacher", "kl",
-                            "prefix_len", "rounds", "success")]
+    columns = [np.concatenate([getattr(b, f.name) for b in batches])[rows]
+               for f in fields(Rollouts) if f.name not in ("index", "algo")]
     return Rollouts(batches[0].index, batches[0].algo, *columns)

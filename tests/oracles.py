@@ -5,7 +5,8 @@ and interns one line at a time; the rollout engine with its teacher rows, KL
 and recorded columns computed inside the turn loop and each key cut from
 its episode's full history; the training loop that starts each rollout when
 it comes due; and the episode summary averaged by np.mean. Also the teacher
-frozen into a logit table, a student that plays the expert; and the walks
+frozen into a logit table, a student that plays the expert; a teacher made
+by hand from rows, for replay entries made by hand; and the walks
 over ``Env.reset``/``Env.step`` that expert collection and the SFT turns
 must give the same results as: one episode played with a caller's action
 rule, expert collection with a ``teacher.dist`` draw per turn, and each
@@ -41,6 +42,7 @@ from opdlab.policy import (
     _logits,
     encode_history,
     forward_kl_rows,
+    log_rows,
     sample_action,
     sample_cum,
     sample_rows,
@@ -157,14 +159,16 @@ def write_records(log, path) -> None:
 
 
 def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, window=None,
-                     max_student_turns=None, prefixes=None, algo=None):
+                     max_student_turns=None, prefixes=None, algo=None, teacher_rows=None):
     """distill.rollout_lockstep with each turn's teacher rows (gathered from
     ``teacher.table[t]``), turn KL (one forward_kl_rows call per turn) and
-    recorded columns computed and scattered inside the turn loop, reading the
-    live rows of (B, ...) arrays through the live episode indices. Each live
-    episode keeps its full history as a tuple, and its key is window_key of
-    that tuple, looked up every turn: interned with ``algo`` given, else
-    found (id 0, the default row, if the index lacks it)."""
+    recorded columns (state ids among them) computed and scattered inside
+    the turn loop, reading the live rows of (B, ...) arrays through the live
+    episode indices. Each live episode keeps its full history as a tuple,
+    and its key is window_key of that tuple, looked up every turn: interned
+    with ``algo`` given, else found (id 0, the default row, if the index
+    lacks it). A given (B, horizon_cap, A) array ``teacher_rows`` receives
+    the teacher row of each played turn, as gathered in the loop."""
     n, horizon = len(task_ids), env.config.horizon_cap
     if not temperature > 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
@@ -194,7 +198,7 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
     if record:
         key_col = np.zeros((n, horizon), dtype=np.int64)
         action_col = np.zeros((n, horizon), dtype=np.int64)
-        teacher_col = np.zeros((n, horizon, a))
+        state_col = np.zeros((n, horizon), dtype=np.int64)
     # the live episodes, their state ids and their full histories
     live = np.arange(n)
     state = env.initial_state[task]
@@ -211,7 +215,7 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
         # the teacher's rows and their logs (take gathers rows faster than [])
         pair = teacher.table[t].take(row_class[state], axis=0)
         p_teacher = pair[:, :a]
-        turn_kl = forward_kl_rows(p_teacher, None, pair[:, a:], rows[:, 2 * a:])
+        turn_kl = forward_kl_rows(p_teacher, pair[:, a:], rows[:, 2 * a:])
         if temperature == 1.0:
             actions = sample_cum(rows[:, a:2 * a], v[:, t][here])
         else:
@@ -221,9 +225,11 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
             in_prefix = prefix_len[here] > t
             actions = np.where(in_prefix, forced[:, t][here], actions)
         kl[:, t][here] = turn_kl
+        if teacher_rows is not None:
+            teacher_rows[:, t][here] = p_teacher
         if record:
-            key_col[:, t][here], action_col[:, t][here], teacher_col[:, t][here] = (
-                key, actions, p_teacher)
+            key_col[:, t][here], action_col[:, t][here], state_col[:, t][here] = (
+                key, actions, state)
         state = next_state[state, actions]
         tokens, won = token[state], reached[state]
         if in_prefix is not None and np.count_nonzero(won & (t + 1 < prefix_len[here])):
@@ -240,8 +246,22 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
                 break
     rollouts = None if not record else Rollouts(
         index, algo, task, np.full(n, student.version, dtype=np.int64), key_col,
-        action_col, teacher_col, kl, prefix_len, played - prefix_len, success)
+        action_col, state_col, kl, prefix_len, played - prefix_len, success)
     return kl, played - prefix_len, success, rollouts
+
+
+class RowTeacher:
+    """A teacher made by hand: at every turn, state id s has the row
+    ``rows[s]``, so replay entries made with state ids 0..n-1 read the n rows
+    they were made with; ``pairs`` gives [rows[s] | log_rows(rows[s])], as
+    TeacherPolicy.pairs does for its rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.float64)
+
+    def pairs(self, turns, states):
+        rows = self.rows[states]
+        return np.concatenate([rows, log_rows(rows)], axis=-1)
 
 
 def take(started: deque[Rollouts], width: int) -> list[Rollouts]:
@@ -298,8 +318,8 @@ def run_distill(config, store=None) -> runtime.TrainingResult:
                                           <= config.delta_max].sum())
                 step_batches.append(batch)
 
-        params, record, staleness, _ = runtime._learner_step(n, k, params, buffer, board,
-                                                             config, sample_rng)
+        params, record, staleness, _ = runtime._learner_step(n, k, params, teacher, buffer,
+                                                             board, config, sample_rng)
         max_staleness = max(max_staleness, staleness)
         log.append(record)
         log.append(runtime._rollout_record(n, k, step_batches))

@@ -153,7 +153,7 @@ def test_03_equivalence_limit(tmp_path):
         a, b = (rollout_batch(algo, env, student, teacher, [seed % 32], cap,
                               fresh_rng(3, seed).random((1, cap))) for algo in ("opd", "f2b"))
         # one student, so one key index: equal key ids are equal keys
-        for column in ("success", "rounds", "versions", "keys", "actions", "kl", "teacher"):
+        for column in ("success", "rounds", "versions", "keys", "actions", "kl", "states"):
             assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
     # 200-step sync runs: identical losses, records, and checkpoint bytes
@@ -203,11 +203,11 @@ def test_04_stop_gradient_contract():
         if not prefix_only:
             continue
         # the learner's loss and gradient: _kl_block of the replay entries
-        base_loss, base_grads = _kl_block(rollouts.student_turns(), student)[:2]
+        base_loss, base_grads = _kl_block(rollouts.student_turns(), student, teacher)[:2]
         ids = np.array([rollouts.index.find(key) for key in prefix_only])
         perturbed = student.snapshot().with_rows(
             ids, np.array([gen.normal(0, 50, 6) for _ in prefix_only]), student.version)
-        new_loss, new_grads = _kl_block(rollouts.student_turns(), perturbed)[:2]
+        new_loss, new_grads = _kl_block(rollouts.student_turns(), perturbed, teacher)[:2]
         assert new_loss - base_loss == 0.0
         assert set(new_grads) == set(base_grads)
         assert not (set(new_grads) & set(prefix_only))

@@ -167,6 +167,20 @@ REJECTED_OVERRIDES = {
     "depth_decay_not_a_number": ("--teacher.depth_decay=foo", "teacher.depth_decay"),
     "lr_not_a_number": ("--runtime.lr=[1]", "runtime.lr"),
     "output_dir_not_a_string": ("--run.output_dir=5", "run.output_dir"),
+    # every float field must be finite: an infinite lr or teacher sharpening
+    # would train to NaN rows and losses
+    "lr_infinite": ("--runtime.lr=.inf", "lr must be finite"),
+    "lr_nan": ("--runtime.lr=.nan", "lr must be finite"),
+    "train_temperature_infinite": ("--runtime.train_temperature=.inf",
+                                   "temperatures must be finite"),
+    "eval_temperature_infinite": ("--runtime.eval_temperature=.inf",
+                                  "temperatures must be finite"),
+    "on_support_temperature_infinite": ("--teacher.on_support_temperature=.inf",
+                                        "on_support_temperature must be finite"),
+    "turn_sharpening_infinite": ("--teacher.turn_sharpening=.inf",
+                                 "turn_sharpening must be finite"),
+    "off_support_floor_nan": ("--teacher.off_support_floor=.nan", "off_support_floor"),
+    "depth_decay_infinite": ("--teacher.depth_decay=-.inf", "depth_decay"),
 }
 
 

@@ -71,10 +71,11 @@ def logits_at(params, key):
     return params.logits.get(key, params.default_logits)
 
 
-def loss_and_grads(rollouts, params):
+def loss_and_grads(rollouts, params, teacher):
     """The summed KL and gradient of the student turns of ``rollouts`` at
-    ``params``: what batch_gradient computes, before it averages."""
-    return _kl_block(rollouts.student_turns(), params)[:2]
+    ``params`` against ``teacher``: what batch_gradient computes, before it
+    averages."""
+    return _kl_block(rollouts.student_turns(), params, teacher)[:2]
 
 
 def played(r):
@@ -189,11 +190,11 @@ def test_b2f_prefix_only_keys_do_not_move_loss(env, teacher, store):
     keys = r.index.keys(r.keys[0, :n])
     prefix_only = [key for key in keys[:p] if key not in keys[p:]]
     assert prefix_only
-    base_loss, base_grads = loss_and_grads(r, student)
+    base_loss, base_grads = loss_and_grads(r, student, teacher)
     perturbed = student.snapshot().with_rows(
         np.array([r.index.find(key) for key in prefix_only]),
         np.tile([100.0, -3.0, 7.0, 0.0, 1.0, -50.0], (len(prefix_only), 1)), student.version)
-    new_loss, new_grads = loss_and_grads(r, perturbed)
+    new_loss, new_grads = loss_and_grads(r, perturbed, teacher)
     assert new_loss == base_loss
     assert set(base_grads) == set(new_grads)
     assert not (set(new_grads) & set(prefix_only))
@@ -235,32 +236,34 @@ def test_rollouts_record_one_entry_per_student_turn(env, teacher, store):
 def one_episode(keys, teacher_rows, index, prefix_len=0):
     """A one-episode batch, made by hand, whose turns have the keys ``keys``
     (interned in ``index``; the first ``prefix_len`` of an expert prefix) and
-    the teacher rows ``teacher_rows``; what the losses do not read is 0."""
+    turn t the state id t, and the RowTeacher whose row at state id t is
+    teacher_rows[t]; what the losses do not read is 0."""
     n = len(keys)
     return Rollouts(index, "opd", np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
                     np.array([[index.intern(k) for k in keys]], dtype=np.int64),
-                    np.zeros((1, n), dtype=np.int64), np.reshape(teacher_rows, (1, n, -1)),
+                    np.zeros((1, n), dtype=np.int64), np.arange(n)[None],
                     np.zeros((1, n)), np.array([prefix_len]), np.array([n - prefix_len]),
-                    np.zeros(1, dtype=bool))
+                    np.zeros(1, dtype=bool)), oracles.RowTeacher(teacher_rows)
 
 
 def synthetic_episode(p, q, key=(1, 0, 2)):
-    """A one-turn episode with teacher row p, and params whose row at its key
-    is log q, so the student's distribution there is q up to round-off."""
+    """A one-turn episode with teacher row p, its teacher, and params whose
+    row at its key is log q, so the student's distribution there is q up to
+    round-off."""
     params = PolicyParams(num_actions=len(q), logits={key: np.log(q)})
-    return one_episode([key], [p], params.index), params
+    return *one_episode([key], [p], params.index), params
 
 
 def test_loss_single_turn_closed_form():
-    r, params = synthetic_episode([1.0, 0.0], [0.5, 0.5])
-    loss, grads = loss_and_grads(r, params)
+    r, teacher, params = synthetic_episode([1.0, 0.0], [0.5, 0.5])
+    loss, grads = loss_and_grads(r, params, teacher)
     assert loss == pytest.approx(math.log(2), abs=1e-12)
     assert np.allclose(grads[(1, 0, 2)], [-0.5, 0.5], atol=1e-15)
 
 
 def test_loss_zero_when_matched():
-    r, params = synthetic_episode([0.25, 0.75], [0.25, 0.75])
-    loss, grads = loss_and_grads(r, params)
+    r, teacher, params = synthetic_episode([0.25, 0.75], [0.25, 0.75])
+    loss, grads = loss_and_grads(r, params, teacher)
     # softmax(log q) is q up to one ulp, so the KL is 0 up to round-off
     assert loss == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(grads[(1, 0, 2)], 0.0, atol=1e-15)
@@ -268,9 +271,9 @@ def test_loss_zero_when_matched():
 
 def test_loss_all_prefix_is_empty():
     params = PolicyParams(num_actions=2)
-    r = one_episode([(0,)], [[0.5, 0.5]], params.index, prefix_len=1)
+    r, teacher = one_episode([(0,)], [[0.5, 0.5]], params.index, prefix_len=1)
     assert (r.rounds[0], r.prefix_len[0]) == (0, 1)
-    loss, grads = loss_and_grads(r, params)
+    loss, grads = loss_and_grads(r, params, teacher)
     assert math.copysign(1.0, loss) == 1.0 and loss == 0.0
     assert len(grads) == 0 and grads.rows.shape == (0, 2)
 
@@ -278,10 +281,10 @@ def test_loss_all_prefix_is_empty():
 def test_loss_matches_recorded_kl_sum(env, teacher):
     student = uniform_student(env)
     r = episode("opd", env, student, teacher, 1, 12, rng(21))
-    loss, _ = loss_and_grads(r, student)
+    loss, _ = loss_and_grads(r, student, teacher)
     assert loss == pytest.approx(sum(r.kl[r.student_mask()].tolist()), abs=1e-12)
     # an equal table gives the same loss: it depends on the rows, not the object
-    recomputed, _ = loss_and_grads(r, student.snapshot())
+    recomputed, _ = loss_and_grads(r, student.snapshot(), teacher)
     assert recomputed == pytest.approx(loss, abs=1e-12)
 
 
@@ -566,18 +569,25 @@ def test_nll_of_certain_turns_is_positive_zero():
 
 def entries(batch, index):
     """Replay columns of the (key, teacher row) pairs ``batch``, keys interned
-    in ``index``; batch_gradient reads only the key ids and teacher rows."""
+    in ``index`` and entry i at state id i, and the RowTeacher of their rows;
+    batch_gradient reads only the key ids, turns and state ids."""
     n = len(batch)
     zeros = np.zeros(n, dtype=np.int64)
-    return Turns(index, np.array([index.intern(key) for key, _ in batch], dtype=np.int64),
-                 zeros, zeros, np.array([p for _, p in batch], dtype=np.float64),
-                 np.zeros(n), zeros)
+    return (Turns(index, np.array([index.intern(key) for key, _ in batch], dtype=np.int64),
+                  zeros, zeros, np.arange(n), zeros),
+            oracles.RowTeacher([p for _, p in batch]))
+
+
+def learner_gradient(batch, index, params):
+    """batch_gradient of the entries of the (key, teacher row) pairs ``batch``."""
+    turns, teacher = entries(batch, index)
+    return batch_gradient(turns, params, teacher)
 
 
 def gradient_step(batch, params, lr):
     """The runtime's learner update on the (key, teacher row) pairs ``batch``:
     batch_gradient, then apply_gradient."""
-    _, grads = batch_gradient(entries(batch, params.index), params)
+    _, grads = learner_gradient(batch, params.index, params)
     return apply_gradient(params, grads, lr)
 
 
@@ -616,8 +626,8 @@ def test_batch_gradient_refuses_turns_of_another_key_index():
     params, twin = PolicyParams(2, rows), PolicyParams(2, rows)
     for index in (KeyIndex(2), twin.index):
         with pytest.raises(UsageError, match="another KeyIndex"):
-            batch_gradient(entries([entry((0,), [1.0, 0.0])], index), params)
-    assert batch_gradient(entries([entry((0,), [1.0, 0.0])], params.index), params)[0] > 0
+            learner_gradient([entry((0,), [1.0, 0.0])], index, params)
+    assert learner_gradient([entry((0,), [1.0, 0.0])], params.index, params)[0] > 0
 
 
 def test_learner_step_empty_batch_rejected():
@@ -711,7 +721,7 @@ def test_batch_gradient_bitwise_equals_per_entry_loop(data):
     params, keys = data.draw(row_block_case())
     p = data.draw(teacher_rows(len(keys), params.num_actions))
     batch = [entry(k, row) for k, row in zip(keys, p)]
-    loss, grads = batch_gradient(entries(batch, params.index), params)
+    loss, grads = learner_gradient(batch, params.index, params)
     ref_loss, ref_grads = reference_batch_gradient(batch, params)
     assert same_bits(loss, ref_loss)
     assert list(grads) == list(ref_grads)
@@ -757,7 +767,8 @@ def per_turn_trajectory_loss(turns, params):
 def test_trajectory_loss_bitwise_equals_per_turn_loop(data):
     params, keys = data.draw(row_block_case())
     p = data.draw(teacher_rows(len(keys), params.num_actions))
-    loss, grads = loss_and_grads(one_episode(keys, p, params.index), params)
+    r, teacher = one_episode(keys, p, params.index)
+    loss, grads = loss_and_grads(r, params, teacher)
     ref_loss, ref_grads = per_turn_trajectory_loss(zip(keys, p), params)
     assert same_bits(loss, ref_loss)
     assert list(grads) == list(ref_grads)

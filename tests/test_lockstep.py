@@ -7,6 +7,7 @@ engine must reproduce it on the same uniforms.
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -32,6 +33,8 @@ from opdlab.policy import (
     encode_history,
     forward_kl,
     forward_kl_rows,
+    log_floor,
+    log_rows,
     sample_action,
     sample_rows,
     softmax,
@@ -135,7 +138,7 @@ def episode_bits(r, e):
     """Episode e of the batch ``r`` to the last bit."""
     p, n = played(r, e)
     return (episode_fields(r, e), int(r.task_ids[e]), r.kl[e, p:n].tobytes(),
-            r.teacher[e, p:n].tobytes())
+            r.states[e, p:n].tobytes())
 
 
 # -- oracle: the engine equals the scalar rollouts ------------------------------------
@@ -391,9 +394,33 @@ def test_engine_matches_the_in_loop_oracle_bitwise(num_actions, kind, temperatur
     assert rounds.tolist() == rounds0.tolist() and success.tolist() == success0.tolist()
     assert (r is None) == (r0 is None) == (algo is None)
     if r is not None:
-        for name in ("keys", "actions", "teacher", "kl", "prefix_len", "rounds", "success"):
+        for name in ("keys", "actions", "states", "kl", "prefix_len", "rounds", "success"):
             x, y = getattr(r, name), getattr(r0, name)
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("window", (None, 0, 2))
+@pytest.mark.parametrize("algo,k", [("opd", 12), ("f2b", 3), ("b2f", 3)])
+def test_entry_teacher_rows_are_the_rows_the_oracle_gathers(monkeypatch, algo, k, window):
+    """The teacher row the learner reads for a replay entry,
+    teacher.pairs(turn, state), has the bytes of the row the in-loop oracle
+    engine gathers for that turn."""
+    env = make_env(EnvConfig())
+    teacher = make_teacher(env)
+    store = collect_teacher_trajectories(env, teacher, 10, np.random.default_rng(7))
+    params = partial_student(teacher, window, seed=6)
+    tasks = np.arange(24) % env.config.task_count
+    u = np.random.default_rng(9).random((24, env.config.horizon_cap))
+    r = rollout_batch(algo, env, params, teacher, tasks, k, u, store=store, window=window)
+    gathered = np.full(r.kl.shape + (env.config.num_actions,), np.nan)
+    monkeypatch.setattr(distill, "rollout_lockstep",
+                        partial(oracles.rollout_lockstep, teacher_rows=gathered))
+    rollout_batch(algo, env, params, teacher, tasks, k, u, store=store, window=window)
+    turns, (e, t) = r.student_turns(), np.nonzero(r.student_mask())
+    rows = teacher.pairs(turns.turn, turns.state)[:, :env.config.num_actions]
+    assert rows.tobytes() == gathered[e, t].tobytes()
+    # the entries span on- and off-support rows
+    assert (env.recovery[turns.state] > 0).any() and (env.recovery[turns.state] == 0).any()
 
 
 def test_teacher_rows_and_kl_are_built_once_per_call(monkeypatch):
@@ -655,10 +682,10 @@ def test_row_functions_match_their_scalar_forms():
     p = softmax_rows(logits * 30.0)  # has exact zeros, which KL terms skip
     assert (p == 0).any()
     q = softmax_rows(logits)
-    np.testing.assert_allclose(forward_kl_rows(p, q),
-                               [forward_kl(a, b) for a, b in zip(p, q)],
+    kl = forward_kl_rows(p, log_rows(p), log_floor(q))
+    np.testing.assert_allclose(kl, [forward_kl(a, b) for a, b in zip(p, q)],
                                rtol=1e-12, atol=1e-300)
-    assert forward_kl_rows(p, q).tolist() == [oracle_forward_kl(a, b) for a, b in zip(p, q)]
+    assert kl.tolist() == [oracle_forward_kl(a, b) for a, b in zip(p, q)]
     # a draw that lands exactly on a cumulative mass moves on to the next action
     edge = np.array([[0.25, 0.25, 0.5]])
     assert sample_rows(edge, np.array([0.25])).tolist() == [oracle_sample(edge[0], 0.25)] == [1]

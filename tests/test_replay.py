@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from opdlab.distill import _kl_block, collect_teacher_trajectories
+from opdlab.distill import (
+    _kl_block,
+    apply_gradient,
+    batch_gradient,
+    collect_teacher_trajectories,
+)
 from opdlab.env import EnvConfig, make_env, make_teacher
 from opdlab.errors import ConfigError
 from opdlab.policy import KeyIndex, PolicyParams, forward_kl, softmax
@@ -31,12 +38,11 @@ KEYS = KeyIndex(2)  # the key ids of every entry pushed below
 
 def turns(*entries):
     """Replay columns of the (key token, version) ``entries``: each has the
-    key (token,), the teacher row [1, 0], turn 0 and KL log 2."""
+    key (token,), action 0, turn 0 and state id 0."""
     n = len(entries)
+    zeros = np.zeros(n, dtype=np.int64)
     return Turns(KEYS, np.array([KEYS.intern((i,)) for i, _ in entries], dtype=np.int64),
-                 np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
-                 np.tile([1.0, 0.0], (n, 1)), np.full(n, np.log(2.0)),
-                 np.array([v for _, v in entries], dtype=np.int64))
+                 zeros, zeros, zeros, np.array([v for _, v in entries], dtype=np.int64))
 
 
 def entry(i, version=0):
@@ -81,10 +87,47 @@ def test_entries_reconstruct_trajectory_loss(env, teacher):
     student = PolicyParams(num_actions=env.config.num_actions)
     rollouts = episode("opd", env, student, teacher, 2, 12, rng(6))
     entries = decompose(rollouts)
-    loss = _kl_block(entries, student)[0]
-    from_entries = sum(forward_kl(p, softmax(student.logits.get(key, student.default_logits)))
-                       for p, key in zip(entries.teacher, rollouts.index.keys(entries.key)))
+    loss = _kl_block(entries, student, teacher)[0]
+    a = env.config.num_actions
+    from_entries = sum(forward_kl(teacher.pairs(t, s)[:a],
+                                  softmax(student.logits.get(key, student.default_logits)))
+                       for t, s, key in zip(entries.turn, entries.state,
+                                            rollouts.index.keys(entries.key)))
     assert from_entries == pytest.approx(loss, abs=1e-12)
+
+
+def int_columns(columns):
+    """The dataclass fields of ``columns`` but its key index, checked to be
+    integer arrays."""
+    arrays = [getattr(columns, f.name) for f in fields(columns) if f.name != "index"]
+    assert arrays and all(np.issubdtype(x.dtype, np.integer) for x in arrays), arrays
+    return arrays
+
+
+def test_entries_and_the_buffer_hold_ints_only(env, teacher):
+    """Rollouts record no float column but the turn KL; an entry, in a wave's
+    student turns and in the buffer after pushes, evictions and stale
+    discards, is ints only."""
+    store = collect_teacher_trajectories(env, make_teacher(env, on_support_temperature=1e-3),
+                                         1, rng(2))
+    buf = RingBuffer(capacity=40)
+    student, pushed = PolicyParams(num_actions=env.config.num_actions), 0
+    for step in range(4):
+        for algo, k in (("opd", 12), ("f2b", 4), ("b2f", 2)):
+            rollouts = episode(algo, env, student, teacher, step, k, rng(step), store=store)
+            assert [f.name for f in fields(rollouts) if f.name not in ("index", "algo")
+                    and getattr(rollouts, f.name).dtype.kind == "f"] == ["kl"]
+            entries = rollouts.student_turns()
+            assert len(int_columns(entries)) == 5
+            buf.push(entries)
+            pushed += len(entries)
+            int_columns(buf._turns)
+        batch = buf.sample_batch(student.version, 0, 8, rng(step))
+        int_columns(batch)
+        int_columns(buf._turns)
+        student = apply_gradient(student, batch_gradient(batch, student, teacher)[1], 0.5)
+    evicted = pushed - buf.discarded_stale_total - len(buf)
+    assert buf.discarded_stale_total > 0 and evicted > 0
 
 
 # -- ring buffer -------------------------------------------------------------------

@@ -77,7 +77,7 @@ def rollout_batches(draw):
     success = np.array([draw(st.booleans()) for _ in range(n)])
     zeros = np.zeros((n, horizon), dtype=np.int64)
     return Rollouts(KeyIndex(2), "b2f", np.zeros(n, dtype=np.int64),
-                    np.zeros(n, dtype=np.int64), zeros, zeros, np.zeros((n, horizon, 2)), kl,
+                    np.zeros(n, dtype=np.int64), zeros, zeros, zeros, kl,
                     prefix_len, rounds, success)
 
 
