@@ -12,7 +12,7 @@ through the env's compiled tables (``next_state``, ``token``,
 ``KeyIndex`` (from turn W on, with a window of W turns, to window keys).
 A turn only samples the next action from each episode's softmax cumsum
 at the sampling temperature (gathered by key id from ``PolicyParams.cum``,
-which computes it when a row is written), steps the env and drops the
+whose block the writes keep current), steps the env and drops the
 episodes that ended, and steps the index for the others, a few array
 operations whatever the batch width; only a key new to the index, or with
 a window a lookup of the next window key, touches Python. The turn KL and
@@ -31,18 +31,17 @@ The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
 gradient is q - p, so the learner update is plain gradient descent on the
 logit table. An entry holds ints only, no row: the learner
-(``batch_gradient``) gathers the teacher's rows and their logs from the
-teacher's table by (turn, state id), and the student's rows as one row
-block by key id, takes the softmax of their logits for the gradient and
-their stored floored log for the KL, and ``apply_gradient`` writes its K
-rows as one (K, A) block. The SFT baseline trains an
-``SftBlock`` built once per run from ``store_turns``, one engine call that
-plays the store as expert prefixes, so SFT keys are built as b2f prefix
-keys are; its steps (``sft_update``, ``nll_loss``) touch only arrays.
-Expert collection and the store checks walk state ids through the env's
-tables too.
-All give bitwise the results of a per-entry loop over the scalar softmax,
-KL and gradient.
+(``batch_gradient``) gathers the teacher's rows and their logs
+(``TeacherPolicy.pairs``) by (turn, state id), and the student's logits
+and stored floored log of their softmax (``PolicyParams.log_q``) by key id,
+takes the softmax of the logits for the gradient and the log for the KL,
+and ``apply_gradient`` writes its K rows as one (K, A) block. The SFT
+baseline trains an ``SftBlock`` built once per run from ``store_turns``,
+one engine call that plays the store as expert prefixes, so SFT keys are
+built as b2f prefix keys are; its steps (``sft_update``, ``nll_loss``)
+touch only arrays. Expert collection and the store checks walk state ids
+through the env's tables too. All give bitwise the results of a
+per-entry loop over the scalar softmax, KL and gradient.
 """
 
 from __future__ import annotations
@@ -78,9 +77,10 @@ STORE_SCHEMA = 1
 @dataclass(eq=False)
 class Rollouts:
     """A batch of rollouts as columns: entry (e, t) of the (B, horizon_cap)
-    ``keys`` (key ids of ``index``), ``actions``, ``states`` (env state ids)
-    and ``kl`` is episode e's turn t. Episode e played prefix_len[e] expert
-    turns, then rounds[e] student turns; later entries are 0."""
+    ``keys`` (key ids of ``index``), ``actions``, ``states`` (int32 env state
+    ids, as the env's tables hold them) and ``kl`` is episode e's turn t.
+    Episode e played prefix_len[e] expert turns, then rounds[e] student
+    turns; later entries are 0."""
 
     index: KeyIndex
     algo: str
@@ -162,14 +162,14 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
     the episodes that ended and steps the index for the others; only a
     history new to the index touches Python. After the walk, every played
     turn is one block: teacher rows and their logs (``TeacherPolicy.pairs``),
-    the student's floored log rows, one forward_kl_rows call and a scatter
-    per column; the table is fixed within a call and ids interned during it
-    read the default row, so the block reads the rows the turns read. Each
-    episode carries one key id, its full history's up to turn W =
-    ``window`` and its window key's from then on. With ``algo`` or a window given every key is interned, as o_0
-    and W turns bound the window keys; in evaluation without a window none
-    is, so the index does not grow, and a history outside it reads the
-    default row.
+    the student's floored log rows (``PolicyParams.log_q``), one
+    forward_kl_rows call and a scatter per column; the table is fixed within
+    a call and ids interned during it read the default row, so the block
+    reads the rows the turns read. Each episode carries one key id, its full
+    history's up to turn W = ``window`` and its window key's from then on.
+    With ``algo`` or a window given every key is interned, as o_0 and W
+    turns bound the window keys; in evaluation without a window none is, so
+    the index does not grow, and a history outside it reads the default row.
 
     Returns ``(kl, rounds, success, rollouts)``: the (B, horizon_cap)
     per-turn KL on every turn played (0 after an episode ends), each
@@ -199,7 +199,6 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
 
     record = algo is not None
     index = student.index
-    a = env.config.num_actions
     played = np.full(n, horizon)  # turns each episode played, prefix included
     success = np.zeros(n, dtype=bool)
     intern = record or window is not None
@@ -232,14 +231,14 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
         key = index.step(key, actions, token[state], intern,
                          None if window is None or t < window else window)
 
-    e, key, actions, state = [np.concatenate(column, dtype=np.int64) for column in zip(*walked)]
+    e, key, actions, state = [np.concatenate(column) for column in zip(*walked)]
     t = np.repeat(np.arange(len(walked)), [len(turn[0]) for turn in walked])
-    pair = teacher.pairs(t, state)
     kl = np.zeros((n, horizon))
-    kl[e, t] = forward_kl_rows(pair[:, :a], pair[:, a:], student.read(key)[:, 2 * a:])
+    kl[e, t] = forward_kl_rows(*teacher.pairs(t, state), student.log_q(key))
     rollouts = None
     if record:
-        key_col, action_col, state_col = np.zeros((3, n, horizon), np.int64)
+        key_col, action_col = np.zeros((2, n, horizon), np.int64)
+        state_col = np.zeros((n, horizon), state.dtype)
         key_col[e, t], action_col[e, t], state_col[e, t] = key, actions, state
         rollouts = Rollouts(index, algo, task, np.full(n, student.version, dtype=np.int64),
                             key_col, action_col, state_col, kl, prefix_len,
@@ -325,14 +324,10 @@ def _kl_block(turns: Turns, params: PolicyParams,
     if turns.index is not params.index:
         raise UsageError("the turns have key ids of another KeyIndex than the table's")
     ids, slots = _first_occurrence(turns.key)
-    a = params.num_actions
-    rows = params.read(turns.key)
-    pair = teacher.pairs(turns.turn, turns.state)
-    p = pair[:, :a]
-    sums = np.zeros((len(ids), a))
-    np.add.at(sums, slots, softmax_rows(rows[:, :a]) - p)
-    # each row stores log_floor(q), with q the softmax of its logits
-    return (_sum_in_order(forward_kl_rows(p, pair[:, a:], rows[:, 2 * a:])),
+    p, log_p = teacher.pairs(turns.turn, turns.state)
+    sums = np.zeros((len(ids), params.num_actions))
+    np.add.at(sums, slots, softmax_rows(params.rows(turns.key)) - p)
+    return (_sum_in_order(forward_kl_rows(p, log_p, params.log_q(turns.key))),
             RowBlock(turns.index, ids, sums), np.bincount(slots))
 
 
@@ -411,7 +406,7 @@ def collect_teacher_trajectories(env: Env, teacher: TeacherPolicy, pass_m: int,
         for _ in range(pass_m):
             state, actions = env.initial_state.item(task_id), []
             while len(actions) < env.config.horizon_cap and not env.success.item(state):
-                dist = teacher.pairs(len(actions), state)[:teacher.num_actions]
+                dist = teacher.p[len(actions), teacher.row_class.item(state)]
                 actions.append(sample_action(dist, rng))
                 state = env.next_state.item(state, actions[-1])
             if env.success.item(state):

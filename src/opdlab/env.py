@@ -26,7 +26,6 @@ platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -291,9 +290,9 @@ class TeacherPolicy:
     entropy at every turn index; a floor of 1 yields exactly uniform.
 
     A state's distribution depends on it only through its turn, expert
-    action and recovery debt: ``table``, built on first use, holds each
-    turn's distributions and log_rows, a row per (expert action, debt)
-    class (a state's is ``row_class[s]``), and every read goes through it.
+    action and recovery debt: ``p`` and ``log_p`` hold each turn's
+    distributions and their log_rows, a row per (expert action, debt) class
+    (a state's is ``row_class[s]``), and every read goes through them.
     """
 
     def __init__(self, env: Env, config: TeacherConfig):
@@ -302,37 +301,34 @@ class TeacherPolicy:
         self.num_actions = env.config.num_actions
         self._uniform = np.full(self.num_actions, 1.0 / self.num_actions)
         self.row_class = env.expert * env.recovery_levels + env.recovery
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """The (horizon_cap, classes, 2A) read-only [distributions | log_rows]."""
-        table = np.stack([self._turn(t) for t in range(self.env.config.horizon_cap)])
-        table.flags.writeable = False
-        return table
+        # the read-only (horizon_cap, classes, A) distributions and their log_rows
+        self.p = np.stack([self._turn(t) for t in range(env.config.horizon_cap)])
+        self.log_p = log_rows(self.p)
+        self.p.flags.writeable = self.log_p.flags.writeable = False
 
     def _gap(self, turn: int) -> float:
         c = self.config
         return (1.0 + c.turn_sharpening * turn) / c.on_support_temperature
 
     def _turn(self, turn: int) -> np.ndarray:
-        """The (classes, 2A) [distributions | log_rows] of ``turn``."""
+        """The (classes, A) distributions of ``turn``."""
         # (A, 1, A): a row per expert action
         sharp = softmax_rows(self._gap(turn) * np.eye(self.num_actions))[:, None, :]
         c = self.config
         recovery = np.arange(self.env.recovery_levels)
         lam = np.maximum(c.off_support_floor, c.depth_decay ** recovery)[:, None]
         mixed = lam * self._uniform + (1.0 - lam) * sharp
-        rows = np.where((recovery == 0)[:, None], sharp, mixed).reshape(-1, self.num_actions)
-        return np.concatenate([rows, log_rows(rows)], axis=1)
+        return np.where((recovery == 0)[:, None], sharp, mixed).reshape(-1, self.num_actions)
 
-    def pairs(self, turns, states):
-        """The (..., 2A) [distribution | log_rows] rows of state ids ``states`` at ``turns``."""
-        return self.table[turns, self.row_class[states]]
+    def pairs(self, turns, states) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``p`` and ``log_p`` of state ids ``states`` at ``turns``."""
+        classes = self.row_class[states]
+        return self.p[turns, classes], self.log_p[turns, classes]
 
     def dist(self, state: EnvState) -> np.ndarray:
         """Action distribution for the realized history behind ``state``
         (kept as a name because bench/tracing.py traces it)."""
-        return self.pairs(state.turn, self.env._id_of(state))[:self.num_actions].copy()
+        return self.p[state.turn, self.row_class[self.env._id_of(state)]].copy()
 
 
 def make_teacher(env: Env, **overrides) -> TeacherPolicy:

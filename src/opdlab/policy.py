@@ -10,18 +10,18 @@ Keys are int ids. A ``KeyIndex``, shared by the tables of one lineage,
 holds keys only: full histories as a trie (each id knows its parent, last
 action and last token), so the rollout engine advances a batch of histories
 with one array gather (window keys through a memo), and any other key as
-a tuple. A ``PolicyParams`` owns
-its rows by slot and its slot map, the slot of each key id; each row holds
-the logits and, computed once when the row is written, the cumulative sums
-of their softmax and its floored log, which is what a rollout turn reads.
-The cumulative sums at any other temperature a lineage is read at (the
-evaluation temperature) are one more block by slot, built for the whole
-table on its first read and rewritten row by row as the learner writes.
-Tables are read by key id, and an id the table has not written, one interned
-after its last write too, reads the default row. A learner step writes its
-K rows in place and hands the arrays to the new table, so the stepped table
-can no longer be read; ``snapshot`` is the copy that stays. ``logits`` is a
-copy of the written rows as a ``RowBlock``, a mapping from key tuple to row.
+a tuple. A ``PolicyParams`` owns its slot map, the slot of each key id, and
+one (R, A) block by slot per quantity: the logits, the floored log of their
+softmax, which the KL reads, and the cumulative sums of the softmax at each
+temperature the lineage is sampled at, which a rollout turn reads. A
+written row's softmax is taken once; a block of sums is built for the whole
+table on the first read at its temperature and rewritten row by row as the
+learner writes. Tables are read by key id, and an id the table has not
+written, one interned after its last write too, reads the default row. A
+learner step writes its K rows in place and hands the arrays to the new
+table, so the stepped table can no longer be read; ``snapshot`` is the copy
+that stays. ``logits`` is a copy of the written rows as a ``RowBlock``, a
+mapping from key tuple to row.
 
 Checkpoints are read 256 lines at a time, each block's keys interned at
 once by ``KeyIndex.intern_all``, and their logits must be JSON numbers; they
@@ -417,36 +417,34 @@ class KeyIndex:
         return j
 
 
-def _with_derived(z: np.ndarray) -> np.ndarray:
-    """Logit rows ``z`` with what the rollout engine reads of them: [z | the
-    cumulative sums of softmax_rows(z), which sample_cum takes | their log_floor]."""
-    q = softmax_rows(z)
-    return np.concatenate([z, np.cumsum(q, axis=1), log_floor(q)], axis=1)
-
-
-def _cum_rows(z: np.ndarray, temperature: float) -> np.ndarray:
-    """The cumulative sums of softmax_rows(z, temperature), which sample_cum takes."""
-    return np.cumsum(softmax_rows(z, temperature), axis=1)
+def _derived(name: str | float, z: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Block ``name``'s rows of the logit rows ``z``, with q = softmax_rows(z):
+    z, log_floor(q), or the cumulative sums of the softmax at temperature
+    ``name``, which sample_cum takes."""
+    if name == "z":
+        return z
+    if name == "log_q":
+        return log_floor(q)
+    return np.cumsum(q if name == 1.0 else softmax_rows(z, name), axis=1)
 
 
 class PolicyParams:
     """Logit table for one policy, over the key ids of a shared KeyIndex.
 
-    The table owns its (R, 3A) rows by slot, each row the logits and what
-    the rollout engine reads of them (see _with_derived), so a row's softmax
-    is computed once, when it is written; ``slot[i]``, the slot of key id i;
+    The table owns its blocks, each (R, A) by slot: the logits "z", the
+    log_floor of their softmax "log_q", which the KL reads, and for each
+    temperature the lineage was sampled at, the cumulative sums of the
+    softmax at it (see ``cum``); ``slot[i]``, the slot of key id i; and
     ``keys[s]``, the key id of slot s, for the K written slots in the order
-    they were first written; and for each temperature other than 1 that the
-    lineage was read at, an (R, A) block by slot of the rows' cumulative
-    sums at that temperature (see ``cum``). The last row (of each block
-    too) is the default row and the last entry of ``slot`` is NO_SLOT, so
-    an id the table has not written, or one past ``slot``, reads the
-    default row. ``with_rows`` (which apply_gradient uses) makes the next
-    table of the lineage by writing its K rows in place, in every block
-    too, and handing the arrays on, so a learner step costs its K rows and
-    the stepped table raises UsageError when read. ``snapshot`` is an
-    independent copy, which gives out its own slots from then on.
-    ``logits`` is a copy of the written rows.
+    they were first written. A row's softmax is computed once, when it is
+    written. The last row of each block is the default row and the last
+    entry of ``slot`` is NO_SLOT, so an id the table has not written, or
+    one past ``slot``, reads the default row. ``with_rows`` (which
+    apply_gradient uses) makes the next table of the lineage by writing its
+    K rows in place in every block and handing the arrays on, so a learner
+    step costs its K rows and the stepped table raises UsageError when read.
+    ``snapshot`` is an independent copy, which gives out its own slots from
+    then on. ``logits`` is a copy of the written rows.
     """
 
     def __init__(self, num_actions: int, logits=None, default_logits=None, version: int = 0):
@@ -456,9 +454,10 @@ class PolicyParams:
         _check_width(num_actions, "default", self.default_logits)
         self.version = version
         self.index = KeyIndex(num_actions)
-        row = _with_derived(self.default_logits[None])
-        self._own(np.repeat(row, 8, axis=0), np.full(64, NO_SLOT, dtype=np.int32),
-                  np.zeros(0, dtype=np.int64), {})
+        z = self.default_logits[None]
+        q = softmax_rows(z)
+        self._own({name: np.repeat(_derived(name, z, q), 8, axis=0) for name in ("z", "log_q")},
+                  np.full(64, NO_SLOT, dtype=np.int32), np.zeros(0, dtype=np.int64))
         if logits:
             rows = [np.asarray(row, dtype=np.float64) for row in logits.values()]
             for key, row in zip(logits, rows):
@@ -467,14 +466,13 @@ class PolicyParams:
             self._write_ids(self.index.intern_all(list(logits)),
                             np.reshape(rows, (-1, num_actions)))
 
-    def _own(self, table: np.ndarray | None, slot: np.ndarray | None,
-             keys: np.ndarray | None, cums: dict[float, np.ndarray] | None) -> None:
-        """Take ``table``, ``slot``, ``keys`` (read-only between writes) and
-        the blocks ``cums`` by temperature as this table's arrays; None marks
-        the table stepped."""
-        self._table, self._slot, self._keys, self._cums = table, slot, keys, cums
-        if table is not None:
-            table.flags.writeable = slot.flags.writeable = keys.flags.writeable = False
+    def _own(self, blocks: dict | None, slot, keys) -> None:
+        """Take the ``blocks`` by name, ``slot`` and ``keys`` (read-only
+        between writes) as this table's arrays; None marks the table stepped."""
+        self._blocks, self._slot, self._keys = blocks, slot, keys
+        if blocks is not None:
+            for array in (*blocks.values(), slot, keys):
+                array.flags.writeable = False
 
     def _next(self, version: int, *arrays) -> "PolicyParams":
         """A table of this lineage at ``version`` that owns ``arrays``."""
@@ -484,67 +482,62 @@ class PolicyParams:
         params._own(*arrays)
         return params
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[float, np.ndarray]]:
-        """The table's rows by slot, ``slot``, ``keys`` and its blocks by temperature."""
-        if self._table is None:
+    def _arrays(self) -> tuple[dict, np.ndarray, np.ndarray]:
+        """The table's blocks by name, ``slot`` and ``keys``."""
+        if self._blocks is None:
             raise UsageError(f"table version {self.version} was stepped, which wrote over "
                              f"its rows; read a snapshot() taken before the step")
-        return self._table, self._slot, self._keys, self._cums
-
-    @property
-    def table(self) -> np.ndarray:
-        """The (R, 3A) read-only rows by slot; the last is the default row."""
-        return self._arrays()[0]
+        return self._blocks, self._slot, self._keys
 
     @property
     def logits(self) -> "RowBlock":
         """The written rows, in slot order, as a RowBlock (a copy)."""
-        table, _, keys, _ = self._arrays()
-        return RowBlock(self.index, keys.copy(), table[:len(keys), :self.num_actions].copy())
+        blocks, _, keys = self._arrays()
+        return RowBlock(self.index, keys.copy(), blocks["z"][:len(keys)].copy())
 
-    def read(self, ids: np.ndarray) -> np.ndarray:
-        """The (len(ids), 3A) rows at key ``ids``; an id the table has not
-        written reads the default row."""
-        table, slot, _, _ = self._arrays()
-        return table.take(slot.take(ids, mode="clip"), axis=0)  # take gathers faster than []
+    def _read(self, name: str | float, ids: np.ndarray) -> np.ndarray:
+        """The (len(ids), A) rows of block ``name`` at key ``ids``; an id the
+        table has not written reads the default row."""
+        blocks, slot, _ = self._arrays()
+        return blocks[name].take(slot.take(ids, mode="clip"), axis=0)  # take is faster than []
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """The (len(ids), A) logit rows at key ``ids``."""
-        return self.read(ids)[:, :self.num_actions]
+        return self._read("z", ids)
+
+    def log_q(self, ids: np.ndarray) -> np.ndarray:
+        """The (len(ids), A) rows log_floor(softmax_rows(logits)) at key ``ids``."""
+        return self._read("log_q", ids)
 
     def cum(self, ids: np.ndarray, temperature: float) -> np.ndarray:
         """The (len(ids), A) rows np.cumsum(softmax_rows(logits, temperature),
-        axis=1) at key ``ids``, which sample_cum takes: at temperature 1 the
-        rows' own columns, else the temperature's block, which the first
-        read at it builds for the whole table and which every later table
-        of the lineage keeps current."""
-        table, slot, _, cums = self._arrays()
-        slots = slot.take(ids, mode="clip")
-        if temperature == 1.0:
-            return table.take(slots, axis=0)[:, self.num_actions:2 * self.num_actions]
-        block = cums.get(temperature)
-        if block is None:
-            block = cums[temperature] = self._cum_block(table, temperature)
-        return block.take(slots, axis=0)
+        axis=1) at key ``ids``, which sample_cum takes, from the temperature's
+        block: the first read at it builds it for the whole table, and every
+        later table of the lineage keeps it current."""
+        if temperature not in self._arrays()[0]:
+            self._build_cum(temperature)
+        return self._read(temperature, ids)
 
-    def _cum_block(self, table: np.ndarray, temperature: float) -> np.ndarray:
-        """The (R, A) block of the _cum_rows of every row of ``table``."""
-        return _cum_rows(table[:, :self.num_actions], temperature)
+    def _build_cum(self, temperature: float) -> None:
+        """Add the temperature's block of cumulative sums, for every row."""
+        blocks = self._arrays()[0]
+        blocks[temperature] = np.cumsum(softmax_rows(blocks["z"], temperature), axis=1)
+        blocks[temperature].flags.writeable = False
 
     def with_rows(self, ids: np.ndarray, rows: np.ndarray, version: int) -> "PolicyParams":
         """The next table of this lineage, at ``version``: this one with the
         (K, A) ``rows`` written in place at the distinct key ``ids``. It takes
         this table's arrays, so reading this table afterwards raises."""
         table = self._next(version, *self._arrays())
-        self._own(None, None, None, None)
+        self._own(None, None, None)
         table._write_ids(ids, rows)
         return table
 
     def _write_ids(self, ids: np.ndarray, rows: np.ndarray) -> None:
         """Write the (K, A) logit rows ``rows`` at the distinct key ``ids`` in
-        place, as their _with_derived rows and in each block as their
-        _cum_rows; ids without a slot get the next free slots, in order."""
-        table, slot, keys, cums = self._arrays()
+        place, in each block as its _derived rows; ids without a slot get the
+        next free slots, in order."""
+        blocks, slot, keys = self._arrays()
         top = int(ids.max(initial=0)) + 2  # keep NO_SLOT last
         if top > len(slot):
             slot = _grown(slot, max(len(slot) + len(slot) // 2, top), NO_SLOT)
@@ -556,25 +549,25 @@ class PolicyParams:
             keys = np.concatenate([keys, ids[new]])
             slot.flags.writeable = True
             slot[ids[new]] = slots[new]
-        if len(keys) >= len(table):  # keep the default row last
-            size = max(len(table) + len(table) // 2, len(keys) + 1)
-            table = _grown(table, size, table[-1])
-            for temperature, block in cums.items():
-                cums[temperature] = _grown(block, size, block[-1])
-        table.flags.writeable = True
+        size = len(blocks["z"])
+        if len(keys) >= size:  # keep the default row last
+            size = max(size + size // 2, len(keys) + 1)
+            blocks = {name: _grown(block, size, block[-1]) for name, block in blocks.items()}
+        for block in blocks.values():
+            block.flags.writeable = True
         for start in range(0, len(slots), 1024):  # in blocks, to bound the temporaries
-            part, at = rows[start:start + 1024], slots[start:start + 1024]
-            table[at] = _with_derived(part)
-            for temperature, block in cums.items():
-                block[at] = _cum_rows(part, temperature)
-        self._own(table, slot, keys, cums)
+            z, at = rows[start:start + 1024], slots[start:start + 1024]
+            q = softmax_rows(z)  # log_q and the sums at temperature 1 share it
+            for name, block in blocks.items():
+                block[at] = _derived(name, z, q)
+        self._own(blocks, slot, keys)
 
     def snapshot(self) -> "PolicyParams":
         """An independent copy on the same index: later steps of this table's
         lineage leave its rows, slots and blocks as they are."""
-        table, slot, keys, cums = self._arrays()
-        return self._next(self.version, table.copy(), slot.copy(), keys.copy(),
-                          {temperature: block.copy() for temperature, block in cums.items()})
+        blocks, slot, keys = self._arrays()
+        return self._next(self.version, {name: block.copy() for name, block in blocks.items()},
+                          slot.copy(), keys.copy())
 
 
 class RowBlock(Mapping):
@@ -692,9 +685,9 @@ def save_params(params: PolicyParams, path) -> None:
         "version": params.version,
         "default_logits": [float(x) for x in params.default_logits],
     }
-    index, width = params.index, params.num_actions
-    table, slot, _, _ = params._arrays()
-    bits = table[:, :width].view(np.int64)  # the logits by slot, each float as its bits
+    index = params.index
+    blocks, slot, _ = params._arrays()
+    bits = blocks["z"].view(np.int64)  # the logits by slot, each float as its bits
     kept = sorted((key, slot.item(i)) for i, key in index._tuple_of.items()
                   if i < len(slot) and slot.item(i) != NO_SLOT)
     # every written key is a tuple of ints (_check_key), whose text str makes as json does

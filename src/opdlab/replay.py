@@ -4,12 +4,12 @@ A replay entry is one student turn. Rollouts hand the buffer their student
 turns as ``Turns``: one int array per field, one element per entry (the key
 id of the realized history, the sampled action, the turn index, the env
 state id and the acting policy version). The history key already encodes
-the whole prefix (expert-prefix turns included), and the teacher's row is
-read from its fixed table at the entry's turn and state id, so nothing
-needs to be re-simulated at learn time; the expert-prefix turns themselves
-get no entry. The sampler eagerly discards entries older than the staleness
-budget before drawing a batch. There is no per-entry object: an entry is a
-row of a ``Turns``.
+the whole prefix (expert-prefix turns included), and the teacher's rows
+are read from its fixed arrays at the entry's turn and state id, so
+nothing needs to be re-simulated at learn time; the expert-prefix turns
+themselves get no entry. The sampler eagerly discards entries older than
+the staleness budget before drawing a batch. There is no per-entry
+object: an entry is a row of a ``Turns``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ DEFAULT_CAPACITY = 4096
 @dataclass(eq=False)
 class Turns:
     """Replay entries as int columns, one element per student turn: ``key``
-    holds key ids of ``index``, ``state`` env state ids, and the teacher's
-    row of an entry is ``TeacherPolicy.pairs(turn, state)``."""
+    holds key ids of ``index``, ``state`` int32 env state ids, and
+    ``TeacherPolicy.pairs(turn, state)`` gives an entry's teacher rows."""
 
     index: KeyIndex
     key: np.ndarray

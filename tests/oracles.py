@@ -42,9 +42,9 @@ from opdlab.policy import (
     _logits,
     encode_history,
     forward_kl_rows,
+    log_floor,
     log_rows,
     sample_action,
-    sample_cum,
     sample_rows,
     softmax_rows,
     window_key,
@@ -161,7 +161,8 @@ def write_records(log, path) -> None:
 def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, window=None,
                      max_student_turns=None, prefixes=None, algo=None, teacher_rows=None):
     """distill.rollout_lockstep with each turn's teacher rows (gathered from
-    ``teacher.table[t]``), turn KL (one forward_kl_rows call per turn) and
+    ``teacher.p[t]`` and ``teacher.log_p[t]``), the student's softmax of
+    its logits, turn KL (one forward_kl_rows call per turn) and
     recorded columns (state ids among them) computed and scattered inside
     the turn loop, reading the live rows of (B, ...) arrays through the live
     episode indices. Each live episode keeps its full history as a tuple,
@@ -191,14 +192,13 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
 
     record = algo is not None
     index = student.index
-    a = env.config.num_actions
     kl = np.zeros((n, horizon))
     played = np.full(n, horizon)  # turns each episode played, prefix included
     success = np.zeros(n, dtype=bool)
     if record:
         key_col = np.zeros((n, horizon), dtype=np.int64)
         action_col = np.zeros((n, horizon), dtype=np.int64)
-        state_col = np.zeros((n, horizon), dtype=np.int64)
+        state_col = np.zeros((n, horizon), dtype=np.int32)
     # the live episodes, their state ids and their full histories
     live = np.arange(n)
     state = env.initial_state[task]
@@ -211,15 +211,12 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
         # the live rows of (B, ...) arrays; X[:, t][here] indexes faster than X[here, t]
         here = live if live.size < n else slice(None)
         key = np.array([lookup(window_key(h, window)) for h in histories], dtype=np.int64)
-        rows = student.read(key)
+        z = student.rows(key)
         # the teacher's rows and their logs (take gathers rows faster than [])
-        pair = teacher.table[t].take(row_class[state], axis=0)
-        p_teacher = pair[:, :a]
-        turn_kl = forward_kl_rows(p_teacher, pair[:, a:], rows[:, 2 * a:])
-        if temperature == 1.0:
-            actions = sample_cum(rows[:, a:2 * a], v[:, t][here])
-        else:
-            actions = sample_rows(softmax_rows(rows[:, :a], temperature), v[:, t][here])
+        p_teacher = teacher.p[t].take(row_class[state], axis=0)
+        log_p = teacher.log_p[t].take(row_class[state], axis=0)
+        turn_kl = forward_kl_rows(p_teacher, log_p, log_floor(softmax_rows(z)))
+        actions = sample_rows(softmax_rows(z, temperature), v[:, t][here])
         in_prefix = None
         if t < last_prefix:
             in_prefix = prefix_len[here] > t
@@ -253,7 +250,7 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
 class RowTeacher:
     """A teacher made by hand: at every turn, state id s has the row
     ``rows[s]``, so replay entries made with state ids 0..n-1 read the n rows
-    they were made with; ``pairs`` gives [rows[s] | log_rows(rows[s])], as
+    they were made with; ``pairs`` gives rows[s] and log_rows(rows[s]), as
     TeacherPolicy.pairs does for its rows."""
 
     def __init__(self, rows):
@@ -261,7 +258,7 @@ class RowTeacher:
 
     def pairs(self, turns, states):
         rows = self.rows[states]
-        return np.concatenate([rows, log_rows(rows)], axis=-1)
+        return rows, log_rows(rows)
 
 
 def take(started: deque[Rollouts], width: int) -> list[Rollouts]:

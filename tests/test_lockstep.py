@@ -417,7 +417,7 @@ def test_entry_teacher_rows_are_the_rows_the_oracle_gathers(monkeypatch, algo, k
                         partial(oracles.rollout_lockstep, teacher_rows=gathered))
     rollout_batch(algo, env, params, teacher, tasks, k, u, store=store, window=window)
     turns, (e, t) = r.student_turns(), np.nonzero(r.student_mask())
-    rows = teacher.pairs(turns.turn, turns.state)[:, :env.config.num_actions]
+    rows = teacher.pairs(turns.turn, turns.state)[0]
     assert rows.tobytes() == gathered[e, t].tobytes()
     # the entries span on- and off-support rows
     assert (env.recovery[turns.state] > 0).any() and (env.recovery[turns.state] == 0).any()
@@ -558,6 +558,11 @@ def state_ids(env, states):
 def test_batched_step_and_teacher_match_scalar_on_every_reachable_state(config):
     env = make_env(config)
     teacher = make_teacher(env)
+    # the teacher's quantities are two whole arrays, each read-only and C-contiguous
+    shape = (config.horizon_cap, config.num_actions * env.recovery_levels, config.num_actions)
+    for table in (teacher.p, teacher.log_p):
+        assert table.shape == shape and table.flags.c_contiguous and not table.flags.writeable
+    assert teacher.log_p.tobytes() == log_rows(teacher.p).tobytes()
     states = reachable_states(env)
     n_actions = config.num_actions
     assert len(states) > config.task_count * config.chain_length
@@ -583,7 +588,7 @@ def test_batched_step_and_teacher_match_scalar_on_every_reachable_state(config):
 
     for t in np.unique(turn):
         at = turn == t
-        rows = teacher.table[int(t), teacher.row_class[ids[at]], :n_actions]
+        rows = teacher.p[int(t), teacher.row_class[ids[at]]]
         at_states = [s for s, keep in zip(states, at) if keep]
         np.testing.assert_array_equal(
             rows, oracle_teacher_rows(teacher, np.array(experts)[at], recovery[at], int(t)))

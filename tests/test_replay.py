@@ -88,8 +88,7 @@ def test_entries_reconstruct_trajectory_loss(env, teacher):
     rollouts = episode("opd", env, student, teacher, 2, 12, rng(6))
     entries = decompose(rollouts)
     loss = _kl_block(entries, student, teacher)[0]
-    a = env.config.num_actions
-    from_entries = sum(forward_kl(teacher.pairs(t, s)[:a],
+    from_entries = sum(forward_kl(teacher.pairs(t, s)[0],
                                   softmax(student.logits.get(key, student.default_logits)))
                        for t, s, key in zip(entries.turn, entries.state,
                                             rollouts.index.keys(entries.key)))
@@ -107,7 +106,8 @@ def int_columns(columns):
 def test_entries_and_the_buffer_hold_ints_only(env, teacher):
     """Rollouts record no float column but the turn KL; an entry, in a wave's
     student turns and in the buffer after pushes, evictions and stale
-    discards, is ints only."""
+    discards, is ints only. State ids are int32 throughout, as the env's
+    tables hold them."""
     store = collect_teacher_trajectories(env, make_teacher(env, on_support_temperature=1e-3),
                                          1, rng(2))
     buf = RingBuffer(capacity=40)
@@ -119,12 +119,15 @@ def test_entries_and_the_buffer_hold_ints_only(env, teacher):
                     and getattr(rollouts, f.name).dtype.kind == "f"] == ["kl"]
             entries = rollouts.student_turns()
             assert len(int_columns(entries)) == 5
+            assert rollouts.states.dtype == entries.state.dtype == np.int32
             buf.push(entries)
             pushed += len(entries)
             int_columns(buf._turns)
+            assert buf._turns.state.dtype == np.int32
         batch = buf.sample_batch(student.version, 0, 8, rng(step))
         int_columns(batch)
         int_columns(buf._turns)
+        assert batch.state.dtype == buf._turns.state.dtype == np.int32
         student = apply_gradient(student, batch_gradient(batch, student, teacher)[1], 0.5)
     evicted = pushed - buf.discarded_stale_total - len(buf)
     assert buf.discarded_stale_total > 0 and evicted > 0

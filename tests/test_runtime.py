@@ -22,7 +22,7 @@ from opdlab.distill import collect_teacher_trajectories
 from opdlab.env import Env, EnvConfig, TeacherPolicy, make_env, make_teacher
 from opdlab.errors import ConfigError, UsageError
 from opdlab.metrics import MetricsLog, write_csv, write_records
-from opdlab.policy import PolicyParams, save_params
+from opdlab.policy import PolicyParams, load_params, save_params
 from opdlab.runtime import RunConfig, SnapshotBoard, _episode_summary, _mean, evaluate, run_training
 
 import oracles
@@ -548,20 +548,28 @@ def test_a_default_curriculum_run_reruns_few_prestarted_rollouts(algo):
     assert 0 <= sum(widths) - delivered <= 5
 
 
-def test_the_sampling_sums_are_built_once_per_temperature(monkeypatch):
-    """A run reads its tables at two temperatures other than 1, training's
-    and evaluation's, and builds each whole-table block once, not once per
-    evaluation or engine call; the records are those of the in-loop engine,
-    which takes the softmax of the logits every turn. An sft run builds its
-    evaluation block once too."""
-    config = RunConfig(algo="opd", total_steps=40, eval_every=5, train_temperature=0.7)
-    builds, real = [], PolicyParams._cum_block
+def test_the_sampling_sums_are_built_once_per_temperature(tmp_path):
+    """A run builds the whole-table block of each temperature it samples at
+    once, not once per evaluation or engine call: a default opd run those of
+    training's 1.0 and evaluation's 0.4, and one at a training temperature
+    of 0.7 those of 0.7 and 0.4; the records are those of the in-loop
+    engine, which takes the softmax of the logits every turn. An sft run
+    builds its evaluation block once too, and that of 1.0 once, for the
+    engine call that walks the store (its expert-prefix turns sample before
+    they take the stored action); a loaded table that is only evaluated
+    builds no block at 1.0."""
+    builds, real = [], PolicyParams._build_cum
 
-    def spy(self, table, temperature):
+    def spy(self, temperature):
         builds.append(temperature)
-        return real(self, table, temperature)
+        return real(self, temperature)
 
-    with mock.patch.object(PolicyParams, "_cum_block", spy):
+    with mock.patch.object(PolicyParams, "_build_cum", spy):
+        result = run_training(RunConfig(algo="opd"))
+    assert sorted(builds) == [0.4, 1.0]
+    config = RunConfig(algo="opd", total_steps=40, eval_every=5, train_temperature=0.7)
+    builds.clear()
+    with mock.patch.object(PolicyParams, "_build_cum", spy):
         records = run_training(config).log.records
     assert sorted(builds) == [0.4, 0.7]
     with mock.patch.object(distill, "rollout_lockstep", oracles.rollout_lockstep), \
@@ -570,8 +578,14 @@ def test_the_sampling_sums_are_built_once_per_temperature(monkeypatch):
     # a default sft run writes its block into one table at each of its 80 evaluations
     sft = RunConfig(algo="sft")
     builds.clear()
-    with mock.patch.object(PolicyParams, "_cum_block", spy):
+    with mock.patch.object(PolicyParams, "_build_cum", spy):
         run_training(sft, collect_for(sft))
+    assert builds == [1.0, 0.4]
+    save_params(result.final_params, tmp_path / "checkpoint.jsonl")
+    env = make_env(config.env)
+    builds.clear()
+    with mock.patch.object(PolicyParams, "_build_cum", spy):
+        evaluate(load_params(tmp_path / "checkpoint.jsonl"), env, make_teacher(env), 64, rng(1))
     assert builds == [0.4]
 
 

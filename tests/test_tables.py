@@ -29,6 +29,7 @@ from opdlab.policy import (
     KeyIndex,
     PolicyParams,
     load_params,
+    log_floor,
     save_params,
     softmax_rows,
 )
@@ -267,8 +268,9 @@ def test_reading_a_stepped_table_raises(tmp_path):
     reads = {
         "row": lambda: stepped.logits[(1,)],
         "logits": lambda: dict(stepped.logits),
-        "table": lambda: stepped.table,
         "rows": lambda: stepped.rows(np.array([1])),
+        "log_q": lambda: stepped.log_q(np.array([1])),
+        "cum": lambda: stepped.cum(np.array([1]), 1.0),
         "snapshot": stepped.snapshot,
         "step": lambda: apply_gradient(stepped, {(1,): np.ones(3)}, 0.5),
         "save": lambda: save_params(stepped, tmp_path / "checkpoint.jsonl"),
@@ -320,8 +322,9 @@ def test_a_snapshot_keeps_its_rows_through_later_steps():
 def test_the_sampling_sums_stay_those_of_a_softmax_taken_at_each_read(num_actions, temperature,
                                                                       steps, seed):
     """cum(ids, T) of a random table read at T has the bytes of the cumulative
-    sums of softmax_rows(rows(ids), T) after each of 1-5 steps that write old
-    and new keys, which grow it past 8 slots and 64 ids, for written,
+    sums of softmax_rows(rows(ids), T), and log_q(ids) those of
+    log_floor(softmax_rows(rows(ids))), after each of 1-5 steps that write
+    old and new keys, which grow it past 8 slots and 64 ids, for written,
     unwritten and past-the-end ids; a snapshot taken before the steps keeps
     its sums, and each stepped table raises."""
     gen = np.random.default_rng(seed)
@@ -335,6 +338,8 @@ def test_the_sampling_sums_stay_those_of_a_softmax_taken_at_each_read(num_action
         ids = np.arange(table.index.size + 3)
         expected = np.cumsum(softmax_rows(table.rows(ids), temperature), axis=1)
         assert table.cum(ids, temperature).tobytes() == expected.tobytes()
+        log_q = log_floor(softmax_rows(table.rows(ids)))
+        assert table.log_q(ids).tobytes() == log_q.tobytes()
         return expected
 
     keys = [(int(k),) for k in gen.permutation(1000)]  # distinct keys, drawn in order
@@ -363,9 +368,9 @@ def test_the_sampling_sums_stay_those_of_a_softmax_taken_at_each_read(num_action
 
 def test_ids_interned_after_the_last_write_read_the_default_row(tmp_path):
     """A table reads by key id: the many ids interned after its last write
-    read the default row, through read/rows and in rollouts that reach them;
-    a write of the largest id keeps NO_SLOT last in the slot map; and the two
-    branches of a snapshot count and save their own rows."""
+    read the default row, through rows, log_q and cum and in rollouts that
+    reach them; a write of the largest id keeps NO_SLOT last in the slot
+    map; and the two branches of a snapshot count and save their own rows."""
     env = make_env(EnvConfig())
     teacher = make_teacher(env)
     a = env.config.num_actions
@@ -381,7 +386,10 @@ def test_ids_interned_after_the_last_write_read_the_default_row(tmp_path):
     for got in (recorded, evaluated):
         assert all(np.array_equal(x, y) for x, y in zip(got, reference))
     ids = np.arange(index.size)
-    assert np.array_equal(params.read(ids[2:]), np.repeat(params.table[-1:], len(ids) - 2, 0))
+    default_q = softmax_rows(default[None])
+    for read, row in ((params.rows, default[None]), (params.log_q, log_floor(default_q)),
+                      (lambda ids: params.cum(ids, 1.0), np.cumsum(default_q, axis=1))):
+        assert read(ids[2:]).tobytes() == np.repeat(row, len(ids) - 2, 0).tobytes()
     assert (params.rows(rollouts.student_turns().key) == default).all()
 
     # the largest id at the slot map's last entry, then written
