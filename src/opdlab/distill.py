@@ -21,11 +21,13 @@ walk. Each episode reads its own row of uniforms, and its student turn i
 samples from entry i of the row, so expert-prefix turns draw nothing and
 an episode's results do not depend on the other episodes of its batch.
 
-Every batch comes back as ``Rollouts``: (B, horizon_cap) columns of key
-ids, actions, env state ids and turn KL, one row per episode. The runtime
-takes the replay columns (``Rollouts.student_turns``) and the per-episode
-KL sums from them; expert-prefix turns are kept only as key ids, outside
-every loss and gradient.
+Every batch comes back as ``Rollouts``: a (B, horizon_cap, 5) int32 block
+of replay entry rows (key id, action, turn, env state id, version) and
+(B, horizon_cap) turn KL, one row per episode, with each episode's
+student-turn KL sum. The runtime takes the replay entries
+(``Rollouts.student_turns``, one gather of the rows) and the KL sums from
+them; expert-prefix turns are kept only as key ids, outside every loss and
+gradient.
 
 The per-turn loss is the exact categorical KL between the expert's and the
 student's action distributions on the realized history, and its logit
@@ -76,23 +78,28 @@ STORE_SCHEMA = 1
 
 @dataclass(eq=False)
 class Rollouts:
-    """A batch of rollouts as columns: entry (e, t) of the (B, horizon_cap)
-    ``keys`` (key ids of ``index``), ``actions``, ``states`` (int32 env state
-    ids, as the env's tables hold them) and ``kl`` is episode e's turn t.
-    Episode e played prefix_len[e] expert turns, then rounds[e] student
-    turns; later entries are 0."""
+    """A batch of rollouts as columns. ``entries[e, t]`` is episode e's turn
+    t as a replay entry row (int32 key id of ``index``, action, turn, env
+    state id, version), so ``keys``, ``actions`` and ``states`` are views of
+    its (B, horizon_cap) columns, ``versions`` of turn 0's versions, and
+    ``kl[e, t]`` is the turn's KL. Episode e played prefix_len[e] expert
+    turns, then rounds[e] student turns; later entries are 0 but for the
+    turn and version (set for all turns of an episode, and raising past
+    int32). ``kl_sum[e]`` is its summed student-turn KL, added left to
+    right from 0.0."""
 
     index: KeyIndex
     algo: str
     task_ids: np.ndarray
-    versions: np.ndarray
-    keys: np.ndarray
-    actions: np.ndarray
-    states: np.ndarray
+    entries: np.ndarray
     kl: np.ndarray
     prefix_len: np.ndarray
     rounds: np.ndarray
     success: np.ndarray
+    kl_sum: np.ndarray
+
+    keys, actions, states = (property(lambda self, i=i: self.entries[..., i]) for i in (0, 1, 3))
+    versions = property(lambda self: self.entries[:, 0, 4])
 
     def student_mask(self) -> np.ndarray:
         """(B, horizon_cap): True at each episode's student turns."""
@@ -101,26 +108,18 @@ class Rollouts:
 
     def student_turns(self) -> Turns:
         """The replay entries of the batch: its student turns, episode by
-        episode, each in turn order."""
-        e, t = np.nonzero(self.student_mask())
-        return Turns(self.index, self.keys[e, t], self.actions[e, t], t, self.states[e, t],
-                     self.versions[e])
-
-    def kl_sums(self) -> np.ndarray:
-        """Each episode's summed student-turn KL, added left to right from 0.0
-        (the KL after an episode ends is 0.0, so only the prefix is masked)."""
-        kl = self.kl
-        if self.prefix_len.any():
-            kl = np.where(np.arange(kl.shape[1]) >= self.prefix_len[:, None], kl, 0.0)
-        return 0.0 + np.cumsum(kl, axis=1)[:, -1]
+        episode, each in turn order, as one gather of its entry rows."""
+        return Turns(self.index, self.entries[self.student_mask()])
 
     def _columns(self) -> list[np.ndarray]:
-        return [self.task_ids, self.versions, self.keys, self.actions, self.states, self.kl,
-                self.prefix_len, self.rounds, self.success]
+        return [self.task_ids, self.entries, self.kl, self.prefix_len, self.rounds, self.success,
+                self.kl_sum]
 
     def take(self, rows: slice) -> "Rollouts":
         """The episodes at ``rows``, a slice (whose columns are views)."""
-        return Rollouts(self.index, self.algo, *(column[rows] for column in self._columns()))
+        return Rollouts(self.index, self.algo, self.task_ids[rows], self.entries[rows],
+                        self.kl[rows], self.prefix_len[rows], self.rounds[rows],
+                        self.success[rows], self.kl_sum[rows])
 
     def put(self, rows: np.ndarray, other: "Rollouts") -> None:
         """Write the episodes of ``other`` over those at ``rows``, in order."""
@@ -211,9 +210,12 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
     walked = []  # per turn: the live episodes, their key ids, actions and state ids
 
     for t in range(horizon):
-        actions = sample_cum(student.cum(key, temperature), live_v[:, t])
-        if t < last_prefix:
-            actions = np.where(live_prefix > t, forced[live, t], actions)
+        if t < last_prefix and not np.count_nonzero(live_prefix <= t):
+            actions = forced[live, t]  # every live episode is in its prefix: no sample
+        else:
+            actions = sample_cum(student.cum(key, temperature), live_v[:, t])
+            if t < last_prefix:
+                actions = np.where(live_prefix > t, forced[live, t], actions)
         walked.append((live, key, actions, state))
         state = next_state[state, actions]
         won = reached[state]
@@ -236,14 +238,21 @@ def rollout_lockstep(env: Env, student: PolicyParams, teacher: TeacherPolicy, ta
     kl = np.zeros((n, horizon))
     kl[e, t] = forward_kl_rows(*teacher.pairs(t, state), student.log_q(key))
     rollouts = None
-    if record:
-        key_col, action_col = np.zeros((2, n, horizon), np.int64)
-        state_col = np.zeros((n, horizon), state.dtype)
-        key_col[e, t], action_col[e, t], state_col[e, t] = key, actions, state
-        rollouts = Rollouts(index, algo, task, np.full(n, student.version, dtype=np.int64),
-                            key_col, action_col, state_col, kl, prefix_len,
-                            played - prefix_len, success)
+    if record:  # key ids fit in int32 (KeyIndex), and so must the version
+        entries = np.zeros((n, horizon, 5), np.int32)
+        entries[e, t, 0], entries[e, t, 1], entries[e, t, 3] = key, actions, state
+        entries[..., 2], entries[..., 4] = np.arange(horizon), student.version
+        rollouts = Rollouts(index, algo, task, entries, kl, prefix_len, played - prefix_len,
+                            success, _kl_sums(kl, prefix_len))
     return kl, played - prefix_len, success, rollouts
+
+
+def _kl_sums(kl: np.ndarray, prefix_len: np.ndarray) -> np.ndarray:
+    """Each episode's summed student-turn KL, added left to right from 0.0
+    (the KL after an episode ends is 0.0, so only the prefix is masked)."""
+    if prefix_len.any():
+        kl = np.where(np.arange(kl.shape[1]) >= prefix_len[:, None], kl, 0.0)
+    return 0.0 + np.cumsum(kl, axis=1)[:, -1]
 
 
 def max_student_turns(algo: str, k: int, horizon: int) -> int:
@@ -325,9 +334,10 @@ def _kl_block(turns: Turns, params: PolicyParams,
         raise UsageError("the turns have key ids of another KeyIndex than the table's")
     ids, slots = _first_occurrence(turns.key)
     p, log_p = teacher.pairs(turns.turn, turns.state)
+    z, log_q = params.rows_and_log_q(turns.key)
     sums = np.zeros((len(ids), params.num_actions))
-    np.add.at(sums, slots, softmax_rows(params.rows(turns.key)) - p)
-    return (_sum_in_order(forward_kl_rows(p, log_p, params.log_q(turns.key))),
+    np.add.at(sums, slots, softmax_rows(z) - p)
+    return (_sum_in_order(forward_kl_rows(p, log_p, log_q)),
             RowBlock(turns.index, ids, sums), np.bincount(slots))
 
 

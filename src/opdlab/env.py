@@ -305,6 +305,7 @@ class TeacherPolicy:
         self.p = np.stack([self._turn(t) for t in range(env.config.horizon_cap)])
         self.log_p = log_rows(self.p)
         self.p.flags.writeable = self.log_p.flags.writeable = False
+        self._rows = self.p.reshape(-1, self.num_actions), self.log_p.reshape(-1, self.num_actions)
 
     def _gap(self, turn: int) -> float:
         c = self.config
@@ -321,9 +322,10 @@ class TeacherPolicy:
         return np.where((recovery == 0)[:, None], sharp, mixed).reshape(-1, self.num_actions)
 
     def pairs(self, turns, states) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of ``p`` and ``log_p`` of state ids ``states`` at ``turns``."""
-        classes = self.row_class[states]
-        return self.p[turns, classes], self.log_p[turns, classes]
+        """The rows of ``p`` and ``log_p`` of state ids ``states`` at ``turns``,
+        one take each."""
+        at = turns * self.p.shape[1] + self.row_class[states]
+        return self._rows[0].take(at, axis=0), self._rows[1].take(at, axis=0)
 
     def dist(self, state: EnvState) -> np.ndarray:
         """Action distribution for the realized history behind ``state``

@@ -61,20 +61,20 @@ class TrainRecord:
 
 _RECORD_TYPES = {"eval": EvalRecord, "train": TrainRecord}
 _TYPE_NAMES = {EvalRecord: "eval", TrainRecord: "train"}
-_FIELDS = {cls: [f.name for f in fields(cls)] for cls in _TYPE_NAMES}
 
 
 def _rounded(record):
-    """Copy of ``record`` with every float field rounded to 9 sig digits."""
-    values = {}
-    for name in _FIELDS[type(record)]:
-        v = getattr(record, name)
+    """Copy of ``record``, made from its ``__dict__``, with every float field
+    rounded to 9 sig digits (a record type has no __post_init__)."""
+    copy = object.__new__(type(record))
+    values = copy.__dict__
+    values.update(record.__dict__)
+    for name, v in values.items():
         if isinstance(v, float):
-            v = round9(v)
+            values[name] = round9(v)
         elif isinstance(v, list):
-            v = [round9(x) if isinstance(x, float) else x for x in v]
-        values[name] = v
-    return type(record)(**values)
+            values[name] = [round9(x) if isinstance(x, float) else x for x in v]
+    return copy
 
 
 class MetricsLog:
@@ -164,22 +164,24 @@ def _json_restore_floats(record_cls, data: dict) -> dict:
     return restored
 
 
+def _record_lines(log: MetricsLog, encode):
+    """The lines of the header and of each record, made from its fields once."""
+    yield encode({"kind": "metrics", "schema_version": SCHEMA_VERSION,
+                  "config_hash": log.config_hash}) + "\n"
+    for record in log.records:
+        obj = dict(record.__dict__, type=_TYPE_NAMES[type(record)])
+        for name, value in obj.items():
+            if value != value or type(value) is list and value:  # NaN, or a profile
+                obj[name] = _json_safe(value)
+        yield encode(obj) + "\n"
+
+
 def write_records(log: MetricsLog, path) -> None:
     """Write the header line then one JSON object per record, as
     json.dumps(sort_keys=True) writes them, with NaN as null."""
-    encode = json.JSONEncoder(sort_keys=True).encode
     try:
         with atomic_open(path) as f:
-            header = {
-                "kind": "metrics",
-                "schema_version": SCHEMA_VERSION,
-                "config_hash": log.config_hash,
-            }
-            f.write(encode(header) + "\n")
-            for record in log.records:
-                obj = {name: _json_safe(getattr(record, name)) for name in _FIELDS[type(record)]}
-                obj["type"] = _TYPE_NAMES[type(record)]
-                f.write(encode(obj) + "\n")
+            f.writelines(_record_lines(log, json.JSONEncoder(sort_keys=True).encode))
     except OSError as e:
         raise OSError(f"failed writing metrics log to {path}: {e}") from e
 

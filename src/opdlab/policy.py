@@ -217,7 +217,10 @@ class KeyIndex:
         self._cuts: dict[tuple[int, int, int], int] = {}  # (id, action, token) -> window key id
 
     def _reserve(self, count: int) -> None:
-        """Grow the arrays, by half their size at a time, to hold ``count`` ids."""
+        """Grow the arrays, by half their size at a time, to hold ``count`` ids,
+        which must fit in int32, as the arrays and replay entries hold them."""
+        if count > 2 ** 31:
+            raise UsageError("a KeyIndex holds at most 2**31 ids")
         size = len(self.last)
         while size < count:
             size += size // 2
@@ -435,14 +438,15 @@ class PolicyParams:
     log_floor of their softmax "log_q", which the KL reads, and for each
     temperature the lineage was sampled at, the cumulative sums of the
     softmax at it (see ``cum``); ``slot[i]``, the slot of key id i; and
-    ``keys[s]``, the key id of slot s, for the K written slots in the order
-    they were first written. A row's softmax is computed once, when it is
-    written. The last row of each block is the default row and the last
-    entry of ``slot`` is NO_SLOT, so an id the table has not written, or
-    one past ``slot``, reads the default row. ``with_rows`` (which
-    apply_gradient uses) makes the next table of the lineage by writing its
-    K rows in place in every block and handing the arrays on, so a learner
-    step costs its K rows and the stepped table raises UsageError when read.
+    ``keys[s]`` (R entries), the key id of slot s, for the K = ``_count``
+    written slots in the order they were first written. A row's softmax is
+    computed once, when it is written. The last row of each block is the
+    default row and the last entry of ``slot`` is NO_SLOT, so an id the
+    table has not written, or one past ``slot``, reads the default row; all
+    grow by half their size at a time. ``with_rows`` (which apply_gradient
+    uses) makes the next table of the lineage by writing its K rows in
+    place in every block and handing the arrays on, so a learner step costs
+    its K rows and the stepped table raises UsageError when read.
     ``snapshot`` is an independent copy, which gives out its own slots from
     then on. ``logits`` is a copy of the written rows.
     """
@@ -457,7 +461,7 @@ class PolicyParams:
         z = self.default_logits[None]
         q = softmax_rows(z)
         self._own({name: np.repeat(_derived(name, z, q), 8, axis=0) for name in ("z", "log_q")},
-                  np.full(64, NO_SLOT, dtype=np.int32), np.zeros(0, dtype=np.int64))
+                  np.full(64, NO_SLOT, dtype=np.int32), np.zeros(8, dtype=np.int64), 0)
         if logits:
             rows = [np.asarray(row, dtype=np.float64) for row in logits.values()]
             for key, row in zip(logits, rows):
@@ -466,24 +470,22 @@ class PolicyParams:
             self._write_ids(self.index.intern_all(list(logits)),
                             np.reshape(rows, (-1, num_actions)))
 
-    def _own(self, blocks: dict | None, slot, keys) -> None:
-        """Take the ``blocks`` by name, ``slot`` and ``keys`` (read-only
-        between writes) as this table's arrays; None marks the table stepped."""
-        self._blocks, self._slot, self._keys = blocks, slot, keys
-        if blocks is not None:
-            for array in (*blocks.values(), slot, keys):
-                array.flags.writeable = False
+    def _own(self, blocks: dict, slot, keys, count: int) -> None:
+        """Take the ``blocks`` by name, ``slot`` and ``keys``, with ``count``
+        slots written, as this table's arrays (read-only between writes)."""
+        self._blocks, self._slot, self._keys, self._count = blocks, slot, keys, count
+        for array in (*blocks.values(), slot, keys):
+            array.flags.writeable = False
 
-    def _next(self, version: int, *arrays) -> "PolicyParams":
-        """A table of this lineage at ``version`` that owns ``arrays``."""
+    def _next(self, version: int) -> "PolicyParams":
+        """A table of this lineage at ``version`` that shares this one's arrays."""
         params = object.__new__(PolicyParams)
-        params.num_actions, params.default_logits = self.num_actions, self.default_logits
-        params.version, params.index = version, self.index
-        params._own(*arrays)
+        params.__dict__.update(self.__dict__, version=version)
         return params
 
     def _arrays(self) -> tuple[dict, np.ndarray, np.ndarray]:
-        """The table's blocks by name, ``slot`` and ``keys``."""
+        """The table's blocks by name, ``slot`` and ``keys``; None blocks mark
+        the table stepped."""
         if self._blocks is None:
             raise UsageError(f"table version {self.version} was stepped, which wrote over "
                              f"its rows; read a snapshot() taken before the step")
@@ -493,7 +495,7 @@ class PolicyParams:
     def logits(self) -> "RowBlock":
         """The written rows, in slot order, as a RowBlock (a copy)."""
         blocks, _, keys = self._arrays()
-        return RowBlock(self.index, keys.copy(), blocks["z"][:len(keys)].copy())
+        return RowBlock(self.index, keys[:self._count].copy(), blocks["z"][:self._count].copy())
 
     def _read(self, name: str | float, ids: np.ndarray) -> np.ndarray:
         """The (len(ids), A) rows of block ``name`` at key ``ids``; an id the
@@ -508,6 +510,12 @@ class PolicyParams:
     def log_q(self, ids: np.ndarray) -> np.ndarray:
         """The (len(ids), A) rows log_floor(softmax_rows(logits)) at key ``ids``."""
         return self._read("log_q", ids)
+
+    def rows_and_log_q(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """rows(ids) and log_q(ids), through one gather of the ids' slots."""
+        blocks, slot, _ = self._arrays()
+        at = slot.take(ids, mode="clip")
+        return blocks["z"].take(at, axis=0), blocks["log_q"].take(at, axis=0)
 
     def cum(self, ids: np.ndarray, temperature: float) -> np.ndarray:
         """The (len(ids), A) rows np.cumsum(softmax_rows(logits, temperature),
@@ -528,8 +536,9 @@ class PolicyParams:
         """The next table of this lineage, at ``version``: this one with the
         (K, A) ``rows`` written in place at the distinct key ``ids``. It takes
         this table's arrays, so reading this table afterwards raises."""
-        table = self._next(version, *self._arrays())
-        self._own(None, None, None)
+        self._arrays()
+        table = self._next(version)
+        self._blocks = None
         table._write_ids(ids, rows)
         return table
 
@@ -538,21 +547,23 @@ class PolicyParams:
         place, in each block as its _derived rows; ids without a slot get the
         next free slots, in order."""
         blocks, slot, keys = self._arrays()
-        top = int(ids.max(initial=0)) + 2  # keep NO_SLOT last
+        count = self._count
+        top = int(np.maximum.reduce(ids, initial=0)) + 2  # keep NO_SLOT last
         if top > len(slot):
             slot = _grown(slot, max(len(slot) + len(slot) // 2, top), NO_SLOT)
         slots = slot[ids]
         new = slots == NO_SLOT
-        count = np.count_nonzero(new)
-        if count:
-            slots[new] = np.arange(len(keys), len(keys) + count)
-            keys = np.concatenate([keys, ids[new]])
-            slot.flags.writeable = True
-            slot[ids[new]] = slots[new]
-        size = len(blocks["z"])
-        if len(keys) >= size:  # keep the default row last
-            size = max(size + size // 2, len(keys) + 1)
-            blocks = {name: _grown(block, size, block[-1]) for name, block in blocks.items()}
+        added = np.count_nonzero(new)
+        if added:
+            if count + added >= len(keys):  # keep the default row last
+                size = max(len(keys) + len(keys) // 2, count + added + 1)
+                keys = _grown(keys, size, 0)
+                blocks = {name: _grown(block, size, block[-1]) for name, block in blocks.items()}
+            slots[new] = np.arange(count, count + added)
+            slot.flags.writeable = keys.flags.writeable = True
+            keys[count:count + added] = slot_ids = ids[new]
+            slot[slot_ids] = slots[new]
+            count += added
         for block in blocks.values():
             block.flags.writeable = True
         for start in range(0, len(slots), 1024):  # in blocks, to bound the temporaries
@@ -560,14 +571,16 @@ class PolicyParams:
             q = softmax_rows(z)  # log_q and the sums at temperature 1 share it
             for name, block in blocks.items():
                 block[at] = _derived(name, z, q)
-        self._own(blocks, slot, keys)
+        self._own(blocks, slot, keys, count)
 
     def snapshot(self) -> "PolicyParams":
         """An independent copy on the same index: later steps of this table's
         lineage leave its rows, slots and blocks as they are."""
         blocks, slot, keys = self._arrays()
-        return self._next(self.version, {name: block.copy() for name, block in blocks.items()},
-                          slot.copy(), keys.copy())
+        params = self._next(self.version)
+        params._own({name: block.copy() for name, block in blocks.items()}, slot.copy(),
+                    keys.copy(), self._count)
+        return params
 
 
 class RowBlock(Mapping):
@@ -623,13 +636,15 @@ class RowBlock(Mapping):
 
 class _FloatTexts(dict):
     """json's text of a float by its int64 bits (so -0.0 is not 0.0), as a
-    trained table holds few distinct floats; those of the first 1024 looked
-    up are kept, which bounds the memo to about 0.15 MB."""
+    trained table holds few distinct floats; those of the first 1,400 looked
+    up are kept, which bounds the memo to about 0.2 MB and holds every
+    distinct float of a default 400-step table (1,273-1,316), so each of
+    them is formatted once."""
 
     def __missing__(self, bits: int) -> str:
         x = struct.unpack("<d", struct.pack("<q", bits))[0]
         text = repr(x) if math.isfinite(x) else json.dumps(x)
-        if len(self) < 1024:
+        if len(self) < 1400:
             self[bits] = text
         return text
 
@@ -688,17 +703,19 @@ def save_params(params: PolicyParams, path) -> None:
     index = params.index
     blocks, slot, _ = params._arrays()
     bits = blocks["z"].view(np.int64)  # the logits by slot, each float as its bits
+    text = _FloatTexts().__getitem__
     kept = sorted((key, slot.item(i)) for i, key in index._tuple_of.items()
                   if i < len(slot) and slot.item(i) != NO_SLOT)
-    # every written key is a tuple of ints (_check_key), whose text str makes as json does
-    rows = heapq.merge(_histories(index, slot, bits, bool(kept)), (
-        (key, ", ".join(map(str, key)), bits[s].tolist()) for key, s in kept))
-    floats = _FloatTexts()
+    rows = _histories(index, slot, bits, bool(kept))
+    if kept:  # each is a tuple of ints (_check_key), whose text str makes as json does
+        rows = heapq.merge(rows, ((key, ", ".join(map(str, key)), bits[s].tolist())
+                                  for key, s in kept))
     with atomic_open(path) as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
-        for _, text, row in rows:
-            logits = ", ".join(map(floats.__getitem__, row))
-            f.write(f'{{"key": [{text}], "logits": [{logits}]}}\n')
+        # 32 lines at a time: a block of 256 held 0.1 MB more on a 6,000-row table
+        while lines := [f'{{"key": [{key}], "logits": [{", ".join(map(text, row))}]}}\n'
+                        for _, key, row in islice(rows, 32)]:
+            f.writelines(lines)
 
 
 def _logits(num_actions: int, key, logits) -> np.ndarray:

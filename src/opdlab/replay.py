@@ -1,20 +1,19 @@
-"""Staleness-aware sub-trajectory experience replay, held as columns.
+"""Staleness-aware sub-trajectory experience replay, held as packed rows.
 
 A replay entry is one student turn. Rollouts hand the buffer their student
-turns as ``Turns``: one int array per field, one element per entry (the key
-id of the realized history, the sampled action, the turn index, the env
-state id and the acting policy version). The history key already encodes
-the whole prefix (expert-prefix turns included), and the teacher's rows
-are read from its fixed arrays at the entry's turn and state id, so
-nothing needs to be re-simulated at learn time; the expert-prefix turns
-themselves get no entry. The sampler eagerly discards entries older than
-the staleness budget before drawing a batch. There is no per-entry
-object: an entry is a row of a ``Turns``.
+turns as ``Turns``: one packed (n, 5) int32 array with a row per entry and
+a column per field (the key id of the realized history, the sampled action,
+the turn index, the env state id and the acting policy version). The
+history key already encodes the whole prefix (expert-prefix turns
+included), and the teacher's rows are read from its fixed arrays at the
+entry's turn and state id, so nothing needs to be re-simulated at learn
+time; the expert-prefix turns themselves get no entry. The buffer is one
+such array too: a push is one concatenate and one slice, and a sample one
+row gather, after eagerly discarding the entries older than the staleness
+budget. There is no per-entry object: an entry is a row.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,30 +23,21 @@ from .policy import KeyIndex
 DEFAULT_CAPACITY = 4096
 
 
-@dataclass(eq=False)
 class Turns:
-    """Replay entries as int columns, one element per student turn: ``key``
-    holds key ids of ``index``, ``state`` int32 env state ids, and
-    ``TeacherPolicy.pairs(turn, state)`` gives an entry's teacher rows."""
+    """Replay entries as the (n, 5) int32 array ``rows``, a row per student
+    turn, as ``Rollouts.entries`` holds them; its columns, views named
+    ``key`` (key ids of ``index``), ``action``, ``turn``, ``state`` (env
+    state ids) and ``version``, are the fields. ``TeacherPolicy.pairs(turn,
+    state)`` gives an entry's teacher rows."""
 
-    index: KeyIndex
-    key: np.ndarray
-    action: np.ndarray
-    turn: np.ndarray
-    state: np.ndarray
-    version: np.ndarray
+    key, action, turn, state, version = (property(lambda self, i=i: self.rows[:, i])
+                                         for i in range(5))
+
+    def __init__(self, index: KeyIndex, rows: np.ndarray):
+        self.index, self.rows = index, rows
 
     def __len__(self) -> int:
-        return len(self.key)
-
-    def _columns(self) -> list[np.ndarray]:
-        return [self.key, self.action, self.turn, self.state, self.version]
-
-    def take(self, rows) -> "Turns":
-        """The entries at ``rows`` (indices, a slice or a bool mask)."""
-        if isinstance(rows, np.ndarray) and rows.dtype == bool:
-            rows = np.flatnonzero(rows)
-        return Turns(self.index, *(column[rows] for column in self._columns()))
+        return len(self.rows)
 
 
 def decompose(rollouts) -> Turns:
@@ -61,7 +51,8 @@ def decompose(rollouts) -> Turns:
 
 class RingBuffer:
     """Bounded insertion-ordered store; oldest entries are overwritten first.
-    Every entry's key ids must come from one KeyIndex."""
+    Every entry's key ids must come from one KeyIndex. The entries are one
+    Turns, whose rows are in push order."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
@@ -74,18 +65,18 @@ class RingBuffer:
         return 0 if self._turns is None else len(self._turns)
 
     def _versions(self) -> np.ndarray:
-        return np.zeros(0, dtype=np.int64) if self._turns is None else self._turns.version
+        return np.zeros(0, dtype=np.int32) if self._turns is None else self._turns.version
 
     def push(self, turns: Turns) -> None:
         if not len(turns):
             return
         held = self._turns
+        rows = turns.rows
         if held is not None:
             if turns.index is not held.index:
                 raise UsageError("pushed entries have key ids of another KeyIndex")
-            turns = Turns(turns.index, *(np.concatenate(pair) for pair in
-                                         zip(held._columns(), turns._columns())))
-        self._turns = turns.take(slice(-self.capacity, None))
+            rows = np.concatenate((held.rows, rows))
+        self._turns = Turns(turns.index, rows[-self.capacity:])
 
     def count_at_version(self, version: int) -> int:
         return int(np.count_nonzero(self._versions() == version))
@@ -107,12 +98,13 @@ class RingBuffer:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
         if not len(self):
             return []
-        fresh = current_version - self._turns.version <= delta_max
+        held = self._turns
+        fresh = current_version - held.version <= delta_max
         kept = int(np.count_nonzero(fresh))
         if kept < len(fresh):
             self.discarded_stale_total += len(fresh) - kept
-            self._turns = self._turns.take(fresh)
+            held = self._turns = Turns(held.index, held.rows[fresh])
         if not kept:
             return []
         idx = rng.choice(kept, size=min(batch_size, kept), replace=False)
-        return self._turns.take(idx)
+        return Turns(held.index, held.rows.take(idx, axis=0))

@@ -33,13 +33,13 @@ the table rows it reads, so runs are bit-identical to starting each
 rollout alone when it comes due, for any wave or call width, and
 bit-reproducible per seed in both modes.
 
-Rollouts, replay and learner exchange columns, not per-turn objects: a
-wave's ``Rollouts`` hand the buffer their student turns as ``Turns`` of
-int ids, the learner gathers a sampled batch's student rows by key id and
-its teacher rows from the run's teacher by (turn, state id), and a step's
-rollout record sums each episode's KL from the engine's KL matrix. All
-tables of a run share one key index, and only the newest table is read
-(see ``policy``).
+Rollouts, replay and learner exchange arrays, not per-turn objects: a
+wave's ``Rollouts`` hand the buffer their student turns as ``Turns``, rows
+of int ids, the learner gathers a sampled batch's student rows by key id
+and its teacher rows from the run's teacher by (turn, state id), and a
+step's rollout record reads each episode's KL sum, which the engine adds
+once per call. All tables of a run share one key index, and only the
+newest table is read (see ``policy``).
 
 The curriculum clock is the learner's step counter: the rollouts started
 at step n run under horizon_at(schedule, n). Evaluation always runs
@@ -245,10 +245,11 @@ def _wave_width(missing: int, max_turns: int) -> int:
 
 
 def _rollout_record(step: int, k: int, batches: list[Rollouts]) -> EvalRecord:
-    """The rollout record of a step's batches: each episode's KL is the sum of
-    its student turns' entries in the batch's KL matrix."""
-    success, rounds, kl_sums, prefix_len = (np.concatenate(columns) for columns in zip(
-        *((b.success, b.rounds, b.kl_sums(), b.prefix_len) for b in batches)))
+    """The rollout record of a step's batches, from each episode's KL sum
+    (``Rollouts.kl_sum``); a step of one batch reads its columns as they are."""
+    columns = [(b.success, b.rounds, b.kl_sum, b.prefix_len) for b in batches]
+    success, rounds, kl_sums, prefix_len = (
+        columns[0] if len(columns) == 1 else map(np.concatenate, zip(*columns)))
     return EvalRecord(
         step=step,
         **_episode_summary(success, rounds, kl_sums),
@@ -326,7 +327,7 @@ class _Starter:
 
     def wrote(self, ids: np.ndarray, version: int) -> None:
         """Record that the learner step to ``version`` wrote key ``ids``."""
-        top = int(ids.max(initial=0)) + 2  # keep the last entry -1
+        top = int(np.maximum.reduce(ids, initial=0)) + 2  # keep the last entry -1
         if top > len(self.written):
             self.written = _grown(self.written, max(len(self.written) * 3 // 2, top), -1)
         self.written[ids] = version
@@ -344,7 +345,7 @@ class _Starter:
         rows = np.flatnonzero(redo)
         if rows.size:
             batch.put(rows, self._run(params, batch.task_ids[rows], k, u[rows]))
-        batch.versions[:] = params.version
+        batch.entries[..., 4] = params.version
 
     def deliver(self, n: int, width: int, params: PolicyParams, k: int) -> Rollouts:
         """The next ``width`` rollouts, delivered in step n. First every rollout

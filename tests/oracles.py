@@ -6,7 +6,8 @@ and recorded columns computed inside the turn loop and each key cut from
 its episode's full history; the training loop that starts each rollout when
 it comes due; and the episode summary averaged by np.mean. Also the teacher
 frozen into a logit table, a student that plays the expert; a teacher made
-by hand from rows, for replay entries made by hand; and the walks
+by hand from rows, for replay entries made by hand; the replay buffer
+held as columns; and the walks
 over ``Env.reset``/``Env.step`` that expert collection and the SFT turns
 must give the same results as: one episode played with a caller's action
 rule, expert collection with a ``teacher.dist`` draw per turn, and each
@@ -162,10 +163,10 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
                      max_student_turns=None, prefixes=None, algo=None, teacher_rows=None):
     """distill.rollout_lockstep with each turn's teacher rows (gathered from
     ``teacher.p[t]`` and ``teacher.log_p[t]``), the student's softmax of
-    its logits, turn KL (one forward_kl_rows call per turn) and
-    recorded columns (state ids among them) computed and scattered inside
-    the turn loop, reading the live rows of (B, ...) arrays through the live
-    episode indices. Each live episode keeps its full history as a tuple,
+    its logits, turn KL (one forward_kl_rows call per turn), each
+    episode's KL sum and the recorded columns (state ids among them)
+    computed and scattered inside the turn loop, reading the live rows of
+    (B, ...) arrays through the live episode indices. Each live episode keeps its full history as a tuple,
     and its key is window_key of that tuple, looked up every turn: interned
     with ``algo`` given, else found (id 0, the default row, if the index
     lacks it). A given (B, horizon_cap, A) array ``teacher_rows`` receives
@@ -193,12 +194,12 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
     record = algo is not None
     index = student.index
     kl = np.zeros((n, horizon))
+    kl_sum = np.zeros(n)  # each episode's student-turn KL, added turn by turn
     played = np.full(n, horizon)  # turns each episode played, prefix included
     success = np.zeros(n, dtype=bool)
-    if record:
-        key_col = np.zeros((n, horizon), dtype=np.int64)
-        action_col = np.zeros((n, horizon), dtype=np.int64)
-        state_col = np.zeros((n, horizon), dtype=np.int32)
+    if record:  # each turn's (key id, action, turn, state id, version)
+        entries = np.zeros((n, horizon, 5), dtype=np.int64)
+        entries[:, :, 2], entries[:, :, 4] = np.arange(horizon), student.version
     # the live episodes, their state ids and their full histories
     live = np.arange(n)
     state = env.initial_state[task]
@@ -222,10 +223,11 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
             in_prefix = prefix_len[here] > t
             actions = np.where(in_prefix, forced[:, t][here], actions)
         kl[:, t][here] = turn_kl
+        kl_sum[here] += turn_kl if in_prefix is None else np.where(in_prefix, 0.0, turn_kl)
         if teacher_rows is not None:
             teacher_rows[:, t][here] = p_teacher
         if record:
-            key_col[:, t][here], action_col[:, t][here], state_col[:, t][here] = (
+            entries[:, t, 0][here], entries[:, t, 1][here], entries[:, t, 3][here] = (
                 key, actions, state)
         state = next_state[state, actions]
         tokens, won = token[state], reached[state]
@@ -242,8 +244,8 @@ def rollout_lockstep(env, student, teacher, task_ids, u, *, temperature=1.0, win
             if not live.size:
                 break
     rollouts = None if not record else Rollouts(
-        index, algo, task, np.full(n, student.version, dtype=np.int64), key_col,
-        action_col, state_col, kl, prefix_len, played - prefix_len, success)
+        index, algo, task, entries.astype(np.int32), kl, prefix_len, played - prefix_len,
+        success, kl_sum)
     return kl, played - prefix_len, success, rollouts
 
 
@@ -259,6 +261,38 @@ class RowTeacher:
     def pairs(self, turns, states):
         rows = self.rows[states]
         return rows, log_rows(rows)
+
+
+class ColumnRing:
+    """replay.RingBuffer with its entries held as five int64 columns (key
+    id, action, turn, state id, version): a push concatenates each column
+    and keeps its last ``capacity`` entries, and a sample discards the stale
+    entries of each column and draws its batch, a list of the columns at
+    the drawn rows, as the ring does."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.columns = [np.zeros(0, dtype=np.int64) for _ in range(5)]
+        self.discarded_stale_total = 0
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def push(self, turns) -> None:
+        pushed = (turns.key, turns.action, turns.turn, turns.state, turns.version)
+        self.columns = [np.concatenate((held, column.astype(np.int64)))[-self.capacity:]
+                        for held, column in zip(self.columns, pushed)]
+
+    def sample_batch(self, current_version, delta_max, batch_size, rng):
+        if not len(self):
+            return []
+        fresh = np.flatnonzero(current_version - self.columns[4] <= delta_max)
+        self.discarded_stale_total += len(self) - len(fresh)
+        self.columns = [column[fresh] for column in self.columns]
+        if not len(fresh):
+            return []
+        idx = rng.choice(len(fresh), size=min(batch_size, len(fresh)), replace=False)
+        return [column[idx] for column in self.columns]
 
 
 def take(started: deque[Rollouts], width: int) -> list[Rollouts]:

@@ -37,7 +37,8 @@ WRITERS = {
 
 
 class FailingFile:
-    """A text file whose second write raises, as a full disk would."""
+    """A text file whose second write raises, as a full disk would;
+    ``writelines`` writes its lines one at a time, as a file's does."""
 
     def __init__(self, f):
         self._f = f
@@ -48,6 +49,10 @@ class FailingFile:
         if self.writes == 2:
             raise OSError("no space left on device")
         return self._f.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
 
     def __enter__(self):
         return self

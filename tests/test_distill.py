@@ -35,11 +35,10 @@ from opdlab.policy import (
     softmax,
 )
 from opdlab.metrics import MetricsLog, TrainRecord
-from opdlab.replay import Turns
 from opdlab.runtime import RunConfig, _seed_streams, evaluate, run_training
 
 import oracles
-from joined import episode
+from joined import episode, packed
 
 
 def rng(seed=0):
@@ -239,11 +238,12 @@ def one_episode(keys, teacher_rows, index, prefix_len=0):
     turn t the state id t, and the RowTeacher whose row at state id t is
     teacher_rows[t]; what the losses do not read is 0."""
     n = len(keys)
-    return Rollouts(index, "opd", np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
-                    np.array([[index.intern(k) for k in keys]], dtype=np.int64),
-                    np.zeros((1, n), dtype=np.int64), np.arange(n)[None],
-                    np.zeros((1, n)), np.array([prefix_len]), np.array([n - prefix_len]),
-                    np.zeros(1, dtype=bool)), oracles.RowTeacher(teacher_rows)
+    entries = np.zeros((1, n, 5), dtype=np.int32)
+    entries[0, :, 0] = [index.intern(k) for k in keys]
+    entries[0, :, 2] = entries[0, :, 3] = np.arange(n)
+    return Rollouts(index, "opd", np.zeros(1, dtype=np.int64), entries, np.zeros((1, n)),
+                    np.array([prefix_len]), np.array([n - prefix_len]),
+                    np.zeros(1, dtype=bool), np.zeros(1)), oracles.RowTeacher(teacher_rows)
 
 
 def synthetic_episode(p, q, key=(1, 0, 2)):
@@ -573,8 +573,8 @@ def entries(batch, index):
     batch_gradient reads only the key ids, turns and state ids."""
     n = len(batch)
     zeros = np.zeros(n, dtype=np.int64)
-    return (Turns(index, np.array([index.intern(key) for key, _ in batch], dtype=np.int64),
-                  zeros, zeros, np.arange(n), zeros),
+    return (packed(index, [index.intern(key) for key, _ in batch], zeros, zeros,
+                   np.arange(n), zeros),
             oracles.RowTeacher([p for _, p in batch]))
 
 

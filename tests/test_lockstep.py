@@ -394,7 +394,8 @@ def test_engine_matches_the_in_loop_oracle_bitwise(num_actions, kind, temperatur
     assert rounds.tolist() == rounds0.tolist() and success.tolist() == success0.tolist()
     assert (r is None) == (r0 is None) == (algo is None)
     if r is not None:
-        for name in ("keys", "actions", "states", "kl", "prefix_len", "rounds", "success"):
+        for name in ("keys", "actions", "states", "kl", "prefix_len", "rounds", "success",
+                     "kl_sum"):
             x, y = getattr(r, name), getattr(r0, name)
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 

@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opdlab.distill import collect_teacher_trajectories, rollout_batch
 from opdlab.env import COMPOUNDING_CHAIN, MEMORY_LOCK, EnvConfig, make_env, make_teacher
@@ -234,6 +237,54 @@ def test_write_is_byte_stable(tmp_path):
     write_records(log, a)
     write_records(log, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# floats of every kind a record field can hold: NaN, infinities, signed zeros,
+# subnormals, and ints in float fields
+values = st.one_of(st.floats(), st.integers(-3, 3),
+                   st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                                    -1e-310, 2.2250738585072014e-308, 1e300]))
+records = st.one_of(
+    st.builds(TrainRecord, step=st.integers(0, 500), loss=values, grad_norm=values,
+              buffer_size=st.integers(0, 4096), discarded_stale=st.integers(0, 99),
+              active_k=st.integers(0, 12), mean_staleness=values),
+    st.builds(EvalRecord, step=st.integers(0, 500), success_rate=values, avg_rounds=values,
+              traj_kl_mean=values, traj_kl_turn_mean=values,
+              per_turn_kl=st.lists(values, max_size=6), active_k=st.integers(0, 12),
+              split=st.sampled_from(["eval", "rollout"]), n_rollouts=st.integers(0, 64),
+              mean_prefix_len=values))
+
+
+def nulled(value):
+    """``value`` with NaN, alone or in a list, as None."""
+    if isinstance(value, list):
+        return [nulled(x) for x in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(records, max_size=8))
+def test_each_record_line_is_json_dumps_of_the_record(tmp_path_factory, appended):
+    """A record appended holds the values of the record made by its
+    constructor from each field rounded by round9, and its line is
+    json.dumps(sort_keys=True) of its fields and type, with NaN as null."""
+    log = MetricsLog(config_hash="h")
+    for record in appended:
+        log.append(record)
+    path = tmp_path_factory.mktemp("records") / "m.jsonl"
+    write_records(log, path)
+    header, *lines = path.read_text().splitlines()
+    assert header == json.dumps({"kind": "metrics", "schema_version": 1,
+                                 "config_hash": "h"}, sort_keys=True)
+    assert len(lines) == len(appended)
+    for line, record, held in zip(lines, appended, log.records):
+        rounded = {name: [round9(x) if isinstance(x, float) else x for x in value]
+                   if isinstance(value, list) else round9(value) if isinstance(value, float)
+                   else value for name, value in asdict(record).items()}
+        assert repr(held) == repr(type(record)(**rounded))
+        kind = "train" if isinstance(record, TrainRecord) else "eval"
+        fields = {name: nulled(value) for name, value in asdict(held).items()}
+        assert line == json.dumps({**fields, "type": kind}, sort_keys=True)
 
 
 def test_nan_profile_entries_round_trip(tmp_path):

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opdlab.distill import (
     _kl_block,
@@ -12,11 +14,12 @@ from opdlab.distill import (
     collect_teacher_trajectories,
 )
 from opdlab.env import EnvConfig, make_env, make_teacher
-from opdlab.errors import ConfigError
+from opdlab.errors import ConfigError, UsageError
 from opdlab.policy import KeyIndex, PolicyParams, forward_kl, softmax
-from opdlab.replay import RingBuffer, Turns, decompose
+from opdlab.replay import RingBuffer, decompose
 
-from joined import episode
+import oracles
+from joined import episode, packed
 
 
 def rng(seed=0):
@@ -37,12 +40,11 @@ KEYS = KeyIndex(2)  # the key ids of every entry pushed below
 
 
 def turns(*entries):
-    """Replay columns of the (key token, version) ``entries``: each has the
+    """Replay entries of the (key token, version) ``entries``: each has the
     key (token,), action 0, turn 0 and state id 0."""
-    n = len(entries)
-    zeros = np.zeros(n, dtype=np.int64)
-    return Turns(KEYS, np.array([KEYS.intern((i,)) for i, _ in entries], dtype=np.int64),
-                 zeros, zeros, zeros, np.array([v for _, v in entries], dtype=np.int64))
+    zeros = np.zeros(len(entries), dtype=np.int64)
+    return packed(KEYS, [KEYS.intern((i,)) for i, _ in entries], zeros, zeros, zeros,
+                  [v for _, v in entries])
 
 
 def entry(i, version=0):
@@ -95,19 +97,21 @@ def test_entries_reconstruct_trajectory_loss(env, teacher):
     assert from_entries == pytest.approx(loss, abs=1e-12)
 
 
-def int_columns(columns):
-    """The dataclass fields of ``columns`` but its key index, checked to be
-    integer arrays."""
-    arrays = [getattr(columns, f.name) for f in fields(columns) if f.name != "index"]
-    assert arrays and all(np.issubdtype(x.dtype, np.integer) for x in arrays), arrays
-    return arrays
+def int_columns(turns):
+    """The five columns of the entries ``turns``, checked to be the columns
+    of its packed (n, 5) int32 rows, as views."""
+    columns = [turns.key, turns.action, turns.turn, turns.state, turns.version]
+    assert turns.rows.dtype == np.int32 and turns.rows.shape == (len(turns), 5)
+    for i, column in enumerate(columns):
+        assert column.base is not None and np.array_equal(column, turns.rows[:, i])
+    return columns
 
 
 def test_entries_and_the_buffer_hold_ints_only(env, teacher):
-    """Rollouts record no float column but the turn KL; an entry, in a wave's
-    student turns and in the buffer after pushes, evictions and stale
-    discards, is ints only. State ids are int32 throughout, as the env's
-    tables hold them."""
+    """Rollouts record no float column but the turn KL and each episode's
+    sum of it; an entry, in a wave's student turns and in the buffer after
+    pushes, evictions and stale discards, is ints only. State ids are int32
+    throughout, as the env's tables hold them."""
     store = collect_teacher_trajectories(env, make_teacher(env, on_support_temperature=1e-3),
                                          1, rng(2))
     buf = RingBuffer(capacity=40)
@@ -116,7 +120,7 @@ def test_entries_and_the_buffer_hold_ints_only(env, teacher):
         for algo, k in (("opd", 12), ("f2b", 4), ("b2f", 2)):
             rollouts = episode(algo, env, student, teacher, step, k, rng(step), store=store)
             assert [f.name for f in fields(rollouts) if f.name not in ("index", "algo")
-                    and getattr(rollouts, f.name).dtype.kind == "f"] == ["kl"]
+                    and getattr(rollouts, f.name).dtype.kind == "f"] == ["kl", "kl_sum"]
             entries = rollouts.student_turns()
             assert len(int_columns(entries)) == 5
             assert rollouts.states.dtype == entries.state.dtype == np.int32
@@ -131,6 +135,18 @@ def test_entries_and_the_buffer_hold_ints_only(env, teacher):
         student = apply_gradient(student, batch_gradient(batch, student, teacher)[1], 0.5)
     evicted = pushed - buf.discarded_stale_total - len(buf)
     assert buf.discarded_stale_total > 0 and evicted > 0
+
+
+def test_key_ids_and_versions_past_int32_are_refused(env, teacher):
+    """Entries hold key ids and versions as int32: a KeyIndex gives out at
+    most 2**31 ids, and a batch takes no version past int32."""
+    with pytest.raises(UsageError, match="2\\*\\*31 ids"):
+        KeyIndex(2)._reserve(2 ** 31 + 1)
+    rollouts = episode("opd", env, PolicyParams(env.config.num_actions), teacher, 0, 12, rng(1))
+    rollouts.entries[..., 4] = 2 ** 31 - 1
+    assert rollouts.student_turns().version.tolist() == [2 ** 31 - 1] * rollouts.rounds[0]
+    with pytest.raises(OverflowError):  # as the engine and the queue tag a batch
+        rollouts.entries[..., 4] = 2 ** 31
 
 
 # -- ring buffer -------------------------------------------------------------------
@@ -225,3 +241,30 @@ def test_version_counts_match_a_scan_through_eviction_and_discards():
             version += int(gen.integers(0, 2))
             buf.sample_batch(version, int(gen.integers(0, 3)), 4, gen)
         check(version)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1), ops=st.lists(st.one_of(
+    st.lists(st.tuples(*[st.integers(0, 2 ** 31 - 1)] * 4, st.integers(-4, 8)), max_size=15),
+    st.tuples(st.integers(0, 10), st.integers(0, 3), st.integers(1, 10))), max_size=40))
+def test_the_packed_ring_equals_the_column_buffer(capacity, seed, ops):
+    """Pushes of entries (key id, action, turn, state id, version) with
+    versions in any order, past capacity, and samples that discard stale
+    entries: the packed ring gives the column buffer's batches, bit for bit,
+    its length and its count of discarded entries."""
+    ring, plain = RingBuffer(capacity), oracles.ColumnRing(capacity)
+    gen, plain_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    for op in ops:
+        if isinstance(op, list):  # a push
+            columns = np.array(op, dtype=np.int64).reshape(-1, 5).T
+            ring.push(packed(KEYS, *columns))
+            plain.push(packed(KEYS, *columns))
+        else:
+            batch, expected = ring.sample_batch(*op, gen), plain.sample_batch(*op, plain_gen)
+            assert (batch == []) == (expected == [])
+            if expected != []:
+                rows = np.stack(expected, axis=1)
+                assert batch.rows.tobytes() == rows.astype(np.int32).tobytes()
+                assert batch.rows.shape == rows.shape
+        assert len(ring) == len(plain)
+        assert ring.discarded_stale_total == plain.discarded_stale_total

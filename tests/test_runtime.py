@@ -554,10 +554,10 @@ def test_the_sampling_sums_are_built_once_per_temperature(tmp_path):
     training's 1.0 and evaluation's 0.4, and one at a training temperature
     of 0.7 those of 0.7 and 0.4; the records are those of the in-loop
     engine, which takes the softmax of the logits every turn. An sft run
-    builds its evaluation block once too, and that of 1.0 once, for the
-    engine call that walks the store (its expert-prefix turns sample before
-    they take the stored action); a loaded table that is only evaluated
-    builds no block at 1.0."""
+    builds its evaluation block once too, and none at 1.0: the engine call
+    that walks the store plays expert-prefix turns only, and a turn on which
+    every live episode is in its prefix samples nothing. A loaded table that
+    is only evaluated builds no block at 1.0 either."""
     builds, real = [], PolicyParams._build_cum
 
     def spy(self, temperature):
@@ -580,7 +580,7 @@ def test_the_sampling_sums_are_built_once_per_temperature(tmp_path):
     builds.clear()
     with mock.patch.object(PolicyParams, "_build_cum", spy):
         run_training(sft, collect_for(sft))
-    assert builds == [1.0, 0.4]
+    assert builds == [0.4]
     save_params(result.final_params, tmp_path / "checkpoint.jsonl")
     env = make_env(config.env)
     builds.clear()

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from opdlab.distill import (
     Rollouts,
+    _kl_sums,
     apply_gradient,
     collect_teacher_trajectories,
     rollout_batch,
@@ -66,7 +67,8 @@ def test_grad_norm_bitwise_equals_the_per_key_sum(grads):
 @st.composite
 def rollout_batches(draw):
     """Rollouts columns with expert prefixes, episodes without a student turn,
-    and turn KLs that are zero of either sign."""
+    and turn KLs that are zero of either sign; each episode's KL sum is the
+    engine's, _kl_sums of the KL matrix."""
     n, horizon = draw(st.integers(1, 6)), draw(st.integers(1, 8))
     prefix_len = np.array([draw(st.integers(0, horizon)) for _ in range(n)])
     rounds = np.array([draw(st.integers(0, horizon - p)) for p in prefix_len])
@@ -76,15 +78,18 @@ def rollout_batches(draw):
         for t in range(prefix_len[e] + rounds[e]):
             kl[e, t] = draw(value)
     success = np.array([draw(st.booleans()) for _ in range(n)])
-    zeros = np.zeros((n, horizon), dtype=np.int64)
     return Rollouts(KeyIndex(2), "b2f", np.zeros(n, dtype=np.int64),
-                    np.zeros(n, dtype=np.int64), zeros, zeros, zeros, kl,
-                    prefix_len, rounds, success)
+                    np.zeros((n, horizon, 5), dtype=np.int32), kl, prefix_len, rounds,
+                    success, _kl_sums(kl, prefix_len))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(rollout_batches(), min_size=1, max_size=3))
 def test_rollout_record_bitwise_equals_the_per_turn_sum(batches):
+    """The record of a step of one batch or of several, read from the
+    batches' KL sums, has the bits of _episode_summary of the step's
+    episodes with each KL sum added turn by turn, and each batch's KL sums
+    are those per-turn sums."""
     def kl_sum(batch, e):
         """Episode e's student-turn KL, added turn by turn."""
         start = int(batch.prefix_len[e])
@@ -101,7 +106,7 @@ def test_rollout_record_bitwise_equals_the_per_turn_sum(batches):
     assert repr(_rollout_record(7, 3, batches)) == repr(expected)
     for batch in batches:
         sums = [0.0 + kl_sum(batch, e) for e in range(len(batch))]
-        assert batch.kl_sums().tobytes() == np.array(sums).tobytes()
+        assert batch.kl_sum.tobytes() == np.array(sums).tobytes()
 
 
 # -- what the benchmark reads of a table -----------------------------------------------
