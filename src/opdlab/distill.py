@@ -37,13 +37,13 @@ logit table. An entry holds ints only, no row: the learner
 (``TeacherPolicy.pairs``) by (turn, state id), and the student's logits
 and stored floored log of their softmax (``PolicyParams.log_q``) by key id,
 takes the softmax of the logits for the gradient and the log for the KL,
-and ``apply_gradient`` writes its K rows as one (K, A) block. The SFT
-baseline trains an ``SftBlock`` built once per run from ``store_turns``,
-one engine call that plays the store as expert prefixes, so SFT keys are
-built as b2f prefix keys are; its steps (``sft_update``, ``nll_loss``)
-touch only arrays. Expert collection and the store checks walk state ids
-through the env's tables too. All give bitwise the results of a
-per-entry loop over the scalar softmax, KL and gradient.
+and ``apply_gradient`` writes its K rows into the run's one table in place,
+as one (K, A) block. The SFT baseline trains an ``SftBlock`` built once per
+run from ``store_turns``, one engine call that plays the store as expert
+prefixes, so SFT keys are built as b2f prefix keys are; its steps
+(``sft_update``, ``nll_loss``) touch only arrays. Expert collection and the
+store checks walk state ids through the env's tables too. All give bitwise
+the results of a per-entry loop over the scalar softmax, KL and gradient.
 """
 
 from __future__ import annotations
@@ -364,12 +364,12 @@ def apply_gradient(params: PolicyParams, grads, lr: float) -> PolicyParams:
 
     ``grads`` maps keys to gradient rows (a RowBlock, or any mapping). The K
     updated rows are one (K, A) block, old rows - lr * grads, written in
-    place by ``with_rows``: the new table takes the rows of ``params``, which
-    can no longer be read (take a snapshot() first to keep it).
+    place by ``write``; returns ``params`` itself (take a snapshot() first
+    to keep its rows).
     """
     grads = RowBlock.of(grads, params.index, params.num_actions)
-    return params.with_rows(grads.ids, params.rows(grads.ids) - lr * grads.rows,
-                            params.version + 1)
+    params.write(grads.ids, params.rows(grads.ids) - lr * grads.rows, params.version + 1)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +529,7 @@ class SftBlock:
     """SFT state as arrays: the turns' distinct key ids in order of first
     occurrence, each turn's slot among them, the keys' (U, A) logit rows
     ``z``, which no step writes, and q = softmax_rows(z[slots]). A table
-    takes the block's rows by ``with_rows(ids, z, version)``."""
+    takes the block's rows by ``write(ids, z, version)``."""
 
     ids: np.ndarray
     slots: np.ndarray

@@ -62,6 +62,7 @@ class EnvConfig:
             (self.chain_length <= self.horizon_cap, f"chain_length {self.chain_length} exceeds "
              f"horizon_cap {self.horizon_cap}; the goal would be unreachable"),
             (self.off_support_depth >= 0, "off_support_depth must be >= 0"),
+            (self.seed >= 0, "env.seed must be >= 0"),
             (self.task_count >= 1, "task_count must be >= 1"),
         ):
             if not ok:

@@ -6,22 +6,23 @@ temperature. KL divergence and its logit gradient are computed exactly
 over the action set (no sampling), which keeps the distillation losses
 variance-free.
 
-Keys are int ids. A ``KeyIndex``, shared by the tables of one lineage,
+Keys are int ids. A ``KeyIndex``, shared by a table and its snapshots,
 holds keys only: full histories as a trie (each id knows its parent, last
 action and last token), so the rollout engine advances a batch of histories
 with one array gather (window keys through a memo), and any other key as
 a tuple. A ``PolicyParams`` owns its slot map, the slot of each key id, and
 one (R, A) block by slot per quantity: the logits, the floored log of their
 softmax, which the KL reads, and the cumulative sums of the softmax at each
-temperature the lineage is sampled at, which a rollout turn reads. A
+temperature the table is sampled at, which a rollout turn reads. A
 written row's softmax is taken once; a block of sums is built for the whole
 table on the first read at its temperature and rewritten row by row as the
 learner writes. Tables are read by key id, and an id the table has not
 written, one interned after its last write too, reads the default row. A
-learner step writes its K rows in place and hands the arrays to the new
-table, so the stepped table can no longer be read; ``snapshot`` is the copy
-that stays. ``logits`` is a copy of the written rows as a ``RowBlock``, a
-mapping from key tuple to row.
+run has one table: ``write``, the one way rows enter it, writes them in
+place and sets its version, so a reference held across a learner step
+reads the new rows; ``snapshot`` is the copy that keeps them. ``logits``
+is a copy of the written rows as a ``RowBlock``, a mapping from key tuple
+to row.
 
 Checkpoints are read 256 lines at a time, each block's keys interned at
 once by ``KeyIndex.intern_all``, and their logits must be JSON numbers; they
@@ -30,6 +31,7 @@ are written in key order, worked out on arrays from the trie.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import json
 import math
@@ -185,7 +187,7 @@ def _grown(array: np.ndarray, size: int, fill) -> np.ndarray:
 
 
 class KeyIndex:
-    """Append-only int ids for history keys, shared by a PolicyParams lineage.
+    """Append-only int ids for history keys, shared by a PolicyParams and its snapshots.
 
     Id 0 stands for "no key". A full history (o_0, a_0, ..., o_t) with
     actions in [0, A) and tokens in [0, 2**31) is a node of a trie: its id
@@ -436,19 +438,18 @@ class PolicyParams:
 
     The table owns its blocks, each (R, A) by slot: the logits "z", the
     log_floor of their softmax "log_q", which the KL reads, and for each
-    temperature the lineage was sampled at, the cumulative sums of the
+    temperature the table was sampled at, the cumulative sums of the
     softmax at it (see ``cum``); ``slot[i]``, the slot of key id i; and
     ``keys[s]`` (R entries), the key id of slot s, for the K = ``_count``
     written slots in the order they were first written. A row's softmax is
     computed once, when it is written. The last row of each block is the
     default row and the last entry of ``slot`` is NO_SLOT, so an id the
     table has not written, or one past ``slot``, reads the default row; all
-    grow by half their size at a time. ``with_rows`` (which apply_gradient
-    uses) makes the next table of the lineage by writing its K rows in
-    place in every block and handing the arrays on, so a learner step costs
-    its K rows and the stepped table raises UsageError when read.
-    ``snapshot`` is an independent copy, which gives out its own slots from
-    then on. ``logits`` is a copy of the written rows.
+    grow by half their size at a time. ``write`` is the one way rows enter
+    the table: it writes them in place in every block (so a learner step
+    costs its K rows) and sets the version; the arrays are read-only
+    between writes. ``snapshot`` is an independent copy, which gives out
+    its own slots from then on. ``logits`` is a copy of the written rows.
     """
 
     def __init__(self, num_actions: int, logits=None, default_logits=None, version: int = 0):
@@ -463,12 +464,8 @@ class PolicyParams:
         self._own({name: np.repeat(_derived(name, z, q), 8, axis=0) for name in ("z", "log_q")},
                   np.full(64, NO_SLOT, dtype=np.int32), np.zeros(8, dtype=np.int64), 0)
         if logits:
-            rows = [np.asarray(row, dtype=np.float64) for row in logits.values()]
-            for key, row in zip(logits, rows):
-                _check_key(key)
-                _check_width(num_actions, key, row)
-            self._write_ids(self.index.intern_all(list(logits)),
-                            np.reshape(rows, (-1, num_actions)))
+            block = RowBlock.of(logits, self.index, num_actions)
+            self.write(block.ids, block.rows, version)
 
     def _own(self, blocks: dict, slot, keys, count: int) -> None:
         """Take the ``blocks`` by name, ``slot`` and ``keys``, with ``count``
@@ -477,31 +474,16 @@ class PolicyParams:
         for array in (*blocks.values(), slot, keys):
             array.flags.writeable = False
 
-    def _next(self, version: int) -> "PolicyParams":
-        """A table of this lineage at ``version`` that shares this one's arrays."""
-        params = object.__new__(PolicyParams)
-        params.__dict__.update(self.__dict__, version=version)
-        return params
-
-    def _arrays(self) -> tuple[dict, np.ndarray, np.ndarray]:
-        """The table's blocks by name, ``slot`` and ``keys``; None blocks mark
-        the table stepped."""
-        if self._blocks is None:
-            raise UsageError(f"table version {self.version} was stepped, which wrote over "
-                             f"its rows; read a snapshot() taken before the step")
-        return self._blocks, self._slot, self._keys
-
     @property
     def logits(self) -> "RowBlock":
         """The written rows, in slot order, as a RowBlock (a copy)."""
-        blocks, _, keys = self._arrays()
-        return RowBlock(self.index, keys[:self._count].copy(), blocks["z"][:self._count].copy())
+        count = self._count
+        return RowBlock(self.index, self._keys[:count].copy(), self._blocks["z"][:count].copy())
 
     def _read(self, name: str | float, ids: np.ndarray) -> np.ndarray:
         """The (len(ids), A) rows of block ``name`` at key ``ids``; an id the
         table has not written reads the default row."""
-        blocks, slot, _ = self._arrays()
-        return blocks[name].take(slot.take(ids, mode="clip"), axis=0)  # take is faster than []
+        return self._blocks[name].take(self._slot.take(ids, mode="clip"), axis=0)  # faster than []
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """The (len(ids), A) logit rows at key ``ids``."""
@@ -513,41 +495,29 @@ class PolicyParams:
 
     def rows_and_log_q(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """rows(ids) and log_q(ids), through one gather of the ids' slots."""
-        blocks, slot, _ = self._arrays()
-        at = slot.take(ids, mode="clip")
-        return blocks["z"].take(at, axis=0), blocks["log_q"].take(at, axis=0)
+        at = self._slot.take(ids, mode="clip")
+        return self._blocks["z"].take(at, axis=0), self._blocks["log_q"].take(at, axis=0)
 
     def cum(self, ids: np.ndarray, temperature: float) -> np.ndarray:
         """The (len(ids), A) rows np.cumsum(softmax_rows(logits, temperature),
         axis=1) at key ``ids``, which sample_cum takes, from the temperature's
         block: the first read at it builds it for the whole table, and every
-        later table of the lineage keeps it current."""
-        if temperature not in self._arrays()[0]:
+        later write keeps it current."""
+        if temperature not in self._blocks:
             self._build_cum(temperature)
         return self._read(temperature, ids)
 
     def _build_cum(self, temperature: float) -> None:
         """Add the temperature's block of cumulative sums, for every row."""
-        blocks = self._arrays()[0]
+        blocks = self._blocks
         blocks[temperature] = np.cumsum(softmax_rows(blocks["z"], temperature), axis=1)
         blocks[temperature].flags.writeable = False
 
-    def with_rows(self, ids: np.ndarray, rows: np.ndarray, version: int) -> "PolicyParams":
-        """The next table of this lineage, at ``version``: this one with the
-        (K, A) ``rows`` written in place at the distinct key ``ids``. It takes
-        this table's arrays, so reading this table afterwards raises."""
-        self._arrays()
-        table = self._next(version)
-        self._blocks = None
-        table._write_ids(ids, rows)
-        return table
-
-    def _write_ids(self, ids: np.ndarray, rows: np.ndarray) -> None:
+    def write(self, ids: np.ndarray, rows: np.ndarray, version: int) -> None:
         """Write the (K, A) logit rows ``rows`` at the distinct key ``ids`` in
-        place, in each block as its _derived rows; ids without a slot get the
-        next free slots, in order."""
-        blocks, slot, keys = self._arrays()
-        count = self._count
+        place, in each block as its _derived rows, and set the version to
+        ``version``; ids without a slot get the next free slots, in order."""
+        blocks, slot, keys, count = self._blocks, self._slot, self._keys, self._count
         top = int(np.maximum.reduce(ids, initial=0)) + 2  # keep NO_SLOT last
         if top > len(slot):
             slot = _grown(slot, max(len(slot) + len(slot) // 2, top), NO_SLOT)
@@ -572,14 +542,14 @@ class PolicyParams:
             for name, block in blocks.items():
                 block[at] = _derived(name, z, q)
         self._own(blocks, slot, keys, count)
+        self.version = version
 
     def snapshot(self) -> "PolicyParams":
-        """An independent copy on the same index: later steps of this table's
-        lineage leave its rows, slots and blocks as they are."""
-        blocks, slot, keys = self._arrays()
-        params = self._next(self.version)
-        params._own({name: block.copy() for name, block in blocks.items()}, slot.copy(),
-                    keys.copy(), self._count)
+        """An independent copy on the same index: later writes to this table
+        leave its rows, slots and blocks as they are."""
+        params = copy.copy(self)
+        params._own({name: block.copy() for name, block in self._blocks.items()},
+                    self._slot.copy(), self._keys.copy(), self._count)
         return params
 
 
@@ -595,10 +565,11 @@ class RowBlock(Mapping):
         """``rows``, a mapping from key to row, with its keys interned in ``index``."""
         if isinstance(rows, RowBlock) and rows.index is index:
             return rows
-        for key in rows:
+        values = [np.asarray(row, dtype=np.float64) for row in rows.values()]
+        for key, row in zip(rows, values):
             _check_key(key)
-        return cls(index, index.intern_all(list(rows)),
-                   np.reshape([rows[key] for key in rows], (-1, num_actions)))
+            _check_width(num_actions, key, row)
+        return cls(index, index.intern_all(list(rows)), np.reshape(values, (-1, num_actions)))
 
     def __getitem__(self, key) -> np.ndarray:
         where = np.flatnonzero(self.ids == (self.index.find(key) or -1))
@@ -701,8 +672,8 @@ def save_params(params: PolicyParams, path) -> None:
         "default_logits": [float(x) for x in params.default_logits],
     }
     index = params.index
-    blocks, slot, _ = params._arrays()
-    bits = blocks["z"].view(np.int64)  # the logits by slot, each float as its bits
+    slot = params._slot
+    bits = params._blocks["z"].view(np.int64)  # the logits by slot, each float as its bits
     text = _FloatTexts().__getitem__
     kept = sorted((key, slot.item(i)) for i, key in index._tuple_of.items()
                   if i < len(slot) and slot.item(i) != NO_SLOT)
@@ -771,7 +742,7 @@ def load_params(path) -> PolicyParams:
             if type(num_actions) is not int or type(version) is not int:
                 raise UsageError("num_actions and version must be ints")
             default = _logits(num_actions, "default", header["default_logits"])
-            params = PolicyParams(num_actions, None, default, version)
+            params = PolicyParams(num_actions, None, default)
             decode = json.JSONDecoder().decode  # json.loads of a str, with its errors
             ids, rows = [np.zeros(0, dtype=np.int64)], [np.zeros((0, num_actions))]
             for start in count(2, 256):
@@ -793,7 +764,7 @@ def load_params(path) -> PolicyParams:
                 ids.append(block[0])
                 rows.append(block[1])
             ids, rows = _distinct(np.concatenate(ids), np.concatenate(rows))
-            params._write_ids(ids, rows)
+            params.write(ids, rows, version)
     except UsageError as e:
         raise UsageError(f"{path}: {where}{e}") from None
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as e:

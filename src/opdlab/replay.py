@@ -91,8 +91,9 @@ class RingBuffer:
         Entries with current_version - policy_version > delta_max are
         physically removed (and counted) before sampling, so buffer occupancy
         stays meaningful in the metrics. Returns fewer than batch_size
-        entries when the pool is short, and [] when it is empty; callers
-        decide whether to wait.
+        entries when the pool is short, and [] when it is empty; the run
+        loop samples only once the step has pushed ``fresh >= batch_size``
+        entries within the staleness budget, so its batches are full.
         """
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")

@@ -9,7 +9,7 @@ counts the fresh entries the step still needs and m is the most student
 turns one rollout plays. Before a wave is delivered, every rollout up to
 depth - 1 past its last has started, on the table and curriculum horizon
 current then; in the last step only up to its last, as no later step
-delivers them. So rollout j acts on the table that was newest when rollout
+delivers them. So rollout j acts on the table as it was when rollout
 j - depth + 1 was delivered, as in an IMPALA-style actor/learner lag: sync
 mode has depth 1, async mode depth ``actor_count``.
 
@@ -38,8 +38,8 @@ wave's ``Rollouts`` hand the buffer their student turns as ``Turns``, rows
 of int ids, the learner gathers a sampled batch's student rows by key id
 and its teacher rows from the run's teacher by (turn, state id), and a
 step's rollout record reads each episode's KL sum, which the engine adds
-once per call. All tables of a run share one key index, and only the
-newest table is read (see ``policy``).
+once per call. A run has one table, on one key index, and each learner
+step writes its rows in place (see ``policy``).
 
 The curriculum clock is the learner's step counter: the rollouts started
 at step n run under horizon_at(schedule, n). Evaluation always runs
@@ -139,6 +139,7 @@ class RunConfig:
             (self.eval_every >= 1, "eval_every must be >= 1"),
             (self.eval_episodes >= 1, "eval_episodes must be >= 1"),
             (self.pass_m >= 1, "pass_m must be >= 1"),
+            (self.seed >= 0, "runtime.seed must be >= 0"),
             (0 < self.train_temperature < math.inf and 0 < self.eval_temperature < math.inf,
              "temperatures must be finite and > 0"),
             (self.window is None or self.window >= 0,
@@ -270,20 +271,16 @@ def _grad_norm(grads: np.ndarray) -> float:
 def _learner_step(n: int, k: int, params: PolicyParams, teacher: TeacherPolicy,
                   buffer: RingBuffer, board: SnapshotBoard, config: RunConfig,
                   sample_rng: np.random.Generator):
-    """Sample a batch, take one gradient step against ``teacher`` and publish
-    it; returns the new params, the step's TrainRecord, the batch's largest
-    staleness and the key ids the step wrote.
-
-    apply_gradient writes its rows in place into the table it returns, so
-    the new params are published as they are; nothing reads the old table.
-    """
+    """Sample a batch, take one gradient step against ``teacher``, which
+    writes its rows into ``params`` in place, and publish it; returns the
+    step's TrainRecord, the batch's largest staleness and the key ids the
+    step wrote."""
     batch = buffer.sample_batch(params.version, config.delta_max,
                                 config.batch_size, sample_rng)
     staleness = params.version - batch.version
     assert staleness.max() <= config.delta_max
     loss, grads = batch_gradient(batch, params, teacher)
-    params = apply_gradient(params, grads, config.lr)
-    board.publish(params)
+    board.publish(apply_gradient(params, grads, config.lr))
     record = TrainRecord(
         step=n, loss=loss,
         grad_norm=_grad_norm(grads.rows),
@@ -292,7 +289,7 @@ def _learner_step(n: int, k: int, params: PolicyParams, teacher: TeacherPolicy,
         active_k=k,
         mean_staleness=_mean(staleness),
     )
-    return params, record, int(staleness.max()), grads.ids
+    return record, int(staleness.max()), grads.ids
 
 
 class _Starter:
@@ -451,8 +448,8 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
             fresh += int(batch.rounds[params.version - batch.versions <= config.delta_max].sum())
             step_batches.append(batch)
 
-        params, record, staleness, ids = _learner_step(n, k, params, teacher, buffer, board,
-                                                       config, sample_rng)
+        record, staleness, ids = _learner_step(n, k, params, teacher, buffer, board, config,
+                                               sample_rng)
         starter.wrote(ids, params.version)
         max_staleness = max(max_staleness, staleness)
         log.append(record)
@@ -482,7 +479,7 @@ def _run_sft(config: RunConfig, env: Env, teacher: TeacherPolicy,
                                buffer_size=0, discarded_stale=0, active_k=0, mean_staleness=0.0))
         if (n + 1) % config.eval_every == 0 or n == config.total_steps - 1:
             # the last step evaluates, so the final table holds the last block
-            params = params.with_rows(block.ids, block.z, block.version)
+            params.write(block.ids, block.z, block.version)
             log.append(evaluate(params, env, teacher, config.eval_episodes,
                                 eval_rng, temperature=config.eval_temperature,
                                 window=config.window, step=n, active_k=0))

@@ -135,7 +135,7 @@ def load_params(path) -> PolicyParams:
                     ids[count], at[i], count = i, count, count + 1
                 rows[at.item(i)] = logits
             where = ""
-            params._write_ids(ids[:count], rows[:count])
+            params.write(ids[:count], rows[:count], params.version)
     except UsageError as e:
         raise UsageError(f"{path}: {where}{e}") from None
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as e:
@@ -349,8 +349,8 @@ def run_distill(config, store=None) -> runtime.TrainingResult:
                                           <= config.delta_max].sum())
                 step_batches.append(batch)
 
-        params, record, staleness, _ = runtime._learner_step(n, k, params, teacher, buffer,
-                                                             board, config, sample_rng)
+        record, staleness, _ = runtime._learner_step(n, k, params, teacher, buffer, board,
+                                                     config, sample_rng)
         max_staleness = max(max_staleness, staleness)
         log.append(record)
         log.append(runtime._rollout_record(n, k, step_batches))

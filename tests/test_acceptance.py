@@ -205,8 +205,9 @@ def test_04_stop_gradient_contract():
         # the learner's loss and gradient: _kl_block of the replay entries
         base_loss, base_grads = _kl_block(rollouts.student_turns(), student, teacher)[:2]
         ids = np.array([rollouts.index.find(key) for key in prefix_only])
-        perturbed = student.snapshot().with_rows(
-            ids, np.array([gen.normal(0, 50, 6) for _ in prefix_only]), student.version)
+        perturbed = student.snapshot()
+        perturbed.write(ids, np.array([gen.normal(0, 50, 6) for _ in prefix_only]),
+                        student.version)
         new_loss, new_grads = _kl_block(rollouts.student_turns(), perturbed, teacher)[:2]
         assert new_loss - base_loss == 0.0
         assert set(new_grads) == set(base_grads)

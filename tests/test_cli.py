@@ -131,6 +131,13 @@ def test_collect_pass_m_zero_rejected(config_path):
                  "--runtime.pass_m=0"]) == 2
 
 
+@pytest.mark.parametrize("override", ["--runtime.seed=-1", "--env.seed=-1"])
+def test_collect_rejects_a_negative_seed(config_path, tmp_path, override):
+    out = tmp_path / "x.jsonl"
+    assert main(["collect", str(config_path), "--out", str(out), override]) == 2
+    assert not out.exists()
+
+
 # -- train -----------------------------------------------------------------------------
 
 
@@ -181,6 +188,9 @@ REJECTED_OVERRIDES = {
                                  "turn_sharpening must be finite"),
     "off_support_floor_nan": ("--teacher.off_support_floor=.nan", "off_support_floor"),
     "depth_decay_infinite": ("--teacher.depth_decay=-.inf", "depth_decay"),
+    # numpy's seed sequences take no negative seed
+    "env_seed_negative": ("--env.seed=-1", "env.seed must be >= 0"),
+    "runtime_seed_negative": ("--runtime.seed=-1", "runtime.seed must be >= 0"),
 }
 
 

@@ -190,9 +190,10 @@ def test_b2f_prefix_only_keys_do_not_move_loss(env, teacher, store):
     prefix_only = [key for key in keys[:p] if key not in keys[p:]]
     assert prefix_only
     base_loss, base_grads = loss_and_grads(r, student, teacher)
-    perturbed = student.snapshot().with_rows(
-        np.array([r.index.find(key) for key in prefix_only]),
-        np.tile([100.0, -3.0, 7.0, 0.0, 1.0, -50.0], (len(prefix_only), 1)), student.version)
+    perturbed = student.snapshot()
+    perturbed.write(np.array([r.index.find(key) for key in prefix_only]),
+                    np.tile([100.0, -3.0, 7.0, 0.0, 1.0, -50.0], (len(prefix_only), 1)),
+                    student.version)
     new_loss, new_grads = loss_and_grads(r, perturbed, teacher)
     assert new_loss == base_loss
     assert set(base_grads) == set(new_grads)
@@ -472,7 +473,9 @@ def block_of(turns, params):
 def table_of(block, params):
     """The block's rows written over a copy of ``params``, as an sft run writes
     them into its table."""
-    return params.snapshot().with_rows(block.ids, block.z, block.version)
+    table = params.snapshot()
+    table.write(block.ids, block.z, block.version)
+    return table
 
 
 def sft_step(turns, params, lr):
@@ -919,10 +922,11 @@ def test_apply_gradient_bitwise_equals_per_key_loop(data):
     expected = dict(params.logits)
     for key, g in grads.items():
         expected[key] = logits_at(params, key) - lr * g
+    version, default = params.version, params.default_logits
     updated = apply_gradient(params, grads, lr)
     assert_same_table(updated, expected)
-    assert updated.version == params.version + 1
-    assert updated.default_logits is params.default_logits
+    assert updated is params and updated.version == version + 1
+    assert updated.default_logits is default
 
 
 def test_apply_gradient_leaves_earlier_rows_unchanged():

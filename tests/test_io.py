@@ -39,8 +39,8 @@ floats = st.one_of(st.sampled_from(SPECIAL), st.floats(), st.sampled_from([0.25,
 def tables(draw):
     """A table over histories that share prefixes (with actions past 127 when
     it has 200 actions), their windowed keys and other kept tuples, with
-    rows of ``floats``; another table of its lineage also wrote some keys
-    that it did not write."""
+    rows of ``floats``; a snapshot of it also wrote some keys that it did
+    not write."""
     num_actions = draw(st.sampled_from([3, 200]))
     turns = st.tuples(st.integers(0, num_actions - 1), st.integers(0, 3))
     history = st.builds(lambda o, t: (o,) + sum(t, ()), st.integers(0, 3),
@@ -57,9 +57,10 @@ def tables(draw):
     with np.errstate(all="ignore"):  # the softmax of a row with inf or NaN
         params = PolicyParams(num_actions, None, default, version)
         ids = np.array([params.index.intern(key) for key in keys])
-        params.snapshot().with_rows(ids, rows, version)  # another table writes every key
+        params.snapshot().write(ids, rows, version)  # the snapshot writes every key
         kept = np.array([key not in dropped for key in keys])
-        return params.with_rows(ids[kept], rows[kept], version)
+        params.write(ids[kept], rows[kept], version)
+        return params
 
 
 @settings(max_examples=150, deadline=None)

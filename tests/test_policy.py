@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opdlab.distill import apply_gradient
 from opdlab.errors import UsageError
 from opdlab.policy import (
     PolicyParams,
@@ -381,6 +382,19 @@ def test_writes_reject_keys_that_are_not_tuples_of_ints(key):
             write()
         assert str(err.value) == message
     assert len(params.logits) == 0 and params.index.size == 1
+
+
+@pytest.mark.parametrize("rows", [{(1,): np.zeros(6)}, {(1,): np.zeros(2), (2,): np.zeros(4)}])
+def test_writes_reject_rows_of_the_wrong_width(rows):
+    # each mapping holds 6 floats, which a reshape to rows of 3 would take silently
+    params = PolicyParams(num_actions=3)
+    for write in (lambda: PolicyParams(3, rows), lambda: RowBlock.of(rows, params.index, 3),
+                  lambda: apply_gradient(params, rows, 0.5)):
+        with pytest.raises(UsageError) as err:
+            write()
+        key, row = next(iter(rows.items()))
+        assert str(err.value) == f"row {key} has {row.size} logits, expected num_actions=3"
+    assert len(params.logits) == 0 and params.index.size == 1 and params.version == 0
 
 
 @pytest.mark.parametrize("field,value", [("num_actions", 3.7), ("num_actions", 3.0),

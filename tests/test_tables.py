@@ -23,7 +23,6 @@ from opdlab.distill import (
     rollout_lockstep,
 )
 from opdlab.env import EnvConfig, make_env, make_teacher
-from opdlab.errors import UsageError
 from opdlab.metrics import SPLIT_ROLLOUT, EvalRecord
 from opdlab.policy import (
     NO_SLOT,
@@ -255,7 +254,7 @@ def test_a_repeated_batch_builds_no_history_and_interns_nothing(monkeypatch, win
     assert np.array_equal(first.keys, again.keys) and np.array_equal(first.kl, again.kl)
 
 
-# -- stepped tables and snapshots -----------------------------------------------------
+# -- one table and its snapshots ------------------------------------------------------
 
 
 def row_at(table, key):
@@ -264,33 +263,50 @@ def row_at(table, key):
     return table.rows(np.array([table.index.find(key)]))[0]
 
 
-def test_reading_a_stepped_table_raises(tmp_path):
-    """A learner step writes its rows in place into the table it returns, so
-    every read of the table it stepped from raises; the next table reads on."""
+def test_a_step_writes_the_table_it_is_given(tmp_path):
+    """apply_gradient writes its rows in place into the table it is given and
+    returns that table at version + 1, so a reference held across the step
+    reads the written rows through every read, every temperature block
+    included, whether built before the step or after it; a snapshot taken
+    before the step keeps its rows, slots and temperature blocks."""
     params = PolicyParams(3, {(1,): np.array([1.0, 2.0, 3.0])})
-    stepped = params
+    held = params
+    for temperature in (0.5, 1.0):  # temperature blocks built before the step
+        params.cum(np.array([1]), temperature)
+    before = params.snapshot()
+    blocks = {name: block.copy() for name, block in before._blocks.items()}
+    slot, keys = before._slot.copy(), before._keys.copy()
     params = apply_gradient(params, {(2,): np.array([1.0, 0.0, -1.0])}, 0.5)
+    assert params is held
+    assert held.version == 1 and before.version == 0
+    expected = {(1,): np.array([1.0, 2.0, 3.0]), (2,): np.array([-0.5, 0.0, 0.5])}
+    assert held.logits == expected
+    ids = np.array([held.index.find(key) for key in expected])
     reads = {
-        "row": lambda: stepped.logits[(1,)],
-        "logits": lambda: dict(stepped.logits),
-        "rows": lambda: stepped.rows(np.array([1])),
-        "log_q": lambda: stepped.log_q(np.array([1])),
-        "cum": lambda: stepped.cum(np.array([1]), 1.0),
-        "snapshot": stepped.snapshot,
-        "step": lambda: apply_gradient(stepped, {(1,): np.ones(3)}, 0.5),
-        "save": lambda: save_params(stepped, tmp_path / "checkpoint.jsonl"),
+        "row": lambda table: table.logits[(2,)],
+        "rows": lambda table: table.rows(ids),
+        "log_q": lambda table: table.log_q(ids),
+        **{f"cum {t}": lambda table, t=t: table.cum(ids, t) for t in (0.5, 1.0, 0.7)},
+        "snapshot": lambda table: table.snapshot().rows(ids),
     }
-    for name, read in reads.items():
-        with pytest.raises(UsageError, match="table version 0 was stepped"):
-            read()
-    assert not (tmp_path / "checkpoint.jsonl").exists()
-    assert stepped.version == 0 and params.version == 1
-    assert params.logits == {(1,): np.array([1.0, 2.0, 3.0]),
-                             (2,): np.array([-0.5, 0.0, 0.5])}
+    for name, read in reads.items():  # against a table built with the rows, read once
+        assert read(held).tobytes() == read(PolicyParams(3, expected)).tobytes(), name
+    assert set(held._blocks) == {"z", "log_q", 0.5, 1.0, 0.7}
+    assert held.rows(ids).tobytes() == np.array(list(expected.values())).tobytes()
+    save_params(held, tmp_path / "held.jsonl")
+    save_params(PolicyParams(3, expected, version=1), tmp_path / "alone.jsonl")
+    assert (tmp_path / "held.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
+    # the snapshot's arrays keep their bytes, and it reads the old rows
+    assert set(before._blocks) == set(blocks) == {"z", "log_q", 0.5, 1.0}
+    assert all(before._blocks[name].tobytes() == block.tobytes()
+               for name, block in blocks.items())
+    assert before._slot.tobytes() == slot.tobytes() and before._keys.tobytes() == keys.tobytes()
+    assert before.logits == {(1,): np.array([1.0, 2.0, 3.0])}
+    assert before.rows(ids).tobytes() == np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]).tobytes()
 
 
 def test_a_snapshot_keeps_its_rows_through_later_steps():
-    """A snapshot of each table of a lineage, read after all later steps,
+    """A snapshot of the table after each step, read after all later steps,
     holds the rows a per-key dict update gave it; stepping or writing rows
     into one snapshot changes no other table."""
     gen = np.random.default_rng(4)
@@ -305,12 +321,11 @@ def test_a_snapshot_keeps_its_rows_through_later_steps():
         references.append(dict(references[-1]))
         for key, g in grads.items():
             references[-1][key] = references[-2].get(key, default) - 0.7 * g
-    # a step from a snapshot branches the lineage; rows written into another
-    # change that table alone
+    # a step on a snapshot, or rows written into one, change that table alone
     tables.append(apply_gradient(tables[2].snapshot(), {(99,): np.array([1.0, 2.0, 3.0])}, 0.7))
     references.append({**references[2], (99,): default - 0.7 * np.array([1.0, 2.0, 3.0])})
-    tables[4] = tables[4].with_rows(np.array([params.index.intern((98,))]),
-                                    np.array([[4.0, 5.0, 6.0]]), tables[4].version)
+    tables[4].write(np.array([params.index.intern((98,))]), np.array([[4.0, 5.0, 6.0]]),
+                    tables[4].version)
     references[4][(98,)] = np.array([4.0, 5.0, 6.0])
     params = apply_gradient(params, {(1,): np.ones(3), (98,): np.ones(3)}, 0.7)
     probes = [(i,) for i in range(12)] + [(98,), (99,)]
@@ -330,8 +345,8 @@ def test_the_sampling_sums_stay_those_of_a_softmax_taken_at_each_read(num_action
     sums of softmax_rows(rows(ids), T), and log_q(ids) those of
     log_floor(softmax_rows(rows(ids))), after each of 1-5 steps that write
     old and new keys, which grow it past 8 slots and 64 ids, for written,
-    unwritten and past-the-end ids; a snapshot taken before the steps keeps
-    its sums, and each stepped table raises."""
+    unwritten and past-the-end ids, through a reference held across the
+    steps; a snapshot taken before the steps keeps its sums."""
     gen = np.random.default_rng(seed)
     a = num_actions
 
@@ -352,7 +367,7 @@ def test_the_sampling_sums_stay_those_of_a_softmax_taken_at_each_read(num_action
     params = PolicyParams(a, dict(zip(keys[:first], logits(first))), logits(1)[0])
     written, fresh = keys[:first], keys[first:]
     check(params)
-    before = params.snapshot()
+    before, held = params.snapshot(), params
     sums = check(before)
     for version in range(1, steps + 1):
         old = [written[i] for i in gen.permutation(len(written))[:int(gen.integers(0, 10))]]
@@ -361,11 +376,10 @@ def test_the_sampling_sums_stay_those_of_a_softmax_taken_at_each_read(num_action
         for key in unwritten:
             params.index.intern(key)
         ids = np.array([params.index.intern(key) for key in old + new])
-        stepped, params = params, params.with_rows(ids, logits(len(ids)), version)
+        params.write(ids, logits(len(ids)), version)
         written += new
-        check(params)
-        with pytest.raises(UsageError, match="was stepped"):
-            stepped.cum(ids, temperature)
+        check(held)
+        assert held.version == version
     assert len(params.logits) > 8 and params.index.size > 64
     assert before.cum(np.arange(len(sums)), temperature).tobytes() == sums.tobytes()
     check(before)
@@ -375,7 +389,7 @@ def test_ids_interned_after_the_last_write_read_the_default_row(tmp_path):
     """A table reads by key id: the many ids interned after its last write
     read the default row, through rows, log_q and cum and in rollouts that
     reach them; a write of the largest id keeps NO_SLOT last in the slot
-    map; and the two branches of a snapshot count and save their own rows."""
+    map; and a table and its snapshot count and save their own rows."""
     env = make_env(EnvConfig())
     teacher = make_teacher(env)
     a = env.config.num_actions
@@ -386,7 +400,7 @@ def test_ids_interned_after_the_last_write_read_the_default_row(tmp_path):
     u = np.random.default_rng(5).random((len(tasks), env.config.horizon_cap))
     reference = rollout_lockstep(env, fresh, teacher, tasks, u)[:3]
     *recorded, rollouts = rollout_lockstep(env, params, teacher, tasks, u, algo="opd")
-    assert index.size > 2 * len(params._arrays()[1])  # interned well past the slot map
+    assert index.size > 2 * len(params._slot)  # interned well past the slot map
     evaluated = rollout_lockstep(env, params, teacher, tasks, u)[:3]
     for got in (recorded, evaluated):
         assert all(np.array_equal(x, y) for x, y in zip(got, reference))
@@ -399,19 +413,19 @@ def test_ids_interned_after_the_last_write_read_the_default_row(tmp_path):
 
     # the largest id at the slot map's last entry, then written
     table = PolicyParams(a, None, default)
-    while table.index.size < len(table._arrays()[1]):
+    while table.index.size < len(table._slot):
         table.index.intern((table.index.size,))
     largest = table.index.size - 1
-    table = table.with_rows(np.array([largest]), np.ones((1, a)), 1)
-    assert table._arrays()[1][-1] == NO_SLOT
+    table.write(np.array([largest]), np.ones((1, a)), 1)
+    assert table._slot[-1] == NO_SLOT
     later = table.index.intern((largest + 1,))
     assert np.array_equal(table.rows(np.array([largest, later, largest - 1])),
                           [np.ones(a), default, default])
 
-    # two branches of one lineage, each writing keys of its own into a slot
-    # map that already covers them
+    # a table and its snapshot, each writing keys of its own into a slot map
+    # that already covers them
     ids = [index.intern((k,)) for k in [*range(7000, 7005), *range(8000, 8090)]]
-    params = params.with_rows(np.array(ids[-1:]), np.zeros((1, a)), 1)
+    params.write(np.array(ids[-1:]), np.zeros((1, a)), 1)
     branch = params.snapshot()
     params = apply_gradient(params, {(7000 + i,): np.ones(a) for i in range(5)}, 0.5)
     branch = apply_gradient(branch, {(8000 + i,): np.ones(a) for i in range(89)}, 0.5)
