@@ -35,6 +35,9 @@ from .policy import load_params, save_params
 from .runtime import RunConfig, evaluate, run_training
 
 _COLLECT_SEED_SALT = 919
+# libyaml's safe loader and dumper, which read and write as PyYAML's do, faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 _RUN_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _CURRICULUM_KEYS = ("k_start", "eta", "cap", "total_steps")
@@ -87,6 +90,17 @@ def _validate_sections(raw: dict, path) -> None:
                 raise ConfigError(f"{path}: {section}.{key} must be {expected}, got {value!r}")
 
 
+def _load_yaml(text, where: str):
+    """``text``, a str or a file, as YAML; a fault in it is a ConfigError naming ``where``."""
+    try:
+        return yaml.load(text, Loader=_LOADER)
+    except yaml.YAMLError as e:
+        mark = getattr(e, "problem_mark", None)
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(e, "problem", None) or str(e).splitlines()[0]
+        raise ConfigError(f"{where}: malformed YAML{at}: {problem}") from e
+
+
 def parse_overrides(tokens: list[str]) -> dict:
     """Parse --section.key=value tokens into a nested dict."""
     out: dict = {}
@@ -100,7 +114,7 @@ def parse_overrides(tokens: list[str]) -> dict:
         if "." not in dotted:
             raise ConfigError(f"override {tok!r} needs a section.key form")
         section, key = dotted.split(".", 1)
-        out.setdefault(section, {})[key] = yaml.safe_load(value)
+        out.setdefault(section, {})[key] = _load_yaml(value, f"override {tok!r}")
     return out
 
 
@@ -108,7 +122,7 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
     path = Path(path)
     try:
         with open(path) as f:
-            raw = yaml.safe_load(f) or {}
+            raw = _load_yaml(f, str(path)) or {}
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     if not isinstance(raw, dict):
@@ -135,7 +149,7 @@ def load_experiment_config(path, overrides: dict | None = None) -> ExperimentCon
 
 def _echo_config(config: ExperimentConfig, out_dir: Path) -> None:
     with atomic_open(out_dir / "config.yaml") as f:
-        yaml.safe_dump(config.raw, f, sort_keys=True)
+        yaml.dump(config.raw, f, Dumper=_DUMPER, sort_keys=True)
 
 
 def _format_eval(record: EvalRecord) -> str:

@@ -1,9 +1,10 @@
 """Computation and serialization of every logged quantity.
 
 Logs are line-delimited JSON: one header object carrying the schema version
-and a config hash, then one object per record. Float fields are rounded to
-9 significant digits when a record is appended, so the in-memory log, the
-file, and a round-tripped read all agree exactly.
+and a config hash, then one object per record. A training run builds its
+records after its loop (see ``runtime``). Float fields are rounded to 9
+significant digits when a record is made there or appended, so the
+in-memory log, the file, and a round-tripped read all agree exactly.
 """
 
 from __future__ import annotations
@@ -63,20 +64,6 @@ _RECORD_TYPES = {"eval": EvalRecord, "train": TrainRecord}
 _TYPE_NAMES = {EvalRecord: "eval", TrainRecord: "train"}
 
 
-def _rounded(record):
-    """Copy of ``record``, made from its ``__dict__``, with every float field
-    rounded to 9 sig digits (a record type has no __post_init__)."""
-    copy = object.__new__(type(record))
-    values = copy.__dict__
-    values.update(record.__dict__)
-    for name, v in values.items():
-        if isinstance(v, float):
-            values[name] = round9(v)
-        elif isinstance(v, list):
-            values[name] = [round9(x) if isinstance(x, float) else x for x in v]
-    return copy
-
-
 class MetricsLog:
     """Ordered stream of train/eval records plus the header metadata."""
 
@@ -85,9 +72,17 @@ class MetricsLog:
         self.records: list = []
 
     def append(self, record) -> None:
+        """Append ``record``, its float fields and the floats of its list
+        fields rounded to 9 sig digits in place."""
         if type(record) not in _TYPE_NAMES:
             raise UsageError(f"unknown record type {type(record).__name__}")
-        self.records.append(_rounded(record))
+        values = record.__dict__
+        for name, v in values.items():
+            if isinstance(v, float):
+                values[name] = round9(v)
+            elif isinstance(v, list):
+                values[name] = [round9(x) if isinstance(x, float) else x for x in v]
+        self.records.append(record)
 
     def eval_records(self, split: str | None = None) -> list[EvalRecord]:
         out = [r for r in self.records if isinstance(r, EvalRecord)]

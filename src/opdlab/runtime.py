@@ -35,11 +35,12 @@ bit-reproducible per seed in both modes.
 
 Rollouts, replay and learner exchange arrays, not per-turn objects: a
 wave's ``Rollouts`` hand the buffer their student turns as ``Turns``, rows
-of int ids, the learner gathers a sampled batch's student rows by key id
-and its teacher rows from the run's teacher by (turn, state id), and a
-step's rollout record reads each episode's KL sum, which the engine adds
-once per call. A run has one table, on one key index, and each learner
-step writes its rows in place (see ``policy``).
+of int ids, and the learner gathers a sampled batch's student rows by key
+id and its teacher rows from the run's teacher by (turn, state id). A run
+has one table, on one key index, and each learner step writes its rows in
+place (see ``policy``). The loop keeps per-step numbers, and the records
+are built from them after it: a step's rollout record from its episodes'
+KL sums, which the engine adds once per call.
 
 The curriculum clock is the learner's step counter: the rollouts started
 at step n run under horizon_at(schedule, n). Evaluation always runs
@@ -88,6 +89,7 @@ from .metrics import (
     MetricsLog,
     TrainRecord,
     kl_profile,
+    round9,
 )
 from .policy import PolicyParams, _grown
 from .replay import RingBuffer
@@ -245,51 +247,58 @@ def _wave_width(missing: int, max_turns: int) -> int:
     return -(-missing // max_turns)
 
 
-def _rollout_record(step: int, k: int, batches: list[Rollouts]) -> EvalRecord:
-    """The rollout record of a step's batches, from each episode's KL sum
-    (``Rollouts.kl_sum``); a step of one batch reads its columns as they are."""
-    columns = [(b.success, b.rounds, b.kl_sum, b.prefix_len) for b in batches]
-    success, rounds, kl_sums, prefix_len = (
-        columns[0] if len(columns) == 1 else map(np.concatenate, zip(*columns)))
-    return EvalRecord(
-        step=step,
-        **_episode_summary(success, rounds, kl_sums),
-        per_turn_kl=[],
-        active_k=k,
-        split=SPLIT_ROLLOUT,
-        n_rollouts=len(success),
-        mean_prefix_len=_mean(prefix_len),
-    )
-
-
 def _grad_norm(grads: np.ndarray) -> float:
     """The L2 norm of the (K, A) gradient block: the per-row squared norms
     summed left to right, bitwise as a per-key ``g @ g`` loop adds them."""
     return math.sqrt(sum(np.vecdot(grads, grads).tolist()))
 
 
-def _learner_step(n: int, k: int, params: PolicyParams, teacher: TeacherPolicy,
-                  buffer: RingBuffer, board: SnapshotBoard, config: RunConfig,
-                  sample_rng: np.random.Generator):
+def _learner_step(k: int, params: PolicyParams, teacher: TeacherPolicy, buffer: RingBuffer,
+                  board: SnapshotBoard, config: RunConfig, sample_rng: np.random.Generator):
     """Sample a batch, take one gradient step against ``teacher``, which
     writes its rows into ``params`` in place, and publish it; returns the
-    step's TrainRecord, the batch's largest staleness and the key ids the
-    step wrote."""
+    step's TrainRecord fields after its step number, the batch's largest
+    staleness and the key ids the step wrote."""
     batch = buffer.sample_batch(params.version, config.delta_max,
                                 config.batch_size, sample_rng)
     staleness = params.version - batch.version
-    assert staleness.max() <= config.delta_max
+    largest = int(staleness.max())
+    assert largest <= config.delta_max
     loss, grads = batch_gradient(batch, params, teacher)
     board.publish(apply_gradient(params, grads, config.lr))
-    record = TrainRecord(
-        step=n, loss=loss,
-        grad_norm=_grad_norm(grads.rows),
-        buffer_size=len(buffer),
-        discarded_stale=buffer.discarded_stale_total,
-        active_k=k,
-        mean_staleness=_mean(staleness),
-    )
-    return record, int(staleness.max()), grads.ids
+    return ((loss, _grad_norm(grads.rows), len(buffer), buffer.discarded_stale_total, k,
+             _mean(staleness)), largest, grads.ids)
+
+
+def _run_log(trained: list, evals: dict[int, EvalRecord], waves=(), bounds=()) -> MetricsLog:
+    """A run's log, built after its loop. Step n gives TrainRecord(n,
+    *trained[n]); with ``waves``, the delivered waves' (success, rounds,
+    prefix_len, kl_sum), its rollout record, _episode_summary of episodes
+    bounds[n] to bounds[n + 1] in delivery order (int sums from running totals,
+    KL means each one np.add.reduce: reduceat is not bitwise); then evals[n]."""
+    log = MetricsLog()
+    if waves:
+        success, rounds, prefix_len, kl_sums = map(np.concatenate, zip(*waves))
+        turn_means = kl_sums[rounds > 0] / rounds[rounds > 0]
+        totals = np.cumsum(np.pad([success, rounds, prefix_len, rounds > 0], ((0, 0), (1, 0))), 1)
+        wins, turns, prefixes, plays = totals[:, bounds].tolist()  # at each step's start
+    for n, (loss, norm, size, discarded, k, staleness) in enumerate(trained):
+        log.records.append(TrainRecord(n, round9(loss), round9(norm), size, discarded, k,
+                                       round9(staleness)))
+        if waves:
+            lo, hi = bounds[n], bounds[n + 1]
+            count, p, q = hi - lo, plays[n], plays[n + 1]
+            log.records.append(EvalRecord(
+                step=n, success_rate=round9((wins[n + 1] - wins[n]) / count),
+                avg_rounds=round9((turns[n + 1] - turns[n]) / count),
+                traj_kl_mean=round9(np.add.reduce(kl_sums[lo:hi]).item() / count),
+                traj_kl_turn_mean=round9(np.add.reduce(turn_means[p:q]).item() / (q - p))
+                if q > p else 0.0,
+                per_turn_kl=[], active_k=k, split=SPLIT_ROLLOUT, n_rollouts=count,
+                mean_prefix_len=round9((prefixes[n + 1] - prefixes[n]) / count)))
+        if n in evals:
+            log.append(evals[n])
+    return log
 
 
 class _Starter:
@@ -429,14 +438,15 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
     board = SnapshotBoard(params)
     buffer = RingBuffer(config.buffer_capacity)
     schedule = config.schedule()
-    log = MetricsLog()
     starter = _Starter(config, env, teacher, store, rollout_rng)
     max_staleness = 0
+    # per-step numbers, from which _run_log builds the records after the loop;
+    # never a delivered Rollouts, a view that keeps its engine block alive
+    trained, waves, bounds, evals = [], [], [0], {}
 
     for n in range(config.total_steps):
         k = horizon_at(schedule, n)
         max_turns = max_student_turns(config.algo, k, config.env.horizon_cap)
-        step_batches: list[Rollouts] = []
         # entries pushed this step that the learner may still consume; once
         # depth - 1 rollouts were delivered in this step, the rest started on
         # the current table, so the loop ends
@@ -446,20 +456,22 @@ def _run_distill(config: RunConfig, env: Env, teacher: TeacherPolicy,
                                     params, k)
             buffer.push(batch.student_turns())
             fresh += int(batch.rounds[params.version - batch.versions <= config.delta_max].sum())
-            step_batches.append(batch)
+            waves.append((batch.success, batch.rounds, batch.prefix_len, batch.kl_sum))
+            if len(waves) == 64:  # joined: 4 arrays hold less than 256 small views
+                waves[:] = [tuple(map(np.concatenate, zip(*waves)))]
+        bounds.append(starter.delivered)
 
-        record, staleness, ids = _learner_step(n, k, params, teacher, buffer, board, config,
-                                               sample_rng)
+        numbers, staleness, ids = _learner_step(k, params, teacher, buffer, board, config,
+                                                sample_rng)
         starter.wrote(ids, params.version)
         max_staleness = max(max_staleness, staleness)
-        log.append(record)
-        log.append(_rollout_record(n, k, step_batches))
+        trained.append(numbers)
         if (n + 1) % config.eval_every == 0 or n == config.total_steps - 1:
-            log.append(evaluate(params, env, teacher, config.eval_episodes,
-                                eval_rng, temperature=config.eval_temperature,
-                                window=config.window, step=n, active_k=k))
+            evals[n] = evaluate(params, env, teacher, config.eval_episodes, eval_rng,
+                                temperature=config.eval_temperature, window=config.window,
+                                step=n, active_k=k)
 
-    return TrainingResult(log=log, final_params=params,
+    return TrainingResult(log=_run_log(trained, evals, waves, bounds), final_params=params,
                           max_staleness_seen=max_staleness)
 
 
@@ -469,19 +481,18 @@ def _run_sft(config: RunConfig, env: Env, teacher: TeacherPolicy,
         raise ConfigError("sft training requires a non-empty expert "
                           "trajectory store; run collection first")
     eval_rng = _seed_streams(config)[2]
-    log = MetricsLog()
     params = PolicyParams(config.env.num_actions)
     block = sft_block(*store_turns(env, teacher, store, params, config.window), params)
+    trained, evals = [], {}
 
     for n in range(config.total_steps):
         block = sft_update(block, config.lr)
-        log.append(TrainRecord(step=n, loss=nll_loss(block) / len(block.slots), grad_norm=0.0,
-                               buffer_size=0, discarded_stale=0, active_k=0, mean_staleness=0.0))
+        trained.append((nll_loss(block) / len(block.slots), 0.0, 0, 0, 0, 0.0))
         if (n + 1) % config.eval_every == 0 or n == config.total_steps - 1:
             # the last step evaluates, so the final table holds the last block
             params.write(block.ids, block.z, block.version)
-            log.append(evaluate(params, env, teacher, config.eval_episodes,
-                                eval_rng, temperature=config.eval_temperature,
-                                window=config.window, step=n, active_k=0))
+            evals[n] = evaluate(params, env, teacher, config.eval_episodes, eval_rng,
+                                temperature=config.eval_temperature, window=config.window,
+                                step=n, active_k=0)
 
-    return TrainingResult(log=log, final_params=params, max_staleness_seen=0)
+    return TrainingResult(log=_run_log(trained, evals), final_params=params, max_staleness_seen=0)

@@ -1,17 +1,17 @@
 """Plain forms of opdlab functions that the tests require to give the same
-bytes: the checkpoint and metrics writers, each row or record made as a dict
-and written by a json encoder; the checkpoint reader, which reads, checks
-and interns one line at a time; the rollout engine with its teacher rows, KL
-and recorded columns computed inside the turn loop and each key cut from
-its episode's full history; the training loop that starts each rollout when
-it comes due; and the episode summary averaged by np.mean. Also the teacher
-frozen into a logit table, a student that plays the expert; a teacher made
-by hand from rows, for replay entries made by hand; the replay buffer
-held as columns; and the walks
-over ``Env.reset``/``Env.step`` that expert collection and the SFT turns
-must give the same results as: one episode played with a caller's action
-rule, expert collection with a ``teacher.dist`` draw per turn, and each
-stored turn's history key made by ``encode_history``."""
+bytes: the checkpoint and metrics writers, each row or record made as a
+dict and written by a json encoder; the checkpoint reader, which reads,
+checks and interns one line at a time; the rollout engine with its teacher
+rows, KL and recorded columns computed inside the turn loop and each key
+cut from its episode's full history; the training loop that starts each
+rollout when it comes due and makes each step's records in the step; and
+the episode summary averaged by np.mean. Also the teacher frozen into a
+logit table, a student that plays the expert; a teacher made by hand from
+rows, for replay entries made by hand; the replay buffer held as columns;
+and the walks over ``Env.reset``/``Env.step`` that expert collection and
+the SFT turns must give the same results as: one episode played with a
+caller's action rule, expert collection with a ``teacher.dist`` draw per
+turn, and each stored turn's history key made by ``encode_history``."""
 
 from __future__ import annotations
 
@@ -29,12 +29,22 @@ from opdlab.distill import (
     ALGO_SFT,
     Rollouts,
     TeacherTrajectoryStore,
+    apply_gradient,
+    batch_gradient,
     max_student_turns,
     rollout_batch,
 )
 from opdlab.env import TeacherPolicy, make_env
 from opdlab.errors import ConfigError, UsageError
-from opdlab.metrics import SCHEMA_VERSION, _TYPE_NAMES, MetricsLog, _json_safe
+from opdlab.metrics import (
+    SCHEMA_VERSION,
+    SPLIT_ROLLOUT,
+    _TYPE_NAMES,
+    EvalRecord,
+    MetricsLog,
+    TrainRecord,
+    _json_safe,
+)
 from opdlab.policy import (
     CHECKPOINT_SCHEMA,
     PolicyParams,
@@ -312,7 +322,8 @@ def take(started: deque[Rollouts], width: int) -> list[Rollouts]:
 def run_distill(config, store=None) -> runtime.TrainingResult:
     """runtime.run_training of an opd, f2b or b2f ``config`` with every
     rollout started when it comes due, as one rollout_batch call per wave on
-    the table and horizon current then."""
+    the table and horizon current then, and each step's records made and
+    appended in that step."""
     assert config.algo != ALGO_SFT
     env = make_env(config.env)
     teacher = TeacherPolicy(env, config.teacher)
@@ -349,11 +360,11 @@ def run_distill(config, store=None) -> runtime.TrainingResult:
                                           <= config.delta_max].sum())
                 step_batches.append(batch)
 
-        record, staleness, _ = runtime._learner_step(n, k, params, teacher, buffer, board,
-                                                     config, sample_rng)
+        record, staleness = learner_step(n, k, params, teacher, buffer, board, config,
+                                         sample_rng)
         max_staleness = max(max_staleness, staleness)
         log.append(record)
-        log.append(runtime._rollout_record(n, k, step_batches))
+        log.append(rollout_record(n, k, step_batches))
         if (n + 1) % config.eval_every == 0 or n == config.total_steps - 1:
             log.append(runtime.evaluate(params, env, teacher, config.eval_episodes,
                                         eval_rng, temperature=config.eval_temperature,
@@ -361,6 +372,31 @@ def run_distill(config, store=None) -> runtime.TrainingResult:
 
     return runtime.TrainingResult(log=log, final_params=params,
                                   max_staleness_seen=max_staleness)
+
+
+def learner_step(n, k, params, teacher, buffer, board, config, sample_rng):
+    """One learner step of the run loop, and its TrainRecord made at once;
+    returns the record and the batch's largest staleness."""
+    batch = buffer.sample_batch(params.version, config.delta_max, config.batch_size,
+                                sample_rng)
+    staleness = params.version - batch.version
+    loss, grads = batch_gradient(batch, params, teacher)
+    board.publish(apply_gradient(params, grads, config.lr))
+    record = TrainRecord(step=n, loss=loss, grad_norm=runtime._grad_norm(grads.rows),
+                         buffer_size=len(buffer), discarded_stale=buffer.discarded_stale_total,
+                         active_k=k, mean_staleness=float(np.mean(staleness)))
+    return record, int(staleness.max())
+
+
+def rollout_record(step, k, batches) -> EvalRecord:
+    """The rollout record of a step's delivered batches, made from their
+    columns joined: runtime._episode_summary of its episodes."""
+    success, rounds, kl_sums, prefix_len = (
+        np.concatenate([getattr(b, name) for b in batches])
+        for name in ("success", "rounds", "kl_sum", "prefix_len"))
+    return EvalRecord(step=step, **runtime._episode_summary(success, rounds, kl_sums),
+                      per_turn_kl=[], active_k=k, split=SPLIT_ROLLOUT,
+                      n_rollouts=len(success), mean_prefix_len=float(np.mean(prefix_len)))
 
 
 def episode_summary(success, rounds, kl_sums) -> dict:

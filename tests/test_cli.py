@@ -82,10 +82,47 @@ def test_a_failed_config_echo_leaves_no_config_yaml(config_path, tmp_path, monke
         stream.write("env: {")
         raise OSError("disk full")
 
-    monkeypatch.setattr(yaml, "safe_dump", dump)
+    monkeypatch.setattr(yaml, "dump", dump)
     with pytest.raises(OSError, match="disk full"):
         _echo_config(config, tmp_path)
     assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
+
+
+@pytest.mark.parametrize("case", ["file", "override"])
+def test_malformed_yaml_is_rejected_naming_its_source(config_path, tmp_path, capsys, case):
+    """A config file or an override that is not YAML exits 2 with one error
+    line that names it, and leaves no run directory."""
+    path, override, named = config_path, "--runtime.lr=[1", "override '--runtime.lr=[1'"
+    if case == "file":
+        path, override, named = tmp_path / "bad.yaml", "--runtime.lr=1", str(tmp_path / "bad.yaml")
+        path.write_text("env: [unclosed\n")
+    capsys.readouterr()
+    assert main(["train", str(path), override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: malformed YAML") and err.count("\n") == 1
+    assert not load_experiment_config(config_path).output_dir.exists()
+
+
+def test_config_is_read_and_echoed_as_the_safe_yaml_functions_do(config_path, tmp_path):
+    """libyaml's loader and dumper give the values and bytes of
+    yaml.safe_load and yaml.safe_dump: the config with and without a null
+    section, overrides, and the echo of the config with them."""
+    tokens = {"runtime": {"lr": ".5", "window": "null"}, "curriculum": {"cap": "3"},
+              "run": {"name": "x y"}}
+    overrides = parse_overrides([f"--{section}.{key}={value}"
+                                 for section, values in tokens.items()
+                                 for key, value in values.items()])
+    assert overrides == {section: {key: yaml.safe_load(value) for key, value in values.items()}
+                         for section, values in tokens.items()}
+    for run in ({}, {"run": None}):
+        path = tmp_path / f"c{len(run)}.yaml"
+        path.write_text(yaml.safe_dump({**yaml.safe_load(config_path.read_text()), **run}))
+        assert load_experiment_config(path).raw == yaml.safe_load(path.read_text())
+        config = load_experiment_config(path, overrides)
+        out = tmp_path / f"echo{len(run)}"
+        out.mkdir()
+        _echo_config(config, out)
+        assert (out / "config.yaml").read_text() == yaml.safe_dump(config.raw, sort_keys=True)
 
 
 def test_override_parsing():

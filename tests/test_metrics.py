@@ -266,8 +266,12 @@ def nulled(value):
 @given(st.lists(records, max_size=8))
 def test_each_record_line_is_json_dumps_of_the_record(tmp_path_factory, appended):
     """A record appended holds the values of the record made by its
-    constructor from each field rounded by round9, and its line is
+    constructor from each of its fields rounded by round9, and its line is
     json.dumps(sort_keys=True) of its fields and type, with NaN as null."""
+    # each record's fields rounded, read before append rounds them in place
+    rounded = [{name: [round9(x) if isinstance(x, float) else x for x in value]
+                if isinstance(value, list) else round9(value) if isinstance(value, float)
+                else value for name, value in asdict(record).items()} for record in appended]
     log = MetricsLog(config_hash="h")
     for record in appended:
         log.append(record)
@@ -277,11 +281,8 @@ def test_each_record_line_is_json_dumps_of_the_record(tmp_path_factory, appended
     assert header == json.dumps({"kind": "metrics", "schema_version": 1,
                                  "config_hash": "h"}, sort_keys=True)
     assert len(lines) == len(appended)
-    for line, record, held in zip(lines, appended, log.records):
-        rounded = {name: [round9(x) if isinstance(x, float) else x for x in value]
-                   if isinstance(value, list) else round9(value) if isinstance(value, float)
-                   else value for name, value in asdict(record).items()}
-        assert repr(held) == repr(type(record)(**rounded))
+    for line, record, fields_rounded, held in zip(lines, appended, rounded, log.records):
+        assert repr(held) == repr(type(record)(**fields_rounded))
         kind = "train" if isinstance(record, TrainRecord) else "eval"
         fields = {name: nulled(value) for name, value in asdict(held).items()}
         assert line == json.dumps({**fields, "type": kind}, sort_keys=True)

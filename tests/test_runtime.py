@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -365,15 +366,15 @@ def test_each_rollout_acts_on_the_snapshot_newest_depth_minus_one_rollouts_earli
     horizon of the step in which it started, the one that delivered rollout
     j - depth + 1 (b2f, whose expert prefix shows the horizon)."""
     delivered = []  # (step, version, task, prefix length) per delivered rollout, in order
-    real_record = runtime._rollout_record
+    real_deliver = runtime._Starter.deliver
 
-    def record(step, k, batches):
-        for b in batches:
-            delivered.extend((step, v, task, p) for v, task, p in zip(
-                b.versions.tolist(), b.task_ids.tolist(), b.prefix_len.tolist()))
-        return real_record(step, k, batches)
+    def deliver(self, step, *args):
+        b = real_deliver(self, step, *args)
+        delivered.extend((step, v, task, p) for v, task, p in zip(
+            b.versions.tolist(), b.task_ids.tolist(), b.prefix_len.tolist()))
+        return b
 
-    monkeypatch.setattr(runtime, "_rollout_record", record)
+    monkeypatch.setattr(runtime._Starter, "deliver", deliver)
     cfg = tiny_cfg(algo="b2f", mode="async", actor_count=depth, total_steps=30,
                    batch_size=4, delta_max=3)
     store = collect_for(cfg)
@@ -403,19 +404,20 @@ def test_an_async_run_starts_only_the_rollouts_it_delivers(monkeypatch, depth):
     own. (A batch of 32 takes at least 3 opd rollouts a step, so the last
     step also delivers the depth - 1 <= 3 that the step before started.)"""
     started, delivered = [], []
-    real_batch, real_record = runtime.rollout_batch, runtime._rollout_record
+    real_batch, real_deliver = runtime.rollout_batch, runtime._Starter.deliver
 
     def batch(*args, **kwargs):
         rollouts = real_batch(*args, **kwargs)
         started.append(len(rollouts))
         return rollouts
 
-    def record(step, k, batches):
-        delivered.extend(len(b) for b in batches)
-        return real_record(step, k, batches)
+    def deliver(*args):
+        rollouts = real_deliver(*args)
+        delivered.append(len(rollouts))
+        return rollouts
 
     monkeypatch.setattr(runtime, "rollout_batch", batch)
-    monkeypatch.setattr(runtime, "_rollout_record", record)
+    monkeypatch.setattr(runtime._Starter, "deliver", deliver)
     run_training(tiny_cfg(algo="opd", mode="async", actor_count=depth, batch_size=32))
     assert sum(started) == sum(delivered) > 0
 
@@ -521,6 +523,60 @@ def test_prestarted_rollouts_give_the_bytes_of_starting_each_when_due(tmp_path):
 
     check()
     assert sum(reruns) > 0
+
+
+@pytest.mark.parametrize("window", [None, 2])
+@pytest.mark.parametrize("mode,actor_count", [("sync", 1), ("async", 2), ("async", 4)])
+@pytest.mark.parametrize("algo", ["opd", "f2b", "b2f"])
+def test_records_equal_those_made_in_the_loop(monkeypatch, algo, mode, actor_count, window):
+    """The records a run builds after its loop, from per-step numbers, are
+    bitwise those that the in-loop oracle makes in each step from its
+    delivered batches. Each run delivers more than the 64 waves that the run
+    loop joins into one, and at a batch of 8, every b2f run and every run at
+    an actor lag of 4 has steps of several waves."""
+    cfg = tiny_cfg(algo=algo, mode=mode, actor_count=actor_count, window=window,
+                   total_steps=70, eval_every=30)
+    store = collect_for(cfg) if algo == "b2f" else None
+    waves, real_deliver = [], runtime._Starter.deliver
+
+    def deliver(self, step, *args):
+        waves.append(step)
+        return real_deliver(self, step, *args)
+
+    monkeypatch.setattr(runtime._Starter, "deliver", deliver)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # short b2f curricula
+        result = run_training(cfg, store)
+        reference = oracles.run_distill(cfg, store)
+    assert [repr(r) for r in result.log.records] == [repr(r) for r in reference.log.records]
+    several = len(waves) > len(set(waves))
+    assert several or (algo != "b2f" and actor_count < 4)
+    assert len(waves) > 64
+
+
+@pytest.mark.parametrize("algo,mode", [("opd", "sync"), ("f2b", "async")])
+def test_no_delivered_rollout_is_kept_to_the_end_of_the_run(monkeypatch, algo, mode):
+    """A delivered Rollouts is a view that keeps its engine call's entries
+    block alive, so the run keeps per-step numbers instead: the first
+    call's block is freed before the last step."""
+    first, alive = [], []
+    real_batch, real_horizon = runtime.rollout_batch, runtime.horizon_at
+
+    def batch(*args, **kwargs):
+        rollouts = real_batch(*args, **kwargs)
+        if not first:
+            first.append(weakref.ref(rollouts.entries))
+        return rollouts
+
+    def horizon(schedule, n):
+        if n == schedule.total_steps - 1:
+            alive.append(first[0]() is not None)
+        return real_horizon(schedule, n)
+
+    monkeypatch.setattr(runtime, "rollout_batch", batch)
+    monkeypatch.setattr(runtime, "horizon_at", horizon)
+    run_training(tiny_cfg(algo=algo, mode=mode, actor_count=2, total_steps=30))
+    assert alive == [False]
 
 
 def test_a_default_opd_run_reruns_no_prestarted_rollout():
