@@ -41,7 +41,8 @@ and ``apply_gradient`` writes its K rows into the run's one table in place,
 as one (K, A) block. The SFT baseline trains an ``SftBlock`` built once per
 run from ``store_turns``, one engine call that plays the store as expert
 prefixes, so SFT keys are built as b2f prefix keys are; its steps
-(``sft_update``, ``nll_loss``) touch only arrays. Expert collection and the
+(``sft_update``, ``nll_loss``) touch only arrays; neither they nor the
+learner scatter per key where no key repeats. Expert collection and the
 store checks walk state ids through the env's tables too. All give bitwise
 the results of a per-entry loop over the scalar softmax, KL and gradient.
 """
@@ -49,7 +50,7 @@ the results of a per-entry loop over the scalar softmax, KL and gradient.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -309,12 +310,27 @@ def _rollout(algo, env, student, teacher, task_id, k, rng, *, store=None,
 # ---------------------------------------------------------------------------
 
 
-def _first_occurrence(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _first_occurrence(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The distinct ``ids`` in order of first occurrence, and each entry's
-    position among them (a dict on a few dozen ints beats np.unique)."""
+    position among them, None if no id repeats (entry i is then at i); on a
+    few dozen ints a set, then a dict if an id repeats, beat np.unique."""
+    keys = ids.tolist()
+    if len(set(keys)) == len(keys):
+        return ids.astype(np.int64), None
     position: dict[int, int] = {}
-    slots = [position.setdefault(i, len(position)) for i in ids.tolist()]
+    slots = [position.setdefault(i, len(position)) for i in keys]
     return np.array(list(position), dtype=np.int64), np.array(slots, dtype=np.intp)
+
+
+def _sum_rows(rows: np.ndarray, slots: np.ndarray | None, count: int) -> np.ndarray:
+    """The (count, A) sums of ``rows`` by ``slots``, added in row order to 0.0
+    by np.add.at; ``slots`` None means row i is slot i (distinct keys), whose
+    sum 0.0 + row turns a -0.0 into 0.0 as the scatter does."""
+    if slots is None:
+        return 0.0 + rows
+    sums = np.zeros((count, rows.shape[1]))
+    np.add.at(sums, slots, rows)
+    return sums
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -324,21 +340,20 @@ def _sum_in_order(values: np.ndarray) -> float:
 
 
 def _kl_block(turns: Turns, params: PolicyParams,
-              teacher: TeacherPolicy) -> tuple[float, RowBlock, np.ndarray]:
+              teacher: TeacherPolicy) -> tuple[float, RowBlock, np.ndarray | None]:
     """Summed KL of the entries' teacher rows p (``teacher.pairs`` at their
     turns and state ids) against the student rows q of ``params`` at their
     keys, the logit gradients q - p summed per distinct key (in order of
-    first occurrence) in entry order, and each key's count. The turns' key
-    ids must be those of the table's KeyIndex."""
+    first occurrence) in entry order, and each key's count (None for distinct
+    keys). The turns' key ids must be those of the table's KeyIndex."""
     if turns.index is not params.index:
         raise UsageError("the turns have key ids of another KeyIndex than the table's")
     ids, slots = _first_occurrence(turns.key)
     p, log_p = teacher.pairs(turns.turn, turns.state)
     z, log_q = params.rows_and_log_q(turns.key)
-    sums = np.zeros((len(ids), params.num_actions))
-    np.add.at(sums, slots, softmax_rows(z) - p)
-    return (_sum_in_order(forward_kl_rows(p, log_p, log_q)),
-            RowBlock(turns.index, ids, sums), np.bincount(slots))
+    sums = _sum_rows(softmax_rows(z) - p, slots, len(ids))
+    return (_sum_in_order(forward_kl_rows(p, log_p, log_q)), RowBlock(turns.index, ids, sums),
+            None if slots is None else np.bincount(slots))
 
 
 def batch_gradient(batch: Turns, params: PolicyParams,
@@ -356,7 +371,8 @@ def batch_gradient(batch: Turns, params: PolicyParams,
     if not len(batch):
         raise UsageError("empty batch")
     loss, sums, counts = _kl_block(batch, params, teacher)
-    return loss / len(batch), RowBlock(sums.index, sums.ids, sums.rows / counts[:, None])
+    return loss / len(batch), (sums if counts is None else
+                               RowBlock(sums.index, sums.ids, sums.rows / counts[:, None]))
 
 
 def apply_gradient(params: PolicyParams, grads, lr: float) -> PolicyParams:
@@ -527,13 +543,13 @@ def store_turns(env: Env, teacher: TeacherPolicy, store: TeacherTrajectoryStore,
 @dataclass(eq=False)
 class SftBlock:
     """SFT state as arrays: the turns' distinct key ids in order of first
-    occurrence, each turn's slot among them, the keys' (U, A) logit rows
-    ``z``, which no step writes, and q = softmax_rows(z[slots]). A table
-    takes the block's rows by ``write(ids, z, version)``."""
+    occurrence, each turn's slot among them (None if no key repeats), the
+    keys' (U, A) logit rows ``z``, which no step writes, and q, their
+    softmax by turn. A table takes the rows by ``write(ids, z, version)``."""
 
     ids: np.ndarray
-    slots: np.ndarray
-    experts: tuple[np.ndarray, np.ndarray]  # the (turn, expert action) index of q
+    slots: np.ndarray | None
+    experts: np.ndarray  # each turn's (turn, expert action) entry of q, as a flat index
     z: np.ndarray
     q: np.ndarray
     version: int
@@ -545,26 +561,27 @@ def sft_block(ids: np.ndarray, actions: np.ndarray, params: PolicyParams) -> Sft
     ``params``."""
     ids, slots = _first_occurrence(np.asarray(ids, dtype=np.int64))
     z = params.rows(ids)
-    experts = (np.arange(len(slots)), np.asarray(actions, dtype=np.intp))
-    return SftBlock(ids, slots, experts, z, softmax_rows(z[slots]), params.version)
+    experts = np.arange(len(actions)) * params.num_actions + np.asarray(actions, dtype=np.intp)
+    return SftBlock(ids, slots, experts, z, softmax_rows(z if slots is None else z[slots]),
+                    params.version)
 
 
 def sft_update(block: SftBlock, lr: float) -> SftBlock:
     """One epoch of NLL gradient descent on the block's turns, as a new block
     with version + 1: the per-turn gradient is softmax(logits) - onehot(expert
     action), and turns sharing a key accumulate in turn order, as in a
-    per-turn loop followed by apply_gradient."""
-    if not block.slots.size:
+    per-turn loop followed by apply_gradient. A block whose keys do not
+    repeat has turn i at key i, and no scatter."""
+    if not block.experts.size:
         raise ConfigError("SFT requires a non-empty trajectory store")
     g = block.q.copy()
-    g[block.experts] -= 1.0
-    sums = np.zeros_like(block.z)
-    np.add.at(sums, block.slots, g)
-    z = block.z - lr * sums
-    return replace(block, z=z, q=softmax_rows(z[block.slots]), version=block.version + 1)
+    g.reshape(-1)[block.experts] -= 1.0
+    z = block.z - lr * _sum_rows(g, block.slots, len(block.ids))
+    q = softmax_rows(z if block.slots is None else z[block.slots])
+    return SftBlock(block.ids, block.slots, block.experts, z, q, block.version + 1)
 
 
 def nll_loss(block: SftBlock) -> float:
     """-sum log softmax(logits)[expert action] over the block's turns, read
     from the softmax the block holds; 0.0 for none."""
-    return _sum_in_order(-np.log(np.maximum(block.q[block.experts], 1e-300)))
+    return _sum_in_order(-np.log(np.maximum(block.q.take(block.experts), 1e-300)))

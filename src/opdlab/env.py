@@ -25,6 +25,7 @@ platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,14 @@ class EnvConfig:
     seed: int = 0
     task_count: int = 32
 
+    @property
+    def state_shape(self) -> tuple[int, int, int]:
+        """Extents of (task, pos, recovery_left) over the state ids (see Env)."""
+        return (self.task_count, self.chain_length + 1,
+                self.off_support_depth * self.horizon_cap + 1)
+
     def __post_init__(self):
+        states = math.prod(self.state_shape)  # int32 in next_state, Rollouts, replay rows
         for ok, message in (
             (self.kind in ENV_KINDS,
              f"unknown env kind {self.kind!r}, expected one of {ENV_KINDS}"),
@@ -64,6 +72,8 @@ class EnvConfig:
             (self.off_support_depth >= 0, "off_support_depth must be >= 0"),
             (self.seed >= 0, "env.seed must be >= 0"),
             (self.task_count >= 1, "task_count must be >= 1"),
+            (states <= 2 ** 31, f"the env has {states} state ids, more than the 2**31 "
+             "that int32 ids hold"),
         ):
             if not ok:
                 raise ConfigError(message)
@@ -112,7 +122,7 @@ class Env:
     def __init__(self, config: EnvConfig):
         self.config = config
         c = config
-        self.recovery_levels = c.off_support_depth * c.horizon_cap + 1
+        self.recovery_levels = c.state_shape[2]
         # The per-task draws the transition rule reads: correct_table[task,
         # pos] is the action that advances from pos (for memory_lock the last
         # one is the key), and recovery_table[task, d] the action that pays
@@ -156,8 +166,7 @@ class Env:
     def _compile(self) -> None:
         """Build the state tables: the only place the transition rule is written."""
         c = self.config
-        task, pos, recovery = (a.ravel() for a in np.indices(
-            (c.task_count, c.chain_length + 1, self.recovery_levels)))
+        task, pos, recovery = (a.ravel() for a in np.indices(c.state_shape))
         ids = self.state_id(task, pos, recovery)
         on = recovery == 0
         goal = on & (pos == c.chain_length)

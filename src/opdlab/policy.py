@@ -19,10 +19,10 @@ table on the first read at its temperature and rewritten row by row as the
 learner writes. Tables are read by key id, and an id the table has not
 written, one interned after its last write too, reads the default row. A
 run has one table: ``write``, the one way rows enter it, writes them in
-place and sets its version, so a reference held across a learner step
-reads the new rows; ``snapshot`` is the copy that keeps them. ``logits``
-is a copy of the written rows as a ``RowBlock``, a mapping from key tuple
-to row.
+place (the slot map only for new keys) and sets its version, so a
+reference held across a learner step reads the new rows; ``snapshot`` is
+the copy that keeps them. ``logits`` is a copy of the written rows as a
+``RowBlock``, a mapping from key tuple to row.
 
 Checkpoints are read 256 lines at a time, each block's keys interned at
 once by ``KeyIndex.intern_all``, and their logits must be JSON numbers; they
@@ -87,8 +87,8 @@ def encode_history(observations, actions, window: int | None = None) -> HistoryK
 def softmax_rows(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Numerically stable softmax of each row of ``logits / temperature``."""
     z = logits if temperature == 1.0 else logits / temperature
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=1, keepdims=True))  # .max, .sum, unwrapped
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def log_rows(p: np.ndarray) -> np.ndarray:
@@ -467,12 +467,13 @@ class PolicyParams:
             block = RowBlock.of(logits, self.index, num_actions)
             self.write(block.ids, block.rows, version)
 
-    def _own(self, blocks: dict, slot, keys, count: int) -> None:
+    def _own(self, blocks: dict, slot, keys, count: int, written=None) -> None:
         """Take the ``blocks`` by name, ``slot`` and ``keys``, with ``count``
-        slots written, as this table's arrays (read-only between writes)."""
+        slots written, as this table's arrays, read-only between writes: the
+        ``written`` ones (all by default) are made so, by setflags."""
         self._blocks, self._slot, self._keys, self._count = blocks, slot, keys, count
-        for array in (*blocks.values(), slot, keys):
-            array.flags.writeable = False
+        for array in written or (*blocks.values(), slot, keys):
+            array.setflags(write=False)
 
     @property
     def logits(self) -> "RowBlock":
@@ -511,37 +512,40 @@ class PolicyParams:
         """Add the temperature's block of cumulative sums, for every row."""
         blocks = self._blocks
         blocks[temperature] = np.cumsum(softmax_rows(blocks["z"], temperature), axis=1)
-        blocks[temperature].flags.writeable = False
+        blocks[temperature].setflags(write=False)
 
     def write(self, ids: np.ndarray, rows: np.ndarray, version: int) -> None:
         """Write the (K, A) logit rows ``rows`` at the distinct key ``ids`` in
         place, in each block as its _derived rows, and set the version to
-        ``version``; ids without a slot get the next free slots, in order."""
+        ``version``; ids without a slot (past the slot array too) get the next
+        free slots, in order, and only a write with such ids touches the slots."""
         blocks, slot, keys, count = self._blocks, self._slot, self._keys, self._count
-        top = int(np.maximum.reduce(ids, initial=0)) + 2  # keep NO_SLOT last
-        if top > len(slot):
-            slot = _grown(slot, max(len(slot) + len(slot) // 2, top), NO_SLOT)
-        slots = slot[ids]
+        slots = slot.take(ids, mode="clip")  # an id past slot reads its last entry, NO_SLOT
         new = slots == NO_SLOT
         added = np.count_nonzero(new)
         if added:
+            slot_ids = ids[new]
+            top = int(np.maximum.reduce(slot_ids)) + 2  # keep NO_SLOT last
+            if top > len(slot):
+                slot = _grown(slot, max(len(slot) + len(slot) // 2, top), NO_SLOT)
             if count + added >= len(keys):  # keep the default row last
                 size = max(len(keys) + len(keys) // 2, count + added + 1)
                 keys = _grown(keys, size, 0)
                 blocks = {name: _grown(block, size, block[-1]) for name, block in blocks.items()}
             slots[new] = np.arange(count, count + added)
-            slot.flags.writeable = keys.flags.writeable = True
-            keys[count:count + added] = slot_ids = ids[new]
+        written = (*blocks.values(), slot, keys) if added else tuple(blocks.values())
+        for array in written:
+            array.setflags(write=True)
+        if added:
+            keys[count:count + added] = slot_ids
             slot[slot_ids] = slots[new]
             count += added
-        for block in blocks.values():
-            block.flags.writeable = True
         for start in range(0, len(slots), 1024):  # in blocks, to bound the temporaries
             z, at = rows[start:start + 1024], slots[start:start + 1024]
             q = softmax_rows(z)  # log_q and the sums at temperature 1 share it
             for name, block in blocks.items():
                 block[at] = _derived(name, z, q)
-        self._own(blocks, slot, keys, count)
+        self._own(blocks, slot, keys, count, written)
         self.version = version
 
     def snapshot(self) -> "PolicyParams":

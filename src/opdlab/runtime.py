@@ -262,7 +262,7 @@ def _learner_step(k: int, params: PolicyParams, teacher: TeacherPolicy, buffer: 
     batch = buffer.sample_batch(params.version, config.delta_max,
                                 config.batch_size, sample_rng)
     staleness = params.version - batch.version
-    largest = int(staleness.max())
+    largest = int(np.maximum.reduce(staleness))
     assert largest <= config.delta_max
     loss, grads = batch_gradient(batch, params, teacher)
     board.publish(apply_gradient(params, grads, config.lr))
@@ -487,7 +487,7 @@ def _run_sft(config: RunConfig, env: Env, teacher: TeacherPolicy,
 
     for n in range(config.total_steps):
         block = sft_update(block, config.lr)
-        trained.append((nll_loss(block) / len(block.slots), 0.0, 0, 0, 0, 0.0))
+        trained.append((nll_loss(block) / len(block.experts), 0.0, 0, 0, 0, 0.0))
         if (n + 1) % config.eval_every == 0 or n == config.total_steps - 1:
             # the last step evaluates, so the final table holds the last block
             params.write(block.ids, block.z, block.version)

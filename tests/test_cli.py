@@ -228,6 +228,8 @@ REJECTED_OVERRIDES = {
     # numpy's seed sequences take no negative seed
     "env_seed_negative": ("--env.seed=-1", "env.seed must be >= 0"),
     "runtime_seed_negative": ("--runtime.seed=-1", "runtime.seed must be >= 0"),
+    # 4e9 state ids (8 tasks), past int32: refused before any env table is built
+    "state_ids_past_int32": ("--env.horizon_cap=100000000", "4000000040 state ids"),
 }
 
 

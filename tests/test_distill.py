@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from opdlab import distill
 from opdlab.distill import (
     Rollouts,
     TeacherTrajectoryStore,
     _check_trajectory,
     _kl_block,
+    _sum_rows,
     apply_gradient,
     batch_gradient,
     collect_teacher_trajectories,
@@ -680,21 +683,50 @@ def same_bits(x, y):
     return np.asarray(x, dtype=np.float64).tobytes() == np.asarray(y, dtype=np.float64).tobytes()
 
 
+def pad_index(params, count=70):
+    """Intern ``count`` keys that no history has (negative tokens) in the
+    table's index, so that keys interned after them have ids past the 64
+    entries of a new table's slot array."""
+    for i in range(count):
+        params.index.intern((-100 - i,))
+
+
+def sum_rows_spy():
+    """A spy on distill._sum_rows, whose ``slots`` argument is None on the
+    distinct-key branch of batch_gradient and sft_update."""
+    return mock.patch.object(distill, "_sum_rows", wraps=_sum_rows)
+
+
+def took_distinct_branch(spy) -> list[bool]:
+    return [call.args[1] is None for call in spy.call_args_list]
+
+
 @st.composite
-def row_block_case(draw):
-    """A table with some of a small key pool stored, and keys drawn with repeats."""
+def row_block_case(draw, distinct=False):
+    """A table with some of a key pool stored, and keys drawn from the pool:
+    distinct ones, or with at least one repeat. The stored keys may come
+    after 70 others in the index, so that unseen ones lie past the table's
+    slot array, and a pool of 12 has more unseen keys than the 7 free rows
+    of a new table's blocks, so their write grows the blocks."""
     a = draw(st.integers(2, 12))
-    pool = draw(st.integers(1, 6))
+    pool = draw(st.integers(1 if distinct else 2, 12))
     # wide logits, so softmax rows can hold exact zeros
     row = arrays(np.float64, a, elements=st.floats(-400, 400))
     default, rows = draw(row), {}
     for i in range(pool):
         if draw(st.booleans()):  # the other keys are unseen: default row
             rows[(i,)] = draw(row)
-    params = PolicyParams(a, rows, default)
-    n = draw(st.integers(1, 40))
-    keys = [(i,) for i in draw(st.lists(st.integers(0, pool - 1), min_size=n, max_size=n))]
-    return params, keys
+    params = PolicyParams(a, default_logits=default)
+    if draw(st.booleans()):
+        pad_index(params)
+    if rows:
+        params.write(params.index.intern_all(list(rows)), np.array(list(rows.values())), 0)
+    if distinct:
+        ids = draw(st.lists(st.integers(0, pool - 1), min_size=1, max_size=pool, unique=True))
+    else:
+        ids = draw(st.lists(st.integers(0, pool - 1), min_size=1, max_size=40))
+        ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ids)))
+    return params, [(i,) for i in ids]
 
 
 @st.composite
@@ -721,34 +753,55 @@ def reference_batch_gradient(batch, params):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_batch_gradient_bitwise_equals_per_entry_loop(data):
-    params, keys = data.draw(row_block_case())
-    p = data.draw(teacher_rows(len(keys), params.num_actions))
-    batch = [entry(k, row) for k, row in zip(keys, p)]
-    loss, grads = learner_gradient(batch, params.index, params)
-    ref_loss, ref_grads = reference_batch_gradient(batch, params)
-    assert same_bits(loss, ref_loss)
-    assert list(grads) == list(ref_grads)
-    assert all(same_bits(grads[k], ref_grads[k]) for k in grads)
+    for distinct in (True, False):  # each example takes both branches
+        params, keys = data.draw(row_block_case(distinct))
+        p = data.draw(teacher_rows(len(keys), params.num_actions))
+        for i, key in enumerate(keys):
+            if data.draw(st.booleans()):  # the student's own row: q - p is 0
+                p[i] = softmax(logits_at(params, key))
+        batch = [entry(k, row) for k, row in zip(keys, p)]
+        with sum_rows_spy() as spy:
+            loss, grads = learner_gradient(batch, params.index, params)
+        assert took_distinct_branch(spy) == [distinct]
+        ref_loss, ref_grads = reference_batch_gradient(batch, params)
+        assert same_bits(loss, ref_loss)
+        assert list(grads) == list(ref_grads)
+        assert all(same_bits(grads[k], ref_grads[k]) for k in grads)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sum_rows_without_a_scatter_equals_the_scatter_bitwise(data):
+    """Distinct slots skip np.add.at, and 0.0 + row turns each -0.0 into
+    0.0, as adding into zeros does."""
+    signed = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-5, 5))
+    rows = data.draw(arrays(np.float64, (data.draw(st.integers(1, 8)), 3), elements=signed))
+    scattered = _sum_rows(rows, np.arange(len(rows)), len(rows))
+    assert same_bits(_sum_rows(rows, None, len(rows)), scattered)
+    assert same_bits(scattered, [[0.0 + x for x in row] for row in rows.tolist()])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_sft_update_and_nll_bitwise_equal_per_turn_loop(data):
-    params, keys = data.draw(row_block_case())
-    turns = [(k, data.draw(st.integers(0, params.num_actions - 1))) for k in keys]
-    ref_grads, ref_nll = {}, 0.0
-    for key, a_star in turns:
-        q = softmax(logits_at(params, key))
-        g = q.copy()
-        g[a_star] -= 1.0
-        ref_grads[key] = ref_grads[key] + g if key in ref_grads else g
-        ref_nll -= float(np.log(max(q[a_star], 1e-300)))
-    assert same_bits(nll(turns, params), ref_nll)
-    updated = sft_step(turns, params, 0.7)
-    expected = apply_gradient(params, ref_grads, 0.7)
-    assert list(updated.logits) == list(expected.logits)
-    assert all(same_bits(updated.logits[k], expected.logits[k]) for k in updated.logits)
-    assert updated.version == expected.version
+    for distinct in (True, False):  # each example takes both branches
+        params, keys = data.draw(row_block_case(distinct))
+        turns = [(k, data.draw(st.integers(0, params.num_actions - 1))) for k in keys]
+        ref_grads, ref_nll = {}, 0.0
+        for key, a_star in turns:
+            q = softmax(logits_at(params, key))
+            g = q.copy()
+            g[a_star] -= 1.0
+            ref_grads[key] = ref_grads[key] + g if key in ref_grads else g
+            ref_nll -= float(np.log(max(q[a_star], 1e-300)))
+        assert same_bits(nll(turns, params), ref_nll)
+        with sum_rows_spy() as spy:
+            updated = sft_step(turns, params, 0.7)
+        assert took_distinct_branch(spy) == [distinct]
+        expected = apply_gradient(params, ref_grads, 0.7)
+        assert list(updated.logits) == list(expected.logits)
+        assert all(same_bits(updated.logits[k], expected.logits[k]) for k in updated.logits)
+        assert updated.version == expected.version
 
 
 def per_turn_trajectory_loss(turns, params):
@@ -831,11 +884,13 @@ def check_sft_against_reference(turns, params, lr, steps):
 
 
 @st.composite
-def sft_case(draw):
+def sft_case(draw, distinct):
     """store_turns-like turns over a few short trajectories whose tokens come
-    from three values, so window-2 keys alias; a starting table that holds
-    some turn keys and rows outside the turns; wide logits, so some turns
-    are certain."""
+    from three values, so window-2 keys alias, keeping only the first turn
+    of each key or with at least one key repeated; a starting table that
+    holds some turn keys and rows outside the turns, and whose index may
+    hold 70 other keys, so that the turn keys it lacks lie past its slot
+    array; wide logits, so some turns are certain."""
     a = draw(st.integers(2, 8))
     window = draw(st.sampled_from([None, 2]))
     turns = []
@@ -845,6 +900,13 @@ def sft_case(draw):
         actions = draw(st.lists(st.integers(0, a - 1), min_size=length, max_size=length))
         turns += [(encode_history(tokens[:t + 1], actions[:t], window), actions[t])
                   for t in range(length)]
+    if distinct:
+        first = {}
+        for key, action in turns:
+            first.setdefault(key, action)
+        turns = list(first.items())
+    else:
+        turns.insert(draw(st.integers(0, len(turns))), draw(st.sampled_from(turns)))
     row = arrays(np.float64, a, elements=st.floats(-400, 400))
     default, version, rows = draw(row), draw(st.integers(0, 3)), {}
     for key, _ in turns:
@@ -852,14 +914,20 @@ def sft_case(draw):
             rows[key] = draw(row)
     for i in range(draw(st.integers(0, 3))):
         rows[(-1 - i,)] = draw(row)  # no history has a negative token
-    return turns, PolicyParams(a, rows, default, version)
+    params = PolicyParams(a, rows, default, version)
+    if draw(st.booleans()):
+        pad_index(params)
+    return turns, params
 
 
 @settings(max_examples=150, deadline=None)
-@given(sft_case(), st.integers(1, 5), st.sampled_from([0.1, 0.7, 3.0]))
-def test_sft_block_steps_bitwise_equal_per_turn_loop(case, steps, lr):
-    turns, params = case
-    check_sft_against_reference(turns, params, lr, steps)
+@given(st.data(), st.integers(1, 5), st.sampled_from([0.1, 0.7, 3.0]))
+def test_sft_block_steps_bitwise_equal_per_turn_loop(data, steps, lr):
+    for distinct in (True, False):  # each example takes both branches
+        turns, params = data.draw(sft_case(distinct))
+        with sum_rows_spy() as spy:
+            check_sft_against_reference(turns, params, lr, steps)
+        assert took_distinct_branch(spy) == [distinct] * steps
 
 
 def test_sft_block_of_certain_turns_keeps_a_positive_zero_nll():
@@ -914,19 +982,22 @@ def test_sft_run_bitwise_equals_per_turn_loop(env, window):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_apply_gradient_bitwise_equals_per_key_loop(data):
-    params, keys = data.draw(row_block_case())  # unseen keys start on the default row
-    a = params.num_actions
-    grads = {k: data.draw(arrays(np.float64, a, elements=st.floats(-50, 50)))
-             for k in dict.fromkeys(keys)}
-    lr = data.draw(st.sampled_from([0.1, 0.7, 3.0]))
-    expected = dict(params.logits)
-    for key, g in grads.items():
-        expected[key] = logits_at(params, key) - lr * g
-    version, default = params.version, params.default_logits
-    updated = apply_gradient(params, grads, lr)
-    assert_same_table(updated, expected)
-    assert updated is params and updated.version == version + 1
-    assert updated.default_logits is default
+    # signed zeros, as the gradient of a turn where q - p is 0
+    element = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-50, 50))
+    for distinct in (True, False):
+        params, keys = data.draw(row_block_case(distinct))  # unseen keys: the default row
+        a = params.num_actions
+        grads = {k: data.draw(arrays(np.float64, a, elements=element))
+                 for k in dict.fromkeys(keys)}
+        lr = data.draw(st.sampled_from([0.1, 0.7, 3.0]))
+        expected = dict(params.logits)
+        for key, g in grads.items():
+            expected[key] = logits_at(params, key) - lr * g
+        version, default = params.version, params.default_logits
+        updated = apply_gradient(params, grads, lr)
+        assert_same_table(updated, expected)
+        assert updated is params and updated.version == version + 1
+        assert updated.default_logits is default
 
 
 def test_apply_gradient_leaves_earlier_rows_unchanged():

@@ -372,3 +372,24 @@ def test_config_rejects_unreachable_chain():
 def test_config_rejects_bad_kind():
     with pytest.raises(ConfigError):
         EnvConfig(kind="maze")
+
+
+def test_config_rejects_more_state_ids_than_int32_holds():
+    """State ids are int32, so the config check refuses more than 2**31 of
+    them, task_count * (chain_length + 1) * (off_support_depth * horizon_cap
+    + 1), before any table is built; the default env at horizon_cap 1e8
+    would ask for 5.8e10."""
+    with pytest.raises(ConfigError, match="57600000288 state ids"):
+        EnvConfig(horizon_cap=100_000_000)
+    EnvConfig(task_count=2 ** 30, chain_length=1, off_support_depth=0)  # 2**31 ids
+    with pytest.raises(ConfigError, match=f"{2 ** 31 + 2} state ids"):
+        EnvConfig(task_count=2 ** 30 + 1, chain_length=1, off_support_depth=0)
+
+
+def test_state_shape_is_the_layout_of_the_env_tables():
+    """The ids the config check counts are the ids Env builds tables for."""
+    config = EnvConfig(task_count=3, chain_length=4, horizon_cap=5, off_support_depth=2)
+    env = make_env(config)
+    assert len(env.next_state) == math.prod(config.state_shape)
+    assert env.recovery_levels == config.state_shape[2]
+    assert env.state_id(*(n - 1 for n in config.state_shape)) == len(env.next_state) - 1
