@@ -12,7 +12,7 @@ through the env's compiled tables (``next_state``, ``token``,
 ``KeyIndex`` (from turn W on, with a window of W turns, to window keys).
 A turn only samples the next action from each episode's softmax cumsum
 at the sampling temperature (gathered by key id from ``PolicyParams.cum``,
-whose block the writes keep current), steps the env and drops the
+brought current at a call's first read), steps the env, drops the
 episodes that ended, and steps the index for the others, a few array
 operations whatever the batch width; only a key new to the index, or with
 a window a lookup of the next window key, touches Python. The turn KL and
@@ -34,17 +34,18 @@ student's action distributions on the realized history, and its logit
 gradient is q - p, so the learner update is plain gradient descent on the
 logit table. An entry holds ints only, no row: the learner
 (``batch_gradient``) gathers the teacher's rows and their logs
-(``TeacherPolicy.pairs``) by (turn, state id), and the student's logits
-and stored floored log of their softmax (``PolicyParams.log_q``) by key id,
-takes the softmax of the logits for the gradient and the log for the KL,
-and ``apply_gradient`` writes its K rows into the run's one table in place,
-as one (K, A) block. The SFT baseline trains an ``SftBlock`` built once per
-run from ``store_turns``, one engine call that plays the store as expert
-prefixes, so SFT keys are built as b2f prefix keys are; its steps
-(``sft_update``, ``nll_loss``) touch only arrays; neither they nor the
-learner scatter per key where no key repeats. Expert collection and the
-store checks walk state ids through the env's tables too. All give bitwise
-the results of a per-entry loop over the scalar softmax, KL and gradient.
+(``TeacherPolicy.pairs``) by (turn, state id) and the student's logits by
+key id, takes their softmax for the gradient and its floored log for the
+KL (the rows of ``PolicyParams.log_q``, which the learner thus does not
+read), and ``apply_gradient`` writes its K rows into the run's one table
+in place, as one (K, A) block. The SFT baseline trains an ``SftBlock``
+built once per run from ``store_turns``, one engine call that plays the
+store as expert prefixes, so SFT keys are built as b2f prefix keys are;
+its steps (``sft_update``, ``nll_loss``) touch only arrays; neither they
+nor the learner scatter per key where no key repeats. Expert collection
+and the store checks walk state ids through the env's tables too. All
+give bitwise the results of a per-entry loop over the scalar softmax, KL
+and gradient.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .policy import (
     PolicyParams,
     RowBlock,
     forward_kl_rows,
+    log_floor,
     sample_action,
     sample_cum,
     softmax_rows,
@@ -350,10 +352,10 @@ def _kl_block(turns: Turns, params: PolicyParams,
         raise UsageError("the turns have key ids of another KeyIndex than the table's")
     ids, slots = _first_occurrence(turns.key)
     p, log_p = teacher.pairs(turns.turn, turns.state)
-    z, log_q = params.rows_and_log_q(turns.key)
-    sums = _sum_rows(softmax_rows(z) - p, slots, len(ids))
-    return (_sum_in_order(forward_kl_rows(p, log_p, log_q)), RowBlock(turns.index, ids, sums),
-            None if slots is None else np.bincount(slots))
+    q = softmax_rows(params.rows(turns.key))
+    sums = _sum_rows(q - p, slots, len(ids))
+    return (_sum_in_order(forward_kl_rows(p, log_p, log_floor(q))),
+            RowBlock(turns.index, ids, sums), None if slots is None else np.bincount(slots))
 
 
 def batch_gradient(batch: Turns, params: PolicyParams,

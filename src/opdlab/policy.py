@@ -11,18 +11,19 @@ holds keys only: full histories as a trie (each id knows its parent, last
 action and last token), so the rollout engine advances a batch of histories
 with one array gather (window keys through a memo), and any other key as
 a tuple. A ``PolicyParams`` owns its slot map, the slot of each key id, and
-one (R, A) block by slot per quantity: the logits, the floored log of their
-softmax, which the KL reads, and the cumulative sums of the softmax at each
-temperature the table is sampled at, which a rollout turn reads. A
-written row's softmax is taken once; a block of sums is built for the whole
-table on the first read at its temperature and rewritten row by row as the
-learner writes. Tables are read by key id, and an id the table has not
-written, one interned after its last write too, reads the default row. A
-run has one table: ``write``, the one way rows enter it, writes them in
-place (the slot map only for new keys) and sets its version, so a
-reference held across a learner step reads the new rows; ``snapshot`` is
-the copy that keeps them. ``logits`` is a copy of the written rows as a
-``RowBlock``, a mapping from key tuple to row.
+one (R, A) block by slot per quantity: the logits and the blocks derived
+from them, the floored log of their softmax, which the rollout KL reads,
+and the cumulative sums of the softmax at each temperature the table is
+sampled at (built on the first read at it), which a rollout turn reads.
+A write stores only logits; the derived rows it leaves pending are
+brought current in one pass at the next derived read, snapshot or new
+block, once per rollout call however many learner steps wrote them.
+Tables are read by key id, and an id the table has not written, one
+interned after its last write too, reads the default row. A run has one
+table: ``write``, the one way rows enter it, writes them in place (the
+slot map only for new keys) and sets its version, so a reference held
+across a learner step reads the new rows; ``snapshot`` is the copy that
+keeps them. ``logits`` is a copy of the written rows as a ``RowBlock``.
 
 Checkpoints are read 256 lines at a time, each block's keys interned at
 once by ``KeyIndex.intern_all``, and their logits must be JSON numbers; they
@@ -423,11 +424,9 @@ class KeyIndex:
 
 
 def _derived(name: str | float, z: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Block ``name``'s rows of the logit rows ``z``, with q = softmax_rows(z):
-    z, log_floor(q), or the cumulative sums of the softmax at temperature
-    ``name``, which sample_cum takes."""
-    if name == "z":
-        return z
+    """Derived block ``name``'s rows of the logit rows ``z``, with q =
+    softmax_rows(z): log_floor(q), or the cumulative sums of the softmax at
+    temperature ``name``, which sample_cum takes."""
     if name == "log_q":
         return log_floor(q)
     return np.cumsum(q if name == 1.0 else softmax_rows(z, name), axis=1)
@@ -436,18 +435,19 @@ def _derived(name: str | float, z: np.ndarray, q: np.ndarray) -> np.ndarray:
 class PolicyParams:
     """Logit table for one policy, over the key ids of a shared KeyIndex.
 
-    The table owns its blocks, each (R, A) by slot: the logits "z", the
-    log_floor of their softmax "log_q", which the KL reads, and for each
+    The table owns its blocks, each (R, A) by slot: the logits "z", and
+    derived from them the log_floor of their softmax "log_q" and, for each
     temperature the table was sampled at, the cumulative sums of the
     softmax at it (see ``cum``); ``slot[i]``, the slot of key id i; and
     ``keys[s]`` (R entries), the key id of slot s, for the K = ``_count``
-    written slots in the order they were first written. A row's softmax is
-    computed once, when it is written. The last row of each block is the
-    default row and the last entry of ``slot`` is NO_SLOT, so an id the
-    table has not written, or one past ``slot``, reads the default row; all
-    grow by half their size at a time. ``write`` is the one way rows enter
-    the table: it writes them in place in every block (so a learner step
-    costs its K rows) and sets the version; the arrays are read-only
+    written slots in the order they were first written. The last row of
+    each block is the default row and the last entry of ``slot`` is
+    NO_SLOT, so an id the table has not written, or one past ``slot``,
+    reads the default row; all grow by half their size at a time.
+    ``write`` is the one way rows enter the table: it writes logits in
+    place (a learner step costs its K rows), marks their slots in
+    ``_pending`` and sets the version; ``_refresh`` brings the derived
+    blocks current before they are read or copied. The arrays are read-only
     between writes. ``snapshot`` is an independent copy, which gives out
     its own slots from then on. ``logits`` is a copy of the written rows.
     """
@@ -459,9 +459,10 @@ class PolicyParams:
         _check_width(num_actions, "default", self.default_logits)
         self.version = version
         self.index = KeyIndex(num_actions)
+        self._pending: np.ndarray | None = None  # by slot: written since the last refresh
         z = self.default_logits[None]
-        q = softmax_rows(z)
-        self._own({name: np.repeat(_derived(name, z, q), 8, axis=0) for name in ("z", "log_q")},
+        blocks = {"z": z, "log_q": _derived("log_q", z, softmax_rows(z))}
+        self._own({name: np.repeat(block, 8, axis=0) for name, block in blocks.items()},
                   np.full(64, NO_SLOT, dtype=np.int32), np.zeros(8, dtype=np.int64), 0)
         if logits:
             block = RowBlock.of(logits, self.index, num_actions)
@@ -492,34 +493,54 @@ class PolicyParams:
 
     def log_q(self, ids: np.ndarray) -> np.ndarray:
         """The (len(ids), A) rows log_floor(softmax_rows(logits)) at key ``ids``."""
+        self._refresh()
         return self._read("log_q", ids)
-
-    def rows_and_log_q(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """rows(ids) and log_q(ids), through one gather of the ids' slots."""
-        at = self._slot.take(ids, mode="clip")
-        return self._blocks["z"].take(at, axis=0), self._blocks["log_q"].take(at, axis=0)
 
     def cum(self, ids: np.ndarray, temperature: float) -> np.ndarray:
         """The (len(ids), A) rows np.cumsum(softmax_rows(logits, temperature),
         axis=1) at key ``ids``, which sample_cum takes, from the temperature's
-        block: the first read at it builds it for the whole table, and every
-        later write keeps it current."""
+        block: the first read at it builds it for the whole table."""
+        self._refresh()
         if temperature not in self._blocks:
             self._build_cum(temperature)
         return self._read(temperature, ids)
 
     def _build_cum(self, temperature: float) -> None:
         """Add the temperature's block of cumulative sums, for every row."""
+        self._refresh()
         blocks = self._blocks
         blocks[temperature] = np.cumsum(softmax_rows(blocks["z"], temperature), axis=1)
         blocks[temperature].setflags(write=False)
 
+    def _refresh(self) -> None:
+        """Bring the derived blocks current: grow them to the logits' size and
+        write the pending slots' _derived rows, 1,024 at a time."""
+        if self._pending is None:
+            return
+        blocks, z = self._blocks, self._blocks["z"]
+        derived = [name for name in blocks if name != "z"]
+        for name in derived:
+            if len(blocks[name]) < len(z):
+                blocks[name] = _grown(blocks[name], len(z), blocks[name][-1])
+            blocks[name].setflags(write=True)
+        at = np.flatnonzero(self._pending)
+        for start in range(0, len(at), 1024):
+            s = at[start:start + 1024]
+            rows = z[s]
+            q = softmax_rows(rows)  # log_q and the sums at temperature 1 share it
+            for name in derived:
+                blocks[name][s] = _derived(name, rows, q)
+        self._own(blocks, self._slot, self._keys, self._count, [blocks[n] for n in derived])
+        self._pending = None
+
     def write(self, ids: np.ndarray, rows: np.ndarray, version: int) -> None:
         """Write the (K, A) logit rows ``rows`` at the distinct key ``ids`` in
-        place, in each block as its _derived rows, and set the version to
-        ``version``; ids without a slot (past the slot array too) get the next
-        free slots, in order, and only a write with such ids touches the slots."""
-        blocks, slot, keys, count = self._blocks, self._slot, self._keys, self._count
+        place, mark their slots pending for the derived blocks, and set the
+        version to ``version``; ids without a slot (past the slot array too)
+        get the next free slots, in order, and only a write with such ids
+        touches the slots."""
+        z, slot, keys, count = self._blocks["z"], self._slot, self._keys, self._count
+        pending = np.zeros(len(z), dtype=bool) if self._pending is None else self._pending
         slots = slot.take(ids, mode="clip")  # an id past slot reads its last entry, NO_SLOT
         new = slots == NO_SLOT
         added = np.count_nonzero(new)
@@ -530,27 +551,26 @@ class PolicyParams:
                 slot = _grown(slot, max(len(slot) + len(slot) // 2, top), NO_SLOT)
             if count + added >= len(keys):  # keep the default row last
                 size = max(len(keys) + len(keys) // 2, count + added + 1)
-                keys = _grown(keys, size, 0)
-                blocks = {name: _grown(block, size, block[-1]) for name, block in blocks.items()}
+                keys, z, pending = _grown(keys, size, 0), _grown(z, size, z[-1]), _grown(
+                    pending, size, False)
             slots[new] = np.arange(count, count + added)
-        written = (*blocks.values(), slot, keys) if added else tuple(blocks.values())
+        written = (z, slot, keys) if added else (z,)
         for array in written:
             array.setflags(write=True)
         if added:
             keys[count:count + added] = slot_ids
             slot[slot_ids] = slots[new]
             count += added
-        for start in range(0, len(slots), 1024):  # in blocks, to bound the temporaries
-            z, at = rows[start:start + 1024], slots[start:start + 1024]
-            q = softmax_rows(z)  # log_q and the sums at temperature 1 share it
-            for name, block in blocks.items():
-                block[at] = _derived(name, z, q)
-        self._own(blocks, slot, keys, count, written)
+        z[slots] = rows
+        pending[slots] = True
+        self._blocks["z"], self._pending = z, pending
+        self._own(self._blocks, slot, keys, count, written)
         self.version = version
 
     def snapshot(self) -> "PolicyParams":
         """An independent copy on the same index: later writes to this table
         leave its rows, slots and blocks as they are."""
+        self._refresh()
         params = copy.copy(self)
         params._own({name: block.copy() for name, block in self._blocks.items()},
                     self._slot.copy(), self._keys.copy(), self._count)
@@ -767,8 +787,9 @@ def load_params(path) -> PolicyParams:
                     block = params.index.intern_all(keys), np.reshape(logits, (-1, num_actions))
                 ids.append(block[0])
                 rows.append(block[1])
-            ids, rows = _distinct(np.concatenate(ids), np.concatenate(rows))
-            params.write(ids, rows, version)
+            params.write(*_distinct(np.concatenate(ids), np.concatenate(rows)), version)
+            del ids, rows  # before the derived blocks are made, to bound the peak
+            params._refresh()  # the derived rows are made while loading, not at a first read
     except UsageError as e:
         raise UsageError(f"{path}: {where}{e}") from None
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as e:

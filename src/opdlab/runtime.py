@@ -16,22 +16,23 @@ mode has depth 1, async mode depth ``actor_count``.
 The queue holds the rollouts that have run but are not yet delivered. The
 engine runs them before they start, as optimistic concurrency control
 would: when the queue runs short, one call runs those that start now and
-pre-starts the next ones, up to half a task cycle in all (16 rollouts at
-the default 32 tasks, against a wave's 3), on the current table and
-horizon, but none past the rollouts the remaining steps are sure to start
-(for f2b and b2f, those before the horizon next changes). A pre-started
-rollout is kept when it starts if it ran with the student-turn cap (f2b)
-and expert prefix lengths (b2f) of the current horizon and no key id in
-its ``keys`` row was written by a learner step after the version it ran
-on; it is then tagged with the current version.
-The others run again, together, on their own rows of uniforms. Every key
-starts with the task's first token, and the rollouts of half a task cycle
-are of distinct tasks, so a learner step writes a row that a pre-started
-rollout read only when the staleness budget reaches back to the last
-rollout of its task. A rollout depends only on its row, task, horizon and
-the table rows it reads, so runs are bit-identical to starting each
-rollout alone when it comes due, for any wave or call width, and
-bit-reproducible per seed in both modes.
+pre-starts the next ones on the current table and horizon, up to a task
+cycle in the queue, but none from the first whose task's last delivered
+rollout is within ``delta_max`` of the current version, and none past the
+rollouts the remaining steps are sure to start (for f2b and b2f, those
+before the horizon next changes): about 24 a call at the defaults,
+against a wave's 3. Every key starts with the task's first token, queued
+rollouts are of distinct tasks, and the learner samples no entry more
+than ``delta_max`` versions old, so no step writes a row that a
+pre-started rollout read before it starts. It is kept when it starts if
+it ran with the student-turn cap (f2b) and expert prefix lengths (b2f) of
+the current horizon and no key id in its ``keys`` row was written after
+the version it ran on, and tagged with the current version; the others
+(none, by the width rule) run again on their own rows of uniforms. A
+rollout depends only on its row, task, horizon and the table rows it
+reads, so runs are bit-identical to starting each rollout alone when it
+comes due, for any wave or call width, and bit-reproducible per seed in
+both modes.
 
 Rollouts, replay and learner exchange arrays, not per-turn objects: a
 wave's ``Rollouts`` hand the buffer their student turns as ``Turns``, rows
@@ -324,6 +325,8 @@ class _Starter:
         self.u, self.k_then = np.zeros((0, config.env.horizon_cap)), None
         self.started = self.delivered = 0
         self.written = np.full(64, -1, dtype=np.int32)
+        # each task's last delivered version tag; at first one no step samples
+        self.last = np.full(config.env.task_count, -1 - config.delta_max)
 
     def _run(self, params: PolicyParams, tasks, k: int, u: np.ndarray) -> Rollouts:
         config = self.config
@@ -363,14 +366,17 @@ class _Starter:
         if self.started < min(due, held):
             self._renew(min(due, held), params, k)
         if due > held:
-            # the missing rollouts and, pre-started, the next ones up to half a
-            # task cycle, but none past those sure to start before the run ends,
-            # or for f2b and b2f before k next changes: this wave's and
-            # ``least`` in each later step
+            # the missing rollouts and, pre-started, the next ones up to a task cycle in
+            # the queue but none from the first whose task's entries the learner may still
+            # sample, or past those sure to start before the run ends (for f2b and b2f
+            # before k next changes): this wave's and ``least`` in each later step
             tasks, stop = config.env.task_count, config.total_steps
             if config.algo != ALGO_OPD and k < config.cap:
                 stop = min(stop, steps_to_full_horizon(config.schedule(), k + 1))
-            count = max(due - held, min(tasks // 2, width + (stop - n - 1) * self.least - held))
+            ahead = (self.delivered + np.arange(due, max(due, tasks))) % tasks
+            sampled = np.append(self.last[ahead] >= params.version - config.delta_max, True)
+            count = max(due - held, min(due - held + int(sampled.argmax()),
+                                        width + (stop - n - 1) * self.least - held))
             u = self.rng.random((count, config.env.horizon_cap))
             batch = self._run(params, (self.delivered + held + np.arange(count)) % tasks, k, u)
             self.queue = self.queue.joined(batch) if held else batch
@@ -379,6 +385,7 @@ class _Starter:
         self.delivered += width
         out, self.queue, self.u = (self.queue.take(slice(width)),
                                    self.queue.take(slice(width, None)), self.u[width:])
+        self.last[out.task_ids] = out.versions  # in rollout order, so the last is the latest
         return out
 
 

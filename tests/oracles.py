@@ -146,6 +146,7 @@ def load_params(path) -> PolicyParams:
                 rows[at.item(i)] = logits
             where = ""
             params.write(ids[:count], rows[:count], params.version)
+            params._refresh()  # a loaded table is current, as policy.load_params leaves it
     except UsageError as e:
         raise UsageError(f"{path}: {where}{e}") from None
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as e:

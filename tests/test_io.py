@@ -121,7 +121,8 @@ def traced_peak(write, params, path) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("distinct", [1200, 36000])  # about 1 float in 30, all
+# distinct floats: about 1 in 30; 1 in 6, each looked up about 6 times as at window 2; all
+@pytest.mark.parametrize("distinct", [1200, 6000, 36000])
 def test_save_params_peaks_at_no_more_memory_than_the_plain_writer(tmp_path, distinct):
     params = trained_like_table(6000, 3, distinct)
     peak = traced_peak(save_params, params, tmp_path / "checkpoint.jsonl")

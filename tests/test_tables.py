@@ -34,7 +34,7 @@ from opdlab.policy import (
     save_params,
     softmax_rows,
 )
-from opdlab import runtime
+from opdlab import policy, runtime
 from opdlab.runtime import (
     RunConfig,
     _episode_summary,
@@ -350,26 +350,31 @@ def test_a_snapshot_keeps_its_rows_through_later_steps():
 
 @settings(max_examples=60, deadline=None)
 @given(num_actions=st.integers(2, 9), temperature=st.sampled_from((0.25, 0.4, 0.7, 1.0, 2.0)),
-       steps=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+       steps=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
 def test_the_sampling_sums_stay_those_of_a_softmax_taken_at_each_read(num_actions, temperature,
                                                                       steps, seed):
     """cum(ids, T) of a random table read at T has the bytes of the cumulative
     sums of softmax_rows(rows(ids), T), and log_q(ids) those of
-    log_floor(softmax_rows(rows(ids))), after each of 1-5 steps that write
-    old and new keys, which grow it past 8 slots and 64 ids, for written,
-    unwritten and past-the-end ids, through a reference held across the
-    steps; a snapshot taken before the steps keeps its sums."""
+    log_floor(softmax_rows(rows(ids))), for written, unwritten and
+    past-the-end ids, through a reference held across 1-6 steps that write
+    old and new keys and grow the table past 8 slots and 64 ids. Reads come
+    after a random number of steps, so the rows of several writes, slot
+    growth included, are brought current at once, and some read a new
+    temperature first while rows are pending; a snapshot taken before the
+    steps keeps its sums."""
     gen = np.random.default_rng(seed)
     a = num_actions
+    new_temperatures = iter((0.3, 0.9, 1.5, 3.0, 0.6, 0.45))
 
     def logits(count):
         """Random rows, some steep enough that their softmax has exact zeros."""
         return gen.normal(0.0, 3.0, (count, a)) * np.where(gen.random((count, 1)) < 0.2, 40, 1)
 
-    def check(table):
+    def check(table, *temperatures):
         ids = np.arange(table.index.size + 3)
-        expected = np.cumsum(softmax_rows(table.rows(ids), temperature), axis=1)
-        assert table.cum(ids, temperature).tobytes() == expected.tobytes()
+        for t in (*temperatures, temperature):
+            expected = np.cumsum(softmax_rows(table.rows(ids), t), axis=1)
+            assert table.cum(ids, t).tobytes() == expected.tobytes()
         log_q = log_floor(softmax_rows(table.rows(ids)))
         assert table.log_q(ids).tobytes() == log_q.tobytes()
         return expected
@@ -390,11 +395,91 @@ def test_the_sampling_sums_stay_those_of_a_softmax_taken_at_each_read(num_action
         ids = np.array([params.index.intern(key) for key in old + new])
         params.write(ids, logits(len(ids)), version)
         written += new
-        check(held)
         assert held.version == version
+        if version == steps or gen.random() < 0.4:
+            check(held, *[next(new_temperatures)] * (gen.random() < 0.5))
     assert len(params.logits) > 8 and params.index.size > 64
     assert before.cum(np.arange(len(sums)), temperature).tobytes() == sums.tobytes()
     check(before)
+
+
+def derived_rows(table, ids) -> dict:
+    """The rows of each derived block of ``table`` at ``ids``, read from the
+    blocks as they stand (no refresh), and the rows they must hold."""
+    rows = table.rows(ids)
+    return {name: (table._read(name, ids), log_floor(softmax_rows(rows)) if name == "log_q"
+                   else np.cumsum(softmax_rows(rows, name), axis=1))
+            for name in table._blocks if name != "z"}
+
+
+def assert_current(table, ids):
+    for name, (got, expected) in derived_rows(table, ids).items():
+        assert got.tobytes() == expected.tobytes(), name
+
+
+def test_rows_pending_are_brought_current_by_a_snapshot_a_new_block_and_a_load(tmp_path):
+    """Steps write only the logits; the derived blocks of a table that holds
+    rows pending are brought current, whole, by a snapshot, by the block of a
+    new temperature and by load_params, and a checkpoint saved with rows
+    pending has the bytes of one saved from a table built with its rows."""
+    gen = np.random.default_rng(11)
+    default = np.array([0.3, -0.2, 1.0, 0.0])
+    params = PolicyParams(4, {(i,): row for i, row in enumerate(gen.normal(size=(5, 4)))},
+                          default)
+    ids = np.arange(params.index.size + 60)
+
+    def steps():
+        for _ in range(3):
+            apply_gradient(params, {(int(i),): gen.normal(size=4)
+                                    for i in gen.choice(40, 12, replace=False)}, 0.7)
+        assert params._pending.any()
+
+    params.cum(ids, 1.0)
+    steps()
+    snapshot = params.snapshot()
+    assert_current(snapshot, ids)
+    assert_current(params, ids)
+    steps()
+    params._build_cum(0.5)
+    assert set(params._blocks) == {"z", "log_q", 1.0, 0.5}
+    assert_current(params, ids)
+    steps()
+    save_params(params, tmp_path / "pending.jsonl")
+    save_params(PolicyParams(4, dict(params.logits), default, params.version),
+                tmp_path / "built.jsonl")
+    assert (tmp_path / "pending.jsonl").read_bytes() == (tmp_path / "built.jsonl").read_bytes()
+    loaded = load_params(tmp_path / "pending.jsonl")
+    assert loaded._pending is None
+    assert_current(loaded, np.arange(loaded.index.size + 2))
+    assert loaded.logits == params.logits
+
+
+def test_the_pending_record_stays_bounded_and_a_refresh_takes_at_most_1024_rows():
+    """A thousand steps with no read leave one pending flag per slot, and
+    the refresh at the next read brings each written slot current once, at
+    most 1,024 rows at a time."""
+    gen = np.random.default_rng(12)
+    params = PolicyParams(3)
+    for _ in range(1000):
+        keys = gen.choice(3000, 32, replace=False)
+        apply_gradient(params, {(int(k),): g for k, g in zip(keys, gen.normal(size=(32, 3)))},
+                       0.1)
+    pending, z = params._pending, params._blocks["z"]
+    assert pending.shape == (len(z),) and pending.dtype == bool and len(z) < 5000
+    assert len(params.logits) > 2048
+    chunks, real = [], policy._derived
+
+    def spy(name, rows, q):
+        if name == "log_q":
+            chunks.append(len(rows))
+        return real(name, rows, q)
+
+    ids = np.arange(params.index.size + 1)
+    with mock.patch.object(policy, "_derived", spy):
+        log_q = params.log_q(ids)
+    assert max(chunks) == 1024 and sum(chunks) == len(params.logits)
+    assert params._pending is None
+    assert log_q.tobytes() == log_floor(softmax_rows(params.rows(ids))).tobytes()
 
 
 def test_ids_interned_after_the_last_write_read_the_default_row(tmp_path):
